@@ -9,16 +9,20 @@ fused estimate minimizes
 
     0.5 * mu' Mtilde^-1 mu + gamma * sum_a |nu_a|
 
-over (x, nu) after eliminating mu = Y - H x - nu.  When the weighted
-least-squares residual already satisfies the threshold condition
-max |Mtilde^-1 mu_ls| <= gamma the l1 term keeps nu at zero and the
-solution coincides with the least-squares baseline, i.e. with the
-fixed-gain Kalman estimate; that regime is certified cheaply and the
-iterative solver only runs when the data leave it.
+over (x, nu) after eliminating mu = Y - H x - nu.  Eliminating x too
+leaves the lasso min 0.5 (Y - nu)' S (Y - nu) + gamma |nu|_1 with
+S = Minv - Minv H (H' Minv H)^-1 H' Minv (Minv = Mtilde^-1), and then
+x_tilde = wls_op (Y - nu).  Its optimality test at nu = 0 is the threshold
+condition max |Minv mu_ls| <= gamma; when it holds the solution is the
+least-squares baseline, i.e. the fixed-gain Kalman estimate.  Otherwise the
+lasso homotopy (Osborne, Presnell & Turlach 2000; the LARS-lasso path of
+Efron et al. 2004) follows nu(lambda) from lambda = max |Minv mu_ls| down
+to gamma, and ends after finitely many breakpoints on the exact support.
 
-All arithmetic is complex; conjugate-pair symmetry of the problem data
-keeps the optimum's state block real, which is asserted before the
-imaginary residue is dropped.
+The solver runs in real arithmetic: the canonical projectors realify
+conjugate pairs, so designs built by this package are real up to rounding.
+Genuinely complex problem data keep the least-squares estimate and the
+threshold test; an l1 solve on them raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,18 +31,16 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesv as _dgesv
 
 from .decomposition import CANONICAL_RTOL, SensorDecomposition
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 
-KKT_TOL = 1e-8        # KKT residual target on unit-scaled problems
-MAX_ITER = 20000
-IMAG_TOL = 1e-6       # imaginary residue allowed on the fused estimate
-BURN_IN = 50          # steps before the bank counts as stationary
-STALL_WINDOW = 400    # iterations without KKT progress before giving up
-REFINE_EVERY = 25     # gradient iterations between active-set solves
-REFINE_PASSES = 12    # add/drop/phase passes inside one active-set solve
+KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
+MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
+TIE_RATE = 1e-9         # join rate below which a root never fires
+BURN_IN = 50            # steps before the bank counts as stationary
 
 
 @dataclasses.dataclass
@@ -57,8 +59,10 @@ class FusionResult:
     Y = H x_tilde + mu + nu holds exactly by construction.  x_ls is the
     weighted least-squares baseline; kalman_equivalent records whether
     the threshold condition held, in which case x_tilde equals x_ls and
-    nu is zero.  converged is False when the solver hit its iteration
-    or stagnation limit; the best iterate found is still returned.
+    nu is zero.  iterations counts the homotopy breakpoints walked (0 for
+    a screened step or an accepted warm start).  converged records
+    whether the returned point meets the KKT tolerance; a solve that hits
+    the breakpoint cap still returns its last point.
     """
 
     x_tilde: np.ndarray
@@ -146,41 +150,12 @@ class FusionProblem:
     Ht: np.ndarray         # n x mn, H conjugate-transposed
     Minv: np.ndarray       # inverse of the (ridged) residual covariance
     wls_op: np.ndarray     # x_ls = wls_op @ Y
-    lipschitz: float       # largest eigenvalue of [H I]' Minv [H I]
-    W: np.ndarray          # [H I]' Minv [H I], the stacked quadratic form
-    bop: np.ndarray        # [H I]' Minv, so the linear term is bop @ Y
+    S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
 
     @property
     def is_real(self) -> bool:
         """True when the problem data allowed an all-real formulation."""
         return not np.iscomplexobj(self.H)
-
-
-def _lipschitz_constant(H, Ht, Minv, iters=500, tol=1e-12):
-    # power iteration from the all-ones direction; deterministic, and
-    # equivariant under sensor-block permutations of the problem data
-    mn, n = H.shape
-    vx = np.ones(n, dtype=complex) / np.sqrt(n + mn)
-    vnu = np.ones(mn, dtype=complex) / np.sqrt(n + mn)
-    lam = 0.0
-    for _ in range(iters):
-        s = Minv @ (H @ vx + vnu)
-        wx = Ht @ s
-        lam_new = float(np.sqrt((np.vdot(wx, wx) + np.vdot(s, s)).real))
-        if lam_new <= 0.0:
-            # start vector hit the kernel of [H I]; nudge the state block
-            vx = vx + 1.0
-            norm = np.sqrt(np.vdot(vx, vx).real + np.vdot(vnu, vnu).real)
-            vx, vnu = vx / norm, vnu / norm
-            continue
-        vx, vnu = wx / lam_new, s / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    # the estimate approaches the top eigenvalue from below; pad it so the
-    # 1/L step is never long
-    return lam * (1.0 + 1e-3)
 
 
 REAL_DUST = 1e-12     # relative imaginary residue treated as rounding
@@ -189,11 +164,9 @@ REAL_DUST = 1e-12     # relative imaginary residue treated as rounding
 def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
     """Assemble the solve operators shared by every time step.
 
-    The canonical projectors realify conjugate pairs, so on any design
-    built by this package H and Mtilde are real up to rounding; in that
-    case every operator is stored real and the whole solve runs in real
-    arithmetic, which keeps the estimate exactly real.  Genuinely
-    complex data keeps the complex formulation.
+    On any design built by this package H and Mtilde are real up to
+    rounding, and every operator is stored real.  Genuinely complex data
+    keeps complex operators, which serve x_ls and the threshold test only.
     """
     H = np.asarray(H_stack, dtype=complex)
     mn = H.shape[0]
@@ -210,14 +183,10 @@ def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
         Minv = Minv.real.copy()
         MiH = MiH.real.copy()
         wls_op = wls_op.real.copy()
-    Ht = H.conj().T.copy()
-    MiHt = MiH.conj().T
-    W = np.vstack([np.hstack([Ht @ MiH, MiHt]), np.hstack([MiH, Minv])])
-    W = 0.5 * (W + W.conj().T)
-    bop = np.vstack([MiHt, Minv])
-    return FusionProblem(H=H, Ht=Ht, Minv=Minv, wls_op=wls_op,
-                         lipschitz=_lipschitz_constant(H, Ht, Minv),
-                         W=W, bop=bop)
+    S = Minv - MiH @ wls_op
+    S = 0.5 * (S + S.conj().T)
+    return FusionProblem(H=H, Ht=H.conj().T.copy(), Minv=Minv, wls_op=wls_op,
+                         S=S)
 
 
 def weighted_least_squares(Y, H_stack, Mtilde_factor):
@@ -251,234 +220,105 @@ def fusion_objective(Y, H_stack, Mtilde_factor, x, nu, gamma) -> float:
     return float(0.5 * np.vdot(r, s).real + gamma * np.abs(nu).sum())
 
 
-def _soft_threshold(z, tau):
-    mod = np.maximum(np.abs(z), 1e-300)
-    return z * np.maximum(0.0, 1.0 - tau / mod)
-
-
-def _kkt_residual(Ht, s, nu, gamma):
-    # s = Minv (Y - H x - nu); stationarity in x and dual feasibility in nu
-    stat_x = np.abs(Ht @ s).max(initial=0.0)
-    mod = np.abs(nu)
-    active = mod > 0.0
-    direction = np.zeros_like(nu)
-    direction[active] = nu[active] / mod[active]
-    deviation = np.where(active, np.abs(s - gamma * direction),
+def _residuals(problem, Y, x, nu, gamma):
+    """(mu, KKT residual) at (x, nu): stationarity in x, and in nu the
+    distance of s = Minv mu from gamma * sign(nu), or from [-gamma, gamma]."""
+    mu = Y - problem.H @ x - nu
+    s = problem.Minv @ mu
+    deviation = np.where(nu != 0.0, np.abs(s - gamma * np.sign(nu)),
                          np.maximum(0.0, np.abs(s) - gamma))
-    return float(max(stat_x, deviation.max(initial=0.0)))
+    return mu, float(max(np.abs(problem.Ht @ s).max(initial=0.0),
+                         deviation.max(initial=0.0)))
 
 
-def _refine_support(Y, problem, gamma, x, nu, s, b, f_cur, kkt_cur, f_tol,
-                    eps_eff):
-    """Pin the active set suggested by the current iterate and solve it.
+def _lasso_path(S, Y, c_ls, gamma, history):
+    """Walk the lasso homotopy of min 0.5 (Y - nu)' S (Y - nu) + lam |nu|_1
+    from lam = max |c_ls|, where nu = 0, down to lam = gamma; c_ls = S Y.
 
-    On a fixed support S with fixed signs (real data) or phases (complex
-    data), the optimum satisfies a linear system in (x, |nu_S|) built
-    from blocks of W.  The unique optimum can hold at most mn - n active
-    coordinates (the stacked design [H I_S] must keep full column rank),
-    so larger guesses are trimmed to the strongest ones and active-set
-    moves explore from there.
-
-    Returns (x, nu, r, s, f, kkt) when the refined point improves on the
-    incoming iterate or meets the KKT tolerance, else None.
+    On a segment with active set A and signs s_A, lowering lam by t moves
+    nu_A by t w_A, with S_AA w_A = s_A, and the correlation c = S (Y - nu)
+    by -t a, with a = S[:, A] w_A, so that c_A stays at (lam - t) s_A.
+    The segment ends at the first of three events: an inactive c_j
+    reaches +-(lam - t) (j joins with that sign), an active nu_i reaches
+    zero (i drops), or lam - t reaches gamma.  A root whose rate 1 - a_j
+    is at most TIE_RATE is taken to move with the bound: its coordinate
+    completes a flat direction of the objective and would make S_AA singular.
+    Returns (nu, segments); history, when a list, receives the objective
+    at every breakpoint.
     """
-    if problem.is_real:
-        return _refine_signs(Y, problem, gamma, x, nu, f_cur, kkt_cur,
-                             f_tol, eps_eff)
-    return _refine_phases(Y, problem, gamma, nu, s, b, f_cur, kkt_cur,
-                          f_tol, eps_eff)
-
-
-def _refine_signs(Y, problem, gamma, x, nu, f_cur, kkt_cur, f_tol, eps_eff):
-    """Active-set walk for real data, in the style of nonnegative least
-    squares: jump to the face minimizer only when its magnitudes stay
-    positive, otherwise step to the first blocking coordinate and drop
-    it; grow the support one coordinate at a time from face-optimal
-    points.  Each pass strictly decreases the objective, so the walk
-    terminates, normally on the exact optimizer of the sign pattern."""
-    H, Ht, Minv, W = problem.H, problem.Ht, problem.Minv, problem.W
-    b = problem.bop @ Y
-    mn, n = H.shape
-    room = mn - n
-    if room <= 0:
-        return None
-    mask = nu != 0.0
-    if int(mask.sum()) > room:
-        order = np.argsort(np.abs(nu))
-        mask = np.zeros(mn, dtype=bool)
-        mask[order[-room:]] = True
-    sigma = np.sign(nu) * mask
-    t_full = np.abs(nu) * mask
-    x_cur = x.copy()
-    states = np.arange(n)
-    last_added = -1
-    for _ in range(4 * REFINE_PASSES):
-        act = np.flatnonzero(mask)
-        idx = np.concatenate([states, n + act])
-        u = np.concatenate([np.ones(n), sigma[act]])
-        A = u[:, None] * W[np.ix_(idx, idx)] * u[None, :]
-        rhs = u * b[idx]
-        rhs[n:] -= gamma
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        x_f, t_f = sol[:n], sol[n:]
-        neg = t_f < 0.0
-        if neg.any():
-            # partial step up to the first magnitude hitting zero
-            t_act = t_full[act]
-            ratios = np.where(neg, t_act / np.maximum(t_act - t_f, 1e-300),
-                              np.inf)
-            j_blk = int(np.argmin(ratios))
-            alpha = float(ratios[j_blk])
-            if not np.isfinite(alpha) or alpha >= 1.0:
-                return None
-            if alpha <= 0.0 and act[j_blk] == last_added:
-                return None
-            x_cur = x_cur + alpha * (x_f - x_cur)
-            t_new = np.maximum(t_act + alpha * (t_f - t_act), 0.0)
-            t_new[j_blk] = 0.0
-            t_full[act] = t_new
-            sigma[act[j_blk]] = 0.0
-            mask[act[j_blk]] = False
-            continue
-        # face minimizer feasible: jump, then grow by the worst violator
-        x_cur = x_f
-        t_full[:] = 0.0
-        t_full[act] = t_f
-        nu_cur = t_full * sigma
-        r_cur = Y - H @ x_cur - nu_cur
-        s_cur = Minv @ r_cur
-        offv = ~mask & (np.abs(s_cur) > gamma * (1.0 + 1e-9))
-        if not offv.any() or int(mask.sum()) >= room:
-            break
-        j = int(np.argmax(np.abs(s_cur) * offv))
-        mask[j] = True
-        sigma[j] = 1.0 if s_cur[j] > 0.0 else -1.0
-        t_full[j] = 0.0
-        last_added = j
-    else:
-        nu_cur = t_full * sigma
-        r_cur = Y - H @ x_cur - nu_cur
-        s_cur = Minv @ r_cur
-    f_new = float(0.5 * np.dot(r_cur, s_cur) + gamma * t_full.sum())
-    kkt_new = _kkt_residual(Ht, s_cur, nu_cur, gamma)
-    if (kkt_new <= eps_eff or f_new < f_cur - f_tol
-            or (f_new <= f_cur + f_tol and kkt_new < kkt_cur)):
-        return x_cur, nu_cur, r_cur, s_cur, f_new, kkt_new
-    return None
-
-
-def _refine_phases(Y, problem, gamma, nu, s, b, f_cur, kkt_cur, f_tol,
-                   eps_eff):
-    """Fixed-phase active-set heuristic for genuinely complex data: solve
-    the support system at frozen phases, realign phases with the
-    residual, and iterate a bounded number of passes."""
-    H, Ht, Minv, W = problem.H, problem.Ht, problem.Minv, problem.W
-    mn, n = H.shape
-    room = mn - n
-    if room <= 0:
-        return None
-    mask = np.abs(nu) > 0.0
-    if int(mask.sum()) > room:
-        order = np.argsort(np.abs(nu))
-        mask = np.zeros(mn, dtype=bool)
-        mask[order[-room:]] = True
-    # seed phases from the residual; at the optimum s = gamma*phi on the
-    # support, so near convergence this guess is already tight
-    phi = np.ones(mn, dtype=W.dtype)
-    smag = np.abs(s)
-    seen = smag > 1e-300
-    phi[seen] = s[seen] / smag[seen]
-    # the subproblem is solved in real variables (x real, nu = t*phi with
-    # t real) so the state block cannot pick up an imaginary residue
-    x_new = None
-    phase_delta = np.inf
-    for _ in range(REFINE_PASSES):
-        act = np.flatnonzero(mask)
-        idx = np.concatenate([np.arange(n), n + act])
-        u = np.concatenate([np.ones(n, dtype=W.dtype), phi[act]])
-        A = (u.conj()[:, None] * W[np.ix_(idx, idx)] * u[None, :]).real
-        rhs = (u.conj() * b[idx]).real
-        rhs[n:] -= gamma
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        x_new = sol[:n].astype(W.dtype)
-        t_mag = sol[n:]
-        nu_new = np.zeros(mn, dtype=W.dtype)
-        nu_new[act] = t_mag * phi[act]
-        r_new = Y - H @ x_new - nu_new
-        s_new = Minv @ r_new
-        drops = act[t_mag <= 0.0]
-        viol = np.flatnonzero(~mask & (np.abs(s_new) > gamma * (1.0 + 1e-9)))
-        if drops.size == 0 and viol.size == 0:
-            # realign phases with the residual; the solve pinned the real
-            # part of phi' s at gamma, so s is nonzero on the support
-            sa = s_new[act]
-            new_phi = sa / np.abs(sa)
-            phase_delta = float(np.abs(new_phi - phi[act]).max(initial=0.0))
-            phi[act] = new_phi
-            if phase_delta <= 1e-12:
-                break
-            continue
-        phase_delta = np.inf
-        mask[drops] = False
-        if viol.size and drops.size == 0 and int(mask.sum()) >= room:
-            # no slack left: swap the weakest active for the worst violator
-            mask[act[np.argmin(t_mag)]] = False
-        headroom = room - int(mask.sum())
-        if viol.size and headroom > 0:
-            if viol.size > headroom:
-                viol = viol[np.argsort(np.abs(s_new[viol]))[::-1][:headroom]]
-            mask[viol] = True
-            phi[viol] = s_new[viol] / np.abs(s_new[viol])
-        if not mask.any():
-            return None
-    if x_new is None:
-        return None
-    if phase_delta > 1e-10:
-        # an unfinished phase iteration would hand the gradient loop an
-        # iterate off the conjugate-symmetric subspace, whose asymmetry
-        # then survives in the state block; only a finished one is safe
-        return None
-    f_new = float(0.5 * np.vdot(r_new, s_new).real
-                  + gamma * np.abs(nu_new).sum())
-    kkt_new = _kkt_residual(Ht, s_new, nu_new, gamma)
-    if (kkt_new <= eps_eff or f_new < f_cur - f_tol
-            or (f_new <= f_cur + f_tol and kkt_new < kkt_cur)):
-        return x_new, nu_new, r_new, s_new, f_new, kkt_new
-    return None
+    mn = len(c_ls)
+    # root r < mn is c_r reaching +lam, root mn + j is c_j reaching -lam
+    S2 = np.vstack((S, -S))
+    c2_ls = np.concatenate((c_ls, -c_ls))
+    nu = np.zeros(mn)
+    sign = np.zeros(mn)                     # s_i on the active set, else 0
+    blocked = np.zeros(2 * mn, dtype=bool)  # roots that may not fire
+    root = int(c2_ls.argmax())
+    lam = float(c2_ls[root])
+    held = -1       # own-sign root of the coordinate that dropped last
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, MAX_BREAKPOINTS + 1):
+            if root >= 0:
+                j = root % mn
+                sign[j] = 1.0 if root < mn else -1.0
+                blocked[j] = blocked[j + mn] = True
+            act = sign.nonzero()[0]
+            cols = S2.take(act, axis=1)
+            s_act, nu_act = sign.take(act), nu.take(act)
+            # recomputed from nu at every breakpoint; stepping c along drifts
+            c2 = c2_ls - cols @ nu_act
+            if history is not None:
+                history.append(float(0.5 * (Y - nu) @ c2[:mn]
+                                     + gamma * np.abs(nu).sum()))
+            S_aa = cols.take(act, axis=0)
+            w, info = _dgesv(S_aa, s_act)[2:]
+            if info > 0:
+                # S_AA singular: a flat direction, any solution will do
+                w = np.linalg.lstsq(S_aa, s_act, rcond=None)[0]
+            rate = 1.0 - cols @ w
+            join = (lam - c2) / rate
+            join[blocked | (rate <= TIE_RATE)] = np.inf
+            np.maximum(join, 0.0, out=join)     # a passed root fires at once
+            drop = -nu_act / w
+            drop[w * s_act >= 0.0] = np.inf
+            np.maximum(drop, 0.0, out=drop)
+            root, i = int(join.argmin()), int(drop.argmin())
+            t = min(join[root], drop[i])
+            if t >= lam - gamma:
+                nu[act] = nu_act + (lam - gamma) * w
+                return nu, it
+            nu[act] = nu_act + t * w
+            lam -= t
+            if held >= 0:
+                blocked[held] = False
+                held = -1
+            if drop[i] <= join[root]:
+                k = int(act[i])
+                held = k if sign[k] > 0.0 else k + mn
+                nu[k] = sign[k] = 0.0
+                # the coordinate sits on its own-sign root at t = 0, so
+                # only that root stays blocked, for one segment
+                blocked[(held + mn) % (2 * mn)] = False
+                root = -1
+    return nu, MAX_BREAKPOINTS
 
 
 def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
-                max_iter=MAX_ITER, warm_start=None, problem=None,
-                history=None) -> FusionResult:
+                warm_start=None, problem=None, history=None) -> FusionResult:
     """Solve the l1-regularized fusion problem for one measurement Y.
 
-    warm_start is an optional (x, nu) pair, typically the previous time
-    step's solution; problem is an optional prebuilt FusionProblem (it
-    must match H_stack and Mtilde_factor).  history, when given a list,
-    collects the objective value of every accepted iterate.
+    problem is an optional prebuilt FusionProblem (it must match H_stack
+    and Mtilde_factor).  warm_start is an optional (x, nu) pair, typically
+    the previous time step's solution: when it passes the KKT test it is
+    returned as it is, with iterations 0, and otherwise it is ignored.
+    history, when given a list, collects the objective at nu = 0, at every
+    homotopy breakpoint and at the answer.  It does not increase: along
+    the path its derivative in lambda is (lambda - gamma) s_A' S_AA^-1 s_A.
 
-    The solver is an accelerated proximal gradient method with step 1/L:
-    candidates that would raise the objective trigger a momentum restart
-    and a plain descent step, so the accepted objective sequence is
-    non-increasing up to the rounding floor of the objective evaluation
-    (the quadratic form cancels large terms, so its value carries an
-    absolute error far above machine epsilon relative to f itself).
-    Acceleration is also restarted whenever the momentum direction turns
-    against the latest step (adaptive restart), which keeps the iterate
-    from orbiting the optimum when many coordinates of nu are active.
-    Convergence is declared when the KKT residual drops below
-    eps_kkt * max(1, gamma); on stagnation or max_iter the best iterate
-    found is returned with converged False.
+    The threshold test or the lasso homotopy (module docstring) gives the
+    answer; it counts as converged when its KKT residual is at most
+    eps_kkt * max(1, gamma).  Complex data failing the threshold test
+    raise ValueError.
     """
     if gamma <= 0:
         raise ValueError("γ = 0 leaves x̃ non-identifiable")
@@ -486,7 +326,7 @@ def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
         problem = build_fusion_problem(H_stack, Mtilde_factor)
     Y = np.asarray(Y, dtype=complex).reshape(-1)
     H, Ht, Minv = problem.H, problem.Ht, problem.Minv
-    mn, n = H.shape
+    mn = H.shape[0]
     if problem.is_real:
         dust = float(np.abs(Y.imag).max(initial=0.0))
         scale = max(float(np.abs(Y.real).max(initial=0.0)), 1e-300)
@@ -498,141 +338,54 @@ def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
                         "least-squares estimate")
     mu_ls = Y - H @ x_ls
     d_ls = Minv @ mu_ls
-    f_ls = float(0.5 * np.vdot(mu_ls, d_ls).real)
 
     if float(np.abs(d_ls).max(initial=0.0)) <= gamma:
         if history is not None:
-            history.append(f_ls)
+            history.append(float(0.5 * np.vdot(mu_ls, d_ls).real))
         return FusionResult(
             x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(mn, dtype=Y.dtype),
             kkt_residual=float(np.abs(Ht @ d_ls).max(initial=0.0)),
             iterations=0, kalman_equivalent=True, x_ls=x_ls, converged=True)
-
-    # start from the better of the warm start and the least-squares point
-    x = x_ls.astype(Y.dtype)
-    nu = np.zeros(mn, dtype=Y.dtype)
-    r_z, s_z, f_z = mu_ls, d_ls, f_ls
-    if warm_start is not None:
-        wx = np.asarray(warm_start[0], dtype=complex).reshape(-1)
-        wnu = np.asarray(warm_start[1], dtype=complex).reshape(-1)
-        if problem.is_real:
-            wx, wnu = wx.real.copy(), wnu.real.copy()
-        r_w = Y - H @ wx - wnu
-        s_w = Minv @ r_w
-        f_w = float(0.5 * np.vdot(r_w, s_w).real + gamma * np.abs(wnu).sum())
-        if f_w < f_z:
-            x, nu, r_z, s_z, f_z = wx, wnu, r_w, s_w, f_w
-
-    L = problem.lipschitz
-    step = 1.0 / L
-    thresh = gamma * step
-    t = 1.0
-    mx, mnu, s_m = x, nu, s_z
-    x_prev, nu_prev, s_prev = x, nu, s_z
-
-    # the accept tolerance must sit above the evaluation rounding of the
-    # quadratic form, whose summands can dwarf the cancelled result
-    f_tol = 1e-13 * max(1.0, float(np.linalg.norm(mu_ls))
-                        * float(np.linalg.norm(d_ls)))
+    if not problem.is_real:
+        raise ValueError(
+            "the l1 fusion solves real problems only; map complex canonical "
+            "coordinates to real ones (decomposition.realification_map) "
+            "before building the problem")
 
     eps_eff = eps_kkt * max(1.0, gamma)
-    kkt = _kkt_residual(Ht, s_z, nu, gamma)
-    best = (kkt, x, nu, f_z)
-    progress_ref, progress_iter = kkt, 0
-    converged = kkt <= eps_eff
-    backoffs = 0
-    it = 0
-    if history is not None:
-        history.append(f_z)
-
-    b_vec = None
-    refine_at, refine_gap = 1, REFINE_EVERY
-
-    while not converged and it < max_iter:
-        it += 1
-        if it == refine_at:
-            if b_vec is None:
-                b_vec = problem.bop @ Y
-            ref = _refine_support(Y, problem, gamma, x, nu, s_z, b_vec,
-                                  f_z, kkt, f_tol, eps_eff)
-            if ref is None:
-                refine_gap = min(2 * refine_gap, 16 * REFINE_EVERY)
-            else:
-                refine_gap = REFINE_EVERY
-                x_prev, nu_prev, s_prev = x, nu, s_z
-                x, nu, r_z, s_z, f_z, kkt = ref
-                if history is not None:
-                    history.append(f_z)
-                if kkt < best[0]:
-                    best = (kkt, x, nu, f_z)
-                if kkt <= eps_eff:
-                    converged = True
-                    break
-                if kkt < progress_ref:
-                    progress_ref = kkt
-                progress_iter = it
-                t = 1.0
-                mx, mnu, s_m = x, nu, s_z
-            refine_at = it + refine_gap
-            if ref is not None:
-                continue
-        cx = mx + step * (Ht @ s_m)
-        cnu = _soft_threshold(mnu + step * s_m, thresh)
-        r_c = Y - H @ cx - cnu
-        s_c = Minv @ r_c
-        f_c = float(0.5 * np.vdot(r_c, s_c).real + gamma * np.abs(cnu).sum())
-        if f_c > f_z + f_tol:
-            # momentum overshot: restart and take a plain step from z
-            t = 1.0
-            cx = x + step * (Ht @ s_z)
-            cnu = _soft_threshold(nu + step * s_z, thresh)
-            r_c = Y - H @ cx - cnu
-            s_c = Minv @ r_c
-            f_c = float(0.5 * np.vdot(r_c, s_c).real + gamma * np.abs(cnu).sum())
-            if f_c > f_z + f_tol:
-                # even the plain step fails to descend: either L was
-                # underestimated or the objective is at machine precision
-                backoffs += 1
-                if backoffs > 8:
-                    break
-                L *= 2.0
-                step = 1.0 / L
-                thresh = gamma * step
-                mx, mnu, s_m = x, nu, s_z
-                continue
-        # adaptive restart: momentum pointing away from the step taken
-        if (np.vdot(mx - cx, cx - x) + np.vdot(mnu - cnu, cnu - nu)).real > 0.0:
-            t = 1.0
-        x_prev, nu_prev, s_prev = x, nu, s_z
-        x, nu, r_z, s_z, f_z = cx, cnu, r_c, s_c, f_c
-        if history is not None:
-            history.append(f_z)
-        kkt = _kkt_residual(Ht, s_z, nu, gamma)
-        if kkt < best[0]:
-            best = (kkt, x, nu, f_z)
+    if warm_start is not None:
+        x = np.asarray(warm_start[0], dtype=float).reshape(-1)
+        nu = np.asarray(warm_start[1], dtype=float).reshape(-1)
+        mu, kkt = _residuals(problem, Y, x, nu, gamma)
         if kkt <= eps_eff:
-            converged = True
-            break
-        if kkt < 0.99 * progress_ref:
-            progress_ref, progress_iter = kkt, it
-        elif it - progress_iter >= STALL_WINDOW:
-            break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        c = (t - 1.0) / t_next
-        t = t_next
-        mx = x + c * (x - x_prev)
-        mnu = nu + c * (nu - nu_prev)
-        s_m = s_z + c * (s_z - s_prev)
+            return FusionResult(
+                x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=0,
+                kalman_equivalent=False, x_ls=x_ls, converged=True)
 
-    if not converged:
-        kkt, x, nu, f_z = best
-
-    x_real = _real_vector(x, IMAG_TOL, "fused estimate")
-    mu = Y - H @ x_real - nu
-    kkt_out = _kkt_residual(Ht, Minv @ mu, nu, gamma)
+    nu, it = _lasso_path(problem.S, Y, d_ls, gamma, history)
+    x = problem.wls_op @ (Y - nu)
+    mu, kkt = _residuals(problem, Y, x, nu, gamma)
+    if kkt > eps_eff:
+        # one step of iterative refinement of (x, nu_A) on the final
+        # support, driven by the residual: when Minv is large, S (Y - nu)
+        # loses digits to cancellation that the residual keeps
+        act = np.flatnonzero(nu)
+        x_r = x + problem.wls_op @ mu
+        s = Minv @ (Y - H @ x_r - nu)
+        step = np.linalg.lstsq(problem.S[np.ix_(act, act)],
+                               s[act] - gamma * np.sign(nu[act]),
+                               rcond=None)[0]
+        nu_r = nu.copy()
+        nu_r[act] += step
+        x_r -= problem.wls_op[:, act] @ step
+        mu_r, kkt_r = _residuals(problem, Y, x_r, nu_r, gamma)
+        if kkt_r < kkt:
+            x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
+    if history is not None:
+        history.append(float(0.5 * mu @ Minv @ mu + gamma * np.abs(nu).sum()))
     return FusionResult(
-        x_tilde=x_real, mu=mu, nu=nu, kkt_residual=kkt_out, iterations=it,
-        kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt_out <= eps_eff))
+        x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=it,
+        kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt <= eps_eff))
 
 
 def trial_generators(seed, trial):

@@ -198,7 +198,6 @@ def simulate(model: SystemModel, design: SpectralDesign,
                                        decomposition.Mtilde_factor)
     bank = initial_bank(model)
     x_kal = np.zeros(n)
-    warm = None
 
     xs = np.empty((horizon, n))
     us = np.empty((horizon, B.shape[1]))
@@ -221,9 +220,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
         bank = local_estimator_step(bank, y, u, decomposition, model)
         Y = assemble_canonical_measurement(bank, decomposition)
         res = secure_fuse(Y, decomposition.H_stack,
-                          decomposition.Mtilde_factor, gamma,
-                          warm_start=warm, problem=problem)
-        warm = (res.x_tilde, res.nu)
+                          decomposition.Mtilde_factor, gamma, problem=problem)
         xs[t], us[t], zs[t], ys[t] = x, u, z, y
         kals[t], secs[t], lss[t] = x_kal, res.x_tilde, res.x_ls
         iters[t] = res.iterations
@@ -371,17 +368,6 @@ def default_attack(m: int = 4) -> AttackSpec:
                       magnitude=math.pi / 2, start_step=0)
 
 
-def _paired_mses(model, design, decomposition, attack, gamma, horizon, seed,
-                 trial, burn_in, problem):
-    """(secure_clean, secure_attacked, kalman_clean, kalman_attacked)."""
-    clean = simulate(model, design, decomposition, AttackSpec(), gamma,
-                     horizon, seed, trial=trial, problem=problem)
-    hit = simulate(model, design, decomposition, attack, gamma, horizon,
-                   seed, trial=trial, problem=problem)
-    mc, mh = mse(clean, burn_in), mse(hit, burn_in)
-    return (mc.secure, mh.secure, mc.kalman, mh.kalman)
-
-
 def _aggregate(value, per_trial) -> SweepRow:
     """Collapse per-trial (sc, sa, kc, ka) tuples into one SweepRow."""
     data = np.asarray(per_trial)
@@ -406,17 +392,33 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                burn_in, threads) -> list[SweepRow]:
     """Shared sweep driver; points is a list of (value, attack, gamma).
 
-    Trials run in parallel, each owning its own RNG substream and
-    warm-start chain; results are reduced in fixed trial order so the
-    output does not depend on scheduling.
+    Trials run in parallel, each owning its own RNG substream; results
+    are reduced in fixed trial order so the output does not depend on
+    scheduling.  Within a trial every distinct (attack, gamma) run is
+    simulated once: the clean run of a gamma serves every point at that
+    gamma, and an attack of kind none or magnitude 0 injects nothing, so
+    it is that clean run too.
     """
     problem = build_fusion_problem(decomposition.H_stack,
                                    decomposition.Mtilde_factor)
 
     def run_trial(trial):
-        return [_paired_mses(model, design, decomposition, attack, gamma,
-                             horizon, seed, trial, burn_in, problem)
-                for _, attack, gamma in points]
+        reports = {}
+
+        def report(attack, gamma):
+            if attack.kind == "none" or attack.magnitude == 0.0:
+                attack = AttackSpec()
+            if (attack, gamma) not in reports:
+                reports[attack, gamma] = mse(simulate(
+                    model, design, decomposition, attack, gamma, horizon,
+                    seed, trial=trial, problem=problem), burn_in)
+            return reports[attack, gamma]
+
+        out = []
+        for _, attack, gamma in points:
+            clean, hit = report(AttackSpec(), gamma), report(attack, gamma)
+            out.append((clean.secure, hit.secure, clean.kalman, hit.kalman))
+        return out
 
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -470,7 +472,7 @@ def sweep_attack_magnitude(model: SystemModel, design: SpectralDesign,
 
     The attack argument fixes the support/kind/start; its magnitude is
     replaced by each grid value in turn (magnitude 0 degenerates to no
-    attack, so those columns coincide up to solver determinism).
+    attack and reuses the clean run, so those columns coincide exactly).
     """
     magnitudes = [float(v) for v in magnitudes]
     if not magnitudes:

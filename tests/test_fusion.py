@@ -437,6 +437,30 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
     assert both >= 0.9 * total
 
 
+def test_complex_problem_l1_solve_raises(pendulum_model, pendulum_design,
+                                         pendulum_decomposition):
+    # the unprojected bank keeps complex data: the least-squares estimate
+    # and the threshold test work on it, an l1 solve does not
+    m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
+    W_factor = scipy.linalg.cho_factor(dec.Wtilde)
+    prob_raw = build_fusion_problem(dec.G_stack, W_factor)
+    assert not prob_raw.is_real
+    x, g_w, g_v = rollout_setup(m, d, dec, seed=5)
+    Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
+    K = m.feedback_gain()
+    bank = initial_bank(m)
+    for _ in range(60):
+        u = -(K @ x)
+        x = m.A @ x + m.B @ u + Lq @ g_w.standard_normal(4)
+        y = m.C @ x + Lr @ g_v.standard_normal(4)
+        bank = local_estimator_step(bank, y, u, dec, m)
+    zeta = np.concatenate(bank.zeta)
+    assert secure_fuse(zeta, dec.G_stack, W_factor, 1e12,
+                       problem=prob_raw).kalman_equivalent
+    with pytest.raises(ValueError, match="realification_map"):
+        secure_fuse(zeta, dec.G_stack, W_factor, 1e-9, problem=prob_raw)
+
+
 def test_psd_factor_paths():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     L = psd_factor(M)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from securekf.fusion import MAX_BREAKPOINTS
 from securekf.simulator import (
     AttackSpec,
     attack_sequence,
@@ -248,6 +249,19 @@ def test_solver_columns_recorded(pendulum_model, pendulum_design,
     assert (tr.kkt_residual >= 0).all()
 
 
+def test_small_gamma_solves_converge(pendulum_model, pendulum_design,
+                                     pendulum_decomposition):
+    # at gamma = 0.05 the active set grows to rank S = mn - n and
+    # coordinates leave and rejoin it along the path; every step must
+    # still meet the KKT tolerance
+    for attack in (AttackSpec(), default_attack(pendulum_model.m)):
+        tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
+                 attack=attack, gamma=0.05, horizon=100, seed=0)
+        assert not tr.kalman_equivalent.any()
+        assert tr.solver_converged.all()
+        assert (tr.kkt_residual <= 1e-8).all()
+
+
 # ---------------------------------------------------------------- reports
 
 
@@ -349,6 +363,25 @@ def test_ramp_attack_secure_estimate_stays_bounded(pendulum_model,
     assert gap.kalman[-1] > 3.0 * gap.kalman[45]
 
 
+def test_extreme_constant_attack_ends_within_breakpoint_cap(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # a constant 1e6 on the only angle sensor for the last five steps:
+    # every solve must end within the breakpoint cap with finite output
+    attack = AttackSpec(support=(3,), kind="constant", magnitude=1e6,
+                        start_step=56)
+    tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
+             attack=attack, gamma=5.0, horizon=60, seed=0)
+    hit = tr.a[:, 3] != 0.0
+    assert hit.sum() == 5
+    assert not tr.kalman_equivalent[hit].any()
+    assert (tr.solver_iters < MAX_BREAKPOINTS).all()
+    assert np.isfinite(tr.xhat_sec).all()
+    # the l1 term rejects most of the attack the filter passes through
+    err_sec = np.abs(tr.xhat_sec[hit] - tr.x[hit]).max()
+    err_kal = np.abs(tr.xhat_kal[hit] - tr.x[hit]).max()
+    assert err_sec < 0.01 * err_kal
+
+
 # ---------------------------------------------------------------- sweeps
 
 
@@ -417,6 +450,43 @@ def test_sweep_attack_magnitude_zero_matches_clean(
     assert z.mse_secure_attack == pytest.approx(z.mse_secure_no_attack)
     assert z.mse_kalman_attack == pytest.approx(z.mse_kalman_no_attack)
     assert rows[1].mse_kalman_attack > rows[1].mse_kalman_no_attack
+
+
+def test_sweep_simulates_each_distinct_run_once(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    import securekf.simulator as sim
+
+    calls = []
+    simulate_once = sim.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return simulate_once(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate", counting)
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    magnitudes, trials = (0.0, 1.0, 2.0), 2
+    rows = sweep_attack_magnitude(*args, magnitudes=magnitudes, gamma=5.0,
+                                  trials=trials, horizon=60, seed=2)
+    # per trial: the clean run (which magnitude 0 reuses) and one run per
+    # nonzero magnitude, instead of a clean/attacked pair per point
+    assert sorted(a.magnitude for a in calls) == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+    attack = default_attack(pendulum_model.m)
+    for row, v in zip(rows, magnitudes):
+        per_trial = []
+        for trial in range(trials):
+            spec = dataclasses.replace(attack, magnitude=v)
+            clean = simulate_once(*args, AttackSpec(), 5.0, 60, 2, trial=trial)
+            hit = simulate_once(*args, spec, 5.0, 60, 2, trial=trial)
+            mc, mh = mse(clean), mse(hit)
+            per_trial.append((mc.secure, mh.secure, mc.kalman, mh.kalman))
+        data = np.array(per_trial)
+        assert [row.mse_secure_no_attack, row.mse_secure_attack,
+                row.mse_kalman_no_attack, row.mse_kalman_attack] == \
+            list(data.mean(axis=0))
+        assert [row.stderr_secure_no_attack, row.stderr_secure_attack,
+                row.stderr_kalman_no_attack, row.stderr_kalman_attack] == \
+            list(data.std(axis=0, ddof=1) / np.sqrt(trials))
 
 
 def test_sweep_single_trial_has_zero_stderr(pendulum_model, pendulum_design,
