@@ -385,7 +385,7 @@ def cmd_sweep_gamma(args) -> int:
     rows = sweep_gamma(model, design, decomposition, gammas=gammas,
                        attack=attack, trials=args.trials,
                        horizon=args.horizon, seed=args.seed,
-                       burn_in=args.burn_in, threads=args.threads)
+                       burn_in=args.burn_in)
     _emit_csv(sweep_csv(rows), args.out)
     where = args.out if args.out else "stdout"
     print(f"{len(rows)} gamma value(s), {args.trials} trial(s) each -> "
@@ -405,7 +405,7 @@ def cmd_sweep_attack(args) -> int:
                                   magnitudes=magnitudes, gamma=args.gamma,
                                   attack=attack, trials=args.trials,
                                   horizon=args.horizon, seed=args.seed,
-                                  burn_in=args.burn_in, threads=args.threads)
+                                  burn_in=args.burn_in)
     _emit_csv(sweep_csv(rows), args.out)
     where = args.out if args.out else "stdout"
     print(f"{len(rows)} magnitude(s) at gamma={args.gamma:g}, "
@@ -427,9 +427,6 @@ def _add_sim_flags(p, trials=True):
     if trials:
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                        help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: machine parallelism); "
-                            "results do not depend on this")
     p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN,
                    help=f"steps dropped from MSE averages "
                         f"(default {DEFAULT_BURN_IN})")

@@ -34,13 +34,11 @@ import scipy.linalg
 from scipy.linalg.lapack import dgesv as _dgesv
 
 from .decomposition import CANONICAL_RTOL, SensorDecomposition
-from .model import SystemModel, psd_factor
-from .spectral import SpectralDesign
+from .model import SystemModel
 
 KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
-BURN_IN = 50            # steps before the bank counts as stationary
 
 
 @dataclasses.dataclass
@@ -315,6 +313,8 @@ def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
     homotopy breakpoint and at the answer.  It does not increase: along
     the path its derivative in lambda is (lambda - gamma) s_A' S_AA^-1 s_A.
 
+    A float64 Y on a real problem is used as it is.  Any other Y is cast
+    to complex, and on a real problem it must be real to 1e-9 relative.
     The threshold test or the lasso homotopy (module docstring) gives the
     answer; it counts as converged when its KKT residual is at most
     eps_kkt * max(1, gamma).  Complex data failing the threshold test
@@ -324,18 +324,21 @@ def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
         raise ValueError("γ = 0 leaves x̃ non-identifiable")
     if problem is None:
         problem = build_fusion_problem(H_stack, Mtilde_factor)
-    Y = np.asarray(Y, dtype=complex).reshape(-1)
+    Y = np.asarray(Y).reshape(-1)
     H, Ht, Minv = problem.H, problem.Ht, problem.Minv
     mn = H.shape[0]
-    if problem.is_real:
-        dust = float(np.abs(Y.imag).max(initial=0.0))
-        scale = max(float(np.abs(Y.real).max(initial=0.0)), 1e-300)
-        assert dust <= 1e-9 * scale, \
-            f"complex measurement on a real-structured problem (imag {dust:.3e})"
-        Y = Y.real.copy()
-
-    x_ls = _real_vector(problem.wls_op @ Y, CANONICAL_RTOL,
-                        "least-squares estimate")
+    real = problem.is_real
+    if not (real and Y.dtype == np.float64):
+        Y = Y.astype(complex)
+        if real:
+            dust = float(np.abs(Y.imag).max(initial=0.0))
+            scale = max(float(np.abs(Y.real).max(initial=0.0)), 1e-300)
+            assert dust <= 1e-9 * scale, \
+                f"complex measurement on a real-structured problem (imag {dust:.3e})"
+            Y = Y.real.copy()
+    x_ls = problem.wls_op @ Y      # real on a real problem
+    if not real:
+        x_ls = _real_vector(x_ls, CANONICAL_RTOL, "least-squares estimate")
     mu_ls = Y - H @ x_ls
     d_ls = Minv @ mu_ls
 
@@ -346,7 +349,7 @@ def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
             x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(mn, dtype=Y.dtype),
             kkt_residual=float(np.abs(Ht @ d_ls).max(initial=0.0)),
             iterations=0, kalman_equivalent=True, x_ls=x_ls, converged=True)
-    if not problem.is_real:
+    if not real:
         raise ValueError(
             "the l1 fusion solves real problems only; map complex canonical "
             "coordinates to real ones (decomposition.realification_map) "
@@ -395,56 +398,3 @@ def trial_generators(seed, trial):
     """
     children = np.random.SeedSequence((seed, trial)).spawn(4)
     return tuple(np.random.Generator(np.random.Philox(c)) for c in children)
-
-
-def empirical_equivalence_probability(model: SystemModel, design: SpectralDesign,
-                                      decomposition: SensorDecomposition,
-                                      gamma, trials=20, horizon=500, seed=0,
-                                      burn_in=BURN_IN):
-    """Monte-Carlo estimate of how often the threshold condition holds.
-
-    Runs attack-free closed-loop rollouts, counts the fraction of
-    post-burn-in steps at which kalman_equivalence_condition is true,
-    and returns (probability, standard error) with the standard error
-    taken across trials.
-    """
-    if gamma <= 0:
-        raise ValueError("γ = 0 leaves x̃ non-identifiable")
-    if horizon <= burn_in:
-        raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
-    assert np.allclose(decomposition.Pi, design.Pi), \
-        "decomposition was built for a different design"
-    problem = build_fusion_problem(decomposition.H_stack,
-                                   decomposition.Mtilde_factor)
-    A, C = model.A, model.C
-    B = model.input_matrix()
-    K = model.feedback_gain()
-    Lq = psd_factor(model.Q)
-    Lr = psd_factor(model.R)
-    Ls = psd_factor(model.Sigma)
-
-    fractions = []
-    total = 0
-    for trial in range(trials):
-        g_x0, g_w, g_v, _ = trial_generators(seed, trial)
-        x = Ls @ g_x0.standard_normal(model.n)
-        bank = initial_bank(model)
-        hits = 0
-        total = 0
-        for _ in range(horizon):
-            u = -(K @ x)
-            x = A @ x + B @ u + Lq @ g_w.standard_normal(model.n)
-            y = C @ x + Lr @ g_v.standard_normal(model.m)
-            bank = local_estimator_step(bank, y, u, decomposition, model)
-            if bank.k > burn_in:
-                Yc = assemble_canonical_measurement(bank, decomposition)
-                mu = Yc - problem.H @ (problem.wls_op @ Yc)
-                hits += float(np.abs(problem.Minv @ mu).max()) <= gamma
-                total += 1
-        fractions.append(hits / total)
-    prob = float(np.mean(fractions))
-    if trials > 1:
-        stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials))
-    else:
-        stderr = float(np.sqrt(max(prob * (1.0 - prob), 0.0) / total))
-    return prob, stderr

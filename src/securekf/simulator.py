@@ -1,29 +1,33 @@
 """Closed-loop simulation harness and Monte Carlo sweeps.
 
 Rolls the plant forward under true-state feedback while three estimators
-run in lockstep from the same measurement stream: the fixed-gain filter,
-the weighted least-squares fusion of the local bank, and the secure
-(l1-regularized) fusion.  Sparse sensor attacks are injected additively
-on a fixed support.  Sweep helpers aggregate per-trial mean squared
-errors over a grid of regularization weights or attack magnitudes and
-write the results as CSV; every run is reproducible from (seed, trial).
+read the same measurement stream: the fixed-gain filter, the weighted
+least-squares fusion of the local bank, and the secure (l1-regularized)
+fusion.  No estimate feeds back into the plant, the filter or the bank,
+so a run first computes all of those over the whole horizon as arrays,
+and only the fusion then runs step by step.  Sparse sensor attacks are
+injected additively on a fixed support.  Sweep helpers aggregate
+per-trial mean squared errors over a grid of regularization weights or
+attack magnitudes and write the results as CSV; every run is
+reproducible from (seed, trial).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
-import os
 
 import numpy as np
 
 from .decomposition import SensorDecomposition
-from .fusion import (FusionProblem, assemble_canonical_measurement,
-                     build_fusion_problem, initial_bank, local_estimator_step,
-                     secure_fuse, trial_generators)
+from .fusion import (FusionProblem, build_fusion_problem, secure_fuse,
+                     trial_generators)
 from .model import SystemModel, psd_factor
-from .spectral import SpectralDesign, fixed_gain_kalman_step
+from .spectral import SpectralDesign
+# not called here; bound so perfbench/tracer.py can wrap them by this module
+from .fusion import (assemble_canonical_measurement,  # noqa: F401
+                     local_estimator_step)
+from .spectral import fixed_gain_kalman_step  # noqa: F401
 
 ATTACK_KINDS = ("none", "constant", "uniform", "ramp")
 DEFAULT_HORIZON = 1000
@@ -155,6 +159,66 @@ class SimulationTrace:
         return int((~self.solver_converged).sum())
 
 
+def _recurrence(M, e, s0):
+    """Rows s[t] = M s[t-1] + e[t] for t = 0 .. len(e) - 1, s[-1] = s0.
+
+    Recursive doubling: after the pass with shift k, s[t] sums M^j e[t - j]
+    over j < 2k, so log2(len(e)) array operations replace a loop over time.
+    """
+    s = e.copy()
+    s[0] += M @ s0
+    power, shift = M, 1
+    while shift < len(s):
+        s[shift:] += s[:-shift] @ power.T
+        power = power @ power
+        shift *= 2
+    return s
+
+
+def _rollout(model, design, decomposition, attack, horizon, seed, trial,
+             x0=None):
+    """Everything in a run that does not depend on the secure fusion:
+    (x, u, z, y, a, xhat_kal, Y) as (horizon, .) arrays, rows as in
+    SimulationTrace.  Y is the bank's canonical measurement, checked real
+    to the tolerance secure_fuse applies per step, and stored real.
+    """
+    n, m = model.n, model.m
+    A, C = model.A, model.C
+    B, K = model.input_matrix(), model.feedback_gain()
+    g_init, g_proc, g_meas, g_att = trial_generators(seed, trial)
+    if x0 is None:
+        x0 = psd_factor(model.Sigma) @ g_init.standard_normal(n)
+    else:
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.shape[0] != n:
+            raise ValueError(f"x0 has length {x0.shape[0]}, expected {n}")
+    w = g_proc.standard_normal((horizon, n)) @ psd_factor(model.Q).T
+    v = g_meas.standard_normal((horizon, m)) @ psd_factor(model.R).T
+    a = attack_sequence(attack, m, horizon, g_att)
+
+    # plant: x(k) = A x(k-1) + B u(k) + w(k) under u(k) = -K x(k-1)
+    x = _recurrence(A - B @ K, w, x0)
+    u = -(np.vstack((x0, x[:-1])) @ K.T)
+    z = x @ C.T + v
+    y = z + a
+    # fixed-gain filter: x_hat <- (A - KCA) x_hat + K y + (B - KCB) u
+    KC = design.K @ C
+    x_kal = _recurrence(A - KC @ A, y @ design.K.T + u @ (B - KC @ B).T,
+                        np.zeros(n))
+    # local bank: zeta_i <- Pi zeta_i + y_i + (G_i - 1 C_i) B u, stacked
+    Bu = u @ B.T
+    drive = ((Bu @ decomposition.G_stack.T).reshape(horizon, m, n)
+             + (y - Bu @ C.T)[:, :, None]).reshape(horizon, m * n)
+    zeta = _recurrence(np.diag(np.tile(decomposition.Pi, m)), drive,
+                       np.zeros(m * n))
+    Y = zeta @ decomposition.Ptilde.T
+    dust = np.abs(Y.imag).max(axis=1)
+    scale = np.maximum(np.abs(Y.real).max(axis=1), 1e-300)
+    assert (dust <= 1e-9 * scale).all(), \
+        f"complex canonical measurement (imag {dust.max():.3e})"
+    return x, u, z, y, a, x_kal, Y.real.copy()
+
+
 def simulate(model: SystemModel, design: SpectralDesign,
              decomposition: SensorDecomposition, attack: AttackSpec,
              gamma: float, horizon: int = DEFAULT_HORIZON, seed: int = 0, *,
@@ -163,78 +227,78 @@ def simulate(model: SystemModel, design: SpectralDesign,
     """Run the plant and all three estimators for `horizon` steps.
 
     The input is true-state feedback u(k) = -K_lqr x(k); estimators never
-    close the loop.  All randomness (initial state, process noise,
-    measurement noise, attack draws) comes from independent substreams
-    of (seed, trial), so two runs that differ only in the attack share
-    the same noise and the same clean measurements.  Passing x0 pins the
-    initial state instead of drawing it.  Solver non-convergence at a
-    step is recorded in the trace and the run continues.
+    close the loop, so the plant, the fixed-gain filter and the local bank
+    are rolled out over the whole horizon first, and only the secure
+    fusion runs step by step.  All randomness (initial state, process
+    noise, measurement noise, attack draws) comes from independent
+    substreams of (seed, trial), so two runs that differ only in the
+    attack share the same noise and the same clean measurements.  Passing
+    x0 pins the initial state instead of drawing it.  Solver
+    non-convergence at a step is recorded in the trace and the run
+    continues.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if gamma <= 0:
         raise ValueError("γ = 0 leaves x̃ non-identifiable")
-    n, m = model.n, model.m
-    A, C = model.A, model.C
-    B = model.input_matrix()
-    K = model.feedback_gain()
-
-    g_init, g_proc, g_meas, g_att = trial_generators(seed, trial)
-    Lq = psd_factor(model.Q)
-    Lr = psd_factor(model.R)
-    if x0 is None:
-        x = psd_factor(model.Sigma) @ g_init.standard_normal(n)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(-1)
-        if x.shape[0] != n:
-            raise ValueError(f"x0 has length {x.shape[0]}, expected {n}")
-        x = x.copy()
-    w = g_proc.standard_normal((horizon, n))
-    v = g_meas.standard_normal((horizon, m))
-    a = attack_sequence(attack, m, horizon, g_att)
-
+    x, u, z, y, a, x_kal, Y = _rollout(model, design, decomposition, attack,
+                                       horizon, seed, trial, x0)
     if problem is None:
         problem = build_fusion_problem(decomposition.H_stack,
                                        decomposition.Mtilde_factor)
-    bank = initial_bank(model)
-    x_kal = np.zeros(n)
+    results = [secure_fuse(Y[t], decomposition.H_stack,
+                           decomposition.Mtilde_factor, gamma, problem=problem)
+               for t in range(horizon)]
 
-    xs = np.empty((horizon, n))
-    us = np.empty((horizon, B.shape[1]))
-    zs = np.empty((horizon, m))
-    ys = np.empty((horizon, m))
-    kals = np.empty((horizon, n))
-    secs = np.empty((horizon, n))
-    lss = np.empty((horizon, n))
-    iters = np.empty(horizon, dtype=int)
-    kkts = np.empty(horizon)
-    convs = np.empty(horizon, dtype=bool)
-    equivs = np.empty(horizon, dtype=bool)
+    def column(field, dtype=float):
+        return np.array([getattr(r, field) for r in results], dtype=dtype)
 
-    for t in range(horizon):
-        u = -(K @ x)
-        x = A @ x + B @ u + Lq @ w[t]
-        z = C @ x + Lr @ v[t]
-        y = z + a[t]
-        x_kal = fixed_gain_kalman_step(x_kal, y, u, design, model)
-        bank = local_estimator_step(bank, y, u, decomposition, model)
-        Y = assemble_canonical_measurement(bank, decomposition)
-        res = secure_fuse(Y, decomposition.H_stack,
-                          decomposition.Mtilde_factor, gamma, problem=problem)
-        xs[t], us[t], zs[t], ys[t] = x, u, z, y
-        kals[t], secs[t], lss[t] = x_kal, res.x_tilde, res.x_ls
-        iters[t] = res.iterations
-        kkts[t] = res.kkt_residual
-        convs[t] = res.converged
-        equivs[t] = res.kalman_equivalent
-
-    for arr in (xs, us, zs, ys, a, kals, secs, lss, kkts):
+    secs, lss, kkts = column("x_tilde"), column("x_ls"), column("kkt_residual")
+    for arr in (x, u, z, y, a, x_kal, secs, lss, kkts):
         assert np.isfinite(arr).all()
     return SimulationTrace(
         seed=int(seed), trial=int(trial), gamma=float(gamma),
-        horizon=int(horizon), attack=attack, x=xs, u=us, z=zs, y=ys, a=a,
-        xhat_kal=kals, xhat_sec=secs, xhat_ls=lss, solver_iters=iters,
-        kkt_residual=kkts, solver_converged=convs, kalman_equivalent=equivs)
+        horizon=int(horizon), attack=attack, x=x, u=u, z=z, y=y, a=a,
+        xhat_kal=x_kal, xhat_sec=secs, xhat_ls=lss,
+        solver_iters=column("iterations", int), kkt_residual=kkts,
+        solver_converged=column("converged", bool),
+        kalman_equivalent=column("kalman_equivalent", bool))
+
+
+def empirical_equivalence_probability(model: SystemModel,
+                                      design: SpectralDesign,
+                                      decomposition: SensorDecomposition,
+                                      gamma, trials=20, horizon=500, seed=0,
+                                      burn_in=DEFAULT_BURN_IN):
+    """Monte-Carlo estimate of how often the threshold condition holds.
+
+    Rolls out attack-free runs (the same runs simulate makes), counts the
+    fraction of steps k > burn_in at which max |Minv mu_ls| <= gamma,
+    and returns (probability, standard error) with the standard error
+    taken across trials.
+    """
+    if gamma <= 0:
+        raise ValueError("γ = 0 leaves x̃ non-identifiable")
+    if horizon <= burn_in:
+        raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
+    assert np.allclose(decomposition.Pi, design.Pi), \
+        "decomposition was built for a different design"
+    problem = build_fusion_problem(decomposition.H_stack,
+                                   decomposition.Mtilde_factor)
+    fractions = []
+    for trial in range(trials):
+        Y = _rollout(model, design, decomposition, AttackSpec(), horizon,
+                     seed, trial)[-1][burn_in:]
+        mu = Y - Y @ problem.wls_op.T @ problem.H.T
+        screened = np.abs(mu @ problem.Minv.T).max(axis=1) <= gamma
+        fractions.append(float(screened.mean()))
+    prob = float(np.mean(fractions))
+    if trials > 1:
+        stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials))
+    else:
+        stderr = float(np.sqrt(max(prob * (1.0 - prob), 0.0)
+                               / (horizon - burn_in)))
+    return prob, stderr
 
 
 @dataclasses.dataclass(frozen=True)
@@ -389,13 +453,13 @@ def _aggregate(value, per_trial) -> SweepRow:
 
 
 def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
-               burn_in, threads) -> list[SweepRow]:
+               burn_in) -> list[SweepRow]:
     """Shared sweep driver; points is a list of (value, attack, gamma).
 
-    Trials run in parallel, each owning its own RNG substream; results
-    are reduced in fixed trial order so the output does not depend on
-    scheduling.  Within a trial every distinct (attack, gamma) run is
-    simulated once: the clean run of a gamma serves every point at that
+    Trials run one after another, each owning its own RNG substream (two
+    threads ran slower than one: the small numpy calls hold the interpreter
+    lock).  Within a trial every distinct (attack, gamma) run is simulated
+    once: the clean run of a gamma serves every point at that
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
     it is that clean run too.
     """
@@ -420,28 +484,17 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
             out.append((clean.secure, hit.secure, clean.kalman, hit.kalman))
         return out
 
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    workers = min(workers, trials)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            by_trial = list(pool.map(run_trial, range(trials)))
-    else:
-        by_trial = [run_trial(t) for t in range(trials)]
-
-    rows = []
-    for j, (value, _, _) in enumerate(points):
-        rows.append(_aggregate(value, [by_trial[t][j] for t in range(trials)]))
-    return rows
+    by_trial = [run_trial(t) for t in range(trials)]
+    return [_aggregate(value, [out[j] for out in by_trial])
+            for j, (value, _, _) in enumerate(points)]
 
 
 def sweep_gamma(model: SystemModel, design: SpectralDesign,
                 decomposition: SensorDecomposition,
                 gammas=DEFAULT_GAMMAS, attack: AttackSpec | None = None,
                 trials: int = DEFAULT_TRIALS, horizon: int = DEFAULT_HORIZON,
-                seed: int = 0, burn_in: int = DEFAULT_BURN_IN,
-                threads: int | None = None) -> list[SweepRow]:
+                seed: int = 0, burn_in: int = DEFAULT_BURN_IN
+                ) -> list[SweepRow]:
     """MSE of the secure and fixed-gain estimators across gamma values.
 
     Every gamma runs the same paired clean/attacked trials (same seeds,
@@ -456,7 +509,7 @@ def sweep_gamma(model: SystemModel, design: SpectralDesign,
         attack = default_attack(model.m)
     points = [(g, attack, g) for g in gammas]
     return _run_sweep(model, design, decomposition, points, trials, horizon,
-                      seed, burn_in, threads)
+                      seed, burn_in)
 
 
 def sweep_attack_magnitude(model: SystemModel, design: SpectralDesign,
@@ -466,8 +519,8 @@ def sweep_attack_magnitude(model: SystemModel, design: SpectralDesign,
                            attack: AttackSpec | None = None,
                            trials: int = DEFAULT_TRIALS,
                            horizon: int = DEFAULT_HORIZON, seed: int = 0,
-                           burn_in: int = DEFAULT_BURN_IN,
-                           threads: int | None = None) -> list[SweepRow]:
+                           burn_in: int = DEFAULT_BURN_IN
+                           ) -> list[SweepRow]:
     """MSE across attack magnitudes at a fixed gamma.
 
     The attack argument fixes the support/kind/start; its magnitude is
@@ -484,7 +537,7 @@ def sweep_attack_magnitude(model: SystemModel, design: SpectralDesign,
     points = [(v, dataclasses.replace(attack, magnitude=v), float(gamma))
               for v in magnitudes]
     return _run_sweep(model, design, decomposition, points, trials, horizon,
-                      seed, burn_in, threads)
+                      seed, burn_in)
 
 
 def _fmt(value) -> str:

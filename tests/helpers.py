@@ -1,4 +1,5 @@
-"""Shared test utilities: deterministic random model generation.
+"""Shared test utilities: deterministic random model generation, and a
+step-by-step reference for simulate.
 
 Models are drawn in Jordan coordinates directly so every sample satisfies
 the structural requirements by construction: block-diagonal A with 0/1
@@ -9,6 +10,11 @@ patterns in C so sensor coverage is unambiguous.
 
 import numpy as np
 
+from securekf import (assemble_canonical_measurement, attack_sequence,
+                      build_fusion_problem, fixed_gain_kalman_step,
+                      initial_bank, local_estimator_step, psd_factor,
+                      secure_fuse)
+from securekf.fusion import trial_generators
 from securekf.model import SystemModel
 
 
@@ -69,3 +75,40 @@ def random_jordan_model(seed, n_max=5, m_max=8, ensure_observable=False):
     Ls = rng.normal(0, 0.1, (n, n))
     Sigma = Ls @ Ls.T
     return SystemModel(A=A, C=C, Q=Q, R=R, Sigma=Sigma)
+
+
+def step_by_step_simulate(model, design, decomposition, attack, gamma,
+                          horizon, seed, trial=0, x0=None):
+    """Reference for simulate: one loop over time through the public
+    one-step functions, drawing from the same (seed, trial) substreams.
+
+    Returns a dict of (horizon, .) arrays named as SimulationTrace fields.
+    """
+    g_init, g_proc, g_meas, g_att = trial_generators(seed, trial)
+    Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
+    x = (psd_factor(model.Sigma) @ g_init.standard_normal(model.n)
+         if x0 is None else np.asarray(x0, dtype=float))
+    w = g_proc.standard_normal((horizon, model.n))
+    v = g_meas.standard_normal((horizon, model.m))
+    a = attack_sequence(attack, model.m, horizon, g_att)
+    problem = build_fusion_problem(decomposition.H_stack,
+                                   decomposition.Mtilde_factor)
+    B, K = model.input_matrix(), model.feedback_gain()
+    bank, x_kal = initial_bank(model), np.zeros(model.n)
+    out = {f: [] for f in ("x", "xhat_kal", "xhat_ls", "xhat_sec",
+                           "kalman_equivalent", "solver_converged")}
+    for t in range(horizon):
+        u = -(K @ x)
+        x = model.A @ x + B @ u + Lq @ w[t]
+        y = model.C @ x + Lr @ v[t] + a[t]
+        x_kal = fixed_gain_kalman_step(x_kal, y, u, design, model)
+        bank = local_estimator_step(bank, y, u, decomposition, model)
+        Y = assemble_canonical_measurement(bank, decomposition)
+        res = secure_fuse(Y, decomposition.H_stack,
+                          decomposition.Mtilde_factor, gamma, problem=problem)
+        for f, value in (("x", x), ("xhat_kal", x_kal), ("xhat_ls", res.x_ls),
+                         ("xhat_sec", res.x_tilde),
+                         ("kalman_equivalent", res.kalman_equivalent),
+                         ("solver_converged", res.converged)):
+            out[f].append(value)
+    return {f: np.array(values) for f, values in out.items()}

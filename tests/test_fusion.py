@@ -246,6 +246,31 @@ def test_secure_fuse_warm_start_shortcut():
     assert np.abs(again.x_tilde - res.x_tilde).max() < 1e-9
 
 
+def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
+    # a float Y takes the real path; the same Y as complex is checked real
+    # first and must give the same answer, on a screened and an l1 step
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    Y = dec.H_stack @ np.array([0.3, -0.2, 0.1, 0.05])
+    Y = Y + 1e-3 * np.sin(np.arange(Y.size))
+    Y_hit = Y.copy()
+    Y_hit[15] += 10.0
+    for y, gamma, screened in ((Y, 1e6, True), (Y_hit, 5.0, False)):
+        real = secure_fuse(y, dec.H_stack, dec.Mtilde_factor, gamma,
+                           problem=problem)
+        cplx = secure_fuse(y + 0j, dec.H_stack, dec.Mtilde_factor, gamma,
+                           problem=problem)
+        assert real.kalman_equivalent is cplx.kalman_equivalent is screened
+        for f in ("x_tilde", "mu", "nu", "x_ls"):
+            assert np.array_equal(getattr(real, f), getattr(cplx, f)), f
+        assert (real.kkt_residual, real.iterations, real.converged) == \
+            (cplx.kkt_residual, cplx.iterations, cplx.converged)
+    dusty = Y + 1j * 1e-6 * np.abs(Y).max()
+    with pytest.raises(AssertionError, match="complex measurement"):
+        secure_fuse(dusty, dec.H_stack, dec.Mtilde_factor, 1e6,
+                    problem=problem)
+
+
 def test_equivalence_condition_basics():
     assert kalman_equivalence_condition(np.zeros(3), EYE3, 1e-9)
     assert kalman_equivalence_condition(np.zeros(3), EYE3, 1e6)

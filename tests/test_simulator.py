@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import step_by_step_simulate
 from securekf.fusion import MAX_BREAKPOINTS
 from securekf.simulator import (
     AttackSpec,
@@ -210,6 +211,31 @@ def test_simulate_x0_pins_initial_state(pendulum_model, pendulum_design,
     assert np.allclose(tr.u[0], u0)
 
 
+@pytest.mark.parametrize("attack, gamma, x0, seed", [
+    (default_attack(), 5.0, None, 3),
+    (AttackSpec(), 1000.0, None, 4),
+    (AttackSpec(support=(1,), kind="constant", magnitude=2.0), 20.0,
+     (0.3, -0.2, 0.1, 0.05), 7),
+])
+def test_simulate_matches_step_by_step_reference(
+        pendulum_model, pendulum_design, pendulum_decomposition, attack,
+        gamma, x0, seed):
+    # the rollout computed ahead of the fusion equals the one-step
+    # functions chained by hand; gamma > 1 keeps x_tilde unique
+    tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
+             attack=attack, gamma=gamma, horizon=150, seed=seed, trial=1,
+             x0=x0)
+    ref = step_by_step_simulate(pendulum_model, pendulum_design,
+                                pendulum_decomposition, attack, gamma, 150,
+                                seed, trial=1, x0=x0)
+    for f, rtol in (("x", 1e-10), ("xhat_kal", 1e-10), ("xhat_ls", 1e-10),
+                    ("xhat_sec", 1e-8)):
+        err = np.abs(getattr(tr, f) - ref[f]).max()
+        assert err <= rtol * np.abs(ref[f]).max(), (f, err)
+    assert np.array_equal(tr.kalman_equivalent, ref["kalman_equivalent"])
+    assert np.array_equal(tr.solver_converged, ref["solver_converged"])
+
+
 def test_zero_noise_estimators_track_exactly():
     # noiseless observable system: after a transient every estimator
     # reconstructs the state to machine precision
@@ -401,16 +427,6 @@ def test_sweep_gamma_rows_and_determinism(pendulum_model, pendulum_design,
         assert r.mse_kalman_attack > r.mse_kalman_no_attack
 
 
-def test_sweep_gamma_thread_count_does_not_change_results(
-        pendulum_model, pendulum_design, pendulum_decomposition):
-    kw = dict(gammas=(5.0,), trials=4, horizon=70, seed=8)
-    serial = sweep_gamma(pendulum_model, pendulum_design,
-                         pendulum_decomposition, threads=1, **kw)
-    parallel = sweep_gamma(pendulum_model, pendulum_design,
-                           pendulum_decomposition, threads=8, **kw)
-    assert sweep_csv(serial) == sweep_csv(parallel)
-
-
 def test_sweep_gamma_kalman_columns_constant_across_gamma(
         pendulum_model, pendulum_design, pendulum_decomposition):
     # the fixed-gain filter ignores gamma, so its columns repeat
@@ -431,9 +447,6 @@ def test_sweep_validation_errors(pendulum_model, pendulum_design,
     with pytest.raises(ValueError):
         sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
                     gammas=(1.0,), trials=0)
-    with pytest.raises(ValueError):
-        sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
-                    gammas=(1.0,), trials=2, threads=0)
     with pytest.raises(ValueError):
         sweep_attack_magnitude(pendulum_model, pendulum_design,
                                pendulum_decomposition, magnitudes=(),
@@ -546,10 +559,10 @@ def test_csv_files_byte_identical(tmp_path, pendulum_model, pendulum_design,
 
     rows = sweep_gamma(pendulum_model, pendulum_design,
                        pendulum_decomposition, gammas=(2.0, 5.0), trials=2,
-                       horizon=50, seed=9, threads=1)
+                       horizon=50, seed=9)
     rows8 = sweep_gamma(pendulum_model, pendulum_design,
                         pendulum_decomposition, gammas=(2.0, 5.0), trials=2,
-                        horizon=50, seed=9, threads=8)
+                        horizon=50, seed=9)
     s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write_sweep_csv(rows, s1)
     write_sweep_csv(rows8, s2)
