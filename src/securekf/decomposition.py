@@ -316,11 +316,6 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
     return Qtilde, Wtilde, Mtilde, factor, delta
 
 
-def mtilde_solve(decomposition: SensorDecomposition, rhs: np.ndarray) -> np.ndarray:
-    """Solve (Mtilde + ridge) x = rhs using the stored factorization."""
-    return scipy.linalg.cho_solve(decomposition.Mtilde_factor, rhs)
-
-
 def build_decomposition(model: SystemModel, design: SpectralDesign,
                         rtol: float = CANONICAL_RTOL) -> SensorDecomposition:
     """Assemble the full per-sensor decomposition for a validated design."""

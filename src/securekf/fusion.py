@@ -19,10 +19,13 @@ lasso homotopy (Osborne, Presnell & Turlach 2000; the LARS-lasso path of
 Efron et al. 2004) follows nu(lambda) from lambda = max |Minv mu_ls| down
 to gamma, and ends after finitely many breakpoints on the exact support.
 
-The solver runs in real arithmetic: the canonical projectors realify
-conjugate pairs, so designs built by this package are real up to rounding.
-Genuinely complex problem data keep the least-squares estimate and the
-threshold test; an l1 solve on them raises ValueError.
+Everything here runs in real arithmetic.  The canonical projectors realify
+conjugate pairs, so on designs built by this package H, Mtilde and Y are
+real up to rounding: build_fusion_problem drops that rounding once, and
+real_canonical drops it from the bank's measurement.  FusionProblem owns
+the operators every step shares (least squares, the threshold statistic,
+the objective); complex problem data are rejected when the problem is
+built.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgesv as _dgesv
 
-from .decomposition import CANONICAL_RTOL, SensorDecomposition
+from .decomposition import SensorDecomposition
 from .model import SystemModel
 
 KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
+REAL_DUST = 1e-12       # relative imaginary residue of problem data dropped
+MEASUREMENT_DUST = 1e-9  # the same for the bank's canonical measurement
 
 
 @dataclasses.dataclass
@@ -58,9 +63,9 @@ class FusionResult:
     weighted least-squares baseline; kalman_equivalent records whether
     the threshold condition held, in which case x_tilde equals x_ls and
     nu is zero.  iterations counts the homotopy breakpoints walked (0 for
-    a screened step or an accepted warm start).  converged records
-    whether the returned point meets the KKT tolerance; a solve that hits
-    the breakpoint cap still returns its last point.
+    a screened step).  converged records whether the returned point meets
+    the KKT tolerance; a solve that hits the breakpoint cap still returns
+    its last point.
     """
 
     x_tilde: np.ndarray
@@ -105,117 +110,97 @@ def local_estimator_step(bank: LocalBankState, y, u,
     return LocalBankState(zeta=list(z_next), k=bank.k + 1)
 
 
+def real_canonical(Y) -> np.ndarray:
+    """Canonical coordinates as real numbers, for one Y or a block of rows.
+
+    The canonical projectors realify conjugate pairs, so every row must be
+    real to MEASUREMENT_DUST relative to its largest real entry; what is
+    left of the imaginary part is rounding and is dropped.
+    """
+    Y = np.asarray(Y)
+    if not np.iscomplexobj(Y):
+        return Y.astype(float)
+    dust = np.abs(Y.imag).max(axis=-1)
+    scale = np.maximum(np.abs(Y.real).max(axis=-1), 1e-300)
+    assert (dust <= MEASUREMENT_DUST * scale).all(), \
+        f"complex canonical measurement (imag {dust.max():.3e})"
+    return Y.real.copy()
+
+
 def assemble_canonical_measurement(bank: LocalBankState,
                                    decomposition: SensorDecomposition) -> np.ndarray:
-    """Stack P_i zeta_i over sensors into the fused measurement Y."""
-    return decomposition.Ptilde @ np.concatenate(
-        [np.asarray(z, dtype=complex).reshape(-1) for z in bank.zeta])
-
-
-def _cho_solve(factor, rhs):
-    c, lower = factor
-    if np.iscomplexobj(rhs) and not np.iscomplexobj(c):
-        c = c.astype(complex)
-    return scipy.linalg.cho_solve((c, lower), rhs, check_finite=False)
-
-
-def _real_vector(x, tol, label):
-    x = np.asarray(x)
-    if not np.iscomplexobj(x):
-        return x.astype(float)
-    scale = max(1.0, float(np.abs(x.real).max(initial=0.0)))
-    imag = float(np.abs(x.imag).max(initial=0.0))
-    assert imag <= tol * scale, \
-        f"{label} has imaginary residue {imag:.3e} (tolerance {tol * scale:.3e})"
-    return x.real.copy()
-
-
-def _normal_operator(H, factor):
-    MiH = _cho_solve(factor, H)
-    normal = H.conj().T @ MiH
-    normal = 0.5 * (normal + normal.conj().T)
-    vals = np.linalg.eigvalsh(normal)
-    if vals[0] <= 1e-12 * max(vals[-1], 1e-300):
-        raise ValueError("state unobservable in canonical coordinates")
-    return MiH, normal
+    """Stack P_i zeta_i over sensors into the fused measurement Y (real)."""
+    return real_canonical(decomposition.Ptilde @ np.concatenate(
+        [np.asarray(z, dtype=complex).reshape(-1) for z in bank.zeta]))
 
 
 @dataclasses.dataclass(frozen=True)
 class FusionProblem:
-    """Precomputed operators for repeated fusion solves on one design."""
+    """Real operators shared by every fusion solve on one design.
+
+    The methods take one measurement Y of length mn, or an (h, mn) block
+    with one measurement per row, and answer per row.
+    """
 
     H: np.ndarray          # mn x n
-    Ht: np.ndarray         # n x mn, H conjugate-transposed
+    Ht: np.ndarray         # n x mn, H transposed
     Minv: np.ndarray       # inverse of the (ridged) residual covariance
     wls_op: np.ndarray     # x_ls = wls_op @ Y
     S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
 
-    @property
-    def is_real(self) -> bool:
-        """True when the problem data allowed an all-real formulation."""
-        return not np.iscomplexobj(self.H)
+    def least_squares(self, Y):
+        """(x_ls, mu_ls) minimizing 0.5 mu' Minv mu subject to Y = H x + mu."""
+        x_ls = Y @ self.wls_op.T
+        return x_ls, Y - x_ls @ self.H.T
+
+    def screen_statistic(self, Y):
+        """max |Minv mu_ls|: the threshold condition holds for every gamma
+        at or above it, and then the l1 term keeps nu at zero."""
+        return np.abs(self.least_squares(Y)[1] @ self.Minv.T).max(axis=-1)
+
+    def objective(self, Y, x, nu, gamma):
+        """0.5 mu' Minv mu + gamma |nu|_1 at (x, nu), mu = Y - H x - nu."""
+        mu = Y - x @ self.H.T - nu
+        return (0.5 * (mu * (mu @ self.Minv.T)).sum(axis=-1)
+                + gamma * np.abs(nu).sum(axis=-1))
 
 
-REAL_DUST = 1e-12     # relative imaginary residue treated as rounding
+def _real_part(a, what):
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        dust = (float(np.abs(a.imag).max(initial=0.0))
+                / max(float(np.abs(a.real).max(initial=0.0)), 1e-300))
+        if dust > REAL_DUST:
+            raise ValueError(
+                f"{what} is complex (relative imaginary part {dust:.1e}); the "
+                f"fusion solves real problems only: map complex canonical "
+                f"coordinates to real ones (decomposition.realification_map) "
+                f"before building the problem")
+    return np.array(a.real, dtype=float)
 
 
 def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
-    """Assemble the solve operators shared by every time step.
+    """Form the normal equations once, for every time step to share.
 
+    Mtilde_factor is a scipy.linalg.cho_factor of the residual covariance.
     On any design built by this package H and Mtilde are real up to
-    rounding, and every operator is stored real.  Genuinely complex data
-    keeps complex operators, which serve x_ls and the threshold test only.
+    rounding, which is dropped; genuinely complex data raise ValueError,
+    and so does a state that H leaves unobservable.
     """
-    H = np.asarray(H_stack, dtype=complex)
-    mn = H.shape[0]
-    Minv = _cho_solve(Mtilde_factor, np.eye(mn, dtype=complex))
-    Minv = 0.5 * (Minv + Minv.conj().T)
-    MiH, normal = _normal_operator(H, Mtilde_factor)
-    wls_op = np.linalg.solve(normal, MiH.conj().T)
-    dust = max(float(np.abs(H.imag).max(initial=0.0))
-               / max(float(np.abs(H.real).max(initial=0.0)), 1e-300),
-               float(np.abs(Minv.imag).max(initial=0.0))
-               / max(float(np.abs(Minv.real).max(initial=0.0)), 1e-300))
-    if dust <= REAL_DUST:
-        H = H.real.copy()
-        Minv = Minv.real.copy()
-        MiH = MiH.real.copy()
-        wls_op = wls_op.real.copy()
+    H = _real_part(H_stack, "H")
+    Minv = _real_part(scipy.linalg.cho_solve(
+        Mtilde_factor, np.eye(H.shape[0]), check_finite=False), "Mtilde")
+    Minv = 0.5 * (Minv + Minv.T)
+    MiH = Minv @ H
+    normal = H.T @ MiH
+    normal = 0.5 * (normal + normal.T)
+    vals = np.linalg.eigvalsh(normal)
+    if vals[0] <= 1e-12 * max(vals[-1], 1e-300):
+        raise ValueError("state unobservable in canonical coordinates")
+    wls_op = np.linalg.solve(normal, MiH.T)
     S = Minv - MiH @ wls_op
-    S = 0.5 * (S + S.conj().T)
-    return FusionProblem(H=H, Ht=H.conj().T.copy(), Minv=Minv, wls_op=wls_op,
-                         S=S)
-
-
-def weighted_least_squares(Y, H_stack, Mtilde_factor):
-    """Solve min 0.5 mu' Mtilde^-1 mu s.t. Y = H x + mu.
-
-    Returns (x_ls, mu_ls) with x_ls real (the imaginary residue is
-    checked against the canonical tolerance, then dropped) and mu_ls the
-    raw residual Y - H x_ls.
-    """
-    Y = np.asarray(Y, dtype=complex).reshape(-1)
-    H = np.asarray(H_stack, dtype=complex)
-    MiH, normal = _normal_operator(H, Mtilde_factor)
-    x = np.linalg.solve(normal, MiH.conj().T @ Y)
-    x_ls = _real_vector(x, CANONICAL_RTOL, "least-squares estimate")
-    return x_ls, Y - H @ x_ls
-
-
-def kalman_equivalence_condition(mu_ls, Mtilde_factor, gamma) -> bool:
-    """max |Mtilde^-1 mu_ls| <= gamma: the l1 term keeps nu at zero."""
-    d = _cho_solve(Mtilde_factor, np.asarray(mu_ls, dtype=complex).reshape(-1))
-    return bool(np.abs(d).max(initial=0.0) <= gamma)
-
-
-def fusion_objective(Y, H_stack, Mtilde_factor, x, nu, gamma) -> float:
-    """Objective value at (x, nu), for diagnostics and tests."""
-    Y = np.asarray(Y, dtype=complex).reshape(-1)
-    H = np.asarray(H_stack, dtype=complex)
-    nu = np.asarray(nu, dtype=complex).reshape(-1)
-    r = Y - H @ np.asarray(x, dtype=complex).reshape(-1) - nu
-    s = _cho_solve(Mtilde_factor, r)
-    return float(0.5 * np.vdot(r, s).real + gamma * np.abs(nu).sum())
+    return FusionProblem(H=H, Ht=H.T.copy(), Minv=Minv, wls_op=wls_op,
+                         S=0.5 * (S + S.T))
 
 
 def _residuals(problem, Y, x, nu, gamma):
@@ -301,70 +286,38 @@ def _lasso_path(S, Y, c_ls, gamma, history):
     return nu, MAX_BREAKPOINTS
 
 
-def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
-                warm_start=None, problem=None, history=None) -> FusionResult:
-    """Solve the l1-regularized fusion problem for one measurement Y.
+def secure_fuse(problem: FusionProblem, Y, gamma, *,
+                history=None) -> FusionResult:
+    """Solve the l1-regularized fusion problem for one real measurement Y.
 
-    problem is an optional prebuilt FusionProblem (it must match H_stack
-    and Mtilde_factor).  warm_start is an optional (x, nu) pair, typically
-    the previous time step's solution: when it passes the KKT test it is
-    returned as it is, with iterations 0, and otherwise it is ignored.
-    history, when given a list, collects the objective at nu = 0, at every
-    homotopy breakpoint and at the answer.  It does not increase: along
-    the path its derivative in lambda is (lambda - gamma) s_A' S_AA^-1 s_A.
-
-    A float64 Y on a real problem is used as it is.  Any other Y is cast
-    to complex, and on a real problem it must be real to 1e-9 relative.
     The threshold test or the lasso homotopy (module docstring) gives the
     answer; it counts as converged when its KKT residual is at most
-    eps_kkt * max(1, gamma).  Complex data failing the threshold test
-    raise ValueError.
+    KKT_TOL * max(1, gamma).  history, when given a list, collects the
+    objective at nu = 0, at every homotopy breakpoint and at the answer.
+    It does not increase: along the path its derivative in lambda is
+    (lambda - gamma) s_A' S_AA^-1 s_A.  A complex Y raises ValueError;
+    real_canonical turns the bank's canonical coordinates into a real Y.
     """
     if gamma <= 0:
         raise ValueError("γ = 0 leaves x̃ non-identifiable")
-    if problem is None:
-        problem = build_fusion_problem(H_stack, Mtilde_factor)
-    Y = np.asarray(Y).reshape(-1)
+    Y = np.asarray(Y)
+    if np.iscomplexobj(Y):
+        raise ValueError("secure_fuse takes a real measurement; pass complex "
+                         "canonical coordinates through real_canonical")
+    Y = Y.astype(float, copy=False).reshape(-1)
     H, Ht, Minv = problem.H, problem.Ht, problem.Minv
-    mn = H.shape[0]
-    real = problem.is_real
-    if not (real and Y.dtype == np.float64):
-        Y = Y.astype(complex)
-        if real:
-            dust = float(np.abs(Y.imag).max(initial=0.0))
-            scale = max(float(np.abs(Y.real).max(initial=0.0)), 1e-300)
-            assert dust <= 1e-9 * scale, \
-                f"complex measurement on a real-structured problem (imag {dust:.3e})"
-            Y = Y.real.copy()
-    x_ls = problem.wls_op @ Y      # real on a real problem
-    if not real:
-        x_ls = _real_vector(x_ls, CANONICAL_RTOL, "least-squares estimate")
-    mu_ls = Y - H @ x_ls
+    x_ls, mu_ls = problem.least_squares(Y)
     d_ls = Minv @ mu_ls
 
     if float(np.abs(d_ls).max(initial=0.0)) <= gamma:
         if history is not None:
-            history.append(float(0.5 * np.vdot(mu_ls, d_ls).real))
+            history.append(float(0.5 * mu_ls @ d_ls))
         return FusionResult(
-            x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(mn, dtype=Y.dtype),
+            x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(H.shape[0]),
             kkt_residual=float(np.abs(Ht @ d_ls).max(initial=0.0)),
             iterations=0, kalman_equivalent=True, x_ls=x_ls, converged=True)
-    if not real:
-        raise ValueError(
-            "the l1 fusion solves real problems only; map complex canonical "
-            "coordinates to real ones (decomposition.realification_map) "
-            "before building the problem")
 
-    eps_eff = eps_kkt * max(1.0, gamma)
-    if warm_start is not None:
-        x = np.asarray(warm_start[0], dtype=float).reshape(-1)
-        nu = np.asarray(warm_start[1], dtype=float).reshape(-1)
-        mu, kkt = _residuals(problem, Y, x, nu, gamma)
-        if kkt <= eps_eff:
-            return FusionResult(
-                x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=0,
-                kalman_equivalent=False, x_ls=x_ls, converged=True)
-
+    eps_eff = KKT_TOL * max(1.0, gamma)
     nu, it = _lasso_path(problem.S, Y, d_ls, gamma, history)
     x = problem.wls_op @ (Y - nu)
     mu, kkt = _residuals(problem, Y, x, nu, gamma)
@@ -385,16 +338,8 @@ def secure_fuse(Y, H_stack, Mtilde_factor, gamma, *, eps_kkt=KKT_TOL,
         if kkt_r < kkt:
             x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
     if history is not None:
-        history.append(float(0.5 * mu @ Minv @ mu + gamma * np.abs(nu).sum()))
+        history.append(float(problem.objective(Y, x, nu, gamma)))
     return FusionResult(
         x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=it,
         kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt <= eps_eff))
 
-
-def trial_generators(seed, trial):
-    """Four independent Philox streams for one (seed, trial) pair.
-
-    Order: initial state, process noise, measurement noise, attack.
-    """
-    children = np.random.SeedSequence((seed, trial)).spawn(4)
-    return tuple(np.random.Generator(np.random.Philox(c)) for c in children)

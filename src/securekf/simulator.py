@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .decomposition import SensorDecomposition
-from .fusion import (FusionProblem, build_fusion_problem, secure_fuse,
-                     trial_generators)
+from .fusion import (FusionProblem, build_fusion_problem, real_canonical,
+                     secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
@@ -159,6 +159,15 @@ class SimulationTrace:
         return int((~self.solver_converged).sum())
 
 
+def trial_generators(seed, trial):
+    """Four independent Philox streams for one (seed, trial) pair.
+
+    Order: initial state, process noise, measurement noise, attack.
+    """
+    children = np.random.SeedSequence((seed, trial)).spawn(4)
+    return tuple(np.random.Generator(np.random.Philox(c)) for c in children)
+
+
 def _recurrence(M, e, s0):
     """Rows s[t] = M s[t-1] + e[t] for t = 0 .. len(e) - 1, s[-1] = s0.
 
@@ -179,8 +188,8 @@ def _rollout(model, design, decomposition, attack, horizon, seed, trial,
              x0=None):
     """Everything in a run that does not depend on the secure fusion:
     (x, u, z, y, a, xhat_kal, Y) as (horizon, .) arrays, rows as in
-    SimulationTrace.  Y is the bank's canonical measurement, checked real
-    to the tolerance secure_fuse applies per step, and stored real.
+    SimulationTrace.  Y is the bank's canonical measurement, made real by
+    real_canonical.
     """
     n, m = model.n, model.m
     A, C = model.A, model.C
@@ -211,12 +220,7 @@ def _rollout(model, design, decomposition, attack, horizon, seed, trial,
              + (y - Bu @ C.T)[:, :, None]).reshape(horizon, m * n)
     zeta = _recurrence(np.diag(np.tile(decomposition.Pi, m)), drive,
                        np.zeros(m * n))
-    Y = zeta @ decomposition.Ptilde.T
-    dust = np.abs(Y.imag).max(axis=1)
-    scale = np.maximum(np.abs(Y.real).max(axis=1), 1e-300)
-    assert (dust <= 1e-9 * scale).all(), \
-        f"complex canonical measurement (imag {dust.max():.3e})"
-    return x, u, z, y, a, x_kal, Y.real.copy()
+    return x, u, z, y, a, x_kal, real_canonical(zeta @ decomposition.Ptilde.T)
 
 
 def simulate(model: SystemModel, design: SpectralDesign,
@@ -246,9 +250,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
     if problem is None:
         problem = build_fusion_problem(decomposition.H_stack,
                                        decomposition.Mtilde_factor)
-    results = [secure_fuse(Y[t], decomposition.H_stack,
-                           decomposition.Mtilde_factor, gamma, problem=problem)
-               for t in range(horizon)]
+    results = [secure_fuse(problem, Y[t], gamma) for t in range(horizon)]
 
     def column(field, dtype=float):
         return np.array([getattr(r, field) for r in results], dtype=dtype)
@@ -289,9 +291,7 @@ def empirical_equivalence_probability(model: SystemModel,
     for trial in range(trials):
         Y = _rollout(model, design, decomposition, AttackSpec(), horizon,
                      seed, trial)[-1][burn_in:]
-        mu = Y - Y @ problem.wls_op.T @ problem.H.T
-        screened = np.abs(mu @ problem.Minv.T).max(axis=1) <= gamma
-        fractions.append(float(screened.mean()))
+        fractions.append(float((problem.screen_statistic(Y) <= gamma).mean()))
     prob = float(np.mean(fractions))
     if trials > 1:
         stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials))

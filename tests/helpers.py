@@ -14,8 +14,8 @@ from securekf import (assemble_canonical_measurement, attack_sequence,
                       build_fusion_problem, fixed_gain_kalman_step,
                       initial_bank, local_estimator_step, psd_factor,
                       secure_fuse)
-from securekf.fusion import trial_generators
 from securekf.model import SystemModel
+from securekf.simulator import trial_generators
 
 
 def random_jordan_model(seed, n_max=5, m_max=8, ensure_observable=False):
@@ -104,8 +104,7 @@ def step_by_step_simulate(model, design, decomposition, attack, gamma,
         x_kal = fixed_gain_kalman_step(x_kal, y, u, design, model)
         bank = local_estimator_step(bank, y, u, decomposition, model)
         Y = assemble_canonical_measurement(bank, decomposition)
-        res = secure_fuse(Y, decomposition.H_stack,
-                          decomposition.Mtilde_factor, gamma, problem=problem)
+        res = secure_fuse(problem, Y, gamma)
         for f, value in (("x", x), ("xhat_kal", x_kal), ("xhat_ls", res.x_ls),
                          ("xhat_sec", res.x_tilde),
                          ("kalman_equivalent", res.kalman_equivalent),

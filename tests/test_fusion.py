@@ -10,23 +10,23 @@ from securekf import (
     build_fusion_problem,
     empirical_equivalence_probability,
     fixed_gain_kalman_step,
-    fusion_objective,
     initial_bank,
-    kalman_equivalence_condition,
     load_model,
     local_estimator_step,
     psd_factor,
+    real_canonical,
     secure_fuse,
     spectral_design,
-    weighted_least_squares,
 )
-from securekf.decomposition import conjugate_pairing
-from securekf.fusion import LocalBankState, trial_generators
+from securekf.decomposition import conjugate_pairing, realification_map
+from securekf.fusion import LocalBankState
 from securekf.model import SystemModel
+from securekf.simulator import trial_generators
 
 EYE3 = scipy.linalg.cho_factor(np.eye(3))
 H3 = np.ones((3, 1))
 Y3 = np.array([0.0, 0.0, 10.0])
+PROB3 = build_fusion_problem(H3, EYE3)
 
 
 def unit_model():
@@ -150,26 +150,27 @@ def test_assemble_tracks_canonical_signal(pendulum_model, pendulum_decomposition
 
 
 def test_wls_hand_examples():
-    x, mu = weighted_least_squares(np.array([1.0, 3.0]), np.array([[1.0], [1.0]]),
-                                   scipy.linalg.cho_factor(np.eye(2)))
+    H = np.array([[1.0], [1.0]])
+    x, mu = build_fusion_problem(H, scipy.linalg.cho_factor(np.eye(2))
+                                 ).least_squares(np.array([1.0, 3.0]))
     assert abs(x[0] - 2.0) < 1e-12
     assert np.abs(mu - np.array([-1.0, 1.0])).max() < 1e-12
-    x, _ = weighted_least_squares(np.array([1.0, 3.0]), np.array([[1.0], [1.0]]),
-                                  scipy.linalg.cho_factor(np.diag([1.0, 4.0])))
+    x, _ = build_fusion_problem(H, scipy.linalg.cho_factor(np.diag([1.0, 4.0]))
+                                ).least_squares(np.array([1.0, 3.0]))
     assert abs(x[0] - 1.4) < 1e-12
 
 
 def test_wls_unobservable_error():
     H = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="state unobservable in canonical coordinates"):
-        weighted_least_squares(np.array([1.0, 3.0]), H,
-                               scipy.linalg.cho_factor(np.eye(2)))
+        build_fusion_problem(H, scipy.linalg.cho_factor(np.eye(2)))
 
 
 def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
                                        pendulum_decomposition):
     # the least-squares fusion of the bank replays the filter exactly
     m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     x, g_w, g_v = rollout_setup(m, d, dec, seed=11)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
     K = m.feedback_gain()
@@ -182,7 +183,7 @@ def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
         xh = fixed_gain_kalman_step(xh, y, u, d, m)
         bank = local_estimator_step(bank, y, u, dec, m)
         Y = assemble_canonical_measurement(bank, dec)
-        x_ls, _ = weighted_least_squares(Y, dec.H_stack, dec.Mtilde_factor)
+        x_ls, _ = problem.least_squares(Y)
         assert np.abs(x_ls - xh).max() < 1e-6
         # the fusion-weight reconstruction agrees as well
         xf = dec.F_row @ np.concatenate(bank.zeta)
@@ -196,8 +197,9 @@ def test_secure_fuse_exact_data():
     factor = scipy.linalg.cho_factor(np.eye(6))
     x0 = np.array([1.5, -0.5])
     Y = H @ x0
+    problem = build_fusion_problem(H, factor)
     for gamma in (0.3, 1.0, 100.0):
-        res = secure_fuse(Y, H, factor, gamma)
+        res = secure_fuse(problem, Y, gamma)
         assert res.kalman_equivalent
         assert res.iterations == 0
         assert np.abs(res.x_tilde - x0).max() < 1e-10
@@ -206,7 +208,7 @@ def test_secure_fuse_exact_data():
 
 
 def test_secure_fuse_hand_instance():
-    res = secure_fuse(Y3, H3, EYE3, 1.0)
+    res = secure_fuse(PROB3, Y3, 1.0)
     assert res.converged
     assert res.kkt_residual <= 1e-8
     assert abs(res.x_tilde[0] - 0.5) < 1e-6
@@ -219,13 +221,13 @@ def test_secure_fuse_hand_instance():
 
 def test_secure_fuse_threshold_collapse():
     for gamma in (20.0 / 3.0, 8.0, 50.0):
-        res = secure_fuse(Y3, H3, EYE3, gamma)
+        res = secure_fuse(PROB3, Y3, gamma)
         assert res.kalman_equivalent
         assert res.iterations == 0
         assert abs(res.x_tilde[0] - 10.0 / 3.0) < 1e-12
         assert np.abs(res.nu).max() == 0.0
         assert abs(res.x_ls[0] - 10.0 / 3.0) < 1e-12
-    res = secure_fuse(Y3, H3, EYE3, 6.6)
+    res = secure_fuse(PROB3, Y3, 6.6)
     assert not res.kalman_equivalent
     assert res.nu[2].real > 0.0
     assert res.x_tilde[0] < 10.0 / 3.0
@@ -234,21 +236,14 @@ def test_secure_fuse_threshold_collapse():
 def test_secure_fuse_gamma_zero_rejected():
     for gamma in (0.0, -1.0):
         with pytest.raises(ValueError, match="non-identifiable"):
-            secure_fuse(Y3, H3, EYE3, gamma)
+            secure_fuse(PROB3, Y3, gamma)
         with pytest.raises(ValueError, match="non-identifiable"):
             empirical_equivalence_probability(None, None, None, gamma)
 
 
-def test_secure_fuse_warm_start_shortcut():
-    res = secure_fuse(Y3, H3, EYE3, 1.0)
-    again = secure_fuse(Y3, H3, EYE3, 1.0, warm_start=(res.x_tilde, res.nu))
-    assert again.iterations == 0
-    assert np.abs(again.x_tilde - res.x_tilde).max() < 1e-9
-
-
 def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
-    # a float Y takes the real path; the same Y as complex is checked real
-    # first and must give the same answer, on a screened and an l1 step
+    # a complex Y is rejected; the same Y made real by real_canonical must
+    # give the answer of the float Y, on a screened and an l1 step
     dec = pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     Y = dec.H_stack @ np.array([0.3, -0.2, 0.1, 0.05])
@@ -256,29 +251,28 @@ def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
     Y_hit = Y.copy()
     Y_hit[15] += 10.0
     for y, gamma, screened in ((Y, 1e6, True), (Y_hit, 5.0, False)):
-        real = secure_fuse(y, dec.H_stack, dec.Mtilde_factor, gamma,
-                           problem=problem)
-        cplx = secure_fuse(y + 0j, dec.H_stack, dec.Mtilde_factor, gamma,
-                           problem=problem)
+        real = secure_fuse(problem, y, gamma)
+        with pytest.raises(ValueError, match="real_canonical"):
+            secure_fuse(problem, y + 0j, gamma)
+        cplx = secure_fuse(problem, real_canonical(y + 0j), gamma)
         assert real.kalman_equivalent is cplx.kalman_equivalent is screened
         for f in ("x_tilde", "mu", "nu", "x_ls"):
             assert np.array_equal(getattr(real, f), getattr(cplx, f)), f
         assert (real.kkt_residual, real.iterations, real.converged) == \
             (cplx.kkt_residual, cplx.iterations, cplx.converged)
     dusty = Y + 1j * 1e-6 * np.abs(Y).max()
-    with pytest.raises(AssertionError, match="complex measurement"):
-        secure_fuse(dusty, dec.H_stack, dec.Mtilde_factor, 1e6,
-                    problem=problem)
+    with pytest.raises(AssertionError, match="complex canonical measurement"):
+        real_canonical(dusty)
 
 
 def test_equivalence_condition_basics():
-    assert kalman_equivalence_condition(np.zeros(3), EYE3, 1e-9)
-    assert kalman_equivalence_condition(np.zeros(3), EYE3, 1e6)
-    _, mu_ls = weighted_least_squares(Y3, H3, EYE3)
+    assert PROB3.screen_statistic(np.zeros(3)) <= 1e-9
+    assert PROB3.screen_statistic(np.zeros(3)) <= 1e6
+    _, mu_ls = PROB3.least_squares(Y3)
     assert np.abs(scipy.linalg.cho_solve(EYE3, mu_ls)).max() == pytest.approx(20.0 / 3.0)
-    assert not kalman_equivalence_condition(mu_ls, EYE3, 1.0)
-    assert not kalman_equivalence_condition(mu_ls, EYE3, 6.66)
-    assert kalman_equivalence_condition(mu_ls, EYE3, 20.0 / 3.0 + 1e-12)
+    assert not PROB3.screen_statistic(Y3) <= 1.0
+    assert not PROB3.screen_statistic(Y3) <= 6.66
+    assert PROB3.screen_statistic(Y3) <= 20.0 / 3.0 + 1e-12
 
 
 def random_instance(rng, n, m_sensors):
@@ -301,8 +295,9 @@ def test_secure_fuse_objective_monotone_and_bounded():
         m_sensors = int(rng.integers(1, 4))
         Y, H, M, gamma = random_instance(rng, n, m_sensors)
         factor = scipy.linalg.cho_factor(M)
+        problem = build_fusion_problem(H, factor)
         history = []
-        res = secure_fuse(Y, H, factor, gamma, history=history)
+        res = secure_fuse(problem, Y, gamma, history=history)
         assert res.converged
         # the accept gate tolerates ascents up to the rounding floor of
         # the cancelled quadratic form
@@ -311,8 +306,8 @@ def test_secure_fuse_objective_monotone_and_bounded():
         floor = 1e-13 * max(1.0, np.linalg.norm(mu_ls) * np.linalg.norm(d_ls))
         diffs = np.diff(history)
         assert (diffs <= floor).all()
-        f_ls = fusion_objective(Y, H, factor, res.x_ls, np.zeros(len(Y)), gamma)
-        f_final = fusion_objective(Y, H, factor, res.x_tilde, res.nu, gamma)
+        f_ls = problem.objective(Y, res.x_ls, np.zeros(len(Y)), gamma)
+        f_final = problem.objective(Y, res.x_tilde, res.nu, gamma)
         assert f_final <= f_ls + 1e-10 * max(1.0, abs(f_ls))
 
 
@@ -324,11 +319,11 @@ def test_secure_fuse_oracle_perturbations():
         m_sensors = int(rng.integers(1, 4))
         Y, H, M, gamma = random_instance(rng, n, m_sensors)
         mn = len(Y)
-        factor = scipy.linalg.cho_factor(M)
-        res = secure_fuse(Y, H, factor, gamma)
+        problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+        res = secure_fuse(problem, Y, gamma)
         assert res.converged
         Minv = np.linalg.inv(M)
-        f_star = fusion_objective(Y, H, factor, res.x_tilde, res.nu, gamma)
+        f_star = problem.objective(Y, res.x_tilde, res.nu, gamma)
 
         d = rng.standard_normal((1000, n + mn)) + 1j * rng.standard_normal((1000, n + mn))
         d *= 1e-3 / np.linalg.norm(d, axis=1)[:, None]
@@ -348,9 +343,10 @@ def test_secure_fuse_permutation_equivariance():
     gamma = 0.4
     sigma = [2, 0, 1]
     idx = np.concatenate([np.arange(s * n, s * n + n) for s in sigma])
-    res = secure_fuse(Y, H, scipy.linalg.cho_factor(M), gamma)
-    res_p = secure_fuse(Y[idx], H[idx], scipy.linalg.cho_factor(M[np.ix_(idx, idx)]),
-                        gamma)
+    res = secure_fuse(build_fusion_problem(H, scipy.linalg.cho_factor(M)), Y,
+                      gamma)
+    res_p = secure_fuse(build_fusion_problem(
+        H[idx], scipy.linalg.cho_factor(M[np.ix_(idx, idx)])), Y[idx], gamma)
     assert not res.kalman_equivalent
     assert np.abs(res_p.x_tilde - res.x_tilde).max() < 1e-6
     assert np.abs(res_p.nu - res.nu[idx]).max() < 1e-6
@@ -364,11 +360,13 @@ def test_secure_fuse_realified_formulation_agrees():
     for _ in range(5):
         Y, H, M, gamma = random_instance(rng, 2, 2)
         mn = len(Y)
-        res = secure_fuse(Y, H, scipy.linalg.cho_factor(M), gamma)
+        res = secure_fuse(build_fusion_problem(H, scipy.linalg.cho_factor(M)),
+                          Y, gamma)
         H_r = np.block([[H, np.zeros_like(H)], [np.zeros_like(H), H]])
         M_r = scipy.linalg.block_diag(M, M)
         Y_r = np.concatenate([Y, np.zeros(mn)])
-        res_r = secure_fuse(Y_r, H_r, scipy.linalg.cho_factor(M_r), gamma)
+        res_r = secure_fuse(build_fusion_problem(H_r, scipy.linalg.cho_factor(M_r)),
+                            Y_r, gamma)
         assert np.abs(res_r.x_tilde[:2] - res.x_tilde).max() < 1e-6
         assert np.abs(res_r.x_tilde[2:]).max() < 1e-6
         assert np.abs(res_r.nu[:mn] - res.nu).max() < 1e-6
@@ -396,7 +394,7 @@ def test_secure_fuse_equivalence_rate_on_pendulum(pendulum_model, pendulum_desig
         if bank.k <= 50:
             continue
         Y = assemble_canonical_measurement(bank, dec)
-        res = secure_fuse(Y, dec.H_stack, dec.Mtilde_factor, 100.0, problem=prob)
+        res = secure_fuse(prob, Y, 100.0)
         total += 1
         if res.kalman_equivalent:
             hits += 1
@@ -429,14 +427,17 @@ def test_empirical_equivalence_probability(pendulum_model, pendulum_design,
 
 def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
                                            pendulum_decomposition):
-    # legacy check: the same solver on the unprojected bank (weights from
-    # the stationary covariance of zeta - G x) reproduces the canonical
-    # answer whenever both collapse onto least squares.  The collapse
-    # thresholds differ because the weightings differ: the unprojected
-    # residual statistic runs about 50x larger on this design.
+    # legacy check: the same solver on the unprojected bank, realified per
+    # sensor by T (applied to zeta, G_stack and Wtilde, the stationary
+    # covariance of zeta - G x), reproduces the canonical answer whenever
+    # both collapse onto least squares.  The collapse thresholds differ
+    # because the weightings differ: the unprojected residual statistic
+    # runs about 50x larger on this design.
     m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
-    W_factor = scipy.linalg.cho_factor(dec.Wtilde)
-    prob_raw = build_fusion_problem(dec.G_stack, W_factor)
+    T = scipy.linalg.block_diag(
+        *[realification_map(conjugate_pairing(dec.Pi))] * m.m)
+    prob_raw = build_fusion_problem(
+        T @ dec.G_stack, scipy.linalg.cho_factor(T @ dec.Wtilde @ T.conj().T))
     prob_can = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     x, g_w, g_v = rollout_setup(m, d, dec, seed=5)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
@@ -452,9 +453,9 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
             continue
         total += 1
         zeta = np.concatenate(bank.zeta)
-        res_raw = secure_fuse(zeta, dec.G_stack, W_factor, 5000.0, problem=prob_raw)
-        res_can = secure_fuse(dec.Ptilde @ zeta, dec.H_stack, dec.Mtilde_factor,
-                              100.0, problem=prob_can)
+        res_raw = secure_fuse(prob_raw, real_canonical(T @ zeta), 5000.0)
+        res_can = secure_fuse(prob_can, assemble_canonical_measurement(bank, dec),
+                              100.0)
         assert np.abs(res_raw.x_ls - res_can.x_ls).max() < 1e-8
         if res_raw.kalman_equivalent and res_can.kalman_equivalent:
             both += 1
@@ -462,28 +463,12 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
     assert both >= 0.9 * total
 
 
-def test_complex_problem_l1_solve_raises(pendulum_model, pendulum_design,
-                                         pendulum_decomposition):
-    # the unprojected bank keeps complex data: the least-squares estimate
-    # and the threshold test work on it, an l1 solve does not
-    m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
-    W_factor = scipy.linalg.cho_factor(dec.Wtilde)
-    prob_raw = build_fusion_problem(dec.G_stack, W_factor)
-    assert not prob_raw.is_real
-    x, g_w, g_v = rollout_setup(m, d, dec, seed=5)
-    Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
-    K = m.feedback_gain()
-    bank = initial_bank(m)
-    for _ in range(60):
-        u = -(K @ x)
-        x = m.A @ x + m.B @ u + Lq @ g_w.standard_normal(4)
-        y = m.C @ x + Lr @ g_v.standard_normal(4)
-        bank = local_estimator_step(bank, y, u, dec, m)
-    zeta = np.concatenate(bank.zeta)
-    assert secure_fuse(zeta, dec.G_stack, W_factor, 1e12,
-                       problem=prob_raw).kalman_equivalent
+def test_complex_problem_build_raises(pendulum_decomposition):
+    # the unprojected bank keeps genuinely complex data, which the fusion
+    # refuses until they are realified
+    dec = pendulum_decomposition
     with pytest.raises(ValueError, match="realification_map"):
-        secure_fuse(zeta, dec.G_stack, W_factor, 1e-9, problem=prob_raw)
+        build_fusion_problem(dec.G_stack, scipy.linalg.cho_factor(dec.Wtilde))
 
 
 def test_psd_factor_paths():

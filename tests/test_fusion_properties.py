@@ -12,7 +12,7 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from securekf import fusion_objective, secure_fuse
+from securekf import build_fusion_problem, secure_fuse
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -73,9 +73,9 @@ def draw_instance(seed, n, m_sensors, pattern="gaussian"):
 
 
 def check_against_reference(Y, H, M, gamma):
-    factor = scipy.linalg.cho_factor(M)
+    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
     Minv = np.linalg.inv(M)
-    res = secure_fuse(Y, H, factor, gamma)
+    res = secure_fuse(problem, Y, gamma)
     tol = 1e-8 * max(1.0, gamma)
     if res.kalman_equivalent:
         assert np.abs(Minv @ (Y - H @ res.x_ls)).max() <= gamma
@@ -83,7 +83,7 @@ def check_against_reference(Y, H, M, gamma):
         assert res.converged
     assert kkt_residual(Y, H, Minv, res.x_tilde, res.nu, gamma) <= tol
     x_ref, nu_ref, f_ref = reference(Y, H, Minv, gamma)
-    f = fusion_objective(Y, H, factor, res.x_tilde, res.nu, gamma)
+    f = problem.objective(Y, res.x_tilde, res.nu, gamma)
     # the exact solver must never lose to the first-order reference
     assert f <= f_ref + 1e-9 * max(1.0, abs(f_ref))
     return res, x_ref
@@ -131,9 +131,11 @@ def test_scaling_equivariance(seed, n, m_sensors, log_c):
     # (Y, M, gamma) -> (c Y, c^2 M, gamma / c) scales the estimate by c
     Y, H, M, gamma = draw_instance(seed, n, m_sensors)
     c = 10.0 ** log_c
-    res = secure_fuse(Y, H, scipy.linalg.cho_factor(M), gamma)
-    scaled = secure_fuse(c * Y, H, scipy.linalg.cho_factor(c * c * M),
-                         gamma / c)
+    res = secure_fuse(build_fusion_problem(H, scipy.linalg.cho_factor(M)), Y,
+                      gamma)
+    scaled = secure_fuse(
+        build_fusion_problem(H, scipy.linalg.cho_factor(c * c * M)), c * Y,
+        gamma / c)
     assert scaled.kalman_equivalent == res.kalman_equivalent
     assert scaled.converged
     for got, want in ((scaled.x_tilde, res.x_tilde), (scaled.nu, res.nu)):
@@ -150,10 +152,42 @@ def test_translation_equivariance_far_from_origin(seed, n, m_sensors):
     # answer must still meet the absolute KKT tolerance
     Y, H, M, gamma = draw_instance(seed, n, m_sensors)
     x0 = 1e6 * np.random.default_rng(seed).standard_normal(n)
-    factor = scipy.linalg.cho_factor(M)
-    res = secure_fuse(Y, H, factor, gamma)
-    moved = secure_fuse(Y + H @ x0, H, factor, gamma)
+    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    res = secure_fuse(problem, Y, gamma)
+    moved = secure_fuse(problem, Y + H @ x0, gamma)
     assert moved.converged
     assert np.abs(moved.x_tilde - x0 - res.x_tilde).max() <= 1e-6
     scale = max(1.0, float(np.abs(res.nu).max()))
     assert np.abs(moved.nu - res.nu).max() <= 1e-6 * scale
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       m_sensors=st.integers(2, 4),
+       pattern=st.sampled_from(["gaussian", "pendulum"]), data=st.data())
+def test_sensor_permutation_equivariance(seed, n, m_sensors, pattern, data):
+    # relabelling the sensors permutes mu and nu and leaves the optimal
+    # objective alone; x_tilde is compared only where it is unique
+    Y, H, M, gamma = draw_instance(seed, n, m_sensors, pattern)
+    n = H.shape[1]
+    sigma = data.draw(st.permutations(range(H.shape[0] // n)))
+    idx = np.concatenate([np.arange(s * n, s * n + n) for s in sigma])
+    Minv = np.linalg.inv(M)
+    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    permuted = build_fusion_problem(
+        H[idx], scipy.linalg.cho_factor(M[np.ix_(idx, idx)]))
+    res = secure_fuse(problem, Y, gamma)
+    res_p = secure_fuse(permuted, Y[idx], gamma)
+    tol = 1e-8 * max(1.0, gamma)
+    assert kkt_residual(Y, H, Minv, res.x_tilde, res.nu, gamma) <= tol
+    assert kkt_residual(Y[idx], H[idx], Minv[np.ix_(idx, idx)],
+                        res_p.x_tilde, res_p.nu, gamma) <= tol
+    f = problem.objective(Y, res.x_tilde, res.nu, gamma)
+    f_p = permuted.objective(Y[idx], res_p.x_tilde, res_p.nu, gamma)
+    assert abs(f_p - f) <= 1e-9 * max(1.0, abs(f))
+    assert res_p.kalman_equivalent == res.kalman_equivalent
+    if pattern == "gaussian":
+        for got, want in ((res_p.x_tilde, res.x_tilde), (res_p.nu, res.nu[idx]),
+                          (res_p.mu, res.mu[idx])):
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(got - want).max() <= 1e-6 * scale
