@@ -31,6 +31,7 @@ built.
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -54,9 +55,8 @@ class LocalBankState:
     k: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
-class FusionResult:
-    """Solution of one fusion problem.
+class FusionResult(NamedTuple):
+    """Solution of one fusion problem, as a named tuple.
 
     mu is the raw residual Y - H x_tilde - nu, so the decomposition
     Y = H x_tilde + mu + nu holds exactly by construction.  x_ls is the
@@ -65,7 +65,8 @@ class FusionResult:
     nu is zero.  iterations counts the homotopy breakpoints walked (0 for
     a screened step).  converged records whether the returned point meets
     the KKT tolerance; a solve that hits the breakpoint cap still returns
-    its last point.
+    its last point.  The fields cannot be set, and their order is part of
+    the API: simulate unpacks the results of a run by position.
     """
 
     x_tilde: np.ndarray
@@ -114,16 +115,18 @@ def real_canonical(Y) -> np.ndarray:
     """Canonical coordinates as real numbers, for one Y or a block of rows.
 
     The canonical projectors realify conjugate pairs, so every row must be
-    real to MEASUREMENT_DUST relative to its largest real entry; what is
-    left of the imaginary part is rounding and is dropped.
+    real to MEASUREMENT_DUST relative to its largest real entry, or
+    ValueError is raised; what is left of the imaginary part is rounding
+    and is dropped.
     """
     Y = np.asarray(Y)
     if not np.iscomplexobj(Y):
         return Y.astype(float)
     dust = np.abs(Y.imag).max(axis=-1)
     scale = np.maximum(np.abs(Y.real).max(axis=-1), 1e-300)
-    assert (dust <= MEASUREMENT_DUST * scale).all(), \
-        f"complex canonical measurement (imag {dust.max():.3e})"
+    if not (dust <= MEASUREMENT_DUST * scale).all():
+        raise ValueError(
+            f"complex canonical measurement (imag {dust.max():.3e})")
     return Y.real.copy()
 
 

@@ -239,7 +239,8 @@ def simulate(model: SystemModel, design: SpectralDesign,
     attack share the same noise and the same clean measurements.  Passing
     x0 pins the initial state instead of drawing it.  Solver
     non-convergence at a step is recorded in the trace and the run
-    continues.
+    continues; a non-finite state, measurement or estimate raises
+    ValueError.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -250,21 +251,22 @@ def simulate(model: SystemModel, design: SpectralDesign,
     if problem is None:
         problem = build_fusion_problem(decomposition.H_stack,
                                        decomposition.Mtilde_factor)
-    results = [secure_fuse(problem, Y[t], gamma) for t in range(horizon)]
-
-    def column(field, dtype=float):
-        return np.array([getattr(r, field) for r in results], dtype=dtype)
-
-    secs, lss, kkts = column("x_tilde"), column("x_ls"), column("kkt_residual")
-    for arr in (x, u, z, y, a, x_kal, secs, lss, kkts):
-        assert np.isfinite(arr).all()
+    x_tilde, _, _, kkt, iters, screened, x_ls, converged = zip(
+        *[secure_fuse(problem, Y[t], gamma) for t in range(horizon)])
+    secs, lss = np.array(x_tilde), np.array(x_ls)
+    kkts = np.array(kkt, dtype=float)
+    for name, arr in (("x", x), ("u", u), ("z", z), ("y", y), ("a", a),
+                      ("xhat_kal", x_kal), ("xhat_sec", secs),
+                      ("xhat_ls", lss), ("kkt_residual", kkts)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"simulation produced non-finite {name}")
     return SimulationTrace(
         seed=int(seed), trial=int(trial), gamma=float(gamma),
         horizon=int(horizon), attack=attack, x=x, u=u, z=z, y=y, a=a,
         xhat_kal=x_kal, xhat_sec=secs, xhat_ls=lss,
-        solver_iters=column("iterations", int), kkt_residual=kkts,
-        solver_converged=column("converged", bool),
-        kalman_equivalent=column("kalman_equivalent", bool))
+        solver_iters=np.array(iters, dtype=int), kkt_residual=kkts,
+        solver_converged=np.array(converged, dtype=bool),
+        kalman_equivalent=np.array(screened, dtype=bool))
 
 
 def empirical_equivalence_probability(model: SystemModel,
@@ -283,8 +285,8 @@ def empirical_equivalence_probability(model: SystemModel,
         raise ValueError("γ = 0 leaves x̃ non-identifiable")
     if horizon <= burn_in:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
-    assert np.allclose(decomposition.Pi, design.Pi), \
-        "decomposition was built for a different design"
+    if not np.allclose(decomposition.Pi, design.Pi):
+        raise ValueError("decomposition was built for a different design")
     problem = build_fusion_problem(decomposition.H_stack,
                                    decomposition.Mtilde_factor)
     fractions = []
@@ -540,12 +542,26 @@ def sweep_attack_magnitude(model: SystemModel, design: SpectralDesign,
                       seed, burn_in)
 
 
-def _fmt(value) -> str:
-    return "%.17g" % float(value)
+_INT_COLUMNS = ("k", "solver_iters", "solver_warn")
+
+
+def _row_format(header) -> str:
+    """One %-format for a CSV row with these columns: %d for the integer
+    columns, %.17g (17 significant digits) for every other one."""
+    return ",".join("%d" if h in _INT_COLUMNS else "%.17g" for h in header)
 
 
 def trace_csv(trace: SimulationTrace) -> str:
-    """Render a trace as CSV text (17 significant digits throughout)."""
+    """Render a trace as CSV text, one line per step, ending in a newline.
+
+    The header names the columns k, x_*, u_*, y_*, a_*, xhat_kal_*,
+    xhat_sec_*, xhat_ls_*, solver_iters, kkt_residual, solver_warn.  Each
+    row holds the step k = t + 1, then every real value as "%.17g" (17
+    significant digits, so floats round-trip; -0.0 prints as -0, and nan
+    and inf as nan, inf, -inf), the iteration count as an integer, the
+    KKT residual as "%.17g", and solver_warn as 1 for an unconverged step
+    and 0 otherwise.  Fields are separated by commas without spaces.
+    """
     n = trace.x.shape[1]
     q = trace.u.shape[1]
     m = trace.y.shape[1]
@@ -558,32 +574,25 @@ def trace_csv(trace: SimulationTrace) -> str:
               + [f"xhat_sec_{i + 1}" for i in range(n)]
               + [f"xhat_ls_{i + 1}" for i in range(n)]
               + ["solver_iters", "kkt_residual", "solver_warn"])
+    row = _row_format(header)
+    values = np.hstack((trace.x, trace.u, trace.y, trace.a, trace.xhat_kal,
+                        trace.xhat_sec, trace.xhat_ls)).tolist()
     lines = [",".join(header)]
-    for t in range(trace.horizon):
-        row = ([str(t + 1)]
-               + [_fmt(v) for v in trace.x[t]]
-               + [_fmt(v) for v in trace.u[t]]
-               + [_fmt(v) for v in trace.y[t]]
-               + [_fmt(v) for v in trace.a[t]]
-               + [_fmt(v) for v in trace.xhat_kal[t]]
-               + [_fmt(v) for v in trace.xhat_sec[t]]
-               + [_fmt(v) for v in trace.xhat_ls[t]]
-               + [str(int(trace.solver_iters[t])),
-                  _fmt(trace.kkt_residual[t]),
-                  str(0 if trace.solver_converged[t] else 1)])
-        lines.append(",".join(row))
+    lines += [row % (k, *vals, iters, kkt, warn)
+              for k, vals, iters, kkt, warn in zip(
+                  range(1, trace.horizon + 1), values,
+                  trace.solver_iters.tolist(),
+                  trace.kkt_residual.tolist(),
+                  np.logical_not(trace.solver_converged).tolist())]
     return "\n".join(lines) + "\n"
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
     """Render sweep rows as CSV text (17 significant digits throughout)."""
-    fields = ("sweep_value", "mse_secure_no_attack", "mse_secure_attack",
-              "mse_kalman_no_attack", "mse_kalman_attack",
-              "stderr_secure_no_attack", "stderr_secure_attack",
-              "stderr_kalman_no_attack", "stderr_kalman_attack")
+    fields = [f.name for f in dataclasses.fields(SweepRow)]
+    row = _row_format(fields)
     lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, f)) for f in fields))
+    lines += [row % dataclasses.astuple(r) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: deterministic random model generation, and a
-step-by-step reference for simulate.
+"""Shared test utilities: deterministic random model generation, a
+step-by-step reference for simulate, and a value-by-value reference for
+trace_csv.
 
 Models are drawn in Jordan coordinates directly so every sample satisfies
 the structural requirements by construction: block-diagonal A with 0/1
@@ -111,3 +112,37 @@ def step_by_step_simulate(model, design, decomposition, attack, gamma,
                          ("solver_converged", res.converged)):
             out[f].append(value)
     return {f: np.array(values) for f, values in out.items()}
+
+
+def reference_trace_csv(trace):
+    """Reference for trace_csv: formats every value on its own."""
+    def fmt(value):
+        return "%.17g" % float(value)
+
+    n = trace.x.shape[1]
+    q = trace.u.shape[1]
+    m = trace.y.shape[1]
+    header = (["k"]
+              + [f"x_{i + 1}" for i in range(n)]
+              + [f"u_{i + 1}" for i in range(q)]
+              + [f"y_{i + 1}" for i in range(m)]
+              + [f"a_{i + 1}" for i in range(m)]
+              + [f"xhat_kal_{i + 1}" for i in range(n)]
+              + [f"xhat_sec_{i + 1}" for i in range(n)]
+              + [f"xhat_ls_{i + 1}" for i in range(n)]
+              + ["solver_iters", "kkt_residual", "solver_warn"])
+    lines = [",".join(header)]
+    for t in range(trace.horizon):
+        row = ([str(t + 1)]
+               + [fmt(v) for v in trace.x[t]]
+               + [fmt(v) for v in trace.u[t]]
+               + [fmt(v) for v in trace.y[t]]
+               + [fmt(v) for v in trace.a[t]]
+               + [fmt(v) for v in trace.xhat_kal[t]]
+               + [fmt(v) for v in trace.xhat_sec[t]]
+               + [fmt(v) for v in trace.xhat_ls[t]]
+               + [str(int(trace.solver_iters[t])),
+                  fmt(trace.kkt_residual[t]),
+                  str(0 if trace.solver_converged[t] else 1)])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

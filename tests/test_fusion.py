@@ -1,9 +1,16 @@
 """Fusion layer: local bank dynamics, least squares, and the l1 solver."""
 
+import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import securekf
 from securekf import (
     assemble_canonical_measurement,
     build_decomposition,
@@ -261,8 +268,21 @@ def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
         assert (real.kkt_residual, real.iterations, real.converged) == \
             (cplx.kkt_residual, cplx.iterations, cplx.converged)
     dusty = Y + 1j * 1e-6 * np.abs(Y).max()
-    with pytest.raises(AssertionError, match="complex canonical measurement"):
+    with pytest.raises(ValueError, match="complex canonical measurement"):
         real_canonical(dusty)
+
+
+def test_real_canonical_raises_under_optimized_python():
+    # the check is a raise, not an assert, so python -O keeps it
+    src = pathlib.Path(securekf.__file__).resolve().parent.parent
+    code = ("import numpy as np\n"
+            "from securekf import real_canonical\n"
+            "real_canonical(np.array([1 + 0.5j, 2.0]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "ValueError: complex canonical measurement" in proc.stderr
 
 
 def test_equivalence_condition_basics():
@@ -423,6 +443,14 @@ def test_empirical_equivalence_probability(pendulum_model, pendulum_design,
     assert se100 >= 0.0
     with pytest.raises(ValueError, match="burn-in"):
         empirical_equivalence_probability(*args, 2.0, trials=1, horizon=10)
+
+
+def test_empirical_equivalence_probability_rejects_other_design(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    other = dataclasses.replace(pendulum_design, Pi=0.5 * pendulum_design.Pi)
+    with pytest.raises(ValueError, match="different design"):
+        empirical_equivalence_probability(
+            pendulum_model, other, pendulum_decomposition, 2.0, trials=1)
 
 
 def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,

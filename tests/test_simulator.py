@@ -4,11 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from helpers import step_by_step_simulate
+from helpers import reference_trace_csv, step_by_step_simulate
 from securekf.fusion import MAX_BREAKPOINTS
 from securekf.simulator import (
     AttackSpec,
+    SimulationTrace,
+    SweepRow,
     attack_sequence,
     default_attack,
     mse,
@@ -134,6 +139,22 @@ def test_simulate_argument_validation(pendulum_model, pendulum_design,
     with pytest.raises(ValueError):
         run(pendulum_model, pendulum_design, pendulum_decomposition,
             x0=np.zeros(3))
+
+
+def test_simulate_rejects_non_finite_results(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    import securekf.simulator as sim
+
+    fuse = sim.secure_fuse
+
+    def poisoned(problem, Y, gamma):
+        res = fuse(problem, Y, gamma)
+        return res._replace(x_tilde=np.full_like(res.x_tilde, np.nan))
+
+    monkeypatch.setattr(sim, "secure_fuse", poisoned)
+    with pytest.raises(ValueError, match="non-finite xhat_sec"):
+        run(pendulum_model, pendulum_design, pendulum_decomposition,
+            horizon=5)
 
 
 def test_simulate_shapes_and_flags(pendulum_model, pendulum_design,
@@ -567,6 +588,65 @@ def test_csv_files_byte_identical(tmp_path, pendulum_model, pendulum_design,
     write_sweep_csv(rows, s1)
     write_sweep_csv(rows8, s2)
     assert s1.read_bytes() == s2.read_bytes()
+
+
+# every special value the format must keep: signed zeros, infinities,
+# nan, subnormals, the extremes of the range, and ordinary floats
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072009e-308, 1e300, -1e300,
+                     1.7976931348623157e308, 0.1, 1 / 3]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def simulation_traces(draw):
+    horizon = draw(st.integers(1, 6))
+    n, q, m = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def block(cols):
+        return draw(hnp.arrays(float, (horizon, cols),
+                               elements=SPECIAL_FLOATS))
+
+    return SimulationTrace(
+        seed=0, trial=0, gamma=1.0, horizon=horizon, attack=AttackSpec(),
+        x=block(n), u=block(q), z=block(m), y=block(m), a=block(m),
+        xhat_kal=block(n), xhat_sec=block(n), xhat_ls=block(n),
+        solver_iters=draw(hnp.arrays(int, horizon,
+                                     elements=st.integers(0, 10**6))),
+        kkt_residual=draw(hnp.arrays(float, horizon,
+                                     elements=SPECIAL_FLOATS)),
+        solver_converged=draw(hnp.arrays(bool, horizon)),
+        kalman_equivalent=np.zeros(horizon, dtype=bool))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(simulation_traces())
+def test_trace_csv_matches_value_by_value_reference(trace):
+    assert trace_csv(trace) == reference_trace_csv(trace)
+
+
+def test_trace_csv_matches_reference_on_runs(pendulum_model, pendulum_design,
+                                             pendulum_decomposition):
+    # screened, l1 and unconverged steps
+    for attack, gamma in ((default_attack(), 1000.0), (default_attack(), 0.2),
+                          (AttackSpec(support=(3,), kind="constant",
+                                      magnitude=1e6), 5.0)):
+        tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
+                 attack=attack, gamma=gamma, horizon=60)
+        assert trace_csv(tr) == reference_trace_csv(tr)
+    assert tr.unconverged_steps > 0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(SPECIAL_FLOATS, min_size=9, max_size=9),
+                max_size=4))
+def test_sweep_csv_formats_every_value_at_full_precision(values):
+    rows = [SweepRow(*v) for v in values]
+    lines = sweep_csv(rows).split("\n")
+    assert lines[-1] == ""
+    assert [line.split(",") for line in lines[1:-1]] == \
+        [["%.17g" % x for x in v] for v in values]
 
 
 def test_sweep_csv_header():
