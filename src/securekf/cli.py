@@ -19,15 +19,15 @@ import json
 import sys
 
 import numpy as np
-import scipy.linalg
 
-from .decomposition import SensorDecomposition, build_decomposition
+from .decomposition import (SensorDecomposition, build_decomposition,
+                            factor_mtilde)
 from .model import (ModelFormatError, SystemModel, certify_resilience,
                     load_model, observability_structure, validate_model)
 from .simulator import (DEFAULT_BURN_IN, DEFAULT_GAMMAS, DEFAULT_HORIZON,
-                        DEFAULT_MAGNITUDES, DEFAULT_TRIALS, AttackSpec,
-                        default_attack, mse, simulate, sweep_attack_magnitude,
-                        sweep_csv, sweep_gamma, trace_csv)
+                        DEFAULT_MAGNITUDES, DEFAULT_TRIALS, AttackSpec, mse,
+                        simulate, sweep_attack_magnitude, sweep_csv,
+                        sweep_gamma, trace_csv)
 from .spectral import SpectralDesign, spectral_design
 
 EXIT_OK = 0
@@ -56,19 +56,24 @@ class DesignFormatError(ValueError):
 
 # ------------------------------------------------------------ serialization
 
+# section name -> (dataclass, fields it does not store)
+_SECTIONS = {
+    "model": (SystemModel, ("sensor_labels",)),
+    "design": (SpectralDesign, ()),
+    "decomposition": (SensorDecomposition, ("Mtilde_factor",)),
+}
+# 1-D array fields, stored as one-row matrices
+_VECTORS = ("charpoly", "Pi")
+_SCALARS = {"float": float, "bool": bool}
+
 
 def _matrix_to_json(M):
     """Nested lists; complex matrices entry-wise as [re, im] pairs."""
-    M = np.asarray(M)
+    M = np.atleast_2d(M)
     if np.iscomplexobj(M):
         return {"complex": [[[float(v.real), float(v.imag)] for v in row]
-                            for row in M.reshape(M.shape[0], -1)]}
-    return {"real": [[float(v) for v in row]
-                     for row in M.reshape(M.shape[0], -1)]}
-
-
-def _vector_to_json(v):
-    return _matrix_to_json(np.asarray(v).reshape(1, -1))
+                            for row in M]}
+    return {"real": [[float(v) for v in row] for row in M]}
 
 
 def _matrix_from_json(obj, key):
@@ -86,56 +91,60 @@ def _matrix_from_json(obj, key):
     raise DesignFormatError(f"design key '{key}': unknown matrix tag '{tag}'")
 
 
-def _vector_from_json(obj, key):
-    return _matrix_from_json(obj, key).reshape(-1)
+def _section_fields(section):
+    cls, skipped = _SECTIONS[section]
+    return [f for f in dataclasses.fields(cls) if f.name not in skipped]
 
 
-def _model_to_json(model: SystemModel):
-    out = {
-        "A": _matrix_to_json(model.A),
-        "C": _matrix_to_json(model.C),
-        "Q": _matrix_to_json(model.Q),
-        "R": _matrix_to_json(model.R),
-        "Sigma": _matrix_to_json(model.Sigma),
-    }
-    if model.B is not None:
-        out["B"] = _matrix_to_json(model.B)
-    if model.K_lqr is not None:
-        out["K_lqr"] = _matrix_to_json(model.K_lqr)
+def _encode_section(section, obj) -> dict:
+    out = {}
+    for f in _section_fields(section):
+        value = getattr(obj, f.name)
+        if f.type in _SCALARS:
+            out[f.name] = _SCALARS[f.type](value)
+        elif f.type == "tuple":
+            out[f.name] = [_matrix_to_json(M) for M in value]
+        elif value is not None:
+            out[f.name] = _matrix_to_json(value)
+    return out
+
+
+def _decode_section(data, section) -> dict:
+    fields = _section_fields(section)
+    _require_keys(data, [f.name for f in fields], section)
+    out = {}
+    for f in fields:
+        value = data[f.name]
+        if f.type in _SCALARS:
+            out[f.name] = _SCALARS[f.type](value)
+        elif f.type == "tuple":
+            out[f.name] = tuple(_matrix_from_json(M, f.name) for M in value)
+        else:
+            M = _matrix_from_json(value, f.name)
+            out[f.name] = M.reshape(-1) if f.name in _VECTORS else M
     return out
 
 
 def design_to_dict(model: SystemModel, design: SpectralDesign,
                    decomposition: SensorDecomposition) -> dict:
+    """The design file as a JSON-ready dict.
+
+    Keys in order: "format" ("securekf-design"), "version" (1), then the
+    sections "model", "design" and "decomposition", holding the fields of
+    SystemModel, SpectralDesign and SensorDecomposition in declaration
+    order.  Not stored: sensor_labels, an absent B or K_lqr, and
+    Mtilde_factor, which loading recomputes from Mtilde and ridge_delta.
+    Arrays are tagged row-major matrices, {"real": rows} or {"complex":
+    rows of [re, im] pairs}; the vectors charpoly and Pi are one-row
+    matrices, the tuples G, H, P, F are lists of matrices, and float and
+    bool fields are plain JSON values.
+    """
     return {
         "format": DESIGN_FORMAT,
         "version": DESIGN_VERSION,
-        "model": _model_to_json(model),
-        "design": {
-            "P": _matrix_to_json(design.P),
-            "P_plus": _matrix_to_json(design.P_plus),
-            "K": _matrix_to_json(design.K),
-            "charpoly": _vector_to_json(design.charpoly),
-            "V": _matrix_to_json(design.V),
-            "Pi": _vector_to_json(design.Pi),
-            "riccati_residual": float(design.riccati_residual),
-            "assumption1_ok": bool(design.assumption1_ok),
-        },
-        "decomposition": {
-            "Pi": _vector_to_json(decomposition.Pi),
-            "G": [_matrix_to_json(M) for M in decomposition.G],
-            "H": [_matrix_to_json(M) for M in decomposition.H],
-            "P": [_matrix_to_json(M) for M in decomposition.P],
-            "F": [_matrix_to_json(M) for M in decomposition.F],
-            "G_stack": _matrix_to_json(decomposition.G_stack),
-            "H_stack": _matrix_to_json(decomposition.H_stack),
-            "Ptilde": _matrix_to_json(decomposition.Ptilde),
-            "F_row": _matrix_to_json(decomposition.F_row),
-            "Qtilde": _matrix_to_json(decomposition.Qtilde),
-            "Wtilde": _matrix_to_json(decomposition.Wtilde),
-            "Mtilde": _matrix_to_json(decomposition.Mtilde),
-            "ridge_delta": float(decomposition.ridge_delta),
-        },
+        "model": _encode_section("model", model),
+        "design": _encode_section("design", design),
+        "decomposition": _encode_section("decomposition", decomposition),
     }
 
 
@@ -159,8 +168,7 @@ def design_from_dict(data: dict, model: SystemModel):
     The stored model matrices must match `model` exactly: a design file
     is only valid for the model it was computed from.
     """
-    _require_keys(data, ("format", "version", "model", "design",
-                         "decomposition"), "top level")
+    _require_keys(data, ("format", "version", *_SECTIONS), "top level")
     if data["format"] != DESIGN_FORMAT:
         raise DesignFormatError(f"not a design file (format "
                                 f"{data['format']!r})")
@@ -168,51 +176,15 @@ def design_from_dict(data: dict, model: SystemModel):
         raise DesignFormatError(f"unsupported design file version "
                                 f"{data['version']!r}")
 
-    stored = data["model"]
-    current = _model_to_json(model)
-    if stored != current:
+    if data["model"] != _encode_section("model", model):
         raise ValueError("design file was computed for a different model; "
                          "re-run the design subcommand")
 
-    d = data["design"]
-    _require_keys(d, ("P", "P_plus", "K", "charpoly", "V", "Pi",
-                      "riccati_residual", "assumption1_ok"), "design")
-    design = SpectralDesign(
-        P=_matrix_from_json(d["P"], "P"),
-        P_plus=_matrix_from_json(d["P_plus"], "P_plus"),
-        K=_matrix_from_json(d["K"], "K"),
-        charpoly=_vector_from_json(d["charpoly"], "charpoly"),
-        V=_matrix_from_json(d["V"], "V"),
-        Pi=_vector_from_json(d["Pi"], "Pi"),
-        riccati_residual=float(d["riccati_residual"]),
-        assumption1_ok=bool(d["assumption1_ok"]),
-    )
-
-    c = data["decomposition"]
-    _require_keys(c, ("Pi", "G", "H", "P", "F", "G_stack", "H_stack",
-                      "Ptilde", "F_row", "Qtilde", "Wtilde", "Mtilde",
-                      "ridge_delta"), "decomposition")
-    Mtilde = _matrix_from_json(c["Mtilde"], "Mtilde")
-    ridge = float(c["ridge_delta"])
-    # same factorization call as the build path, bit for bit
-    factor = scipy.linalg.cho_factor(
-        Mtilde + ridge * np.eye(Mtilde.shape[0]) if ridge else Mtilde)
+    design = SpectralDesign(**_decode_section(data["design"], "design"))
+    fields = _decode_section(data["decomposition"], "decomposition")
     decomposition = SensorDecomposition(
-        Pi=_vector_from_json(c["Pi"], "Pi"),
-        G=tuple(_matrix_from_json(M, "G") for M in c["G"]),
-        H=tuple(_matrix_from_json(M, "H") for M in c["H"]),
-        P=tuple(_matrix_from_json(M, "P") for M in c["P"]),
-        F=tuple(_matrix_from_json(M, "F") for M in c["F"]),
-        G_stack=_matrix_from_json(c["G_stack"], "G_stack"),
-        H_stack=_matrix_from_json(c["H_stack"], "H_stack"),
-        Ptilde=_matrix_from_json(c["Ptilde"], "Ptilde"),
-        F_row=_matrix_from_json(c["F_row"], "F_row"),
-        Qtilde=_matrix_from_json(c["Qtilde"], "Qtilde"),
-        Wtilde=_matrix_from_json(c["Wtilde"], "Wtilde"),
-        Mtilde=Mtilde,
-        Mtilde_factor=factor,
-        ridge_delta=ridge,
-    )
+        **fields, Mtilde_factor=factor_mtilde(fields["Mtilde"],
+                                              fields["ridge_delta"]))
     return design, decomposition
 
 
@@ -417,7 +389,7 @@ def cmd_sweep_attack(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_sim_flags(p, trials=True):
+def _add_sim_flags(p, attack_kind, trials=True):
     p.add_argument("--gamma", type=float, default=5.0,
                    help="l1 regularization weight (default 5)")
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
@@ -430,9 +402,9 @@ def _add_sim_flags(p, trials=True):
     p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN,
                    help=f"steps dropped from MSE averages "
                         f"(default {DEFAULT_BURN_IN})")
-    p.add_argument("--attack-kind", default=None,
+    p.add_argument("--attack-kind", default=attack_kind,
                    choices=["none", "constant", "uniform", "ramp"],
-                   help="attack waveform")
+                   help=f"attack waveform (default {attack_kind})")
     p.add_argument("--attack-sensor", type=int, default=None,
                    help="1-based attacked sensor (default: the last sensor)")
     p.add_argument("--attack-magnitude", type=float, default=None,
@@ -487,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate",
                        help="run one closed-loop trace and write it as CSV")
     p.add_argument("model", help="model JSON file")
-    _add_sim_flags(p, trials=False)
-    p.set_defaults(func=cmd_simulate, attack_kind_default="none")
+    _add_sim_flags(p, "none", trials=False)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep-gamma",
                        help="paired clean/attacked Monte Carlo MSE across "
@@ -497,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas",
                    default=",".join(f"{g:g}" for g in DEFAULT_GAMMAS),
                    help="comma-separated gamma grid")
-    _add_sim_flags(p)
-    p.set_defaults(func=cmd_sweep_gamma, attack_kind_default="uniform")
+    _add_sim_flags(p, "uniform")
+    p.set_defaults(func=cmd_sweep_gamma)
 
     p = sub.add_parser("sweep-attack",
                        help="paired clean/attacked Monte Carlo MSE across "
@@ -507,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitudes",
                    default=",".join(f"{v:g}" for v in DEFAULT_MAGNITUDES),
                    help="comma-separated magnitude grid")
-    _add_sim_flags(p)
-    p.set_defaults(func=cmd_sweep_attack, attack_kind_default="uniform")
+    _add_sim_flags(p, "uniform")
+    p.set_defaults(func=cmd_sweep_attack)
 
     return parser
 
@@ -523,8 +495,6 @@ def _classify_value_error(exc: ValueError) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "attack_kind", "unset") is None:
-        args.attack_kind = args.attack_kind_default
     try:
         return args.func(args)
     except (OSError, ModelFormatError, DesignFormatError) as exc:

@@ -28,6 +28,7 @@ from .model import SystemModel, observability_matrix, observability_structure
 from .spectral import EIG_SEPARATION, SpectralDesign
 
 CANONICAL_RTOL = 1e-8    # P_i G_i = H_i residual, imaginary-residue checks
+PAIRING_RTOL = 1e-9      # conjugate-pair match, relative to 1 + max|Pi|
 LYAPUNOV_TOL = 1e-10     # Wtilde fixed-point residual
 PSD_RTOL = 1e-9          # Mtilde eigenvalue floor, relative to trace
 COND_LIMIT = 1e12        # ridge regularization threshold for Mtilde
@@ -63,11 +64,11 @@ class SensorDecomposition:
     ridge_delta: float
 
 
-def conjugate_pairing(Pi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def conjugate_pairing(Pi: np.ndarray) -> np.ndarray:
     """pair[j] = index holding conj(Pi[j]); j itself for real eigenvalues."""
     Pi = np.asarray(Pi)
     n = len(Pi)
-    scale = tol * (1.0 + float(np.abs(Pi).max(initial=0.0)))
+    scale = PAIRING_RTOL * (1.0 + float(np.abs(Pi).max(initial=0.0)))
     pair = np.arange(n)
     for j in range(n):
         if abs(Pi[j].imag) <= scale:
@@ -103,20 +104,20 @@ def realification_map(pair: np.ndarray) -> np.ndarray:
     return T
 
 
-def _resolvent_guard(design: SpectralDesign, separation: float):
+def _resolvent_guard(design: SpectralDesign):
     # p(pi_j) = det(pi_j I - A): vanishing means A - pi_j I is singular
     vals = np.polyval(design.charpoly[::-1], design.Pi)
-    if np.abs(vals).min() < separation:
+    if np.abs(vals).min() < EIG_SEPARATION:
         raise ValueError(
             "closed-loop eigenvalue coincides with an eigenvalue of A "
             f"(|p(pi)| = {np.abs(vals).min():.3e}); the per-mode gains are undefined")
     return vals
 
 
-def local_gain_direct(model: SystemModel, design: SpectralDesign, i: int,
-                      separation: float = EIG_SEPARATION) -> np.ndarray:
+def local_gain_direct(model: SystemModel, design: SpectralDesign,
+                      i: int) -> np.ndarray:
     """G_i with row j = C_i A (A - pi_j I)^-1, one linear solve per row."""
-    _resolvent_guard(design, separation)
+    _resolvent_guard(design)
     A = model.A.astype(complex)
     cA = (model.C[i] @ model.A).astype(complex)
     n = model.n
@@ -127,15 +128,15 @@ def local_gain_direct(model: SystemModel, design: SpectralDesign, i: int,
     return G
 
 
-def local_gain_factored(model: SystemModel, design: SpectralDesign, i: int,
-                        separation: float = EIG_SEPARATION) -> np.ndarray:
+def local_gain_factored(model: SystemModel, design: SpectralDesign,
+                        i: int) -> np.ndarray:
     """G_i assembled from the characteristic polynomial of A.
 
     Row j carries the coefficients of the quotient (p(x) - p(pi_j))/(x - pi_j)
     applied to the rows of O_i A, scaled by -1/p(pi_j).  Algebraically equal
     to the resolvent route; kept as an independent cross-check.
     """
-    p_vals = _resolvent_guard(design, separation)
+    p_vals = _resolvent_guard(design)
     a = design.charpoly
     n = model.n
     D1 = np.diag(-1.0 / p_vals)
@@ -145,8 +146,7 @@ def local_gain_factored(model: SystemModel, design: SpectralDesign, i: int,
     return D1 @ D2 @ D3 @ O_iA
 
 
-def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None,
-                        rtol: float = CANONICAL_RTOL):
+def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None):
     """Invertible P_i with P_i G_i = H_i = diag(coverage pattern).
 
     covered lists the states sensor i observes; those columns of G_i form
@@ -163,7 +163,7 @@ def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None
     scale = max(float(np.abs(G_i).max()), 1e-300)
 
     for j in uncovered:
-        if np.linalg.norm(G_i[:, j]) > rtol * scale * n:
+        if np.linalg.norm(G_i[:, j]) > CANONICAL_RTOL * scale * n:
             raise ValueError(
                 f"column {j} of G_i is nonzero but state {j} is marked uncovered")
 
@@ -174,14 +174,14 @@ def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None
     B = G_i[:, covered]
     B_real = T @ B
     imag = float(np.abs(B_real.imag).max(initial=0.0))
-    assert imag <= rtol * scale, \
+    assert imag <= CANONICAL_RTOL * scale, \
         f"conjugate-pair structure of G_i broken (imaginary residue {imag:.3e})"
     B_real = B_real.real
 
     r = len(covered)
     if r:
         sv = np.linalg.svd(B_real, compute_uv=False)
-        if sv[-1] <= rtol * sv[0]:
+        if sv[-1] <= CANONICAL_RTOL * sv[0]:
             raise ValueError(
                 "Theorem 2 precondition violated: nonzero columns of G_i "
                 f"are rank deficient (singular values {sv})")
@@ -208,15 +208,15 @@ def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None
     H_i[covered, covered] = 1.0
 
     residual = float(np.abs(P_i @ G_i - H_i).max())
-    assert residual <= rtol * max(1.0, scale) * n, \
+    assert residual <= CANONICAL_RTOL * max(1.0, scale) * n, \
         f"P_i G_i - H_i residual {residual:.3e}"
     cond = float(np.linalg.cond(P_i))
-    if cond > 1.0 / rtol:
+    if cond > 1.0 / CANONICAL_RTOL:
         raise ValueError(f"canonical projector ill conditioned ({cond:.3e})")
     return P_i, H_i
 
 
-def fusion_weights(design: SpectralDesign, rtol: float = CANONICAL_RTOL):
+def fusion_weights(design: SpectralDesign):
     """Per-sensor weights F_i = V diag(V^-1 K_i) and their row stack F.
 
     F is real whenever the closed-loop spectrum is real and is returned as
@@ -233,24 +233,29 @@ def fusion_weights(design: SpectralDesign, rtol: float = CANONICAL_RTOL):
     scale = max(1.0, float(np.abs(F_row).max()))
 
     imag = float(np.abs(F_row.imag).max())
-    if imag <= rtol * scale:
+    if imag <= CANONICAL_RTOL * scale:
         F_list = [F.real.copy() for F in F_list]
         return F_list, F_row.real.copy()
 
     pair = conjugate_pairing(design.Pi)
     for F in F_list:
         mismatch = float(np.abs(F[:, pair] - np.conj(F)).max())
-        if mismatch > rtol * scale:
+        if mismatch > CANONICAL_RTOL * scale:
             raise ValueError(
                 "conjugate-pair bookkeeping broken in fusion weights "
                 f"(column mismatch {mismatch:.3e})")
     return F_list, F_row
 
 
+def factor_mtilde(Mtilde: np.ndarray, ridge_delta: float):
+    """Cholesky factorization of Mtilde + ridge_delta * I (no ridge at 0)."""
+    return scipy.linalg.cho_factor(
+        Mtilde + ridge_delta * np.eye(Mtilde.shape[0]) if ridge_delta
+        else Mtilde)
+
+
 def residual_covariances(model: SystemModel, design: SpectralDesign,
-                         G_list, Ptilde: np.ndarray,
-                         psd_rtol: float = PSD_RTOL,
-                         cond_limit: float = COND_LIMIT):
+                         G_list, Ptilde: np.ndarray):
     """Stationary covariances of the stacked local estimation residuals.
 
     Qtilde is the one-step noise covariance of the stacked residual
@@ -286,15 +291,15 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
 
     eigs = np.linalg.eigvalsh(Mtilde)
     trace = float(np.trace(Mtilde).real)
-    if eigs[0] < -psd_rtol * max(trace, 0.0):
+    if eigs[0] < -PSD_RTOL * max(trace, 0.0):
         raise ValueError(
             f"residual covariance lost positive semidefiniteness "
             f"(min eigenvalue {eigs[0]:.3e}, trace {trace:.3e})")
 
     cond = np.inf if eigs[0] <= 0.0 else float(eigs[-1] / eigs[0])
     delta = 0.0
-    if cond > cond_limit:
-        delta = trace / (m * n) / cond_limit
+    if cond > COND_LIMIT:
+        delta = trace / (m * n) / COND_LIMIT
         logger.warning(
             "residual covariance nearly singular (condition %.3e); "
             "adding ridge %.3e before factorization", cond, delta)
@@ -302,22 +307,19 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
     factor = None
     for _ in range(4):
         try:
-            factor = scipy.linalg.cho_factor(
-                Mtilde + delta * np.eye(m * n) if delta else Mtilde)
+            factor = factor_mtilde(Mtilde, delta)
             break
         except np.linalg.LinAlgError:
             pass
-        except scipy.linalg.LinAlgError:
-            pass
-        delta = max(delta * 10.0, trace / (m * n) / cond_limit)
+        delta = max(delta * 10.0, trace / (m * n) / COND_LIMIT)
         logger.warning("factorization failed; raising ridge to %.3e", delta)
     if factor is None:
         raise ValueError("residual covariance could not be factorized")
     return Qtilde, Wtilde, Mtilde, factor, delta
 
 
-def build_decomposition(model: SystemModel, design: SpectralDesign,
-                        rtol: float = CANONICAL_RTOL) -> SensorDecomposition:
+def build_decomposition(model: SystemModel,
+                        design: SpectralDesign) -> SensorDecomposition:
     """Assemble the full per-sensor decomposition for a validated design."""
     structure = observability_structure(model)
     pair = conjugate_pairing(design.Pi)
@@ -330,15 +332,14 @@ def build_decomposition(model: SystemModel, design: SpectralDesign,
         # mode-by-mode filter identity: G_i A = Pi G_i + 1 C_i A
         drift = float(np.abs(G_i @ model.A - design.Pi[:, None] * G_i
                              - ones @ (model.C[i:i + 1] @ model.A)).max())
-        assert drift <= rtol * max(1.0, float(np.abs(G_i).max())), \
+        assert drift <= CANONICAL_RTOL * max(1.0, float(np.abs(G_i).max())), \
             f"sensor {i}: per-mode gain identity residual {drift:.3e}"
-        P_i, H_i = canonical_projector(G_i, structure.covered_states(i),
-                                       pair, rtol)
+        P_i, H_i = canonical_projector(G_i, structure.covered_states(i), pair)
         G_list.append(G_i)
         H_list.append(H_i)
         P_list.append(P_i)
 
-    F_list, F_row = fusion_weights(design, rtol)
+    F_list, F_row = fusion_weights(design)
     Ptilde = scipy.linalg.block_diag(*P_list)
     Qtilde, Wtilde, Mtilde, factor, delta = residual_covariances(
         model, design, G_list, Ptilde)

@@ -38,6 +38,7 @@ SINGULARITY_RTOL = 1e-9      # |det A| > SINGULARITY_RTOL * ||A||_F
 OBSERVABILITY_RTOL = 1e-9    # column of O_i counts as nonzero above rtol * ||O_i||_F
 PSD_RTOL = 1e-9              # eigenvalues of Q, Sigma >= -rtol * trace
 PD_TOL = 1e-12               # eigenvalues of R >= PD_TOL
+FACTOR_RTOL = 1e-12          # psd_factor: eigenvalues >= -rtol * trace
 BRUTE_FORCE_MAX_SENSORS = 12
 
 _MODEL_KEYS_REQUIRED = ("A", "C", "Q", "R", "Sigma")
@@ -297,7 +298,7 @@ def validate_model(model: SystemModel) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def psd_factor(M: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def psd_factor(M: np.ndarray) -> np.ndarray:
     """Factor L with L L' = M, for sampling from N(0, M).
 
     Cholesky when M is positive definite; singular PSD matrices fall back
@@ -309,7 +310,7 @@ def psd_factor(M: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     vals, vecs = np.linalg.eigh(M)
-    floor = -rtol * max(float(np.trace(M)), 1e-300)
+    floor = -FACTOR_RTOL * max(float(np.trace(M)), 1e-300)
     if vals.min(initial=0.0) < floor:
         raise ValueError(
             f"covariance is not positive semidefinite (min eigenvalue {vals.min()})")
@@ -318,14 +319,13 @@ def psd_factor(M: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class ObservabilityStructure:
-    """Per-sensor observability matrices and per-state sensor support sets.
+    """Per-state sensor support sets and the sparse observability index.
 
     support[j] lists (0-based) the sensors whose observability matrix has a
     nonzero column j; sparse_index is min_j |support[j]| - 1, with -1
     meaning some state is covered by no sensor at all (unobservable).
     """
 
-    obs_matrices: tuple[np.ndarray, ...]
     support: tuple[tuple[int, ...], ...]
     sparse_index: int
 
@@ -350,28 +350,26 @@ def observability_matrix(A: np.ndarray, C_row: np.ndarray, depth: int | None = N
     return rows
 
 
-def observability_structure(model: SystemModel,
-                            rel_tol: float = OBSERVABILITY_RTOL) -> ObservabilityStructure:
+def observability_structure(model: SystemModel) -> ObservabilityStructure:
     """Compute support sets and the sparse observability index.
 
     A column of O_i counts as nonzero when its 2-norm exceeds
-    rel_tol * ||O_i||_F, so an all-zero sensor row covers nothing.
+    OBSERVABILITY_RTOL * ||O_i||_F, so an all-zero sensor row covers nothing.
     """
     A, C = model.A, model.C
     n, m = model.n, model.m
     obs = tuple(observability_matrix(A, C[i]) for i in range(m))
     support = []
-    thresholds = [rel_tol * np.linalg.norm(O) for O in obs]
+    thresholds = [OBSERVABILITY_RTOL * np.linalg.norm(O) for O in obs]
     for j in range(n):
         members = tuple(i for i in range(m)
                         if np.linalg.norm(obs[i][:, j]) > thresholds[i])
         support.append(members)
     sparse_index = min(len(s) for s in support) - 1
-    return ObservabilityStructure(obs, tuple(support), sparse_index)
+    return ObservabilityStructure(tuple(support), sparse_index)
 
 
-def brute_force_sparse_index(model: SystemModel,
-                             rank_rtol: float = OBSERVABILITY_RTOL) -> int:
+def brute_force_sparse_index(model: SystemModel) -> int:
     """Sparse observability index by direct enumeration of removal sets.
 
     Returns the largest s such that (A, C with any s sensors removed) stays
@@ -389,7 +387,7 @@ def brute_force_sparse_index(model: SystemModel,
         if not keep:
             return False
         stack = np.vstack(keep)
-        tol = rank_rtol * np.linalg.norm(stack, 2)
+        tol = OBSERVABILITY_RTOL * np.linalg.norm(stack, 2)
         return np.linalg.matrix_rank(stack, tol=tol) == n
 
     for s in range(m + 1):

@@ -20,6 +20,8 @@ import numpy as np
 from .model import SystemModel, observability_structure
 
 RICCATI_TOL = 1e-12
+# stop floor relative to max|P_plus|: the iterates settle at 11-14 eps
+RICCATI_NOISE_RTOL = 64 * np.finfo(float).eps
 RICCATI_MAX_ITER = 100000
 EIG_RTOL = 1e-8          # eigen-residual and diagonalizability threshold
 EIG_SEPARATION = 1e-6    # pairwise / cross-spectrum separation for the flag
@@ -52,12 +54,14 @@ class SpectralDesign:
     assumption1_ok: bool
 
 
-def steady_state_kalman(model: SystemModel, tol: float = RICCATI_TOL,
-                        max_iter: int = RICCATI_MAX_ITER):
+def steady_state_kalman(model: SystemModel):
     """Iterate the measurement-update Riccati recursion to its fixed point.
 
     Starts from the prior covariance Sigma and stops when successive
-    filtered covariances differ by at most tol in max-abs norm.  Returns
+    filtered covariances differ in max-abs norm by at most RICCATI_TOL,
+    or by the rounding noise RICCATI_NOISE_RTOL * max|P_plus| if that is
+    larger.  Raises RiccatiDivergenceError at the first non-finite
+    iterate or after RICCATI_MAX_ITER iterations.  Returns
     (P, P_plus, K, residual) where P_plus = A P A' + Q and K are recomputed
     from the converged P, so those two defining equations hold to machine
     precision and the reported residual measures only the remaining
@@ -72,7 +76,7 @@ def steady_state_kalman(model: SystemModel, tol: float = RICCATI_TOL,
         S = C @ P_plus @ C.T + R
         K = np.linalg.solve(S, C @ P_plus).T
         P_new = (I - K @ C) @ P_plus
-        return 0.5 * (P_new + P_new.T), P_plus, K
+        return 0.5 * (P_new + P_new.T), P_plus
 
     # P(0 | -1) = Sigma: apply the measurement update first
     S0 = C @ model.Sigma @ C.T + R
@@ -81,16 +85,21 @@ def steady_state_kalman(model: SystemModel, tol: float = RICCATI_TOL,
     P = 0.5 * (P + P.T)
 
     diff = np.inf
-    for _ in range(max_iter):
-        P_next, _, _ = half_step(P)
-        diff = float(np.abs(P_next - P).max())
-        P = P_next
-        if diff <= tol:
+    for k in range(RICCATI_MAX_ITER):
+        P_next, P_plus = half_step(P)
+        step = float(np.abs(P_next - P).max())
+        if not np.isfinite(step):
+            raise RiccatiDivergenceError(
+                f"Riccati recursion diverged at iteration {k + 1} "
+                f"(last finite residual {diff:.3e})", diff)
+        P, diff = P_next, step
+        if diff <= max(RICCATI_TOL,
+                       RICCATI_NOISE_RTOL * float(np.abs(P_plus).max())):
             break
     else:
         raise RiccatiDivergenceError(
-            f"Riccati recursion did not converge within {max_iter} iterations "
-            f"(last residual {diff:.3e})", diff)
+            f"Riccati recursion did not converge within {RICCATI_MAX_ITER} "
+            f"iterations (last residual {diff:.3e})", diff)
 
     P_plus = A @ P @ A.T + Q
     S = C @ P_plus @ C.T + R
@@ -111,16 +120,14 @@ def characteristic_polynomial(A: np.ndarray) -> np.ndarray:
     return coeffs[::-1].astype(float)
 
 
-def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray,
-                                   eig_rtol: float = EIG_RTOL,
-                                   separation: float = EIG_SEPARATION):
+def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
     """Eigendecomposition of A - K C A with deterministic order and phase.
 
     Eigenvalues are sorted by (real part, imaginary part); each eigenvector
     is scaled to unit 2-norm with its first significant entry rotated to the
     positive real axis, which makes conjugate eigenvalue pairs carry exactly
     conjugate eigenvector columns.  Returns (V, Pi, assumption1_ok) where the
-    flag certifies: pairwise distinct eigenvalues, none within ``separation``
+    flag certifies: pairwise distinct eigenvalues, none within EIG_SEPARATION
     of an eigenvalue of A, and all strictly inside the unit circle.
     """
     E = A - K @ C @ A
@@ -139,22 +146,22 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray,
         V[:, j] = col
 
     cond_V = float(np.linalg.cond(V))
-    if not np.isfinite(cond_V) or cond_V > 1.0 / eig_rtol:
+    if not np.isfinite(cond_V) or cond_V > 1.0 / EIG_RTOL:
         raise ValueError(
             "Assumption 1 violated: not diagonalizable "
             f"(eigenvector condition number {cond_V:.3e})")
 
     residual = float(np.abs(E @ V - V * Pi).max())
     scale = max(1.0, float(np.abs(E).max()))
-    assert residual <= eig_rtol * scale, f"eigen-residual {residual:.3e}"
+    assert residual <= EIG_RTOL * scale, f"eigen-residual {residual:.3e}"
 
     distinct = True
     for a in range(len(Pi)):
         for b in range(a + 1, len(Pi)):
-            if abs(Pi[a] - Pi[b]) <= separation:
+            if abs(Pi[a] - Pi[b]) <= EIG_SEPARATION:
                 distinct = False
     lam_A = np.linalg.eigvals(A)
-    disjoint = bool(np.abs(Pi[:, None] - lam_A[None, :]).min() > separation)
+    disjoint = bool(np.abs(Pi[:, None] - lam_A[None, :]).min() > EIG_SEPARATION)
     stable = bool(np.abs(Pi).max() < 1.0)
     return V, Pi, distinct and disjoint and stable
 
@@ -180,10 +187,7 @@ def fixed_gain_kalman_step(x_hat: np.ndarray, y: np.ndarray, u: np.ndarray,
     return (A - KC @ A) @ x_hat + K @ y + (B - KC @ B) @ u
 
 
-def spectral_design(model: SystemModel, tol: float = RICCATI_TOL,
-                    max_iter: int = RICCATI_MAX_ITER,
-                    eig_rtol: float = EIG_RTOL,
-                    separation: float = EIG_SEPARATION) -> SpectralDesign:
+def spectral_design(model: SystemModel) -> SpectralDesign:
     """Full spectral design for a validated model.
 
     Refuses unobservable sensor sets up front (the recursion may silently
@@ -192,9 +196,8 @@ def spectral_design(model: SystemModel, tol: float = RICCATI_TOL,
     structure = observability_structure(model)
     if not structure.observable:
         raise ValueError("(A, C) is unobservable: some state is covered by no sensor")
-    P, P_plus, K, residual = steady_state_kalman(model, tol, max_iter)
-    V, Pi, ok = closed_loop_eigendecomposition(model.A, K, model.C,
-                                               eig_rtol, separation)
+    P, P_plus, K, residual = steady_state_kalman(model)
+    V, Pi, ok = closed_loop_eigendecomposition(model.A, K, model.C)
     return SpectralDesign(P=P, P_plus=P_plus, K=K,
                           charpoly=characteristic_polynomial(model.A),
                           V=V, Pi=Pi, riccati_residual=residual,

@@ -1,6 +1,6 @@
 """Shared test utilities: deterministic random model generation, a
-step-by-step reference for simulate, and a value-by-value reference for
-trace_csv.
+step-by-step reference for simulate, a value-by-value reference for
+trace_csv, and a key-by-key reference for the design-file encoder.
 
 Models are drawn in Jordan coordinates directly so every sample satisfies
 the structural requirements by construction: block-diagonal A with 0/1
@@ -146,3 +146,61 @@ def reference_trace_csv(trace):
                   str(0 if trace.solver_converged[t] else 1)])
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _reference_matrix(M):
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        return {"complex": [[[float(v.real), float(v.imag)] for v in row]
+                            for row in M.reshape(M.shape[0], -1)]}
+    return {"real": [[float(v) for v in row]
+                     for row in M.reshape(M.shape[0], -1)]}
+
+
+def _reference_vector(v):
+    return _reference_matrix(np.asarray(v).reshape(1, -1))
+
+
+def reference_design_to_dict(model, design, decomposition):
+    """Reference for cli.design_to_dict: every key spelled out by hand."""
+    model_json = {
+        "A": _reference_matrix(model.A),
+        "C": _reference_matrix(model.C),
+        "Q": _reference_matrix(model.Q),
+        "R": _reference_matrix(model.R),
+        "Sigma": _reference_matrix(model.Sigma),
+    }
+    if model.B is not None:
+        model_json["B"] = _reference_matrix(model.B)
+    if model.K_lqr is not None:
+        model_json["K_lqr"] = _reference_matrix(model.K_lqr)
+    return {
+        "format": "securekf-design",
+        "version": 1,
+        "model": model_json,
+        "design": {
+            "P": _reference_matrix(design.P),
+            "P_plus": _reference_matrix(design.P_plus),
+            "K": _reference_matrix(design.K),
+            "charpoly": _reference_vector(design.charpoly),
+            "V": _reference_matrix(design.V),
+            "Pi": _reference_vector(design.Pi),
+            "riccati_residual": float(design.riccati_residual),
+            "assumption1_ok": bool(design.assumption1_ok),
+        },
+        "decomposition": {
+            "Pi": _reference_vector(decomposition.Pi),
+            "G": [_reference_matrix(M) for M in decomposition.G],
+            "H": [_reference_matrix(M) for M in decomposition.H],
+            "P": [_reference_matrix(M) for M in decomposition.P],
+            "F": [_reference_matrix(M) for M in decomposition.F],
+            "G_stack": _reference_matrix(decomposition.G_stack),
+            "H_stack": _reference_matrix(decomposition.H_stack),
+            "Ptilde": _reference_matrix(decomposition.Ptilde),
+            "F_row": _reference_matrix(decomposition.F_row),
+            "Qtilde": _reference_matrix(decomposition.Qtilde),
+            "Wtilde": _reference_matrix(decomposition.Wtilde),
+            "Mtilde": _reference_matrix(decomposition.Mtilde),
+            "ridge_delta": float(decomposition.ridge_delta),
+        },
+    }

@@ -12,6 +12,9 @@ from securekf.cli import (
     load_design,
     main,
 )
+from securekf.model import model_from_dict
+
+from helpers import random_jordan_model, reference_design_to_dict
 
 PENDULUM = None  # filled by fixture use; CLI wants a path string
 
@@ -182,6 +185,101 @@ def test_design_file_unknown_key_rejected(pendulum_path, tmp_path, capsys):
     assert main(["simulate", str(pendulum_path), "--horizon", "30",
                  "--design", str(out)]) == 1
     assert "unknown key 'extra'" in capsys.readouterr().err
+
+
+def _design_case(case, pendulum_model):
+    if case == "pendulum":
+        return pendulum_model
+    if case == "minimal":  # no B, no K_lqr
+        return model_from_dict(minimal_model())
+    # complex closed-loop spectrum and a nonzero ridge
+    return random_jordan_model(0, ensure_observable=True)
+
+
+@pytest.mark.parametrize("case", ["pendulum", "minimal", "complex"])
+def test_design_file_matches_reference_encoder(case, pendulum_model):
+    model = _design_case(case, pendulum_model)
+    design = spectral_design(model)
+    decomp = build_decomposition(model, design)
+    if case == "complex":
+        assert np.iscomplexobj(decomp.F_row) and decomp.ridge_delta > 0.0
+    data = design_to_dict(model, design, decomp)
+    reference = reference_design_to_dict(model, design, decomp)
+    assert json.dumps(data, indent=1) == json.dumps(reference, indent=1)
+
+    d2, c2 = design_from_dict(json.loads(json.dumps(data)), model)
+    for a, b in ((design, d2), (decomp, c2)):
+        for name in a.__dataclass_fields__:
+            x, y = getattr(a, name), getattr(b, name)
+            if name in ("G", "H", "P", "F", "Mtilde_factor"):
+                x, y = x[0], y[0]
+            assert np.array_equal(x, y), name
+            assert np.asarray(x).dtype == np.asarray(y).dtype, name
+
+
+@pytest.fixture(scope="module")
+def pendulum_design_text(pendulum_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("design") / "design.json"
+    assert main(["design", str(pendulum_path), "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _set(path, value):
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+def _delete(data):
+    del data["decomposition"]["Wtilde"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(["design"], []),
+     "design file section 'design' must be an object"),
+    (_delete,
+     "missing key 'Wtilde' in design file section 'decomposition'"),
+    (_set(["design", "extra"], 1),
+     "unknown key 'extra' in design file section 'design'"),
+    (_set(["design", "K"], [[1.0]]),
+     "design key 'K': expected a tagged matrix"),
+    (_set(["design", "K"], {"quaternion": [[1.0]]}),
+     "design key 'K': unknown matrix tag 'quaternion'"),
+    (_set(["design", "V"], {"complex": [[[1.0, 0.0, 2.0]]]}),
+     "design key 'V': complex entries must be [re, im] pairs"),
+    (_set(["format"], "other"), "not a design file (format 'other')"),
+    (_set(["version"], 2), "unsupported design file version 2"),
+    (None, "invalid JSON in design file"),
+], ids=["section-not-object", "missing-key", "unknown-section-key",
+        "untagged-matrix", "unknown-tag", "malformed-complex",
+        "wrong-format", "wrong-version", "invalid-json"])
+def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
+                                          pendulum_design_text, tmp_path,
+                                          capsys):
+    out = tmp_path / "d.json"
+    if edit is None:
+        out.write_text(pendulum_design_text[:-10])
+    else:
+        data = json.loads(pendulum_design_text)
+        edit(data)
+        out.write_text(json.dumps(data))
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--design", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_design_scaled_noise_converges(pendulum_path, tmp_path, capsys):
+    # Q, R and Sigma scaled by 1e6 leave the gain unchanged; the Riccati
+    # stop rule must not depend on the absolute size of P
+    data = json.loads(pendulum_path.read_text())
+    for key in ("Q", "R", "Sigma"):
+        data[key] = (1e6 * np.array(data[key])).tolist()
+    path = write_model(tmp_path, "scaled.json", data)
+    assert main(["design", path, "--out", str(tmp_path / "d.json")]) == 0
+    assert "design written to" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------- simulate

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,12 +70,24 @@ def test_riccati_fixed_point_on_random_models():
     assert count == 60
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+def test_riccati_gain_invariant_under_noise_scaling(pendulum_model, scale):
+    # Q, R and Sigma scaled together leave K unchanged; the stop rule has
+    # to follow the size of P instead of an absolute threshold
+    _, _, K0, _ = steady_state_kalman(pendulum_model)
+    scaled = dataclasses.replace(pendulum_model, Q=scale * pendulum_model.Q,
+                                 R=scale * pendulum_model.R,
+                                 Sigma=scale * pendulum_model.Sigma)
+    _, _, K, _ = steady_state_kalman(scaled)
+    assert np.abs(K - K0).max() <= 1e-9 * np.abs(K0).max()
+
+
 def test_riccati_divergence_reports_residual():
     # unstable state seen by no sensor: covariance grows without bound
     model = SystemModel(A=np.diag([1.5, 0.5]), C=np.array([[0.0, 1.0]]),
                         Q=np.eye(2), R=np.eye(1), Sigma=np.eye(2))
     with pytest.raises(RiccatiDivergenceError) as exc:
-        steady_state_kalman(model, max_iter=500)
+        steady_state_kalman(model)
     assert exc.value.residual > 0.0
 
 
