@@ -2,13 +2,14 @@
 
 One binary with subcommands.  `analyze` and `certify` inspect a model's
 sensor redundancy, `design` persists the filter design plus sensor
-decomposition to a JSON file for reuse, and `simulate` / `sweep-gamma` /
+decomposition to a JSON file (version 2), and `simulate` / `sweep-gamma` /
 `sweep-attack` run the closed-loop experiments and write CSV.
 
 Exit codes: 0 success (solver non-convergence still exits 0 and is
 reported in the summary line and the solver_warn CSV column), 1 file or
-parse error, 2 validation error, 3 assumption violation in the filter
-design, 4 `certify` found the model insecure for the requested budget.
+parse error, 2 validation error, 3 Assumption 1, a Theorem 2 precondition
+or the Riccati recursion failed in the filter design, 4 `certify` found the
+model insecure for the requested budget.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .simulator import (DEFAULT_BURN_IN, DEFAULT_GAMMAS, DEFAULT_HORIZON,
                         DEFAULT_MAGNITUDES, DEFAULT_TRIALS, AttackSpec, mse,
                         simulate, sweep_attack_magnitude, sweep_csv,
                         sweep_gamma, trace_csv)
-from .spectral import SpectralDesign, spectral_design
+from .spectral import RiccatiDivergenceError, SpectralDesign, spectral_design
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -38,16 +39,11 @@ EXIT_INSECURE = 4
 
 # ValueError messages carrying these prefixes mean a structural
 # assumption of the method failed, not that the inputs were malformed
-_ASSUMPTION_PREFIXES = (
-    "Assumption 1 violated",
-    "Theorem 2 precondition violated",
-    "closed-loop eigenvalue coincides with an eigenvalue of A",
-    "local estimator modes are not strictly stable",
-    "canonical projector ill conditioned",
-)
+_ASSUMPTION_PREFIXES = ("Assumption 1 violated",
+                        "Theorem 2 precondition violated")
 
 DESIGN_FORMAT = "securekf-design"
-DESIGN_VERSION = 1
+DESIGN_VERSION = 2
 
 
 class DesignFormatError(ValueError):
@@ -64,7 +60,6 @@ _SECTIONS = {
 }
 # 1-D array fields, stored as one-row matrices
 _VECTORS = ("charpoly", "Pi")
-_SCALARS = {"float": float, "bool": bool}
 
 
 def _matrix_to_json(M):
@@ -76,17 +71,29 @@ def _matrix_to_json(M):
     return {"real": [[float(v) for v in row] for row in M]}
 
 
+def _numbers(value, depth, key, expected):
+    """value as a float array of ndim depth (depth 3: [re, im] pairs)."""
+    try:
+        arr = np.array(value, dtype=object)
+    except ValueError:
+        arr = None
+    # ragged rows leave lists as leaves; bool is an int but not a number
+    if (arr is None or arr.ndim != depth or (depth == 3 and arr.shape[2] != 2)
+            or any(type(v) not in (int, float) for v in arr.flat)):
+        raise DesignFormatError(f"design key '{key}': {expected}")
+    return arr.astype(float)
+
+
 def _matrix_from_json(obj, key):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise DesignFormatError(f"design key '{key}': expected a tagged matrix")
     tag, rows = next(iter(obj.items()))
     if tag == "real":
-        return np.array(rows, dtype=float)
+        return _numbers(rows, 2, key, "real entries must be numbers in "
+                        "equal-length rows")
     if tag == "complex":
-        arr = np.array(rows, dtype=float)
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise DesignFormatError(f"design key '{key}': complex entries "
-                                    "must be [re, im] pairs")
+        arr = _numbers(rows, 3, key, "complex entries must be [re, im] pairs "
+                       "of numbers in equal-length rows")
         return arr[..., 0] + 1j * arr[..., 1]
     raise DesignFormatError(f"design key '{key}': unknown matrix tag '{tag}'")
 
@@ -100,10 +107,8 @@ def _encode_section(section, obj) -> dict:
     out = {}
     for f in _section_fields(section):
         value = getattr(obj, f.name)
-        if f.type in _SCALARS:
-            out[f.name] = _SCALARS[f.type](value)
-        elif f.type == "tuple":
-            out[f.name] = [_matrix_to_json(M) for M in value]
+        if f.type == "float":
+            out[f.name] = float(value)
         elif value is not None:
             out[f.name] = _matrix_to_json(value)
     return out
@@ -115,10 +120,8 @@ def _decode_section(data, section) -> dict:
     out = {}
     for f in fields:
         value = data[f.name]
-        if f.type in _SCALARS:
-            out[f.name] = _SCALARS[f.type](value)
-        elif f.type == "tuple":
-            out[f.name] = tuple(_matrix_from_json(M, f.name) for M in value)
+        if f.type == "float":
+            out[f.name] = float(_numbers(value, 0, f.name, "expected a number"))
         else:
             M = _matrix_from_json(value, f.name)
             out[f.name] = M.reshape(-1) if f.name in _VECTORS else M
@@ -129,15 +132,16 @@ def design_to_dict(model: SystemModel, design: SpectralDesign,
                    decomposition: SensorDecomposition) -> dict:
     """The design file as a JSON-ready dict.
 
-    Keys in order: "format" ("securekf-design"), "version" (1), then the
+    Keys in order: "format" ("securekf-design"), "version" (2), then the
     sections "model", "design" and "decomposition", holding the fields of
     SystemModel, SpectralDesign and SensorDecomposition in declaration
     order.  Not stored: sensor_labels, an absent B or K_lqr, and
     Mtilde_factor, which loading recomputes from Mtilde and ridge_delta.
-    Arrays are tagged row-major matrices, {"real": rows} or {"complex":
-    rows of [re, im] pairs}; the vectors charpoly and Pi are one-row
-    matrices, the tuples G, H, P, F are lists of matrices, and float and
-    bool fields are plain JSON values.
+    Arrays are tagged row-major matrices, {"real": rows of numbers} or
+    {"complex": rows of [re, im] number pairs}; the vectors charpoly and Pi
+    are one-row matrices, and the float fields riccati_residual and
+    ridge_delta are JSON numbers.  Version 1 files, which also held G, H,
+    P, F, F_row, Qtilde, Wtilde and assumption1_ok, are refused.
     """
     return {
         "format": DESIGN_FORMAT,
@@ -174,7 +178,8 @@ def design_from_dict(data: dict, model: SystemModel):
                                 f"{data['format']!r})")
     if data["version"] != DESIGN_VERSION:
         raise DesignFormatError(f"unsupported design file version "
-                                f"{data['version']!r}")
+                                f"{data['version']!r}; re-run the design "
+                                "subcommand")
 
     if data["model"] != _encode_section("model", model):
         raise ValueError("design file was computed for a different model; "
@@ -302,11 +307,6 @@ def cmd_analyze(args) -> int:
 def cmd_design(args) -> int:
     model = _load_valid_model(args.model)
     design = spectral_design(model)
-    if not design.assumption1_ok:
-        raise ValueError(
-            "Assumption 1 violated: closed-loop eigenvalues are not "
-            "pairwise distinct, not separated from the spectrum of A, or "
-            "not strictly stable")
     decomposition = build_decomposition(model, design)
     save_design(args.out, model, design, decomposition)
     print(f"design written to {args.out} "
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Model files are JSON objects with keys A, C, Q, R, Sigma "
                "and optional B, K_lqr, sensor_labels; matrices are "
                "row-major nested arrays.  Design files are written by the "
-               "design subcommand (complex entries as [re, im] pairs).  "
+               "design subcommand (v2, complex entries as [re, im] pairs).  "
                "Trace CSV columns: k, x_*, u_*, y_*, a_*, xhat_kal_*, "
                "xhat_sec_*, xhat_ls_*, solver_iters, kkt_residual, "
                "solver_warn.  Sweep CSV columns: sweep_value, "
@@ -485,9 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _classify_value_error(exc: ValueError) -> int:
+def _classify_error(exc: Exception) -> int:
     text = str(exc)
-    if any(text.startswith(prefix) for prefix in _ASSUMPTION_PREFIXES):
+    if isinstance(exc, RiccatiDivergenceError) or any(
+            text.startswith(prefix) for prefix in _ASSUMPTION_PREFIXES):
         return EXIT_ASSUMPTION
     return EXIT_VALIDATION
 
@@ -500,9 +501,9 @@ def main(argv=None) -> int:
     except (OSError, ModelFormatError, DesignFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, RiccatiDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _classify_value_error(exc)
+        return _classify_error(exc)
     except AssertionError as exc:
         # internal invariant failed while the inputs were legal: surface
         # it as an assumption-level failure rather than a traceback

@@ -6,10 +6,11 @@ A - K C A.  Two independent constructions are shipped: ``local_gain_direct``
 solves one resolvent system per row, ``local_gain_factored`` assembles the
 same matrix from the characteristic polynomial of A; each is the test
 oracle of the other.  On top of G_i sit the canonical projectors P_i with
-P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern), the fusion weights
-F_i = V diag(V^-1 K_i) that reconstruct the Kalman estimate from the local
-estimator bank, and the stationary covariances Qtilde, Wtilde, Mtilde of
-the stacked local residuals.
+P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern) and the stationary
+covariance Mtilde of the projected residuals: all the estimator reads.
+The fusion weights F_i = V diag(V^-1 K_i) and the unprojected Qtilde,
+Wtilde are not stored; ``fusion_weights`` and ``residual_covariances``
+compute them on demand.
 
 All constructions run in complex arithmetic even for real spectra; the
 conjugate-pair bookkeeping is checked at the points where a quantity must
@@ -38,27 +39,20 @@ logger = logging.getLogger(__name__)
 
 @dataclasses.dataclass(frozen=True)
 class SensorDecomposition:
-    """Assembled per-sensor decomposition of one filter design.
+    """What the estimator reads of one filter design's decomposition.
 
-    G, H, P, F hold the per-sensor matrices; the *_stack / Ptilde / F_row
-    fields are their stacked and block-diagonal forms used by the fusion
-    stage.  Mtilde is the Hermitian residual covariance before any ridge;
-    Mtilde_factor is a Cholesky factorization of Mtilde + ridge_delta * I
-    ready for repeated solves.  Pi carries the local filter modes so the
-    estimator bank can run from the decomposition alone.
+    Pi carries the local filter modes so the estimator bank can run from
+    the decomposition alone.  G_stack and H_stack stack the per-sensor
+    G_i and H_i (sensor i owns rows i*n .. (i+1)*n - 1); Ptilde is the
+    block diagonal of the P_i.  Mtilde is the Hermitian residual
+    covariance before any ridge; Mtilde_factor is a Cholesky factorization
+    of Mtilde + ridge_delta * I ready for repeated solves.
     """
 
     Pi: np.ndarray
-    G: tuple
-    H: tuple
-    P: tuple
-    F: tuple
     G_stack: np.ndarray
     H_stack: np.ndarray
     Ptilde: np.ndarray
-    F_row: np.ndarray
-    Qtilde: np.ndarray
-    Wtilde: np.ndarray
     Mtilde: np.ndarray
     Mtilde_factor: tuple
     ridge_delta: float
@@ -109,8 +103,8 @@ def _resolvent_guard(design: SpectralDesign):
     vals = np.polyval(design.charpoly[::-1], design.Pi)
     if np.abs(vals).min() < EIG_SEPARATION:
         raise ValueError(
-            "closed-loop eigenvalue coincides with an eigenvalue of A "
-            f"(|p(pi)| = {np.abs(vals).min():.3e}); the per-mode gains are undefined")
+            "Assumption 1 violated: closed-loop eigenvalue on the spectrum "
+            f"of A (|p(pi)| = {np.abs(vals).min():.3e}); no per-mode gains")
     return vals
 
 
@@ -212,7 +206,8 @@ def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None
         f"P_i G_i - H_i residual {residual:.3e}"
     cond = float(np.linalg.cond(P_i))
     if cond > 1.0 / CANONICAL_RTOL:
-        raise ValueError(f"canonical projector ill conditioned ({cond:.3e})")
+        raise ValueError("Theorem 2 precondition violated: canonical "
+                         f"projector ill conditioned ({cond:.3e})")
     return P_i, H_i
 
 
@@ -276,8 +271,8 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
     pi_t = np.tile(design.Pi, m)
     products = pi_t[:, None] * np.conj(pi_t[None, :])
     if np.abs(products).max() >= 1.0:
-        raise ValueError("local estimator modes are not strictly stable; "
-                         "the stationary residual covariance does not exist")
+        raise ValueError("Assumption 1 violated: local estimator modes are "
+                         "unstable; no stationary residual covariance exists")
     Wtilde = Qtilde / (1.0 - products)
     Wtilde = 0.5 * (Wtilde + Wtilde.conj().T)
 
@@ -320,7 +315,7 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
 
 def build_decomposition(model: SystemModel,
                         design: SpectralDesign) -> SensorDecomposition:
-    """Assemble the full per-sensor decomposition for a validated design."""
+    """Assemble the per-sensor decomposition for a validated design."""
     structure = observability_structure(model)
     pair = conjugate_pairing(design.Pi)
     n, m = model.n, model.m
@@ -339,14 +334,11 @@ def build_decomposition(model: SystemModel,
         H_list.append(H_i)
         P_list.append(P_i)
 
-    F_list, F_row = fusion_weights(design)
     Ptilde = scipy.linalg.block_diag(*P_list)
-    Qtilde, Wtilde, Mtilde, factor, delta = residual_covariances(
+    _, _, Mtilde, factor, delta = residual_covariances(
         model, design, G_list, Ptilde)
 
     return SensorDecomposition(
         Pi=np.asarray(design.Pi, dtype=complex).copy(),
-        G=tuple(G_list), H=tuple(H_list), P=tuple(P_list), F=tuple(F_list),
         G_stack=np.vstack(G_list), H_stack=np.vstack(H_list),
-        Ptilde=Ptilde, F_row=F_row, Qtilde=Qtilde, Wtilde=Wtilde,
-        Mtilde=Mtilde, Mtilde_factor=factor, ridge_delta=delta)
+        Ptilde=Ptilde, Mtilde=Mtilde, Mtilde_factor=factor, ridge_delta=delta)

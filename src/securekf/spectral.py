@@ -7,8 +7,8 @@ A - K C A = V diag(Pi) V^-1 with a deterministic eigenvalue order and
 eigenvector normalisation, and the characteristic polynomial of A.  The
 whole construction requires the closed-loop eigenvalues to be pairwise
 distinct, strictly inside the unit circle, and disjoint from the spectrum
-of A; ``closed_loop_eigendecomposition`` reports that flag and the caller
-decides whether to proceed.
+of A (Assumption 1); ``closed_loop_eigendecomposition`` raises a
+ValueError starting "Assumption 1 violated" when any of these fails.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ RICCATI_TOL = 1e-12
 RICCATI_NOISE_RTOL = 64 * np.finfo(float).eps
 RICCATI_MAX_ITER = 100000
 EIG_RTOL = 1e-8          # eigen-residual and diagonalizability threshold
-EIG_SEPARATION = 1e-6    # pairwise / cross-spectrum separation for the flag
+EIG_SEPARATION = 1e-6    # pairwise / cross-spectrum separation (Assumption 1)
 
 
 class RiccatiDivergenceError(RuntimeError):
@@ -51,9 +51,10 @@ class SpectralDesign:
     V: np.ndarray
     Pi: np.ndarray
     riccati_residual: float
-    assumption1_ok: bool
 
 
+# a diverging recursion overflows; the non-finite check reports it instead
+@np.errstate(over="ignore", invalid="ignore")
 def steady_state_kalman(model: SystemModel):
     """Iterate the measurement-update Riccati recursion to its fixed point.
 
@@ -126,9 +127,10 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
     Eigenvalues are sorted by (real part, imaginary part); each eigenvector
     is scaled to unit 2-norm with its first significant entry rotated to the
     positive real axis, which makes conjugate eigenvalue pairs carry exactly
-    conjugate eigenvector columns.  Returns (V, Pi, assumption1_ok) where the
-    flag certifies: pairwise distinct eigenvalues, none within EIG_SEPARATION
-    of an eigenvalue of A, and all strictly inside the unit circle.
+    conjugate eigenvector columns.  Returns (V, Pi); raises ValueError
+    "Assumption 1 violated: ..." unless A - K C A is diagonalizable with
+    pairwise distinct eigenvalues, none within EIG_SEPARATION of an
+    eigenvalue of A, all strictly inside the unit circle.
     """
     E = A - K @ C @ A
     eigvals, vecs = np.linalg.eig(E)
@@ -155,15 +157,20 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
     scale = max(1.0, float(np.abs(E).max()))
     assert residual <= EIG_RTOL * scale, f"eigen-residual {residual:.3e}"
 
-    distinct = True
-    for a in range(len(Pi)):
-        for b in range(a + 1, len(Pi)):
-            if abs(Pi[a] - Pi[b]) <= EIG_SEPARATION:
-                distinct = False
-    lam_A = np.linalg.eigvals(A)
-    disjoint = bool(np.abs(Pi[:, None] - lam_A[None, :]).min() > EIG_SEPARATION)
-    stable = bool(np.abs(Pi).max() < 1.0)
-    return V, Pi, distinct and disjoint and stable
+    sep = np.abs(Pi[:, None] - Pi[None, :]) + np.diag(np.full(len(Pi), np.inf))
+    gap = np.abs(Pi[:, None] - np.linalg.eigvals(A)[None, :]).min(axis=1)
+    j, rho = int(np.argmin(gap)), float(np.abs(Pi).max())
+    if sep.min() <= EIG_SEPARATION:
+        why = ("closed-loop eigenvalues are not pairwise distinct (closest "
+               f"pair {sep.min():.3e} apart)")
+    elif gap[j] <= EIG_SEPARATION:
+        why = (f"closed-loop eigenvalue {Pi[j]:.6g} lies {gap[j]:.3e} from "
+               "the spectrum of A")
+    elif rho >= 1.0:
+        why = f"closed-loop modes are not strictly stable (spectral radius {rho:.6g})"
+    else:
+        return V, Pi
+    raise ValueError(f"Assumption 1 violated: {why}")
 
 
 def fixed_gain_kalman_step(x_hat: np.ndarray, y: np.ndarray, u: np.ndarray,
@@ -197,8 +204,7 @@ def spectral_design(model: SystemModel) -> SpectralDesign:
     if not structure.observable:
         raise ValueError("(A, C) is unobservable: some state is covered by no sensor")
     P, P_plus, K, residual = steady_state_kalman(model)
-    V, Pi, ok = closed_loop_eigendecomposition(model.A, K, model.C)
+    V, Pi = closed_loop_eigendecomposition(model.A, K, model.C)
     return SpectralDesign(P=P, P_plus=P_plus, K=K,
                           charpoly=characteristic_polynomial(model.A),
-                          V=V, Pi=Pi, riccati_residual=residual,
-                          assumption1_ok=bool(ok))
+                          V=V, Pi=Pi, riccati_residual=residual)

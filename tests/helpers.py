@@ -148,6 +148,18 @@ def reference_trace_csv(trace):
     return "\n".join(lines) + "\n"
 
 
+def sensor_blocks(decomp, n):
+    """Per-sensor G_i, H_i, P_i read off a decomposition's stacked forms.
+
+    Sensor i owns rows i*n .. (i+1)*n - 1 of G_stack and H_stack and the
+    matching diagonal block of Ptilde.
+    """
+    rows = [slice(i * n, (i + 1) * n) for i in range(len(decomp.G_stack) // n)]
+    return ([decomp.G_stack[r] for r in rows],
+            [decomp.H_stack[r] for r in rows],
+            [decomp.Ptilde[r, r] for r in rows])
+
+
 def _reference_matrix(M):
     M = np.asarray(M)
     if np.iscomplexobj(M):
@@ -176,7 +188,7 @@ def reference_design_to_dict(model, design, decomposition):
         model_json["K_lqr"] = _reference_matrix(model.K_lqr)
     return {
         "format": "securekf-design",
-        "version": 1,
+        "version": 2,
         "model": model_json,
         "design": {
             "P": _reference_matrix(design.P),
@@ -186,20 +198,12 @@ def reference_design_to_dict(model, design, decomposition):
             "V": _reference_matrix(design.V),
             "Pi": _reference_vector(design.Pi),
             "riccati_residual": float(design.riccati_residual),
-            "assumption1_ok": bool(design.assumption1_ok),
         },
         "decomposition": {
             "Pi": _reference_vector(decomposition.Pi),
-            "G": [_reference_matrix(M) for M in decomposition.G],
-            "H": [_reference_matrix(M) for M in decomposition.H],
-            "P": [_reference_matrix(M) for M in decomposition.P],
-            "F": [_reference_matrix(M) for M in decomposition.F],
             "G_stack": _reference_matrix(decomposition.G_stack),
             "H_stack": _reference_matrix(decomposition.H_stack),
             "Ptilde": _reference_matrix(decomposition.Ptilde),
-            "F_row": _reference_matrix(decomposition.F_row),
-            "Qtilde": _reference_matrix(decomposition.Qtilde),
-            "Wtilde": _reference_matrix(decomposition.Wtilde),
             "Mtilde": _reference_matrix(decomposition.Mtilde),
             "ridge_delta": float(decomposition.ridge_delta),
         },

@@ -1,11 +1,14 @@
 """CLI surface: subcommands, exit codes, design files, CSV determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from securekf import build_decomposition, load_model, spectral_design
+import securekf.spectral
+from securekf import (SensorDecomposition, build_decomposition,
+                      fusion_weights, load_model, spectral_design)
 from securekf.cli import (
     design_from_dict,
     design_to_dict,
@@ -124,6 +127,8 @@ def test_design_rerun_byte_identical(pendulum_path, tmp_path, capsys):
     assert main(["design", str(pendulum_path), "--out", str(d2)]) == 0
     capsys.readouterr()
     assert d1.read_bytes() == d2.read_bytes()
+    # format v2 stores only what the estimator reads (v1: 91,613 bytes)
+    assert len(d1.read_bytes()) <= 40_000
 
 
 def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
@@ -138,13 +143,11 @@ def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
         a, b = getattr(design, name), getattr(d2, name)
         assert np.array_equal(a, b), name
         assert a.dtype == b.dtype, name
-    for name in ("Pi", "G_stack", "H_stack", "Ptilde", "F_row", "Qtilde",
-                 "Wtilde", "Mtilde"):
-        a, b = getattr(decomp, name), getattr(c2, name)
-        assert np.array_equal(a, b), name
-    for name in ("G", "H", "P", "F"):
-        for a, b in zip(getattr(decomp, name), getattr(c2, name)):
-            assert np.array_equal(a, b), name
+    for f in dataclasses.fields(SensorDecomposition):
+        a, b = getattr(decomp, f.name), getattr(c2, f.name)
+        if f.name == "Mtilde_factor":
+            a, b = a[0], b[0]
+        assert np.array_equal(a, b), f.name
     assert decomp.ridge_delta == c2.ridge_delta
 
 
@@ -160,11 +163,40 @@ def test_design_dict_round_trip_without_files(pendulum_model,
     assert np.array_equal(c2.Mtilde, pendulum_decomposition.Mtilde)
 
 
+SHARED_EIGENVALUE_ERROR = ("error: Assumption 1 violated: closed-loop "
+                           "eigenvalue 0.3")
+
+
 def test_design_assumption_violation_exit_3(tmp_path, capsys):
     path = write_model(tmp_path, "shared.json", shared_eigenvalue_model())
     out = tmp_path / "d.json"
     assert main(["design", path, "--out", str(out)]) == 3
-    assert "Assumption 1 violated" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(SHARED_EIGENVALUE_ERROR)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--horizon", "30"],
+    ["sweep-gamma", "--gammas", "5", "--trials", "1", "--horizon", "30"],
+])
+def test_assumption_violation_same_at_every_entry_point(command, tmp_path,
+                                                        capsys):
+    # simulate and the sweeps stop in spectral_design, as design does
+    path = write_model(tmp_path, "shared.json", shared_eigenvalue_model())
+    assert main([command[0], path, *command[1:]]) == 3
+    assert capsys.readouterr().err.startswith(SHARED_EIGENVALUE_ERROR)
+
+
+def test_design_riccati_divergence_exit_3(pendulum_path, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.setattr(securekf.spectral, "RICCATI_MAX_ITER", 1)
+    out = tmp_path / "d.json"
+    assert main(["design", str(pendulum_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Riccati recursion did not converge within "
+                          "1 iterations")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_design_file_rejects_other_model(pendulum_path, tmp_path, capsys):
@@ -202,7 +234,8 @@ def test_design_file_matches_reference_encoder(case, pendulum_model):
     design = spectral_design(model)
     decomp = build_decomposition(model, design)
     if case == "complex":
-        assert np.iscomplexobj(decomp.F_row) and decomp.ridge_delta > 0.0
+        F_row = fusion_weights(design)[1]
+        assert np.iscomplexobj(F_row) and decomp.ridge_delta > 0.0
     data = design_to_dict(model, design, decomp)
     reference = reference_design_to_dict(model, design, decomp)
     assert json.dumps(data, indent=1) == json.dumps(reference, indent=1)
@@ -211,7 +244,7 @@ def test_design_file_matches_reference_encoder(case, pendulum_model):
     for a, b in ((design, d2), (decomp, c2)):
         for name in a.__dataclass_fields__:
             x, y = getattr(a, name), getattr(b, name)
-            if name in ("G", "H", "P", "F", "Mtilde_factor"):
+            if name == "Mtilde_factor":
                 x, y = x[0], y[0]
             assert np.array_equal(x, y), name
             assert np.asarray(x).dtype == np.asarray(y).dtype, name
@@ -234,14 +267,14 @@ def _set(path, value):
 
 
 def _delete(data):
-    del data["decomposition"]["Wtilde"]
+    del data["decomposition"]["Mtilde"]
 
 
 @pytest.mark.parametrize("edit, message", [
     (_set(["design"], []),
      "design file section 'design' must be an object"),
     (_delete,
-     "missing key 'Wtilde' in design file section 'decomposition'"),
+     "missing key 'Mtilde' in design file section 'decomposition'"),
     (_set(["design", "extra"], 1),
      "unknown key 'extra' in design file section 'design'"),
     (_set(["design", "K"], [[1.0]]),
@@ -250,11 +283,27 @@ def _delete(data):
      "design key 'K': unknown matrix tag 'quaternion'"),
     (_set(["design", "V"], {"complex": [[[1.0, 0.0, 2.0]]]}),
      "design key 'V': complex entries must be [re, im] pairs"),
+    (_set(["design", "V"], {"complex": [[[1.0, "a"]]]}),
+     "design key 'V': complex entries must be [re, im] pairs of numbers"),
+    (_set(["design", "riccati_residual"], [1]),
+     "design key 'riccati_residual': expected a number"),
+    (_set(["decomposition", "ridge_delta"], True),
+     "design key 'ridge_delta': expected a number"),
+    (_set(["design", "K"], {"real": [[1.0, 2.0], [1.0]]}),
+     "design key 'K': real entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], {"real": [1.0, 2.0]}),
+     "design key 'K': real entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], {"real": [["a"]]}),
+     "design key 'K': real entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], {"real": [[True]]}),
+     "design key 'K': real entries must be numbers in equal-length rows"),
     (_set(["format"], "other"), "not a design file (format 'other')"),
-    (_set(["version"], 2), "unsupported design file version 2"),
+    (_set(["version"], 3), "unsupported design file version 3"),
     (None, "invalid JSON in design file"),
 ], ids=["section-not-object", "missing-key", "unknown-section-key",
         "untagged-matrix", "unknown-tag", "malformed-complex",
+        "complex-not-number", "float-not-number", "float-is-bool",
+        "ragged-rows", "one-dimensional", "entry-not-number", "entry-is-bool",
         "wrong-format", "wrong-version", "invalid-json"])
 def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
                                           pendulum_design_text, tmp_path,
@@ -269,6 +318,22 @@ def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
     assert main(["simulate", str(pendulum_path), "--horizon", "30",
                  "--design", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_design_file_version_1_refused(pendulum_path, pendulum_design_text,
+                                       tmp_path, capsys):
+    # a version-1 file carries keys v2 dropped; it is refused by version,
+    # with the way to make a current one
+    data = json.loads(pendulum_design_text)
+    data["version"] = 1
+    data["design"]["assumption1_ok"] = True
+    out = tmp_path / "v1.json"
+    out.write_text(json.dumps(data))
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--design", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: unsupported design file version 1" in err
+    assert "re-run the design subcommand" in err
 
 
 def test_design_scaled_noise_converges(pendulum_path, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -17,7 +18,7 @@ from securekf.decomposition import (
 from securekf.model import SystemModel, observability_matrix, observability_structure
 from securekf.spectral import SpectralDesign, characteristic_polynomial, spectral_design
 
-from helpers import random_jordan_model
+from helpers import random_jordan_model, sensor_blocks
 
 
 def dummy_design(A, Pi, V=None, K=None, m=1):
@@ -27,7 +28,7 @@ def dummy_design(A, Pi, V=None, K=None, m=1):
                           K=np.zeros((n, m)) if K is None else np.asarray(K, float),
                           charpoly=characteristic_polynomial(A),
                           V=np.eye(n, dtype=complex) if V is None else V,
-                          Pi=Pi, riccati_residual=0.0, assumption1_ok=True)
+                          Pi=Pi, riccati_residual=0.0)
 
 
 def observable_designs(count, start=0):
@@ -42,9 +43,12 @@ def observable_designs(count, start=0):
     while produced < count:
         model = random_jordan_model(seed, ensure_observable=True)
         seed += 1
-        design = spectral_design(model)
-        if not design.assumption1_ok:
-            continue
+        try:
+            design = spectral_design(model)
+        except ValueError as exc:
+            if str(exc).startswith("Assumption 1 violated"):
+                continue
+            raise
         if np.abs(np.polyval(design.charpoly[::-1], design.Pi)).min() < 1e-4:
             continue
         produced += 1
@@ -259,19 +263,23 @@ def test_pendulum_covariances(pendulum_model):
     design = spectral_design(pendulum_model)
     decomp = build_decomposition(pendulum_model, design)
     mn = 16
+    G_list = sensor_blocks(decomp, 4)[0]
+    Qtilde, Wtilde, Mtilde, _, _ = residual_covariances(
+        pendulum_model, design, G_list, decomp.Ptilde)
+    assert np.array_equal(Mtilde, decomp.Mtilde)
     pi_t = np.tile(design.Pi, 4)
     Pit = np.diag(pi_t)
-    residual = decomp.Wtilde - Pit @ decomp.Wtilde @ Pit.conj().T - decomp.Qtilde
+    residual = Wtilde - Pit @ Wtilde @ Pit.conj().T - Qtilde
     assert np.abs(residual).max() <= 1e-10
 
-    for M in (decomp.Qtilde, decomp.Wtilde, decomp.Mtilde):
+    for M in (Qtilde, Wtilde, decomp.Mtilde):
         assert np.abs(M - M.conj().T).max() < 1e-12
         trace = float(np.trace(M).real)
         assert np.linalg.eigvalsh(M).min() >= -1e-9 * trace
 
     # independent stationary solve for the same fixed point
-    W_ref = scipy.linalg.solve_discrete_lyapunov(Pit, decomp.Qtilde)
-    assert np.abs(decomp.Wtilde - W_ref).max() < 1e-8
+    W_ref = scipy.linalg.solve_discrete_lyapunov(Pit, Qtilde)
+    assert np.abs(Wtilde - W_ref).max() < 1e-8
 
     # conjugate-pair equivariant projectors keep Mtilde essentially real
     assert np.abs(decomp.Mtilde.imag).max() < 1e-10 * np.abs(decomp.Mtilde).max()
@@ -311,36 +319,42 @@ def test_build_decomposition_pendulum(pendulum_model):
     design = spectral_design(pendulum_model)
     decomp = build_decomposition(pendulum_model, design)
     structure = observability_structure(pendulum_model)
+    G, H, P = sensor_blocks(decomp, 4)
     for i in range(4):
-        assert np.abs(decomp.P[i] @ decomp.G[i] - decomp.H[i]).max() < 1e-8
+        assert np.abs(P[i] @ G[i] - H[i]).max() < 1e-8
         want = np.zeros(4)
         want[list(structure.covered_states(i))] = 1.0
-        assert np.abs(np.diag(decomp.H[i]) - want).max() == 0.0
+        assert np.abs(np.diag(H[i]) - want).max() == 0.0
     assert decomp.G_stack.shape == (16, 4)
     assert decomp.H_stack.shape == (16, 4)
     assert decomp.Ptilde.shape == (16, 16)
-    assert decomp.F_row.shape == (4, 16)
+    assert np.array_equal(decomp.Ptilde, scipy.linalg.block_diag(*P))
+    assert fusion_weights(design)[1].shape == (4, 16)
 
 
 def test_build_decomposition_deterministic(pendulum_model):
     design = spectral_design(pendulum_model)
     a = build_decomposition(pendulum_model, design)
     b = build_decomposition(pendulum_model, design)
-    assert np.array_equal(a.Mtilde, b.Mtilde)
-    assert np.array_equal(a.Ptilde, b.Ptilde)
-    assert np.array_equal(a.G_stack, b.G_stack)
-    assert np.array_equal(a.F_row, b.F_row)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "Mtilde_factor":
+            x, y = x[0], y[0]
+        assert np.array_equal(x, y), f.name
+    assert np.array_equal(fusion_weights(design)[1], fusion_weights(design)[1])
 
 
 def test_build_decomposition_random_models():
     for model, design in observable_designs(30):
         decomp = build_decomposition(model, design)
         structure = observability_structure(model)
+        G, H, P = sensor_blocks(decomp, model.n)
+        assert np.array_equal(decomp.Ptilde, scipy.linalg.block_diag(*P))
         for i in range(model.m):
-            assert np.abs(decomp.P[i] @ decomp.G[i] - decomp.H[i]).max() \
-                < 1e-7 * max(1.0, np.abs(decomp.G[i]).max())
+            assert np.abs(P[i] @ G[i] - H[i]).max() \
+                < 1e-7 * max(1.0, np.abs(G[i]).max())
             covered = structure.covered_states(i)
-            assert np.diag(decomp.H[i]).sum() == len(covered)
+            assert np.diag(H[i]).sum() == len(covered)
         trace = float(np.trace(decomp.Mtilde).real)
         assert np.linalg.eigvalsh(decomp.Mtilde).min() >= -1e-9 * trace
         assert np.abs(decomp.Mtilde.imag).max() <= 1e-8 * max(1.0, np.abs(decomp.Mtilde).max())

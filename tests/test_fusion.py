@@ -17,11 +17,13 @@ from securekf import (
     build_fusion_problem,
     empirical_equivalence_probability,
     fixed_gain_kalman_step,
+    fusion_weights,
     initial_bank,
     load_model,
     local_estimator_step,
     psd_factor,
     real_canonical,
+    residual_covariances,
     secure_fuse,
     spectral_design,
 )
@@ -29,6 +31,8 @@ from securekf.decomposition import conjugate_pairing, realification_map
 from securekf.fusion import LocalBankState
 from securekf.model import SystemModel
 from securekf.simulator import trial_generators
+
+from helpers import sensor_blocks
 
 EYE3 = scipy.linalg.cho_factor(np.eye(3))
 H3 = np.ones((3, 1))
@@ -84,7 +88,8 @@ def test_local_step_tracks_state_noise_free(pendulum_model, pendulum_design,
     m = pendulum_model
     dec = pendulum_decomposition
     x = np.array([0.2, -0.1, 0.3, 0.05])
-    bank = LocalBankState(zeta=[dec.G[i] @ x for i in range(4)], k=0)
+    G = sensor_blocks(dec, 4)[0]
+    bank = LocalBankState(zeta=[G[i] @ x for i in range(4)], k=0)
     K = m.feedback_gain()
     for _ in range(60):
         u = -(K @ x)
@@ -93,7 +98,7 @@ def test_local_step_tracks_state_noise_free(pendulum_model, pendulum_design,
         bank = local_estimator_step(bank, y, u, dec, m)
         scale = max(1.0, float(np.abs(x).max()))
         for i in range(4):
-            assert np.abs(bank.zeta[i] - dec.G[i] @ x).max() < 1e-8 * scale
+            assert np.abs(bank.zeta[i] - G[i] @ x).max() < 1e-8 * scale
 
 
 def test_local_step_attack_impulse_decay(pendulum_model, pendulum_decomposition):
@@ -140,13 +145,14 @@ def test_assemble_zero_and_single_sensor():
     z = np.array([0.3 + 0j, -1.2 + 0j])
     bank = LocalBankState(zeta=[z], k=0)
     got = assemble_canonical_measurement(bank, dec)
-    assert np.abs(got - dec.P[0] @ z).max() < 1e-14
+    assert np.abs(got - sensor_blocks(dec, 2)[2][0] @ z).max() < 1e-14
 
 
 def test_assemble_tracks_canonical_signal(pendulum_model, pendulum_decomposition):
     m, dec = pendulum_model, pendulum_decomposition
     x = np.array([0.1, 0.4, -0.2, 0.3])
-    bank = LocalBankState(zeta=[dec.G[i] @ x for i in range(4)], k=0)
+    G = sensor_blocks(dec, 4)[0]
+    bank = LocalBankState(zeta=[G[i] @ x for i in range(4)], k=0)
     K = m.feedback_gain()
     for _ in range(40):
         u = -(K @ x)
@@ -178,6 +184,7 @@ def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
     # the least-squares fusion of the bank replays the filter exactly
     m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    F_row = fusion_weights(d)[1]
     x, g_w, g_v = rollout_setup(m, d, dec, seed=11)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
     K = m.feedback_gain()
@@ -193,7 +200,7 @@ def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
         x_ls, _ = problem.least_squares(Y)
         assert np.abs(x_ls - xh).max() < 1e-6
         # the fusion-weight reconstruction agrees as well
-        xf = dec.F_row @ np.concatenate(bank.zeta)
+        xf = F_row @ np.concatenate(bank.zeta)
         assert np.abs(xf.imag).max() < 1e-8
         assert np.abs(xf.real - xh).max() < 1e-6
 
@@ -453,6 +460,12 @@ def test_empirical_equivalence_probability_rejects_other_design(
             pendulum_model, other, pendulum_decomposition, 2.0, trials=1)
 
 
+def pendulum_wtilde(model, design, dec):
+    """Wtilde, the stationary covariance of zeta - G x, recomputed."""
+    G = sensor_blocks(dec, model.n)[0]
+    return residual_covariances(model, design, G, dec.Ptilde)[1]
+
+
 def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
                                            pendulum_decomposition):
     # legacy check: the same solver on the unprojected bank, realified per
@@ -464,8 +477,9 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
     m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
     T = scipy.linalg.block_diag(
         *[realification_map(conjugate_pairing(dec.Pi))] * m.m)
+    Wtilde = pendulum_wtilde(m, d, dec)
     prob_raw = build_fusion_problem(
-        T @ dec.G_stack, scipy.linalg.cho_factor(T @ dec.Wtilde @ T.conj().T))
+        T @ dec.G_stack, scipy.linalg.cho_factor(T @ Wtilde @ T.conj().T))
     prob_can = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     x, g_w, g_v = rollout_setup(m, d, dec, seed=5)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
@@ -491,12 +505,14 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
     assert both >= 0.9 * total
 
 
-def test_complex_problem_build_raises(pendulum_decomposition):
+def test_complex_problem_build_raises(pendulum_model, pendulum_design,
+                                     pendulum_decomposition):
     # the unprojected bank keeps genuinely complex data, which the fusion
     # refuses until they are realified
     dec = pendulum_decomposition
+    Wtilde = pendulum_wtilde(pendulum_model, pendulum_design, dec)
     with pytest.raises(ValueError, match="realification_map"):
-        build_fusion_problem(dec.G_stack, scipy.linalg.cho_factor(dec.Wtilde))
+        build_fusion_problem(dec.G_stack, scipy.linalg.cho_factor(Wtilde))
 
 
 def test_psd_factor_paths():

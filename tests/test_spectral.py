@@ -130,22 +130,41 @@ def test_charpoly_matches_determinant_evaluation():
 # --------------------------------------------------- eigendecomposition
 
 def test_eigendecomposition_diagonal_case():
+    # A - K C A = diag(0.35, 0.15): sorted ascending, columns permuted
     A = np.diag([0.7, 0.3])
-    K = np.zeros((2, 1))
-    C = np.array([[1.0, 1.0]])
-    V, Pi, ok = closed_loop_eigendecomposition(A, K, C)
-    assert np.allclose(Pi, [0.3, 0.7])
+    K = 0.5 * np.eye(2)
+    C = np.eye(2)
+    V, Pi = closed_loop_eigendecomposition(A, K, C)
+    assert np.allclose(Pi, [0.15, 0.35])
     assert np.abs(np.abs(V) - np.eye(2)[:, ::-1]).max() < 1e-12
-    # flag is false here only because K = 0 leaves Pi equal to spec(A)
-    assert not ok
+    # K = 0 leaves Pi equal to spec(A), which Assumption 1 excludes
+    with pytest.raises(ValueError, match="Assumption 1 violated: "
+                       "closed-loop eigenvalue 0.3"):
+        closed_loop_eigendecomposition(A, np.zeros((2, 1)),
+                                       np.array([[1.0, 1.0]]))
 
 
 def test_eigendecomposition_shared_eigenvalue_flagged():
     A = np.array([[0.5]])
     C = np.array([[1.0]])
-    V, Pi, ok = closed_loop_eigendecomposition(A, np.zeros((1, 1)), C)
-    assert np.allclose(Pi, [0.5])
-    assert not ok
+    with pytest.raises(ValueError) as exc:
+        closed_loop_eigendecomposition(A, np.zeros((1, 1)), C)
+    assert str(exc.value).startswith(
+        "Assumption 1 violated: closed-loop eigenvalue 0.5 lies "
+        "0.000e+00 from the spectrum of A")
+
+
+def test_eigendecomposition_rejects_repeated_and_unstable_modes():
+    # distinct eigenvalues of A, but K C A maps both onto 0.4
+    A = np.diag([0.8, 0.5])
+    with pytest.raises(ValueError, match="Assumption 1 violated: "
+                       "closed-loop eigenvalues are not pairwise distinct"):
+        closed_loop_eigendecomposition(A, np.diag([0.5, 0.2]), np.eye(2))
+    # 1.5 (1 - (-0.5)) = 2.25 lies outside the unit circle
+    with pytest.raises(ValueError, match="Assumption 1 violated: "
+                       "closed-loop modes are not strictly stable"):
+        closed_loop_eigendecomposition(np.array([[1.5]]), np.array([[-0.5]]),
+                                       np.array([[1.0]]))
 
 
 def test_eigendecomposition_pendulum(pendulum_model):
@@ -155,7 +174,8 @@ def test_eigendecomposition_pendulum(pendulum_model):
     sep = np.abs(design.Pi[:, None] - design.Pi[None, :])
     sep = sep + np.eye(4)
     assert sep.min() > 1e-6
-    assert design.assumption1_ok
+    lam_A = np.linalg.eigvals(pendulum_model.A)
+    assert np.abs(design.Pi[:, None] - lam_A[None, :]).min() > 1e-6
     E = pendulum_model.A - design.K @ pendulum_model.C @ pendulum_model.A
     assert np.abs(E @ design.V - design.V * design.Pi).max() < 1e-8
 
@@ -224,11 +244,7 @@ def test_fixed_gain_step_innovation_free(pendulum_model):
 
 def test_fixed_gain_step_zero_gain_is_prediction(pendulum_model):
     design = spectral_design(pendulum_model)
-    design = type(design)(P=design.P, P_plus=design.P_plus,
-                          K=np.zeros_like(design.K), charpoly=design.charpoly,
-                          V=design.V, Pi=design.Pi,
-                          riccati_residual=design.riccati_residual,
-                          assumption1_ok=design.assumption1_ok)
+    design = dataclasses.replace(design, K=np.zeros_like(design.K))
     rng = np.random.default_rng(8)
     x_hat = rng.normal(size=4)
     u = rng.normal(size=1)
