@@ -114,7 +114,11 @@ def _encode_section(section, obj) -> dict:
     return out
 
 
-def _decode_section(data, section) -> dict:
+def _decode_section(data, section, model) -> dict:
+    n, m, mn = model.n, model.m, model.m * model.n
+    shapes = {"P": (n, n), "P_plus": (n, n), "K": (n, m), "V": (n, n),
+              "charpoly": (1, n + 1), "Pi": (1, n), "G_stack": (mn, n),
+              "H_stack": (mn, n), "Ptilde": (mn, mn), "Mtilde": (mn, mn)}
     fields = _section_fields(section)
     _require_keys(data, [f.name for f in fields], section)
     out = {}
@@ -122,9 +126,12 @@ def _decode_section(data, section) -> dict:
         value = data[f.name]
         if f.type == "float":
             out[f.name] = float(_numbers(value, 0, f.name, "expected a number"))
-        else:
-            M = _matrix_from_json(value, f.name)
-            out[f.name] = M.reshape(-1) if f.name in _VECTORS else M
+            continue
+        M = _matrix_from_json(value, f.name)
+        if M.shape != shapes[f.name]:
+            raise DesignFormatError(f"design key '{f.name}': expected shape "
+                                    f"{shapes[f.name]}, got {M.shape}")
+        out[f.name] = M.reshape(-1) if f.name in _VECTORS else M
     return out
 
 
@@ -169,8 +176,8 @@ def _require_keys(obj, wanted, where):
 def design_from_dict(data: dict, model: SystemModel):
     """Rebuild (SpectralDesign, SensorDecomposition) from parsed JSON.
 
-    The stored model matrices must match `model` exactly: a design file
-    is only valid for the model it was computed from.
+    The stored model matrices must match `model` exactly, and every array
+    must have its shape for that model's n states and m sensors.
     """
     _require_keys(data, ("format", "version", *_SECTIONS), "top level")
     if data["format"] != DESIGN_FORMAT:
@@ -185,8 +192,8 @@ def design_from_dict(data: dict, model: SystemModel):
         raise ValueError("design file was computed for a different model; "
                          "re-run the design subcommand")
 
-    design = SpectralDesign(**_decode_section(data["design"], "design"))
-    fields = _decode_section(data["decomposition"], "decomposition")
+    design = SpectralDesign(**_decode_section(data["design"], "design", model))
+    fields = _decode_section(data["decomposition"], "decomposition", model)
     decomposition = SensorDecomposition(
         **fields, Mtilde_factor=factor_mtilde(fields["Mtilde"],
                                               fields["ridge_delta"]))

@@ -31,6 +31,7 @@ built.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -142,19 +143,21 @@ class FusionProblem:
     """Real operators shared by every fusion solve on one design.
 
     The methods take one measurement Y of length mn, or an (h, mn) block
-    with one measurement per row, and answer per row.
+    with one measurement per row, and answer per row.  S is a view of
+    the top half of S_pm = [S; -S], which the homotopy reads.
     """
 
     H: np.ndarray          # mn x n
     Ht: np.ndarray         # n x mn, H transposed
     Minv: np.ndarray       # inverse of the (ridged) residual covariance
     wls_op: np.ndarray     # x_ls = wls_op @ Y
+    S_pm: np.ndarray       # [S; -S], 2mn x mn
     S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
 
     def least_squares(self, Y):
         """(x_ls, mu_ls) minimizing 0.5 mu' Minv mu subject to Y = H x + mu."""
-        x_ls = Y @ self.wls_op.T
-        return x_ls, Y - x_ls @ self.H.T
+        x_ls = Y.dot(self.wls_op.T)
+        return x_ls, Y - x_ls.dot(self.H.T)
 
     def screen_statistic(self, Y):
         """max |Minv mu_ls|: the threshold condition holds for every gamma
@@ -202,22 +205,30 @@ def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
         raise ValueError("state unobservable in canonical coordinates")
     wls_op = np.linalg.solve(normal, MiH.T)
     S = Minv - MiH @ wls_op
+    S_pm = 0.5 * np.vstack((S + S.T, -(S + S.T)))     # S made symmetric
     return FusionProblem(H=H, Ht=H.T.copy(), Minv=Minv, wls_op=wls_op,
-                         S=0.5 * (S + S.T))
+                         S_pm=S_pm, S=S_pm[:len(S)])
+
+
+def check_gamma(gamma):
+    """Raise ValueError unless the l1 weight gamma is finite and positive."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"γ must be finite, got {gamma}")
+    if gamma <= 0:
+        raise ValueError("γ = 0 leaves x̃ non-identifiable")
 
 
 def _residuals(problem, Y, x, nu, gamma):
     """(mu, KKT residual) at (x, nu): stationarity in x, and in nu the
-    distance of s = Minv mu from gamma * sign(nu), or from [-gamma, gamma]."""
-    mu = Y - problem.H @ x - nu
-    s = problem.Minv @ mu
-    deviation = np.where(nu != 0.0, np.abs(s - gamma * np.sign(nu)),
-                         np.maximum(0.0, np.abs(s) - gamma))
-    return mu, float(max(np.abs(problem.Ht @ s).max(initial=0.0),
-                         deviation.max(initial=0.0)))
+    distance of s = Minv mu from gamma * sign(nu), or |s| - gamma at nu = 0."""
+    mu = Y - problem.H.dot(x) - nu
+    s = problem.Minv.dot(mu)
+    deviation = np.abs(s - gamma * np.sign(nu)) - gamma * (nu == 0.0)
+    return mu, max(float(np.abs(problem.Ht.dot(s)).max()),
+                   float(deviation.max()))
 
 
-def _lasso_path(S, Y, c_ls, gamma, history):
+def _lasso_path(S_pm, Y, c_ls, gamma, history):
     """Walk the lasso homotopy of min 0.5 (Y - nu)' S (Y - nu) + lam |nu|_1
     from lam = max |c_ls|, where nu = 0, down to lam = gamma; c_ls = S Y.
 
@@ -231,10 +242,16 @@ def _lasso_path(S, Y, c_ls, gamma, history):
     completes a flat direction of the objective and would make S_AA singular.
     Returns (nu, segments); history, when a list, receives the objective
     at every breakpoint.
+
+    A breakpoint recomputes c2 = [c; -c] from nu_A (stepping c along would
+    drift) with the columns of S_pm = [S; -S], solves S_AA w_A = s_A and
+    forms the 2mn join times in numpy; a blocked root gets rate -1, so one
+    TIE_RATE test masks it.  The k drop times and the step of nu_A run on
+    Python floats, as k is small and a numpy call costs more than the loop.
+    Products use ndarray.dot, which dispatches faster than @: same bits.
     """
     mn = len(c_ls)
     # root r < mn is c_r reaching +lam, root mn + j is c_j reaching -lam
-    S2 = np.vstack((S, -S))
     c2_ls = np.concatenate((c_ls, -c_ls))
     nu = np.zeros(mn)
     sign = np.zeros(mn)                     # s_i on the active set, else 0
@@ -249,10 +266,9 @@ def _lasso_path(S, Y, c_ls, gamma, history):
                 sign[j] = 1.0 if root < mn else -1.0
                 blocked[j] = blocked[j + mn] = True
             act = sign.nonzero()[0]
-            cols = S2.take(act, axis=1)
+            cols = S_pm.take(act, axis=1)
             s_act, nu_act = sign.take(act), nu.take(act)
-            # recomputed from nu at every breakpoint; stepping c along drifts
-            c2 = c2_ls - cols @ nu_act
+            c2 = c2_ls - cols.dot(nu_act)
             if history is not None:
                 history.append(float(0.5 * (Y - nu) @ c2[:mn]
                                      + gamma * np.abs(nu).sum()))
@@ -261,24 +277,28 @@ def _lasso_path(S, Y, c_ls, gamma, history):
             if info > 0:
                 # S_AA singular: a flat direction, any solution will do
                 w = np.linalg.lstsq(S_aa, s_act, rcond=None)[0]
-            rate = 1.0 - cols @ w
+            rate = 1.0 - cols.dot(w)
+            rate[blocked] = -1.0
             join = (lam - c2) / rate
-            join[blocked | (rate <= TIE_RATE)] = np.inf
-            np.maximum(join, 0.0, out=join)     # a passed root fires at once
-            drop = -nu_act / w
-            drop[w * s_act >= 0.0] = np.inf
-            np.maximum(drop, 0.0, out=drop)
-            root, i = int(join.argmin()), int(drop.argmin())
-            t = min(join[root], drop[i])
+            join[rate <= TIE_RATE] = np.inf
+            root = int(join.argmin())
+            t_join = join.item(root)
+            if t_join <= 0.0:   # a passed root fires at once, the first one
+                root, t_join = int((join <= 0.0).argmax()), 0.0
+            w, nu_act = w.tolist(), nu_act.tolist()
+            t_drop, i = np.inf, 0   # the first active nu_i to reach 0
+            for q, (wq, sq, nq) in enumerate(zip(w, s_act.tolist(), nu_act)):
+                if wq * sq < 0.0 and (d := max(0.0, -nq / wq)) < t_drop:
+                    t_drop, i = d, q
+            t = min(t_join, t_drop, lam - gamma)
+            nu[act] = [nq + t * wq for nq, wq in zip(nu_act, w)]
             if t >= lam - gamma:
-                nu[act] = nu_act + (lam - gamma) * w
                 return nu, it
-            nu[act] = nu_act + t * w
             lam -= t
             if held >= 0:
                 blocked[held] = False
                 held = -1
-            if drop[i] <= join[root]:
+            if t_drop <= t_join:
                 k = int(act[i])
                 held = k if sign[k] > 0.0 else k + mn
                 nu[k] = sign[k] = 0.0
@@ -298,45 +318,44 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     KKT_TOL * max(1, gamma).  history, when given a list, collects the
     objective at nu = 0, at every homotopy breakpoint and at the answer.
     It does not increase: along the path its derivative in lambda is
-    (lambda - gamma) s_A' S_AA^-1 s_A.  A complex Y raises ValueError;
-    real_canonical turns the bank's canonical coordinates into a real Y.
+    (lambda - gamma) s_A' S_AA^-1 s_A.  A complex Y raises ValueError, as
+    does a gamma that is not finite and positive (check_gamma).
     """
-    if gamma <= 0:
-        raise ValueError("γ = 0 leaves x̃ non-identifiable")
+    check_gamma(gamma)
     Y = np.asarray(Y)
-    if np.iscomplexobj(Y):
+    if Y.dtype.kind == "c":
         raise ValueError("secure_fuse takes a real measurement; pass complex "
                          "canonical coordinates through real_canonical")
     Y = Y.astype(float, copy=False).reshape(-1)
-    H, Ht, Minv = problem.H, problem.Ht, problem.Minv
+    H, Ht, Minv, wls_op = problem.H, problem.Ht, problem.Minv, problem.wls_op
     x_ls, mu_ls = problem.least_squares(Y)
-    d_ls = Minv @ mu_ls
+    d_ls = Minv.dot(mu_ls)
 
-    if float(np.abs(d_ls).max(initial=0.0)) <= gamma:
+    if np.abs(d_ls).max() <= gamma:
         if history is not None:
             history.append(float(0.5 * mu_ls @ d_ls))
         return FusionResult(
-            x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(H.shape[0]),
-            kkt_residual=float(np.abs(Ht @ d_ls).max(initial=0.0)),
+            x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(len(Y)),
+            kkt_residual=float(np.abs(Ht.dot(d_ls)).max()),
             iterations=0, kalman_equivalent=True, x_ls=x_ls, converged=True)
 
     eps_eff = KKT_TOL * max(1.0, gamma)
-    nu, it = _lasso_path(problem.S, Y, d_ls, gamma, history)
-    x = problem.wls_op @ (Y - nu)
+    nu, it = _lasso_path(problem.S_pm, Y, d_ls, gamma, history)
+    x = wls_op.dot(Y - nu)
     mu, kkt = _residuals(problem, Y, x, nu, gamma)
     if kkt > eps_eff:
         # one step of iterative refinement of (x, nu_A) on the final
         # support, driven by the residual: when Minv is large, S (Y - nu)
         # loses digits to cancellation that the residual keeps
         act = np.flatnonzero(nu)
-        x_r = x + problem.wls_op @ mu
+        x_r = x + wls_op @ mu
         s = Minv @ (Y - H @ x_r - nu)
         step = np.linalg.lstsq(problem.S[np.ix_(act, act)],
                                s[act] - gamma * np.sign(nu[act]),
                                rcond=None)[0]
         nu_r = nu.copy()
         nu_r[act] += step
-        x_r -= problem.wls_op[:, act] @ step
+        x_r -= wls_op[:, act] @ step
         mu_r, kkt_r = _residuals(problem, Y, x_r, nu_r, gamma)
         if kkt_r < kkt:
             x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
@@ -345,4 +364,3 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     return FusionResult(
         x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=it,
         kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt <= eps_eff))
-

@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .decomposition import SensorDecomposition
-from .fusion import (FusionProblem, build_fusion_problem, real_canonical,
-                     secure_fuse)
+from .fusion import (FusionProblem, build_fusion_problem, check_gamma,
+                     real_canonical, secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
@@ -244,8 +244,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if gamma <= 0:
-        raise ValueError("γ = 0 leaves x̃ non-identifiable")
+    check_gamma(gamma)
     x, u, z, y, a, x_kal, Y = _rollout(model, design, decomposition, attack,
                                        horizon, seed, trial, x0)
     if problem is None:
@@ -281,8 +280,7 @@ def empirical_equivalence_probability(model: SystemModel,
     and returns (probability, standard error) with the standard error
     taken across trials.
     """
-    if gamma <= 0:
-        raise ValueError("γ = 0 leaves x̃ non-identifiable")
+    check_gamma(gamma)
     if horizon <= burn_in:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
     if not np.allclose(decomposition.Pi, design.Pi):
@@ -465,6 +463,8 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
     it is that clean run too.
     """
+    for _, _, gamma in points:
+        check_gamma(gamma)
     problem = build_fusion_problem(decomposition.H_stack,
                                    decomposition.Mtilde_factor)
 

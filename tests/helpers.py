@@ -1,6 +1,7 @@
 """Shared test utilities: deterministic random model generation, a
 step-by-step reference for simulate, a value-by-value reference for
-trace_csv, and a key-by-key reference for the design-file encoder.
+trace_csv, a key-by-key reference for the design-file encoder, and the
+first-written homotopy solve as a bit-for-bit reference for secure_fuse.
 
 Models are drawn in Jordan coordinates directly so every sample satisfies
 the structural requirements by construction: block-diagonal A with 0/1
@@ -10,11 +11,13 @@ patterns in C so sensor coverage is unambiguous.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from securekf import (assemble_canonical_measurement, attack_sequence,
                       build_fusion_problem, fixed_gain_kalman_step,
                       initial_bank, local_estimator_step, psd_factor,
                       secure_fuse)
+from securekf.fusion import KKT_TOL, MAX_BREAKPOINTS, TIE_RATE, FusionResult
 from securekf.model import SystemModel
 from securekf.simulator import trial_generators
 
@@ -208,3 +211,112 @@ def reference_design_to_dict(model, design, decomposition):
             "ridge_delta": float(decomposition.ridge_delta),
         },
     }
+
+
+def _reference_residuals(problem, Y, x, nu, gamma):
+    mu = Y - problem.H @ x - nu
+    s = problem.Minv @ mu
+    deviation = np.where(nu != 0.0, np.abs(s - gamma * np.sign(nu)),
+                         np.maximum(0.0, np.abs(s) - gamma))
+    return mu, float(max(np.abs(problem.Ht @ s).max(initial=0.0),
+                         deviation.max(initial=0.0)))
+
+
+def _reference_lasso_path(S, Y, c_ls, gamma, history):
+    mn = len(c_ls)
+    S2 = np.vstack((S, -S))
+    c2_ls = np.concatenate((c_ls, -c_ls))
+    nu = np.zeros(mn)
+    sign = np.zeros(mn)
+    blocked = np.zeros(2 * mn, dtype=bool)
+    root = int(c2_ls.argmax())
+    lam = float(c2_ls[root])
+    held = -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, MAX_BREAKPOINTS + 1):
+            if root >= 0:
+                j = root % mn
+                sign[j] = 1.0 if root < mn else -1.0
+                blocked[j] = blocked[j + mn] = True
+            act = sign.nonzero()[0]
+            cols = S2.take(act, axis=1)
+            s_act, nu_act = sign.take(act), nu.take(act)
+            c2 = c2_ls - cols @ nu_act
+            if history is not None:
+                history.append(float(0.5 * (Y - nu) @ c2[:mn]
+                                     + gamma * np.abs(nu).sum()))
+            S_aa = cols.take(act, axis=0)
+            w, info = dgesv(S_aa, s_act)[2:]
+            if info > 0:
+                w = np.linalg.lstsq(S_aa, s_act, rcond=None)[0]
+            rate = 1.0 - cols @ w
+            join = (lam - c2) / rate
+            join[blocked | (rate <= TIE_RATE)] = np.inf
+            np.maximum(join, 0.0, out=join)
+            drop = -nu_act / w
+            drop[w * s_act >= 0.0] = np.inf
+            np.maximum(drop, 0.0, out=drop)
+            root, i = int(join.argmin()), int(drop.argmin())
+            t = min(join[root], drop[i])
+            if t >= lam - gamma:
+                nu[act] = nu_act + (lam - gamma) * w
+                return nu, it
+            nu[act] = nu_act + t * w
+            lam -= t
+            if held >= 0:
+                blocked[held] = False
+                held = -1
+            if drop[i] <= join[root]:
+                k = int(act[i])
+                held = k if sign[k] > 0.0 else k + mn
+                nu[k] = sign[k] = 0.0
+                blocked[(held + mn) % (2 * mn)] = False
+                root = -1
+    return nu, MAX_BREAKPOINTS
+
+
+def reference_secure_fuse(problem, Y, gamma, *, history=None):
+    """Reference for secure_fuse: the homotopy solve as first written, with
+    plain array operations throughout and [S; -S] stacked on every call.
+    Every FusionResult field and history entry of secure_fuse must equal
+    its output bit for bit."""
+    if gamma <= 0:
+        raise ValueError("γ = 0 leaves x̃ non-identifiable")
+    Y = np.asarray(Y)
+    if np.iscomplexobj(Y):
+        raise ValueError("secure_fuse takes a real measurement")
+    Y = Y.astype(float, copy=False).reshape(-1)
+    H, Ht, Minv = problem.H, problem.Ht, problem.Minv
+    x_ls, mu_ls = problem.least_squares(Y)
+    d_ls = Minv @ mu_ls
+
+    if float(np.abs(d_ls).max(initial=0.0)) <= gamma:
+        if history is not None:
+            history.append(float(0.5 * mu_ls @ d_ls))
+        return FusionResult(
+            x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(H.shape[0]),
+            kkt_residual=float(np.abs(Ht @ d_ls).max(initial=0.0)),
+            iterations=0, kalman_equivalent=True, x_ls=x_ls, converged=True)
+
+    eps_eff = KKT_TOL * max(1.0, gamma)
+    nu, it = _reference_lasso_path(problem.S, Y, d_ls, gamma, history)
+    x = problem.wls_op @ (Y - nu)
+    mu, kkt = _reference_residuals(problem, Y, x, nu, gamma)
+    if kkt > eps_eff:
+        act = np.flatnonzero(nu)
+        x_r = x + problem.wls_op @ mu
+        s = Minv @ (Y - H @ x_r - nu)
+        step = np.linalg.lstsq(problem.S[np.ix_(act, act)],
+                               s[act] - gamma * np.sign(nu[act]),
+                               rcond=None)[0]
+        nu_r = nu.copy()
+        nu_r[act] += step
+        x_r -= problem.wls_op[:, act] @ step
+        mu_r, kkt_r = _reference_residuals(problem, Y, x_r, nu_r, gamma)
+        if kkt_r < kkt:
+            x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
+    if history is not None:
+        history.append(float(problem.objective(Y, x, nu, gamma)))
+    return FusionResult(
+        x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=it,
+        kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt <= eps_eff))

@@ -297,6 +297,12 @@ def _delete(data):
      "design key 'K': real entries must be numbers in equal-length rows"),
     (_set(["design", "K"], {"real": [[True]]}),
      "design key 'K': real entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], {"real": [[1.0]]}),
+     "design key 'K': expected shape (4, 4), got (1, 1)"),
+    (_set(["decomposition", "Mtilde"], {"real": [[1.0]]}),
+     "design key 'Mtilde': expected shape (16, 16), got (1, 1)"),
+    (_set(["design", "charpoly"], {"real": [[1.0, 2.0]]}),
+     "design key 'charpoly': expected shape (1, 5), got (1, 2)"),
     (_set(["format"], "other"), "not a design file (format 'other')"),
     (_set(["version"], 3), "unsupported design file version 3"),
     (None, "invalid JSON in design file"),
@@ -304,7 +310,8 @@ def _delete(data):
         "untagged-matrix", "unknown-tag", "malformed-complex",
         "complex-not-number", "float-not-number", "float-is-bool",
         "ragged-rows", "one-dimensional", "entry-not-number", "entry-is-bool",
-        "wrong-format", "wrong-version", "invalid-json"])
+        "gain-shape", "mtilde-shape", "charpoly-shape", "wrong-format",
+        "wrong-version", "invalid-json"])
 def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
                                           pendulum_design_text, tmp_path,
                                           capsys):
@@ -390,6 +397,18 @@ def test_simulate_validation_errors(pendulum_path, capsys):
     assert main(["simulate", str(pendulum_path), "--horizon", "30",
                  "--attack-kind", "constant", "--attack-sensor", "9"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--gamma", "nan"],
+    ["sweep-gamma", "--gammas", "1,nan", "--trials", "1"],
+], ids=["simulate", "sweep-gamma"])
+def test_non_finite_gamma_exit_2(command, pendulum_path, capsys):
+    assert main([command[0], str(pendulum_path), *command[1:],
+                 "--horizon", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: γ must be finite, got nan\n"
 
 
 # ----------------------------------------------------------------- sweeps

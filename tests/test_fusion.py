@@ -30,7 +30,7 @@ from securekf import (
 from securekf.decomposition import conjugate_pairing, realification_map
 from securekf.fusion import LocalBankState
 from securekf.model import SystemModel
-from securekf.simulator import trial_generators
+from securekf.simulator import AttackSpec, simulate, trial_generators
 
 from helpers import sensor_blocks
 
@@ -253,6 +253,26 @@ def test_secure_fuse_gamma_zero_rejected():
             secure_fuse(PROB3, Y3, gamma)
         with pytest.raises(ValueError, match="non-identifiable"):
             empirical_equivalence_probability(None, None, None, gamma)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_non_finite_gamma_rejected(gamma, pendulum_model, pendulum_design,
+                                   pendulum_decomposition):
+    # nan passes a gamma <= 0 test and max(1, nan) is 1, so a nan gamma
+    # would run with a finite tolerance; every entry point names the value
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    message = f"γ must be finite, got {gamma}"
+    with pytest.raises(ValueError, match=message):
+        secure_fuse(problem, dec.H_stack[:, 0].real + 10.0, gamma)
+    with pytest.raises(ValueError, match=message):
+        secure_fuse(PROB3, Y3, gamma)
+    with pytest.raises(ValueError, match=message):
+        simulate(pendulum_model, pendulum_design, dec, AttackSpec(), gamma,
+                 horizon=10)
+    with pytest.raises(ValueError, match=message):
+        empirical_equivalence_probability(pendulum_model, pendulum_design,
+                                          dec, gamma, trials=1, horizon=60)
 
 
 def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):

@@ -1,9 +1,11 @@
-"""Property tests of the l1 fusion against an independent reference.
+"""Property tests of the l1 fusion against two references.
 
-The reference minimizes the same objective with L-BFGS-B over (x, p, q),
-nu = p - q with p, q >= 0, so it shares no code with the homotopy.
-Instances are drawn from a hypothesis-chosen seed and shape, so every
-failing example replays from its seed.
+The independent reference minimizes the same objective with L-BFGS-B over
+(x, p, q), nu = p - q with p, q >= 0, so it shares no code with the
+homotopy.  The bit-for-bit reference is the homotopy solve as first
+written (helpers.reference_secure_fuse): secure_fuse must return exactly
+its bits.  Instances are drawn from a hypothesis-chosen seed and shape, so
+every failing example replays from its seed.
 """
 
 import numpy as np
@@ -13,6 +15,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from securekf import build_fusion_problem, secure_fuse
+from securekf.fusion import FusionResult
+from securekf.simulator import AttackSpec, _rollout
+
+from helpers import reference_secure_fuse
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -191,3 +197,65 @@ def test_sensor_permutation_equivariance(seed, n, m_sensors, pattern, data):
                           (res_p.mu, res.mu[idx])):
             scale = max(1.0, float(np.abs(want).max()))
             assert np.abs(got - want).max() <= 1e-6 * scale
+
+
+def assert_bit_equal(problem, Y, gamma):
+    got_history, want_history = [], []
+    got = secure_fuse(problem, Y, gamma, history=got_history)
+    want = reference_secure_fuse(problem, Y, gamma, history=want_history)
+    for field in FusionResult._fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert type(a) is type(b), field
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            assert a.tobytes() == b.tobytes(), field
+        else:
+            assert a == b, field
+    assert (np.array(got_history).tobytes()
+            == np.array(want_history).tobytes())
+    return got
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       m_sensors=st.integers(2, 5), coverage=st.booleans(),
+       diagonal=st.booleans(),
+       log_gamma=st.floats(float(np.log(0.005)), float(np.log(20.0))))
+def test_secure_fuse_bit_equal_to_reference(seed, n, m_sensors, coverage,
+                                            diagonal, log_gamma):
+    # Gaussian H, or stacked identities with random zero rows (flat
+    # directions: the TIE_RATE roots); a dense SPD Mtilde or a diagonal
+    # one spread over 1e-4 .. 1e2; spikes of 1 to 1e6 on about a quarter
+    # of the coordinates
+    rng = np.random.default_rng(seed)
+    if coverage:
+        H = np.vstack([np.eye(n)] * m_sensors) * (
+            rng.random((m_sensors * n, 1)) < 0.6)
+        assume(np.linalg.matrix_rank(H) == n)
+    else:
+        H = rng.standard_normal((m_sensors * n, n))
+    mn = H.shape[0]
+    if diagonal:
+        M = np.diag(10.0 ** rng.uniform(-4.0, 2.0, mn))
+    else:
+        A = rng.standard_normal((mn, mn))
+        M = A @ A.T / mn + 0.3 * np.eye(mn)
+    Y = H @ rng.standard_normal(n) + 0.5 * rng.standard_normal(mn)
+    hit = rng.random(mn) < 0.25
+    Y[hit] += (rng.choice([-1.0, 1.0], hit.sum())
+               * 10.0 ** rng.uniform(0.0, 6.0, hit.sum()))
+    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    assert_bit_equal(problem, Y, float(np.exp(log_gamma)))
+
+
+def test_secure_fuse_bit_equal_on_pendulum_under_large_attack(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # a constant 1e6 on the angle sensor drives steps past the KKT
+    # tolerance, through the refinement step, to unconverged answers
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    attack = AttackSpec(support=(3,), kind="constant", magnitude=1e6)
+    Y = _rollout(pendulum_model, pendulum_design, dec, attack, 200, 0, 0)[-1]
+    results = [assert_bit_equal(problem, row, 5.0) for row in Y]
+    assert not all(r.converged for r in results)
+    assert not any(r.kalman_equivalent for r in results)
