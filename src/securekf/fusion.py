@@ -46,6 +46,7 @@ MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
 REAL_DUST = 1e-12       # relative imaginary residue of problem data dropped
 MEASUREMENT_DUST = 1e-9  # the same for the bank's canonical measurement
+_FLOAT64 = np.dtype(float)
 
 
 @dataclasses.dataclass
@@ -318,27 +319,35 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     KKT_TOL * max(1, gamma).  history, when given a list, collects the
     objective at nu = 0, at every homotopy breakpoint and at the answer.
     It does not increase: along the path its derivative in lambda is
-    (lambda - gamma) s_A' S_AA^-1 s_A.  A complex Y raises ValueError, as
-    does a gamma that is not finite and positive (check_gamma).
+    (lambda - gamma) s_A' S_AA^-1 s_A.  A 1-D float64 ndarray Y is used
+    as given, and any other form converted first.  ValueError is raised
+    for a complex Y, a non-finite Y (the screen test propagates NaN, so it
+    never passes one) and a gamma that is not finite and positive.
     """
-    check_gamma(gamma)
-    Y = np.asarray(Y)
-    if Y.dtype.kind == "c":
-        raise ValueError("secure_fuse takes a real measurement; pass complex "
-                         "canonical coordinates through real_canonical")
-    Y = Y.astype(float, copy=False).reshape(-1)
-    H, Ht, Minv, wls_op = problem.H, problem.Ht, problem.Minv, problem.wls_op
+    if not 0.0 < gamma < math.inf:
+        check_gamma(gamma)
+    if type(Y) is not np.ndarray or Y.dtype != _FLOAT64 or Y.ndim != 1:
+        Y = np.asarray(Y)
+        if Y.dtype.kind == "c":
+            raise ValueError("secure_fuse takes a real measurement; pass "
+                             "complex canonical coordinates through "
+                             "real_canonical")
+        Y = Y.astype(float, copy=False).reshape(-1)
     x_ls, mu_ls = problem.least_squares(Y)
-    d_ls = Minv.dot(mu_ls)
+    d_ls = problem.Minv.dot(mu_ls)
 
-    if np.abs(d_ls).max() <= gamma:
+    statistic = np.abs(d_ls).max()
+    if statistic <= gamma:
         if history is not None:
             history.append(float(0.5 * mu_ls @ d_ls))
-        return FusionResult(
-            x_tilde=x_ls.copy(), mu=mu_ls, nu=np.zeros(len(Y)),
-            kkt_residual=float(np.abs(Ht.dot(d_ls)).max()),
-            iterations=0, kalman_equivalent=True, x_ls=x_ls, converged=True)
+        return FusionResult(x_ls.copy(), mu_ls, np.zeros(len(Y)),
+                            max(map(abs, problem.Ht.dot(d_ls).tolist())),
+                            0, True, x_ls, True)
 
+    if not math.isfinite(statistic) and not np.isfinite(Y).all():
+        i = int(np.isfinite(Y).argmin())
+        raise ValueError(f"non-finite measurement Y[{i}] = {Y[i]}")
+    H, Minv, wls_op = problem.H, problem.Minv, problem.wls_op
     eps_eff = KKT_TOL * max(1.0, gamma)
     nu, it = _lasso_path(problem.S_pm, Y, d_ls, gamma, history)
     x = wls_op.dot(Y - nu)

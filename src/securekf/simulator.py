@@ -184,12 +184,13 @@ def _recurrence(M, e, s0):
     return s
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rollout(model, design, decomposition, attack, horizon, seed, trial,
              x0=None):
     """Everything in a run that does not depend on the secure fusion:
     (x, u, z, y, a, xhat_kal, Y) as (horizon, .) arrays, rows as in
     SimulationTrace.  Y is the bank's canonical measurement, made real by
-    real_canonical.
+    real_canonical.  A non-finite array raises ValueError naming it.
     """
     n, m = model.n, model.m
     A, C = model.A, model.C
@@ -220,7 +221,12 @@ def _rollout(model, design, decomposition, attack, horizon, seed, trial,
              + (y - Bu @ C.T)[:, :, None]).reshape(horizon, m * n)
     zeta = _recurrence(np.diag(np.tile(decomposition.Pi, m)), drive,
                        np.zeros(m * n))
-    return x, u, z, y, a, x_kal, real_canonical(zeta @ decomposition.Ptilde.T)
+    Y = zeta @ decomposition.Ptilde.T
+    for name, arr in (("x", x), ("u", u), ("z", z), ("y", y), ("a", a),
+                      ("xhat_kal", x_kal), ("canonical measurement", Y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"simulation produced non-finite {name}")
+    return x, u, z, y, a, x_kal, real_canonical(Y)
 
 
 def simulate(model: SystemModel, design: SpectralDesign,
@@ -254,9 +260,8 @@ def simulate(model: SystemModel, design: SpectralDesign,
         *[secure_fuse(problem, Y[t], gamma) for t in range(horizon)])
     secs, lss = np.array(x_tilde), np.array(x_ls)
     kkts = np.array(kkt, dtype=float)
-    for name, arr in (("x", x), ("u", u), ("z", z), ("y", y), ("a", a),
-                      ("xhat_kal", x_kal), ("xhat_sec", secs),
-                      ("xhat_ls", lss), ("kkt_residual", kkts)):
+    for name, arr in (("xhat_sec", secs), ("xhat_ls", lss),
+                      ("kkt_residual", kkts)):
         if not np.isfinite(arr).all():
             raise ValueError(f"simulation produced non-finite {name}")
     return SimulationTrace(

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps securekf functions by the names its calling
 modules bind them under, and reads the fields of every FusionResult; a
-refactor that drops one breaks the traced pass."""
+refactor that drops one breaks the traced pass.  Its output checks also
+count one securekf.simulator.secure_fuse call per simulated step."""
 
 import importlib.util
 import pathlib
@@ -8,7 +9,9 @@ import pathlib
 import numpy as np
 import pytest
 
+import securekf.simulator
 from securekf import build_fusion_problem, secure_fuse
+from securekf.simulator import AttackSpec, simulate, sweep_gamma
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -43,3 +46,25 @@ def test_tracer_reads_fusion_results(pendulum_decomposition):
     for field in ("x_tilde", "iterations", "kkt_residual", "converged"):
         with pytest.raises(AttributeError):
             setattr(l1, field, None)
+
+
+def test_one_secure_fuse_call_per_step(monkeypatch, pendulum_model,
+                                       pendulum_design,
+                                       pendulum_decomposition):
+    calls = []
+    fuse = securekf.simulator.secure_fuse
+
+    def counting(problem, Y, gamma):
+        calls.append(gamma)
+        return fuse(problem, Y, gamma)
+
+    monkeypatch.setattr(securekf.simulator, "secure_fuse", counting)
+    model, design, dec = pendulum_model, pendulum_design, pendulum_decomposition
+    simulate(model, design, dec, AttackSpec(), 5.0, horizon=60)
+    assert len(calls) == 60
+    calls.clear()
+    # each gamma runs one clean and one attacked simulation per trial
+    sweep_gamma(model, design, dec, gammas=(5.0, 1000.0), trials=1,
+                horizon=60)
+    assert len(calls) == 240
+    assert sorted(set(calls)) == [5.0, 1000.0]

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -397,6 +401,25 @@ def test_simulate_validation_errors(pendulum_path, capsys):
     assert main(["simulate", str(pendulum_path), "--horizon", "30",
                  "--attack-kind", "constant", "--attack-sensor", "9"]) == 2
     capsys.readouterr()
+
+
+def test_simulate_overflowing_run_exit_2(pendulum_path):
+    # a run that overflows is named by its first non-finite array, without
+    # numpy warnings; it once reached the fusion as a "complex" measurement
+    src = pathlib.Path(securekf.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "securekf.cli", "simulate", str(pendulum_path),
+         "--horizon", "60", "--attack-kind", "constant",
+         "--attack-magnitude", "1e308"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "non-finite" in errors[0]
+    assert "complex" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", [

@@ -30,7 +30,8 @@ from securekf import (
 from securekf.decomposition import conjugate_pairing, realification_map
 from securekf.fusion import LocalBankState
 from securekf.model import SystemModel
-from securekf.simulator import AttackSpec, simulate, trial_generators
+from securekf.simulator import (AttackSpec, _rollout, simulate,
+                                trial_generators)
 
 from helpers import sensor_blocks
 
@@ -273,6 +274,25 @@ def test_non_finite_gamma_rejected(gamma, pendulum_model, pendulum_design,
     with pytest.raises(ValueError, match=message):
         empirical_equivalence_probability(pendulum_model, pendulum_design,
                                           dec, gamma, trials=1, horizon=60)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_measurement_rejected(value, pendulum_model,
+                                         pendulum_design,
+                                         pendulum_decomposition):
+    # a non-finite entry is never screened, even at a huge gamma, and
+    # would walk the homotopy to the breakpoint cap; it raises instead
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 1, 0,
+                 0)[-1][0]
+    Y[5] = value
+    message = rf"non-finite measurement Y\[5\] = {value}"
+    for gamma in (5.0, 1e300):
+        # the least-squares products on an infinite entry warn first
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match=message):
+            secure_fuse(problem, Y, gamma)
 
 
 def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):

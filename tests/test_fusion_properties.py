@@ -259,3 +259,45 @@ def test_secure_fuse_bit_equal_on_pendulum_under_large_attack(
     results = [assert_bit_equal(problem, row, 5.0) for row in Y]
     assert not all(r.converged for r in results)
     assert not any(r.kalman_equivalent for r in results)
+
+
+def test_secure_fuse_bit_equal_on_clean_pendulum_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # the 500 clean rows of a screened run (gamma = 1000, as the screened
+    # benchmark workloads run them), and the same rows at gamma = 20,
+    # where the screen leaves some steps to the homotopy
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 500, 0,
+                 0)[-1]
+    screened = [assert_bit_equal(problem, row, 1000.0).kalman_equivalent
+                for row in Y]
+    assert sum(screened) >= 495
+    screened = [assert_bit_equal(problem, row, 20.0).kalman_equivalent
+                for row in Y]
+    assert 0 < sum(screened) < len(Y)
+
+
+def test_secure_fuse_bit_equal_on_every_input_form(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # a 1-D float64 ndarray is used as given and every other form is
+    # converted first; each form must give the reference's bits, on a
+    # screened and an open step, and no result may alias the input
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 500, 0,
+                 0)[-1]
+    row = next(r for r in Y if problem.screen_statistic(r) > 20.0)
+    strided = np.empty(2 * len(row))[::2]
+    strided[:] = row
+    read_only = row.copy()
+    read_only.flags.writeable = False
+    forms = (row.tolist(), row.astype(np.float32), row[None, :], strided,
+             read_only)
+    for form in forms:
+        for gamma, screened in ((1000.0, True), (20.0, False)):
+            got = assert_bit_equal(problem, form, gamma)
+            assert got.kalman_equivalent is screened
+            if isinstance(form, np.ndarray):
+                assert not any(np.shares_memory(a, form) for a in got
+                               if isinstance(a, np.ndarray))
