@@ -322,7 +322,8 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     (lambda - gamma) s_A' S_AA^-1 s_A.  A 1-D float64 ndarray Y is used
     as given, and any other form converted first.  ValueError is raised
     for a complex Y, a non-finite Y (the screen test propagates NaN, so it
-    never passes one) and a gamma that is not finite and positive.
+    never passes one), a finite Y so large that the least-squares products
+    overflow, and a gamma that is not finite and positive.
     """
     if not 0.0 < gamma < math.inf:
         check_gamma(gamma)
@@ -344,9 +345,13 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
                             max(map(abs, problem.Ht.dot(d_ls).tolist())),
                             0, True, x_ls, True)
 
-    if not math.isfinite(statistic) and not np.isfinite(Y).all():
-        i = int(np.isfinite(Y).argmin())
-        raise ValueError(f"non-finite measurement Y[{i}] = {Y[i]}")
+    if not math.isfinite(statistic):
+        if not np.isfinite(Y).all():
+            i = int(np.isfinite(Y).argmin())
+            raise ValueError(f"non-finite measurement Y[{i}] = {Y[i]}")
+        # the homotopy would walk to the breakpoint cap and return NaN
+        raise ValueError(f"the least-squares products overflow on a finite "
+                         f"measurement (max |Y| = {np.abs(Y).max():.3e})")
     H, Minv, wls_op = problem.H, problem.Minv, problem.wls_op
     eps_eff = KKT_TOL * max(1.0, gamma)
     nu, it = _lasso_path(problem.S_pm, Y, d_ls, gamma, history)

@@ -4,18 +4,22 @@ Rolls the plant forward under true-state feedback while three estimators
 read the same measurement stream: the fixed-gain filter, the weighted
 least-squares fusion of the local bank, and the secure (l1-regularized)
 fusion.  No estimate feeds back into the plant, the filter or the bank,
-so a run first computes all of those over the whole horizon as arrays,
-and only the fusion then runs step by step.  Sparse sensor attacks are
+so a run first rolls all of those out over the whole horizon as arrays,
+and only the fusion then runs step by step.  The bank is n scalar filters
+per sensor, so its transition is diagonal and rolls out elementwise.
+The rollout does not depend on the regularization weight gamma, so runs
+that differ only in gamma can share it.  Sparse sensor attacks are
 injected additively on a fixed support.  Sweep helpers aggregate
 per-trial mean squared errors over a grid of regularization weights or
-attack magnitudes and write the results as CSV; every run is
-reproducible from (seed, trial).
+attack magnitudes, rolling out each (trial, attack) once, and write the
+results as CSV; every run is reproducible from (seed, trial).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,24 +177,50 @@ def _recurrence(M, e, s0):
 
     Recursive doubling: after the pass with shift k, s[t] sums M^j e[t - j]
     over j < 2k, so log2(len(e)) array operations replace a loop over time.
+    A 1-D M is the diagonal of a diagonal matrix, and every product is then
+    elementwise.
     """
+    diagonal = M.ndim == 1
     s = e.copy()
-    s[0] += M @ s0
+    s[0] += M * s0 if diagonal else M @ s0
     power, shift = M, 1
     while shift < len(s):
-        s[shift:] += s[:-shift] @ power.T
-        power = power @ power
+        if diagonal:
+            s[shift:] += s[:-shift] * power
+            power = power * power
+        else:
+            s[shift:] += s[:-shift] @ power.T
+            power = power @ power
         shift *= 2
     return s
 
 
+class Rollout(NamedTuple):
+    """The part of a run that does not depend on the secure fusion.
+
+    The run it belongs to is (attack, horizon, seed, trial); the arrays
+    have one row per step, as in SimulationTrace, and Y is the bank's
+    canonical measurement, made real by real_canonical.
+    """
+
+    attack: AttackSpec
+    horizon: int
+    seed: int
+    trial: int
+    x: np.ndarray
+    u: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    xhat_kal: np.ndarray
+    Y: np.ndarray
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _rollout(model, design, decomposition, attack, horizon, seed, trial,
-             x0=None):
-    """Everything in a run that does not depend on the secure fusion:
-    (x, u, z, y, a, xhat_kal, Y) as (horizon, .) arrays, rows as in
-    SimulationTrace.  Y is the bank's canonical measurement, made real by
-    real_canonical.  A non-finite array raises ValueError naming it.
+             x0=None) -> Rollout:
+    """Roll the plant, the fixed-gain filter and the bank out over the
+    whole horizon.  A non-finite array raises ValueError naming it.
     """
     n, m = model.n, model.m
     A, C = model.A, model.C
@@ -215,25 +245,26 @@ def _rollout(model, design, decomposition, attack, horizon, seed, trial,
     KC = design.K @ C
     x_kal = _recurrence(A - KC @ A, y @ design.K.T + u @ (B - KC @ B).T,
                         np.zeros(n))
-    # local bank: zeta_i <- Pi zeta_i + y_i + (G_i - 1 C_i) B u, stacked
+    # local bank: zeta_i <- Pi zeta_i + y_i + (G_i - 1 C_i) B u, stacked;
+    # each sensor's bank is n scalar filters, so the transition is diagonal
     Bu = u @ B.T
     drive = ((Bu @ decomposition.G_stack.T).reshape(horizon, m, n)
              + (y - Bu @ C.T)[:, :, None]).reshape(horizon, m * n)
-    zeta = _recurrence(np.diag(np.tile(decomposition.Pi, m)), drive,
-                       np.zeros(m * n))
+    zeta = _recurrence(np.tile(decomposition.Pi, m), drive, np.zeros(m * n))
     Y = zeta @ decomposition.Ptilde.T
     for name, arr in (("x", x), ("u", u), ("z", z), ("y", y), ("a", a),
                       ("xhat_kal", x_kal), ("canonical measurement", Y)):
         if not np.isfinite(arr).all():
             raise ValueError(f"simulation produced non-finite {name}")
-    return x, u, z, y, a, x_kal, real_canonical(Y)
+    return Rollout(attack, horizon, seed, trial, x, u, z, y, a, x_kal,
+                   real_canonical(Y))
 
 
 def simulate(model: SystemModel, design: SpectralDesign,
              decomposition: SensorDecomposition, attack: AttackSpec,
              gamma: float, horizon: int = DEFAULT_HORIZON, seed: int = 0, *,
-             trial: int = 0, x0=None,
-             problem: FusionProblem | None = None) -> SimulationTrace:
+             trial: int = 0, x0=None, problem: FusionProblem | None = None,
+             rollout: Rollout | None = None) -> SimulationTrace:
     """Run the plant and all three estimators for `horizon` steps.
 
     The input is true-state feedback u(k) = -K_lqr x(k); estimators never
@@ -247,12 +278,27 @@ def simulate(model: SystemModel, design: SpectralDesign,
     non-convergence at a step is recorded in the trace and the run
     continues; a non-finite state, measurement or estimate raises
     ValueError.
+
+    The rollout does not depend on gamma, so runs that differ only in
+    gamma can share one: pass it as `rollout` (as `problem` shares the
+    fusion operators).  It must be the rollout of this (attack, horizon,
+    seed, trial), and it fixes its own initial state, so passing x0 as
+    well raises ValueError, as does a rollout of another run.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     check_gamma(gamma)
-    x, u, z, y, a, x_kal, Y = _rollout(model, design, decomposition, attack,
-                                       horizon, seed, trial, x0)
+    if rollout is None:
+        rollout = _rollout(model, design, decomposition, attack, horizon,
+                           seed, trial, x0)
+    elif x0 is not None:
+        raise ValueError("pass x0 or rollout, not both: the rollout fixes "
+                         "the initial state")
+    elif rollout[:4] != (attack, horizon, seed, trial):
+        raise ValueError(f"rollout of (attack, horizon, seed, trial) = "
+                         f"{rollout[:4]} passed for a run of "
+                         f"{(attack, horizon, seed, trial)}")
+    x, u, z, y, a, x_kal, Y = rollout[4:]
     if problem is None:
         problem = build_fusion_problem(decomposition.H_stack,
                                        decomposition.Mtilde_factor)
@@ -295,7 +341,7 @@ def empirical_equivalence_probability(model: SystemModel,
     fractions = []
     for trial in range(trials):
         Y = _rollout(model, design, decomposition, AttackSpec(), horizon,
-                     seed, trial)[-1][burn_in:]
+                     seed, trial).Y[burn_in:]
         fractions.append(float((problem.screen_statistic(Y) <= gamma).mean()))
     prob = float(np.mean(fractions))
     if trials > 1:
@@ -466,7 +512,9 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     lock).  Within a trial every distinct (attack, gamma) run is simulated
     once: the clean run of a gamma serves every point at that
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
-    it is that clean run too.
+    it is that clean run too.  The rollout does not depend on gamma, so a
+    trial rolls each distinct attack out once and its runs at every gamma
+    share it; a trial holds only its own rollouts.
     """
     for _, _, gamma in points:
         check_gamma(gamma)
@@ -474,15 +522,19 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                                    decomposition.Mtilde_factor)
 
     def run_trial(trial):
-        reports = {}
+        rollouts, reports = {}, {}
 
         def report(attack, gamma):
             if attack.kind == "none" or attack.magnitude == 0.0:
                 attack = AttackSpec()
             if (attack, gamma) not in reports:
+                if attack not in rollouts:
+                    rollouts[attack] = _rollout(model, design, decomposition,
+                                                attack, horizon, seed, trial)
                 reports[attack, gamma] = mse(simulate(
                     model, design, decomposition, attack, gamma, horizon,
-                    seed, trial=trial, problem=problem), burn_in)
+                    seed, trial=trial, problem=problem,
+                    rollout=rollouts[attack]), burn_in)
             return reports[attack, gamma]
 
         out = []

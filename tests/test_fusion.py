@@ -295,6 +295,22 @@ def test_non_finite_measurement_rejected(value, pendulum_model,
             secure_fuse(problem, Y, gamma)
 
 
+def test_overflowing_measurement_rejected(pendulum_model, pendulum_design,
+                                          pendulum_decomposition):
+    # a finite Y whose least-squares products overflow once walked all
+    # MAX_BREAKPOINTS to x_tilde = NaN; it raises, naming the overflow
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 5, 0,
+                 0).Y[4] * 1e306
+    assert np.isfinite(Y).all()
+    for gamma in (5.0, 1e300):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="least-squares products "
+                                                "overflow"):
+            secure_fuse(problem, Y, gamma)
+
+
 def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
     # a complex Y is rejected; the same Y made real by real_canonical must
     # give the answer of the float Y, on a screened and an l1 step

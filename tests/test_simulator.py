@@ -14,6 +14,8 @@ from securekf.simulator import (
     AttackSpec,
     SimulationTrace,
     SweepRow,
+    _recurrence,
+    _rollout,
     attack_sequence,
     default_attack,
     mse,
@@ -230,6 +232,69 @@ def test_simulate_x0_pins_initial_state(pendulum_model, pendulum_design,
     # step 1 applies the transition to x0 before any noise-free check fails
     u0 = -(K @ x0)
     assert np.allclose(tr.u[0], u0)
+
+
+def test_simulate_takes_the_rollout_of_its_own_run(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    att = default_attack()
+    rollout = _rollout(*args, att, 30, 3, 1)
+    shared = simulate(*args, att, 5.0, 30, 3, trial=1, rollout=rollout)
+    own = simulate(*args, att, 5.0, 30, 3, trial=1)
+    for f in ("x", "u", "z", "y", "a", "xhat_kal", "xhat_sec", "xhat_ls",
+              "kkt_residual", "solver_iters"):
+        assert np.array_equal(getattr(shared, f), getattr(own, f)), f
+    for attack, horizon, seed, trial in ((AttackSpec(), 30, 3, 1),
+                                         (att, 31, 3, 1), (att, 30, 4, 1),
+                                         (att, 30, 3, 0)):
+        with pytest.raises(ValueError, match="rollout of"):
+            simulate(*args, attack, 5.0, horizon, seed, trial=trial,
+                     rollout=rollout)
+    with pytest.raises(ValueError, match="x0 or rollout"):
+        simulate(*args, att, 5.0, 30, 3, trial=1, rollout=rollout,
+                 x0=np.zeros(4))
+
+
+def test_diagonal_recurrence_matches_dense_on_pendulum_bank(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # the bank's transition is diagonal; rolled out elementwise it must
+    # agree with the dense matrix form to rounding
+    import securekf.simulator as sim
+
+    recurrence, pairs = sim._recurrence, []
+
+    def both(M, e, s0):
+        s = recurrence(M, e, s0)
+        if M.ndim == 1:
+            pairs.append((s, recurrence(np.diag(M), e, s0)))
+        return s
+
+    monkeypatch.setattr(sim, "_recurrence", both)
+    sim._rollout(pendulum_model, pendulum_design, pendulum_decomposition,
+                 default_attack(), 1000, 0, 0)
+    (diagonal, dense), = pairs
+    assert diagonal.shape == (1000, 16) and np.iscomplexobj(diagonal)
+    assert (np.abs(diagonal - dense).max(axis=0)
+            <= 1e-13 * np.abs(dense).max(axis=0)).all()
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 37])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_diagonal_recurrence_matches_dense(horizon, data, seed):
+    size = data.draw(st.integers(1, 8))
+    modulus = data.draw(hnp.arrays(float, size, elements=st.floats(
+        0.0, 1.0, exclude_max=True)))
+    phase = data.draw(hnp.arrays(float, size, elements=st.floats(
+        -np.pi, np.pi)))
+    pi = modulus * np.exp(1j * phase)
+    rng = np.random.default_rng(seed)
+    e, s0 = (rng.standard_normal((rows, size, 2)) @ [1.0, 1j]
+             for rows in (horizon, 1))
+    diagonal = _recurrence(pi, e, s0[0])
+    dense = _recurrence(np.diag(pi), e, s0[0])
+    assert (np.abs(diagonal - dense).max(axis=0)
+            <= 1e-13 * np.abs(dense).max(axis=0)).all()
 
 
 @pytest.mark.parametrize("attack, gamma, x0, seed", [
@@ -521,6 +586,54 @@ def test_sweep_simulates_each_distinct_run_once(
         assert [row.stderr_secure_no_attack, row.stderr_secure_attack,
                 row.stderr_kalman_no_attack, row.stderr_kalman_attack] == \
             list(data.std(axis=0, ddof=1) / np.sqrt(trials))
+
+
+def test_sweep_gamma_rows_equal_per_gamma_simulate(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # runs at every gamma share one rollout per (trial, attack); each row
+    # must still be the one per-gamma simulate calls give, bit for bit
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    gammas, trials, attack = (1000.0, 5.0, 0.2), 3, default_attack()
+    rows = sweep_gamma(*args, gammas=gammas, attack=attack, trials=trials,
+                       horizon=60, seed=4)
+    for row, gamma in zip(rows, gammas):
+        per_trial = []
+        for trial in range(trials):
+            mc, mh = (mse(simulate(*args, spec, gamma, 60, 4, trial=trial))
+                      for spec in (AttackSpec(), attack))
+            per_trial.append((mc.secure, mh.secure, mc.kalman, mh.kalman))
+        data = np.array(per_trial)
+        want = SweepRow(gamma, *data.mean(axis=0),
+                        *(data.std(axis=0, ddof=1) / np.sqrt(trials)))
+        assert dataclasses.astuple(row) == dataclasses.astuple(want)
+
+
+def test_sweep_rolls_out_each_trial_attack_once(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    import securekf.simulator as sim
+
+    calls = []
+    rollout = sim._rollout
+
+    def counting(model, design, decomposition, attack, horizon, seed, trial,
+                 x0=None):
+        calls.append((trial, attack))
+        return rollout(model, design, decomposition, attack, horizon, seed,
+                       trial, x0)
+
+    monkeypatch.setattr(sim, "_rollout", counting)
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    attack = default_attack()
+    sweep_gamma(*args, gammas=(5.0, 1000.0, 2000.0), attack=attack,
+                trials=2, horizon=60, seed=1)
+    assert sorted(calls, key=repr) == sorted(
+        ((t, spec) for t in range(2) for spec in (AttackSpec(), attack)),
+        key=repr)
+    calls.clear()
+    sweep_attack_magnitude(*args, magnitudes=(0.0, 1.0, 2.0), gamma=5.0,
+                           trials=2, horizon=60, seed=1)
+    assert len(calls) == len(set(calls)) == 6
+    assert {a.magnitude for _, a in calls} == {0.0, 1.0, 2.0}
 
 
 def test_sweep_single_trial_has_zero_stderr(pendulum_model, pendulum_design,
