@@ -1,7 +1,7 @@
 """Compare two source trees on the benchmark in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE \
-        --parent-commit 35b5b23 --pr 11
+        --parent-commit 35b5b23 --pr 11 [--workload sweep-l1 ...]
 
 Each tree is a full checkout of the repository (``git archive`` of a
 commit will do), and each side runs ``perfbench/run.py`` from its own
@@ -9,7 +9,9 @@ tree.  For every workload that ``BENCHMARK.json`` gates, pair k runs seed
 ``first_seed + k`` on both trees, the parent first on even pairs and the
 change first on odd ones, so that a drift in the host's speed during a
 pair does not favour one side.  After the pairs, one ``--trace 1`` run per
-side at the first seed gives the per-layer numbers.
+side at the first seed gives the per-layer numbers.  A run that exits
+non-zero stops the comparison with an error naming the workload, side,
+seed and exit code, followed by the end of the run's stderr.
 
 The result is written to ``BENCH_<pr>.json`` at the root of this tree:
 per workload the medians and quartiles of ``trial_steps_per_s`` on each
@@ -38,15 +40,22 @@ OTHER_METRICS = ("setup_s", "peak_rss_mb", "converged_frac",
 PER_LAYER = ("fusion.fuse_us.p50", "fusion.fuse_us.p90",
              "simulator.simulate_self_s")
 ENV_PREFIX = "# environment: "
+STDERR_TAIL = 20                    # lines of a failed run's stderr shown
 
 
-def bench(tree, workload, seed, seconds, trace):
-    """One run of perfbench/run.py in tree; returns (result, environment)."""
+def bench(tree, side, workload, seed, seconds, trace):
+    """One run of perfbench/run.py in the side's tree; returns (result,
+    environment), or raises RuntimeError if the run exits non-zero."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds),
          "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        raise RuntimeError(f"{workload}: the {side} run (seed {seed}, "
+                           f"--trace {trace}) exited {proc.returncode}; the "
+                           f"end of its stderr:\n{tail}")
     lines = proc.stdout.strip().splitlines()
     env = next(json.loads(ln[len(ENV_PREFIX):]) for ln in lines
                if ln.startswith(ENV_PREFIX))
@@ -73,7 +82,8 @@ def compare(trees, workload, pairs, first_seed, seconds):
                                                              "parent")
         row = {"pair": pair, "seed": seed, "first": order[0]}
         for side in order:
-            result, env = bench(trees[side], workload, seed, seconds, 0)
+            result, env = bench(trees[side], side, workload, seed, seconds,
+                                0)
             results[side].append(result)
             row[side] = round(result["metrics"][METRIC]["value"], 1)
         runs.append(row)
@@ -81,7 +91,7 @@ def compare(trees, workload, pairs, first_seed, seconds):
               f"{row['change']}", file=sys.stderr, flush=True)
     per_layer = {}
     for side, tree in trees.items():
-        traced, _ = bench(tree, workload, first_seed, seconds, 1)
+        traced, _ = bench(tree, side, workload, first_seed, seconds, 1)
         results[side].append(traced)
         per_layer[side] = {k: round(v, 4) for k, v in
                            values(traced, PER_LAYER).items()}
@@ -124,11 +134,21 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--first-seed", type=int, default=41)
+    parser.add_argument("--workload", action="append", dest="workloads",
+                        metavar="NAME",
+                        help="compare only this gated workload; repeat for "
+                             "more (default: every gated workload)")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    gated = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workloads or ()) - set(gated))
+    if unknown:
+        parser.error(f"not a gated workload: {', '.join(unknown)} (gated: "
+                     f"{', '.join(gated)})")
     workloads, env = {}, None
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in (w for w in gated
+                     if not args.workloads or w in args.workloads):
         workloads[workload], env = compare(
             trees, workload, args.pairs, args.first_seed, args.seconds)
     report = {

@@ -44,6 +44,7 @@ from .model import SystemModel
 KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
+SUPPORT_SOLVES = 4096   # signed supports a FusionProblem remembers
 REAL_DUST = 1e-12       # relative imaginary residue of problem data dropped
 MEASUREMENT_DUST = 1e-9  # the same for the bank's canonical measurement
 _FLOAT64 = np.dtype(float)
@@ -146,6 +147,17 @@ class FusionProblem:
     The methods take one measurement Y of length mn, or an (h, mn) block
     with one measurement per row, and answer per row.  S is a view of
     the top half of S_pm = [S; -S], which the homotopy reads.
+
+    The problem also keeps a cache of homotopy support solves
+    (_lasso_path): the Y-independent half of a breakpoint, one entry per
+    signed support.  An entry costs about 1.1 KB plus 16 mn k bytes for
+    its k columns of S_pm, 2.5-3.3 KB on the pendulum (mn = 16) under
+    its default sweeps.  The cache holds at most SUPPORT_SOLVES entries
+    and is emptied when it is full, so on the pendulum it stays under
+    13 MiB.  It lives as long as the problem: every sweep call builds
+    its own, as does simulate unless it is passed one, and
+    dataclasses.replace starts a new, empty cache.  It never changes an
+    answer, only how fast the homotopy reaches it.
     """
 
     H: np.ndarray          # mn x n
@@ -154,6 +166,8 @@ class FusionProblem:
     wls_op: np.ndarray     # x_ls = wls_op @ Y
     S_pm: np.ndarray       # [S; -S], 2mn x mn
     S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
+    _support_solves: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def least_squares(self, Y):
         """(x_ls, mu_ls) minimizing 0.5 mu' Minv mu subject to Y = H x + mu."""
@@ -225,11 +239,38 @@ def _residuals(problem, Y, x, nu, gamma):
     mu = Y - problem.H.dot(x) - nu
     s = problem.Minv.dot(mu)
     deviation = np.abs(s - gamma * np.sign(nu)) - gamma * (nu == 0.0)
-    return mu, max(float(np.abs(problem.Ht.dot(s)).max()),
-                   float(deviation.max()))
+    return mu, max(float(np.maximum.reduce(np.abs(problem.Ht.dot(s)))),
+                   float(np.maximum.reduce(deviation)))
 
 
-def _lasso_path(S_pm, Y, c_ls, gamma, history):
+def _solve_support(S_pm, sign):
+    """The Y-independent half of a homotopy breakpoint on the signed
+    support sign, as read-only (act, cols, rate, tie, w, drops).
+
+    act lists the active coordinates, cols = S_pm[:, act], w solves
+    S_AA w = s_A, and rate = 1 - cols w, with its tie entries
+    (tie = rate <= TIE_RATE, roots that never fire) set to 1.0 so that
+    dividing by it cannot warn.  drops lists the positions q in act where
+    w_q s_q < 0, whose nu_q moves toward zero.
+    """
+    act = sign.nonzero()[0]
+    cols = S_pm.take(act, axis=1)
+    s_act = sign.take(act)
+    S_aa = cols.take(act, axis=0)
+    w, info = _dgesv(S_aa, s_act)[2:]
+    if info > 0:
+        # S_AA singular: a flat direction, any solution will do
+        w = np.linalg.lstsq(S_aa, s_act, rcond=None)[0]
+    rate = 1.0 - cols.dot(w)
+    tie = rate <= TIE_RATE
+    rate[tie] = 1.0
+    for a in (act, cols, rate, tie, w):
+        a.setflags(False)   # write=False, passed by position: 4x faster
+    drops = tuple((w * s_act < 0.0).nonzero()[0].tolist())
+    return act, cols, rate, tie, w, drops
+
+
+def _lasso_path(problem, Y, c_ls, gamma, history):
     """Walk the lasso homotopy of min 0.5 (Y - nu)' S (Y - nu) + lam |nu|_1
     from lam = max |c_ls|, where nu = 0, down to lam = gamma; c_ls = S Y.
 
@@ -244,13 +285,20 @@ def _lasso_path(S_pm, Y, c_ls, gamma, history):
     Returns (nu, segments); history, when a list, receives the objective
     at every breakpoint.
 
-    A breakpoint recomputes c2 = [c; -c] from nu_A (stepping c along would
-    drift) with the columns of S_pm = [S; -S], solves S_AA w_A = s_A and
-    forms the 2mn join times in numpy; a blocked root gets rate -1, so one
-    TIE_RATE test masks it.  The k drop times and the step of nu_A run on
-    Python floats, as k is small and a numpy call costs more than the loop.
+    w_A and the rates depend on the signed support (A, s_A) alone, not on
+    Y, so _solve_support runs once per support and problem's cache keeps
+    its answer under sign.tobytes() (sign holds only +0.0 and +-1.0, so
+    the key is canonical).  A revisited support reuses the arrays its
+    first solve made, which are the bits a fresh solve would make, so the
+    path is the same whether it hits or misses (FusionProblem gives the
+    cache's size and lifetime).  The rest of a breakpoint depends on Y:
+    it recomputes c2 = [c; -c] from nu_A with the columns of
+    S_pm = [S; -S] (stepping c along would drift) and forms the 2mn join
+    times in numpy, masking tie and blocked roots to inf.  The few drop
+    times run on Python floats, as a numpy call costs more than the loop.
     Products use ndarray.dot, which dispatches faster than @: same bits.
     """
+    S_pm, solves = problem.S_pm, problem._support_solves
     mn = len(c_ls)
     # root r < mn is c_r reaching +lam, root mn + j is c_j reaching -lam
     c2_ls = np.concatenate((c_ls, -c_ls))
@@ -260,53 +308,49 @@ def _lasso_path(S_pm, Y, c_ls, gamma, history):
     root = int(c2_ls.argmax())
     lam = float(c2_ls[root])
     held = -1       # own-sign root of the coordinate that dropped last
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(1, MAX_BREAKPOINTS + 1):
-            if root >= 0:
-                j = root % mn
-                sign[j] = 1.0 if root < mn else -1.0
-                blocked[j] = blocked[j + mn] = True
-            act = sign.nonzero()[0]
-            cols = S_pm.take(act, axis=1)
-            s_act, nu_act = sign.take(act), nu.take(act)
-            c2 = c2_ls - cols.dot(nu_act)
-            if history is not None:
-                history.append(float(0.5 * (Y - nu) @ c2[:mn]
-                                     + gamma * np.abs(nu).sum()))
-            S_aa = cols.take(act, axis=0)
-            w, info = _dgesv(S_aa, s_act)[2:]
-            if info > 0:
-                # S_AA singular: a flat direction, any solution will do
-                w = np.linalg.lstsq(S_aa, s_act, rcond=None)[0]
-            rate = 1.0 - cols.dot(w)
-            rate[blocked] = -1.0
-            join = (lam - c2) / rate
-            join[rate <= TIE_RATE] = np.inf
-            root = int(join.argmin())
-            t_join = join.item(root)
-            if t_join <= 0.0:   # a passed root fires at once, the first one
-                root, t_join = int((join <= 0.0).argmax()), 0.0
-            w, nu_act = w.tolist(), nu_act.tolist()
-            t_drop, i = np.inf, 0   # the first active nu_i to reach 0
-            for q, (wq, sq, nq) in enumerate(zip(w, s_act.tolist(), nu_act)):
-                if wq * sq < 0.0 and (d := max(0.0, -nq / wq)) < t_drop:
-                    t_drop, i = d, q
-            t = min(t_join, t_drop, lam - gamma)
-            nu[act] = [nq + t * wq for nq, wq in zip(nu_act, w)]
-            if t >= lam - gamma:
-                return nu, it
-            lam -= t
-            if held >= 0:
-                blocked[held] = False
-                held = -1
-            if t_drop <= t_join:
-                k = int(act[i])
-                held = k if sign[k] > 0.0 else k + mn
-                nu[k] = sign[k] = 0.0
-                # the coordinate sits on its own-sign root at t = 0, so
-                # only that root stays blocked, for one segment
-                blocked[(held + mn) % (2 * mn)] = False
-                root = -1
+    for it in range(1, MAX_BREAKPOINTS + 1):
+        if root >= 0:
+            j = root % mn
+            sign[j] = 1.0 if root < mn else -1.0
+            blocked[j] = blocked[j + mn] = True
+        key = sign.tobytes()
+        solve = solves.get(key)
+        if solve is None:
+            if len(solves) >= SUPPORT_SOLVES:
+                solves.clear()      # costs a hit nothing, unlike an LRU
+            solve = solves[key] = _solve_support(S_pm, sign)
+        act, cols, rate, tie, w, drops = solve
+        nu_act = nu[act]
+        c2 = c2_ls - cols.dot(nu_act)
+        if history is not None:
+            history.append(float(0.5 * (Y - nu) @ c2[:mn]
+                                 + gamma * np.abs(nu).sum()))
+        join = (lam - c2) / rate
+        join[tie | blocked] = np.inf
+        root = int(join.argmin())
+        t_join = join.item(root)
+        if t_join <= 0.0:   # a passed root fires at once, the first one
+            root, t_join = int((join <= 0.0).argmax()), 0.0
+        t_drop, i = np.inf, 0   # the first active nu_i to reach 0
+        for q in drops:
+            if (d := max(0.0, -nu_act.item(q) / w.item(q))) < t_drop:
+                t_drop, i = d, q
+        t = min(t_join, t_drop, lam - gamma)
+        nu[act] = nu_act + t * w
+        if t >= lam - gamma:
+            return nu, it
+        lam -= t
+        if held >= 0:
+            blocked[held] = False
+            held = -1
+        if t_drop <= t_join:
+            k = int(act[i])
+            held = k if sign[k] > 0.0 else k + mn
+            nu[k] = sign[k] = 0.0
+            # the coordinate sits on its own-sign root at t = 0, so
+            # only that root stays blocked, for one segment
+            blocked[(held + mn) % (2 * mn)] = False
+            root = -1
     return nu, MAX_BREAKPOINTS
 
 
@@ -337,7 +381,7 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     x_ls, mu_ls = problem.least_squares(Y)
     d_ls = problem.Minv.dot(mu_ls)
 
-    statistic = np.abs(d_ls).max()
+    statistic = np.maximum.reduce(np.abs(d_ls))
     if statistic <= gamma:
         if history is not None:
             history.append(float(0.5 * mu_ls @ d_ls))
@@ -354,7 +398,7 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
                          f"measurement (max |Y| = {np.abs(Y).max():.3e})")
     H, Minv, wls_op = problem.H, problem.Minv, problem.wls_op
     eps_eff = KKT_TOL * max(1.0, gamma)
-    nu, it = _lasso_path(problem.S_pm, Y, d_ls, gamma, history)
+    nu, it = _lasso_path(problem, Y, d_ls, gamma, history)
     x = wls_op.dot(Y - nu)
     mu, kkt = _residuals(problem, Y, x, nu, gamma)
     if kkt > eps_eff:

@@ -1,0 +1,169 @@
+"""scripts/bench_pairs.py with its benchmark runs stubbed out.
+
+The script compares two source trees in alternating pairs of
+perfbench/run.py runs; these tests replace the runs by canned results, so
+they check the order of the runs, the pair counts, the gain rule, the
+workload filter and the error a failed run raises, without running the
+benchmark.
+"""
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / \
+    "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+TREES = {"parent": pathlib.Path("parent-tree"),
+         "change": pathlib.Path("change-tree")}
+ENV = {"nproc": 2, "platform": "test-host"}
+
+
+def canned(rate):
+    keys = (bench_pairs.METRIC, *bench_pairs.OTHER_METRICS,
+            *bench_pairs.PER_LAYER)
+    return {"metrics": {k: {"value": rate if k == bench_pairs.METRIC
+                            else 1.0} for k in keys},
+            "correct": True}
+
+
+def stub_bench(monkeypatch, rates):
+    """Replace bench by a lookup of rates[side][seed - 41]; returns the
+    list of (side, workload, seed, trace) calls it received."""
+    calls = []
+
+    def bench(tree, side, workload, seed, seconds, trace):
+        assert tree == TREES[side]
+        calls.append((side, workload, seed, trace))
+        return canned(rates[side][seed - 41]), ENV
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    return calls
+
+
+def compare(pairs):
+    return bench_pairs.compare(TREES, "sweep-l1", pairs, 41, 1.0)[0]
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch):
+    calls = stub_bench(monkeypatch, {"parent": [1.0] * 4,
+                                     "change": [2.0] * 4})
+    out = compare(4)
+    assert [(side, seed, trace) for side, _, seed, trace in calls] == [
+        ("parent", 41, 0), ("change", 41, 0),
+        ("change", 42, 0), ("parent", 42, 0),
+        ("parent", 43, 0), ("change", 43, 0),
+        ("change", 44, 0), ("parent", 44, 0),
+        ("parent", 41, 1), ("change", 41, 1)]
+    assert [r["first"] for r in out["runs"]] == ["parent", "change"] * 2
+
+
+def test_pairs_won_by_change_counts_strict_wins(monkeypatch):
+    # pair 0 a win, pair 1 a tie, pair 2 a loss, pair 3 a win
+    stub_bench(monkeypatch, {"parent": [1.0, 2.0, 3.0, 4.0],
+                             "change": [1.5, 2.0, 2.5, 4.5]})
+    out = compare(4)
+    assert out["pairs_won_by_change"] == 2
+    assert [(r["parent"], r["change"]) for r in out["runs"]] == [
+        (1.0, 1.5), (2.0, 2.0), (3.0, 2.5), (4.0, 4.5)]
+
+
+PARENT = [100.0, 102.0, 104.0, 106.0, 108.0, 110.0, 112.0, 114.0, 116.0,
+          118.0]    # median 109, quartiles 104.5 and 113.5: IQR 9
+
+
+def test_gain_rule_met_when_the_median_gap_beats_the_parent_iqr(monkeypatch):
+    stub_bench(monkeypatch, {"parent": PARENT,
+                             "change": [p + 9.5 for p in PARENT]})
+    out = compare(10)
+    assert out["parent"] == {"median": 109.0, "q1": 104.5, "q3": 113.5}
+    assert out["pairs_won_by_change"] == 10
+    assert out["gain_rule_met"] is True
+
+
+def test_gain_rule_not_met_when_the_gap_is_within_the_parent_iqr(
+        monkeypatch):
+    stub_bench(monkeypatch, {"parent": PARENT,
+                             "change": [p + 8.5 for p in PARENT]})
+    out = compare(10)
+    assert out["pairs_won_by_change"] == 10
+    assert out["gain_rule_met"] is False
+
+
+def test_gain_rule_not_met_on_fewer_than_nine_tenths_of_the_pairs(
+        monkeypatch):
+    # a large median gap, but two of ten pairs lost
+    change = [p + 50.0 for p in PARENT]
+    change[0] = change[1] = 0.0
+    stub_bench(monkeypatch, {"parent": PARENT, "change": change})
+    out = compare(10)
+    assert out["pairs_won_by_change"] == 8
+    assert out["change"]["median"] - out["parent"]["median"] > 9.0
+    assert out["gain_rule_met"] is False
+
+
+def test_failed_run_names_workload_side_seed_and_exit_code(monkeypatch):
+    stderr = "".join(f"line {k}\n" for k in range(50)) + "MemoryError\n"
+
+    def run(args, **kwargs):
+        return subprocess.CompletedProcess(args, 3, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    with pytest.raises(RuntimeError) as err:
+        bench_pairs.bench(TREES["change"], "change", "sweep-l1", 43, 1.0, 0)
+    message = str(err.value)
+    first_line = message.splitlines()[0]
+    for part in ("sweep-l1", "change", "seed 43", "exited 3"):
+        assert part in first_line
+    tail = message.splitlines()[1:]
+    assert len(tail) == bench_pairs.STDERR_TAIL
+    assert tail[-1] == "MemoryError" and "line 0" not in tail
+
+
+GATED = ["sweep-l1", "sweep-screened", "cli-trace"]
+
+
+def write_spec(tree):
+    tree.mkdir()
+    (tree / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": n} for n in GATED]}))
+
+
+def main_argv(tmp_path, selected):
+    return (["--parent", str(tmp_path), "--change", str(tmp_path / "change"),
+             "--parent-commit", "abc", "--pr", "1"]
+            + [a for name in selected for a in ("--workload", name)])
+
+
+@pytest.mark.parametrize("selected, expected", [
+    ([], GATED),
+    (["cli-trace", "sweep-l1"], ["sweep-l1", "cli-trace"]),
+])
+def test_workload_filter(monkeypatch, tmp_path, selected, expected):
+    write_spec(tmp_path / "change")
+    compared = []
+
+    def compare_stub(trees, workload, pairs, first_seed, seconds):
+        compared.append(workload)
+        return {}, ENV
+
+    monkeypatch.setattr(bench_pairs, "compare", compare_stub)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main(main_argv(tmp_path, selected)) == 0
+    assert compared == expected
+    report = json.loads((tmp_path / "BENCH_1.json").read_text())
+    assert list(report["workloads"]) == expected
+
+
+def test_workload_filter_rejects_an_ungated_name(monkeypatch, tmp_path):
+    write_spec(tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(main_argv(tmp_path, ["attack-stress"]))
+    assert not (tmp_path / "BENCH_1.json").exists()

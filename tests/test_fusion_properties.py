@@ -8,13 +8,16 @@ its bits.  Instances are drawn from a hypothesis-chosen seed and shape, so
 every failing example replays from its seed.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from securekf import build_fusion_problem, secure_fuse
+from securekf import build_fusion_problem, fusion, secure_fuse
 from securekf.fusion import FusionResult
 from securekf.simulator import AttackSpec, _rollout
 
@@ -301,3 +304,116 @@ def test_secure_fuse_bit_equal_on_every_input_form(
             if isinstance(form, np.ndarray):
                 assert not any(np.shares_memory(a, form) for a in got
                                if isinstance(a, np.ndarray))
+
+
+def result_bytes(res):
+    return tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in res)
+
+
+def attacked_pendulum_problem_and_rows(model, design, dec):
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    attack = AttackSpec(support=(3,), kind="constant", magnitude=10.0)
+    return problem, _rollout(model, design, dec, attack, 200, 0, 0)[-1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       m_sensors=st.integers(2, 5), coverage=st.booleans(),
+       log_gamma=st.floats(float(np.log(0.05)), float(np.log(5.0))),
+       data=st.data())
+def test_warm_support_cache_bit_equal_to_reference(seed, n, m_sensors,
+                                                   coverage, log_gamma,
+                                                   data):
+    # rows that spike the same coordinates revisit the same signed
+    # supports; one problem solves them in a drawn order, each row on a
+    # cache the others warmed, then all of them again on a full cache
+    rng = np.random.default_rng(seed)
+    if coverage:
+        H = np.vstack([np.eye(n)] * m_sensors) * (
+            rng.random((m_sensors * n, 1)) < 0.6)
+        assume(np.linalg.matrix_rank(H) == n)
+    else:
+        H = rng.standard_normal((m_sensors * n, n))
+    mn = H.shape[0]
+    A = rng.standard_normal((mn, mn))
+    M = A @ A.T / mn + 0.3 * np.eye(mn)
+    hit = rng.random(mn) < 0.3
+    direction = rng.choice([-1.0, 1.0], mn)
+    rows = []
+    for _ in range(8):
+        Y = H @ rng.standard_normal(n) + 0.5 * rng.standard_normal(mn)
+        Y[hit] += direction[hit] * 10.0 ** rng.uniform(0.0, 3.0, hit.sum())
+        rows.append(Y)
+    order = data.draw(st.permutations(range(len(rows))))
+    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    gamma = float(np.exp(log_gamma))
+    for _ in range(2):
+        for r in order:
+            assert_bit_equal(problem, rows[r], gamma)
+
+
+def test_capped_support_cache_stays_bit_equal_and_bounded(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # a cap of 3 empties the cache many times within one solve; every
+    # answer must stay the reference's and no insert may pass the cap
+    cap = 3
+    monkeypatch.setattr(fusion, "SUPPORT_SOLVES", cap)
+    sizes = []
+
+    class Watched(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    problem, Y = attacked_pendulum_problem_and_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    object.__setattr__(problem, "_support_solves", Watched())
+    for row in Y:
+        assert_bit_equal(problem, row, 5.0)
+    assert max(sizes) == cap
+    assert sizes.count(1) > 10          # emptied when full, many times
+
+
+def test_replace_starts_an_empty_support_cache(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    problem, Y = attacked_pendulum_problem_and_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    for row in Y[:20]:
+        secure_fuse(problem, row, 5.0)
+    warm = dict(problem._support_solves)
+    assert warm
+    copy = dataclasses.replace(problem, S_pm=problem.S_pm, S=problem.S)
+    assert copy._support_solves == {}
+    assert copy._support_solves is not problem._support_solves
+    assert problem._support_solves == warm
+
+
+def test_support_cache_arrays_are_read_only(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    problem, Y = attacked_pendulum_problem_and_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    for row in Y:
+        secure_fuse(problem, row, 5.0)
+    entries = list(problem._support_solves.values())
+    assert len(entries) > 10
+    for entry in entries:
+        arrays = [a for a in entry if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5
+        for a in arrays:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            arrays[0][...] = 0
+
+
+def test_support_cache_order_does_not_change_answers(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # two fresh problems, one solving the rows forward and one in reverse,
+    # fill their caches in opposite orders and must answer bit for bit alike
+    forward, Y = attacked_pendulum_problem_and_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    backward = dataclasses.replace(forward)
+    ahead = [result_bytes(secure_fuse(forward, row, 5.0)) for row in Y]
+    behind = [result_bytes(secure_fuse(backward, row, 5.0))
+              for row in Y[::-1]]
+    assert ahead == behind[::-1]
+    assert not all(r[5] for r in ahead)    # some steps walked the homotopy
