@@ -19,7 +19,9 @@ side, every pair's values, the pairs the change won, the medians of the
 other end-to-end metrics, whether every run passed its output checks, and
 whether the gain rule holds: the change wins at least nine tenths of the
 pairs and its median beats the parent's by more than the parent's
-interquartile range.
+interquartile range.  Every ``end_to_end`` metric of ``BENCHMARK.json``
+also gets a verdict (see ``verdict``) against its ``bound``, a share of
+the parent's median in the metric's ``better`` direction.
 """
 
 from __future__ import annotations
@@ -72,8 +74,33 @@ def summary(samples):
             "q1": round(float(q1), 1), "q3": round(float(q3), 1)}
 
 
-def compare(trees, workload, pairs, first_seed, seconds):
-    """Alternating pairs and one traced run per side for one workload."""
+def verdict(entry, parent, change):
+    """One end_to_end entry of BENCHMARK.json judged on the pairs' values.
+
+    "unresolved" when the parent's interquartile range exceeds the bound
+    (bound times |parent median|) and not every change run beats every
+    parent run; otherwise "worse" when the change's median falls behind the
+    parent's by more than the bound, and "ok" when it does not.
+    """
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, q3 = np.percentile(parent, [25, 75])
+    allowed = entry["bound"] * abs(p_med)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > allowed and not beats_all:
+        outcome = "unresolved"
+    elif sign * (c_med - p_med) < -allowed:
+        outcome = "worse"
+    else:
+        outcome = "ok"
+    return {"verdict": outcome, "parent_median": p_med,
+            "change_median": c_med, "parent_iqr": float(q3 - q1),
+            "allowed": allowed}
+
+
+def compare(trees, workload, pairs, first_seed, seconds, end_to_end):
+    """Alternating pairs and one traced run per side for one workload;
+    end_to_end lists BENCHMARK.json's end-to-end entries to judge."""
     runs, results = [], {side: [] for side in trees}
     env = None
     for pair in range(pairs):
@@ -101,6 +128,10 @@ def compare(trees, workload, pairs, first_seed, seconds):
     sides = {side: summary(s) for side, s in (("parent", parent),
                                               ("change", change))}
     iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+
+    def paired(side, name):
+        return [r["metrics"][name]["value"] for r in results[side][:pairs]]
+
     out = {
         "metric": f"{METRIC} (reference-scaled, 1/s)",
         "pairs": pairs,
@@ -112,10 +143,12 @@ def compare(trees, workload, pairs, first_seed, seconds):
                           - sides["parent"]["median"] > iqr),
         "runs": runs,
         "other_end_to_end_medians": {
-            side: {k: statistics.median(r["metrics"][k]["value"]
-                                        for r in results[side][:pairs])
+            side: {k: statistics.median(paired(side, k))
                    for k in OTHER_METRICS}
             for side in trees},
+        "verdicts": {e["name"]: verdict(e, paired("parent", e["name"]),
+                                        paired("change", e["name"]))
+                     for e in end_to_end},
         "all_correct": all(r["correct"] for side in trees
                            for r in results[side]),
         "per_layer_trace1": per_layer,
@@ -150,7 +183,8 @@ def main(argv=None):
     for workload in (w for w in gated
                      if not args.workloads or w in args.workloads):
         workloads[workload], env = compare(
-            trees, workload, args.pairs, args.first_seed, args.seconds)
+            trees, workload, args.pairs, args.first_seed, args.seconds,
+            spec["end_to_end"])
     report = {
         "benchmark": f"python3 perfbench/run.py --workload <w> --seed "
                      f"<pair + {args.first_seed}> --seconds {args.seconds:g} "

@@ -2,7 +2,7 @@
 
 One binary with subcommands.  `analyze` and `certify` inspect a model's
 sensor redundancy, `design` persists the filter design plus sensor
-decomposition to a JSON file (version 2), and `simulate` / `sweep-gamma` /
+decomposition to a JSON file (version 3), and `simulate` / `sweep-gamma` /
 `sweep-attack` run the closed-loop experiments and write CSV.
 
 Exit codes: 0 success (solver non-convergence still exits 0 and is
@@ -43,7 +43,7 @@ _ASSUMPTION_PREFIXES = ("Assumption 1 violated",
                         "Theorem 2 precondition violated")
 
 DESIGN_FORMAT = "securekf-design"
-DESIGN_VERSION = 2
+DESIGN_VERSION = 3
 
 
 class DesignFormatError(ValueError):
@@ -59,7 +59,7 @@ _SECTIONS = {
     "decomposition": (SensorDecomposition, ("Mtilde_factor",)),
 }
 # 1-D array fields, stored as one-row matrices
-_VECTORS = ("charpoly", "Pi")
+_VECTORS = ("charpoly", "Pi", "bank_input")
 
 
 def _matrix_to_json(M):
@@ -117,7 +117,8 @@ def _encode_section(section, obj) -> dict:
 def _decode_section(data, section, model) -> dict:
     n, m, mn = model.n, model.m, model.m * model.n
     shapes = {"P": (n, n), "P_plus": (n, n), "K": (n, m), "V": (n, n),
-              "charpoly": (1, n + 1), "Pi": (1, n), "G_stack": (mn, n),
+              "charpoly": (1, n + 1), "Pi": (1, n), "bank": (n, n),
+              "bank_input": (1, n), "G_stack": (mn, n),
               "H_stack": (mn, n), "Ptilde": (mn, mn), "Mtilde": (mn, mn)}
     fields = _section_fields(section)
     _require_keys(data, [f.name for f in fields], section)
@@ -139,16 +140,18 @@ def design_to_dict(model: SystemModel, design: SpectralDesign,
                    decomposition: SensorDecomposition) -> dict:
     """The design file as a JSON-ready dict.
 
-    Keys in order: "format" ("securekf-design"), "version" (2), then the
+    Keys in order: "format" ("securekf-design"), "version" (3), then the
     sections "model", "design" and "decomposition", holding the fields of
     SystemModel, SpectralDesign and SensorDecomposition in declaration
     order.  Not stored: sensor_labels, an absent B or K_lqr, and
     Mtilde_factor, which loading recomputes from Mtilde and ridge_delta.
     Arrays are tagged row-major matrices, {"real": rows of numbers} or
-    {"complex": rows of [re, im] number pairs}; the vectors charpoly and Pi
-    are one-row matrices, and the float fields riccati_residual and
-    ridge_delta are JSON numbers.  Version 1 files, which also held G, H,
-    P, F, F_row, Qtilde, Wtilde and assumption1_ok, are refused.
+    {"complex": rows of [re, im] number pairs}, which only the design's V
+    and Pi use; the vectors charpoly, Pi and bank_input are one-row
+    matrices, and the float fields riccati_residual and ridge_delta are
+    JSON numbers.  Versions 1 and 2 are refused: version 2 held the
+    decomposition in complex mode coordinates, with Pi for the bank, and
+    version 1 also G, H, P, F, F_row, Qtilde, Wtilde and assumption1_ok.
     """
     return {
         "format": DESIGN_FORMAT,
@@ -268,6 +271,15 @@ def _parse_grid(text, what):
     return values
 
 
+def _check_burn_in(args) -> None:
+    """Refuse a --burn-in that leaves no step of the run to average."""
+    if args.burn_in < 0:
+        raise ValueError(f"--burn-in must be nonnegative, got {args.burn_in}")
+    if args.burn_in > args.horizon:
+        raise ValueError(f"horizon {args.horizon} leaves no samples at or "
+                         f"after burn-in {args.burn_in}")
+
+
 def _emit_csv(text, out_path) -> None:
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
@@ -337,6 +349,7 @@ def cmd_simulate(args) -> int:
     model = _load_valid_model(args.model)
     design, decomposition = _get_design(args, model)
     attack = _build_attack(args, model.m)
+    _check_burn_in(args)
     trace = simulate(model, design, decomposition, attack, args.gamma,
                      args.horizon, args.seed)
     _emit_csv(trace_csv(trace), args.out)
@@ -361,6 +374,7 @@ def cmd_sweep_gamma(args) -> int:
         raise ValueError("sweep-gamma needs an attack; pick --attack-kind "
                          "constant, uniform, or ramp")
     gammas = _parse_grid(args.gammas, "gammas")
+    _check_burn_in(args)
     rows = sweep_gamma(model, design, decomposition, gammas=gammas,
                        attack=attack, trials=args.trials,
                        horizon=args.horizon, seed=args.seed,
@@ -380,6 +394,7 @@ def cmd_sweep_attack(args) -> int:
         raise ValueError("sweep-attack needs an attack; pick --attack-kind "
                          "constant, uniform, or ramp")
     magnitudes = _parse_grid(args.magnitudes, "magnitudes")
+    _check_burn_in(args)
     rows = sweep_attack_magnitude(model, design, decomposition,
                                   magnitudes=magnitudes, gamma=args.gamma,
                                   attack=attack, trials=args.trials,
@@ -431,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Model files are JSON objects with keys A, C, Q, R, Sigma "
                "and optional B, K_lqr, sensor_labels; matrices are "
                "row-major nested arrays.  Design files are written by the "
-               "design subcommand (v2, complex entries as [re, im] pairs).  "
+               "design subcommand (v3; complex V and Pi as [re, im] pairs).  "
                "Trace CSV columns: k, x_*, u_*, y_*, a_*, xhat_kal_*, "
                "xhat_sec_*, xhat_ls_*, solver_iters, kkt_residual, "
                "solver_warn.  Sweep CSV columns: sweep_value, "

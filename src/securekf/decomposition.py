@@ -12,9 +12,12 @@ The fusion weights F_i = V diag(V^-1 K_i) and the unprojected Qtilde,
 Wtilde are not stored; ``fusion_weights`` and ``residual_covariances``
 compute them on demand.
 
-All constructions run in complex arithmetic even for real spectra; the
-conjugate-pair bookkeeping is checked at the points where a quantity must
-come out real, instead of branching into a real-only code path.
+The gains, projectors and covariances are built mode by mode in complex
+arithmetic.  build_decomposition then realifies what the estimator reads,
+once, with the unitary T of realification_map: the bank becomes the real
+Jordan form T diag(Pi) T^H (Horn & Johnson, Matrix Analysis, 3.4), and
+G_i, P_i and Mtilde become real after a check that their imaginary parts
+are rounding.
 """
 
 from __future__ import annotations
@@ -41,15 +44,17 @@ logger = logging.getLogger(__name__)
 class SensorDecomposition:
     """What the estimator reads of one filter design's decomposition.
 
-    Pi carries the local filter modes so the estimator bank can run from
-    the decomposition alone.  G_stack and H_stack stack the per-sensor
-    G_i and H_i (sensor i owns rows i*n .. (i+1)*n - 1); Ptilde is the
-    block diagonal of the P_i.  Mtilde is the Hermitian residual
-    covariance before any ridge; Mtilde_factor is a Cholesky factorization
-    of Mtilde + ridge_delta * I ready for repeated solves.
+    Every array is real, in the coordinates realification_map's T gives
+    each sensor's modes.  bank = T diag(Pi) T^H (the real Jordan form of
+    the filter modes) and bank_input = T 1 drive each sensor's bank.
+    G_stack and H_stack stack the per-sensor T G_i and H_i (sensor i owns
+    rows i*n .. (i+1)*n - 1); Ptilde is the block diagonal of the P_i T^H.
+    Mtilde is the residual covariance before any ridge; Mtilde_factor is
+    a Cholesky factorization of Mtilde + ridge_delta * I.
     """
 
-    Pi: np.ndarray
+    bank: np.ndarray
+    bank_input: np.ndarray
     G_stack: np.ndarray
     H_stack: np.ndarray
     Ptilde: np.ndarray
@@ -335,10 +340,25 @@ def build_decomposition(model: SystemModel,
         P_list.append(P_i)
 
     Ptilde = scipy.linalg.block_diag(*P_list)
-    _, _, Mtilde, factor, delta = residual_covariances(
+    _, _, Mtilde, _, delta = residual_covariances(
         model, design, G_list, Ptilde)
-
+    T = realification_map(pair)
+    T_b = np.kron(np.eye(m), T)
+    Mtilde = _real(Mtilde, "Mtilde")
     return SensorDecomposition(
-        Pi=np.asarray(design.Pi, dtype=complex).copy(),
-        G_stack=np.vstack(G_list), H_stack=np.vstack(H_list),
-        Ptilde=Ptilde, Mtilde=Mtilde, Mtilde_factor=factor, ridge_delta=delta)
+        bank=_real((T * design.Pi) @ T.conj().T, "bank"),
+        bank_input=_real(T.sum(axis=1), "bank_input"),
+        G_stack=_real(T_b @ np.vstack(G_list), "T_b G"),
+        H_stack=np.vstack(H_list),
+        Ptilde=_real(Ptilde @ T_b.conj().T, "Ptilde T_b^H"),
+        Mtilde=Mtilde, Mtilde_factor=factor_mtilde(Mtilde, delta),
+        ridge_delta=delta)
+
+
+def _real(a, what):
+    """a.real, once a.imag is checked to be rounding (CANONICAL_RTOL)."""
+    residue = float(np.abs(a.imag).max(initial=0.0))
+    assert residue <= CANONICAL_RTOL * float(np.abs(a).max(initial=0.0)), \
+        f"{what} is not real in realified coordinates (imaginary residue " \
+        f"{residue:.3e})"
+    return a.real.copy()

@@ -19,13 +19,12 @@ lasso homotopy (Osborne, Presnell & Turlach 2000; the LARS-lasso path of
 Efron et al. 2004) follows nu(lambda) from lambda = max |Minv mu_ls| down
 to gamma, and ends after finitely many breakpoints on the exact support.
 
-Everything here runs in real arithmetic.  The canonical projectors realify
-conjugate pairs, so on designs built by this package H, Mtilde and Y are
-real up to rounding: build_fusion_problem drops that rounding once, and
-real_canonical drops it from the bank's measurement.  FusionProblem owns
-the operators every step shares (least squares, the threshold statistic,
-the objective); complex problem data are rejected when the problem is
-built.
+Everything here runs in real arithmetic: the decomposition is realified
+once, when it is built, so the bank, its canonical measurement Y, H and
+Mtilde are real arrays.  FusionProblem owns the operators every step
+shares (least squares, the threshold statistic, the objective); complex
+problem data are rejected when the problem is built, and a complex Y when
+it is fused.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
 SUPPORT_SOLVES = 4096   # signed supports a FusionProblem remembers
-REAL_DUST = 1e-12       # relative imaginary residue of problem data dropped
-MEASUREMENT_DUST = 1e-9  # the same for the bank's canonical measurement
 _FLOAT64 = np.dtype(float)
 
 
@@ -84,8 +81,7 @@ class FusionResult(NamedTuple):
 
 def initial_bank(model: SystemModel) -> LocalBankState:
     """All-zero bank, matching a zero prior state estimate."""
-    return LocalBankState(
-        zeta=[np.zeros(model.n, dtype=complex) for _ in range(model.m)], k=0)
+    return LocalBankState([np.zeros(model.n) for _ in range(model.m)])
 
 
 def local_estimator_step(bank: LocalBankState, y, u,
@@ -93,7 +89,8 @@ def local_estimator_step(bank: LocalBankState, y, u,
                          model: SystemModel) -> LocalBankState:
     """Advance every sensor's filter bank by one measurement.
 
-    zeta_i(k+1) = Pi zeta_i(k) + 1 y_i(k+1) + (G_i - 1 C_i) B u(k); the
+    zeta_i(k+1) = bank zeta_i(k) + b y_i(k+1) + (G_i - b C_i) B u(k), with
+    bank, b = bank_input and G_i read off the (real) decomposition; the
     input term keeps the residual zeta_i - G_i x driven by noise and
     attack only, independent of the control signal.
     """
@@ -105,39 +102,21 @@ def local_estimator_step(bank: LocalBankState, y, u,
     B = model.input_matrix()
     if u.shape[0] != B.shape[1]:
         raise ValueError(f"input has length {u.shape[0]}, expected {B.shape[1]}")
-    z = np.asarray(bank.zeta, dtype=complex)
+    z = np.asarray(bank.zeta, dtype=float)
     if z.shape != (m, n):
         raise ValueError(f"bank holds states of shape {z.shape}, expected {(m, n)}")
     Bu = B @ u
-    drive = (decomposition.G_stack @ Bu).reshape(m, n) - (model.C @ Bu)[:, None]
-    z_next = decomposition.Pi[None, :] * z + y[:, None] + drive
+    drive = ((decomposition.G_stack @ Bu).reshape(m, n)
+             + (y - model.C @ Bu)[:, None] * decomposition.bank_input)
+    z_next = z @ decomposition.bank.T + drive
     return LocalBankState(zeta=list(z_next), k=bank.k + 1)
-
-
-def real_canonical(Y) -> np.ndarray:
-    """Canonical coordinates as real numbers, for one Y or a block of rows.
-
-    The canonical projectors realify conjugate pairs, so every row must be
-    real to MEASUREMENT_DUST relative to its largest real entry, or
-    ValueError is raised; what is left of the imaginary part is rounding
-    and is dropped.
-    """
-    Y = np.asarray(Y)
-    if not np.iscomplexobj(Y):
-        return Y.astype(float)
-    dust = np.abs(Y.imag).max(axis=-1)
-    scale = np.maximum(np.abs(Y.real).max(axis=-1), 1e-300)
-    if not (dust <= MEASUREMENT_DUST * scale).all():
-        raise ValueError(
-            f"complex canonical measurement (imag {dust.max():.3e})")
-    return Y.real.copy()
 
 
 def assemble_canonical_measurement(bank: LocalBankState,
                                    decomposition: SensorDecomposition) -> np.ndarray:
-    """Stack P_i zeta_i over sensors into the fused measurement Y (real)."""
-    return real_canonical(decomposition.Ptilde @ np.concatenate(
-        [np.asarray(z, dtype=complex).reshape(-1) for z in bank.zeta]))
+    """Stack P_i zeta_i over sensors into the fused measurement Y."""
+    return decomposition.Ptilde @ np.concatenate(
+        [np.asarray(z, dtype=float).reshape(-1) for z in bank.zeta])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,31 +165,23 @@ class FusionProblem:
                 + gamma * np.abs(nu).sum(axis=-1))
 
 
-def _real_part(a, what):
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        dust = (float(np.abs(a.imag).max(initial=0.0))
-                / max(float(np.abs(a.real).max(initial=0.0)), 1e-300))
-        if dust > REAL_DUST:
-            raise ValueError(
-                f"{what} is complex (relative imaginary part {dust:.1e}); the "
-                f"fusion solves real problems only: map complex canonical "
-                f"coordinates to real ones (decomposition.realification_map) "
-                f"before building the problem")
-    return np.array(a.real, dtype=float)
-
-
 def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
     """Form the normal equations once, for every time step to share.
 
     Mtilde_factor is a scipy.linalg.cho_factor of the residual covariance.
-    On any design built by this package H and Mtilde are real up to
-    rounding, which is dropped; genuinely complex data raise ValueError,
-    and so does a state that H leaves unobservable.
+    Every design built by this package has a real H and Mtilde; complex
+    data raise ValueError, and so does a state that H leaves unobservable.
     """
-    H = _real_part(H_stack, "H")
-    Minv = _real_part(scipy.linalg.cho_solve(
-        Mtilde_factor, np.eye(H.shape[0]), check_finite=False), "Mtilde")
+    for what, a in (("H", H_stack), ("Mtilde", Mtilde_factor[0])):
+        if np.iscomplexobj(a):
+            raise ValueError(
+                f"{what} is complex; the fusion solves real problems only: "
+                f"map complex canonical coordinates to real ones "
+                f"(decomposition.realification_map) before building the "
+                f"problem")
+    H = np.array(H_stack, dtype=float)
+    Minv = scipy.linalg.cho_solve(Mtilde_factor, np.eye(H.shape[0]),
+                                  check_finite=False)
     Minv = 0.5 * (Minv + Minv.T)
     MiH = Minv @ H
     normal = H.T @ MiH
@@ -374,9 +345,8 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     if type(Y) is not np.ndarray or Y.dtype != _FLOAT64 or Y.ndim != 1:
         Y = np.asarray(Y)
         if Y.dtype.kind == "c":
-            raise ValueError("secure_fuse takes a real measurement; pass "
-                             "complex canonical coordinates through "
-                             "real_canonical")
+            raise ValueError("secure_fuse takes a real measurement, got a "
+                             "complex one")
         Y = Y.astype(float, copy=False).reshape(-1)
     x_ls, mu_ls = problem.least_squares(Y)
     d_ls = problem.Minv.dot(mu_ls)

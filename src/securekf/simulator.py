@@ -5,8 +5,9 @@ read the same measurement stream: the fixed-gain filter, the weighted
 least-squares fusion of the local bank, and the secure (l1-regularized)
 fusion.  No estimate feeds back into the plant, the filter or the bank,
 so a run first rolls all of those out over the whole horizon as arrays,
-and only the fusion then runs step by step.  The bank is n scalar filters
-per sensor, so its transition is diagonal and rolls out elementwise.
+and only the fusion then runs step by step.  In the decomposition's real
+coordinates each sensor's bank is one real n x n transition, so the
+plant, the filter and the bank roll out through the same recurrence.
 The rollout does not depend on the regularization weight gamma, so runs
 that differ only in gamma can share it.  Sparse sensor attacks are
 injected additively on a fixed support.  Sweep helpers aggregate
@@ -25,7 +26,7 @@ import numpy as np
 
 from .decomposition import SensorDecomposition
 from .fusion import (FusionProblem, build_fusion_problem, check_gamma,
-                     real_canonical, secure_fuse)
+                     secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
@@ -177,20 +178,13 @@ def _recurrence(M, e, s0):
 
     Recursive doubling: after the pass with shift k, s[t] sums M^j e[t - j]
     over j < 2k, so log2(len(e)) array operations replace a loop over time.
-    A 1-D M is the diagonal of a diagonal matrix, and every product is then
-    elementwise.
     """
-    diagonal = M.ndim == 1
     s = e.copy()
-    s[0] += M * s0 if diagonal else M @ s0
+    s[0] += M @ s0
     power, shift = M, 1
     while shift < len(s):
-        if diagonal:
-            s[shift:] += s[:-shift] * power
-            power = power * power
-        else:
-            s[shift:] += s[:-shift] @ power.T
-            power = power @ power
+        s[shift:] += s[:-shift] @ power.T
+        power = power @ power
         shift *= 2
     return s
 
@@ -200,7 +194,7 @@ class Rollout(NamedTuple):
 
     The run it belongs to is (attack, horizon, seed, trial); the arrays
     have one row per step, as in SimulationTrace, and Y is the bank's
-    canonical measurement, made real by real_canonical.
+    canonical measurement.  Every array is real.
     """
 
     attack: AttackSpec
@@ -245,19 +239,20 @@ def _rollout(model, design, decomposition, attack, horizon, seed, trial,
     KC = design.K @ C
     x_kal = _recurrence(A - KC @ A, y @ design.K.T + u @ (B - KC @ B).T,
                         np.zeros(n))
-    # local bank: zeta_i <- Pi zeta_i + y_i + (G_i - 1 C_i) B u, stacked;
-    # each sensor's bank is n scalar filters, so the transition is diagonal
+    # local bank: zeta_i <- bank zeta_i + b y_i + (G_i - b C_i) B u, with
+    # b = bank_input, every sensor at once: the transition is block diagonal
     Bu = u @ B.T
     drive = ((Bu @ decomposition.G_stack.T).reshape(horizon, m, n)
-             + (y - Bu @ C.T)[:, :, None]).reshape(horizon, m * n)
-    zeta = _recurrence(np.tile(decomposition.Pi, m), drive, np.zeros(m * n))
+             + (y - Bu @ C.T)[:, :, None] * decomposition.bank_input
+             ).reshape(horizon, m * n)
+    zeta = _recurrence(np.kron(np.eye(m), decomposition.bank), drive,
+                       np.zeros(m * n))
     Y = zeta @ decomposition.Ptilde.T
     for name, arr in (("x", x), ("u", u), ("z", z), ("y", y), ("a", a),
                       ("xhat_kal", x_kal), ("canonical measurement", Y)):
         if not np.isfinite(arr).all():
             raise ValueError(f"simulation produced non-finite {name}")
-    return Rollout(attack, horizon, seed, trial, x, u, z, y, a, x_kal,
-                   real_canonical(Y))
+    return Rollout(attack, horizon, seed, trial, x, u, z, y, a, x_kal, Y)
 
 
 def simulate(model: SystemModel, design: SpectralDesign,
@@ -334,7 +329,8 @@ def empirical_equivalence_probability(model: SystemModel,
     check_gamma(gamma)
     if horizon <= burn_in:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
-    if not np.allclose(decomposition.Pi, design.Pi):
+    if not np.allclose(np.sort_complex(np.linalg.eigvals(decomposition.bank)),
+                       np.sort_complex(design.Pi)):
         raise ValueError("decomposition was built for a different design")
     problem = build_fusion_problem(decomposition.H_stack,
                                    decomposition.Mtilde_factor)

@@ -1,6 +1,7 @@
 """Shared test utilities: deterministic random model generation, a
-step-by-step reference for simulate, a value-by-value reference for
-trace_csv, a key-by-key reference for the design-file encoder, and the
+step-by-step reference for simulate, the bank rolled out in complex mode
+coordinates as a reference for the real one, a value-by-value reference
+for trace_csv, a key-by-key reference for the design-file encoder, and the
 first-written homotopy solve as a bit-for-bit reference for secure_fuse.
 
 Models are drawn in Jordan coordinates directly so every sample satisfies
@@ -10,15 +11,21 @@ process/initial covariances, PD measurement covariance, exact zero
 patterns in C so sensor coverage is unambiguous.
 """
 
+import itertools
+
 import numpy as np
+import scipy.linalg
 from scipy.linalg.lapack import dgesv
 
 from securekf import (assemble_canonical_measurement, attack_sequence,
                       build_fusion_problem, fixed_gain_kalman_step,
-                      initial_bank, local_estimator_step, psd_factor,
-                      secure_fuse)
+                      build_decomposition, initial_bank,
+                      local_estimator_step, psd_factor, secure_fuse,
+                      spectral_design)
+from securekf.decomposition import (canonical_projector, conjugate_pairing,
+                                    local_gain_direct, realification_map)
 from securekf.fusion import KKT_TOL, MAX_BREAKPOINTS, TIE_RATE, FusionResult
-from securekf.model import SystemModel
+from securekf.model import SystemModel, observability_structure
 from securekf.simulator import trial_generators
 
 
@@ -79,6 +86,63 @@ def random_jordan_model(seed, n_max=5, m_max=8, ensure_observable=False):
     Ls = rng.normal(0, 0.1, (n, n))
     Sigma = Ls @ Ls.T
     return SystemModel(A=A, C=C, Q=Q, R=R, Sigma=Sigma)
+
+
+def complex_pair_design(seed):
+    """(model, design, decomposition) of the first random Jordan model from
+    seed on whose closed loop has a complex mode pair, keeps clear of the
+    spectrum of A (Assumption 1 with room to spare, as in the
+    decomposition tests) and meets the Theorem 2 preconditions."""
+    for s in itertools.count(seed):
+        model = random_jordan_model(s, ensure_observable=True)
+        try:
+            design = spectral_design(model)
+            if not (np.abs(design.Pi.imag).max() > 0.0 and np.abs(np.polyval(
+                    design.charpoly[::-1], design.Pi)).min() >= 1e-4):
+                continue
+            return model, design, build_decomposition(model, design)
+        except ValueError as exc:
+            if not str(exc).startswith(("Assumption 1 violated",
+                                        "Theorem 2 precondition violated")):
+                raise
+
+
+def mode_coordinates(model, design):
+    """The per-sensor G_i and P_i in complex mode coordinates, computed as
+    build_decomposition computes them before it realifies, and the
+    realification map T it then applies to each sensor."""
+    structure = observability_structure(model)
+    pair = conjugate_pairing(design.Pi)
+    G = [local_gain_direct(model, design, i) for i in range(model.m)]
+    P = [canonical_projector(G_i, structure.covered_states(i), pair)[0]
+         for i, G_i in enumerate(G)]
+    return G, P, realification_map(pair)
+
+
+def reference_complex_rollout(model, design, u, y):
+    """Reference for the bank and projection of _rollout: the bank in
+    complex mode coordinates, n scalar filters per sensor,
+    zeta_ij <- pi_j zeta_ij + y_i + (G_i - 1 C_i)_j B u, one step at a
+    time, projected by the P_i.  The last step drops Y's imaginary
+    rounding residue, after checking that it is rounding.  u and y hold
+    one row per step.  Returns Y, one row per step, and the largest entry
+    of |Ptilde| |zeta|: the size of the terms the projection sums, which
+    sets the scale of Y's rounding when Ptilde is ill-conditioned."""
+    G, P, _ = mode_coordinates(model, design)
+    n, m = model.n, model.m
+    Bu = u @ model.input_matrix().T
+    drive = ((Bu @ np.vstack(G).T).reshape(-1, m, n)
+             + (y - Bu @ model.C.T)[:, :, None])
+    zeta = np.zeros((m, n), dtype=complex)
+    rows = []
+    for e in drive:
+        zeta = design.Pi * zeta + e
+        rows.append(zeta.reshape(-1))
+    zeta, Ptilde = np.array(rows), scipy.linalg.block_diag(*P)
+    Y = zeta @ Ptilde.T
+    assert (np.abs(Y.imag).max(axis=-1)
+            <= 1e-9 * np.abs(Y.real).max(axis=-1)).all()
+    return Y.real.copy(), float((np.abs(zeta) @ np.abs(Ptilde).T).max())
 
 
 def step_by_step_simulate(model, design, decomposition, attack, gamma,
@@ -191,7 +255,7 @@ def reference_design_to_dict(model, design, decomposition):
         model_json["K_lqr"] = _reference_matrix(model.K_lqr)
     return {
         "format": "securekf-design",
-        "version": 2,
+        "version": 3,
         "model": model_json,
         "design": {
             "P": _reference_matrix(design.P),
@@ -203,7 +267,8 @@ def reference_design_to_dict(model, design, decomposition):
             "riccati_residual": float(design.riccati_residual),
         },
         "decomposition": {
-            "Pi": _reference_vector(decomposition.Pi),
+            "bank": _reference_matrix(decomposition.bank),
+            "bank_input": _reference_vector(decomposition.bank_input),
             "G_stack": _reference_matrix(decomposition.G_stack),
             "H_stack": _reference_matrix(decomposition.H_stack),
             "Ptilde": _reference_matrix(decomposition.Ptilde),

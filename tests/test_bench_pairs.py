@@ -3,8 +3,8 @@
 The script compares two source trees in alternating pairs of
 perfbench/run.py runs; these tests replace the runs by canned results, so
 they check the order of the runs, the pair counts, the gain rule, the
-workload filter and the error a failed run raises, without running the
-benchmark.
+per-metric verdicts, the workload filter and the error a failed run
+raises, without running the benchmark.
 """
 
 import importlib.util
@@ -25,30 +25,36 @@ TREES = {"parent": pathlib.Path("parent-tree"),
 ENV = {"nproc": 2, "platform": "test-host"}
 
 
-def canned(rate):
+SPEC = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+
+
+def canned(rate, setup_s=1.0):
     keys = (bench_pairs.METRIC, *bench_pairs.OTHER_METRICS,
             *bench_pairs.PER_LAYER)
-    return {"metrics": {k: {"value": rate if k == bench_pairs.METRIC
-                            else 1.0} for k in keys},
+    values = {bench_pairs.METRIC: rate, "setup_s": setup_s}
+    return {"metrics": {k: {"value": values.get(k, 1.0)} for k in keys},
             "correct": True}
 
 
-def stub_bench(monkeypatch, rates):
-    """Replace bench by a lookup of rates[side][seed - 41]; returns the
+def stub_bench(monkeypatch, rates, setups=None):
+    """Replace bench by a lookup of rates[side][seed - 41] (and of
+    setups[side][seed - 41] for setup_s, 1.0 without setups); returns the
     list of (side, workload, seed, trace) calls it received."""
     calls = []
 
     def bench(tree, side, workload, seed, seconds, trace):
         assert tree == TREES[side]
         calls.append((side, workload, seed, trace))
-        return canned(rates[side][seed - 41]), ENV
+        setup = setups[side][seed - 41] if setups else 1.0
+        return canned(rates[side][seed - 41], setup), ENV
 
     monkeypatch.setattr(bench_pairs, "bench", bench)
     return calls
 
 
 def compare(pairs):
-    return bench_pairs.compare(TREES, "sweep-l1", pairs, 41, 1.0)[0]
+    return bench_pairs.compare(TREES, "sweep-l1", pairs, 41, 1.0,
+                               SPEC["end_to_end"])[0]
 
 
 def test_pairs_alternate_which_side_runs_first(monkeypatch):
@@ -108,6 +114,49 @@ def test_gain_rule_not_met_on_fewer_than_nine_tenths_of_the_pairs(
     assert out["gain_rule_met"] is False
 
 
+def test_every_end_to_end_metric_gets_a_verdict(monkeypatch):
+    stub_bench(monkeypatch, {"parent": PARENT, "change": PARENT})
+    out = compare(10)
+    assert list(out["verdicts"]) == [e["name"] for e in SPEC["end_to_end"]]
+    assert {v["verdict"] for v in out["verdicts"].values()} == {"ok"}
+
+
+# setup_s is lower-better with bound 0.25: parent median 1.0, IQR 0.075
+SETUP = [0.8, 0.9, 0.95, 1.0, 1.0, 1.0, 1.0, 1.05, 1.1, 1.2]
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    # 20 % slower set-ups: within the bound
+    (SETUP, [s * 1.2 for s in SETUP], "ok"),
+    # 30 % slower set-ups with a tight parent: a regression
+    (SETUP, [s * 1.3 for s in SETUP], "worse"),
+    # the parent spreads wider than the bound, the change overlaps it
+    ([0.5, 0.6, 0.7, 0.8, 1.0, 1.0, 1.2, 1.4, 1.6, 2.0], SETUP,
+     "unresolved"),
+    # as wide a parent, but every change run beats every parent run
+    ([0.5, 0.6, 0.7, 0.8, 1.0, 1.0, 1.2, 1.4, 1.6, 2.0],
+     [0.1, 0.2, 0.3, 0.3, 0.3, 0.3, 0.3, 0.4, 0.4, 0.45], "ok"),
+])
+def test_verdict_uses_the_direction_and_bound_of_each_metric(
+        monkeypatch, parent, change, expected):
+    stub_bench(monkeypatch, {"parent": PARENT, "change": PARENT},
+               {"parent": parent, "change": change})
+    out = compare(10)
+    assert out["verdicts"]["setup_s"]["verdict"] == expected
+    assert out["verdicts"]["trial_steps_per_s"]["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("shift, expected", [(-0.2, "ok"), (-0.3, "worse"),
+                                             (0.5, "ok")])
+def test_verdict_on_a_higher_is_better_metric(monkeypatch, shift,
+                                              expected):
+    # trial_steps_per_s is higher-better with bound 0.24 of 109
+    stub_bench(monkeypatch, {"parent": PARENT,
+                             "change": [p * (1 + shift) for p in PARENT]})
+    out = compare(10)
+    assert out["verdicts"]["trial_steps_per_s"]["verdict"] == expected
+
+
 def test_failed_run_names_workload_side_seed_and_exit_code(monkeypatch):
     stderr = "".join(f"line {k}\n" for k in range(50)) + "MemoryError\n"
 
@@ -132,7 +181,7 @@ GATED = ["sweep-l1", "sweep-screened", "cli-trace"]
 def write_spec(tree):
     tree.mkdir()
     (tree / "BENCHMARK.json").write_text(json.dumps(
-        {"workloads": [{"name": n} for n in GATED]}))
+        {"workloads": [{"name": n} for n in GATED], "end_to_end": []}))
 
 
 def main_argv(tmp_path, selected):
@@ -149,7 +198,8 @@ def test_workload_filter(monkeypatch, tmp_path, selected, expected):
     write_spec(tmp_path / "change")
     compared = []
 
-    def compare_stub(trees, workload, pairs, first_seed, seconds):
+    def compare_stub(trees, workload, pairs, first_seed, seconds,
+                     end_to_end):
         compared.append(workload)
         return {}, ENV
 

@@ -131,8 +131,8 @@ def test_design_rerun_byte_identical(pendulum_path, tmp_path, capsys):
     assert main(["design", str(pendulum_path), "--out", str(d2)]) == 0
     capsys.readouterr()
     assert d1.read_bytes() == d2.read_bytes()
-    # format v2 stores only what the estimator reads (v1: 91,613 bytes)
-    assert len(d1.read_bytes()) <= 40_000
+    # format v3 stores only what the estimator reads, real, and Pi once
+    assert len(d1.read_bytes()) <= 20_000
 
 
 def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
@@ -308,7 +308,7 @@ def _delete(data):
     (_set(["design", "charpoly"], {"real": [[1.0, 2.0]]}),
      "design key 'charpoly': expected shape (1, 5), got (1, 2)"),
     (_set(["format"], "other"), "not a design file (format 'other')"),
-    (_set(["version"], 3), "unsupported design file version 3"),
+    (_set(["version"], 4), "unsupported design file version 4"),
     (None, "invalid JSON in design file"),
 ], ids=["section-not-object", "missing-key", "unknown-section-key",
         "untagged-matrix", "unknown-tag", "malformed-complex",
@@ -344,6 +344,24 @@ def test_design_file_version_1_refused(pendulum_path, pendulum_design_text,
                  "--design", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: unsupported design file version 1" in err
+    assert "re-run the design subcommand" in err
+
+
+def test_design_file_version_2_refused(pendulum_path, pendulum_design_text,
+                                       tmp_path, capsys):
+    # a version-2 file held the decomposition in complex mode coordinates,
+    # with Pi in place of bank and bank_input; it is refused by version
+    data = json.loads(pendulum_design_text)
+    data["version"] = 2
+    decomposition = data["decomposition"]
+    del decomposition["bank"], decomposition["bank_input"]
+    decomposition["Pi"] = data["design"]["Pi"]
+    out = tmp_path / "v2.json"
+    out.write_text(json.dumps(data))
+    assert main(["simulate", str(pendulum_path), "--horizon", "60",
+                 "--design", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: unsupported design file version 2" in err
     assert "re-run the design subcommand" in err
 
 
@@ -420,6 +438,21 @@ def test_simulate_overflowing_run_exit_2(pendulum_path):
     assert len(errors) == 1 and "non-finite" in errors[0]
     assert "complex" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("burn_in, message", [
+    ("-5", "error: --burn-in must be nonnegative, got -5\n"),
+    ("11", "error: horizon 10 leaves no samples at or after burn-in 11\n"),
+], ids=["negative", "past-horizon"])
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma",
+                                     "sweep-attack"])
+def test_burn_in_without_samples_exit_2_before_any_output(
+        command, burn_in, message, pendulum_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, str(pendulum_path), "--horizon", "10",
+                 "--burn-in", burn_in, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -4,8 +4,12 @@ import logging
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from securekf.decomposition import (
+    CANONICAL_RTOL,
+    SensorDecomposition,
     build_decomposition,
     canonical_projector,
     conjugate_pairing,
@@ -18,7 +22,8 @@ from securekf.decomposition import (
 from securekf.model import SystemModel, observability_matrix, observability_structure
 from securekf.spectral import SpectralDesign, characteristic_polynomial, spectral_design
 
-from helpers import random_jordan_model, sensor_blocks
+from helpers import (complex_pair_design, mode_coordinates,
+                     random_jordan_model, sensor_blocks)
 
 
 def dummy_design(A, Pi, V=None, K=None, m=1):
@@ -241,7 +246,11 @@ def test_fusion_weights_recover_gain_on_random_models():
     for model, design in observable_designs(20):
         F_list, F_row = fusion_weights(design)
         decomp = build_decomposition(model, design)
-        assert np.abs(F_row @ decomp.G_stack - np.eye(model.n)).max() < 1e-7
+        # G_stack is realified by T per sensor; F_row weighs mode coordinates
+        Th = scipy.linalg.block_diag(
+            *[mode_coordinates(model, design)[2].conj().T] * model.m)
+        assert np.abs(F_row @ Th @ decomp.G_stack - np.eye(model.n)).max() \
+            < 1e-7
 
 
 # ----------------------------------------------------------- covariances
@@ -263,10 +272,11 @@ def test_pendulum_covariances(pendulum_model):
     design = spectral_design(pendulum_model)
     decomp = build_decomposition(pendulum_model, design)
     mn = 16
-    G_list = sensor_blocks(decomp, 4)[0]
+    G_list, P_list, _ = mode_coordinates(pendulum_model, design)
     Qtilde, Wtilde, Mtilde, _, _ = residual_covariances(
-        pendulum_model, design, G_list, decomp.Ptilde)
-    assert np.array_equal(Mtilde, decomp.Mtilde)
+        pendulum_model, design, G_list, scipy.linalg.block_diag(*P_list))
+    # the decomposition keeps Mtilde's real part
+    assert np.array_equal(Mtilde.real, decomp.Mtilde)
     pi_t = np.tile(design.Pi, 4)
     Pit = np.diag(pi_t)
     residual = Wtilde - Pit @ Wtilde @ Pit.conj().T - Qtilde
@@ -282,11 +292,11 @@ def test_pendulum_covariances(pendulum_model):
     assert np.abs(Wtilde - W_ref).max() < 1e-8
 
     # conjugate-pair equivariant projectors keep Mtilde essentially real
-    assert np.abs(decomp.Mtilde.imag).max() < 1e-10 * np.abs(decomp.Mtilde).max()
+    assert np.abs(Mtilde.imag).max() < 1e-10 * np.abs(Mtilde).max()
     assert decomp.ridge_delta == 0.0
 
     rhs = np.arange(mn, dtype=float)
-    x = scipy.linalg.cho_solve(decomp.Mtilde_factor, rhs.astype(complex))
+    x = scipy.linalg.cho_solve(decomp.Mtilde_factor, rhs)
     # backward-stable solve: residual scales with ||Mtilde|| ||x||
     bound = 1e-13 * mn * max(1.0, np.abs(decomp.Mtilde).max()) \
         * max(1.0, np.abs(x).max())
@@ -358,3 +368,32 @@ def test_build_decomposition_random_models():
         trace = float(np.trace(decomp.Mtilde).real)
         assert np.linalg.eigvalsh(decomp.Mtilde).min() >= -1e-9 * trace
         assert np.abs(decomp.Mtilde.imag).max() <= 1e-8 * max(1.0, np.abs(decomp.Mtilde).max())
+
+
+def assert_real_decomposition(model, design, decomp):
+    """Every array real; P_i G_i = H_i in the realified coordinates; the
+    bank's eigenvalues are the design's modes."""
+    for f in dataclasses.fields(SensorDecomposition):
+        value = getattr(decomp, f.name)
+        for a in (value if f.name == "Mtilde_factor" else (value,)):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == np.float64, f.name
+    G, H, P = sensor_blocks(decomp, model.n)
+    for i in range(model.m):
+        assert np.abs(P[i] @ G[i] - H[i]).max() \
+            <= CANONICAL_RTOL * max(1.0, np.abs(G[i]).max())
+    modes = np.sort_complex(np.linalg.eigvals(decomp.bank))
+    assert np.abs(modes - np.sort_complex(design.Pi)).max() <= 1e-12
+
+
+def test_pendulum_decomposition_is_real(pendulum_model, pendulum_design,
+                                        pendulum_decomposition):
+    assert np.abs(pendulum_design.Pi.imag).max() > 0.0
+    assert_real_decomposition(pendulum_model, pendulum_design,
+                              pendulum_decomposition)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**4))
+def test_decomposition_is_real_on_models_with_a_complex_pair(seed):
+    assert_real_decomposition(*complex_pair_design(seed))

@@ -1,16 +1,11 @@
 """Fusion layer: local bank dynamics, least squares, and the l1 solver."""
 
 import dataclasses
-import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-import securekf
 from securekf import (
     assemble_canonical_measurement,
     build_decomposition,
@@ -22,18 +17,16 @@ from securekf import (
     load_model,
     local_estimator_step,
     psd_factor,
-    real_canonical,
     residual_covariances,
     secure_fuse,
     spectral_design,
 )
-from securekf.decomposition import conjugate_pairing, realification_map
 from securekf.fusion import LocalBankState
 from securekf.model import SystemModel
 from securekf.simulator import (AttackSpec, _rollout, simulate,
                                 trial_generators)
 
-from helpers import sensor_blocks
+from helpers import mode_coordinates, sensor_blocks
 
 EYE3 = scipy.linalg.cho_factor(np.eye(3))
 H3 = np.ones((3, 1))
@@ -77,7 +70,7 @@ def test_local_step_dimension_errors(pendulum_model, pendulum_decomposition):
     with pytest.raises(ValueError):
         local_estimator_step(bank, np.zeros(4), np.zeros(2),
                              pendulum_decomposition, pendulum_model)
-    bad = LocalBankState(zeta=[np.zeros(3, complex)] * 4)
+    bad = LocalBankState(zeta=[np.zeros(3)] * 4)
     with pytest.raises(ValueError):
         local_estimator_step(bad, np.zeros(4), np.zeros(1),
                              pendulum_decomposition, pendulum_model)
@@ -102,39 +95,25 @@ def test_local_step_tracks_state_noise_free(pendulum_model, pendulum_design,
             assert np.abs(bank.zeta[i] - G[i] @ x).max() < 1e-8 * scale
 
 
-def test_local_step_attack_impulse_decay(pendulum_model, pendulum_decomposition):
-    # a one-step additive corruption enters as 1*delta and decays mode by mode
-    m, dec = pendulum_model, pendulum_decomposition
+def test_local_step_attack_impulse_decay(pendulum_model, pendulum_design,
+                                        pendulum_decomposition):
+    # a one-step additive corruption enters as 1*delta and decays mode by
+    # mode: T^H maps the real bank state back to mode coordinates
+    m, dec, Pi = pendulum_model, pendulum_decomposition, pendulum_design.Pi
+    Th = mode_coordinates(m, pendulum_design)[2].conj().T
     delta = 0.7
     bank = initial_bank(m)
     y = np.zeros(4)
     y[1] = delta
     bank = local_estimator_step(bank, y, np.zeros(1), dec, m)
-    assert np.abs(bank.zeta[1] - delta).max() < 1e-12
+    assert np.abs(Th @ bank.zeta[1] - delta).max() < 1e-12
     assert np.abs(bank.zeta[0]).max() == 0.0
     for t in range(1, 30):
         bank = local_estimator_step(bank, np.zeros(4), np.zeros(1), dec, m)
-        assert np.abs(bank.zeta[1] - dec.Pi ** t * delta).max() < 1e-12
+        assert np.abs(Th @ bank.zeta[1] - Pi ** t * delta).max() < 1e-12
         assert np.abs(bank.zeta[3]).max() == 0.0
-    rho = float(np.abs(dec.Pi).max())
-    assert np.abs(bank.zeta[1]).max() <= rho ** 29 * delta * (1 + 1e-9)
-
-
-def test_bank_conjugate_structure(pendulum_model, pendulum_design,
-                                  pendulum_decomposition):
-    m, dec = pendulum_model, pendulum_decomposition
-    pair = conjugate_pairing(dec.Pi)
-    x, g_w, g_v = rollout_setup(pendulum_model, pendulum_design, dec)
-    Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
-    K = m.feedback_gain()
-    bank = initial_bank(m)
-    for _ in range(40):
-        u = -(K @ x)
-        x = m.A @ x + m.B @ u + Lq @ g_w.standard_normal(4)
-        y = m.C @ x + Lr @ g_v.standard_normal(4)
-        bank = local_estimator_step(bank, y, u, dec, m)
-    for z in bank.zeta:
-        assert np.abs(np.conj(z) - z[pair]).max() < 1e-10
+    rho = float(np.abs(Pi).max())
+    assert np.abs(Th @ bank.zeta[1]).max() <= rho ** 29 * delta * (1 + 1e-9)
 
 
 def test_assemble_zero_and_single_sensor():
@@ -143,7 +122,7 @@ def test_assemble_zero_and_single_sensor():
     dec = build_decomposition(model, design)
     bank = initial_bank(model)
     assert np.abs(assemble_canonical_measurement(bank, dec)).max() == 0.0
-    z = np.array([0.3 + 0j, -1.2 + 0j])
+    z = np.array([0.3, -1.2])
     bank = LocalBankState(zeta=[z], k=0)
     got = assemble_canonical_measurement(bank, dec)
     assert np.abs(got - sensor_blocks(dec, 2)[2][0] @ z).max() < 1e-14
@@ -185,7 +164,9 @@ def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
     # the least-squares fusion of the bank replays the filter exactly
     m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
-    F_row = fusion_weights(d)[1]
+    # F_row weighs the bank in mode coordinates, T^H maps it there
+    F_row = fusion_weights(d)[1] @ scipy.linalg.block_diag(
+        *[mode_coordinates(m, d)[2].conj().T] * m.m)
     x, g_w, g_v = rollout_setup(m, d, dec, seed=11)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
     K = m.feedback_gain()
@@ -312,8 +293,8 @@ def test_overflowing_measurement_rejected(pendulum_model, pendulum_design,
 
 
 def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
-    # a complex Y is rejected; the same Y made real by real_canonical must
-    # give the answer of the float Y, on a screened and an l1 step
+    # a complex Y is rejected; its real part must give the answer of the
+    # float Y, on a screened and an l1 step
     dec = pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     Y = dec.H_stack @ np.array([0.3, -0.2, 0.1, 0.05])
@@ -322,30 +303,15 @@ def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
     Y_hit[15] += 10.0
     for y, gamma, screened in ((Y, 1e6, True), (Y_hit, 5.0, False)):
         real = secure_fuse(problem, y, gamma)
-        with pytest.raises(ValueError, match="real_canonical"):
+        with pytest.raises(ValueError, match="real measurement, got a "
+                                             "complex one"):
             secure_fuse(problem, y + 0j, gamma)
-        cplx = secure_fuse(problem, real_canonical(y + 0j), gamma)
+        cplx = secure_fuse(problem, (y + 0j).real, gamma)
         assert real.kalman_equivalent is cplx.kalman_equivalent is screened
         for f in ("x_tilde", "mu", "nu", "x_ls"):
             assert np.array_equal(getattr(real, f), getattr(cplx, f)), f
         assert (real.kkt_residual, real.iterations, real.converged) == \
             (cplx.kkt_residual, cplx.iterations, cplx.converged)
-    dusty = Y + 1j * 1e-6 * np.abs(Y).max()
-    with pytest.raises(ValueError, match="complex canonical measurement"):
-        real_canonical(dusty)
-
-
-def test_real_canonical_raises_under_optimized_python():
-    # the check is a raise, not an assert, so python -O keeps it
-    src = pathlib.Path(securekf.__file__).resolve().parent.parent
-    code = ("import numpy as np\n"
-            "from securekf import real_canonical\n"
-            "real_canonical(np.array([1 + 0.5j, 2.0]))\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode != 0
-    assert "ValueError: complex canonical measurement" in proc.stderr
 
 
 def test_equivalence_condition_basics():
@@ -516,26 +482,29 @@ def test_empirical_equivalence_probability_rejects_other_design(
             pendulum_model, other, pendulum_decomposition, 2.0, trials=1)
 
 
-def pendulum_wtilde(model, design, dec):
-    """Wtilde, the stationary covariance of zeta - G x, recomputed."""
-    G = sensor_blocks(dec, model.n)[0]
-    return residual_covariances(model, design, G, dec.Ptilde)[1]
+def pendulum_wtilde(model, design):
+    """Wtilde, the stationary covariance of zeta - G x in complex mode
+    coordinates, recomputed."""
+    G, P, _ = mode_coordinates(model, design)
+    return residual_covariances(model, design, G,
+                                scipy.linalg.block_diag(*P))[1]
 
 
 def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
                                            pendulum_decomposition):
-    # legacy check: the same solver on the unprojected bank, realified per
-    # sensor by T (applied to zeta, G_stack and Wtilde, the stationary
-    # covariance of zeta - G x), reproduces the canonical answer whenever
-    # both collapse onto least squares.  The collapse thresholds differ
-    # because the weightings differ: the unprojected residual statistic
-    # runs about 50x larger on this design.
+    # legacy check: the same solver on the unprojected bank, in the real
+    # coordinates of the decomposition (zeta and G_stack, with Wtilde, the
+    # stationary covariance of zeta - G x, realified per sensor by T),
+    # reproduces the canonical answer whenever both collapse onto least
+    # squares.  The collapse thresholds differ because the weightings
+    # differ: the unprojected residual statistic runs about 50x larger on
+    # this design.
     m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
-    T = scipy.linalg.block_diag(
-        *[realification_map(conjugate_pairing(dec.Pi))] * m.m)
-    Wtilde = pendulum_wtilde(m, d, dec)
+    T = scipy.linalg.block_diag(*[mode_coordinates(m, d)[2]] * m.m)
+    W_real = T @ pendulum_wtilde(m, d) @ T.conj().T
+    assert np.abs(W_real.imag).max() < 1e-12 * np.abs(W_real).max()
     prob_raw = build_fusion_problem(
-        T @ dec.G_stack, scipy.linalg.cho_factor(T @ Wtilde @ T.conj().T))
+        dec.G_stack, scipy.linalg.cho_factor(W_real.real))
     prob_can = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     x, g_w, g_v = rollout_setup(m, d, dec, seed=5)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
@@ -550,8 +519,7 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
         if bank.k <= 50:
             continue
         total += 1
-        zeta = np.concatenate(bank.zeta)
-        res_raw = secure_fuse(prob_raw, real_canonical(T @ zeta), 5000.0)
+        res_raw = secure_fuse(prob_raw, np.concatenate(bank.zeta), 5000.0)
         res_can = secure_fuse(prob_can, assemble_canonical_measurement(bank, dec),
                               100.0)
         assert np.abs(res_raw.x_ls - res_can.x_ls).max() < 1e-8
@@ -563,12 +531,14 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
 
 def test_complex_problem_build_raises(pendulum_model, pendulum_design,
                                      pendulum_decomposition):
-    # the unprojected bank keeps genuinely complex data, which the fusion
-    # refuses until they are realified
-    dec = pendulum_decomposition
-    Wtilde = pendulum_wtilde(pendulum_model, pendulum_design, dec)
-    with pytest.raises(ValueError, match="realification_map"):
-        build_fusion_problem(dec.G_stack, scipy.linalg.cho_factor(Wtilde))
+    # the unprojected bank in mode coordinates keeps genuinely complex
+    # data, which the fusion refuses until they are realified
+    G = np.vstack(mode_coordinates(pendulum_model, pendulum_design)[0])
+    Wtilde = pendulum_wtilde(pendulum_model, pendulum_design)
+    for H, W in ((G, Wtilde), (pendulum_decomposition.G_stack, Wtilde),
+                 (G, Wtilde.real)):
+        with pytest.raises(ValueError, match="realification_map"):
+            build_fusion_problem(H, scipy.linalg.cho_factor(W))
 
 
 def test_psd_factor_paths():
