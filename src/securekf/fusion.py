@@ -44,6 +44,7 @@ KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
 SUPPORT_SOLVES = 4096   # signed supports a FusionProblem remembers
+LS_SPLITS = 4096        # measurement rows a FusionProblem remembers
 _FLOAT64 = np.dtype(float)
 
 
@@ -66,7 +67,10 @@ class FusionResult(NamedTuple):
     a screened step).  converged records whether the returned point meets
     the KKT tolerance; a solve that hits the breakpoint cap still returns
     its last point.  The fields cannot be set, and their order is part of
-    the API: simulate unpacks the results of a run by position.
+    the API: simulate unpacks the results of a run by position.  x_ls,
+    and mu on a screened step, are read-only arrays that the problem's
+    cache keeps and may share with other results for the same Y; x_tilde
+    and nu are always fresh, writable arrays.
     """
 
     x_tilde: np.ndarray
@@ -127,16 +131,28 @@ class FusionProblem:
     with one measurement per row, and answer per row.  S is a view of
     the top half of S_pm = [S; -S], which the homotopy reads.
 
-    The problem also keeps a cache of homotopy support solves
-    (_lasso_path): the Y-independent half of a breakpoint, one entry per
-    signed support.  An entry costs about 1.1 KB plus 16 mn k bytes for
-    its k columns of S_pm, 2.5-3.3 KB on the pendulum (mn = 16) under
-    its default sweeps.  The cache holds at most SUPPORT_SOLVES entries
-    and is emptied when it is full, so on the pendulum it stays under
-    13 MiB.  It lives as long as the problem: every sweep call builds
-    its own, as does simulate unless it is passed one, and
-    dataclasses.replace starts a new, empty cache.  It never changes an
-    answer, only how fast the homotopy reaches it.
+    The problem also keeps two caches, each emptied when it is full:
+
+      _support_solves  the Y-independent half of a homotopy breakpoint
+                       (_lasso_path), keyed by the signed support's
+                       sign.tobytes().  An entry costs about 1.1 KB plus
+                       16 mn k bytes for its k columns of S_pm, 2.5-3.3 KB
+                       on the pendulum (mn = 16) under its default sweeps;
+                       at most SUPPORT_SOLVES entries, under 13 MiB there.
+      _ls_splits       the gamma-independent half of a solve (secure_fuse):
+                       x_ls, mu_ls, d = Minv mu_ls, the threshold statistic
+                       max |d| and, once the row has screened, its KKT
+                       residual, keyed by the row's Y.tobytes().  An entry
+                       costs about 0.97 KB on the pendulum (measured with
+                       tracemalloc over 4,000 rows); at most LS_SPLITS
+                       entries, under 4 MiB there.  A sweep fuses each
+                       rollout row at every gamma of its grid, and all but
+                       the first of those calls hit.
+
+    Both live as long as the problem: every sweep call builds its own, as
+    does simulate unless it is passed one, and dataclasses.replace starts
+    new, empty caches.  A hit returns the bits a recomputation would give,
+    so neither cache ever changes an answer, only how fast it comes.
     """
 
     H: np.ndarray          # mn x n
@@ -146,6 +162,8 @@ class FusionProblem:
     S_pm: np.ndarray       # [S; -S], 2mn x mn
     S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
     _support_solves: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _ls_splits: dict = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def least_squares(self, Y):
@@ -325,6 +343,30 @@ def _lasso_path(problem, Y, c_ls, gamma, history):
     return nu, MAX_BREAKPOINTS
 
 
+def _ls_split(problem, Y, key):
+    """Compute, store under key and return the gamma-independent half of a
+    fusion solve on Y: [x_ls, mu_ls, d_ls = Minv mu_ls, max |d_ls|, None],
+    the last slot waiting for the screened KKT residual.  A non-finite
+    statistic raises ValueError and is not stored."""
+    x_ls, mu_ls = problem.least_squares(Y)
+    d_ls = problem.Minv.dot(mu_ls)
+    statistic = np.maximum.reduce(np.abs(d_ls))
+    if not math.isfinite(statistic):
+        if not np.isfinite(Y).all():
+            i = int(np.isfinite(Y).argmin())
+            raise ValueError(f"non-finite measurement Y[{i}] = {Y[i]}")
+        # the homotopy would walk to the breakpoint cap and return NaN
+        raise ValueError(f"the least-squares products overflow on a finite "
+                         f"measurement (max |Y| = {np.abs(Y).max():.3e})")
+    for a in (x_ls, mu_ls, d_ls):
+        a.setflags(False)
+    splits = problem._ls_splits
+    if len(splits) >= LS_SPLITS:
+        splits.clear()
+    split = splits[key] = [x_ls, mu_ls, d_ls, statistic, None]
+    return split
+
+
 def secure_fuse(problem: FusionProblem, Y, gamma, *,
                 history=None) -> FusionResult:
     """Solve the l1-regularized fusion problem for one real measurement Y.
@@ -334,11 +376,15 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     KKT_TOL * max(1, gamma).  history, when given a list, collects the
     objective at nu = 0, at every homotopy breakpoint and at the answer.
     It does not increase: along the path its derivative in lambda is
-    (lambda - gamma) s_A' S_AA^-1 s_A.  A 1-D float64 ndarray Y is used
-    as given, and any other form converted first.  ValueError is raised
-    for a complex Y, a non-finite Y (the screen test propagates NaN, so it
-    never passes one), a finite Y so large that the least-squares products
-    overflow, and a gamma that is not finite and positive.
+    (lambda - gamma) s_A' S_AA^-1 s_A.  The gamma-independent half of the
+    solve (_ls_split) is computed once per row and problem, so a row fused
+    again at another gamma only tests the stored statistic against it, or
+    starts the homotopy from the stored d.  A 1-D float64 ndarray Y is
+    used as given, and any other form converted first.  ValueError is
+    raised for a complex Y, a non-finite Y (the screen test propagates
+    NaN, so it never passes one), a finite Y so large that the
+    least-squares products overflow, and a gamma that is not finite and
+    positive; such a row is not stored, so it raises on every call.
     """
     if not 0.0 < gamma < math.inf:
         check_gamma(gamma)
@@ -348,24 +394,18 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
             raise ValueError("secure_fuse takes a real measurement, got a "
                              "complex one")
         Y = Y.astype(float, copy=False).reshape(-1)
-    x_ls, mu_ls = problem.least_squares(Y)
-    d_ls = problem.Minv.dot(mu_ls)
-
-    statistic = np.maximum.reduce(np.abs(d_ls))
+    split = problem._ls_splits.get(key := Y.tobytes())
+    if split is None:
+        split = _ls_split(problem, Y, key)
+    x_ls, mu_ls, d_ls, statistic, kkt = split
     if statistic <= gamma:
         if history is not None:
             history.append(float(0.5 * mu_ls @ d_ls))
-        return FusionResult(x_ls.copy(), mu_ls, np.zeros(len(Y)),
-                            max(map(abs, problem.Ht.dot(d_ls).tolist())),
-                            0, True, x_ls, True)
+        if kkt is None:
+            kkt = split[4] = max(map(abs, problem.Ht.dot(d_ls).tolist()))
+        return FusionResult(x_ls.copy(), mu_ls, np.zeros(len(Y)), kkt, 0,
+                            True, x_ls, True)
 
-    if not math.isfinite(statistic):
-        if not np.isfinite(Y).all():
-            i = int(np.isfinite(Y).argmin())
-            raise ValueError(f"non-finite measurement Y[{i}] = {Y[i]}")
-        # the homotopy would walk to the breakpoint cap and return NaN
-        raise ValueError(f"the least-squares products overflow on a finite "
-                         f"measurement (max |Y| = {np.abs(Y).max():.3e})")
     H, Minv, wls_op = problem.H, problem.Minv, problem.wls_op
     eps_eff = KKT_TOL * max(1.0, gamma)
     nu, it = _lasso_path(problem, Y, d_ls, gamma, history)

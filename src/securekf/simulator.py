@@ -12,8 +12,10 @@ The rollout does not depend on the regularization weight gamma, so runs
 that differ only in gamma can share it.  Sparse sensor attacks are
 injected additively on a fixed support.  Sweep helpers aggregate
 per-trial mean squared errors over a grid of regularization weights or
-attack magnitudes, rolling out each (trial, attack) once, and write the
-results as CSV; every run is reproducible from (seed, trial).
+attack magnitudes, rolling out each (trial, attack) once and computing
+each rollout row's least-squares split once (the fusion problem they
+share remembers it), and write the results as CSV; every run is
+reproducible from (seed, trial).
 """
 
 from __future__ import annotations
@@ -126,7 +128,9 @@ def attack_sequence(attack: AttackSpec, m: int, horizon: int,
             a[np.ix_(active, cols)] = draws
     off = [i for i in range(m) if i not in attack.support]
     assert not a[:, off].any()
-    if mag != 0 and horizon >= max(attack.start_step, 1):
+    # a ramp is still zero at k = start_step
+    first = attack.start_step + (attack.kind == "ramp")
+    if mag != 0 and horizon >= max(first, 1):
         assert all(a[:, i].any() for i in cols)
     return a
 
@@ -324,9 +328,11 @@ def empirical_equivalence_probability(model: SystemModel,
     Rolls out attack-free runs (the same runs simulate makes), counts the
     fraction of steps k > burn_in at which max |Minv mu_ls| <= gamma,
     and returns (probability, standard error) with the standard error
-    taken across trials.
+    taken across trials.  A negative burn_in raises ValueError, as does
+    one that leaves no step k > burn_in.
     """
     check_gamma(gamma)
+    _check_burn_in(burn_in)
     if horizon <= burn_in:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
     if not np.allclose(np.sort_complex(np.linalg.eigvals(decomposition.bank)),
@@ -366,14 +372,28 @@ class MseReport:
     samples: int
 
 
+def _check_burn_in(burn_in) -> None:
+    """Raise ValueError for a negative burn-in, which would keep every step."""
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be nonnegative, got {burn_in}")
+
+
+def _tail(horizon, burn_in) -> np.ndarray:
+    """Mask of the steps k = 1..horizon at or after burn_in; ValueError
+    when burn_in is negative or leaves no step."""
+    _check_burn_in(burn_in)
+    if burn_in > horizon:
+        raise ValueError(f"horizon {horizon} leaves no samples at or after "
+                         f"burn-in {burn_in}")
+    return np.arange(1, horizon + 1) >= burn_in
+
+
 def mse(trace: SimulationTrace, burn_in: int = DEFAULT_BURN_IN) -> MseReport:
-    """Tail mean squared error of each estimator in `trace`."""
-    k = np.arange(1, trace.horizon + 1)
-    keep = k >= burn_in
+    """Tail mean squared error of each estimator in `trace`, averaged over
+    the steps k >= burn_in.  A negative burn_in raises ValueError, as does
+    one past the horizon."""
+    keep = _tail(trace.horizon, burn_in)
     count = int(keep.sum())
-    if count == 0:
-        raise ValueError(f"horizon {trace.horizon} leaves no samples at or "
-                         f"after burn-in {burn_in}")
     truth = trace.x[keep]
 
     def per_state(est):
@@ -415,7 +435,8 @@ def security_gap(trace_clean: SimulationTrace,
 
     Both traces must come from the same (seed, trial) and horizon so
     their noise realizations match; the clean measurement streams are
-    checked for exact equality.
+    checked for exact equality.  The tail keeps the steps k >= burn_in;
+    a negative burn_in raises ValueError, as does one past the horizon.
     """
     if (trace_clean.seed, trace_clean.trial) != (trace_attacked.seed,
                                                  trace_attacked.trial):
@@ -429,11 +450,7 @@ def security_gap(trace_clean: SimulationTrace,
     if not np.array_equal(trace_clean.z, trace_attacked.z):
         raise ValueError("traces are not paired: clean measurement streams "
                          "differ")
-    k = np.arange(1, trace_clean.horizon + 1)
-    keep = k >= burn_in
-    if not keep.any():
-        raise ValueError(f"horizon {trace_clean.horizon} leaves no samples "
-                         f"at or after burn-in {burn_in}")
+    keep = _tail(trace_clean.horizon, burn_in)
 
     def gap(field):
         d = getattr(trace_attacked, field) - getattr(trace_clean, field)
@@ -510,10 +527,15 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
     it is that clean run too.  The rollout does not depend on gamma, so a
     trial rolls each distinct attack out once and its runs at every gamma
-    share it; a trial holds only its own rollouts.
+    share it; a trial holds only its own rollouts.  Every run shares one
+    FusionProblem, which remembers the gamma-independent least-squares
+    split of each row it fuses, so a row's split is computed once and the
+    runs at the other gammas only test it against their own.  Bad gammas
+    and a burn-in that leaves no step are refused before any rollout.
     """
     for _, _, gamma in points:
         check_gamma(gamma)
+    _tail(horizon, burn_in)
     problem = build_fusion_problem(decomposition.H_stack,
                                    decomposition.Mtilde_factor)
 

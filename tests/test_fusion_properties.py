@@ -417,3 +417,116 @@ def test_support_cache_order_does_not_change_answers(
               for row in Y[::-1]]
     assert ahead == behind[::-1]
     assert not all(r[5] for r in ahead)    # some steps walked the homotopy
+
+
+def open_and_screened_rows(model, design, dec, count=6):
+    """A problem and rows that screen at gamma = 1000 but walk the
+    homotopy at gamma = 20."""
+    problem, Y = attacked_pendulum_problem_and_rows(model, design, dec)
+    rows = [r for r in Y if 20.0 < problem.screen_statistic(r) <= 1000.0]
+    assert len(rows) >= count
+    return problem, rows[:count]
+
+
+@pytest.mark.parametrize("gammas", [(1000.0, 20.0), (20.0, 1000.0)])
+def test_ls_split_cache_bit_equal_at_every_gamma_order(
+        gammas, pendulum_model, pendulum_design, pendulum_decomposition):
+    # the first call on a row stores its split, the second reads it: each
+    # must be the reference's bits on every field and history entry,
+    # whether the row first screens or first walks the homotopy
+    problem, rows = open_and_screened_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    for row in rows:
+        first = assert_bit_equal(problem, row, gammas[0])
+        split = problem._ls_splits[row.tobytes()]
+        second = assert_bit_equal(problem, row, gammas[1])
+        assert problem._ls_splits[row.tobytes()] is split
+        assert first.kalman_equivalent is (gammas[0] == 1000.0)
+        assert second.kalman_equivalent is (gammas[1] == 1000.0)
+    assert len(problem._ls_splits) == len(rows)
+
+
+def test_capped_ls_split_cache_stays_bit_equal_and_bounded(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # a cap of 3 empties the cache every few rows; answers at a screened
+    # and an open gamma must stay the reference's and no insert may pass
+    # the cap
+    cap = 3
+    monkeypatch.setattr(fusion, "LS_SPLITS", cap)
+    sizes = []
+
+    class Watched(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    problem, Y = attacked_pendulum_problem_and_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    object.__setattr__(problem, "_ls_splits", Watched())
+    for row in Y[:60]:
+        for gamma in (1000.0, 5.0):
+            assert_bit_equal(problem, row, gamma)
+    assert max(sizes) == cap
+    assert sizes.count(1) > 10          # emptied when full, many times
+
+
+def test_replace_starts_an_empty_ls_split_cache(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    problem, Y = attacked_pendulum_problem_and_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    for row in Y[:20]:
+        secure_fuse(problem, row, 1000.0)
+    warm = dict(problem._ls_splits)
+    assert len(warm) == 20
+    copy = dataclasses.replace(problem, S_pm=problem.S_pm, S=problem.S)
+    assert copy._ls_splits == {}
+    assert copy._ls_splits is not problem._ls_splits
+    assert problem._ls_splits == warm
+
+
+def test_ls_split_cache_shares_only_read_only_arrays(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # results for one row at several gammas may share x_ls, and mu when
+    # screened, read-only; x_tilde and nu are fresh and writable
+    problem, rows = open_and_screened_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition, count=1)
+    row = rows[0]
+    screened = [secure_fuse(problem, row, g) for g in (1000.0, 2000.0)]
+    walked = secure_fuse(problem, row, 20.0)
+    a, b = screened
+    assert a.x_ls is b.x_ls is walked.x_ls
+    assert a.mu is b.mu
+    for shared in (a.x_ls, a.mu):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+    results = screened + [walked]
+    fresh = [r.x_tilde for r in results] + [r.nu for r in results] + [
+        walked.mu]
+    for k, arr in enumerate(fresh):
+        assert arr.flags.writeable
+        others = fresh[:k] + fresh[k + 1:] + [a.x_ls, a.mu]
+        assert not any(np.shares_memory(arr, o) for o in others)
+    for entry in problem._ls_splits.values():
+        for arr in entry[:3]:
+            assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("scale, value", [(1.0, np.nan), (1e306, None)])
+def test_non_finite_statistic_raises_every_time_and_is_not_stored(
+        scale, value, pendulum_model, pendulum_design,
+        pendulum_decomposition):
+    # a NaN entry, or a finite row whose products overflow, raises on
+    # every call, at a screening and an open gamma, and leaves no entry
+    problem, rows = open_and_screened_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition, count=1)
+    row = rows[0] * scale
+    if value is not None:
+        row[5] = value
+    for gamma in (1e300, 5.0, 1e300):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite measurement|"
+                                                "least-squares products "
+                                                "overflow"):
+            secure_fuse(problem, row, gamma)
+    assert problem._ls_splits == {}

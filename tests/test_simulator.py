@@ -19,6 +19,7 @@ from securekf.simulator import (
     _rollout,
     attack_sequence,
     default_attack,
+    empirical_equivalence_probability,
     mse,
     security_gap,
     simulate,
@@ -98,6 +99,26 @@ def test_attack_sequence_ramp():
     # grows by exactly magnitude per active step
     diffs = np.diff(a[4:, 0])
     assert np.allclose(diffs, 0.5)
+
+
+def test_ramp_starting_at_the_last_step_is_all_zero(pendulum_model,
+                                                   pendulum_design,
+                                                   pendulum_decomposition):
+    # a ramp is zero at k = start_step, so one starting at the last step
+    # injects nothing; one step earlier it hits only the last step
+    rng = np.random.default_rng(0)
+    late = AttackSpec(support=(0,), kind="ramp", magnitude=1.0,
+                      start_step=10)
+    assert not attack_sequence(late, 2, 10, rng).any()
+    early = dataclasses.replace(late, start_step=9)
+    assert np.array_equal(attack_sequence(early, 2, 10, rng)[:, 0],
+                          [0.0] * 9 + [1.0])
+    tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
+             attack=late, horizon=10)
+    clean = run(pendulum_model, pendulum_design, pendulum_decomposition,
+                horizon=10)
+    assert not tr.a.any()
+    assert np.array_equal(tr.xhat_sec, clean.xhat_sec)
 
 
 def test_attack_sequence_uniform_stays_in_open_interval():
@@ -402,6 +423,48 @@ def test_mse_burn_in_validation(pendulum_model, pendulum_design,
         mse(tr, burn_in=20)
 
 
+def test_negative_burn_in_is_refused(pendulum_model, pendulum_design,
+                                     pendulum_decomposition):
+    # a negative burn-in would keep every step (or, for the equivalence
+    # rate, only the last few); every library entry point refuses it
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    tr = run(*args, horizon=10)
+    message = "burn-in must be nonnegative, got -5"
+    with pytest.raises(ValueError, match=message):
+        mse(tr, burn_in=-5)
+    with pytest.raises(ValueError, match=message):
+        security_gap(tr, tr, burn_in=-5)
+    with pytest.raises(ValueError, match=message):
+        empirical_equivalence_probability(*args, 1000.0, trials=1,
+                                          horizon=10, burn_in=-5)
+    with pytest.raises(ValueError, match=message):
+        sweep_gamma(*args, gammas=(5.0,), trials=1, horizon=10, burn_in=-5)
+    # the edges still keep their steps: mse k >= burn_in, the rate k > it
+    assert mse(tr, burn_in=0).samples == 10
+    assert mse(tr, burn_in=10).samples == 1
+    with pytest.raises(ValueError, match="no samples"):
+        mse(tr, burn_in=11)
+
+
+@pytest.mark.parametrize("burn_in", [-5, 50])
+def test_sweep_refuses_burn_in_before_any_rollout(
+        burn_in, monkeypatch, pendulum_model, pendulum_design,
+        pendulum_decomposition):
+    import securekf.simulator as sim
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before checking the burn-in")
+
+    monkeypatch.setattr(sim, "_rollout", no_rollout)
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    with pytest.raises(ValueError, match="burn-in"):
+        sweep_gamma(*args, gammas=(5.0,), trials=1, horizon=40,
+                    burn_in=burn_in)
+    with pytest.raises(ValueError, match="burn-in"):
+        sweep_attack_magnitude(*args, magnitudes=(1.0,), trials=1,
+                               horizon=40, burn_in=burn_in)
+
+
 def test_security_gap_requires_paired_traces(pendulum_model, pendulum_design,
                                              pendulum_decomposition):
     a = run(pendulum_model, pendulum_design, pendulum_decomposition,
@@ -636,6 +699,25 @@ def test_sweep_rolls_out_each_trial_attack_once(
                            trials=2, horizon=60, seed=1)
     assert len(calls) == len(set(calls)) == 6
     assert {a.magnitude for _, a in calls} == {0.0, 1.0, 2.0}
+
+
+def test_sweep_computes_each_row_split_once(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # two gammas fuse each of the 2 x 60 rollout rows twice (240 calls),
+    # but the shared problem computes each row's least squares once
+    from securekf.fusion import FusionProblem
+
+    calls = []
+    least_squares = FusionProblem.least_squares
+
+    def counting(self, Y):
+        calls.append(Y.tobytes())
+        return least_squares(self, Y)
+
+    monkeypatch.setattr(FusionProblem, "least_squares", counting)
+    sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
+                gammas=(5.0, 1000.0), trials=1, horizon=60)
+    assert len(calls) == len(set(calls)) == 120
 
 
 def test_sweep_single_trial_has_zero_stderr(pendulum_model, pendulum_design,
