@@ -22,9 +22,9 @@ to gamma, and ends after finitely many breakpoints on the exact support.
 Everything here runs in real arithmetic: the decomposition is realified
 once, when it is built, so the bank, its canonical measurement Y, H and
 Mtilde are real arrays.  FusionProblem owns the operators every step
-shares (least squares, the threshold statistic, the objective); complex
-problem data are rejected when the problem is built, and a complex Y when
-it is fused.
+shares (the least-squares split of a block of measurements, the
+threshold statistic, the objective); complex problem data are rejected
+when the problem is built, and a complex Y when it is fused.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
 SUPPORT_SOLVES = 4096   # signed supports a FusionProblem remembers
-LS_SPLITS = 4096        # measurement rows a FusionProblem remembers
 _FLOAT64 = np.dtype(float)
 
 
@@ -68,9 +67,9 @@ class FusionResult(NamedTuple):
     the KKT tolerance; a solve that hits the breakpoint cap still returns
     its last point.  The fields cannot be set, and their order is part of
     the API: simulate unpacks the results of a run by position.  x_ls,
-    and mu on a screened step, are read-only arrays that the problem's
-    cache keeps and may share with other results for the same Y; x_tilde
-    and nu are always fresh, writable arrays.
+    and mu on a screened step, are read-only rows of the least-squares
+    split (FusionProblem.split), which results that were passed the same
+    split share; x_tilde and nu are always fresh, writable arrays.
     """
 
     x_tilde: np.ndarray
@@ -123,36 +122,63 @@ def assemble_canonical_measurement(bank: LocalBankState,
         [np.asarray(z, dtype=float).reshape(-1) for z in bank.zeta])
 
 
+def _rows_dot(V, B):
+    """Each row v of V times B, as the product v.dot(B) computes it.
+
+    np.matmul over a stack runs one vector product per row, so every
+    row gets the bits its row product gives; a block product V.dot(B)
+    is a GEMM, whose bits may differ from them in the last places.
+    """
+    return np.matmul(V[..., None, :], B)[..., 0, :]
+
+
+def _dot_rows(A, V):
+    """A times each row v of V, as A.dot(v) computes it (see _rows_dot)."""
+    return np.matmul(A, V[..., :, None])[..., :, 0]
+
+
+class LeastSquaresSplit(NamedTuple):
+    """The gamma-independent half of the fusion solves on an (h, mn)
+    block Y (FusionProblem.split), one row per measurement row.
+
+    x_ls and mu_ls are the least-squares split Y = H x_ls + mu_ls, d is
+    Minv mu_ls, statistic the threshold statistic max |d| and kkt the KKT
+    residual max |H' d| of a row that screens.  rows[t] is the tuple
+    (x_ls[t], mu_ls[t], d[t], statistic[t], kkt[t]) that secure_fuse
+    takes for row t, with the two scalars as Python floats.  The arrays
+    are read-only, so results that share rows of them cannot change them.
+    """
+
+    Y: np.ndarray
+    x_ls: np.ndarray
+    mu_ls: np.ndarray
+    d: np.ndarray
+    statistic: np.ndarray
+    kkt: np.ndarray
+    rows: list
+
+
 @dataclasses.dataclass(frozen=True)
 class FusionProblem:
     """Real operators shared by every fusion solve on one design.
 
     The methods take one measurement Y of length mn, or an (h, mn) block
-    with one measurement per row, and answer per row.  S is a view of
-    the top half of S_pm = [S; -S], which the homotopy reads.
+    with one measurement per row, and answer per row.  least_squares,
+    screen_statistic and split form each row's products as the row form
+    would (_rows_dot), so row t of a block's answer has the bits of the
+    answer on Y[t] alone.  S is a view of the top half of S_pm = [S; -S],
+    which the homotopy reads.
 
-    The problem also keeps two caches, each emptied when it is full:
-
-      _support_solves  the Y-independent half of a homotopy breakpoint
-                       (_lasso_path), keyed by the signed support's
-                       sign.tobytes().  An entry costs about 1.1 KB plus
-                       16 mn k bytes for its k columns of S_pm, 2.5-3.3 KB
-                       on the pendulum (mn = 16) under its default sweeps;
-                       at most SUPPORT_SOLVES entries, under 13 MiB there.
-      _ls_splits       the gamma-independent half of a solve (secure_fuse):
-                       x_ls, mu_ls, d = Minv mu_ls, the threshold statistic
-                       max |d| and, once the row has screened, its KKT
-                       residual, keyed by the row's Y.tobytes().  An entry
-                       costs about 0.97 KB on the pendulum (measured with
-                       tracemalloc over 4,000 rows); at most LS_SPLITS
-                       entries, under 4 MiB there.  A sweep fuses each
-                       rollout row at every gamma of its grid, and all but
-                       the first of those calls hit.
-
-    Both live as long as the problem: every sweep call builds its own, as
-    does simulate unless it is passed one, and dataclasses.replace starts
-    new, empty caches.  A hit returns the bits a recomputation would give,
-    so neither cache ever changes an answer, only how fast it comes.
+    The problem keeps one cache, emptied when it is full:
+    _support_solves holds the Y-independent half of a homotopy breakpoint
+    (_lasso_path), keyed by the signed support's sign.tobytes().  An
+    entry costs about 1.1 KB plus 16 mn k bytes for its k columns of
+    S_pm, 2.5-3.3 KB on the pendulum (mn = 16) under its default sweeps;
+    at most SUPPORT_SOLVES entries, under 13 MiB there.  It lives as long
+    as the problem: every sweep call builds its own, as does simulate
+    unless it is passed one, and dataclasses.replace starts a new, empty
+    cache.  A hit returns the bits a recomputation would give, so the
+    cache never changes an answer, only how fast it comes.
     """
 
     H: np.ndarray          # mn x n
@@ -163,18 +189,48 @@ class FusionProblem:
     S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
     _support_solves: dict = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False)
-    _ls_splits: dict = dataclasses.field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     def least_squares(self, Y):
         """(x_ls, mu_ls) minimizing 0.5 mu' Minv mu subject to Y = H x + mu."""
-        x_ls = Y.dot(self.wls_op.T)
-        return x_ls, Y - x_ls.dot(self.H.T)
+        x_ls = _rows_dot(Y, self.wls_op.T)
+        return x_ls, Y - _rows_dot(x_ls, self.H.T)
 
     def screen_statistic(self, Y):
         """max |Minv mu_ls|: the threshold condition holds for every gamma
         at or above it, and then the l1 term keeps nu at zero."""
-        return np.abs(self.least_squares(Y)[1] @ self.Minv.T).max(axis=-1)
+        return np.abs(_dot_rows(self.Minv, self.least_squares(Y)[1])
+                      ).max(axis=-1)
+
+    def split(self, Y) -> LeastSquaresSplit:
+        """The gamma-independent half of a fusion solve on every row of
+        the (h, mn) block Y, which every gamma's solve on that row reads.
+
+        The first row whose statistic is not finite raises ValueError, with
+        the message secure_fuse gives on that row alone: a non-finite
+        measurement, or a finite one so large that the least-squares
+        products overflow (the homotopy would walk to the breakpoint cap
+        and return NaN).
+        """
+        if Y.ndim != 2:
+            raise ValueError(f"split takes an (h, mn) block, got shape "
+                             f"{Y.shape}")
+        x_ls, mu_ls = self.least_squares(Y)
+        d = _dot_rows(self.Minv, mu_ls)
+        statistic = np.abs(d).max(axis=-1)
+        bad = ~np.isfinite(statistic)
+        if bad.any():
+            row = Y[int(bad.argmax())]
+            if not np.isfinite(row).all():
+                i = int(np.isfinite(row).argmin())
+                raise ValueError(f"non-finite measurement Y[{i}] = {row[i]}")
+            raise ValueError(f"the least-squares products overflow on a "
+                             f"finite measurement (max |Y| = "
+                             f"{np.abs(row).max():.3e})")
+        kkt = np.abs(_dot_rows(self.Ht, d)).max(axis=-1)
+        for a in (x_ls, mu_ls, d, statistic, kkt):
+            a.setflags(write=False)
+        rows = list(zip(x_ls, mu_ls, d, statistic.tolist(), kkt.tolist()))
+        return LeastSquaresSplit(Y, x_ls, mu_ls, d, statistic, kkt, rows)
 
     def objective(self, Y, x, nu, gamma):
         """0.5 mu' Minv mu + gamma |nu|_1 at (x, nu), mu = Y - H x - nu."""
@@ -343,32 +399,8 @@ def _lasso_path(problem, Y, c_ls, gamma, history):
     return nu, MAX_BREAKPOINTS
 
 
-def _ls_split(problem, Y, key):
-    """Compute, store under key and return the gamma-independent half of a
-    fusion solve on Y: [x_ls, mu_ls, d_ls = Minv mu_ls, max |d_ls|, None],
-    the last slot waiting for the screened KKT residual.  A non-finite
-    statistic raises ValueError and is not stored."""
-    x_ls, mu_ls = problem.least_squares(Y)
-    d_ls = problem.Minv.dot(mu_ls)
-    statistic = np.maximum.reduce(np.abs(d_ls))
-    if not math.isfinite(statistic):
-        if not np.isfinite(Y).all():
-            i = int(np.isfinite(Y).argmin())
-            raise ValueError(f"non-finite measurement Y[{i}] = {Y[i]}")
-        # the homotopy would walk to the breakpoint cap and return NaN
-        raise ValueError(f"the least-squares products overflow on a finite "
-                         f"measurement (max |Y| = {np.abs(Y).max():.3e})")
-    for a in (x_ls, mu_ls, d_ls):
-        a.setflags(False)
-    splits = problem._ls_splits
-    if len(splits) >= LS_SPLITS:
-        splits.clear()
-    split = splits[key] = [x_ls, mu_ls, d_ls, statistic, None]
-    return split
-
-
-def secure_fuse(problem: FusionProblem, Y, gamma, *,
-                history=None) -> FusionResult:
+def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
+                split=None) -> FusionResult:
     """Solve the l1-regularized fusion problem for one real measurement Y.
 
     The threshold test or the lasso homotopy (module docstring) gives the
@@ -376,15 +408,19 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
     KKT_TOL * max(1, gamma).  history, when given a list, collects the
     objective at nu = 0, at every homotopy breakpoint and at the answer.
     It does not increase: along the path its derivative in lambda is
-    (lambda - gamma) s_A' S_AA^-1 s_A.  The gamma-independent half of the
-    solve (_ls_split) is computed once per row and problem, so a row fused
-    again at another gamma only tests the stored statistic against it, or
-    starts the homotopy from the stored d.  A 1-D float64 ndarray Y is
-    used as given, and any other form converted first.  ValueError is
+    (lambda - gamma) s_A' S_AA^-1 s_A.
+
+    The gamma-independent half of the solve is the row's least-squares
+    split.  split, when given, must be problem.split(block).rows[t] for a
+    block whose row t is Y; it is not checked.  simulate splits a whole
+    rollout at once and passes each step its row, so a screened step
+    only tests the row's statistic against gamma.  Without it, Y is
+    split alone, as the block Y[None].  A 1-D float64 ndarray Y
+    is used as given, and any other form converted first.  ValueError is
     raised for a complex Y, a non-finite Y (the screen test propagates
     NaN, so it never passes one), a finite Y so large that the
     least-squares products overflow, and a gamma that is not finite and
-    positive; such a row is not stored, so it raises on every call.
+    positive.
     """
     if not 0.0 < gamma < math.inf:
         check_gamma(gamma)
@@ -394,15 +430,12 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *,
             raise ValueError("secure_fuse takes a real measurement, got a "
                              "complex one")
         Y = Y.astype(float, copy=False).reshape(-1)
-    split = problem._ls_splits.get(key := Y.tobytes())
     if split is None:
-        split = _ls_split(problem, Y, key)
+        split = problem.split(Y[None]).rows[0]
     x_ls, mu_ls, d_ls, statistic, kkt = split
     if statistic <= gamma:
         if history is not None:
             history.append(float(0.5 * mu_ls @ d_ls))
-        if kkt is None:
-            kkt = split[4] = max(map(abs, problem.Ht.dot(d_ls).tolist()))
         return FusionResult(x_ls.copy(), mu_ls, np.zeros(len(Y)), kkt, 0,
                             True, x_ls, True)
 

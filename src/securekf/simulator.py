@@ -12,10 +12,10 @@ The rollout does not depend on the regularization weight gamma, so runs
 that differ only in gamma can share it.  Sparse sensor attacks are
 injected additively on a fixed support.  Sweep helpers aggregate
 per-trial mean squared errors over a grid of regularization weights or
-attack magnitudes, rolling out each (trial, attack) once and computing
-each rollout row's least-squares split once (the fusion problem they
-share remembers it), and write the results as CSV; every run is
-reproducible from (seed, trial).
+attack magnitudes, rolling out each (trial, attack) once and splitting
+each rollout's least squares once, as one block that every gamma reads,
+and write the results as CSV; every run is reproducible from (seed,
+trial).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import SensorDecomposition
-from .fusion import (FusionProblem, build_fusion_problem, check_gamma,
-                     secure_fuse)
+from .fusion import (FusionProblem, LeastSquaresSplit, build_fusion_problem,
+                     check_gamma, secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
@@ -142,7 +142,11 @@ class SimulationTrace:
     Row t corresponds to step k = t + 1: x holds the true state after
     the transition, u the input that drove it, z the clean measurement,
     a the injected attack, and y = z + a what the estimators saw.  The
-    solver columns describe the secure fusion at that step.
+    solver columns describe the secure fusion at that step;
+    screen_statistic is the threshold statistic max |Minv mu_ls| of the
+    step's canonical measurement, so kalman_equivalent holds exactly
+    where it is at most gamma.  It is the read-only array of the run's
+    least-squares split, which runs that share the split share.
     """
 
     seed: int
@@ -162,6 +166,7 @@ class SimulationTrace:
     kkt_residual: np.ndarray
     solver_converged: np.ndarray
     kalman_equivalent: np.ndarray
+    screen_statistic: np.ndarray
 
     @property
     def unconverged_steps(self) -> int:
@@ -263,17 +268,21 @@ def simulate(model: SystemModel, design: SpectralDesign,
              decomposition: SensorDecomposition, attack: AttackSpec,
              gamma: float, horizon: int = DEFAULT_HORIZON, seed: int = 0, *,
              trial: int = 0, x0=None, problem: FusionProblem | None = None,
-             rollout: Rollout | None = None) -> SimulationTrace:
+             rollout: Rollout | None = None,
+             split: LeastSquaresSplit | None = None) -> SimulationTrace:
     """Run the plant and all three estimators for `horizon` steps.
 
     The input is true-state feedback u(k) = -K_lqr x(k); estimators never
     close the loop, so the plant, the fixed-gain filter and the local bank
-    are rolled out over the whole horizon first, and only the secure
-    fusion runs step by step.  All randomness (initial state, process
-    noise, measurement noise, attack draws) comes from independent
-    substreams of (seed, trial), so two runs that differ only in the
-    attack share the same noise and the same clean measurements.  Passing
-    x0 pins the initial state instead of drawing it.  Solver
+    are rolled out over the whole horizon first.  The least squares of
+    the whole rollout are then split at once (FusionProblem.split), and
+    only the secure fusion runs step by step: one secure_fuse call per
+    step, passed its row of the split, so that a screened step only
+    tests the row's statistic against gamma.  All randomness (initial
+    state, process noise, measurement noise, attack draws) comes from
+    independent substreams of (seed, trial), so two runs that differ only
+    in the attack share the same noise and the same clean measurements.
+    Passing x0 pins the initial state instead of drawing it.  Solver
     non-convergence at a step is recorded in the trace and the run
     continues; a non-finite state, measurement or estimate raises
     ValueError.
@@ -282,7 +291,12 @@ def simulate(model: SystemModel, design: SpectralDesign,
     gamma can share one: pass it as `rollout` (as `problem` shares the
     fusion operators).  It must be the rollout of this (attack, horizon,
     seed, trial), and it fixes its own initial state, so passing x0 as
-    well raises ValueError, as does a rollout of another run.
+    well raises ValueError, as does a rollout of another run.  The split
+    does not depend on gamma either: pass problem.split(rollout.Y) as
+    `split` along with its rollout, and a split of another measurement
+    block raises ValueError.  A measurement so large that the
+    least-squares products overflow raises ValueError before any step is
+    fused.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -301,8 +315,14 @@ def simulate(model: SystemModel, design: SpectralDesign,
     if problem is None:
         problem = build_fusion_problem(decomposition.H_stack,
                                        decomposition.Mtilde_factor)
+    if split is None:
+        split = problem.split(Y)
+    elif split.Y is not Y:
+        raise ValueError("split of another measurement block passed: pass "
+                         "problem.split(rollout.Y) with its rollout")
     x_tilde, _, _, kkt, iters, screened, x_ls, converged = zip(
-        *[secure_fuse(problem, Y[t], gamma) for t in range(horizon)])
+        *[secure_fuse(problem, row, gamma, split=row_split)
+          for row, row_split in zip(Y, split.rows)])
     secs, lss = np.array(x_tilde), np.array(x_ls)
     kkts = np.array(kkt, dtype=float)
     for name, arr in (("xhat_sec", secs), ("xhat_ls", lss),
@@ -315,7 +335,8 @@ def simulate(model: SystemModel, design: SpectralDesign,
         xhat_kal=x_kal, xhat_sec=secs, xhat_ls=lss,
         solver_iters=np.array(iters, dtype=int), kkt_residual=kkts,
         solver_converged=np.array(converged, dtype=bool),
-        kalman_equivalent=np.array(screened, dtype=bool))
+        kalman_equivalent=np.array(screened, dtype=bool),
+        screen_statistic=split.statistic)
 
 
 def empirical_equivalence_probability(model: SystemModel,
@@ -326,7 +347,8 @@ def empirical_equivalence_probability(model: SystemModel,
     """Monte-Carlo estimate of how often the threshold condition holds.
 
     Rolls out attack-free runs (the same runs simulate makes), counts the
-    fraction of steps k > burn_in at which max |Minv mu_ls| <= gamma,
+    fraction of steps k > burn_in at which max |Minv mu_ls| <= gamma (the
+    screen secure_fuse tests, to the bit),
     and returns (probability, standard error) with the standard error
     taken across trials.  A negative burn_in raises ValueError, as does
     one that leaves no step k > burn_in.
@@ -525,13 +547,13 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     lock).  Within a trial every distinct (attack, gamma) run is simulated
     once: the clean run of a gamma serves every point at that
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
-    it is that clean run too.  The rollout does not depend on gamma, so a
-    trial rolls each distinct attack out once and its runs at every gamma
-    share it; a trial holds only its own rollouts.  Every run shares one
-    FusionProblem, which remembers the gamma-independent least-squares
-    split of each row it fuses, so a row's split is computed once and the
-    runs at the other gammas only test it against their own.  Bad gammas
-    and a burn-in that leaves no step are refused before any rollout.
+    it is that clean run too.  Neither the rollout nor its least-squares
+    split depends on gamma, so a trial rolls each distinct attack out
+    once, splits it once (FusionProblem.split) and keeps the split next
+    to the rollout; its runs at every gamma share both, and only test
+    each row's statistic against their own gamma.  A trial holds only its
+    own rollouts.  Every run shares one FusionProblem.  Bad gammas and a
+    burn-in that leaves no step are refused before any rollout.
     """
     for _, _, gamma in points:
         check_gamma(gamma)
@@ -547,12 +569,14 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                 attack = AttackSpec()
             if (attack, gamma) not in reports:
                 if attack not in rollouts:
-                    rollouts[attack] = _rollout(model, design, decomposition,
-                                                attack, horizon, seed, trial)
+                    rollout = _rollout(model, design, decomposition, attack,
+                                       horizon, seed, trial)
+                    rollouts[attack] = rollout, problem.split(rollout.Y)
+                rollout, split = rollouts[attack]
                 reports[attack, gamma] = mse(simulate(
                     model, design, decomposition, attack, gamma, horizon,
-                    seed, trial=trial, problem=problem,
-                    rollout=rollouts[attack]), burn_in)
+                    seed, trial=trial, problem=problem, rollout=rollout,
+                    split=split), burn_in)
             return reports[attack, gamma]
 
         out = []

@@ -54,9 +54,9 @@ def test_one_secure_fuse_call_per_step(monkeypatch, pendulum_model,
     calls = []
     fuse = securekf.simulator.secure_fuse
 
-    def counting(problem, Y, gamma):
+    def counting(problem, Y, gamma, **kwargs):
         calls.append(gamma)
-        return fuse(problem, Y, gamma)
+        return fuse(problem, Y, gamma, **kwargs)
 
     monkeypatch.setattr(securekf.simulator, "secure_fuse", counting)
     model, design, dec = pendulum_model, pendulum_design, pendulum_decomposition

@@ -17,11 +17,12 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from securekf import build_fusion_problem, fusion, secure_fuse
+from securekf import (build_decomposition, build_fusion_problem, fusion,
+                      secure_fuse, spectral_design)
 from securekf.fusion import FusionResult
 from securekf.simulator import AttackSpec, _rollout
 
-from helpers import reference_secure_fuse
+from helpers import random_jordan_model, reference_secure_fuse
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -202,9 +203,9 @@ def test_sensor_permutation_equivariance(seed, n, m_sensors, pattern, data):
             assert np.abs(got - want).max() <= 1e-6 * scale
 
 
-def assert_bit_equal(problem, Y, gamma):
+def assert_bit_equal(problem, Y, gamma, split=None):
     got_history, want_history = [], []
-    got = secure_fuse(problem, Y, gamma, history=got_history)
+    got = secure_fuse(problem, Y, gamma, history=got_history, split=split)
     want = reference_secure_fuse(problem, Y, gamma, history=want_history)
     for field in FusionResult._fields:
         a, b = getattr(got, field), getattr(want, field)
@@ -420,79 +421,45 @@ def test_support_cache_order_does_not_change_answers(
 
 
 def open_and_screened_rows(model, design, dec, count=6):
-    """A problem and rows that screen at gamma = 1000 but walk the
+    """A problem, the split of an attacked rollout's block, and the first
+    count of its row indices that screen at gamma = 1000 but walk the
     homotopy at gamma = 20."""
     problem, Y = attacked_pendulum_problem_and_rows(model, design, dec)
-    rows = [r for r in Y if 20.0 < problem.screen_statistic(r) <= 1000.0]
-    assert len(rows) >= count
-    return problem, rows[:count]
+    split = problem.split(Y)
+    picks = [t for t, s in enumerate(split.statistic) if 20.0 < s <= 1000.0]
+    assert len(picks) >= count
+    return problem, split, picks[:count]
 
 
 @pytest.mark.parametrize("gammas", [(1000.0, 20.0), (20.0, 1000.0)])
 def test_ls_split_cache_bit_equal_at_every_gamma_order(
         gammas, pendulum_model, pendulum_design, pendulum_decomposition):
-    # the first call on a row stores its split, the second reads it: each
-    # must be the reference's bits on every field and history entry,
-    # whether the row first screens or first walks the homotopy
-    problem, rows = open_and_screened_rows(
+    # a row fused at two gammas with its row of the block split, as
+    # simulate hands it over: each must be the reference's bits on every
+    # field and history entry, whether the row first screens or first
+    # walks the homotopy, and both share the split's x_ls row
+    problem, split, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition)
-    for row in rows:
-        first = assert_bit_equal(problem, row, gammas[0])
-        split = problem._ls_splits[row.tobytes()]
-        second = assert_bit_equal(problem, row, gammas[1])
-        assert problem._ls_splits[row.tobytes()] is split
+    for t in picks:
+        row, row_split = split.Y[t], split.rows[t]
+        first = assert_bit_equal(problem, row, gammas[0], split=row_split)
+        second = assert_bit_equal(problem, row, gammas[1], split=row_split)
+        assert first.x_ls is second.x_ls is row_split[0]
         assert first.kalman_equivalent is (gammas[0] == 1000.0)
         assert second.kalman_equivalent is (gammas[1] == 1000.0)
-    assert len(problem._ls_splits) == len(rows)
-
-
-def test_capped_ls_split_cache_stays_bit_equal_and_bounded(
-        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
-    # a cap of 3 empties the cache every few rows; answers at a screened
-    # and an open gamma must stay the reference's and no insert may pass
-    # the cap
-    cap = 3
-    monkeypatch.setattr(fusion, "LS_SPLITS", cap)
-    sizes = []
-
-    class Watched(dict):
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            sizes.append(len(self))
-
-    problem, Y = attacked_pendulum_problem_and_rows(
-        pendulum_model, pendulum_design, pendulum_decomposition)
-    object.__setattr__(problem, "_ls_splits", Watched())
-    for row in Y[:60]:
-        for gamma in (1000.0, 5.0):
-            assert_bit_equal(problem, row, gamma)
-    assert max(sizes) == cap
-    assert sizes.count(1) > 10          # emptied when full, many times
-
-
-def test_replace_starts_an_empty_ls_split_cache(
-        pendulum_model, pendulum_design, pendulum_decomposition):
-    problem, Y = attacked_pendulum_problem_and_rows(
-        pendulum_model, pendulum_design, pendulum_decomposition)
-    for row in Y[:20]:
-        secure_fuse(problem, row, 1000.0)
-    warm = dict(problem._ls_splits)
-    assert len(warm) == 20
-    copy = dataclasses.replace(problem, S_pm=problem.S_pm, S=problem.S)
-    assert copy._ls_splits == {}
-    assert copy._ls_splits is not problem._ls_splits
-    assert problem._ls_splits == warm
 
 
 def test_ls_split_cache_shares_only_read_only_arrays(
         pendulum_model, pendulum_design, pendulum_decomposition):
-    # results for one row at several gammas may share x_ls, and mu when
-    # screened, read-only; x_tilde and nu are fresh and writable
-    problem, rows = open_and_screened_rows(
+    # results for one row at several gammas share x_ls, and mu when
+    # screened, read-only rows of the split; x_tilde and nu are fresh and
+    # writable
+    problem, split, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition, count=1)
-    row = rows[0]
-    screened = [secure_fuse(problem, row, g) for g in (1000.0, 2000.0)]
-    walked = secure_fuse(problem, row, 20.0)
+    row, row_split = split.Y[picks[0]], split.rows[picks[0]]
+    screened = [secure_fuse(problem, row, g, split=row_split)
+                for g in (1000.0, 2000.0)]
+    walked = secure_fuse(problem, row, 20.0, split=row_split)
     a, b = screened
     assert a.x_ls is b.x_ls is walked.x_ls
     assert a.mu is b.mu
@@ -507,9 +474,8 @@ def test_ls_split_cache_shares_only_read_only_arrays(
         assert arr.flags.writeable
         others = fresh[:k] + fresh[k + 1:] + [a.x_ls, a.mu]
         assert not any(np.shares_memory(arr, o) for o in others)
-    for entry in problem._ls_splits.values():
-        for arr in entry[:3]:
-            assert not arr.flags.writeable
+    for arr in split[1:6]:
+        assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("scale, value", [(1.0, np.nan), (1e306, None)])
@@ -517,16 +483,73 @@ def test_non_finite_statistic_raises_every_time_and_is_not_stored(
         scale, value, pendulum_model, pendulum_design,
         pendulum_decomposition):
     # a NaN entry, or a finite row whose products overflow, raises on
-    # every call, at a screening and an open gamma, and leaves no entry
-    problem, rows = open_and_screened_rows(
+    # every call, at a screening and an open gamma, and in a block; the
+    # problem keeps nothing of it
+    problem, split, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition, count=1)
-    row = rows[0] * scale
+    row = split.Y[picks[0]] * scale
     if value is not None:
         row[5] = value
+    messages = set()
     for gamma in (1e300, 5.0, 1e300):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="non-finite measurement|"
                                                 "least-squares products "
-                                                "overflow"):
+                                                "overflow") as err:
             secure_fuse(problem, row, gamma)
-    assert problem._ls_splits == {}
+        messages.add(str(err.value))
+    # in a block, the bad row raises the same error as on its own
+    block = np.vstack((split.Y[:3], row, split.Y[3:]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError) as err:
+        problem.split(block)
+    assert messages == {str(err.value)}
+    assert problem._support_solves == {}
+
+
+def row_products(problem, y):
+    """The least-squares split of one row, as secure_fuse formed it row by
+    row: (x_ls, mu_ls, d, statistic, kkt)."""
+    x_ls = y.dot(problem.wls_op.T)
+    mu_ls = y - x_ls.dot(problem.H.T)
+    d = problem.Minv.dot(mu_ls)
+    return (x_ls, mu_ls, d, float(np.maximum.reduce(np.abs(d))),
+            max(map(abs, problem.Ht.dot(d).tolist())))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(8, 60),
+       log_magnitude=st.floats(-2.0, 3.0))
+def test_block_split_bit_equal_to_row_products(seed, horizon,
+                                               log_magnitude):
+    # on random Jordan designs, a block of 1, 2, 7 or every row of an
+    # attacked rollout gives each row the bits of its own row products;
+    # least_squares and screen_statistic on the block agree with them
+    model = random_jordan_model(seed, ensure_observable=True)
+    try:
+        design = spectral_design(model)
+        dec = build_decomposition(model, design)
+        problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    except ValueError:
+        assume(False)
+    attack = AttackSpec(support=(0,), kind="uniform",
+                        magnitude=10.0 ** log_magnitude)
+    Y = _rollout(model, design, dec, attack, horizon, seed, 0).Y
+    for size in (1, 2, 7, horizon):
+        block = Y[:size]
+        split = problem.split(block)
+        x_ls, mu_ls = problem.least_squares(block)
+        statistic = problem.screen_statistic(block)
+        assert split.Y is block
+        assert len(split.rows) == size
+        for t, y in enumerate(block):
+            want = row_products(problem, y)
+            got = (split.x_ls[t], split.mu_ls[t], split.d[t],
+                   split.statistic[t], split.kkt[t])
+            for g, w, r in zip(got, want, split.rows[t]):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+                assert np.asarray(r).tobytes() == np.asarray(w).tobytes()
+            assert type(split.rows[t][3]) is type(split.rows[t][4]) is float
+            assert x_ls[t].tobytes() == want[0].tobytes()
+            assert mu_ls[t].tobytes() == want[1].tobytes()
+            assert statistic[t] == want[3]

@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import (complex_pair_design, reference_complex_rollout,
                      reference_trace_csv, step_by_step_simulate)
-from securekf.fusion import MAX_BREAKPOINTS
+from securekf import build_fusion_problem, secure_fuse
+from securekf.fusion import MAX_BREAKPOINTS, FusionResult
 from securekf.simulator import (
     AttackSpec,
     Rollout,
@@ -171,8 +172,8 @@ def test_simulate_rejects_non_finite_results(
 
     fuse = sim.secure_fuse
 
-    def poisoned(problem, Y, gamma):
-        res = fuse(problem, Y, gamma)
+    def poisoned(problem, Y, gamma, **kwargs):
+        res = fuse(problem, Y, gamma, **kwargs)
         return res._replace(x_tilde=np.full_like(res.x_tilde, np.nan))
 
     monkeypatch.setattr(sim, "secure_fuse", poisoned)
@@ -275,6 +276,139 @@ def test_simulate_takes_the_rollout_of_its_own_run(
     with pytest.raises(ValueError, match="x0 or rollout"):
         simulate(*args, att, 5.0, 30, 3, trial=1, rollout=rollout,
                  x0=np.zeros(4))
+
+
+def test_simulate_takes_the_split_of_its_own_rollout(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    att = default_attack()
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    rollout = _rollout(*args, att, 30, 3, 1)
+    split = problem.split(rollout.Y)
+    shared = simulate(*args, att, 5.0, 30, 3, trial=1, problem=problem,
+                      rollout=rollout, split=split)
+    own = simulate(*args, att, 5.0, 30, 3, trial=1)
+    for f in ("xhat_sec", "xhat_ls", "kkt_residual", "solver_iters",
+              "kalman_equivalent", "screen_statistic"):
+        assert np.array_equal(getattr(shared, f), getattr(own, f)), f
+    # a split of an equal copy of Y, or of no rollout, is refused
+    copy = rollout._replace(Y=rollout.Y.copy())
+    for kw in (dict(rollout=copy), {}):
+        with pytest.raises(ValueError, match="split of another"):
+            simulate(*args, att, 5.0, 30, 3, trial=1, problem=problem,
+                     split=split, **kw)
+
+
+def record_fusion(monkeypatch):
+    """Record every FusionResult simulate's secure_fuse calls return, in
+    order, in the list returned."""
+    import securekf.simulator as sim
+
+    results = []
+    fuse = sim.secure_fuse
+
+    def recording(*args, **kwargs):
+        results.append(fuse(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sim, "secure_fuse", recording)
+    return results
+
+
+@pytest.mark.parametrize("gamma", [5.0, 20.0, 1000.0])
+def test_simulate_steps_equal_fresh_per_row_secure_fuse(
+        gamma, monkeypatch, pendulum_model, pendulum_design,
+        pendulum_decomposition):
+    # each step reads its row of the rollout's block split; every field of
+    # its result must be the bits of secure_fuse on the row alone.  A
+    # clean and an attacked run cover screened and homotopy steps at
+    # every gamma but 5, where none screens
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    results = record_fusion(monkeypatch)
+    screened = []
+    for attack in (AttackSpec(),
+                   AttackSpec(support=(3,), kind="uniform", magnitude=5.0)):
+        rollout = _rollout(*args, attack, 200, 2, 0)
+        results.clear()
+        trace = simulate(*args, attack, gamma, 200, 2, problem=problem,
+                         rollout=rollout)
+        assert len(results) == 200
+        for row, got in zip(rollout.Y, results):
+            want = secure_fuse(problem, row, gamma)
+            for field, a, b in zip(FusionResult._fields, got, want):
+                assert type(a) is type(b), field
+                if isinstance(b, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), field
+                else:
+                    assert a == b, field
+        screened += trace.kalman_equivalent.tolist()
+    assert any(screened) is (gamma > 5.0)
+    assert not all(screened)
+
+
+@pytest.mark.parametrize("gamma", [0.2, 20.0, 100.0, 1000.0])
+def test_trace_screen_statistic_is_the_block_statistic(
+        gamma, pendulum_model, pendulum_design, pendulum_decomposition):
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    rollout = _rollout(*args, default_attack(), 150, 1, 0)
+    trace = simulate(*args, default_attack(), gamma, 150, 1,
+                     rollout=rollout)
+    want = problem.screen_statistic(rollout.Y)
+    assert trace.screen_statistic.tobytes() == want.tobytes()
+    assert np.array_equal(trace.kalman_equivalent,
+                          trace.screen_statistic <= gamma)
+
+
+@pytest.mark.parametrize("gamma", [20.0, 100.0])
+def test_equivalence_probability_is_the_runs_screened_share(
+        gamma, pendulum_model, pendulum_design, pendulum_decomposition):
+    # the block screen the estimate counts is the one secure_fuse tests on
+    # each row, so one trial's probability is the run's share exactly
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    burn_in, horizon, seed = 50, 400, 6
+    prob, _ = empirical_equivalence_probability(
+        *args, gamma, trials=1, horizon=horizon, seed=seed, burn_in=burn_in)
+    trace = simulate(*args, AttackSpec(), gamma, horizon, seed)
+    share = float(trace.kalman_equivalent[burn_in:].mean())
+    assert prob == share
+    assert 0.0 < share < 1.0
+
+
+def test_overflowing_rollout_raises_before_any_step(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # a finite Y whose least-squares products overflow is refused with the
+    # row-by-row error, before secure_fuse sees a step
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    rollout = _rollout(*args, AttackSpec(), 60, 0, 0)
+    with np.errstate(over="ignore"):
+        huge = rollout._replace(Y=1e306 * rollout.Y)
+    assert np.isfinite(huge.Y).all()
+    # the error secure_fuse gives on the first row that overflows, which
+    # the step-by-step fusion met first
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    want = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in huge.Y:
+            try:
+                secure_fuse(problem, row, 5.0)
+            except ValueError as exc:
+                want = str(exc)
+                break
+    assert want.startswith("the least-squares products overflow on a "
+                           "finite measurement (max |Y| = ")
+    results = record_fusion(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError) as err:
+        simulate(*args, AttackSpec(), 5.0, 60, 0, problem=problem,
+                 rollout=huge)
+    assert str(err.value) == want
+    assert results == []
 
 
 def assert_matches_complex_oracle(model, design, rollout, relative_to_y):
@@ -704,14 +838,14 @@ def test_sweep_rolls_out_each_trial_attack_once(
 def test_sweep_computes_each_row_split_once(
         monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
     # two gammas fuse each of the 2 x 60 rollout rows twice (240 calls),
-    # but the shared problem computes each row's least squares once
+    # but each rollout's least squares are split once, as one block
     from securekf.fusion import FusionProblem
 
     calls = []
     least_squares = FusionProblem.least_squares
 
     def counting(self, Y):
-        calls.append(Y.tobytes())
+        calls.extend(row.tobytes() for row in np.atleast_2d(Y))
         return least_squares(self, Y)
 
     monkeypatch.setattr(FusionProblem, "least_squares", counting)
@@ -814,7 +948,8 @@ def simulation_traces(draw):
         kkt_residual=draw(hnp.arrays(float, horizon,
                                      elements=SPECIAL_FLOATS)),
         solver_converged=draw(hnp.arrays(bool, horizon)),
-        kalman_equivalent=np.zeros(horizon, dtype=bool))
+        kalman_equivalent=np.zeros(horizon, dtype=bool),
+        screen_statistic=np.zeros(horizon))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
