@@ -17,11 +17,11 @@ The result is written to ``BENCH_<pr>.json`` at the root of this tree:
 per workload the medians and quartiles of ``trial_steps_per_s`` on each
 side, every pair's values, the pairs the change won, the medians of the
 other end-to-end metrics, whether every run passed its output checks, and
-whether the gain rule holds: the change wins at least nine tenths of the
-pairs and its median beats the parent's by more than the parent's
-interquartile range.  Every ``end_to_end`` metric of ``BENCHMARK.json``
-also gets a verdict (see ``verdict``) against its ``bound``, a share of
-the parent's median in the metric's ``better`` direction.
+whether the gain rule holds on ``trial_steps_per_s`` (see ``gain_rule``).
+Every ``end_to_end`` metric of ``BENCHMARK.json`` also gets a verdict (see
+``verdict``) against its ``bound``, a share of the parent's median, with
+its own pair count and gain rule, all in the metric's ``better``
+direction.
 """
 
 from __future__ import annotations
@@ -74,13 +74,28 @@ def summary(samples):
             "q1": round(float(q1), 1), "q3": round(float(q3), 1)}
 
 
+def gain_rule(parent, change, sign=1.0):
+    """(pairs the change won, whether the gain rule holds) on paired
+    values, in the direction sign: 1.0 when higher is better, -1.0 when
+    lower is.  The rule holds when the change wins at least nine tenths of
+    the pairs, ties counting for neither side, and its median beats the
+    parent's by more than the parent's interquartile range.
+    """
+    wins = sum(sign * c > sign * p for p, c in zip(parent, change))
+    q1, q3 = np.percentile(parent, [25, 75])
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    return wins, bool(wins >= 0.9 * len(parent) and gap > q3 - q1)
+
+
 def verdict(entry, parent, change):
     """One end_to_end entry of BENCHMARK.json judged on the pairs' values.
 
     "unresolved" when the parent's interquartile range exceeds the bound
     (bound times |parent median|) and not every change run beats every
     parent run; otherwise "worse" when the change's median falls behind the
-    parent's by more than the bound, and "ok" when it does not.
+    parent's by more than the bound, and "ok" when it does not.  The
+    entry's pairs_won_by_change and gain_rule_met apply gain_rule in the
+    metric's better direction.
     """
     sign = 1.0 if entry["better"] == "higher" else -1.0
     p_med, c_med = statistics.median(parent), statistics.median(change)
@@ -93,9 +108,11 @@ def verdict(entry, parent, change):
         outcome = "worse"
     else:
         outcome = "ok"
+    wins, met = gain_rule(parent, change, sign)
     return {"verdict": outcome, "parent_median": p_med,
             "change_median": c_med, "parent_iqr": float(q3 - q1),
-            "allowed": allowed}
+            "allowed": allowed, "pairs_won_by_change": wins,
+            "gain_rule_met": met}
 
 
 def compare(trees, workload, pairs, first_seed, seconds, end_to_end):
@@ -124,10 +141,9 @@ def compare(trees, workload, pairs, first_seed, seconds, end_to_end):
                            values(traced, PER_LAYER).items()}
     parent = [r["parent"] for r in runs]
     change = [r["change"] for r in runs]
-    wins = sum(c > p for p, c in zip(parent, change))
+    wins, met = gain_rule(parent, change)
     sides = {side: summary(s) for side, s in (("parent", parent),
                                               ("change", change))}
-    iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
 
     def paired(side, name):
         return [r["metrics"][name]["value"] for r in results[side][:pairs]]
@@ -139,8 +155,7 @@ def compare(trees, workload, pairs, first_seed, seconds, end_to_end):
         **sides,
         "ratio_of_medians": round(sides["change"]["median"]
                                   / sides["parent"]["median"], 3),
-        "gain_rule_met": (wins >= 0.9 * pairs and sides["change"]["median"]
-                          - sides["parent"]["median"] > iqr),
+        "gain_rule_met": met,
         "runs": runs,
         "other_end_to_end_medians": {
             side: {k: statistics.median(paired(side, k))

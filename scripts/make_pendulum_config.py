@@ -33,6 +33,9 @@ all angle information: weighted least squares on the three cart-position
 sensors alone has a clean tail error of 28.2, against 0.25 with all four.
 
 Run from the repository root:  python3 scripts/make_pendulum_config.py
+The zero-order hold uses scipy.linalg.expm, so this script needs scipy,
+which the package itself does not: install the ``test`` extra
+(pip install -e .[test]) first.
 """
 
 import json

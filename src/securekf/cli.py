@@ -72,7 +72,8 @@ def _matrix_to_json(M):
 
 
 def _numbers(value, depth, key, expected):
-    """value as a float array of ndim depth (depth 3: [re, im] pairs)."""
+    """value as a finite float array of ndim depth (depth 3: [re, im]
+    pairs)."""
     try:
         arr = np.array(value, dtype=object)
     except ValueError:
@@ -81,7 +82,12 @@ def _numbers(value, depth, key, expected):
     if (arr is None or arr.ndim != depth or (depth == 3 and arr.shape[2] != 2)
             or any(type(v) not in (int, float) for v in arr.flat)):
         raise DesignFormatError(f"design key '{key}': {expected}")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    # json reads the literals NaN, Infinity and -Infinity as floats
+    if not np.isfinite(arr).all():
+        raise DesignFormatError(f"design key '{key}': numbers must be "
+                                "finite, got NaN or Infinity")
+    return arr
 
 
 def _matrix_from_json(obj, key):

@@ -26,7 +26,6 @@ import dataclasses
 import logging
 
 import numpy as np
-import scipy.linalg
 
 from .model import SystemModel, observability_matrix, observability_structure
 from .spectral import EIG_SEPARATION, SpectralDesign
@@ -50,7 +49,7 @@ class SensorDecomposition:
     G_stack and H_stack stack the per-sensor T G_i and H_i (sensor i owns
     rows i*n .. (i+1)*n - 1); Ptilde is the block diagonal of the P_i T^H.
     Mtilde is the residual covariance before any ridge; Mtilde_factor is
-    a Cholesky factorization of Mtilde + ridge_delta * I.
+    factor_mtilde's lower Cholesky pair (L, True) of Mtilde + ridge_delta * I.
     """
 
     bank: np.ndarray
@@ -103,20 +102,23 @@ def realification_map(pair: np.ndarray) -> np.ndarray:
     return T
 
 
-def _resolvent_guard(design: SpectralDesign):
-    # p(pi_j) = det(pi_j I - A): vanishing means A - pi_j I is singular
-    vals = np.polyval(design.charpoly[::-1], design.Pi)
-    if np.abs(vals).min() < EIG_SEPARATION:
+def _resolvent_guard(model: SystemModel, design: SpectralDesign):
+    # A - pi_j I must be invertible: refuse a pi_j within EIG_SEPARATION of
+    # spec(A), as closed_loop_eigendecomposition does.  |p(pi_j)|, a
+    # product of n such distances, can be tiny while every one is large
+    gap = np.abs(design.Pi[:, None]
+                 - np.linalg.eigvals(model.A)[None, :]).min(axis=1)
+    j = int(gap.argmin())
+    if gap[j] <= EIG_SEPARATION:
         raise ValueError(
-            "Assumption 1 violated: closed-loop eigenvalue on the spectrum "
-            f"of A (|p(pi)| = {np.abs(vals).min():.3e}); no per-mode gains")
-    return vals
+            f"Assumption 1 violated: closed-loop eigenvalue {design.Pi[j]:.6g} "
+            f"lies {gap[j]:.3e} from the spectrum of A; no per-mode gains")
 
 
 def local_gain_direct(model: SystemModel, design: SpectralDesign,
                       i: int) -> np.ndarray:
     """G_i with row j = C_i A (A - pi_j I)^-1, one linear solve per row."""
-    _resolvent_guard(design)
+    _resolvent_guard(model, design)
     A = model.A.astype(complex)
     cA = (model.C[i] @ model.A).astype(complex)
     n = model.n
@@ -135,12 +137,13 @@ def local_gain_factored(model: SystemModel, design: SpectralDesign,
     applied to the rows of O_i A, scaled by -1/p(pi_j).  Algebraically equal
     to the resolvent route; kept as an independent cross-check.
     """
-    p_vals = _resolvent_guard(design)
+    _resolvent_guard(model, design)
     a = design.charpoly
     n = model.n
-    D1 = np.diag(-1.0 / p_vals)
+    D1 = np.diag(-1.0 / np.polyval(a[::-1], design.Pi))
     D2 = np.vander(design.Pi, N=n, increasing=False)
-    D3 = scipy.linalg.toeplitz(c=a[:0:-1], r=np.zeros(n))
+    # lower-triangular Toeplitz with first column a_n, ..., a_1
+    D3 = np.tril(a[:0:-1][np.subtract.outer(np.arange(n), np.arange(n))])
     O_iA = observability_matrix(model.A, model.C[i]) @ model.A
     return D1 @ D2 @ D3 @ O_iA
 
@@ -248,10 +251,13 @@ def fusion_weights(design: SpectralDesign):
 
 
 def factor_mtilde(Mtilde: np.ndarray, ridge_delta: float):
-    """Cholesky factorization of Mtilde + ridge_delta * I (no ridge at 0)."""
-    return scipy.linalg.cho_factor(
+    """Cholesky factor of Mtilde + ridge_delta * I (no ridge at 0), as the
+    pair (L, True): the lower triangle, in scipy.linalg.cho_factor's
+    (c, lower) form.  Raises numpy.linalg.LinAlgError unless the matrix
+    is positive definite."""
+    return np.linalg.cholesky(
         Mtilde + ridge_delta * np.eye(Mtilde.shape[0]) if ridge_delta
-        else Mtilde)
+        else Mtilde), True
 
 
 def residual_covariances(model: SystemModel, design: SpectralDesign,
@@ -339,7 +345,9 @@ def build_decomposition(model: SystemModel,
         H_list.append(H_i)
         P_list.append(P_i)
 
-    Ptilde = scipy.linalg.block_diag(*P_list)
+    Ptilde = np.zeros((m * n, m * n), dtype=complex)
+    for i, P_i in enumerate(P_list):
+        Ptilde[i * n:(i + 1) * n, i * n:(i + 1) * n] = P_i
     _, _, Mtilde, _, delta = residual_covariances(
         model, design, G_list, Ptilde)
     T = realification_map(pair)

@@ -15,7 +15,6 @@ import itertools
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgesv
 
 from securekf import (assemble_canonical_measurement, attack_sequence,
                       build_fusion_problem, fixed_gain_kalman_step,
@@ -311,8 +310,9 @@ def _reference_lasso_path(S, Y, c_ls, gamma, history):
                 history.append(float(0.5 * (Y - nu) @ c2[:mn]
                                      + gamma * np.abs(nu).sum()))
             S_aa = cols.take(act, axis=0)
-            w, info = dgesv(S_aa, s_act)[2:]
-            if info > 0:
+            try:
+                w = np.linalg.solve(S_aa, s_act)
+            except np.linalg.LinAlgError:
                 w = np.linalg.lstsq(S_aa, s_act, rcond=None)[0]
             rate = 1.0 - cols @ w
             join = (lam - c2) / rate

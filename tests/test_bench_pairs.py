@@ -28,25 +28,25 @@ ENV = {"nproc": 2, "platform": "test-host"}
 SPEC = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
 
 
-def canned(rate, setup_s=1.0):
+def canned(rate, other="setup_s", value=1.0):
     keys = (bench_pairs.METRIC, *bench_pairs.OTHER_METRICS,
             *bench_pairs.PER_LAYER)
-    values = {bench_pairs.METRIC: rate, "setup_s": setup_s}
+    values = {bench_pairs.METRIC: rate, other: value}
     return {"metrics": {k: {"value": values.get(k, 1.0)} for k in keys},
             "correct": True}
 
 
-def stub_bench(monkeypatch, rates, setups=None):
+def stub_bench(monkeypatch, rates, others=None, other="setup_s"):
     """Replace bench by a lookup of rates[side][seed - 41] (and of
-    setups[side][seed - 41] for setup_s, 1.0 without setups); returns the
-    list of (side, workload, seed, trace) calls it received."""
+    others[side][seed - 41] for the metric other, 1.0 without others);
+    returns the list of (side, workload, seed, trace) calls it received."""
     calls = []
 
     def bench(tree, side, workload, seed, seconds, trace):
         assert tree == TREES[side]
         calls.append((side, workload, seed, trace))
-        setup = setups[side][seed - 41] if setups else 1.0
-        return canned(rates[side][seed - 41], setup), ENV
+        value = others[side][seed - 41] if others else 1.0
+        return canned(rates[side][seed - 41], other, value), ENV
 
     monkeypatch.setattr(bench_pairs, "bench", bench)
     return calls
@@ -155,6 +155,43 @@ def test_verdict_on_a_higher_is_better_metric(monkeypatch, shift,
                              "change": [p * (1 + shift) for p in PARENT]})
     out = compare(10)
     assert out["verdicts"]["trial_steps_per_s"]["verdict"] == expected
+
+
+def test_every_verdict_has_the_gain_rule_of_its_metric(monkeypatch):
+    stub_bench(monkeypatch, {"parent": PARENT,
+                             "change": [p + 9.5 for p in PARENT]})
+    out = compare(10)
+    rate = out["verdicts"]["trial_steps_per_s"]
+    assert (rate["pairs_won_by_change"], rate["gain_rule_met"]) == (10, True)
+    assert out["gain_rule_met"] is True
+    # every other metric reads 1.0 on both sides: ties win nothing
+    for name, v in out["verdicts"].items():
+        if name != "trial_steps_per_s":
+            assert (v["pairs_won_by_change"], v["gain_rule_met"]) == (0, False)
+
+
+# peak_rss_mb is lower-better with bound 0.05: parent median 70.5, IQR 2.75
+RSS = [67.0, 68.0, 69.0, 69.5, 70.0, 71.0, 71.5, 72.0, 73.0, 74.0]
+
+
+@pytest.mark.parametrize("change, wins, met, expected", [
+    # every run 22 MB lower: a gain
+    ([r - 22.0 for r in RSS], 10, True, "ok"),
+    # lower on every pair, but by less than the parent's IQR
+    ([r - 2.0 for r in RSS], 10, False, "ok"),
+    # 22 MB higher: higher is worse for this metric
+    ([r + 22.0 for r in RSS], 0, False, "worse"),
+])
+def test_gain_rule_on_a_lower_is_better_metric(monkeypatch, change, wins,
+                                               met, expected):
+    stub_bench(monkeypatch, {"parent": PARENT, "change": PARENT},
+               {"parent": RSS, "change": change}, other="peak_rss_mb")
+    out = compare(10)
+    rss = out["verdicts"]["peak_rss_mb"]
+    assert (rss["pairs_won_by_change"], rss["gain_rule_met"]) == (wins, met)
+    assert rss["verdict"] == expected
+    # the rate ties on every pair, so its gain rule is not met
+    assert out["gain_rule_met"] is False
 
 
 def test_failed_run_names_workload_side_seed_and_exit_code(monkeypatch):

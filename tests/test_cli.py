@@ -310,12 +310,19 @@ def _delete(data):
     (_set(["format"], "other"), "not a design file (format 'other')"),
     (_set(["version"], 4), "unsupported design file version 4"),
     (None, "invalid JSON in design file"),
+    (_set(["decomposition", "Mtilde", "real", 0, 0], float("nan")),
+     "design key 'Mtilde': numbers must be finite, got NaN or Infinity"),
+    (_set(["design", "K", "real", 1, 2], float("inf")),
+     "design key 'K': numbers must be finite, got NaN or Infinity"),
+    (_set(["decomposition", "ridge_delta"], float("-inf")),
+     "design key 'ridge_delta': numbers must be finite, got NaN or Infinity"),
 ], ids=["section-not-object", "missing-key", "unknown-section-key",
         "untagged-matrix", "unknown-tag", "malformed-complex",
         "complex-not-number", "float-not-number", "float-is-bool",
         "ragged-rows", "one-dimensional", "entry-not-number", "entry-is-bool",
         "gain-shape", "mtilde-shape", "charpoly-shape", "wrong-format",
-        "wrong-version", "invalid-json"])
+        "wrong-version", "invalid-json", "nan-in-mtilde", "infinity-in-gain",
+        "minus-infinity-ridge"])
 def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
                                           pendulum_design_text, tmp_path,
                                           capsys):

@@ -20,7 +20,8 @@ from securekf.decomposition import (
     residual_covariances,
 )
 from securekf.model import SystemModel, observability_matrix, observability_structure
-from securekf.spectral import SpectralDesign, characteristic_polynomial, spectral_design
+from securekf.spectral import (EIG_SEPARATION, SpectralDesign,
+                               characteristic_polynomial, spectral_design)
 
 from helpers import (complex_pair_design, mode_coordinates,
                      random_jordan_model, sensor_blocks)
@@ -87,10 +88,41 @@ def test_gain_rejects_shared_eigenvalue():
     model = SystemModel(A=np.diag([1.0, 2.0]), C=np.array([[1.0, 1.0]]),
                         Q=np.eye(2), R=np.eye(1), Sigma=np.eye(2))
     design = dummy_design(model.A, [1.0, 0.25])
-    with pytest.raises(ValueError):
+    message = ("^Assumption 1 violated: closed-loop eigenvalue 1\\+0j lies "
+               "0.000e\\+00 from the spectrum of A")
+    with pytest.raises(ValueError, match=message):
         local_gain_direct(model, design, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         local_gain_factored(model, design, 0)
+
+
+def diagonal_family_model(seed, n, m):
+    """A diagonal with real eigenvalues of modulus 0.2-1.2, dense Gaussian
+    C, Q = R = 0.1 I and Sigma = I: a random family beyond the pendulum."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.2, 1.2, n) * rng.choice([-1.0, 1.0], n)
+    return SystemModel(A=np.diag(lam), C=rng.standard_normal((m, n)),
+                       Q=0.1 * np.eye(n), R=0.1 * np.eye(m), Sigma=np.eye(n))
+
+
+def test_refusals_at_16_states_name_their_cause():
+    # |p(pi)| = |det(pi I - A)| is a product of 16 distances to spec(A):
+    # it falls below EIG_SEPARATION on most of these models although
+    # every pi lies farther than that from spec(A), so a refusal must
+    # come from the rank test, not from Assumption 1
+    tiny = 0
+    for seed in range(10):
+        model = diagonal_family_model(seed, 16, 8)
+        design = spectral_design(model)
+        gap = np.abs(design.Pi[:, None] - np.diag(model.A)[None, :]).min()
+        assert gap > EIG_SEPARATION
+        tiny += np.abs(np.polyval(design.charpoly[::-1], design.Pi)).min() \
+            < EIG_SEPARATION
+        try:
+            build_decomposition(model, design)
+        except ValueError as exc:
+            assert str(exc).startswith("Theorem 2 precondition violated"), exc
+    assert tiny >= 5
 
 
 def test_pendulum_angle_sensor_gain_columns(pendulum_model):

@@ -21,7 +21,8 @@ from securekf import (
     secure_fuse,
     spectral_design,
 )
-from securekf.fusion import LocalBankState
+from securekf.decomposition import factor_mtilde
+from securekf.fusion import LocalBankState, _solve_support
 from securekf.model import SystemModel
 from securekf.simulator import (AttackSpec, _rollout, simulate,
                                 trial_generators)
@@ -157,6 +158,57 @@ def test_wls_unobservable_error():
     H = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="state unobservable in canonical coordinates"):
         build_fusion_problem(H, scipy.linalg.cho_factor(np.eye(2)))
+
+
+def test_problem_reads_the_factor_from_the_triangle_lower_names():
+    # factor_mtilde gives the lower pair (L, True), scipy's cho_factor an
+    # upper one with the input left in its other triangle; both name the
+    # same Minv, and the unused triangle is never read
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 6))
+    M = X @ X.T + 6.0 * np.eye(6)
+    H = rng.standard_normal((6, 2))
+    L, lower = factor_mtilde(M, 0.0)
+    assert lower and np.array_equal(L, np.tril(L))
+    Minv = build_fusion_problem(H, (L, True)).Minv
+    garbage = L + np.triu(rng.standard_normal((6, 6)), 1)
+    assert np.array_equal(build_fusion_problem(H, (garbage, True)).Minv, Minv)
+    assert np.array_equal(build_fusion_problem(H, (L.T, False)).Minv, Minv)
+    upper = build_fusion_problem(H, scipy.linalg.cho_factor(M)).Minv
+    assert np.abs(upper - Minv).max() <= 1e-14 * np.abs(Minv).max()
+
+
+def test_minv_as_accurate_as_a_cholesky_solve(pendulum_decomposition):
+    # Minv = L^-T L^-1 inverts the ridged covariance no worse than a
+    # Cholesky solve against I does
+    dec = pendulum_decomposition
+    M = dec.Mtilde + dec.ridge_delta * np.eye(len(dec.Mtilde))
+    Minv = build_fusion_problem(dec.H_stack, dec.Mtilde_factor).Minv
+    solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), np.eye(len(M)))
+    eye = np.eye(len(M))
+    assert (np.abs(Minv @ M - eye).max()
+            <= 2.0 * np.abs(solved @ M - eye).max())
+
+
+def test_singular_support_solve_falls_back_to_least_squares():
+    # S_AA = [[1, 1], [1, 1]] is singular: LAPACK stops at a zero pivot
+    # and the gufunc fills w with NaN, flagging an invalid value, which
+    # _lasso_path's errstate silences; lstsq then gives the minimum-norm w
+    S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    S_pm = np.vstack((S, -S))
+    sign = np.array([1.0, 1.0, 0.0])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        _solve_support(S_pm, sign)
+    with np.errstate(invalid="ignore"):
+        act, cols, rate, tie, w, drops = _solve_support(S_pm, sign)
+    assert np.array_equal(act, [0, 1])
+    assert np.array_equal(w, np.linalg.lstsq(S[:2, :2], sign[:2],
+                                             rcond=None)[0])
+    assert np.abs(w - 0.5).max() < 1e-15
+    # the flat direction's own roots never fire; nothing drops
+    assert tie.tolist() == [True, True, False, False, False, False]
+    assert rate.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 1.0]
+    assert drops == ()
 
 
 def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,

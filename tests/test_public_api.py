@@ -1,7 +1,12 @@
-"""The public API exposes no numerical tolerances as keyword parameters."""
+"""The public API exposes no numerical tolerances as keyword parameters,
+and importing the package needs numpy alone."""
 
 import inspect
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import securekf
 
@@ -17,3 +22,17 @@ def test_no_tolerance_parameters_in_public_functions():
                       for param in inspect.signature(fn).parameters
                       if KNOB.fullmatch(param)]
     assert knobs == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; loading scipy.linalg would double
+    # the memory of every process that imports the package
+    src = pathlib.Path(securekf.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, securekf, securekf.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
