@@ -1,0 +1,69 @@
+"""SHA-256 of the CLI's CSV and design outputs on the bundled pendulum.
+
+    python3 scripts/csv_parity.py > hashes.txt
+
+Prints one ``sha256  case`` line per case, where the case is the
+``securekf`` command line that made the file (model path and ``--out``
+left out):
+
+- ``simulate`` at gamma in {0.2, 5, 20, 1000}, seeds 0-2, clean and under
+  ``--attack-kind uniform``, with ``--horizon 300``;
+- a default-grid ``sweep-gamma`` and ``sweep-attack`` with ``--trials 2
+  --horizon 100``;
+- the ``design`` file.
+
+The script imports ``securekf`` from the ``src/`` of the tree it sits in,
+so running it from two checkouts and diffing the output tells whether a
+change kept every byte of these files.  A case whose command exits
+non-zero stops the script with an error naming it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODEL = ROOT / "configs" / "pendulum.json"
+sys.path.insert(0, str(ROOT / "src"))
+
+from securekf import cli  # noqa: E402
+
+
+def cases() -> list[list[str]]:
+    """The command line of every case, in the order they are printed."""
+    out = [["simulate", "--horizon", "300", "--gamma", gamma, "--seed", seed,
+            "--attack-kind", kind]
+           for gamma in ("0.2", "5", "20", "1000") for seed in "012"
+           for kind in ("none", "uniform")]
+    out += [[command, "--trials", "2", "--horizon", "100"]
+            for command in ("sweep-gamma", "sweep-attack")]
+    return out + [["design"]]
+
+
+def digest(case: list[str]) -> str:
+    """SHA-256 of the file the case writes; its console output is dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "out"
+        argv = [case[0], str(MODEL), *case[1:], "--out", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"error: {' '.join(case)} exited {code}: "
+                             f"{err.getvalue().strip()}")
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    for case in cases():
+        print(f"{digest(case)}  {' '.join(case)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,22 +25,19 @@ from .decomposition import (SensorDecomposition, build_decomposition,
                             factor_mtilde)
 from .model import (ModelFormatError, SystemModel, certify_resilience,
                     load_model, observability_structure, validate_model)
-from .simulator import (DEFAULT_BURN_IN, DEFAULT_GAMMAS, DEFAULT_HORIZON,
-                        DEFAULT_MAGNITUDES, DEFAULT_TRIALS, AttackSpec, mse,
-                        simulate, sweep_attack_magnitude, sweep_csv,
-                        sweep_gamma, trace_csv)
-from .spectral import RiccatiDivergenceError, SpectralDesign, spectral_design
+from .simulator import (ATTACK_KINDS, DEFAULT_BURN_IN, DEFAULT_GAMMAS,
+                        DEFAULT_HORIZON, DEFAULT_MAGNITUDES, DEFAULT_TRIALS,
+                        AttackSpec, default_attack, mse, simulate,
+                        sweep_attack_magnitude, sweep_csv, sweep_gamma,
+                        trace_csv)
+from .spectral import (AssumptionError, RiccatiDivergenceError,
+                       SpectralDesign, spectral_design)
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_ASSUMPTION = 3
 EXIT_INSECURE = 4
-
-# ValueError messages carrying these prefixes mean a structural
-# assumption of the method failed, not that the inputs were malformed
-_ASSUMPTION_PREFIXES = ("Assumption 1 violated",
-                        "Theorem 2 precondition violated")
 
 DESIGN_FORMAT = "securekf-design"
 DESIGN_VERSION = 3
@@ -258,11 +255,13 @@ def _build_attack(args, m) -> AttackSpec:
             raise ValueError("attack kind 'none' takes no --attack-sensor "
                              "or --attack-magnitude")
         return AttackSpec()
-    sensor = args.attack_sensor if args.attack_sensor is not None else m
+    default = default_attack(m)
+    sensor = (args.attack_sensor if args.attack_sensor is not None
+              else default.support[0] + 1)
     if not 1 <= sensor <= m:
         raise ValueError(f"--attack-sensor {sensor} out of range 1..{m}")
     magnitude = (args.attack_magnitude if args.attack_magnitude is not None
-                 else float(np.pi / 2))
+                 else default.magnitude)
     return AttackSpec(support=(sensor - 1,), kind=kind, magnitude=magnitude)
 
 
@@ -431,7 +430,7 @@ def _add_sim_flags(p, attack_kind, trials=True):
                    help=f"steps dropped from MSE averages "
                         f"(default {DEFAULT_BURN_IN})")
     p.add_argument("--attack-kind", default=attack_kind,
-                   choices=["none", "constant", "uniform", "ramp"],
+                   choices=ATTACK_KINDS,
                    help=f"attack waveform (default {attack_kind})")
     p.add_argument("--attack-sensor", type=int, default=None,
                    help="1-based attacked sensor (default: the last sensor)")
@@ -513,14 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _classify_error(exc: Exception) -> int:
-    text = str(exc)
-    if isinstance(exc, RiccatiDivergenceError) or any(
-            text.startswith(prefix) for prefix in _ASSUMPTION_PREFIXES):
-        return EXIT_ASSUMPTION
-    return EXIT_VALIDATION
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -529,9 +520,12 @@ def main(argv=None) -> int:
     except (OSError, ModelFormatError, DesignFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, RiccatiDivergenceError) as exc:
+    except (AssumptionError, RiccatiDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _classify_error(exc)
+        return EXIT_ASSUMPTION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except AssertionError as exc:
         # internal invariant failed while the inputs were legal: surface
         # it as an assumption-level failure rather than a traceback

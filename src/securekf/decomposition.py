@@ -28,7 +28,7 @@ import logging
 import numpy as np
 
 from .model import SystemModel, observability_matrix, observability_structure
-from .spectral import EIG_SEPARATION, SpectralDesign
+from .spectral import EIG_SEPARATION, AssumptionError, SpectralDesign
 
 CANONICAL_RTOL = 1e-8    # P_i G_i = H_i residual, imaginary-residue checks
 PAIRING_RTOL = 1e-9      # conjugate-pair match, relative to 1 + max|Pi|
@@ -110,7 +110,7 @@ def _resolvent_guard(model: SystemModel, design: SpectralDesign):
                  - np.linalg.eigvals(model.A)[None, :]).min(axis=1)
     j = int(gap.argmin())
     if gap[j] <= EIG_SEPARATION:
-        raise ValueError(
+        raise AssumptionError(
             f"Assumption 1 violated: closed-loop eigenvalue {design.Pi[j]:.6g} "
             f"lies {gap[j]:.3e} from the spectrum of A; no per-mode gains")
 
@@ -148,7 +148,8 @@ def local_gain_factored(model: SystemModel, design: SpectralDesign,
     return D1 @ D2 @ D3 @ O_iA
 
 
-def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None):
+def canonical_projector(G_i: np.ndarray, covered,
+                        pair: np.ndarray | None = None, i: int | None = None):
     """Invertible P_i with P_i G_i = H_i = diag(coverage pattern).
 
     covered lists the states sensor i observes; those columns of G_i form
@@ -157,6 +158,8 @@ def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None
     largest residual norm (ties broken by smallest index), which pins a
     deterministic P_i.  P_i inherits the conjugate-pair equivariance of
     G_i, which keeps the fused problem data real in exact arithmetic.
+    A rank-deficient basis or an ill-conditioned P_i raises
+    AssumptionError (Theorem 2), naming sensor i + 1 when i is given.
     """
     G_i = np.asarray(G_i, dtype=complex)
     n = G_i.shape[0]
@@ -181,12 +184,15 @@ def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None
     B_real = B_real.real
 
     r = len(covered)
+    refusal = "Theorem 2 precondition violated: " + (
+        "" if i is None else f"sensor {i + 1}: ")
     if r:
         sv = np.linalg.svd(B_real, compute_uv=False)
         if sv[-1] <= CANONICAL_RTOL * sv[0]:
-            raise ValueError(
-                "Theorem 2 precondition violated: nonzero columns of G_i "
-                f"are rank deficient (singular values {sv})")
+            raise AssumptionError(
+                f"{refusal}nonzero columns of G_i are rank deficient "
+                f"(σ_min/σ_max = {sv[-1] / sv[0]:.3e} <= CANONICAL_RTOL = "
+                f"{CANONICAL_RTOL:g})")
         Q_basis, _ = np.linalg.qr(B_real)
     else:
         Q_basis = np.zeros((n, 0))
@@ -214,8 +220,8 @@ def canonical_projector(G_i: np.ndarray, covered, pair: np.ndarray | None = None
         f"P_i G_i - H_i residual {residual:.3e}"
     cond = float(np.linalg.cond(P_i))
     if cond > 1.0 / CANONICAL_RTOL:
-        raise ValueError("Theorem 2 precondition violated: canonical "
-                         f"projector ill conditioned ({cond:.3e})")
+        raise AssumptionError(f"{refusal}canonical projector ill "
+                              f"conditioned ({cond:.3e})")
     return P_i, H_i
 
 
@@ -282,8 +288,9 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
     pi_t = np.tile(design.Pi, m)
     products = pi_t[:, None] * np.conj(pi_t[None, :])
     if np.abs(products).max() >= 1.0:
-        raise ValueError("Assumption 1 violated: local estimator modes are "
-                         "unstable; no stationary residual covariance exists")
+        raise AssumptionError("Assumption 1 violated: local estimator modes "
+                              "are unstable; no stationary residual "
+                              "covariance exists")
     Wtilde = Qtilde / (1.0 - products)
     Wtilde = 0.5 * (Wtilde + Wtilde.conj().T)
 
@@ -340,7 +347,8 @@ def build_decomposition(model: SystemModel,
                              - ones @ (model.C[i:i + 1] @ model.A)).max())
         assert drift <= CANONICAL_RTOL * max(1.0, float(np.abs(G_i).max())), \
             f"sensor {i}: per-mode gain identity residual {drift:.3e}"
-        P_i, H_i = canonical_projector(G_i, structure.covered_states(i), pair)
+        P_i, H_i = canonical_projector(G_i, structure.covered_states(i), pair,
+                                       i)
         G_list.append(G_i)
         H_list.append(H_i)
         P_list.append(P_i)

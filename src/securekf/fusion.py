@@ -147,14 +147,14 @@ class LeastSquaresSplit(NamedTuple):
     block Y (FusionProblem.split), one row per measurement row.
 
     x_ls and mu_ls are the least-squares split Y = H x_ls + mu_ls, d is
-    Minv mu_ls, statistic the threshold statistic max |d| and kkt the KKT
-    residual max |H' d| of a row that screens.  rows[t] is the tuple
-    (x_ls[t], mu_ls[t], d[t], statistic[t], kkt[t]) that secure_fuse
-    takes for row t, with the two scalars as Python floats.  The arrays
-    are read-only, so results that share rows of them cannot change them.
+    Minv mu_ls, statistic the threshold statistic max |d| (every gamma at
+    or above it screens the row) and kkt the KKT residual max |H' d| of a
+    row that screens.  rows[t] is the tuple (x_ls[t], mu_ls[t], d[t],
+    statistic[t], kkt[t]) that secure_fuse takes for row t, with the two
+    scalars as Python floats.  The arrays are read-only, so the results
+    and traces that share them cannot change them.
     """
 
-    Y: np.ndarray
     x_ls: np.ndarray
     mu_ls: np.ndarray
     d: np.ndarray
@@ -167,12 +167,12 @@ class LeastSquaresSplit(NamedTuple):
 class FusionProblem:
     """Real operators shared by every fusion solve on one design.
 
-    The methods take one measurement Y of length mn, or an (h, mn) block
-    with one measurement per row, and answer per row.  least_squares,
-    screen_statistic and split form each row's products as the row form
-    would (_rows_dot), so row t of a block's answer has the bits of the
-    answer on Y[t] alone.  S is a view of the top half of S_pm = [S; -S],
-    which the homotopy reads.
+    least_squares and objective take one measurement Y of length mn, or
+    an (h, mn) block with one measurement per row, and answer per row;
+    split takes a block.  Both least_squares and split form each row's
+    products as the row form would (_rows_dot), so row t of a block's
+    answer has the bits of the answer on Y[t] alone.  S is a view of the
+    top half of S_pm = [S; -S], which the homotopy reads.
 
     The problem keeps one cache, emptied when it is full:
     _support_solves holds the Y-independent half of a homotopy breakpoint
@@ -199,12 +199,6 @@ class FusionProblem:
         """(x_ls, mu_ls) minimizing 0.5 mu' Minv mu subject to Y = H x + mu."""
         x_ls = _rows_dot(Y, self.wls_op.T)
         return x_ls, Y - _rows_dot(x_ls, self.H.T)
-
-    def screen_statistic(self, Y):
-        """max |Minv mu_ls|: the threshold condition holds for every gamma
-        at or above it, and then the l1 term keeps nu at zero."""
-        return np.abs(_dot_rows(self.Minv, self.least_squares(Y)[1])
-                      ).max(axis=-1)
 
     def split(self, Y) -> LeastSquaresSplit:
         """The gamma-independent half of a fusion solve on every row of
@@ -235,7 +229,7 @@ class FusionProblem:
         for a in (x_ls, mu_ls, d, statistic, kkt):
             a.setflags(write=False)
         rows = list(zip(x_ls, mu_ls, d, statistic.tolist(), kkt.tolist()))
-        return LeastSquaresSplit(Y, x_ls, mu_ls, d, statistic, kkt, rows)
+        return LeastSquaresSplit(x_ls, mu_ls, d, statistic, kkt, rows)
 
     def objective(self, Y, x, nu, gamma):
         """0.5 mu' Minv mu + gamma |nu|_1 at (x, nu), mu = Y - H x - nu."""
@@ -423,15 +417,15 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
 
     The gamma-independent half of the solve is the row's least-squares
     split.  split, when given, must be problem.split(block).rows[t] for a
-    block whose row t is Y; it is not checked.  simulate splits a whole
-    rollout at once and passes each step its row, so a screened step
-    only tests the row's statistic against gamma.  Without it, Y is
-    split alone, as the block Y[None].  A 1-D float64 ndarray Y
-    is used as given, and any other form converted first.  ValueError is
-    raised for a complex Y, a non-finite Y (the screen test propagates
-    NaN, so it never passes one), a finite Y so large that the
-    least-squares products overflow, and a gamma that is not finite and
-    positive.
+    block whose row t is Y; it is not checked.  A simulator rollout
+    carries the split of its whole block, and simulate passes each step
+    its row, so a screened step only tests the row's statistic against
+    gamma.  Without it, Y is split alone, as the block Y[None].  A 1-D
+    float64 ndarray Y is used as given, and any other form converted
+    first.  ValueError is raised for a complex Y, a non-finite Y (the
+    screen test propagates NaN, so it never passes one), a finite Y so
+    large that the least-squares products overflow, and a gamma that is
+    not finite and positive.
     """
     if not 0.0 < gamma < math.inf:
         check_gamma(gamma)

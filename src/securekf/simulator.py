@@ -4,18 +4,18 @@ Rolls the plant forward under true-state feedback while three estimators
 read the same measurement stream: the fixed-gain filter, the weighted
 least-squares fusion of the local bank, and the secure (l1-regularized)
 fusion.  No estimate feeds back into the plant, the filter or the bank,
-so a run first rolls all of those out over the whole horizon as arrays,
-and only the fusion then runs step by step.  In the decomposition's real
+so a run first rolls all of those out over the whole horizon as arrays
+and splits the least squares of the whole canonical measurement at once;
+only the fusion then runs step by step.  In the decomposition's real
 coordinates each sensor's bank is one real n x n transition, so the
 plant, the filter and the bank roll out through the same recurrence.
-The rollout does not depend on the regularization weight gamma, so runs
-that differ only in gamma can share it.  Sparse sensor attacks are
-injected additively on a fixed support.  Sweep helpers aggregate
-per-trial mean squared errors over a grid of regularization weights or
-attack magnitudes, rolling out each (trial, attack) once and splitting
-each rollout's least squares once, as one block that every gamma reads,
-and write the results as CSV; every run is reproducible from (seed,
-trial).
+Neither the rollout nor its split depends on the regularization weight
+gamma, so runs that differ only in gamma can share them.  Sparse sensor
+attacks are injected additively on a fixed support.  Sweep helpers
+aggregate per-trial mean squared errors over a grid of regularization
+weights or attack magnitudes, rolling out each (trial, attack) once for
+every gamma to read, and write the results as CSV; every run is
+reproducible from (seed, trial).
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ class SimulationTrace:
     solver columns describe the secure fusion at that step;
     screen_statistic is the threshold statistic max |Minv mu_ls| of the
     step's canonical measurement, so kalman_equivalent holds exactly
-    where it is at most gamma.  It is the read-only array of the run's
-    least-squares split, which runs that share the split share.
+    where it is at most gamma.  xhat_ls and screen_statistic are the
+    read-only x_ls and statistic arrays of the rollout's least-squares
+    split, which runs that share the rollout share.
     """
 
     seed: int
@@ -199,11 +200,12 @@ def _recurrence(M, e, s0):
 
 
 class Rollout(NamedTuple):
-    """The part of a run that does not depend on the secure fusion.
+    """The part of a run that does not depend on gamma.
 
     The run it belongs to is (attack, horizon, seed, trial); the arrays
     have one row per step, as in SimulationTrace, and Y is the bank's
-    canonical measurement.  Every array is real.
+    canonical measurement.  Every array is real.  split is Y's
+    least-squares split on the rollout's problem (FusionProblem.split).
     """
 
     attack: AttackSpec
@@ -217,13 +219,15 @@ class Rollout(NamedTuple):
     a: np.ndarray
     xhat_kal: np.ndarray
     Y: np.ndarray
+    split: LeastSquaresSplit
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rollout(model, design, decomposition, attack, horizon, seed, trial,
-             x0=None) -> Rollout:
+def _rollout(model, design, decomposition, problem, attack, horizon, seed,
+             trial, x0=None) -> Rollout:
     """Roll the plant, the fixed-gain filter and the bank out over the
-    whole horizon.  A non-finite array raises ValueError naming it.
+    whole horizon, and split Y on problem.  A non-finite array raises
+    ValueError naming it, as does a split whose products overflow.
     """
     n, m = model.n, model.m
     A, C = model.A, model.C
@@ -261,49 +265,50 @@ def _rollout(model, design, decomposition, attack, horizon, seed, trial,
                       ("xhat_kal", x_kal), ("canonical measurement", Y)):
         if not np.isfinite(arr).all():
             raise ValueError(f"simulation produced non-finite {name}")
-    return Rollout(attack, horizon, seed, trial, x, u, z, y, a, x_kal, Y)
+    return Rollout(attack, horizon, seed, trial, x, u, z, y, a, x_kal, Y,
+                   problem.split(Y))
 
 
 def simulate(model: SystemModel, design: SpectralDesign,
              decomposition: SensorDecomposition, attack: AttackSpec,
              gamma: float, horizon: int = DEFAULT_HORIZON, seed: int = 0, *,
              trial: int = 0, x0=None, problem: FusionProblem | None = None,
-             rollout: Rollout | None = None,
-             split: LeastSquaresSplit | None = None) -> SimulationTrace:
+             rollout: Rollout | None = None) -> SimulationTrace:
     """Run the plant and all three estimators for `horizon` steps.
 
     The input is true-state feedback u(k) = -K_lqr x(k); estimators never
     close the loop, so the plant, the fixed-gain filter and the local bank
-    are rolled out over the whole horizon first.  The least squares of
-    the whole rollout are then split at once (FusionProblem.split), and
-    only the secure fusion runs step by step: one secure_fuse call per
-    step, passed its row of the split, so that a screened step only
-    tests the row's statistic against gamma.  All randomness (initial
-    state, process noise, measurement noise, attack draws) comes from
-    independent substreams of (seed, trial), so two runs that differ only
-    in the attack share the same noise and the same clean measurements.
+    are rolled out over the whole horizon first, and the least squares of
+    the whole rollout split at once (FusionProblem.split).  Only the
+    secure fusion runs step by step: one secure_fuse call per step,
+    passed its row of the split, so that a screened step only tests the
+    row's statistic against gamma.  All randomness (initial state,
+    process noise, measurement noise, attack draws) comes from independent
+    substreams of (seed, trial), so two runs that differ only in the
+    attack share the same noise and the same clean measurements.
     Passing x0 pins the initial state instead of drawing it.  Solver
     non-convergence at a step is recorded in the trace and the run
     continues; a non-finite state, measurement or estimate raises
     ValueError.
 
-    The rollout does not depend on gamma, so runs that differ only in
-    gamma can share one: pass it as `rollout` (as `problem` shares the
+    The rollout and its split do not depend on gamma, so runs that
+    differ only in gamma can share them: pass the rollout as `rollout`,
+    with the problem it was made with as `problem` (which shares the
     fusion operators).  It must be the rollout of this (attack, horizon,
     seed, trial), and it fixes its own initial state, so passing x0 as
-    well raises ValueError, as does a rollout of another run.  The split
-    does not depend on gamma either: pass problem.split(rollout.Y) as
-    `split` along with its rollout, and a split of another measurement
-    block raises ValueError.  A measurement so large that the
-    least-squares products overflow raises ValueError before any step is
-    fused.
+    well raises ValueError, as does a rollout of another run.  A
+    measurement so large that the least-squares products overflow raises
+    ValueError before any step is fused.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     check_gamma(gamma)
+    if problem is None:
+        problem = build_fusion_problem(decomposition.H_stack,
+                                       decomposition.Mtilde_factor)
     if rollout is None:
-        rollout = _rollout(model, design, decomposition, attack, horizon,
-                           seed, trial, x0)
+        rollout = _rollout(model, design, decomposition, problem, attack,
+                           horizon, seed, trial, x0)
     elif x0 is not None:
         raise ValueError("pass x0 or rollout, not both: the rollout fixes "
                          "the initial state")
@@ -311,28 +316,18 @@ def simulate(model: SystemModel, design: SpectralDesign,
         raise ValueError(f"rollout of (attack, horizon, seed, trial) = "
                          f"{rollout[:4]} passed for a run of "
                          f"{(attack, horizon, seed, trial)}")
-    x, u, z, y, a, x_kal, Y = rollout[4:]
-    if problem is None:
-        problem = build_fusion_problem(decomposition.H_stack,
-                                       decomposition.Mtilde_factor)
-    if split is None:
-        split = problem.split(Y)
-    elif split.Y is not Y:
-        raise ValueError("split of another measurement block passed: pass "
-                         "problem.split(rollout.Y) with its rollout")
-    x_tilde, _, _, kkt, iters, screened, x_ls, converged = zip(
+    x, u, z, y, a, x_kal, Y, split = rollout[4:]
+    x_tilde, _, _, kkt, iters, screened, _, converged = zip(
         *[secure_fuse(problem, row, gamma, split=row_split)
           for row, row_split in zip(Y, split.rows)])
-    secs, lss = np.array(x_tilde), np.array(x_ls)
-    kkts = np.array(kkt, dtype=float)
-    for name, arr in (("xhat_sec", secs), ("xhat_ls", lss),
-                      ("kkt_residual", kkts)):
+    secs, kkts = np.array(x_tilde), np.array(kkt, dtype=float)
+    for name, arr in (("xhat_sec", secs), ("kkt_residual", kkts)):
         if not np.isfinite(arr).all():
             raise ValueError(f"simulation produced non-finite {name}")
     return SimulationTrace(
         seed=int(seed), trial=int(trial), gamma=float(gamma),
         horizon=int(horizon), attack=attack, x=x, u=u, z=z, y=y, a=a,
-        xhat_kal=x_kal, xhat_sec=secs, xhat_ls=lss,
+        xhat_kal=x_kal, xhat_sec=secs, xhat_ls=split.x_ls,
         solver_iters=np.array(iters, dtype=int), kkt_residual=kkts,
         solver_converged=np.array(converged, dtype=bool),
         kalman_equivalent=np.array(screened, dtype=bool),
@@ -364,9 +359,10 @@ def empirical_equivalence_probability(model: SystemModel,
                                    decomposition.Mtilde_factor)
     fractions = []
     for trial in range(trials):
-        Y = _rollout(model, design, decomposition, AttackSpec(), horizon,
-                     seed, trial).Y[burn_in:]
-        fractions.append(float((problem.screen_statistic(Y) <= gamma).mean()))
+        statistic = _rollout(model, design, decomposition, problem,
+                             AttackSpec(), horizon, seed, trial
+                             ).split.statistic[burn_in:]
+        fractions.append(float((statistic <= gamma).mean()))
     prob = float(np.mean(fractions))
     if trials > 1:
         stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials))
@@ -547,13 +543,13 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     lock).  Within a trial every distinct (attack, gamma) run is simulated
     once: the clean run of a gamma serves every point at that
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
-    it is that clean run too.  Neither the rollout nor its least-squares
-    split depends on gamma, so a trial rolls each distinct attack out
-    once, splits it once (FusionProblem.split) and keeps the split next
-    to the rollout; its runs at every gamma share both, and only test
-    each row's statistic against their own gamma.  A trial holds only its
-    own rollouts.  Every run shares one FusionProblem.  Bad gammas and a
-    burn-in that leaves no step are refused before any rollout.
+    it is that clean run too.  Neither the rollout nor the least-squares
+    split it carries depends on gamma, so a trial rolls each distinct
+    attack out once; its runs at every gamma share the rollout, and only
+    test each row's statistic against their own gamma.  A trial holds
+    only its own rollouts.  Every run shares one FusionProblem.  Bad
+    gammas and a burn-in that leaves no step are refused before any
+    rollout.
     """
     for _, _, gamma in points:
         check_gamma(gamma)
@@ -569,14 +565,13 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                 attack = AttackSpec()
             if (attack, gamma) not in reports:
                 if attack not in rollouts:
-                    rollout = _rollout(model, design, decomposition, attack,
-                                       horizon, seed, trial)
-                    rollouts[attack] = rollout, problem.split(rollout.Y)
-                rollout, split = rollouts[attack]
+                    rollouts[attack] = _rollout(
+                        model, design, decomposition, problem, attack,
+                        horizon, seed, trial)
                 reports[attack, gamma] = mse(simulate(
                     model, design, decomposition, attack, gamma, horizon,
-                    seed, trial=trial, problem=problem, rollout=rollout,
-                    split=split), burn_in)
+                    seed, trial=trial, problem=problem,
+                    rollout=rollouts[attack]), burn_in)
             return reports[attack, gamma]
 
         out = []

@@ -7,8 +7,8 @@ A - K C A = V diag(Pi) V^-1 with a deterministic eigenvalue order and
 eigenvector normalisation, and the characteristic polynomial of A.  The
 whole construction requires the closed-loop eigenvalues to be pairwise
 distinct, strictly inside the unit circle, and disjoint from the spectrum
-of A (Assumption 1); ``closed_loop_eigendecomposition`` raises a
-ValueError starting "Assumption 1 violated" when any of these fails.
+of A (Assumption 1); ``closed_loop_eigendecomposition`` raises an
+AssumptionError starting "Assumption 1 violated" when any of these fails.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ RICCATI_NOISE_RTOL = 64 * np.finfo(float).eps
 RICCATI_MAX_ITER = 100000
 EIG_RTOL = 1e-8          # eigen-residual and diagonalizability threshold
 EIG_SEPARATION = 1e-6    # pairwise / cross-spectrum separation (Assumption 1)
+
+
+class AssumptionError(ValueError):
+    """Valid inputs fail a structural assumption of the method: Assumption
+    1, or a Theorem 2 precondition, as the message's start names."""
 
 
 class RiccatiDivergenceError(RuntimeError):
@@ -127,7 +132,7 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
     Eigenvalues are sorted by (real part, imaginary part); each eigenvector
     is scaled to unit 2-norm with its first significant entry rotated to the
     positive real axis, which makes conjugate eigenvalue pairs carry exactly
-    conjugate eigenvector columns.  Returns (V, Pi); raises ValueError
+    conjugate eigenvector columns.  Returns (V, Pi); raises AssumptionError
     "Assumption 1 violated: ..." unless A - K C A is diagonalizable with
     pairwise distinct eigenvalues, none within EIG_SEPARATION of an
     eigenvalue of A, all strictly inside the unit circle.
@@ -149,7 +154,7 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
 
     cond_V = float(np.linalg.cond(V))
     if not np.isfinite(cond_V) or cond_V > 1.0 / EIG_RTOL:
-        raise ValueError(
+        raise AssumptionError(
             "Assumption 1 violated: not diagonalizable "
             f"(eigenvector condition number {cond_V:.3e})")
 
@@ -170,7 +175,7 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
         why = f"closed-loop modes are not strictly stable (spectral radius {rho:.6g})"
     else:
         return V, Pi
-    raise ValueError(f"Assumption 1 violated: {why}")
+    raise AssumptionError(f"Assumption 1 violated: {why}")
 
 
 def fixed_gain_kalman_step(x_hat: np.ndarray, y: np.ndarray, u: np.ndarray,

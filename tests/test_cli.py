@@ -203,6 +203,44 @@ def test_design_riccati_divergence_exit_3(pendulum_path, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error, code", [
+    (securekf.AssumptionError("Theorem 2 precondition violated: x"), 3),
+    (securekf.RiccatiDivergenceError("Riccati recursion: x", 1.0), 3),
+    # the type decides, not the message
+    (ValueError("Assumption 1 violated: x"), 2),
+])
+def test_exit_code_follows_the_error_type(error, code, pendulum_path,
+                                          tmp_path, capsys, monkeypatch):
+    def refuse(model):
+        raise error
+
+    monkeypatch.setattr(securekf.cli, "spectral_design", refuse)
+    out = tmp_path / "d.json"
+    assert main(["design", str(pendulum_path), "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_attack_defaults_come_from_the_simulator(monkeypatch):
+    # the default sensor and magnitude are default_attack's, and the kinds
+    # are ATTACK_KINDS: one copy of each
+    from securekf.cli import _build_attack, build_parser
+    from securekf.simulator import ATTACK_KINDS, AttackSpec, default_attack
+
+    for command in ("simulate", "sweep-gamma", "sweep-attack"):
+        args = build_parser().parse_args([command, "m.json",
+                                          "--attack-kind", "constant"])
+        assert _build_attack(args, 4) == dataclasses.replace(
+            default_attack(4), kind="constant")
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        kind = next(a for a in sub._actions if a.dest == "attack_kind")
+        assert tuple(kind.choices) == ATTACK_KINDS
+    monkeypatch.setattr(securekf.cli, "default_attack",
+                        lambda m: AttackSpec(support=(0,), kind="uniform",
+                                             magnitude=2.5))
+    assert _build_attack(args, 4) == AttackSpec(support=(0,), kind="constant",
+                                                magnitude=2.5)
+
+
 def test_design_file_rejects_other_model(pendulum_path, tmp_path, capsys):
     out = tmp_path / "d.json"
     assert main(["design", str(pendulum_path), "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from securekf.decomposition import (
     residual_covariances,
 )
 from securekf.model import SystemModel, observability_matrix, observability_structure
-from securekf.spectral import (EIG_SEPARATION, SpectralDesign,
-                               characteristic_polynomial, spectral_design)
+from securekf.spectral import (EIG_SEPARATION, AssumptionError,
+                               SpectralDesign, characteristic_polynomial,
+                               spectral_design)
 
 from helpers import (complex_pair_design, mode_coordinates,
                      random_jordan_model, sensor_blocks)
@@ -109,8 +111,13 @@ def test_refusals_at_16_states_name_their_cause():
     # |p(pi)| = |det(pi I - A)| is a product of 16 distances to spec(A):
     # it falls below EIG_SEPARATION on most of these models although
     # every pi lies farther than that from spec(A), so a refusal must
-    # come from the rank test, not from Assumption 1
-    tiny = 0
+    # come from the rank test, not from Assumption 1.  It names the
+    # 1-based sensor and that sensor's sigma_min/sigma_max
+    rank_refusal = re.compile(
+        r"Theorem 2 precondition violated: sensor (\d+): nonzero columns "
+        r"of G_i are rank deficient \(σ_min/σ_max = (\S+) <= "
+        r"CANONICAL_RTOL = 1e-08\)")
+    tiny = refused = 0
     for seed in range(10):
         model = diagonal_family_model(seed, 16, 8)
         design = spectral_design(model)
@@ -122,7 +129,20 @@ def test_refusals_at_16_states_name_their_cause():
             build_decomposition(model, design)
         except ValueError as exc:
             assert str(exc).startswith("Theorem 2 precondition violated"), exc
+            assert isinstance(exc, AssumptionError)
+            match = rank_refusal.fullmatch(str(exc))
+            assert match, exc
+            i = int(match[1]) - 1
+            covered = observability_structure(model).covered_states(i)
+            T = realification_map(conjugate_pairing(design.Pi))
+            sv = np.linalg.svd(
+                (T @ local_gain_direct(model, design, i)[:, covered]).real,
+                compute_uv=False)
+            assert float(match[2]) == float(f"{sv[-1] / sv[0]:.3e}")
+            assert sv[-1] <= CANONICAL_RTOL * sv[0]
+            refused += 1
     assert tiny >= 5
+    assert refused == 10
 
 
 def test_pendulum_angle_sensor_gain_columns(pendulum_model):

@@ -317,8 +317,8 @@ def test_non_finite_measurement_rejected(value, pendulum_model,
     # would walk the homotopy to the breakpoint cap; it raises instead
     dec = pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
-    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 1, 0,
-                 0)[-1][0]
+    Y = _rollout(pendulum_model, pendulum_design, dec, problem, AttackSpec(),
+                 1, 0, 0).Y[0]
     Y[5] = value
     message = rf"non-finite measurement Y\[5\] = {value}"
     for gamma in (5.0, 1e300):
@@ -334,8 +334,8 @@ def test_overflowing_measurement_rejected(pendulum_model, pendulum_design,
     # MAX_BREAKPOINTS to x_tilde = NaN; it raises, naming the overflow
     dec = pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
-    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 5, 0,
-                 0).Y[4] * 1e306
+    Y = _rollout(pendulum_model, pendulum_design, dec, problem, AttackSpec(),
+                 5, 0, 0).Y[4] * 1e306
     assert np.isfinite(Y).all()
     for gamma in (5.0, 1e300):
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -367,13 +367,14 @@ def test_secure_fuse_real_and_complex_input_agree(pendulum_decomposition):
 
 
 def test_equivalence_condition_basics():
-    assert PROB3.screen_statistic(np.zeros(3)) <= 1e-9
-    assert PROB3.screen_statistic(np.zeros(3)) <= 1e6
+    zero, statistic = PROB3.split(np.vstack((np.zeros(3), Y3))).statistic
+    assert zero <= 1e-9
+    assert zero <= 1e6
     _, mu_ls = PROB3.least_squares(Y3)
     assert np.abs(scipy.linalg.cho_solve(EYE3, mu_ls)).max() == pytest.approx(20.0 / 3.0)
-    assert not PROB3.screen_statistic(Y3) <= 1.0
-    assert not PROB3.screen_statistic(Y3) <= 6.66
-    assert PROB3.screen_statistic(Y3) <= 20.0 / 3.0 + 1e-12
+    assert not statistic <= 1.0
+    assert not statistic <= 6.66
+    assert statistic <= 20.0 / 3.0 + 1e-12
 
 
 def random_instance(rng, n, m_sensors):

@@ -259,7 +259,8 @@ def test_secure_fuse_bit_equal_on_pendulum_under_large_attack(
     dec = pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     attack = AttackSpec(support=(3,), kind="constant", magnitude=1e6)
-    Y = _rollout(pendulum_model, pendulum_design, dec, attack, 200, 0, 0)[-1]
+    Y = _rollout(pendulum_model, pendulum_design, dec, problem, attack, 200,
+                 0, 0).Y
     results = [assert_bit_equal(problem, row, 5.0) for row in Y]
     assert not all(r.converged for r in results)
     assert not any(r.kalman_equivalent for r in results)
@@ -272,8 +273,8 @@ def test_secure_fuse_bit_equal_on_clean_pendulum_rows(
     # where the screen leaves some steps to the homotopy
     dec = pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
-    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 500, 0,
-                 0)[-1]
+    Y = _rollout(pendulum_model, pendulum_design, dec, problem, AttackSpec(),
+                 500, 0, 0).Y
     screened = [assert_bit_equal(problem, row, 1000.0).kalman_equivalent
                 for row in Y]
     assert sum(screened) >= 495
@@ -289,9 +290,10 @@ def test_secure_fuse_bit_equal_on_every_input_form(
     # screened and an open step, and no result may alias the input
     dec = pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
-    Y = _rollout(pendulum_model, pendulum_design, dec, AttackSpec(), 500, 0,
-                 0)[-1]
-    row = next(r for r in Y if problem.screen_statistic(r) > 20.0)
+    rollout = _rollout(pendulum_model, pendulum_design, dec, problem,
+                       AttackSpec(), 500, 0, 0)
+    row = next(r for r, s in zip(rollout.Y, rollout.split.statistic)
+               if s > 20.0)
     strided = np.empty(2 * len(row))[::2]
     strided[:] = row
     read_only = row.copy()
@@ -311,10 +313,17 @@ def result_bytes(res):
     return tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in res)
 
 
-def attacked_pendulum_problem_and_rows(model, design, dec):
+def attacked_pendulum_rollout(model, design, dec):
+    """A problem and a rollout on it under a constant attack of 10 on the
+    angle sensor."""
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     attack = AttackSpec(support=(3,), kind="constant", magnitude=10.0)
-    return problem, _rollout(model, design, dec, attack, 200, 0, 0)[-1]
+    return problem, _rollout(model, design, dec, problem, attack, 200, 0, 0)
+
+
+def attacked_pendulum_problem_and_rows(model, design, dec):
+    problem, rollout = attacked_pendulum_rollout(model, design, dec)
+    return problem, rollout.Y
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -421,14 +430,14 @@ def test_support_cache_order_does_not_change_answers(
 
 
 def open_and_screened_rows(model, design, dec, count=6):
-    """A problem, the split of an attacked rollout's block, and the first
-    count of its row indices that screen at gamma = 1000 but walk the
-    homotopy at gamma = 20."""
-    problem, Y = attacked_pendulum_problem_and_rows(model, design, dec)
-    split = problem.split(Y)
-    picks = [t for t, s in enumerate(split.statistic) if 20.0 < s <= 1000.0]
+    """A problem, an attacked rollout, which carries its block's split,
+    and the first count of its row indices that screen at gamma = 1000
+    but walk the homotopy at gamma = 20."""
+    problem, rollout = attacked_pendulum_rollout(model, design, dec)
+    picks = [t for t, s in enumerate(rollout.split.statistic)
+             if 20.0 < s <= 1000.0]
     assert len(picks) >= count
-    return problem, split, picks[:count]
+    return problem, rollout, picks[:count]
 
 
 @pytest.mark.parametrize("gammas", [(1000.0, 20.0), (20.0, 1000.0)])
@@ -438,10 +447,10 @@ def test_ls_split_cache_bit_equal_at_every_gamma_order(
     # simulate hands it over: each must be the reference's bits on every
     # field and history entry, whether the row first screens or first
     # walks the homotopy, and both share the split's x_ls row
-    problem, split, picks = open_and_screened_rows(
+    problem, rollout, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition)
     for t in picks:
-        row, row_split = split.Y[t], split.rows[t]
+        row, row_split = rollout.Y[t], rollout.split.rows[t]
         first = assert_bit_equal(problem, row, gammas[0], split=row_split)
         second = assert_bit_equal(problem, row, gammas[1], split=row_split)
         assert first.x_ls is second.x_ls is row_split[0]
@@ -454,9 +463,10 @@ def test_ls_split_cache_shares_only_read_only_arrays(
     # results for one row at several gammas share x_ls, and mu when
     # screened, read-only rows of the split; x_tilde and nu are fresh and
     # writable
-    problem, split, picks = open_and_screened_rows(
+    problem, rollout, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition, count=1)
-    row, row_split = split.Y[picks[0]], split.rows[picks[0]]
+    split = rollout.split
+    row, row_split = rollout.Y[picks[0]], split.rows[picks[0]]
     screened = [secure_fuse(problem, row, g, split=row_split)
                 for g in (1000.0, 2000.0)]
     walked = secure_fuse(problem, row, 20.0, split=row_split)
@@ -474,7 +484,7 @@ def test_ls_split_cache_shares_only_read_only_arrays(
         assert arr.flags.writeable
         others = fresh[:k] + fresh[k + 1:] + [a.x_ls, a.mu]
         assert not any(np.shares_memory(arr, o) for o in others)
-    for arr in split[1:6]:
+    for arr in split[:5]:
         assert not arr.flags.writeable
 
 
@@ -485,9 +495,9 @@ def test_non_finite_statistic_raises_every_time_and_is_not_stored(
     # a NaN entry, or a finite row whose products overflow, raises on
     # every call, at a screening and an open gamma, and in a block; the
     # problem keeps nothing of it
-    problem, split, picks = open_and_screened_rows(
+    problem, rollout, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition, count=1)
-    row = split.Y[picks[0]] * scale
+    row = rollout.Y[picks[0]] * scale
     if value is not None:
         row[5] = value
     messages = set()
@@ -499,7 +509,7 @@ def test_non_finite_statistic_raises_every_time_and_is_not_stored(
             secure_fuse(problem, row, gamma)
         messages.add(str(err.value))
     # in a block, the bad row raises the same error as on its own
-    block = np.vstack((split.Y[:3], row, split.Y[3:]))
+    block = np.vstack((rollout.Y[:3], row, rollout.Y[3:]))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError) as err:
         problem.split(block)
@@ -524,7 +534,8 @@ def test_block_split_bit_equal_to_row_products(seed, horizon,
                                                log_magnitude):
     # on random Jordan designs, a block of 1, 2, 7 or every row of an
     # attacked rollout gives each row the bits of its own row products;
-    # least_squares and screen_statistic on the block agree with them
+    # least_squares on the block and the rollout's statistic agree with
+    # them
     model = random_jordan_model(seed, ensure_observable=True)
     try:
         design = spectral_design(model)
@@ -534,13 +545,12 @@ def test_block_split_bit_equal_to_row_products(seed, horizon,
         assume(False)
     attack = AttackSpec(support=(0,), kind="uniform",
                         magnitude=10.0 ** log_magnitude)
-    Y = _rollout(model, design, dec, attack, horizon, seed, 0).Y
+    rollout = _rollout(model, design, dec, problem, attack, horizon, seed, 0)
+    Y, statistic = rollout.Y, rollout.split.statistic
     for size in (1, 2, 7, horizon):
         block = Y[:size]
         split = problem.split(block)
         x_ls, mu_ls = problem.least_squares(block)
-        statistic = problem.screen_statistic(block)
-        assert split.Y is block
         assert len(split.rows) == size
         for t, y in enumerate(block):
             want = row_products(problem, y)

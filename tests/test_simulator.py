@@ -261,12 +261,18 @@ def test_simulate_takes_the_rollout_of_its_own_run(
         pendulum_model, pendulum_design, pendulum_decomposition):
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     att = default_attack()
-    rollout = _rollout(*args, att, 30, 3, 1)
-    shared = simulate(*args, att, 5.0, 30, 3, trial=1, rollout=rollout)
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    rollout = _rollout(*args, problem, att, 30, 3, 1)
     own = simulate(*args, att, 5.0, 30, 3, trial=1)
-    for f in ("x", "u", "z", "y", "a", "xhat_kal", "xhat_sec", "xhat_ls",
-              "kkt_residual", "solver_iters"):
-        assert np.array_equal(getattr(shared, f), getattr(own, f)), f
+    # with the rollout's own problem, or with a problem built for the run
+    for kw in (dict(problem=problem), {}):
+        shared = simulate(*args, att, 5.0, 30, 3, trial=1, rollout=rollout,
+                          **kw)
+        for f in ("x", "u", "z", "y", "a", "xhat_kal", "xhat_sec",
+                  "xhat_ls", "kkt_residual", "solver_iters",
+                  "kalman_equivalent", "screen_statistic"):
+            assert np.array_equal(getattr(shared, f), getattr(own, f)), f
     for attack, horizon, seed, trial in ((AttackSpec(), 30, 3, 1),
                                          (att, 31, 3, 1), (att, 30, 4, 1),
                                          (att, 30, 3, 0)):
@@ -280,24 +286,54 @@ def test_simulate_takes_the_rollout_of_its_own_run(
 
 def test_simulate_takes_the_split_of_its_own_rollout(
         pendulum_model, pendulum_design, pendulum_decomposition):
+    # the rollout carries Y's split on its problem, and a run passed the
+    # rollout fuses on that split: its least-squares estimate and screen
+    # statistic are the split's own arrays, and it fuses as a run that
+    # splits for itself
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     att = default_attack()
     problem = build_fusion_problem(pendulum_decomposition.H_stack,
                                    pendulum_decomposition.Mtilde_factor)
-    rollout = _rollout(*args, att, 30, 3, 1)
-    split = problem.split(rollout.Y)
+    rollout = _rollout(*args, problem, att, 30, 3, 1)
+    want = problem.split(rollout.Y)
+    for name in ("x_ls", "mu_ls", "d", "statistic", "kkt"):
+        assert (getattr(rollout.split, name).tobytes()
+                == getattr(want, name).tobytes()), name
     shared = simulate(*args, att, 5.0, 30, 3, trial=1, problem=problem,
-                      rollout=rollout, split=split)
+                      rollout=rollout)
+    assert shared.xhat_ls is rollout.split.x_ls
+    assert shared.screen_statistic is rollout.split.statistic
     own = simulate(*args, att, 5.0, 30, 3, trial=1)
     for f in ("xhat_sec", "xhat_ls", "kkt_residual", "solver_iters",
               "kalman_equivalent", "screen_statistic"):
         assert np.array_equal(getattr(shared, f), getattr(own, f)), f
-    # a split of an equal copy of Y, or of no rollout, is refused
-    copy = rollout._replace(Y=rollout.Y.copy())
-    for kw in (dict(rollout=copy), {}):
-        with pytest.raises(ValueError, match="split of another"):
-            simulate(*args, att, 5.0, 30, 3, trial=1, problem=problem,
-                     split=split, **kw)
+
+
+def test_simulate_on_a_rollout_makes_no_least_squares_call(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # the rollout carries its split, so a run passed it never splits: not
+    # as a block, and not row by row inside secure_fuse
+    from securekf.fusion import FusionProblem
+
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    rollout = _rollout(*args, problem, default_attack(), 60, 3, 0)
+    calls = []
+    least_squares = FusionProblem.least_squares
+
+    def counting(self, Y):
+        calls.append(np.shape(Y))
+        return least_squares(self, Y)
+
+    monkeypatch.setattr(FusionProblem, "least_squares", counting)
+    for gamma, kw in ((5.0, dict(problem=problem)), (1000.0, {})):
+        simulate(*args, default_attack(), gamma, 60, 3, rollout=rollout,
+                 **kw)
+    assert calls == []
+    # a run without one splits its own rollout once, as one block
+    simulate(*args, default_attack(), 5.0, 60, 3, problem=problem)
+    assert calls == [(60, 16)]
 
 
 def record_fusion(monkeypatch):
@@ -331,7 +367,7 @@ def test_simulate_steps_equal_fresh_per_row_secure_fuse(
     screened = []
     for attack in (AttackSpec(),
                    AttackSpec(support=(3,), kind="uniform", magnitude=5.0)):
-        rollout = _rollout(*args, attack, 200, 2, 0)
+        rollout = _rollout(*args, problem, attack, 200, 2, 0)
         results.clear()
         trace = simulate(*args, attack, gamma, 200, 2, problem=problem,
                          rollout=rollout)
@@ -355,10 +391,10 @@ def test_trace_screen_statistic_is_the_block_statistic(
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     problem = build_fusion_problem(pendulum_decomposition.H_stack,
                                    pendulum_decomposition.Mtilde_factor)
-    rollout = _rollout(*args, default_attack(), 150, 1, 0)
+    rollout = _rollout(*args, problem, default_attack(), 150, 1, 0)
     trace = simulate(*args, default_attack(), gamma, 150, 1,
                      rollout=rollout)
-    want = problem.screen_statistic(rollout.Y)
+    want = problem.split(rollout.Y).statistic
     assert trace.screen_statistic.tobytes() == want.tobytes()
     assert np.array_equal(trace.kalman_equivalent,
                           trace.screen_statistic <= gamma)
@@ -382,21 +418,22 @@ def test_equivalence_probability_is_the_runs_screened_share(
 def test_overflowing_rollout_raises_before_any_step(
         monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
     # a finite Y whose least-squares products overflow is refused with the
-    # row-by-row error, before secure_fuse sees a step
+    # row-by-row error, before secure_fuse sees a step.  A finite Minv
+    # scaled by 1e304 overflows d = Minv mu_ls on 10 of these 60 clean
+    # rows (a Ptilde scaled that far would overflow Y itself first)
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
-    rollout = _rollout(*args, AttackSpec(), 60, 0, 0)
-    with np.errstate(over="ignore"):
-        huge = rollout._replace(Y=1e306 * rollout.Y)
-    assert np.isfinite(huge.Y).all()
-    # the error secure_fuse gives on the first row that overflows, which
-    # the step-by-step fusion met first
     problem = build_fusion_problem(pendulum_decomposition.H_stack,
                                    pendulum_decomposition.Mtilde_factor)
+    Y = _rollout(*args, problem, AttackSpec(), 60, 0, 0).Y
+    huge = dataclasses.replace(problem, Minv=1e304 * problem.Minv)
+    assert np.isfinite(huge.Minv).all()
+    # the error secure_fuse gives on the first row that overflows, which
+    # the step-by-step fusion met first
     want = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in huge.Y:
+        for row in Y:
             try:
-                secure_fuse(problem, row, 5.0)
+                secure_fuse(huge, row, 5.0)
             except ValueError as exc:
                 want = str(exc)
                 break
@@ -405,8 +442,7 @@ def test_overflowing_rollout_raises_before_any_step(
     results = record_fusion(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError) as err:
-        simulate(*args, AttackSpec(), 5.0, 60, 0, problem=problem,
-                 rollout=huge)
+        simulate(*args, AttackSpec(), 5.0, 60, 0, problem=huge)
     assert str(err.value) == want
     assert results == []
 
@@ -420,7 +456,7 @@ def assert_matches_complex_oracle(model, design, rollout, relative_to_y):
                                              rollout.y)
     scale = np.abs(Y_ref).max() if relative_to_y else terms
     assert np.abs(rollout.Y - Y_ref).max() <= 1e-12 * scale
-    for name, arr in zip(Rollout._fields[4:], rollout[4:]):
+    for name, arr in zip(Rollout._fields[4:-1], rollout[4:-1]):
         assert arr.dtype == np.float64, name
 
 
@@ -429,9 +465,10 @@ def test_real_rollout_matches_complex_oracle_on_pendulum(
         seed, pendulum_model, pendulum_design, pendulum_decomposition):
     # the real bank and projection give the Y of the complex mode-by-mode
     # bank, which has one complex pair on the pendulum
-    rollout = _rollout(pendulum_model, pendulum_design,
-                       pendulum_decomposition, default_attack(), 1000, seed,
-                       0)
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    rollout = _rollout(pendulum_model, pendulum_design, dec, problem,
+                       default_attack(), 1000, seed, 0)
     assert_matches_complex_oracle(pendulum_model, pendulum_design, rollout,
                                   relative_to_y=True)
 
@@ -449,7 +486,10 @@ def test_real_rollout_matches_complex_oracle_on_random_models(seed, data):
         K_lqr=0.1 * rng.standard_normal((1, model.n)))
     attack = AttackSpec(support=(data.draw(st.integers(0, model.m - 1)),),
                         kind="uniform", magnitude=1.0)
-    rollout = _rollout(model, design, decomposition, attack, 60, seed, 0)
+    problem = build_fusion_problem(decomposition.H_stack,
+                                   decomposition.Mtilde_factor)
+    rollout = _rollout(model, design, decomposition, problem, attack, 60,
+                       seed, 0)
     assert_matches_complex_oracle(model, design, rollout,
                                   relative_to_y=False)
 
@@ -814,11 +854,11 @@ def test_sweep_rolls_out_each_trial_attack_once(
     calls = []
     rollout = sim._rollout
 
-    def counting(model, design, decomposition, attack, horizon, seed, trial,
-                 x0=None):
+    def counting(model, design, decomposition, problem, attack, horizon, seed,
+                 trial, x0=None):
         calls.append((trial, attack))
-        return rollout(model, design, decomposition, attack, horizon, seed,
-                       trial, x0)
+        return rollout(model, design, decomposition, problem, attack,
+                       horizon, seed, trial, x0)
 
     monkeypatch.setattr(sim, "_rollout", counting)
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
@@ -852,6 +892,39 @@ def test_sweep_computes_each_row_split_once(
     sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
                 gammas=(5.0, 1000.0), trials=1, horizon=60)
     assert len(calls) == len(set(calls)) == 120
+
+
+def test_sweep_runs_share_their_rollouts_read_only_arrays(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # every run of a sweep rollout, at every gamma, traces that rollout's
+    # read-only x_ls and statistic arrays, not copies of them
+    import securekf.simulator as sim
+
+    rollouts, traces = {}, []
+    rollout, simulate_ = sim._rollout, sim.simulate
+
+    def recording_rollout(*args, **kwargs):
+        out = rollout(*args, **kwargs)
+        rollouts[out[:4]] = out     # (attack, horizon, seed, trial)
+        return out
+
+    def recording_simulate(*args, **kwargs):
+        traces.append(simulate_(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(sim, "_rollout", recording_rollout)
+    monkeypatch.setattr(sim, "simulate", recording_simulate)
+    sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
+                gammas=(5.0, 1000.0), trials=2, horizon=60, seed=1)
+    assert (len(rollouts), len(traces)) == (4, 8)
+    for tr in traces:
+        split = rollouts[tr.attack, tr.horizon, tr.seed, tr.trial].split
+        assert tr.xhat_ls is split.x_ls
+        assert tr.screen_statistic is split.statistic
+        for arr in (tr.xhat_ls, tr.screen_statistic):
+            assert not arr.flags.writeable
+    # the two gammas of each rollout share one x_ls array
+    assert len({id(tr.xhat_ls) for tr in traces}) == 4
 
 
 def test_sweep_single_trial_has_zero_stderr(pendulum_model, pendulum_design,
