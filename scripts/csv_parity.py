@@ -8,6 +8,9 @@ left out):
 
 - ``simulate`` at gamma in {0.2, 5, 20, 1000}, seeds 0-2, clean and under
   ``--attack-kind uniform``, with ``--horizon 300``;
+- ``simulate`` at gamma 5, seed 0, under ``--attack-kind uniform``, at the
+  default horizon of 1000 steps: every step is open, so the whole run is
+  fused as one block walk, the largest the CLI makes;
 - a default-grid ``sweep-gamma`` and ``sweep-attack`` with ``--trials 2
   --horizon 100``;
 - the ``design`` file.
@@ -40,6 +43,8 @@ def cases() -> list[list[str]]:
             "--attack-kind", kind]
            for gamma in ("0.2", "5", "20", "1000") for seed in "012"
            for kind in ("none", "uniform")]
+    out.append(["simulate", "--gamma", "5", "--seed", "0", "--attack-kind",
+                "uniform"])
     out += [[command, "--trials", "2", "--horizon", "100"]
             for command in ("sweep-gamma", "sweep-attack")]
     return out + [["design"]]

@@ -22,11 +22,15 @@ to gamma, and ends after finitely many breakpoints on the exact support.
 Everything here runs in real arithmetic: the decomposition is realified
 once, when it is built, so the bank, its canonical measurement Y, H and
 Mtilde are real arrays.  FusionProblem owns the operators every step
-shares (the least-squares split of a block of measurements, the
-threshold statistic, the objective); complex problem data are rejected
-when the problem is built, and a complex Y when it is fused.  The module
-needs numpy alone: Minv comes from the covariance's Cholesky factor, and
-the homotopy's small solves call numpy's LAPACK gufunc directly.
+shares (the least-squares split of a block of measurements or of one
+row, the threshold statistic, the objective); complex problem data are
+rejected when the problem is built, and a complex Y when it is fused.
+secure_fuse walks one row's homotopy (_lasso_path); lasso_paths walks
+the open rows of a whole block together, one breakpoint per round, and
+gives every row the bits of its own walk, which secure_fuse then takes
+as given.  The module needs numpy alone: Minv comes from the
+covariance's Cholesky factor, and the homotopy's small solves call
+numpy's LAPACK gufunc directly, one matrix at a time or a stack of them.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .model import SystemModel
 KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
-SUPPORT_SOLVES = 4096   # signed supports a FusionProblem remembers
 _FLOAT64 = np.dtype(float)
 
 
@@ -152,7 +155,9 @@ class LeastSquaresSplit(NamedTuple):
     row that screens.  rows[t] is the tuple (x_ls[t], mu_ls[t], d[t],
     statistic[t], kkt[t]) that secure_fuse takes for row t, with the two
     scalars as Python floats.  The arrays are read-only, so the results
-    and traces that share them cannot change them.
+    and traces that share them cannot change them.  problem is the
+    FusionProblem that made the split, whose operators every solve on
+    these rows must use.
     """
 
     x_ls: np.ndarray
@@ -161,6 +166,19 @@ class LeastSquaresSplit(NamedTuple):
     statistic: np.ndarray
     kkt: np.ndarray
     rows: list
+    problem: "FusionProblem"
+
+
+def _refuse(Y):
+    """Raise the ValueError for a row Y whose threshold statistic is not
+    finite: a non-finite measurement, or a finite one so large that the
+    least-squares products overflow (the homotopy would walk to the
+    breakpoint cap and return NaN)."""
+    if not np.isfinite(Y).all():
+        i = int(np.isfinite(Y).argmin())
+        raise ValueError(f"non-finite measurement Y[{i}] = {Y[i]}")
+    raise ValueError(f"the least-squares products overflow on a finite "
+                     f"measurement (max |Y| = {np.abs(Y).max():.3e})")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,21 +187,12 @@ class FusionProblem:
 
     least_squares and objective take one measurement Y of length mn, or
     an (h, mn) block with one measurement per row, and answer per row;
-    split takes a block.  Both least_squares and split form each row's
-    products as the row form would (_rows_dot), so row t of a block's
-    answer has the bits of the answer on Y[t] alone.  S is a view of the
-    top half of S_pm = [S; -S], which the homotopy reads.
-
-    The problem keeps one cache, emptied when it is full:
-    _support_solves holds the Y-independent half of a homotopy breakpoint
-    (_lasso_path), keyed by the signed support's sign.tobytes().  An
-    entry costs about 1.1 KB plus 16 mn k bytes for its k columns of
-    S_pm, 2.5-3.3 KB on the pendulum (mn = 16) under its default sweeps;
-    at most SUPPORT_SOLVES entries, under 13 MiB there.  It lives as long
-    as the problem: every sweep call builds its own, as does simulate
-    unless it is passed one, and dataclasses.replace starts a new, empty
-    cache.  A hit returns the bits a recomputation would give, so the
-    cache never changes an answer, only how fast it comes.
+    split takes a block and split_row one row.  Both least_squares and
+    split form each row's products as the row form would (_rows_dot), so
+    row t of a block's answer has the bits of the answer on Y[t] alone,
+    which split_row gives with plain 1-D products.  S is a view of the top
+    half of S_pm = [S; -S], which the homotopy reads.  The problem holds
+    its operators and nothing else: no call changes it.
     """
 
     H: np.ndarray          # mn x n
@@ -192,8 +201,6 @@ class FusionProblem:
     wls_op: np.ndarray     # x_ls = wls_op @ Y
     S_pm: np.ndarray       # [S; -S], 2mn x mn
     S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
-    _support_solves: dict = dataclasses.field(
-        default_factory=dict, init=False, compare=False, repr=False)
 
     def least_squares(self, Y):
         """(x_ls, mu_ls) minimizing 0.5 mu' Minv mu subject to Y = H x + mu."""
@@ -205,10 +212,7 @@ class FusionProblem:
         the (h, mn) block Y, which every gamma's solve on that row reads.
 
         The first row whose statistic is not finite raises ValueError, with
-        the message secure_fuse gives on that row alone: a non-finite
-        measurement, or a finite one so large that the least-squares
-        products overflow (the homotopy would walk to the breakpoint cap
-        and return NaN).
+        the message split_row gives on that row alone (_refuse).
         """
         if Y.ndim != 2:
             raise ValueError(f"split takes an (h, mn) block, got shape "
@@ -218,18 +222,30 @@ class FusionProblem:
         statistic = np.abs(d).max(axis=-1)
         bad = ~np.isfinite(statistic)
         if bad.any():
-            row = Y[int(bad.argmax())]
-            if not np.isfinite(row).all():
-                i = int(np.isfinite(row).argmin())
-                raise ValueError(f"non-finite measurement Y[{i}] = {row[i]}")
-            raise ValueError(f"the least-squares products overflow on a "
-                             f"finite measurement (max |Y| = "
-                             f"{np.abs(row).max():.3e})")
+            _refuse(Y[int(bad.argmax())])
         kkt = np.abs(_dot_rows(self.Ht, d)).max(axis=-1)
         for a in (x_ls, mu_ls, d, statistic, kkt):
             a.setflags(write=False)
         rows = list(zip(x_ls, mu_ls, d, statistic.tolist(), kkt.tolist()))
-        return LeastSquaresSplit(x_ls, mu_ls, d, statistic, kkt, rows)
+        return LeastSquaresSplit(x_ls, mu_ls, d, statistic, kkt, rows, self)
+
+    def split_row(self, y):
+        """The split of one measurement row y of length mn, as the tuple
+        (x_ls, mu_ls, d, statistic, kkt) that split gives as rows[t] for
+        a block whose row t is y, with the same bits and the same
+        ValueError; its arrays are read-only too.  Plain 1-D products
+        cost a quarter of a one-row block's stacked ones.
+        """
+        x_ls = y.dot(self.wls_op.T)
+        mu_ls = y - x_ls.dot(self.H.T)
+        d = self.Minv.dot(mu_ls)
+        statistic = float(np.maximum.reduce(np.abs(d)))
+        if not math.isfinite(statistic):
+            _refuse(y)
+        for a in (x_ls, mu_ls, d):
+            a.setflags(False)   # write=False, passed by position: 4x faster
+        return (x_ls, mu_ls, d, statistic,
+                max(map(abs, self.Ht.dot(d).tolist())))
 
     def objective(self, Y, x, nu, gamma):
         """0.5 mu' Minv mu + gamma |nu|_1 at (x, nu), mu = Y - H x - nu."""
@@ -293,7 +309,7 @@ def _residuals(problem, Y, x, nu, gamma):
 
 def _solve_support(S_pm, sign):
     """The Y-independent half of a homotopy breakpoint on the signed
-    support sign, as read-only (act, cols, rate, tie, w, drops).
+    support sign, as (act, cols, rate, tie, w, drops).
 
     act lists the active coordinates, cols = S_pm[:, act], w solves
     S_AA w = s_A, and rate = 1 - cols w, with its tie entries
@@ -313,8 +329,6 @@ def _solve_support(S_pm, sign):
     rate = 1.0 - cols.dot(w)
     tie = rate <= TIE_RATE
     rate[tie] = 1.0
-    for a in (act, cols, rate, tie, w):
-        a.setflags(False)   # write=False, passed by position: 4x faster
     drops = tuple((w * s_act < 0.0).nonzero()[0].tolist())
     return act, cols, rate, tie, w, drops
 
@@ -335,20 +349,15 @@ def _lasso_path(problem, Y, c_ls, gamma, history):
     Returns (nu, segments); history, when a list, receives the objective
     at every breakpoint.
 
-    w_A and the rates depend on the signed support (A, s_A) alone, not on
-    Y, so _solve_support runs once per support and problem's cache keeps
-    its answer under sign.tobytes() (sign holds only +0.0 and +-1.0, so
-    the key is canonical).  A revisited support reuses the arrays its
-    first solve made, which are the bits a fresh solve would make, so the
-    path is the same whether it hits or misses (FusionProblem gives the
-    cache's size and lifetime).  The rest of a breakpoint depends on Y:
-    it recomputes c2 = [c; -c] from nu_A with the columns of
-    S_pm = [S; -S] (stepping c along would drift) and forms the 2mn join
-    times in numpy, masking tie and blocked roots to inf.  The few drop
-    times run on Python floats, as a numpy call costs more than the loop.
-    Products use ndarray.dot, which dispatches faster than @: same bits.
+    Each breakpoint solves its signed support afresh (_solve_support),
+    recomputes c2 = [c; -c] from nu_A with the columns of S_pm = [S; -S]
+    (stepping c along would drift) and forms the 2mn join times in numpy,
+    masking tie and blocked roots to inf.  The few drop times run on
+    Python floats, as a numpy call costs more than the loop.  Products
+    use ndarray.dot, which dispatches faster than @: same bits.
+    lasso_paths walks many rows at once to the same bits.
     """
-    S_pm, solves = problem.S_pm, problem._support_solves
+    S_pm = problem.S_pm
     mn = len(c_ls)
     # root r < mn is c_r reaching +lam, root mn + j is c_j reaching -lam
     c2_ls = np.concatenate((c_ls, -c_ls))
@@ -363,13 +372,7 @@ def _lasso_path(problem, Y, c_ls, gamma, history):
             j = root % mn
             sign[j] = 1.0 if root < mn else -1.0
             blocked[j] = blocked[j + mn] = True
-        key = sign.tobytes()
-        solve = solves.get(key)
-        if solve is None:
-            if len(solves) >= SUPPORT_SOLVES:
-                solves.clear()      # costs a hit nothing, unlike an LRU
-            solve = solves[key] = _solve_support(S_pm, sign)
-        act, cols, rate, tie, w, drops = solve
+        act, cols, rate, tie, w, drops = _solve_support(S_pm, sign)
         nu_act = nu[act]
         c2 = c2_ls - cols.dot(nu_act)
         if history is not None:
@@ -404,8 +407,106 @@ def _lasso_path(problem, Y, c_ls, gamma, history):
     return nu, MAX_BREAKPOINTS
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def lasso_paths(problem, d_rows, gamma):
+    """Walk the homotopy of _lasso_path for every row of d_rows at once.
+
+    d_rows is an (r, mn) block of c_ls = Minv mu_ls rows (the d of a
+    least-squares split) whose statistic exceeds gamma.  Returns
+    (nu, breakpoints): an (r, mn) array and an (r,) int array whose row i
+    holds the bits _lasso_path gives on row i alone.
+
+    Each round moves every live row one breakpoint, and a row that
+    reaches gamma leaves the block.  The live rows are grouped by active
+    set size k.  A group of g rows gathers its columns of S_pm as one
+    C-contiguous (g, 2mn, k) stack and its S_AA as a (g, k, k) one; one
+    stacked LAPACK call solves every S_AA (each matrix gets the lone
+    solve's bits), and np.matmul forms cols nu_A and cols w with one
+    matrix-vector product per row, the bits of cols.dot (see _rows_dot).
+    A row whose solve is NaN takes the lone walk's lstsq fallback on its
+    own.  The event rules are the lone walk's, row by row: the first
+    minimum join time, a passed root firing at once, drop times
+    max(0, -nu_q / w_q), the first of equal event times, a dropped
+    coordinate's own-sign root held for one segment, and TIE_RATE.  The
+    walk has no history; secure_fuse(history=) walks alone.
+    """
+    S_pm = problem.S_pm
+    S_pm_t = S_pm.T.copy()      # rows of S_pm_t[act] are the columns
+    r, mn = d_rows.shape
+    c2_ls = np.concatenate((d_rows, -d_rows), axis=1)
+    nu = np.zeros((r, mn))
+    sign = np.zeros((r, mn))
+    size = np.zeros(r, dtype=int)           # active set sizes
+    blocked = np.zeros((r, 2 * mn), dtype=bool)
+    root = c2_ls.argmax(axis=1)
+    lam = c2_ls[np.arange(r), root]
+    held = np.full(r, -1)
+    breakpoints = np.full(r, MAX_BREAKPOINTS)
+    live = np.arange(r)
+    for it in range(1, MAX_BREAKPOINTS + 1):
+        joins = live[root[live] >= 0]
+        j = root[joins] % mn
+        sign[joins, j] = np.where(root[joins] < mn, 1.0, -1.0)
+        size[joins] += 1
+        blocked[joins, j] = blocked[joins, j + mn] = True
+        live_size = size[live]
+        done = np.zeros(r, dtype=bool)
+        for k in set(live_size.tolist()):
+            g = live[live_size == k]
+            on = sign[g] != 0.0
+            act = on.nonzero()[1].reshape(-1, k)
+            s_act = sign[g][on].reshape(-1, k)
+            nu_act = nu[g][on].reshape(-1, k)
+            cols = np.ascontiguousarray(S_pm_t[act].transpose(0, 2, 1))
+            S_aa = S_pm[act[:, :, None], act[:, None, :]]
+            w = _solve1(S_aa, s_act)
+            for q in np.isnan(w[:, 0]).nonzero()[0]:
+                w[q] = np.linalg.lstsq(S_aa[q], s_act[q], rcond=None)[0]
+            c2 = c2_ls[g] - np.matmul(cols, nu_act[:, :, None])[:, :, 0]
+            rate = 1.0 - np.matmul(cols, w[:, :, None])[:, :, 0]
+            lam_g = lam[g]
+            join = (lam_g[:, None] - c2) / rate
+            join[(rate <= TIE_RATE) | blocked[g]] = np.inf
+            rows = np.arange(len(g))
+            root_g = join.argmin(axis=1)
+            t_join = join[rows, root_g]
+            passed = t_join <= 0.0
+            if passed.any():
+                root_g[passed] = (join[passed] <= 0.0).argmax(axis=1)
+                t_join[passed] = 0.0
+            drop = -nu_act / w
+            drop = np.where(w * s_act < 0.0,
+                            np.where(drop > 0.0, drop, 0.0), np.inf)
+            i = drop.argmin(axis=1)
+            t_drop = drop[rows, i]
+            # t = min(t_join, t_drop, gap), as Python's min takes it
+            gap = lam_g - gamma
+            t = np.where(t_drop < t_join, t_drop, t_join)
+            t = np.where(gap < t, gap, t)
+            nu[g[:, None], act] = nu_act + t[:, None] * w
+            end = t >= gap
+            done[g[end]] = True
+            breakpoints[g[end]] = it
+            lam[g] = lam_g - t
+            release = ~end & (held[g] >= 0)
+            blocked[g[release], held[g[release]]] = False
+            held[g] = -1
+            dropped = ~end & (t_drop <= t_join)
+            gd, kd = g[dropped], act[rows, i][dropped]
+            hd = np.where(sign[gd, kd] > 0.0, kd, kd + mn)
+            nu[gd, kd] = sign[gd, kd] = 0.0
+            size[gd] -= 1
+            blocked[gd, (hd + mn) % (2 * mn)] = False
+            held[gd] = hd
+            root[g] = np.where(dropped, -1, root_g)
+        live = live[~done[live]]
+        if not live.size:
+            break
+    return nu, breakpoints
+
+
 def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
-                split=None) -> FusionResult:
+                split=None, walk=None) -> FusionResult:
     """Solve the l1-regularized fusion problem for one real measurement Y.
 
     The threshold test or the lasso homotopy (module docstring) gives the
@@ -420,15 +521,23 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
     block whose row t is Y; it is not checked.  A simulator rollout
     carries the split of its whole block, and simulate passes each step
     its row, so a screened step only tests the row's statistic against
-    gamma.  Without it, Y is split alone, as the block Y[None].  A 1-D
-    float64 ndarray Y is used as given, and any other form converted
-    first.  ValueError is raised for a complex Y, a non-finite Y (the
-    screen test propagates NaN, so it never passes one), a finite Y so
-    large that the least-squares products overflow, and a gamma that is
-    not finite and positive.
+    gamma.  Without it, Y is split alone (problem.split_row).  walk, when
+    given, must be row i of lasso_paths(problem, d, gamma) as the pair
+    (nu[i], breakpoints[i]), for a block d whose row i is this row's d;
+    it is not checked either, and the homotopy is not walked again.
+    simulate walks a run's open rows as one block and passes each step
+    its row.  walk has no history, so passing both raises ValueError.
+    A 1-D float64 ndarray Y is used as given, and any other form
+    converted first.  ValueError is raised for a complex Y, a non-finite
+    Y (the screen test propagates NaN, so it never passes one), a finite
+    Y so large that the least-squares products overflow, and a gamma
+    that is not finite and positive.
     """
     if not 0.0 < gamma < math.inf:
         check_gamma(gamma)
+    if walk is not None and history is not None:
+        raise ValueError("pass walk or history, not both: a block walk "
+                         "records no history")
     if type(Y) is not np.ndarray or Y.dtype != _FLOAT64 or Y.ndim != 1:
         Y = np.asarray(Y)
         if Y.dtype.kind == "c":
@@ -436,7 +545,7 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
                              "complex one")
         Y = Y.astype(float, copy=False).reshape(-1)
     if split is None:
-        split = problem.split(Y[None]).rows[0]
+        split = problem.split_row(Y)
     x_ls, mu_ls, d_ls, statistic, kkt = split
     if statistic <= gamma:
         if history is not None:
@@ -446,7 +555,10 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
 
     H, Minv, wls_op = problem.H, problem.Minv, problem.wls_op
     eps_eff = KKT_TOL * max(1.0, gamma)
-    nu, it = _lasso_path(problem, Y, d_ls, gamma, history)
+    if walk is None:
+        nu, it = _lasso_path(problem, Y, d_ls, gamma, history)
+    else:
+        nu, it = walk
     x = wls_op.dot(Y - nu)
     mu, kkt = _residuals(problem, Y, x, nu, gamma)
     if kkt > eps_eff:

@@ -5,8 +5,10 @@ read the same measurement stream: the fixed-gain filter, the weighted
 least-squares fusion of the local bank, and the secure (l1-regularized)
 fusion.  No estimate feeds back into the plant, the filter or the bank,
 so a run first rolls all of those out over the whole horizon as arrays
-and splits the least squares of the whole canonical measurement at once;
-only the fusion then runs step by step.  In the decomposition's real
+and splits the least squares of the whole canonical measurement at once.
+When enough rows are left open by the screen, their l1 homotopies are
+walked together as one block; only the fusion's answers are then formed
+step by step.  In the decomposition's real
 coordinates each sensor's bank is one real n x n transition, so the
 plant, the filter and the bank roll out through the same recurrence.
 Neither the rollout nor its split depends on the regularization weight
@@ -28,7 +30,7 @@ import numpy as np
 
 from .decomposition import SensorDecomposition
 from .fusion import (FusionProblem, LeastSquaresSplit, build_fusion_problem,
-                     check_gamma, secure_fuse)
+                     check_gamma, lasso_paths, secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
@@ -42,6 +44,11 @@ DEFAULT_BURN_IN = 50
 DEFAULT_TRIALS = 20
 DEFAULT_GAMMAS = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_MAGNITUDES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
+# open rows from which a run walks its homotopies as one block: below it,
+# one walk per row is cheaper (pendulum, gamma 5 and 20, two runs: the
+# block costs 1.2-1.4x the lone walks at 8 rows, 0.9-1.1x at 12,
+# 0.85-0.93x at 16 and 0.55-0.61x at 32)
+BLOCK_WALK_ROWS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,7 +212,8 @@ class Rollout(NamedTuple):
     The run it belongs to is (attack, horizon, seed, trial); the arrays
     have one row per step, as in SimulationTrace, and Y is the bank's
     canonical measurement.  Every array is real.  split is Y's
-    least-squares split on the rollout's problem (FusionProblem.split).
+    least-squares split on the rollout's problem (FusionProblem.split),
+    which it records as split.problem.
     """
 
     attack: AttackSpec
@@ -279,10 +287,15 @@ def simulate(model: SystemModel, design: SpectralDesign,
     The input is true-state feedback u(k) = -K_lqr x(k); estimators never
     close the loop, so the plant, the fixed-gain filter and the local bank
     are rolled out over the whole horizon first, and the least squares of
-    the whole rollout split at once (FusionProblem.split).  Only the
-    secure fusion runs step by step: one secure_fuse call per step,
-    passed its row of the split, so that a screened step only tests the
-    row's statistic against gamma.  All randomness (initial state,
+    the whole rollout split at once (FusionProblem.split).  The rows whose
+    statistic exceeds gamma are open: when there are at least
+    BLOCK_WALK_ROWS of them, their homotopies are walked as one block
+    (fusion.lasso_paths), which gives each row the bits of its own walk;
+    fewer walk one at a time inside secure_fuse.  The secure fusion then
+    runs step by step: one secure_fuse call per step, passed its row of
+    the split and, on a block-walked step, its row of the walk, so that
+    a screened step only tests the row's statistic against gamma and an
+    open one only forms its answer.  All randomness (initial state,
     process noise, measurement noise, attack draws) comes from independent
     substreams of (seed, trial), so two runs that differ only in the
     attack share the same noise and the same clean measurements.
@@ -292,21 +305,23 @@ def simulate(model: SystemModel, design: SpectralDesign,
     ValueError.
 
     The rollout and its split do not depend on gamma, so runs that
-    differ only in gamma can share them: pass the rollout as `rollout`,
-    with the problem it was made with as `problem` (which shares the
-    fusion operators).  It must be the rollout of this (attack, horizon,
-    seed, trial), and it fixes its own initial state, so passing x0 as
-    well raises ValueError, as does a rollout of another run.  A
-    measurement so large that the least-squares products overflow raises
-    ValueError before any step is fused.
+    differ only in gamma can share them: pass the rollout as `rollout`.
+    Its split records the problem it was made on, which the run then
+    fuses with; passing a different `problem` raises ValueError, as the
+    screen and the l1 solve would read two designs.  It must be the
+    rollout of this (attack, horizon, seed, trial), and it fixes its own
+    initial state, so passing x0 as well raises ValueError, as does a
+    rollout of another run.  A measurement so large that the
+    least-squares products overflow raises ValueError before any step is
+    fused.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     check_gamma(gamma)
-    if problem is None:
-        problem = build_fusion_problem(decomposition.H_stack,
-                                       decomposition.Mtilde_factor)
     if rollout is None:
+        if problem is None:
+            problem = build_fusion_problem(decomposition.H_stack,
+                                           decomposition.Mtilde_factor)
         rollout = _rollout(model, design, decomposition, problem, attack,
                            horizon, seed, trial, x0)
     elif x0 is not None:
@@ -316,10 +331,21 @@ def simulate(model: SystemModel, design: SpectralDesign,
         raise ValueError(f"rollout of (attack, horizon, seed, trial) = "
                          f"{rollout[:4]} passed for a run of "
                          f"{(attack, horizon, seed, trial)}")
+    elif problem is not None and problem is not rollout.split.problem:
+        raise ValueError("the rollout was split on another FusionProblem: "
+                         "pass the rollout's own problem, or none")
     x, u, z, y, a, x_kal, Y, split = rollout[4:]
+    problem = split.problem
+    walks = [None] * horizon
+    open_rows = (split.statistic > gamma).nonzero()[0]
+    if len(open_rows) >= BLOCK_WALK_ROWS:
+        nu, breakpoints = lasso_paths(problem, split.d[open_rows], gamma)
+        for t, walk in zip(open_rows.tolist(),
+                           zip(nu, breakpoints.tolist())):
+            walks[t] = walk
     x_tilde, _, _, kkt, iters, screened, _, converged = zip(
-        *[secure_fuse(problem, row, gamma, split=row_split)
-          for row, row_split in zip(Y, split.rows)])
+        *[secure_fuse(problem, row, gamma, split=row_split, walk=walk)
+          for row, row_split, walk in zip(Y, split.rows, walks)])
     secs, kkts = np.array(x_tilde), np.array(kkt, dtype=float)
     for name, arr in (("xhat_sec", secs), ("kkt_residual", kkts)):
         if not np.isfinite(arr).all():

@@ -1,6 +1,7 @@
 """Fusion layer: local bank dynamics, least squares, and the l1 solver."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from securekf import (
     spectral_design,
 )
 from securekf.decomposition import factor_mtilde
-from securekf.fusion import LocalBankState, _solve_support
+from securekf.fusion import (LocalBankState, _lasso_path, _solve_support,
+                             lasso_paths)
 from securekf.model import SystemModel
 from securekf.simulator import (AttackSpec, _rollout, simulate,
                                 trial_generators)
@@ -209,6 +211,37 @@ def test_singular_support_solve_falls_back_to_least_squares():
     assert tie.tolist() == [True, True, False, False, False, False]
     assert rate.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 1.0]
     assert drops == ()
+
+
+def test_block_walk_falls_back_to_least_squares_on_the_singular_row(
+        monkeypatch):
+    # S = [[1, 1, 0], [1, 1, 0], [0, 0, 2]]: the row d = (3, 1, 0) walks
+    # coordinate 0 in with +1, then coordinate 1 with -1 (its own +1 root
+    # is a tie), and S_AA = [[1, 1], [1, 1]] is singular.  In a block
+    # with two rows that never meet that support, only it calls lstsq,
+    # no warning escapes, and every row keeps its lone walk's bits
+    S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    problem = dataclasses.replace(PROB3, S_pm=np.vstack((S, -S)), S=S)
+    d = np.array([[0.0, 0.0, 3.0], [3.0, 1.0, 0.0], [2.5, 2.5, 0.0]])
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        calls.append((np.array(a), np.array(b)))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nu, breakpoints = lasso_paths(problem, d, 0.1)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], np.ones((2, 2)))
+    assert np.array_equal(calls[0][1], [1.0, -1.0])
+    calls.clear()
+    for row, row_nu, it in zip(d, nu, breakpoints.tolist()):
+        want_nu, want_it = _lasso_path(problem, row, row, 0.1, None)
+        assert (row_nu.tobytes(), it) == (want_nu.tobytes(), want_it)
+    assert len(calls) == 1
 
 
 def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,

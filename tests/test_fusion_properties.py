@@ -21,6 +21,7 @@ from securekf import (build_decomposition, build_fusion_problem, fusion,
                       secure_fuse, spectral_design)
 from securekf.fusion import FusionResult
 from securekf.simulator import AttackSpec, _rollout
+from securekf.spectral import RiccatiDivergenceError
 
 from helpers import random_jordan_model, reference_secure_fuse
 
@@ -335,8 +336,8 @@ def test_warm_support_cache_bit_equal_to_reference(seed, n, m_sensors,
                                                    coverage, log_gamma,
                                                    data):
     # rows that spike the same coordinates revisit the same signed
-    # supports; one problem solves them in a drawn order, each row on a
-    # cache the others warmed, then all of them again on a full cache
+    # supports; one problem solves them in a drawn order, twice, and
+    # keeps nothing between solves, so every answer is the reference's
     rng = np.random.default_rng(seed)
     if coverage:
         H = np.vstack([np.eye(n)] * m_sensors) * (
@@ -362,63 +363,10 @@ def test_warm_support_cache_bit_equal_to_reference(seed, n, m_sensors,
             assert_bit_equal(problem, rows[r], gamma)
 
 
-def test_capped_support_cache_stays_bit_equal_and_bounded(
-        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
-    # a cap of 3 empties the cache many times within one solve; every
-    # answer must stay the reference's and no insert may pass the cap
-    cap = 3
-    monkeypatch.setattr(fusion, "SUPPORT_SOLVES", cap)
-    sizes = []
-
-    class Watched(dict):
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            sizes.append(len(self))
-
-    problem, Y = attacked_pendulum_problem_and_rows(
-        pendulum_model, pendulum_design, pendulum_decomposition)
-    object.__setattr__(problem, "_support_solves", Watched())
-    for row in Y:
-        assert_bit_equal(problem, row, 5.0)
-    assert max(sizes) == cap
-    assert sizes.count(1) > 10          # emptied when full, many times
-
-
-def test_replace_starts_an_empty_support_cache(
-        pendulum_model, pendulum_design, pendulum_decomposition):
-    problem, Y = attacked_pendulum_problem_and_rows(
-        pendulum_model, pendulum_design, pendulum_decomposition)
-    for row in Y[:20]:
-        secure_fuse(problem, row, 5.0)
-    warm = dict(problem._support_solves)
-    assert warm
-    copy = dataclasses.replace(problem, S_pm=problem.S_pm, S=problem.S)
-    assert copy._support_solves == {}
-    assert copy._support_solves is not problem._support_solves
-    assert problem._support_solves == warm
-
-
-def test_support_cache_arrays_are_read_only(
-        pendulum_model, pendulum_design, pendulum_decomposition):
-    problem, Y = attacked_pendulum_problem_and_rows(
-        pendulum_model, pendulum_design, pendulum_decomposition)
-    for row in Y:
-        secure_fuse(problem, row, 5.0)
-    entries = list(problem._support_solves.values())
-    assert len(entries) > 10
-    for entry in entries:
-        arrays = [a for a in entry if isinstance(a, np.ndarray)]
-        assert len(arrays) == 5
-        for a in arrays:
-            assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            arrays[0][...] = 0
-
-
 def test_support_cache_order_does_not_change_answers(
         pendulum_model, pendulum_design, pendulum_decomposition):
-    # two fresh problems, one solving the rows forward and one in reverse,
-    # fill their caches in opposite orders and must answer bit for bit alike
+    # two problems, one solving the rows forward and one in reverse, must
+    # answer bit for bit alike
     forward, Y = attacked_pendulum_problem_and_rows(
         pendulum_model, pendulum_design, pendulum_decomposition)
     backward = dataclasses.replace(forward)
@@ -514,7 +462,6 @@ def test_non_finite_statistic_raises_every_time_and_is_not_stored(
             pytest.raises(ValueError) as err:
         problem.split(block)
     assert messages == {str(err.value)}
-    assert problem._support_solves == {}
 
 
 def row_products(problem, y):
@@ -533,9 +480,9 @@ def row_products(problem, y):
 def test_block_split_bit_equal_to_row_products(seed, horizon,
                                                log_magnitude):
     # on random Jordan designs, a block of 1, 2, 7 or every row of an
-    # attacked rollout gives each row the bits of its own row products;
-    # least_squares on the block and the rollout's statistic agree with
-    # them
+    # attacked rollout gives each row the bits of its own row products,
+    # and so does split_row on the row alone; least_squares on the block
+    # and the rollout's statistic agree with them
     model = random_jordan_model(seed, ensure_observable=True)
     try:
         design = spectral_design(model)
@@ -556,10 +503,88 @@ def test_block_split_bit_equal_to_row_products(seed, horizon,
             want = row_products(problem, y)
             got = (split.x_ls[t], split.mu_ls[t], split.d[t],
                    split.statistic[t], split.kkt[t])
-            for g, w, r in zip(got, want, split.rows[t]):
+            alone = problem.split_row(y)
+            for g, w, r, a in zip(got, want, split.rows[t], alone):
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
                 assert np.asarray(r).tobytes() == np.asarray(w).tobytes()
+                assert np.asarray(a).tobytes() == np.asarray(w).tobytes()
             assert type(split.rows[t][3]) is type(split.rows[t][4]) is float
+            assert type(alone[3]) is type(alone[4]) is float
             assert x_ls[t].tobytes() == want[0].tobytes()
             assert mu_ls[t].tobytes() == want[1].tobytes()
             assert statistic[t] == want[3]
+
+
+def assert_walks_equal_lone(problem, Y, d, gamma):
+    """lasso_paths on the rows d of a block gives each row the nu bytes
+    (signs of zero included) and breakpoint count of _lasso_path on the
+    row alone; returns the block's (nu, breakpoints)."""
+    nu, breakpoints = fusion.lasso_paths(problem, d, gamma)
+    assert nu.shape == d.shape and breakpoints.shape == (len(d),)
+    for y, row_d, row_nu, it in zip(Y, d, nu, breakpoints.tolist()):
+        want_nu, want_it = fusion._lasso_path(problem, y, row_d, gamma, None)
+        assert row_nu.tobytes() == want_nu.tobytes()
+        assert it == want_it
+    return nu, breakpoints
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(8, 40),
+       log_magnitude=st.floats(-1.0, 3.0), log_gamma=st.floats(-2.0, 3.0))
+def test_block_walk_bit_equal_to_lone_walk_and_reference(
+        seed, horizon, log_magnitude, log_gamma):
+    # on random Jordan designs, a block of 1, 2, 7 or every open row of
+    # an attacked rollout walks each row to the lone walk's nu and
+    # breakpoints, and secure_fuse handed that walk answers with the
+    # reference's bits on every field
+    model = random_jordan_model(seed, ensure_observable=True)
+    try:
+        design = spectral_design(model)
+        dec = build_decomposition(model, design)
+        problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    except (ValueError, RiccatiDivergenceError):
+        assume(False)
+    attack = AttackSpec(support=(0,), kind="uniform",
+                        magnitude=10.0 ** log_magnitude)
+    rollout = _rollout(model, design, dec, problem, attack, horizon, seed, 0)
+    gamma = 10.0 ** log_gamma
+    split = rollout.split
+    open_rows = (split.statistic > gamma).nonzero()[0]
+    assume(len(open_rows) > 0)
+    for size in sorted({1, 2, 7, len(open_rows)}):
+        picks = open_rows[:size]
+        nu, breakpoints = assert_walks_equal_lone(
+            problem, rollout.Y[picks], split.d[picks], gamma)
+    for t, row_nu, it in zip(open_rows, nu, breakpoints.tolist()):
+        got = secure_fuse(problem, rollout.Y[t], gamma, split=split.rows[t],
+                          walk=(row_nu, it))
+        want = reference_secure_fuse(problem, rollout.Y[t], gamma)
+        assert result_bytes(got) == result_bytes(want)
+
+
+def test_block_walk_takes_the_breakpoint_cap_as_lone_walks_do(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # with the cap at 2, rows that need more breakpoints stop at their
+    # second one and report the cap, in a block as on their own, while
+    # the rows that end at their second breakpoint leave the block there
+    problem, rollout = attacked_pendulum_rollout(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    split = rollout.split
+    open_rows = (split.statistic > 50.0).nonzero()[0]
+    _, uncapped = fusion.lasso_paths(problem, split.d[open_rows], 50.0)
+    monkeypatch.setattr(fusion, "MAX_BREAKPOINTS", 2)
+    _, capped = assert_walks_equal_lone(problem, rollout.Y[open_rows],
+                                        split.d[open_rows], 50.0)
+    assert (uncapped > 2).any() and (uncapped <= 2).any()
+    assert np.array_equal(capped, np.minimum(uncapped, 2))
+
+
+def test_walk_and_history_together_raise(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    problem, rollout = attacked_pendulum_rollout(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    t = int(rollout.split.statistic.argmax())
+    walk = fusion._lasso_path(problem, rollout.Y[t], rollout.split.d[t], 5.0,
+                              None)
+    with pytest.raises(ValueError, match="walk or history"):
+        secure_fuse(problem, rollout.Y[t], 5.0, walk=walk, history=[])

@@ -284,6 +284,30 @@ def test_simulate_takes_the_rollout_of_its_own_run(
                  x0=np.zeros(4))
 
 
+def test_simulate_refuses_a_rollout_split_on_another_problem(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # a clean rollout split on its problem, passed with a copy whose Minv
+    # is 4x, would screen on one design and solve on the other: 197 of
+    # 200 steps screened at gamma = 100, against 12 when the copy splits
+    # its own rollout.  The mismatch is refused; without a problem the
+    # run takes the one the rollout was split on
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    rollout = _rollout(*args, problem, AttackSpec(), 200, 0, 0)
+    assert rollout.split.problem is problem
+    scaled = dataclasses.replace(problem, Minv=4.0 * problem.Minv)
+    with pytest.raises(ValueError, match="another FusionProblem"):
+        simulate(*args, AttackSpec(), 100.0, 200, 0, problem=scaled,
+                 rollout=rollout)
+    assert simulate(*args, AttackSpec(), 100.0, 200, 0,
+                    problem=scaled).kalman_equivalent.sum() == 12
+    taken = simulate(*args, AttackSpec(), 100.0, 200, 0, rollout=rollout)
+    own = simulate(*args, AttackSpec(), 100.0, 200, 0, problem=problem)
+    assert taken.xhat_sec.tobytes() == own.xhat_sec.tobytes()
+    assert taken.kalman_equivalent.sum() == 197
+
+
 def test_simulate_takes_the_split_of_its_own_rollout(
         pendulum_model, pendulum_design, pendulum_decomposition):
     # the rollout carries Y's split on its problem, and a run passed the
@@ -383,6 +407,34 @@ def test_simulate_steps_equal_fresh_per_row_secure_fuse(
         screened += trace.kalman_equivalent.tolist()
     assert any(screened) is (gamma > 5.0)
     assert not all(screened)
+
+
+@pytest.mark.parametrize("gamma, walked", [(5.0, True), (1000.0, False)])
+def test_simulate_walks_the_open_rows_as_one_block_above_the_crossover(
+        gamma, walked, monkeypatch, pendulum_model, pendulum_design,
+        pendulum_decomposition):
+    # at gamma = 5 every row of the attacked run is open and the run makes
+    # one block walk of them all; at 1000 fewer than BLOCK_WALK_ROWS rows
+    # are open, and each walks alone inside secure_fuse
+    import securekf.simulator as sim
+
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    rollout = _rollout(*args, problem, default_attack(), 200, 2, 0)
+    blocks = []
+    walk = sim.lasso_paths
+
+    def recording(problem, d, gamma):
+        blocks.append(len(d))
+        return walk(problem, d, gamma)
+
+    monkeypatch.setattr(sim, "lasso_paths", recording)
+    trace = simulate(*args, default_attack(), gamma, 200, 2, rollout=rollout)
+    open_rows = int((~trace.kalman_equivalent).sum())
+    assert blocks == ([open_rows] if walked else [])
+    assert (open_rows >= sim.BLOCK_WALK_ROWS) is walked
+    assert (trace.solver_iters[~trace.kalman_equivalent] > 0).all()
 
 
 @pytest.mark.parametrize("gamma", [0.2, 20.0, 100.0, 1000.0])
