@@ -40,7 +40,11 @@ METRIC = "trial_steps_per_s"        # higher is better
 OTHER_METRICS = ("setup_s", "peak_rss_mb", "converged_frac",
                  "mse_secure_attack", "mse_secure_no_attack")
 PER_LAYER = ("fusion.fuse_us.p50", "fusion.fuse_us.p90",
-             "simulator.simulate_self_s")
+             "simulator.simulate_self_s",
+             "fusion.iterations_per_solve.mean",
+             "fusion.iterations_per_solve.p90",
+             *(f"fusion.fuse_calls.{path}" for path in
+               ("screened", "exact", "iterative", "unconverged")))
 ENV_PREFIX = "# environment: "
 STDERR_TAIL = 20                    # lines of a failed run's stderr shown
 

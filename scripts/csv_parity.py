@@ -13,6 +13,9 @@ left out):
   fused as one block walk, the largest the CLI makes;
 - a default-grid ``sweep-gamma`` and ``sweep-attack`` with ``--trials 2
   --horizon 100``;
+- ``sweep-attack --gamma 100`` with ``--trials 2 --horizon 100``: a
+  trial leaves 661-740 rows open, but its clean run only 3-4 (fewer than
+  ``BLOCK_WALK_ROWS``), and those rows walk in their trial's block;
 - the ``design`` file.
 
 The script imports ``securekf`` from the ``src/`` of the tree it sits in,
@@ -47,6 +50,8 @@ def cases() -> list[list[str]]:
                 "uniform"])
     out += [[command, "--trials", "2", "--horizon", "100"]
             for command in ("sweep-gamma", "sweep-attack")]
+    out.append(["sweep-attack", "--gamma", "100", "--trials", "2",
+                "--horizon", "100"])
     return out + [["design"]]
 
 

@@ -27,8 +27,12 @@ row, the threshold statistic, the objective); complex problem data are
 rejected when the problem is built, and a complex Y when it is fused.
 secure_fuse walks one row's homotopy (_lasso_path); lasso_paths walks
 the open rows of a whole block together, one breakpoint per round, and
-gives every row the bits of its own walk, which secure_fuse then takes
-as given.  The module needs numpy alone: Minv comes from the
+gives every row the bits of its own walk.  fuse_open walks a block's open
+rows that way, at most MAX_BLOCK_ROWS per call, and forms every row's
+x_tilde, mu and KKT residual with stacked products, to the bits secure_fuse
+forms on the row alone; secure_fuse takes such a row (its walk) as given
+and only refines it, when its KKT residual misses the tolerance, and
+builds its FusionResult.  The module needs numpy alone: Minv comes from the
 covariance's Cholesky factor, and the homotopy's small solves call
 numpy's LAPACK gufunc directly, one matrix at a time or a stack of them.
 """
@@ -52,6 +56,12 @@ from .model import SystemModel
 KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
+# rows one lasso_paths call walks at most: the largest block a
+# default-horizon run makes.  One default sweep-attack trial (pendulum,
+# 11 runs of 1000 open rows, 2 CPUs) peaks at 54.7 / 56.7 / 62.2 / 98.7 MB
+# ru_maxrss with a cap of 500 / 1000 / 2000 / none, in 0.26-0.49 s at each
+# (55.1 MB, 0.41-0.66 s, with one block per run and per-step answers)
+MAX_BLOCK_ROWS = 1000
 _FLOAT64 = np.dtype(float)
 
 
@@ -77,7 +87,10 @@ class FusionResult(NamedTuple):
     the API: simulate unpacks the results of a run by position.  x_ls,
     and mu on a screened step, are read-only rows of the least-squares
     split (FusionProblem.split), which results that were passed the same
-    split share; x_tilde and nu are always fresh, writable arrays.
+    split share.  When secure_fuse was handed a walk (a row of fuse_open),
+    x_tilde, mu and nu are that row's views of the block's arrays, unless
+    the refinement step replaced them; each row belongs to one result.
+    Otherwise x_tilde and nu are fresh arrays.
     """
 
     x_tilde: np.ndarray
@@ -298,13 +311,25 @@ def check_gamma(gamma):
 
 
 def _residuals(problem, Y, x, nu, gamma):
-    """(mu, KKT residual) at (x, nu): stationarity in x, and in nu the
-    distance of s = Minv mu from gamma * sign(nu), or |s| - gamma at nu = 0."""
-    mu = Y - problem.H.dot(x) - nu
-    s = problem.Minv.dot(mu)
-    deviation = np.abs(s - gamma * np.sign(nu)) - gamma * (nu == 0.0)
-    return mu, max(float(np.maximum.reduce(np.abs(problem.Ht.dot(s)))),
-                   float(np.maximum.reduce(deviation)))
+    """(mu, KKT residual) at (x, nu) for one row, or for each row of a
+    block: stationarity in x, and in nu the distance of s = Minv mu from
+    gamma * sign(nu), or |s| - gamma at nu = 0.  The products are taken
+    row by row (_dot_rows), so a block's row has the bits of the row
+    alone; one row's residual is a 0-d array."""
+    mu = Y - _dot_rows(problem.H, x) - nu
+    s = _dot_rows(problem.Minv, mu)
+    stationarity = np.abs(_dot_rows(problem.Ht, s)).max(axis=-1)
+    deviation = (np.abs(s - gamma * np.sign(nu))
+                 - gamma * (nu == 0.0)).max(axis=-1)
+    # max(stationarity, deviation) as Python's max takes it, NaN included
+    return mu, np.where(deviation > stationarity, deviation, stationarity)
+
+
+def _answer(problem, Y, nu, gamma):
+    """(x_tilde, mu, KKT residual) at the homotopy's nu, for one row or
+    for each row of a block, row by row as _residuals takes them."""
+    x = _dot_rows(problem.wls_op, Y - nu)
+    return (x, *_residuals(problem, Y, x, nu, gamma))
 
 
 def _solve_support(S_pm, sign):
@@ -505,6 +530,47 @@ def lasso_paths(problem, d_rows, gamma):
     return nu, breakpoints
 
 
+class FusedRows(NamedTuple):
+    """fuse_open's answers on r open rows, row i for row i of its block.
+
+    x_tilde = wls_op (Y - nu), mu = Y - H x_tilde - nu and kkt, the KKT
+    residual at (x_tilde, nu), are the unrefined answer secure_fuse forms
+    after its walk (_answer), and breakpoints the walk's segment count.
+    A row of it is the walk secure_fuse takes: (x_tilde[i], mu[i], nu[i],
+    kkt[i], breakpoints[i]), the two scalars as Python numbers.
+    """
+
+    x_tilde: np.ndarray     # (r, n)
+    mu: np.ndarray          # (r, mn)
+    nu: np.ndarray          # (r, mn)
+    kkt: np.ndarray         # (r,) float
+    breakpoints: np.ndarray  # (r,) int
+
+    def rows(self) -> list:
+        """The walk secure_fuse takes for each row, in order."""
+        return list(zip(self.x_tilde, self.mu, self.nu, self.kkt.tolist(),
+                        self.breakpoints.tolist()))
+
+
+def fuse_open(problem, Y, d, gamma) -> FusedRows:
+    """Walk the open rows of a block and form their answers, all at once.
+
+    Y is an (r, mn) block of measurements and d their rows of a
+    least-squares split, each with a statistic above gamma.  lasso_paths
+    walks them in blocks of at most MAX_BLOCK_ROWS rows, and _answer
+    forms every row's answer and KKT residual with stacked products (one
+    matrix-vector product per row), so row i has the bits of a lone
+    secure_fuse on Y[i] up to its refinement step, which secure_fuse
+    still takes.
+    """
+    walks = [lasso_paths(problem, d[lo:lo + MAX_BLOCK_ROWS], gamma)
+             for lo in range(0, max(len(d), 1), MAX_BLOCK_ROWS)]
+    nu = np.concatenate([w[0] for w in walks])
+    breakpoints = np.concatenate([w[1] for w in walks])
+    x, mu, kkt = _answer(problem, Y, nu, gamma)
+    return FusedRows(x, mu, nu, kkt, breakpoints)
+
+
 def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
                 split=None, walk=None) -> FusionResult:
     """Solve the l1-regularized fusion problem for one real measurement Y.
@@ -522,11 +588,14 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
     carries the split of its whole block, and simulate passes each step
     its row, so a screened step only tests the row's statistic against
     gamma.  Without it, Y is split alone (problem.split_row).  walk, when
-    given, must be row i of lasso_paths(problem, d, gamma) as the pair
-    (nu[i], breakpoints[i]), for a block d whose row i is this row's d;
-    it is not checked either, and the homotopy is not walked again.
-    simulate walks a run's open rows as one block and passes each step
-    its row.  walk has no history, so passing both raises ValueError.
+    given, must be row i of fuse_open(problem, block, d, gamma), as
+    fuse_open(...).rows()[i] gives it, for a block whose row i is Y; it is
+    not checked either.  The homotopy is then not walked again and the
+    answer not formed again: only the refinement step runs, when the
+    row's KKT residual misses the tolerance.  simulate fuses a run's open
+    rows as one block (a sweep, the open rows of a trial's runs) and
+    passes each step its row.  walk has no history, so passing both
+    raises ValueError.
     A 1-D float64 ndarray Y is used as given, and any other form
     converted first.  ValueError is raised for a complex Y, a non-finite
     Y (the screen test propagates NaN, so it never passes one), a finite
@@ -557,10 +626,10 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
     eps_eff = KKT_TOL * max(1.0, gamma)
     if walk is None:
         nu, it = _lasso_path(problem, Y, d_ls, gamma, history)
+        x, mu, kkt = _answer(problem, Y, nu, gamma)
+        kkt = float(kkt)
     else:
-        nu, it = walk
-    x = wls_op.dot(Y - nu)
-    mu, kkt = _residuals(problem, Y, x, nu, gamma)
+        x, mu, nu, kkt, it = walk
     if kkt > eps_eff:
         # one step of iterative refinement of (x, nu_A) on the final
         # support, driven by the residual: when Minv is large, S (Y - nu)
@@ -575,6 +644,7 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
         nu_r[act] += step
         x_r -= wls_op[:, act] @ step
         mu_r, kkt_r = _residuals(problem, Y, x_r, nu_r, gamma)
+        kkt_r = float(kkt_r)
         if kkt_r < kkt:
             x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
     if history is not None:

@@ -6,17 +6,20 @@ least-squares fusion of the local bank, and the secure (l1-regularized)
 fusion.  No estimate feeds back into the plant, the filter or the bank,
 so a run first rolls all of those out over the whole horizon as arrays
 and splits the least squares of the whole canonical measurement at once.
-When enough rows are left open by the screen, their l1 homotopies are
-walked together as one block; only the fusion's answers are then formed
-step by step.  In the decomposition's real
-coordinates each sensor's bank is one real n x n transition, so the
-plant, the filter and the bank roll out through the same recurrence.
-Neither the rollout nor its split depends on the regularization weight
-gamma, so runs that differ only in gamma can share them.  Sparse sensor
+When enough rows are left open by the screen, they are fused together
+as one block (fusion.fuse_open: their l1 homotopies walked at most
+fusion.MAX_BLOCK_ROWS rows per call, and their answers formed with
+stacked products); each step's secure_fuse call then takes its row.  In
+the decomposition's real coordinates each sensor's bank is one real
+n x n transition, so the plant, the filter and the bank roll out through
+the same recurrence.  Neither the rollout nor its split depends on the
+regularization weight gamma, so runs that differ only in gamma can share
+them, and the plant itself does not depend on the attack.  Sparse sensor
 attacks are injected additively on a fixed support.  Sweep helpers
 aggregate per-trial mean squared errors over a grid of regularization
 weights or attack magnitudes, rolling out each (trial, attack) once for
-every gamma to read, and write the results as CSV; every run is
+every gamma to read and fusing the open rows of a trial's runs at each
+gamma as one block, and write the results as CSV; every run is
 reproducible from (seed, trial).
 """
 
@@ -29,8 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import SensorDecomposition
-from .fusion import (FusionProblem, LeastSquaresSplit, build_fusion_problem,
-                     check_gamma, lasso_paths, secure_fuse)
+from .fusion import (MAX_BLOCK_ROWS, FusedRows, FusionProblem,
+                     LeastSquaresSplit, build_fusion_problem, check_gamma,
+                     fuse_open, secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
@@ -230,13 +234,25 @@ class Rollout(NamedTuple):
     split: LeastSquaresSplit
 
 
+class Plant(NamedTuple):
+    """The part of a run that depends on neither the attack nor gamma:
+    the plant's states x, its inputs u and the clean measurements z, one
+    row per step, drawn from the first three streams of (seed, trial).
+    attack_seed seeds the fourth stream, which each attack's rollout
+    draws from afresh: a Philox generator on it repeats
+    trial_generators(seed, trial)[3]."""
+
+    x: np.ndarray
+    u: np.ndarray
+    z: np.ndarray
+    attack_seed: np.random.SeedSequence
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _rollout(model, design, decomposition, problem, attack, horizon, seed,
-             trial, x0=None) -> Rollout:
-    """Roll the plant, the fixed-gain filter and the bank out over the
-    whole horizon, and split Y on problem.  A non-finite array raises
-    ValueError naming it, as does a split whose products overflow.
-    """
+def _plant(model, horizon, seed, trial, x0=None) -> Plant:
+    """Roll the plant out under true-state feedback; x0, when given, pins
+    the initial state instead of drawing it.  A non-finite array raises
+    ValueError naming it."""
     n, m = model.n, model.m
     A, C = model.A, model.C
     B, K = model.input_matrix(), model.feedback_gain()
@@ -249,12 +265,33 @@ def _rollout(model, design, decomposition, problem, attack, horizon, seed,
             raise ValueError(f"x0 has length {x0.shape[0]}, expected {n}")
     w = g_proc.standard_normal((horizon, n)) @ psd_factor(model.Q).T
     v = g_meas.standard_normal((horizon, m)) @ psd_factor(model.R).T
-    a = attack_sequence(attack, m, horizon, g_att)
-
-    # plant: x(k) = A x(k-1) + B u(k) + w(k) under u(k) = -K x(k-1)
+    # x(k) = A x(k-1) + B u(k) + w(k) under u(k) = -K x(k-1)
     x = _recurrence(A - B @ K, w, x0)
     u = -(np.vstack((x0, x[:-1])) @ K.T)
     z = x @ C.T + v
+    for name, arr in (("x", x), ("u", u), ("z", z)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"simulation produced non-finite {name}")
+    return Plant(x, u, z, g_att.bit_generator.seed_seq)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rollout(model, design, decomposition, problem, attack, horizon, seed,
+             trial, plant=None) -> Rollout:
+    """Roll the plant, the fixed-gain filter and the bank out over the
+    whole horizon, and split Y on problem.  plant, when given, is this
+    (seed, trial)'s _plant over the horizon, which every attack's rollout
+    shares; the attack draws come from a fresh generator on its
+    attack_seed.  A non-finite array raises ValueError naming it, as does
+    a split whose products overflow.
+    """
+    n, m = model.n, model.m
+    A, C, B = model.A, model.C, model.input_matrix()
+    if plant is None:
+        plant = _plant(model, horizon, seed, trial)
+    x, u, z, attack_seed = plant
+    a = attack_sequence(attack, m, horizon,
+                        np.random.Generator(np.random.Philox(attack_seed)))
     y = z + a
     # fixed-gain filter: x_hat <- (A - KCA) x_hat + K y + (B - KCB) u
     KC = design.K @ C
@@ -269,8 +306,8 @@ def _rollout(model, design, decomposition, problem, attack, horizon, seed,
     zeta = _recurrence(np.kron(np.eye(m), decomposition.bank), drive,
                        np.zeros(m * n))
     Y = zeta @ decomposition.Ptilde.T
-    for name, arr in (("x", x), ("u", u), ("z", z), ("y", y), ("a", a),
-                      ("xhat_kal", x_kal), ("canonical measurement", Y)):
+    for name, arr in (("y", y), ("a", a), ("xhat_kal", x_kal),
+                      ("canonical measurement", Y)):
         if not np.isfinite(arr).all():
             raise ValueError(f"simulation produced non-finite {name}")
     return Rollout(attack, horizon, seed, trial, x, u, z, y, a, x_kal, Y,
@@ -281,7 +318,8 @@ def simulate(model: SystemModel, design: SpectralDesign,
              decomposition: SensorDecomposition, attack: AttackSpec,
              gamma: float, horizon: int = DEFAULT_HORIZON, seed: int = 0, *,
              trial: int = 0, x0=None, problem: FusionProblem | None = None,
-             rollout: Rollout | None = None) -> SimulationTrace:
+             rollout: Rollout | None = None,
+             walk: FusedRows | None = None) -> SimulationTrace:
     """Run the plant and all three estimators for `horizon` steps.
 
     The input is true-state feedback u(k) = -K_lqr x(k); estimators never
@@ -289,16 +327,18 @@ def simulate(model: SystemModel, design: SpectralDesign,
     are rolled out over the whole horizon first, and the least squares of
     the whole rollout split at once (FusionProblem.split).  The rows whose
     statistic exceeds gamma are open: when there are at least
-    BLOCK_WALK_ROWS of them, their homotopies are walked as one block
-    (fusion.lasso_paths), which gives each row the bits of its own walk;
-    fewer walk one at a time inside secure_fuse.  The secure fusion then
-    runs step by step: one secure_fuse call per step, passed its row of
-    the split and, on a block-walked step, its row of the walk, so that
-    a screened step only tests the row's statistic against gamma and an
-    open one only forms its answer.  All randomness (initial state,
-    process noise, measurement noise, attack draws) comes from independent
-    substreams of (seed, trial), so two runs that differ only in the
-    attack share the same noise and the same clean measurements.
+    BLOCK_WALK_ROWS of them, they are fused as one block (fusion.fuse_open,
+    which walks at most fusion.MAX_BLOCK_ROWS rows per call), which gives
+    each row the bits of its own walk and answer; fewer walk one at a
+    time inside secure_fuse.  The secure fusion then runs step by step:
+    one secure_fuse call per step, passed its row of the split and, on a
+    block-fused step, its row of the block, so that a screened step only
+    tests the row's statistic against gamma and an open one only refines
+    its answer when that misses the KKT tolerance.  All randomness
+    (initial state, process noise, measurement noise, attack draws) comes
+    from independent substreams of (seed, trial), so two runs that differ
+    only in the attack share the same noise and the same clean
+    measurements.
     Passing x0 pins the initial state instead of drawing it.  Solver
     non-convergence at a step is recorded in the trace and the run
     continues; a non-finite state, measurement or estimate raises
@@ -314,6 +354,12 @@ def simulate(model: SystemModel, design: SpectralDesign,
     rollout of another run.  A measurement so large that the
     least-squares products overflow raises ValueError before any step is
     fused.
+
+    walk, when given, is fuse_open's answer on this run's open rows at
+    gamma, in step order, as a sweep passes each run its part of the
+    block of a trial's open rows; the run then fuses no block itself.  A
+    walk whose row count differs from the run's open rows raises
+    ValueError; its rows are not checked otherwise.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -323,7 +369,8 @@ def simulate(model: SystemModel, design: SpectralDesign,
             problem = build_fusion_problem(decomposition.H_stack,
                                            decomposition.Mtilde_factor)
         rollout = _rollout(model, design, decomposition, problem, attack,
-                           horizon, seed, trial, x0)
+                           horizon, seed, trial,
+                           _plant(model, horizon, seed, trial, x0))
     elif x0 is not None:
         raise ValueError("pass x0 or rollout, not both: the rollout fixes "
                          "the initial state")
@@ -336,16 +383,19 @@ def simulate(model: SystemModel, design: SpectralDesign,
                          "pass the rollout's own problem, or none")
     x, u, z, y, a, x_kal, Y, split = rollout[4:]
     problem = split.problem
-    walks = [None] * horizon
     open_rows = (split.statistic > gamma).nonzero()[0]
-    if len(open_rows) >= BLOCK_WALK_ROWS:
-        nu, breakpoints = lasso_paths(problem, split.d[open_rows], gamma)
-        for t, walk in zip(open_rows.tolist(),
-                           zip(nu, breakpoints.tolist())):
-            walks[t] = walk
+    if walk is None and len(open_rows) >= BLOCK_WALK_ROWS:
+        walk = fuse_open(problem, Y[open_rows], split.d[open_rows], gamma)
+    elif walk is not None and len(walk.nu) != len(open_rows):
+        raise ValueError(f"walk of {len(walk.nu)} rows passed for a run "
+                         f"with {len(open_rows)} open rows at γ = {gamma}")
+    walks = [None] * horizon
+    if walk is not None:
+        for t, row in zip(open_rows.tolist(), walk.rows()):
+            walks[t] = row
     x_tilde, _, _, kkt, iters, screened, _, converged = zip(
-        *[secure_fuse(problem, row, gamma, split=row_split, walk=walk)
-          for row, row_split, walk in zip(Y, split.rows, walks)])
+        *[secure_fuse(problem, row, gamma, split=row_split, walk=row_walk)
+          for row, row_split, row_walk in zip(Y, split.rows, walks)])
     secs, kkts = np.array(x_tilde), np.array(kkt, dtype=float)
     for name, arr in (("xhat_sec", secs), ("kkt_residual", kkts)):
         if not np.isfinite(arr).all():
@@ -560,6 +610,20 @@ def _aggregate(value, per_trial) -> SweepRow:
         stderr_kalman_attack=float(errs[3]))
 
 
+def _batches(sizes, cap) -> list[list]:
+    """Split the keys of sizes (key -> rows), in order, into runs of
+    consecutive keys whose rows add up to at most cap; a key with more
+    rows than cap is a batch of its own."""
+    batches, total = [], cap + 1
+    for key, rows in sizes.items():
+        if total + len(rows) > cap:
+            batches.append([])
+            total = 0
+        batches[-1].append(key)
+        total += len(rows)
+    return batches
+
+
 def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                burn_in) -> list[SweepRow]:
     """Shared sweep driver; points is a list of (value, attack, gamma).
@@ -571,11 +635,18 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
     it is that clean run too.  Neither the rollout nor the least-squares
     split it carries depends on gamma, so a trial rolls each distinct
-    attack out once; its runs at every gamma share the rollout, and only
-    test each row's statistic against their own gamma.  A trial holds
-    only its own rollouts.  Every run shares one FusionProblem.  Bad
-    gammas and a burn-in that leaves no step are refused before any
-    rollout.
+    attack out once, all from one plant rollout (_plant), which does not
+    depend on the attack either; its runs at every gamma share the
+    rollout, and only test each row's statistic against their own gamma.
+    At each gamma the open rows of the trial's runs are fused as one
+    block when there are at least BLOCK_WALK_ROWS of them
+    (fusion.fuse_open), in batches of consecutive runs of at most
+    MAX_BLOCK_ROWS rows (a run with more is a batch of its own, and
+    fuse_open walks it MAX_BLOCK_ROWS rows per call), and each run is
+    simulated with its part of its batch.  A trial holds only its own
+    rollouts, and one batch's answers at a time.  Every run shares one
+    FusionProblem.  Bad gammas and a burn-in that leaves no step are
+    refused before any rollout.
     """
     for _, _, gamma in points:
         check_gamma(gamma)
@@ -583,27 +654,51 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     problem = build_fusion_problem(decomposition.H_stack,
                                    decomposition.Mtilde_factor)
 
+    def injected(attack):
+        # an attack of kind none or magnitude 0 injects nothing
+        if attack.kind == "none" or attack.magnitude == 0.0:
+            return AttackSpec()
+        return attack
+
+    clean = AttackSpec()
+    gammas = {}         # gamma -> the distinct attacks run at it
+    for _, attack, gamma in points:
+        gammas.setdefault(gamma, {clean: None})[injected(attack)] = None
+    attacks = dict.fromkeys(a for runs in gammas.values() for a in runs)
+
     def run_trial(trial):
-        rollouts, reports = {}, {}
-
-        def report(attack, gamma):
-            if attack.kind == "none" or attack.magnitude == 0.0:
-                attack = AttackSpec()
-            if (attack, gamma) not in reports:
-                if attack not in rollouts:
-                    rollouts[attack] = _rollout(
-                        model, design, decomposition, problem, attack,
-                        horizon, seed, trial)
-                reports[attack, gamma] = mse(simulate(
-                    model, design, decomposition, attack, gamma, horizon,
-                    seed, trial=trial, problem=problem,
-                    rollout=rollouts[attack]), burn_in)
-            return reports[attack, gamma]
-
+        plant = _plant(model, horizon, seed, trial)
+        rollouts = {attack: _rollout(model, design, decomposition, problem,
+                                     attack, horizon, seed, trial, plant)
+                    for attack in attacks}
+        reports = {}
+        for gamma, runs in gammas.items():
+            opens = {attack: (rollouts[attack].split.statistic
+                              > gamma).nonzero()[0] for attack in runs}
+            fuse = sum(map(len, opens.values())) >= BLOCK_WALK_ROWS
+            for batch in _batches(opens, MAX_BLOCK_ROWS):
+                walks = [None] * len(batch)
+                if fuse:
+                    fused = fuse_open(
+                        problem,
+                        np.concatenate([rollouts[attack].Y[opens[attack]]
+                                        for attack in batch]),
+                        np.concatenate([rollouts[attack].split.d[
+                            opens[attack]] for attack in batch]),
+                        gamma)
+                    ends = np.cumsum([len(opens[attack])
+                                      for attack in batch]).tolist()
+                    walks = [FusedRows(*(part[lo:hi] for part in fused))
+                             for lo, hi in zip([0] + ends, ends)]
+                for attack, walk in zip(batch, walks):
+                    reports[attack, gamma] = mse(simulate(
+                        model, design, decomposition, attack, gamma,
+                        horizon, seed, trial=trial, problem=problem,
+                        rollout=rollouts[attack], walk=walk), burn_in)
         out = []
         for _, attack, gamma in points:
-            clean, hit = report(AttackSpec(), gamma), report(attack, gamma)
-            out.append((clean.secure, hit.secure, clean.kalman, hit.kalman))
+            c, hit = reports[clean, gamma], reports[injected(attack), gamma]
+            out.append((c.secure, hit.secure, c.kalman, hit.kalman))
         return out
 
     by_trial = [run_trial(t) for t in range(trials)]

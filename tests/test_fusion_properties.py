@@ -553,11 +553,13 @@ def test_block_walk_bit_equal_to_lone_walk_and_reference(
     assume(len(open_rows) > 0)
     for size in sorted({1, 2, 7, len(open_rows)}):
         picks = open_rows[:size]
-        nu, breakpoints = assert_walks_equal_lone(
-            problem, rollout.Y[picks], split.d[picks], gamma)
-    for t, row_nu, it in zip(open_rows, nu, breakpoints.tolist()):
+        assert_walks_equal_lone(problem, rollout.Y[picks], split.d[picks],
+                                gamma)
+    fused = fusion.fuse_open(problem, rollout.Y[open_rows],
+                             split.d[open_rows], gamma)
+    for t, walk in zip(open_rows, fused.rows()):
         got = secure_fuse(problem, rollout.Y[t], gamma, split=split.rows[t],
-                          walk=(row_nu, it))
+                          walk=walk)
         want = reference_secure_fuse(problem, rollout.Y[t], gamma)
         assert result_bytes(got) == result_bytes(want)
 
@@ -588,3 +590,86 @@ def test_walk_and_history_together_raise(
                               None)
     with pytest.raises(ValueError, match="walk or history"):
         secure_fuse(problem, rollout.Y[t], 5.0, walk=walk, history=[])
+
+
+def lone_answer(problem, y, d, gamma):
+    """The answer secure_fuse forms on row y alone before its refinement
+    step: (x_tilde, mu, nu, kkt, breakpoints), from 1-D products."""
+    nu, it = fusion._lasso_path(problem, y, d, gamma, None)
+    x = problem.wls_op.dot(y - nu)
+    mu = y - problem.H.dot(x) - nu
+    s = problem.Minv.dot(mu)
+    deviation = np.abs(s - gamma * np.sign(nu)) - gamma * (nu == 0.0)
+    kkt = max(float(np.abs(problem.Ht.dot(s)).max()),
+              float(deviation.max()))
+    return x, mu, nu, kkt, it
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(8, 40),
+       log_magnitude=st.floats(-1.0, 3.0), log_gamma=st.floats(-2.0, 3.0))
+def test_fuse_open_rows_bit_equal_to_lone_secure_fuse_and_reference(
+        seed, horizon, log_magnitude, log_gamma):
+    # on random Jordan designs, every field of every row of fuse_open on a
+    # block of 1, 2, 7 or every open row has the bytes of the lone answer,
+    # and secure_fuse handed that row answers as a lone secure_fuse and
+    # the reference do, on every field
+    model = random_jordan_model(seed, ensure_observable=True)
+    try:
+        design = spectral_design(model)
+        dec = build_decomposition(model, design)
+        problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    except ValueError:
+        assume(False)
+    attack = AttackSpec(support=(0,), kind="uniform",
+                        magnitude=10.0 ** log_magnitude)
+    rollout = _rollout(model, design, dec, problem, attack, horizon, seed, 0)
+    gamma = 10.0 ** log_gamma
+    split = rollout.split
+    open_rows = (split.statistic > gamma).nonzero()[0]
+    assume(len(open_rows) > 0)
+    for size in sorted({1, 2, 7, len(open_rows)}):
+        picks = open_rows[:size]
+        fused = fusion.fuse_open(problem, rollout.Y[picks], split.d[picks],
+                                 gamma)
+        rows = fused.rows()
+        assert len(rows) == len(picks)
+        for t, walk in zip(picks, rows):
+            y = rollout.Y[t]
+            want = lone_answer(problem, y, split.d[t], gamma)
+            assert [type(v) for v in walk[3:]] == [float, int]
+            assert result_bytes(walk) == result_bytes(want)
+            got = secure_fuse(problem, y, gamma, split=split.rows[t],
+                              walk=walk)
+            lone = secure_fuse(problem, y, gamma)
+            ref = reference_secure_fuse(problem, y, gamma)
+            assert result_bytes(got) == result_bytes(lone) == \
+                result_bytes(ref)
+
+
+def test_fuse_open_walks_in_blocks_of_at_most_the_cap(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # with the cap at 7, the 200 open rows of the attacked pendulum run
+    # walk in 29 calls of at most 7 rows, to the bytes of one uncapped call
+    problem, rollout = attacked_pendulum_rollout(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    split = rollout.split
+    open_rows = (split.statistic > 5.0).nonzero()[0]
+    Y, d = rollout.Y[open_rows], split.d[open_rows]
+    whole = fusion.fuse_open(problem, Y, d, 5.0)
+    sizes, walk = [], fusion.lasso_paths
+
+    def recording(problem, d, gamma):
+        sizes.append(len(d))
+        return walk(problem, d, gamma)
+
+    monkeypatch.setattr(fusion, "lasso_paths", recording)
+    monkeypatch.setattr(fusion, "MAX_BLOCK_ROWS", 7)
+    capped = fusion.fuse_open(problem, Y, d, 5.0)
+    assert len(open_rows) == 200
+    assert sizes == [7] * 28 + [4]
+    assert result_bytes(capped) == result_bytes(whole)
+    # a batch can hold only runs without open rows: one empty walk
+    empty = fusion.fuse_open(problem, Y[:0], d[:0], 5.0)
+    assert [a.shape for a in empty] == [(0, 4), (0, 16), (0, 16), (0,), (0,)]
+    assert empty.rows() == []

@@ -416,6 +416,7 @@ def test_simulate_walks_the_open_rows_as_one_block_above_the_crossover(
     # at gamma = 5 every row of the attacked run is open and the run makes
     # one block walk of them all; at 1000 fewer than BLOCK_WALK_ROWS rows
     # are open, and each walks alone inside secure_fuse
+    import securekf.fusion as fusion
     import securekf.simulator as sim
 
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
@@ -423,13 +424,13 @@ def test_simulate_walks_the_open_rows_as_one_block_above_the_crossover(
                                    pendulum_decomposition.Mtilde_factor)
     rollout = _rollout(*args, problem, default_attack(), 200, 2, 0)
     blocks = []
-    walk = sim.lasso_paths
+    walk = fusion.lasso_paths
 
     def recording(problem, d, gamma):
         blocks.append(len(d))
         return walk(problem, d, gamma)
 
-    monkeypatch.setattr(sim, "lasso_paths", recording)
+    monkeypatch.setattr(fusion, "lasso_paths", recording)
     trace = simulate(*args, default_attack(), gamma, 200, 2, rollout=rollout)
     open_rows = int((~trace.kalman_equivalent).sum())
     assert blocks == ([open_rows] if walked else [])
@@ -925,6 +926,103 @@ def test_sweep_rolls_out_each_trial_attack_once(
                            trials=2, horizon=60, seed=1)
     assert len(calls) == len(set(calls)) == 6
     assert {a.magnitude for _, a in calls} == {0.0, 1.0, 2.0}
+
+
+def test_sweep_attack_rows_equal_per_attack_simulate(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # at gamma = 100 a trial's runs leave 3-90 rows open each, 661 and 740
+    # in all; the sweep walks them as one block per trial, runs below
+    # BLOCK_WALK_ROWS included, and each row must still be the one
+    # per-run simulate calls give, bit for bit
+    import securekf.simulator as sim
+
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    trials, gamma, attack = 2, 100.0, default_attack()
+    rows = sweep_attack_magnitude(*args, gamma=gamma, attack=attack,
+                                  trials=trials, horizon=100, seed=0)
+    clean = [simulate(*args, AttackSpec(), gamma, 100, 0, trial=trial)
+             for trial in range(trials)]
+    assert min((~tr.kalman_equivalent).sum() for tr in clean) \
+        < sim.BLOCK_WALK_ROWS
+    for row, magnitude in zip(rows, sim.DEFAULT_MAGNITUDES):
+        per_trial = []
+        for trial in range(trials):
+            spec = dataclasses.replace(attack, magnitude=magnitude)
+            mc = mse(clean[trial])
+            mh = mse(simulate(*args, spec, gamma, 100, 0, trial=trial))
+            per_trial.append((mc.secure, mh.secure, mc.kalman, mh.kalman))
+        data = np.array(per_trial)
+        want = SweepRow(magnitude, *data.mean(axis=0),
+                        *(data.std(axis=0, ddof=1) / np.sqrt(trials)))
+        assert dataclasses.astuple(row) == dataclasses.astuple(want)
+
+
+def test_sweep_walks_each_trial_gamma_as_one_capped_block(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # one lasso_paths call per (trial, gamma) when the trial's open rows
+    # fit under the cap, and with the cap lowered to 100 no call walks
+    # more, to the same rows
+    import securekf.fusion as fusion
+
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    sizes, walk = [], fusion.lasso_paths
+
+    def recording(problem, d, gamma):
+        sizes.append((gamma, len(d)))
+        return walk(problem, d, gamma)
+
+    monkeypatch.setattr(fusion, "lasso_paths", recording)
+    kw = dict(gamma=100.0, trials=2, horizon=100, seed=0)
+    rows = sweep_attack_magnitude(*args, **kw)
+    assert [n for _, n in sizes] == [661, 740]
+    sizes.clear()
+    gamma_rows = sweep_gamma(*args, gammas=(5.0, 20.0), trials=2,
+                             horizon=60, seed=1)
+    assert [g for g, _ in sizes] == [5.0, 20.0] * 2
+    assert all(n <= fusion.MAX_BLOCK_ROWS for _, n in sizes)
+    sizes.clear()
+    monkeypatch.setattr(fusion, "MAX_BLOCK_ROWS", 100)
+    assert sweep_attack_magnitude(*args, **kw) == rows
+    assert max(n for _, n in sizes) == 100 and sum(
+        n for _, n in sizes) == 661 + 740
+    assert sweep_gamma(*args, gammas=(5.0, 20.0), trials=2, horizon=60,
+                       seed=1) == gamma_rows
+
+
+def test_sweep_batches_keep_runs_whole_and_under_the_cap():
+    # consecutive runs share a batch while their open rows fit the cap; a
+    # run above it is a batch of its own, and a run with no open row joins
+    # the batch before it unless that one is already over the cap
+    from securekf.simulator import _batches
+
+    sizes = {run: np.arange(rows)
+             for run, rows in zip("abcdef", (3, 0, 8, 12, 0, 4))}
+    assert _batches(sizes, 10) == [["a", "b"], ["c"], ["d"], ["e", "f"]]
+    assert _batches({}, 10) == []
+
+
+def test_simulate_refuses_a_walk_of_other_rows(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # a walk hands its rows to the run's open rows in order, so it must
+    # hold exactly as many; the walk of the same rows gives the run's bits
+    from securekf.fusion import fuse_open
+
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    problem = build_fusion_problem(pendulum_decomposition.H_stack,
+                                   pendulum_decomposition.Mtilde_factor)
+    rollout = _rollout(*args, problem, default_attack(), 60, 3, 0)
+    open_rows = (rollout.split.statistic > 20.0).nonzero()[0]
+    walk = fuse_open(problem, rollout.Y[open_rows],
+                     rollout.split.d[open_rows], 20.0)
+    short = type(walk)(*(a[1:] for a in walk))
+    with pytest.raises(ValueError, match="walk of"):
+        simulate(*args, default_attack(), 20.0, 60, 3, rollout=rollout,
+                 walk=short)
+    got = simulate(*args, default_attack(), 20.0, 60, 3, rollout=rollout,
+                   walk=walk)
+    want = simulate(*args, default_attack(), 20.0, 60, 3)
+    assert got.xhat_sec.tobytes() == want.xhat_sec.tobytes()
+    assert got.kkt_residual.tobytes() == want.kkt_residual.tobytes()
 
 
 def test_sweep_computes_each_row_split_once(

@@ -91,6 +91,32 @@ def test_riccati_divergence_reports_residual():
     assert exc.value.residual > 0.0
 
 
+def test_riccati_stalled_in_rounding_noise_stops_at_its_least_step(
+        monkeypatch):
+    # a 4 x 1 model whose A has a triple eigenvalue of modulus 1.47: from
+    # iteration ~100 the step sits at 1e-13 to 1e-10 of max|P_plus|, above
+    # the RICCATI_NOISE_RTOL floor, so the recursion used to run all
+    # RICCATI_MAX_ITER iterations (4.2 s) and raise
+    import time
+
+    import securekf.spectral as spectral
+
+    model = random_jordan_model(1839689325, ensure_observable=True)
+    start = time.perf_counter()
+    P, P_plus, K, residual = steady_state_kalman(model)
+    assert time.perf_counter() - start < 1.0
+    scale = np.abs(P_plus).max()
+    assert residual <= spectral.RICCATI_STALL_RTOL * scale
+    assert residual > spectral.RICCATI_NOISE_RTOL * scale
+    assert np.abs(P - P.T).max() == 0.0
+    spectral_design(model)
+    # without the stall rule the same recursion does not stop
+    monkeypatch.setattr(spectral, "RICCATI_STALL", 10**9)
+    monkeypatch.setattr(spectral, "RICCATI_MAX_ITER", 5000)
+    with pytest.raises(RiccatiDivergenceError, match="did not converge"):
+        steady_state_kalman(model)
+
+
 # ------------------------------------------- characteristic polynomial
 
 def test_charpoly_scalar():
