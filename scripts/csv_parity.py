@@ -11,11 +11,14 @@ left out):
 - ``simulate`` at gamma 5, seed 0, under ``--attack-kind uniform``, at the
   default horizon of 1000 steps: every step is open, so the whole run is
   fused as one block walk, the largest the CLI makes;
+- ``simulate`` at gamma 100, seed 0, clean, with ``--horizon 300``: the
+  screen leaves 6 rows open (5-9 for seeds 0-2), and they are fused as
+  one small block;
 - a default-grid ``sweep-gamma`` and ``sweep-attack`` with ``--trials 2
   --horizon 100``;
 - ``sweep-attack --gamma 100`` with ``--trials 2 --horizon 100``: a
-  trial leaves 661-740 rows open, but its clean run only 3-4 (fewer than
-  ``BLOCK_WALK_ROWS``), and those rows walk in their trial's block;
+  trial leaves 661-740 rows open, but its clean run only 3-4, and those
+  rows walk in their trial's block;
 - the ``design`` file.
 
 The script imports ``securekf`` from the ``src/`` of the tree it sits in,
@@ -48,6 +51,8 @@ def cases() -> list[list[str]]:
            for kind in ("none", "uniform")]
     out.append(["simulate", "--gamma", "5", "--seed", "0", "--attack-kind",
                 "uniform"])
+    out.append(["simulate", "--horizon", "300", "--gamma", "100", "--seed",
+                "0", "--attack-kind", "none"])
     out += [[command, "--trials", "2", "--horizon", "100"]
             for command in ("sweep-gamma", "sweep-attack")]
     out.append(["sweep-attack", "--gamma", "100", "--trials", "2",

@@ -23,18 +23,18 @@ Everything here runs in real arithmetic: the decomposition is realified
 once, when it is built, so the bank, its canonical measurement Y, H and
 Mtilde are real arrays.  FusionProblem owns the operators every step
 shares (the least-squares split of a block of measurements or of one
-row, the threshold statistic, the objective); complex problem data are
+row, and the threshold statistic); complex problem data are
 rejected when the problem is built, and a complex Y when it is fused.
-secure_fuse walks one row's homotopy (_lasso_path); lasso_paths walks
-the open rows of a whole block together, one breakpoint per round, and
-gives every row the bits of its own walk.  fuse_open walks a block's open
-rows that way, at most MAX_BLOCK_ROWS per call, and forms every row's
-x_tilde, mu and KKT residual with stacked products, to the bits secure_fuse
-forms on the row alone; secure_fuse takes such a row (its walk) as given
-and only refines it, when its KKT residual misses the tolerance, and
-builds its FusionResult.  The module needs numpy alone: Minv comes from the
+lasso_paths is the one homotopy walk: it walks the open rows of a block
+together, one breakpoint per round, and row i gets the bits it has in a
+block of one.  fuse_open walks a block's open rows that way, at most
+MAX_BLOCK_ROWS per call, and forms every row's x_tilde, mu and KKT
+residual with stacked products.  secure_fuse takes such a row (its walk),
+or fuses its open row as a block of one when it is given none, and only
+refines it, when its KKT residual misses the tolerance, and builds its
+FusionResult.  The module needs numpy alone: Minv comes from the
 covariance's Cholesky factor, and the homotopy's small solves call
-numpy's LAPACK gufunc directly, one matrix at a time or a stack of them.
+numpy's LAPACK gufunc directly, on a stack of matrices at a time.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 # the LAPACK gufunc that np.linalg.solve dispatches to, called directly
-# (a private name): it gives that function's bits at a third of its cost,
-# 2.5 us against 7.2 us on a 5 x 5 system, and the walk makes one such
-# solve per new signed support
+# (a private name): it gives that function's bits without its checks (2.5
+# us against 7.2 us on one 5 x 5 system), and a singular matrix fills its
+# answer with NaN instead of raising; the walk calls it once per round and
+# active-set size, on the stack of every S_AA of that size
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .decomposition import SensorDecomposition
@@ -87,10 +88,11 @@ class FusionResult(NamedTuple):
     the API: simulate unpacks the results of a run by position.  x_ls,
     and mu on a screened step, are read-only rows of the least-squares
     split (FusionProblem.split), which results that were passed the same
-    split share.  When secure_fuse was handed a walk (a row of fuse_open),
-    x_tilde, mu and nu are that row's views of the block's arrays, unless
-    the refinement step replaced them; each row belongs to one result.
-    Otherwise x_tilde and nu are fresh arrays.
+    split share.  On an open step x_tilde, mu and nu are always one row's
+    views of a block's arrays (fuse_open, whose block is the row alone
+    when secure_fuse was handed no walk), unless the refinement step
+    replaced them; each row belongs to one result.  On a screened step
+    x_tilde and nu are fresh arrays.
     """
 
     x_tilde: np.ndarray
@@ -198,8 +200,8 @@ def _refuse(Y):
 class FusionProblem:
     """Real operators shared by every fusion solve on one design.
 
-    least_squares and objective take one measurement Y of length mn, or
-    an (h, mn) block with one measurement per row, and answer per row;
+    least_squares takes one measurement Y of length mn, or an (h, mn)
+    block with one measurement per row, and answers per row;
     split takes a block and split_row one row.  Both least_squares and
     split form each row's products as the row form would (_rows_dot), so
     row t of a block's answer has the bits of the answer on Y[t] alone,
@@ -259,12 +261,6 @@ class FusionProblem:
             a.setflags(False)   # write=False, passed by position: 4x faster
         return (x_ls, mu_ls, d, statistic,
                 max(map(abs, self.Ht.dot(d).tolist())))
-
-    def objective(self, Y, x, nu, gamma):
-        """0.5 mu' Minv mu + gamma |nu|_1 at (x, nu), mu = Y - H x - nu."""
-        mu = Y - x @ self.H.T - nu
-        return (0.5 * (mu * (mu @ self.Minv.T)).sum(axis=-1)
-                + gamma * np.abs(nu).sum(axis=-1))
 
 
 def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
@@ -326,134 +322,50 @@ def _residuals(problem, Y, x, nu, gamma):
 
 
 def _answer(problem, Y, nu, gamma):
-    """(x_tilde, mu, KKT residual) at the homotopy's nu, for one row or
-    for each row of a block, row by row as _residuals takes them."""
+    """(x_tilde, mu, KKT residual) at the homotopy's nu for each row of a
+    block, row by row as _residuals takes them."""
     x = _dot_rows(problem.wls_op, Y - nu)
     return (x, *_residuals(problem, Y, x, nu, gamma))
 
 
-def _solve_support(S_pm, sign):
-    """The Y-independent half of a homotopy breakpoint on the signed
-    support sign, as (act, cols, rate, tie, w, drops).
-
-    act lists the active coordinates, cols = S_pm[:, act], w solves
-    S_AA w = s_A, and rate = 1 - cols w, with its tie entries
-    (tie = rate <= TIE_RATE, roots that never fire) set to 1.0 so that
-    dividing by it cannot warn.  drops lists the positions q in act where
-    w_q s_q < 0, whose nu_q moves toward zero.
-    """
-    act = sign.nonzero()[0]
-    cols = S_pm.take(act, axis=1)
-    s_act = sign.take(act)
-    S_aa = cols.take(act, axis=0)
-    w = _solve1(S_aa, s_act)
-    if math.isnan(w.item(0)):
-        # S_AA singular (LAPACK info > 0, which fills w with NaN): a flat
-        # direction, any solution will do
-        w = np.linalg.lstsq(S_aa, s_act, rcond=None)[0]
-    rate = 1.0 - cols.dot(w)
-    tie = rate <= TIE_RATE
-    rate[tie] = 1.0
-    drops = tuple((w * s_act < 0.0).nonzero()[0].tolist())
-    return act, cols, rate, tie, w, drops
-
-
-@np.errstate(invalid="ignore")     # a singular S_AA: see _solve_support
-def _lasso_path(problem, Y, c_ls, gamma, history):
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def lasso_paths(problem, d_rows, gamma):
     """Walk the lasso homotopy of min 0.5 (Y - nu)' S (Y - nu) + lam |nu|_1
-    from lam = max |c_ls|, where nu = 0, down to lam = gamma; c_ls = S Y.
+    for every row of d_rows at once, from lam = max |c_ls|, where nu = 0,
+    down to lam = gamma.
+
+    d_rows is an (r, mn) block of c_ls = S Y = Minv mu_ls rows (the d of
+    a least-squares split) whose statistic exceeds gamma.  Returns
+    (nu, breakpoints): an (r, mn) array and an (r,) int array of segment
+    counts, MAX_BREAKPOINTS for a row that reached the cap.  Row i has the
+    bits it has in a block of one.
 
     On a segment with active set A and signs s_A, lowering lam by t moves
     nu_A by t w_A, with S_AA w_A = s_A, and the correlation c = S (Y - nu)
     by -t a, with a = S[:, A] w_A, so that c_A stays at (lam - t) s_A.
     The segment ends at the first of three events: an inactive c_j
-    reaches +-(lam - t) (j joins with that sign), an active nu_i reaches
-    zero (i drops), or lam - t reaches gamma.  A root whose rate 1 - a_j
-    is at most TIE_RATE is taken to move with the bound: its coordinate
-    completes a flat direction of the objective and would make S_AA singular.
-    Returns (nu, segments); history, when a list, receives the objective
-    at every breakpoint.
-
-    Each breakpoint solves its signed support afresh (_solve_support),
+    reaches +-(lam - t) (j joins with that sign; root j < mn is c_j
+    reaching +lam, root mn + j is c_j reaching -lam), an active nu_q
+    reaches zero (q drops), or lam - t reaches gamma.  A root whose rate
+    1 - a_j is at most TIE_RATE is taken to move with the bound: its
+    coordinate completes a flat direction of the objective and would make
+    S_AA singular.  Each breakpoint solves its signed support afresh and
     recomputes c2 = [c; -c] from nu_A with the columns of S_pm = [S; -S]
-    (stepping c along would drift) and forms the 2mn join times in numpy,
-    masking tie and blocked roots to inf.  The few drop times run on
-    Python floats, as a numpy call costs more than the loop.  Products
-    use ndarray.dot, which dispatches faster than @: same bits.
-    lasso_paths walks many rows at once to the same bits.
-    """
-    S_pm = problem.S_pm
-    mn = len(c_ls)
-    # root r < mn is c_r reaching +lam, root mn + j is c_j reaching -lam
-    c2_ls = np.concatenate((c_ls, -c_ls))
-    nu = np.zeros(mn)
-    sign = np.zeros(mn)                     # s_i on the active set, else 0
-    blocked = np.zeros(2 * mn, dtype=bool)  # roots that may not fire
-    root = int(c2_ls.argmax())
-    lam = float(c2_ls[root])
-    held = -1       # own-sign root of the coordinate that dropped last
-    for it in range(1, MAX_BREAKPOINTS + 1):
-        if root >= 0:
-            j = root % mn
-            sign[j] = 1.0 if root < mn else -1.0
-            blocked[j] = blocked[j + mn] = True
-        act, cols, rate, tie, w, drops = _solve_support(S_pm, sign)
-        nu_act = nu[act]
-        c2 = c2_ls - cols.dot(nu_act)
-        if history is not None:
-            history.append(float(0.5 * (Y - nu) @ c2[:mn]
-                                 + gamma * np.abs(nu).sum()))
-        join = (lam - c2) / rate
-        join[tie | blocked] = np.inf
-        root = int(join.argmin())
-        t_join = join.item(root)
-        if t_join <= 0.0:   # a passed root fires at once, the first one
-            root, t_join = int((join <= 0.0).argmax()), 0.0
-        t_drop, i = np.inf, 0   # the first active nu_i to reach 0
-        for q in drops:
-            if (d := max(0.0, -nu_act.item(q) / w.item(q))) < t_drop:
-                t_drop, i = d, q
-        t = min(t_join, t_drop, lam - gamma)
-        nu[act] = nu_act + t * w
-        if t >= lam - gamma:
-            return nu, it
-        lam -= t
-        if held >= 0:
-            blocked[held] = False
-            held = -1
-        if t_drop <= t_join:
-            k = int(act[i])
-            held = k if sign[k] > 0.0 else k + mn
-            nu[k] = sign[k] = 0.0
-            # the coordinate sits on its own-sign root at t = 0, so
-            # only that root stays blocked, for one segment
-            blocked[(held + mn) % (2 * mn)] = False
-            root = -1
-    return nu, MAX_BREAKPOINTS
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def lasso_paths(problem, d_rows, gamma):
-    """Walk the homotopy of _lasso_path for every row of d_rows at once.
-
-    d_rows is an (r, mn) block of c_ls = Minv mu_ls rows (the d of a
-    least-squares split) whose statistic exceeds gamma.  Returns
-    (nu, breakpoints): an (r, mn) array and an (r,) int array whose row i
-    holds the bits _lasso_path gives on row i alone.
+    (stepping c along would drift).  The first minimum join time wins, a
+    passed root (negative join time) fires at once, drop times are
+    max(0, -nu_q / w_q), a drop wins a tie with a join, and a dropped
+    coordinate sits on its own-sign root at t = 0, so that root alone
+    stays blocked, for one segment.
 
     Each round moves every live row one breakpoint, and a row that
     reaches gamma leaves the block.  The live rows are grouped by active
     set size k.  A group of g rows gathers its columns of S_pm as one
     C-contiguous (g, 2mn, k) stack and its S_AA as a (g, k, k) one; one
-    stacked LAPACK call solves every S_AA (each matrix gets the lone
-    solve's bits), and np.matmul forms cols nu_A and cols w with one
-    matrix-vector product per row, the bits of cols.dot (see _rows_dot).
-    A row whose solve is NaN takes the lone walk's lstsq fallback on its
-    own.  The event rules are the lone walk's, row by row: the first
-    minimum join time, a passed root firing at once, drop times
-    max(0, -nu_q / w_q), the first of equal event times, a dropped
-    coordinate's own-sign root held for one segment, and TIE_RATE.  The
-    walk has no history; secure_fuse(history=) walks alone.
+    stacked LAPACK call solves every S_AA (each matrix gets the bits of
+    its own solve), and np.matmul forms cols nu_A and cols w with one
+    matrix-vector product per row (see _rows_dot).  A row whose S_AA is
+    singular (LAPACK info > 0, which fills its w with NaN) lies on a flat
+    direction, and any solution will do: it takes lstsq's on its own.
     """
     S_pm = problem.S_pm
     S_pm_t = S_pm.T.copy()      # rows of S_pm_t[act] are the columns
@@ -559,9 +471,9 @@ def fuse_open(problem, Y, d, gamma) -> FusedRows:
     least-squares split, each with a statistic above gamma.  lasso_paths
     walks them in blocks of at most MAX_BLOCK_ROWS rows, and _answer
     forms every row's answer and KKT residual with stacked products (one
-    matrix-vector product per row), so row i has the bits of a lone
-    secure_fuse on Y[i] up to its refinement step, which secure_fuse
-    still takes.
+    matrix-vector product per row), so row i has the bits it has in a
+    block of one: those secure_fuse forms on Y[i] alone, up to its
+    refinement step, which secure_fuse still takes.
     """
     walks = [lasso_paths(problem, d[lo:lo + MAX_BLOCK_ROWS], gamma)
              for lo in range(0, max(len(d), 1), MAX_BLOCK_ROWS)]
@@ -571,16 +483,13 @@ def fuse_open(problem, Y, d, gamma) -> FusedRows:
     return FusedRows(x, mu, nu, kkt, breakpoints)
 
 
-def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
-                split=None, walk=None) -> FusionResult:
+def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,
+                walk=None) -> FusionResult:
     """Solve the l1-regularized fusion problem for one real measurement Y.
 
     The threshold test or the lasso homotopy (module docstring) gives the
     answer; it counts as converged when its KKT residual is at most
-    KKT_TOL * max(1, gamma).  history, when given a list, collects the
-    objective at nu = 0, at every homotopy breakpoint and at the answer.
-    It does not increase: along the path its derivative in lambda is
-    (lambda - gamma) s_A' S_AA^-1 s_A.
+    KKT_TOL * max(1, gamma).
 
     The gamma-independent half of the solve is the row's least-squares
     split.  split, when given, must be problem.split(block).rows[t] for a
@@ -590,12 +499,10 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
     gamma.  Without it, Y is split alone (problem.split_row).  walk, when
     given, must be row i of fuse_open(problem, block, d, gamma), as
     fuse_open(...).rows()[i] gives it, for a block whose row i is Y; it is
-    not checked either.  The homotopy is then not walked again and the
-    answer not formed again: only the refinement step runs, when the
-    row's KKT residual misses the tolerance.  simulate fuses a run's open
-    rows as one block (a sweep, the open rows of a trial's runs) and
-    passes each step its row.  walk has no history, so passing both
-    raises ValueError.
+    not checked either.  simulate fuses a run's open rows as one block (a
+    sweep, the open rows of a trial's runs) and passes each step its row.
+    Without it, an open Y is fused as a block of one.  Either way the
+    answer is refined once, when its KKT residual misses the tolerance.
     A 1-D float64 ndarray Y is used as given, and any other form
     converted first.  ValueError is raised for a complex Y, a non-finite
     Y (the screen test propagates NaN, so it never passes one), a finite
@@ -604,9 +511,6 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
     """
     if not 0.0 < gamma < math.inf:
         check_gamma(gamma)
-    if walk is not None and history is not None:
-        raise ValueError("pass walk or history, not both: a block walk "
-                         "records no history")
     if type(Y) is not np.ndarray or Y.dtype != _FLOAT64 or Y.ndim != 1:
         Y = np.asarray(Y)
         if Y.dtype.kind == "c":
@@ -617,23 +521,18 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
         split = problem.split_row(Y)
     x_ls, mu_ls, d_ls, statistic, kkt = split
     if statistic <= gamma:
-        if history is not None:
-            history.append(float(0.5 * mu_ls @ d_ls))
         return FusionResult(x_ls.copy(), mu_ls, np.zeros(len(Y)), kkt, 0,
                             True, x_ls, True)
 
-    H, Minv, wls_op = problem.H, problem.Minv, problem.wls_op
-    eps_eff = KKT_TOL * max(1.0, gamma)
     if walk is None:
-        nu, it = _lasso_path(problem, Y, d_ls, gamma, history)
-        x, mu, kkt = _answer(problem, Y, nu, gamma)
-        kkt = float(kkt)
-    else:
-        x, mu, nu, kkt, it = walk
+        walk = fuse_open(problem, Y[None], d_ls[None], gamma).rows()[0]
+    x, mu, nu, kkt, it = walk
+    eps_eff = KKT_TOL * max(1.0, gamma)
     if kkt > eps_eff:
         # one step of iterative refinement of (x, nu_A) on the final
         # support, driven by the residual: when Minv is large, S (Y - nu)
         # loses digits to cancellation that the residual keeps
+        H, Minv, wls_op = problem.H, problem.Minv, problem.wls_op
         act = np.flatnonzero(nu)
         x_r = x + wls_op @ mu
         s = Minv @ (Y - H @ x_r - nu)
@@ -647,8 +546,6 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, history=None,
         kkt_r = float(kkt_r)
         if kkt_r < kkt:
             x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
-    if history is not None:
-        history.append(float(problem.objective(Y, x, nu, gamma)))
     return FusionResult(
         x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=it,
         kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt <= eps_eff))

@@ -6,8 +6,8 @@ least-squares fusion of the local bank, and the secure (l1-regularized)
 fusion.  No estimate feeds back into the plant, the filter or the bank,
 so a run first rolls all of those out over the whole horizon as arrays
 and splits the least squares of the whole canonical measurement at once.
-When enough rows are left open by the screen, they are fused together
-as one block (fusion.fuse_open: their l1 homotopies walked at most
+The rows the screen leaves open are fused together as one block
+(fusion.fuse_open: their l1 homotopies walked at most
 fusion.MAX_BLOCK_ROWS rows per call, and their answers formed with
 stacked products); each step's secure_fuse call then takes its row.  In
 the decomposition's real coordinates each sensor's bank is one real
@@ -48,11 +48,6 @@ DEFAULT_BURN_IN = 50
 DEFAULT_TRIALS = 20
 DEFAULT_GAMMAS = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_MAGNITUDES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
-# open rows from which a run walks its homotopies as one block: below it,
-# one walk per row is cheaper (pendulum, gamma 5 and 20, two runs: the
-# block costs 1.2-1.4x the lone walks at 8 rows, 0.9-1.1x at 12,
-# 0.85-0.93x at 16 and 0.55-0.61x at 32)
-BLOCK_WALK_ROWS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -326,15 +321,15 @@ def simulate(model: SystemModel, design: SpectralDesign,
     close the loop, so the plant, the fixed-gain filter and the local bank
     are rolled out over the whole horizon first, and the least squares of
     the whole rollout split at once (FusionProblem.split).  The rows whose
-    statistic exceeds gamma are open: when there are at least
-    BLOCK_WALK_ROWS of them, they are fused as one block (fusion.fuse_open,
-    which walks at most fusion.MAX_BLOCK_ROWS rows per call), which gives
-    each row the bits of its own walk and answer; fewer walk one at a
-    time inside secure_fuse.  The secure fusion then runs step by step:
-    one secure_fuse call per step, passed its row of the split and, on a
-    block-fused step, its row of the block, so that a screened step only
-    tests the row's statistic against gamma and an open one only refines
-    its answer when that misses the KKT tolerance.  All randomness
+    statistic exceeds gamma are open, and a run that has any fuses them
+    as one block (fusion.fuse_open, which walks at most
+    fusion.MAX_BLOCK_ROWS rows per call), which gives each row the bits
+    it has in a block of one; a run that the screen settles walks
+    nothing.  The secure fusion then runs step by step: one secure_fuse
+    call per step, passed its row of the split and, on an open step, its
+    row of the block, so that a screened step only tests the row's
+    statistic against gamma and an open one only refines its answer when
+    that misses the KKT tolerance.  All randomness
     (initial state, process noise, measurement noise, attack draws) comes
     from independent substreams of (seed, trial), so two runs that differ
     only in the attack share the same noise and the same clean
@@ -384,7 +379,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
     x, u, z, y, a, x_kal, Y, split = rollout[4:]
     problem = split.problem
     open_rows = (split.statistic > gamma).nonzero()[0]
-    if walk is None and len(open_rows) >= BLOCK_WALK_ROWS:
+    if walk is None and len(open_rows):
         walk = fuse_open(problem, Y[open_rows], split.d[open_rows], gamma)
     elif walk is not None and len(walk.nu) != len(open_rows):
         raise ValueError(f"walk of {len(walk.nu)} rows passed for a run "
@@ -639,11 +634,11 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     depend on the attack either; its runs at every gamma share the
     rollout, and only test each row's statistic against their own gamma.
     At each gamma the open rows of the trial's runs are fused as one
-    block when there are at least BLOCK_WALK_ROWS of them
-    (fusion.fuse_open), in batches of consecutive runs of at most
+    block (fusion.fuse_open), in batches of consecutive runs of at most
     MAX_BLOCK_ROWS rows (a run with more is a batch of its own, and
     fuse_open walks it MAX_BLOCK_ROWS rows per call), and each run is
-    simulated with its part of its batch.  A trial holds only its own
+    simulated with its part of its batch; a batch without open rows
+    walks nothing.  A trial holds only its own
     rollouts, and one batch's answers at a time.  Every run shares one
     FusionProblem.  Bad gammas and a burn-in that leaves no step are
     refused before any rollout.
@@ -675,10 +670,9 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
         for gamma, runs in gammas.items():
             opens = {attack: (rollouts[attack].split.statistic
                               > gamma).nonzero()[0] for attack in runs}
-            fuse = sum(map(len, opens.values())) >= BLOCK_WALK_ROWS
             for batch in _batches(opens, MAX_BLOCK_ROWS):
                 walks = [None] * len(batch)
-                if fuse:
+                if any(len(opens[attack]) for attack in batch):
                     fused = fuse_open(
                         problem,
                         np.concatenate([rollouts[attack].Y[opens[attack]]

@@ -25,11 +25,12 @@ RICCATI_NOISE_RTOL = 64 * np.finfo(float).eps
 RICCATI_MAX_ITER = 100000
 # a recursion whose step sets no new low for RICCATI_STALL iterations has
 # stalled; when every step since its lowest was at most RICCATI_STALL_RTOL
-# * max|P_plus|, the lowest-step iterate is taken as the fixed point.  Of
-# 3,001 random Jordan designs (tests/helpers.py), 14 went 1000 iterations
-# without a new lowest step above the RICCATI_NOISE_RTOL floor: in 10 the
-# steps over that window stayed within 1.6e-11 to 1.1e-8 of max|P_plus|,
-# in the other 4 they reached 5.6e-7 to 8.5e-2, and those still raise
+# * max|P_plus|, the lowest-step iterate is taken as the fixed point, and
+# otherwise the recursion raises there.  Of 3,001 random Jordan designs
+# (tests/helpers.py), 14 went 1000 iterations without a new lowest step
+# above the RICCATI_NOISE_RTOL floor: in 10 the steps over that window
+# stayed within 1.6e-11 to 1.1e-8 of max|P_plus|, in the other 4 they
+# reached 5.6e-7 to 8.5e-2 (and none of those 4 converged within 100,000)
 RICCATI_STALL = 1000
 RICCATI_STALL_RTOL = float(np.sqrt(np.finfo(float).eps))
 EIG_RTOL = 1e-8          # eigen-residual and diagonalizability threshold
@@ -76,10 +77,11 @@ def steady_state_kalman(model: SystemModel):
     filtered covariances differ in max-abs norm by at most RICCATI_TOL,
     or by the rounding noise RICCATI_NOISE_RTOL * max|P_plus| if that is
     larger.  A recursion that stalls above that floor (no smaller step
-    for RICCATI_STALL iterations, none of them above RICCATI_STALL_RTOL *
-    max|P_plus|) stops at the iterate with the smallest step.
-    Raises RiccatiDivergenceError at the first non-finite iterate or
-    after RICCATI_MAX_ITER iterations.  Returns
+    for RICCATI_STALL iterations) stops at the iterate with the smallest
+    step when none of the steps since were above RICCATI_STALL_RTOL *
+    max|P_plus|, and raises RiccatiDivergenceError, naming the stall,
+    when one was.  RiccatiDivergenceError is also raised at the first
+    non-finite iterate and after RICCATI_MAX_ITER iterations.  Returns
     (P, P_plus, K, residual) where P_plus = A P A' + Q and K are recomputed
     from the converged P, so those two defining equations hold to machine
     precision and the reported residual measures only the remaining
@@ -118,8 +120,14 @@ def steady_state_kalman(model: SystemModel):
         scale = float(np.abs(P_plus).max())
         if diff <= max(RICCATI_TOL, RICCATI_NOISE_RTOL * scale):
             break
-        if (k - best_k >= RICCATI_STALL
-                and spread <= RICCATI_STALL_RTOL * scale):
+        if k - best_k >= RICCATI_STALL:
+            if spread > RICCATI_STALL_RTOL * scale:
+                raise RiccatiDivergenceError(
+                    f"Riccati recursion stalled at iteration {k + 1}: its "
+                    f"lowest step, {best:.3e}, was not bettered in "
+                    f"{RICCATI_STALL} iterations, and the steps since reach "
+                    f"{spread / scale:.3e} of max|P_plus|, above "
+                    f"{RICCATI_STALL_RTOL:.3e}", diff)
             P = best_P      # stalled in rounding noise: its lowest step
             break
     else:

@@ -340,11 +340,22 @@ def _reference_lasso_path(S, Y, c_ls, gamma, history):
     return nu, MAX_BREAKPOINTS
 
 
+def fusion_objective(problem, Y, x, nu, gamma):
+    """0.5 mu' Minv mu + gamma |nu|_1 at (x, nu), mu = Y - H x - nu, for one
+    measurement Y or for each row of an (h, mn) block."""
+    mu = Y - x @ problem.H.T - nu
+    return (0.5 * (mu * (mu @ problem.Minv.T)).sum(axis=-1)
+            + gamma * np.abs(nu).sum(axis=-1))
+
+
 def reference_secure_fuse(problem, Y, gamma, *, history=None):
     """Reference for secure_fuse: the homotopy solve as first written, with
     plain array operations throughout and [S; -S] stacked on every call.
-    Every FusionResult field and history entry of secure_fuse must equal
-    its output bit for bit."""
+    Every FusionResult field of secure_fuse must equal its output bit for
+    bit.  history, when given a list, collects the objective at nu = 0, at
+    every homotopy breakpoint and at the answer.  It does not increase:
+    along the path its derivative in lambda is
+    (lambda - gamma) s_A' S_AA^-1 s_A."""
     if gamma <= 0:
         raise ValueError("γ = 0 leaves x̃ non-identifiable")
     Y = np.asarray(Y)
@@ -381,7 +392,7 @@ def reference_secure_fuse(problem, Y, gamma, *, history=None):
         if kkt_r < kkt:
             x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
     if history is not None:
-        history.append(float(problem.objective(Y, x, nu, gamma)))
+        history.append(float(fusion_objective(problem, Y, x, nu, gamma)))
     return FusionResult(
         x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=it,
         kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt <= eps_eff))

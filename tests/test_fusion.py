@@ -23,13 +23,13 @@ from securekf import (
     spectral_design,
 )
 from securekf.decomposition import factor_mtilde
-from securekf.fusion import (LocalBankState, _lasso_path, _solve_support,
-                             lasso_paths)
+from securekf.fusion import LocalBankState, lasso_paths
 from securekf.model import SystemModel
 from securekf.simulator import (AttackSpec, _rollout, simulate,
                                 trial_generators)
 
-from helpers import mode_coordinates, sensor_blocks
+from helpers import (_reference_lasso_path, fusion_objective,
+                     mode_coordinates, reference_secure_fuse, sensor_blocks)
 
 EYE3 = scipy.linalg.cho_factor(np.eye(3))
 H3 = np.ones((3, 1))
@@ -192,34 +192,15 @@ def test_minv_as_accurate_as_a_cholesky_solve(pendulum_decomposition):
             <= 2.0 * np.abs(solved @ M - eye).max())
 
 
-def test_singular_support_solve_falls_back_to_least_squares():
-    # S_AA = [[1, 1], [1, 1]] is singular: LAPACK stops at a zero pivot
-    # and the gufunc fills w with NaN, flagging an invalid value, which
-    # _lasso_path's errstate silences; lstsq then gives the minimum-norm w
-    S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    S_pm = np.vstack((S, -S))
-    sign = np.array([1.0, 1.0, 0.0])
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        _solve_support(S_pm, sign)
-    with np.errstate(invalid="ignore"):
-        act, cols, rate, tie, w, drops = _solve_support(S_pm, sign)
-    assert np.array_equal(act, [0, 1])
-    assert np.array_equal(w, np.linalg.lstsq(S[:2, :2], sign[:2],
-                                             rcond=None)[0])
-    assert np.abs(w - 0.5).max() < 1e-15
-    # the flat direction's own roots never fire; nothing drops
-    assert tie.tolist() == [True, True, False, False, False, False]
-    assert rate.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 1.0]
-    assert drops == ()
-
-
 def test_block_walk_falls_back_to_least_squares_on_the_singular_row(
         monkeypatch):
     # S = [[1, 1, 0], [1, 1, 0], [0, 0, 2]]: the row d = (3, 1, 0) walks
     # coordinate 0 in with +1, then coordinate 1 with -1 (its own +1 root
-    # is a tie), and S_AA = [[1, 1], [1, 1]] is singular.  In a block
-    # with two rows that never meet that support, only it calls lstsq,
-    # no warning escapes, and every row keeps its lone walk's bits
+    # is a tie), and S_AA = [[1, 1], [1, 1]] is singular: LAPACK stops at
+    # a zero pivot and fills w with NaN.  In a block with two rows that
+    # never meet that support, only it calls lstsq, which gives the
+    # minimum-norm w, no warning escapes, and every row has the
+    # reference walk's bits
     S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     problem = dataclasses.replace(PROB3, S_pm=np.vstack((S, -S)), S=S)
     d = np.array([[0.0, 0.0, 3.0], [3.0, 1.0, 0.0], [2.5, 2.5, 0.0]])
@@ -239,7 +220,7 @@ def test_block_walk_falls_back_to_least_squares_on_the_singular_row(
     assert np.array_equal(calls[0][1], [1.0, -1.0])
     calls.clear()
     for row, row_nu, it in zip(d, nu, breakpoints.tolist()):
-        want_nu, want_it = _lasso_path(problem, row, row, 0.1, None)
+        want_nu, want_it = _reference_lasso_path(S, row, row, 0.1, None)
         assert (row_nu.tobytes(), it) == (want_nu.tobytes(), want_it)
     assert len(calls) == 1
 
@@ -432,8 +413,12 @@ def test_secure_fuse_objective_monotone_and_bounded():
         factor = scipy.linalg.cho_factor(M)
         problem = build_fusion_problem(H, factor)
         history = []
-        res = secure_fuse(problem, Y, gamma, history=history)
+        res = secure_fuse(problem, Y, gamma)
         assert res.converged
+        # the reference walks the same path, to the same bits, and records
+        # the objective at nu = 0, at every breakpoint and at the answer
+        ref = reference_secure_fuse(problem, Y, gamma, history=history)
+        assert ref.nu.tobytes() == res.nu.tobytes()
         # the accept gate tolerates ascents up to the rounding floor of
         # the cancelled quadratic form
         mu_ls = Y - H @ res.x_ls
@@ -441,8 +426,8 @@ def test_secure_fuse_objective_monotone_and_bounded():
         floor = 1e-13 * max(1.0, np.linalg.norm(mu_ls) * np.linalg.norm(d_ls))
         diffs = np.diff(history)
         assert (diffs <= floor).all()
-        f_ls = problem.objective(Y, res.x_ls, np.zeros(len(Y)), gamma)
-        f_final = problem.objective(Y, res.x_tilde, res.nu, gamma)
+        f_ls = fusion_objective(problem, Y, res.x_ls, np.zeros(len(Y)), gamma)
+        f_final = fusion_objective(problem, Y, res.x_tilde, res.nu, gamma)
         assert f_final <= f_ls + 1e-10 * max(1.0, abs(f_ls))
 
 
@@ -458,7 +443,7 @@ def test_secure_fuse_oracle_perturbations():
         res = secure_fuse(problem, Y, gamma)
         assert res.converged
         Minv = np.linalg.inv(M)
-        f_star = problem.objective(Y, res.x_tilde, res.nu, gamma)
+        f_star = fusion_objective(problem, Y, res.x_tilde, res.nu, gamma)
 
         d = rng.standard_normal((1000, n + mn)) + 1j * rng.standard_normal((1000, n + mn))
         d *= 1e-3 / np.linalg.norm(d, axis=1)[:, None]

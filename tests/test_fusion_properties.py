@@ -23,7 +23,9 @@ from securekf.fusion import FusionResult
 from securekf.simulator import AttackSpec, _rollout
 from securekf.spectral import RiccatiDivergenceError
 
-from helpers import random_jordan_model, reference_secure_fuse
+import helpers
+from helpers import (_reference_lasso_path, fusion_objective,
+                     random_jordan_model, reference_secure_fuse)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -94,7 +96,7 @@ def check_against_reference(Y, H, M, gamma):
         assert res.converged
     assert kkt_residual(Y, H, Minv, res.x_tilde, res.nu, gamma) <= tol
     x_ref, nu_ref, f_ref = reference(Y, H, Minv, gamma)
-    f = problem.objective(Y, res.x_tilde, res.nu, gamma)
+    f = fusion_objective(problem, Y, res.x_tilde, res.nu, gamma)
     # the exact solver must never lose to the first-order reference
     assert f <= f_ref + 1e-9 * max(1.0, abs(f_ref))
     return res, x_ref
@@ -193,8 +195,8 @@ def test_sensor_permutation_equivariance(seed, n, m_sensors, pattern, data):
     assert kkt_residual(Y, H, Minv, res.x_tilde, res.nu, gamma) <= tol
     assert kkt_residual(Y[idx], H[idx], Minv[np.ix_(idx, idx)],
                         res_p.x_tilde, res_p.nu, gamma) <= tol
-    f = problem.objective(Y, res.x_tilde, res.nu, gamma)
-    f_p = permuted.objective(Y[idx], res_p.x_tilde, res_p.nu, gamma)
+    f = fusion_objective(problem, Y, res.x_tilde, res.nu, gamma)
+    f_p = fusion_objective(permuted, Y[idx], res_p.x_tilde, res_p.nu, gamma)
     assert abs(f_p - f) <= 1e-9 * max(1.0, abs(f))
     assert res_p.kalman_equivalent == res.kalman_equivalent
     if pattern == "gaussian":
@@ -205,9 +207,8 @@ def test_sensor_permutation_equivariance(seed, n, m_sensors, pattern, data):
 
 
 def assert_bit_equal(problem, Y, gamma, split=None):
-    got_history, want_history = [], []
-    got = secure_fuse(problem, Y, gamma, history=got_history, split=split)
-    want = reference_secure_fuse(problem, Y, gamma, history=want_history)
+    got = secure_fuse(problem, Y, gamma, split=split)
+    want = reference_secure_fuse(problem, Y, gamma)
     for field in FusionResult._fields:
         a, b = getattr(got, field), getattr(want, field)
         assert type(a) is type(b), field
@@ -216,8 +217,6 @@ def assert_bit_equal(problem, Y, gamma, split=None):
             assert a.tobytes() == b.tobytes(), field
         else:
             assert a == b, field
-    assert (np.array(got_history).tobytes()
-            == np.array(want_history).tobytes())
     return got
 
 
@@ -393,8 +392,8 @@ def test_ls_split_cache_bit_equal_at_every_gamma_order(
         gammas, pendulum_model, pendulum_design, pendulum_decomposition):
     # a row fused at two gammas with its row of the block split, as
     # simulate hands it over: each must be the reference's bits on every
-    # field and history entry, whether the row first screens or first
-    # walks the homotopy, and both share the split's x_ls row
+    # field, whether the row first screens or first walks the homotopy,
+    # and both share the split's x_ls row
     problem, rollout, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition)
     for t in picks:
@@ -517,12 +516,13 @@ def test_block_split_bit_equal_to_row_products(seed, horizon,
 
 def assert_walks_equal_lone(problem, Y, d, gamma):
     """lasso_paths on the rows d of a block gives each row the nu bytes
-    (signs of zero included) and breakpoint count of _lasso_path on the
-    row alone; returns the block's (nu, breakpoints)."""
+    (signs of zero included) and breakpoint count of the reference walk
+    on the row alone; returns the block's (nu, breakpoints)."""
     nu, breakpoints = fusion.lasso_paths(problem, d, gamma)
     assert nu.shape == d.shape and breakpoints.shape == (len(d),)
     for y, row_d, row_nu, it in zip(Y, d, nu, breakpoints.tolist()):
-        want_nu, want_it = fusion._lasso_path(problem, y, row_d, gamma, None)
+        want_nu, want_it = _reference_lasso_path(problem.S, y, row_d, gamma,
+                                                 None)
         assert row_nu.tobytes() == want_nu.tobytes()
         assert it == want_it
     return nu, breakpoints
@@ -534,9 +534,9 @@ def assert_walks_equal_lone(problem, Y, d, gamma):
 def test_block_walk_bit_equal_to_lone_walk_and_reference(
         seed, horizon, log_magnitude, log_gamma):
     # on random Jordan designs, a block of 1, 2, 7 or every open row of
-    # an attacked rollout walks each row to the lone walk's nu and
-    # breakpoints, and secure_fuse handed that walk answers with the
-    # reference's bits on every field
+    # an attacked rollout walks each row to the nu and breakpoints of the
+    # reference walk on the row alone, and secure_fuse handed that walk
+    # answers with the reference's bits on every field
     model = random_jordan_model(seed, ensure_observable=True)
     try:
         design = spectral_design(model)
@@ -575,27 +575,19 @@ def test_block_walk_takes_the_breakpoint_cap_as_lone_walks_do(
     open_rows = (split.statistic > 50.0).nonzero()[0]
     _, uncapped = fusion.lasso_paths(problem, split.d[open_rows], 50.0)
     monkeypatch.setattr(fusion, "MAX_BREAKPOINTS", 2)
+    # helpers imports the cap by value
+    monkeypatch.setattr(helpers, "MAX_BREAKPOINTS", 2)
     _, capped = assert_walks_equal_lone(problem, rollout.Y[open_rows],
                                         split.d[open_rows], 50.0)
     assert (uncapped > 2).any() and (uncapped <= 2).any()
     assert np.array_equal(capped, np.minimum(uncapped, 2))
 
 
-def test_walk_and_history_together_raise(
-        pendulum_model, pendulum_design, pendulum_decomposition):
-    problem, rollout = attacked_pendulum_rollout(
-        pendulum_model, pendulum_design, pendulum_decomposition)
-    t = int(rollout.split.statistic.argmax())
-    walk = fusion._lasso_path(problem, rollout.Y[t], rollout.split.d[t], 5.0,
-                              None)
-    with pytest.raises(ValueError, match="walk or history"):
-        secure_fuse(problem, rollout.Y[t], 5.0, walk=walk, history=[])
-
-
 def lone_answer(problem, y, d, gamma):
     """The answer secure_fuse forms on row y alone before its refinement
-    step: (x_tilde, mu, nu, kkt, breakpoints), from 1-D products."""
-    nu, it = fusion._lasso_path(problem, y, d, gamma, None)
+    step: (x_tilde, mu, nu, kkt, breakpoints), from 1-D products on the
+    reference walk's nu."""
+    nu, it = _reference_lasso_path(problem.S, y, d, gamma, None)
     x = problem.wls_op.dot(y - nu)
     mu = y - problem.H.dot(x) - nu
     s = problem.Minv.dot(mu)

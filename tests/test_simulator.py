@@ -409,20 +409,23 @@ def test_simulate_steps_equal_fresh_per_row_secure_fuse(
     assert not all(screened)
 
 
-@pytest.mark.parametrize("gamma, walked", [(5.0, True), (1000.0, False)])
-def test_simulate_walks_the_open_rows_as_one_block_above_the_crossover(
-        gamma, walked, monkeypatch, pendulum_model, pendulum_design,
-        pendulum_decomposition):
-    # at gamma = 5 every row of the attacked run is open and the run makes
-    # one block walk of them all; at 1000 fewer than BLOCK_WALK_ROWS rows
-    # are open, and each walks alone inside secure_fuse
+@pytest.mark.parametrize("gamma, attacked, open_rows", [
+    (5.0, True, 200), (100.0, False, 7), (1000.0, False, 0)],
+    ids=["5-attack", "100-clean", "1000-clean"])
+def test_simulate_walks_its_open_rows_in_one_block(
+        gamma, attacked, open_rows, monkeypatch, pendulum_model,
+        pendulum_design, pendulum_decomposition):
+    # a run makes exactly one lasso_paths call, of all its open rows,
+    # however few: every row of the attacked run at gamma = 5, the 7 rows
+    # the clean run leaves open at 100, and no call at all at 1000, where
+    # the screen settles every row
     import securekf.fusion as fusion
-    import securekf.simulator as sim
 
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    attack = default_attack() if attacked else AttackSpec()
     problem = build_fusion_problem(pendulum_decomposition.H_stack,
                                    pendulum_decomposition.Mtilde_factor)
-    rollout = _rollout(*args, problem, default_attack(), 200, 2, 0)
+    rollout = _rollout(*args, problem, attack, 200, 2, 0)
     blocks = []
     walk = fusion.lasso_paths
 
@@ -431,10 +434,9 @@ def test_simulate_walks_the_open_rows_as_one_block_above_the_crossover(
         return walk(problem, d, gamma)
 
     monkeypatch.setattr(fusion, "lasso_paths", recording)
-    trace = simulate(*args, default_attack(), gamma, 200, 2, rollout=rollout)
-    open_rows = int((~trace.kalman_equivalent).sum())
-    assert blocks == ([open_rows] if walked else [])
-    assert (open_rows >= sim.BLOCK_WALK_ROWS) is walked
+    trace = simulate(*args, attack, gamma, 200, 2, rollout=rollout)
+    assert int((~trace.kalman_equivalent).sum()) == open_rows
+    assert blocks == ([open_rows] if open_rows else [])
     assert (trace.solver_iters[~trace.kalman_equivalent] > 0).all()
 
 
@@ -931,9 +933,9 @@ def test_sweep_rolls_out_each_trial_attack_once(
 def test_sweep_attack_rows_equal_per_attack_simulate(
         pendulum_model, pendulum_design, pendulum_decomposition):
     # at gamma = 100 a trial's runs leave 3-90 rows open each, 661 and 740
-    # in all; the sweep walks them as one block per trial, runs below
-    # BLOCK_WALK_ROWS included, and each row must still be the one
-    # per-run simulate calls give, bit for bit
+    # in all; the sweep walks them as one block per trial, the clean runs'
+    # 3 and 4 rows included, and each row must still be the one per-run
+    # simulate calls give, bit for bit
     import securekf.simulator as sim
 
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
@@ -942,8 +944,7 @@ def test_sweep_attack_rows_equal_per_attack_simulate(
                                   trials=trials, horizon=100, seed=0)
     clean = [simulate(*args, AttackSpec(), gamma, 100, 0, trial=trial)
              for trial in range(trials)]
-    assert min((~tr.kalman_equivalent).sum() for tr in clean) \
-        < sim.BLOCK_WALK_ROWS
+    assert [int((~tr.kalman_equivalent).sum()) for tr in clean] == [3, 4]
     for row, magnitude in zip(rows, sim.DEFAULT_MAGNITUDES):
         per_trial = []
         for trial in range(trials):

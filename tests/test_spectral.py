@@ -117,6 +117,30 @@ def test_riccati_stalled_in_rounding_noise_stops_at_its_least_step(
         steady_state_kalman(model)
 
 
+@pytest.mark.parametrize("seed", [2429898066, 3823917490, 262138317,
+                                  3673705259])
+def test_riccati_stalled_above_the_bound_raises_at_once(seed):
+    # these recursions set no new lowest step for RICCATI_STALL iterations
+    # while their steps reach 5.6e-7 to 8.5e-2 of max|P_plus|: they raise
+    # there, naming the stall, instead of running all RICCATI_MAX_ITER
+    # iterations (2.2 s each)
+    import time
+
+    import securekf.spectral as spectral
+
+    model = random_jordan_model(seed, ensure_observable=True)
+    start = time.perf_counter()
+    with pytest.raises(RiccatiDivergenceError, match="stalled") as exc:
+        steady_state_kalman(model)
+    assert time.perf_counter() - start < 1.0
+    message = str(exc.value)
+    iteration = int(message.split("iteration ")[1].split(":")[0])
+    assert spectral.RICCATI_STALL < iteration < spectral.RICCATI_MAX_ITER
+    spread = float(message.split("steps since reach ")[1].split(" ")[0])
+    assert spread > spectral.RICCATI_STALL_RTOL
+    assert exc.value.residual > 0.0
+
+
 # ------------------------------------------- characteristic polynomial
 
 def test_charpoly_scalar():
