@@ -3,8 +3,8 @@
     python3 scripts/csv_parity.py > hashes.txt
 
 Prints one ``sha256  case`` line per case, where the case is the
-``securekf`` command line that made the file (model path and ``--out``
-left out):
+``securekf`` command line that made the file (model path and output
+path left out):
 
 - ``simulate`` at gamma in {0.2, 5, 20, 1000}, seeds 0-2, clean and under
   ``--attack-kind uniform``, with ``--horizon 300``;
@@ -19,7 +19,9 @@ left out):
 - ``sweep-attack --gamma 100`` with ``--trials 2 --horizon 100``: a
   trial leaves 661-740 rows open, but its clean run only 3-4, and those
   rows walk in their trial's block;
-- the ``design`` file.
+- the ``design`` file;
+- the ``analyze --json`` file: the observability structure that the
+  design and the decomposition of one set-up share.
 
 The script imports ``securekf`` from the ``src/`` of the tree it sits in,
 so running it from two checkouts and diffing the output tells whether a
@@ -57,14 +59,17 @@ def cases() -> list[list[str]]:
             for command in ("sweep-gamma", "sweep-attack")]
     out.append(["sweep-attack", "--gamma", "100", "--trials", "2",
                 "--horizon", "100"])
-    return out + [["design"]]
+    return out + [["design"], ["analyze", "--json"]]
 
 
 def digest(case: list[str]) -> str:
-    """SHA-256 of the file the case writes; its console output is dropped."""
+    """SHA-256 of the file the case writes, to the path after its last
+    flag when that is ``--json`` and to ``--out`` otherwise; its console
+    output is dropped."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "out"
-        argv = [case[0], str(MODEL), *case[1:], "--out", str(path)]
+        argv = [case[0], str(MODEL), *case[1:]]
+        argv += [str(path)] if case[-1] == "--json" else ["--out", str(path)]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(argv)

@@ -2,10 +2,15 @@
 
 Each sensor i gets a gain matrix G_i whose row j filters the scalar
 measurement stream through the mode pi_j of the closed-loop matrix
-A - K C A.  Two independent constructions are shipped: ``local_gain_direct``
-solves one resolvent system per row, ``local_gain_factored`` assembles the
-same matrix from the characteristic polynomial of A; each is the test
-oracle of the other.  On top of G_i sit the canonical projectors P_i with
+A - K C A.  Two independent constructions are shipped: ``local_gains``
+solves the m n resolvent rows C_i A (A - pi_j I)^-1 of every sensor as
+one stacked LAPACK call (``local_gain_direct`` is one sensor's slice),
+and ``local_gain_factored`` assembles the same matrix from the
+characteristic polynomial of A; each is the test oracle of the other.
+build_decomposition makes one pass over a design: it reuses the
+observability structure spectral_design derived (cached on the model),
+checks A - pi_j I for invertibility once and solves every gain in that
+one call.  On top of G_i sit the canonical projectors P_i with
 P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern) and the stationary
 covariance Mtilde of the projected residuals: all the estimator reads.
 The fusion weights F_i = V diag(V^-1 K_i) and the unprojected Qtilde,
@@ -26,6 +31,9 @@ import dataclasses
 import logging
 
 import numpy as np
+
+# np.linalg.solve's LAPACK gufunc, called directly on a stack of systems
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .model import SystemModel, observability_matrix, observability_structure
 from .spectral import EIG_SEPARATION, AssumptionError, SpectralDesign
@@ -115,18 +123,27 @@ def _resolvent_guard(model: SystemModel, design: SpectralDesign):
             f"lies {gap[j]:.3e} from the spectrum of A; no per-mode gains")
 
 
+def local_gains(model: SystemModel, design: SpectralDesign) -> np.ndarray:
+    """Every sensor's G_i as an (m, n, n) stack: row j of G_i is
+    C_i A (A - pi_j I)^-1.
+
+    One stacked LAPACK call solves all m n rows, each row's system
+    row @ (A - pi_j I) = C_i A on its own, so every row has the bits of
+    its own np.linalg.solve.  C_i A is formed row by row: one C @ A
+    product gives other bits on some designs.
+    """
+    _resolvent_guard(model, design)
+    n = model.n
+    cA = np.array([model.C[i] @ model.A for i in range(model.m)],
+                  dtype=complex)
+    shifted = model.A.astype(complex) - design.Pi[:, None, None] * np.eye(n)
+    return _solve1(shifted.transpose(0, 2, 1), cA[:, None, :])
+
+
 def local_gain_direct(model: SystemModel, design: SpectralDesign,
                       i: int) -> np.ndarray:
-    """G_i with row j = C_i A (A - pi_j I)^-1, one linear solve per row."""
-    _resolvent_guard(model, design)
-    A = model.A.astype(complex)
-    cA = (model.C[i] @ model.A).astype(complex)
-    n = model.n
-    G = np.empty((n, n), dtype=complex)
-    for j, pi_j in enumerate(design.Pi):
-        # row solves row @ (A - pi_j I) = C_i A
-        G[j] = np.linalg.solve((A - pi_j * np.eye(n)).T, cA)
-    return G
+    """G_i with row j = C_i A (A - pi_j I)^-1: sensor i of local_gains."""
+    return local_gains(model, design)[i]
 
 
 def local_gain_factored(model: SystemModel, design: SpectralDesign,
@@ -333,38 +350,43 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
 
 def build_decomposition(model: SystemModel,
                         design: SpectralDesign) -> SensorDecomposition:
-    """Assemble the per-sensor decomposition for a validated design."""
+    """Assemble the per-sensor decomposition for a validated design.
+
+    One pass over the design: the observability structure is the one
+    spectral_design derived (cached on the model), the resolvent guard
+    runs once, local_gains solves every sensor's gain rows in one stacked
+    call, and the filter identity G_i A = Pi G_i + 1 C_i A is checked on
+    the stack; then each sensor gets its canonical projector, and the
+    residual covariance and the realification follow.
+    """
     structure = observability_structure(model)
     pair = conjugate_pairing(design.Pi)
     n, m = model.n, model.m
-    ones = np.ones((n, 1))
-
-    G_list, H_list, P_list = [], [], []
-    for i in range(m):
-        G_i = local_gain_direct(model, design, i)
-        # mode-by-mode filter identity: G_i A = Pi G_i + 1 C_i A
-        drift = float(np.abs(G_i @ model.A - design.Pi[:, None] * G_i
-                             - ones @ (model.C[i:i + 1] @ model.A)).max())
-        assert drift <= CANONICAL_RTOL * max(1.0, float(np.abs(G_i).max())), \
-            f"sensor {i}: per-mode gain identity residual {drift:.3e}"
-        P_i, H_i = canonical_projector(G_i, structure.covered_states(i), pair,
-                                       i)
-        G_list.append(G_i)
-        H_list.append(H_i)
-        P_list.append(P_i)
+    G = local_gains(model, design)
+    # mode-by-mode filter identity G_i A = Pi G_i + 1 C_i A, every sensor
+    # at once (a check: its C A need not have the gains' bits)
+    drift = np.abs(G @ model.A - design.Pi[:, None] * G
+                   - (model.C @ model.A)[:, None, :]).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2)))
+    i = int((drift / scale).argmax())
+    assert drift[i] <= CANONICAL_RTOL * scale[i], \
+        f"sensor {i}: per-mode gain identity residual {drift[i]:.3e}"
 
     Ptilde = np.zeros((m * n, m * n), dtype=complex)
-    for i, P_i in enumerate(P_list):
+    H_list = []
+    for i in range(m):
+        P_i, H_i = canonical_projector(G[i], structure.covered_states(i), pair,
+                                       i)
         Ptilde[i * n:(i + 1) * n, i * n:(i + 1) * n] = P_i
-    _, _, Mtilde, _, delta = residual_covariances(
-        model, design, G_list, Ptilde)
+        H_list.append(H_i)
+    _, _, Mtilde, _, delta = residual_covariances(model, design, G, Ptilde)
     T = realification_map(pair)
     T_b = np.kron(np.eye(m), T)
     Mtilde = _real(Mtilde, "Mtilde")
     return SensorDecomposition(
         bank=_real((T * design.Pi) @ T.conj().T, "bank"),
         bank_input=_real(T.sum(axis=1), "bank_input"),
-        G_stack=_real(T_b @ np.vstack(G_list), "T_b G"),
+        G_stack=_real(T_b @ G.reshape(m * n, n), "T_b G"),
         H_stack=np.vstack(H_list),
         Ptilde=_real(Ptilde @ T_b.conj().T, "Ptilde T_b^H"),
         Mtilde=Mtilde, Mtilde_factor=factor_mtilde(Mtilde, delta),

@@ -355,7 +355,9 @@ def lasso_paths(problem, d_rows, gamma):
     passed root (negative join time) fires at once, drop times are
     max(0, -nu_q / w_q), a drop wins a tie with a join, and a dropped
     coordinate sits on its own-sign root at t = 0, so that root alone
-    stays blocked, for one segment.
+    stays blocked, for one segment.  A row whose last active coordinate
+    dropped is back at nu = 0: there c = c_ls, every rate is 1, nothing
+    can drop, and it solves nothing before its passed root fires.
 
     Each round moves every live row one breakpoint, and a row that
     reaches gamma leaves the block.  The live rows are grouped by active
@@ -390,32 +392,36 @@ def lasso_paths(problem, d_rows, gamma):
         done = np.zeros(r, dtype=bool)
         for k in set(live_size.tolist()):
             g = live[live_size == k]
+            rows = np.arange(len(g))
             on = sign[g] != 0.0
-            act = on.nonzero()[1].reshape(-1, k)
-            s_act = sign[g][on].reshape(-1, k)
-            nu_act = nu[g][on].reshape(-1, k)
-            cols = np.ascontiguousarray(S_pm_t[act].transpose(0, 2, 1))
-            S_aa = S_pm[act[:, :, None], act[:, None, :]]
-            w = _solve1(S_aa, s_act)
-            for q in np.isnan(w[:, 0]).nonzero()[0]:
-                w[q] = np.linalg.lstsq(S_aa[q], s_act[q], rcond=None)[0]
-            c2 = c2_ls[g] - np.matmul(cols, nu_act[:, :, None])[:, :, 0]
-            rate = 1.0 - np.matmul(cols, w[:, :, None])[:, :, 0]
+            act = on.nonzero()[1].reshape(len(g), k)
+            s_act = sign[g][on].reshape(len(g), k)
+            nu_act = nu[g][on].reshape(len(g), k)
+            if k:
+                cols = np.ascontiguousarray(S_pm_t[act].transpose(0, 2, 1))
+                S_aa = S_pm[act[:, :, None], act[:, None, :]]
+                w = _solve1(S_aa, s_act)
+                for q in np.isnan(w[:, 0]).nonzero()[0]:
+                    w[q] = np.linalg.lstsq(S_aa[q], s_act[q], rcond=None)[0]
+                c2 = c2_ls[g] - np.matmul(cols, nu_act[:, :, None])[:, :, 0]
+                rate = 1.0 - np.matmul(cols, w[:, :, None])[:, :, 0]
+                drop = -nu_act / w
+                drop = np.where(w * s_act < 0.0,
+                                np.where(drop > 0.0, drop, 0.0), np.inf)
+                i = drop.argmin(axis=1)
+                t_drop = drop[rows, i]
+            else:       # an empty active set: nu = 0
+                w, c2, rate = nu_act, c2_ls[g], np.ones((len(g), 2 * mn))
+                i, t_drop = np.zeros(len(g), dtype=int), np.full(len(g), np.inf)
             lam_g = lam[g]
             join = (lam_g[:, None] - c2) / rate
             join[(rate <= TIE_RATE) | blocked[g]] = np.inf
-            rows = np.arange(len(g))
             root_g = join.argmin(axis=1)
             t_join = join[rows, root_g]
             passed = t_join <= 0.0
             if passed.any():
                 root_g[passed] = (join[passed] <= 0.0).argmax(axis=1)
                 t_join[passed] = 0.0
-            drop = -nu_act / w
-            drop = np.where(w * s_act < 0.0,
-                            np.where(drop > 0.0, drop, 0.0), np.inf)
-            i = drop.argmin(axis=1)
-            t_drop = drop[rows, i]
             # t = min(t_join, t_drop, gap), as Python's min takes it
             gap = lam_g - gamma
             t = np.where(t_drop < t_join, t_drop, t_join)
@@ -429,7 +435,7 @@ def lasso_paths(problem, d_rows, gamma):
             blocked[g[release], held[g[release]]] = False
             held[g] = -1
             dropped = ~end & (t_drop <= t_join)
-            gd, kd = g[dropped], act[rows, i][dropped]
+            gd, kd = g[dropped], act[rows[dropped], i[dropped]]
             hd = np.where(sign[gd, kd] > 0.0, kd, kd + mn)
             nu[gd, kd] = sign[gd, kd] = 0.0
             size[gd] -= 1

@@ -28,6 +28,7 @@ on any p sensors iff s >= 2 p.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 
@@ -56,7 +57,8 @@ class SystemModel:
 
     B and K_lqr are optional: B defaults to a zero column (no control
     authority) and K_lqr to None (zero input).  Attributes are plain
-    float ndarrays; no copy protection beyond convention.
+    float ndarrays; no copy protection beyond convention, which the
+    cached structure relies on.
     """
 
     A: np.ndarray
@@ -101,6 +103,25 @@ class SystemModel:
         if self.sensor_labels is not None:
             return self.sensor_labels
         return tuple(f"sensor {i + 1}" for i in range(self.m))
+
+    @functools.cached_property
+    def structure(self) -> ObservabilityStructure:
+        """Support sets and sparse observability index of (A, C), derived
+        on first use and kept: observability_structure returns it.
+
+        A column of O_i counts as nonzero when its 2-norm exceeds
+        OBSERVABILITY_RTOL * ||O_i||_F, so an all-zero sensor row covers
+        nothing.
+        """
+        obs = tuple(observability_matrix(self.A, self.C[i])
+                    for i in range(self.m))
+        thresholds = [OBSERVABILITY_RTOL * np.linalg.norm(O) for O in obs]
+        support = tuple(
+            tuple(i for i in range(self.m)
+                  if np.linalg.norm(obs[i][:, j]) > thresholds[i])
+            for j in range(self.n))
+        return ObservabilityStructure(support,
+                                      min(len(s) for s in support) - 1)
 
 
 def _as_matrix(key: str, value, ndim=2) -> np.ndarray:
@@ -351,22 +372,12 @@ def observability_matrix(A: np.ndarray, C_row: np.ndarray, depth: int | None = N
 
 
 def observability_structure(model: SystemModel) -> ObservabilityStructure:
-    """Compute support sets and the sparse observability index.
+    """Support sets and the sparse observability index of the model.
 
-    A column of O_i counts as nonzero when its 2-norm exceeds
-    OBSERVABILITY_RTOL * ||O_i||_F, so an all-zero sensor row covers nothing.
+    Derived once per model (SystemModel.structure): the design and the
+    decomposition of one set-up share it.
     """
-    A, C = model.A, model.C
-    n, m = model.n, model.m
-    obs = tuple(observability_matrix(A, C[i]) for i in range(m))
-    support = []
-    thresholds = [OBSERVABILITY_RTOL * np.linalg.norm(O) for O in obs]
-    for j in range(n):
-        members = tuple(i for i in range(m)
-                        if np.linalg.norm(obs[i][:, j]) > thresholds[i])
-        support.append(members)
-    sparse_index = min(len(s) for s in support) - 1
-    return ObservabilityStructure(tuple(support), sparse_index)
+    return model.structure
 
 
 def brute_force_sparse_index(model: SystemModel) -> int:

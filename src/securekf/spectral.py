@@ -16,6 +16,10 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+# np.linalg.solve's LAPACK gufunc for a matrix right-hand side, called
+# directly: the same bits without that function's per-call checks, and a
+# singular matrix fills its answer with NaN instead of raising
+from numpy.linalg._umath_linalg import solve as _solve
 
 from .model import SystemModel, observability_structure
 
@@ -85,7 +89,12 @@ def steady_state_kalman(model: SystemModel):
     (P, P_plus, K, residual) where P_plus = A P A' + Q and K are recomputed
     from the converged P, so those two defining equations hold to machine
     precision and the reported residual measures only the remaining
-    fixed-point gap ||(I - K C) P_plus - P||_maxabs.
+    fixed-point gap ||(I - K C) P_plus - P||_maxabs.  Each gain solve
+    calls np.linalg.solve's LAPACK gufunc directly, with that function's
+    bits.  S = C P_plus C' + R is positive definite for a validated
+    model; a singular S gives a NaN gain, not a LinAlgError, and in the
+    recursion that NaN raises RiccatiDivergenceError as a non-finite
+    iterate.
     """
     A, C, Q, R = model.A, model.C, model.Q, model.R
     n = model.n
@@ -94,13 +103,13 @@ def steady_state_kalman(model: SystemModel):
     def half_step(P):
         P_plus = A @ P @ A.T + Q
         S = C @ P_plus @ C.T + R
-        K = np.linalg.solve(S, C @ P_plus).T
+        K = _solve(S, C @ P_plus).T
         P_new = (I - K @ C) @ P_plus
         return 0.5 * (P_new + P_new.T), P_plus
 
     # P(0 | -1) = Sigma: apply the measurement update first
     S0 = C @ model.Sigma @ C.T + R
-    K0 = np.linalg.solve(S0, C @ model.Sigma).T
+    K0 = _solve(S0, C @ model.Sigma).T
     P = (I - K0 @ C) @ model.Sigma
     P = 0.5 * (P + P.T)
 
@@ -139,7 +148,7 @@ def steady_state_kalman(model: SystemModel):
     S = C @ P_plus @ C.T + R
     # C-contiguous copy: a transpose view picks a different BLAS path,
     # so serialized designs would not reproduce traces bit for bit
-    K = np.ascontiguousarray(np.linalg.solve(S, C @ P_plus).T)
+    K = np.ascontiguousarray(_solve(S, C @ P_plus).T)
     residual = float(np.abs((I - K @ C) @ P_plus - P).max())
     return P, P_plus, K, residual
 

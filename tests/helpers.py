@@ -22,7 +22,7 @@ from securekf import (assemble_canonical_measurement, attack_sequence,
                       local_estimator_step, psd_factor, secure_fuse,
                       spectral_design)
 from securekf.decomposition import (canonical_projector, conjugate_pairing,
-                                    local_gain_direct, realification_map)
+                                    local_gains, realification_map)
 from securekf.fusion import KKT_TOL, MAX_BREAKPOINTS, TIE_RATE, FusionResult
 from securekf.model import SystemModel, observability_structure
 from securekf.simulator import trial_generators
@@ -112,7 +112,7 @@ def mode_coordinates(model, design):
     realification map T it then applies to each sensor."""
     structure = observability_structure(model)
     pair = conjugate_pairing(design.Pi)
-    G = [local_gain_direct(model, design, i) for i in range(model.m)]
+    G = list(local_gains(model, design))
     P = [canonical_projector(G_i, structure.covered_states(i), pair)[0]
          for i, G_i in enumerate(G)]
     return G, P, realification_map(pair)
@@ -321,6 +321,8 @@ def _reference_lasso_path(S, Y, c_ls, gamma, history):
             drop = -nu_act / w
             drop[w * s_act >= 0.0] = np.inf
             np.maximum(drop, 0.0, out=drop)
+            # an empty active set (its last coordinate dropped) has no drop
+            drop = np.append(drop, np.inf)
             root, i = int(join.argmin()), int(drop.argmin())
             t = min(join[root], drop[i])
             if t >= lam - gamma:

@@ -436,6 +436,24 @@ def test_simulate_writes_trace_csv(pendulum_path, tmp_path, capsys):
     assert lines[0].endswith("solver_iters,kkt_residual,solver_warn")
 
 
+def test_simulate_walks_that_empty_their_active_set(tmp_path, capsys):
+    # random_jordan_model(8) passes validate_model, but its S is rounding
+    # and walks drop their last active coordinate
+    # (test_walk_goes_on_after_its_last_active_coordinate_drops): the run
+    # still ends in finite traces, some steps flagged unconverged
+    model = random_jordan_model(8, ensure_observable=True)
+    path = write_model(tmp_path, "jordan.json", {
+        key: getattr(model, key).tolist()
+        for key in ("A", "C", "Q", "R", "Sigma")})
+    for gamma, unconverged in (("0.1", 21), ("1", 18), ("5", 11)):
+        out = tmp_path / f"trace-{gamma}.csv"
+        assert main(["simulate", path, "--gamma", gamma, "--horizon", "120",
+                     "--seed", "8", "--out", str(out)]) == 0
+        assert f"{unconverged} step(s) did not converge" in \
+            capsys.readouterr().out
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+
+
 def test_simulate_stdout_when_no_out(pendulum_path, capsys):
     assert main(["simulate", str(pendulum_path), "--horizon", "60"]) == 0
     captured = capsys.readouterr()

@@ -17,6 +17,7 @@ from securekf.decomposition import (
     fusion_weights,
     local_gain_direct,
     local_gain_factored,
+    local_gains,
     realification_map,
     residual_covariances,
 )
@@ -73,6 +74,24 @@ def test_scalar_gain_resolvent():
     assert np.abs(G - 4.0 / 3.0).max() < 1e-12
     G_f = local_gain_factored(model, design, 0)
     assert np.abs(G_f - 4.0 / 3.0).max() < 1e-12
+
+
+def test_stacked_gains_bit_equal_to_per_row_solves():
+    # local_gains solves every sensor's rows in one stacked LAPACK call;
+    # each row has the bits of its own np.linalg.solve of C_i A against
+    # (A - pi_j I)^T, and local_gain_direct is its sensor's slice
+    for model, design in observable_designs(150, start=1000):
+        G = local_gains(model, design)
+        n = model.n
+        assert G.shape == (model.m, n, n)
+        A = model.A.astype(complex)
+        for i in range(model.m):
+            cA = (model.C[i] @ model.A).astype(complex)
+            for j, pi_j in enumerate(design.Pi):
+                row = np.linalg.solve((A - pi_j * np.eye(n)).T, cA)
+                assert G[i, j].tobytes() == row.tobytes()
+            assert local_gain_direct(model, design, i).tobytes() == \
+                G[i].tobytes()
 
 
 def test_factored_gain_hand_expansion():

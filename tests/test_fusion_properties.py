@@ -331,7 +331,7 @@ def attacked_pendulum_problem_and_rows(model, design, dec):
        m_sensors=st.integers(2, 5), coverage=st.booleans(),
        log_gamma=st.floats(float(np.log(0.05)), float(np.log(5.0))),
        data=st.data())
-def test_warm_support_cache_bit_equal_to_reference(seed, n, m_sensors,
+def test_revisited_supports_bit_equal_to_reference(seed, n, m_sensors,
                                                    coverage, log_gamma,
                                                    data):
     # rows that spike the same coordinates revisit the same signed
@@ -362,7 +362,7 @@ def test_warm_support_cache_bit_equal_to_reference(seed, n, m_sensors,
             assert_bit_equal(problem, rows[r], gamma)
 
 
-def test_support_cache_order_does_not_change_answers(
+def test_solve_order_does_not_change_answers(
         pendulum_model, pendulum_design, pendulum_decomposition):
     # two problems, one solving the rows forward and one in reverse, must
     # answer bit for bit alike
@@ -388,7 +388,7 @@ def open_and_screened_rows(model, design, dec, count=6):
 
 
 @pytest.mark.parametrize("gammas", [(1000.0, 20.0), (20.0, 1000.0)])
-def test_ls_split_cache_bit_equal_at_every_gamma_order(
+def test_split_row_bit_equal_at_every_gamma_order(
         gammas, pendulum_model, pendulum_design, pendulum_decomposition):
     # a row fused at two gammas with its row of the block split, as
     # simulate hands it over: each must be the reference's bits on every
@@ -405,7 +405,7 @@ def test_ls_split_cache_bit_equal_at_every_gamma_order(
         assert second.kalman_equivalent is (gammas[1] == 1000.0)
 
 
-def test_ls_split_cache_shares_only_read_only_arrays(
+def test_split_row_results_share_only_read_only_arrays(
         pendulum_model, pendulum_design, pendulum_decomposition):
     # results for one row at several gammas share x_ls, and mu when
     # screened, read-only rows of the split; x_tilde and nu are fresh and
@@ -560,6 +560,31 @@ def test_block_walk_bit_equal_to_lone_walk_and_reference(
     for t, walk in zip(open_rows, fused.rows()):
         got = secure_fuse(problem, rollout.Y[t], gamma, split=split.rows[t],
                           walk=walk)
+        want = reference_secure_fuse(problem, rollout.Y[t], gamma)
+        assert result_bytes(got) == result_bytes(want)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 5.0])
+def test_walk_goes_on_after_its_last_active_coordinate_drops(gamma):
+    # random_jordan_model(8) (n = 4, m = 1) passes validate_model, but its
+    # S is rounding, so walks drop their last active coordinate; from
+    # nu = 0, where c = c_ls and every rate is 1, the passed root fires.
+    # Every open row of a clean run walks to the reference's bits, and
+    # secure_fuse answers with the reference's bits
+    model = random_jordan_model(8, ensure_observable=True)
+    design = spectral_design(model)
+    dec = build_decomposition(model, design)
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    assert (model.n, model.m) == (4, 1)
+    assert np.abs(problem.S).max() < 1e-13
+    rollout = _rollout(model, design, dec, problem, AttackSpec(), 120, 8, 0)
+    split = rollout.split
+    open_rows = (split.statistic > gamma).nonzero()[0]
+    assert len(open_rows) > 0
+    assert_walks_equal_lone(problem, rollout.Y[open_rows],
+                            split.d[open_rows], gamma)
+    for t in open_rows[:10]:
+        got = secure_fuse(problem, rollout.Y[t], gamma, split=split.rows[t])
         want = reference_secure_fuse(problem, rollout.Y[t], gamma)
         assert result_bytes(got) == result_bytes(want)
 

@@ -222,6 +222,17 @@ def test_pendulum_support_sets(pendulum_model):
     assert structure.covered_states(3) == (2, 3)
 
 
+def test_structure_is_derived_once_per_model(pendulum_path):
+    # the design and the decomposition of one set-up share one structure;
+    # a new model derives its own, equal one
+    model = load_model(pendulum_path)
+    first = observability_structure(model)
+    assert observability_structure(model) is first is model.structure
+    other = load_model(pendulum_path)
+    assert observability_structure(other) is not first
+    assert observability_structure(other) == first
+
+
 def test_pendulum_resilience(pendulum_model):
     structure = observability_structure(pendulum_model)
     cert = certify_resilience(structure, p=1)
