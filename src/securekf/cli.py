@@ -277,7 +277,10 @@ def _parse_grid(text, what):
 
 
 def _check_burn_in(args) -> None:
-    """Refuse a --burn-in that leaves no step of the run to average."""
+    """Refuse a --horizon below 1, then a --burn-in that leaves no step of
+    the run to average."""
+    if args.horizon < 1:
+        raise ValueError(f"--horizon must be at least 1, got {args.horizon}")
     if args.burn_in < 0:
         raise ValueError(f"--burn-in must be nonnegative, got {args.burn_in}")
     if args.burn_in > args.horizon:

@@ -4,15 +4,17 @@ Each sensor i gets a gain matrix G_i whose row j filters the scalar
 measurement stream through the mode pi_j of the closed-loop matrix
 A - K C A.  Two independent constructions are shipped: ``local_gains``
 solves the m n resolvent rows C_i A (A - pi_j I)^-1 of every sensor as
-one stacked LAPACK call (``local_gain_direct`` is one sensor's slice),
-and ``local_gain_factored`` assembles the same matrix from the
+one stacked LAPACK call (sensor i's G_i is its slice i), and
+``local_gain_factored`` assembles the same matrix from the
 characteristic polynomial of A; each is the test oracle of the other.
 build_decomposition makes one pass over a design: it reuses the
 observability structure spectral_design derived (cached on the model),
-checks A - pi_j I for invertibility once and solves every gain in that
-one call.  On top of G_i sit the canonical projectors P_i with
-P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern) and the stationary
-covariance Mtilde of the projected residuals: all the estimator reads.
+checks A - pi_j I for invertibility once, solves every gain in that
+one call and builds one realification map for every sensor's projector
+and the realified arrays.  On top of G_i sit the canonical projectors
+P_i with P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern) and the
+stationary covariance Mtilde of the projected residuals: all the
+estimator reads.
 The fusion weights F_i = V diag(V^-1 K_i) and the unprojected Qtilde,
 Wtilde are not stored; ``fusion_weights`` and ``residual_covariances``
 compute them on demand.
@@ -140,12 +142,6 @@ def local_gains(model: SystemModel, design: SpectralDesign) -> np.ndarray:
     return _solve1(shifted.transpose(0, 2, 1), cA[:, None, :])
 
 
-def local_gain_direct(model: SystemModel, design: SpectralDesign,
-                      i: int) -> np.ndarray:
-    """G_i with row j = C_i A (A - pi_j I)^-1: sensor i of local_gains."""
-    return local_gains(model, design)[i]
-
-
 def local_gain_factored(model: SystemModel, design: SpectralDesign,
                         i: int) -> np.ndarray:
     """G_i assembled from the characteristic polynomial of A.
@@ -166,13 +162,15 @@ def local_gain_factored(model: SystemModel, design: SpectralDesign,
 
 
 def canonical_projector(G_i: np.ndarray, covered,
-                        pair: np.ndarray | None = None, i: int | None = None):
+                        T: np.ndarray | None = None, i: int | None = None):
     """Invertible P_i with P_i G_i = H_i = diag(coverage pattern).
 
     covered lists the states sensor i observes; those columns of G_i form
-    the basis B, mapped through the realification T so the completion can
-    run over the reals.  The completion picks canonical basis vectors by
-    largest residual norm (ties broken by smallest index), which pins a
+    the basis B, mapped through T, the realification_map of the modes'
+    conjugate pairing (the identity when None: real modes), so the
+    completion can run over the reals.  The completion picks canonical
+    basis vectors by largest residual norm (ties broken by smallest
+    index), which pins a
     deterministic P_i.  P_i inherits the conjugate-pair equivariance of
     G_i, which keeps the fused problem data real in exact arithmetic.
     A rank-deficient basis or an ill-conditioned P_i raises
@@ -189,9 +187,8 @@ def canonical_projector(G_i: np.ndarray, covered,
             raise ValueError(
                 f"column {j} of G_i is nonzero but state {j} is marked uncovered")
 
-    if pair is None:
-        pair = np.arange(n)
-    T = realification_map(pair)
+    if T is None:
+        T = np.eye(n, dtype=complex)
 
     B = G_i[:, covered]
     B_real = T @ B
@@ -356,11 +353,12 @@ def build_decomposition(model: SystemModel,
     spectral_design derived (cached on the model), the resolvent guard
     runs once, local_gains solves every sensor's gain rows in one stacked
     call, and the filter identity G_i A = Pi G_i + 1 C_i A is checked on
-    the stack; then each sensor gets its canonical projector, and the
-    residual covariance and the realification follow.
+    the stack; then each sensor gets its canonical projector, through the
+    one realification map T, and the residual covariance and the
+    realification follow.
     """
     structure = observability_structure(model)
-    pair = conjugate_pairing(design.Pi)
+    T = realification_map(conjugate_pairing(design.Pi))
     n, m = model.n, model.m
     G = local_gains(model, design)
     # mode-by-mode filter identity G_i A = Pi G_i + 1 C_i A, every sensor
@@ -375,12 +373,11 @@ def build_decomposition(model: SystemModel,
     Ptilde = np.zeros((m * n, m * n), dtype=complex)
     H_list = []
     for i in range(m):
-        P_i, H_i = canonical_projector(G[i], structure.covered_states(i), pair,
+        P_i, H_i = canonical_projector(G[i], structure.covered_states(i), T,
                                        i)
         Ptilde[i * n:(i + 1) * n, i * n:(i + 1) * n] = P_i
         H_list.append(H_i)
     _, _, Mtilde, _, delta = residual_covariances(model, design, G, Ptilde)
-    T = realification_map(pair)
     T_b = np.kron(np.eye(m), T)
     Mtilde = _real(Mtilde, "Mtilde")
     return SensorDecomposition(

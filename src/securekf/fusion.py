@@ -22,19 +22,20 @@ to gamma, and ends after finitely many breakpoints on the exact support.
 Everything here runs in real arithmetic: the decomposition is realified
 once, when it is built, so the bank, its canonical measurement Y, H and
 Mtilde are real arrays.  FusionProblem owns the operators every step
-shares (the least-squares split of a block of measurements or of one
-row, and the threshold statistic); complex problem data are
-rejected when the problem is built, and a complex Y when it is fused.
+shares (the least-squares split of a block of measurements, and the
+threshold statistic); complex problem data are rejected when the
+problem is built, and a complex Y when it is fused.
 lasso_paths is the one homotopy walk: it walks the open rows of a block
 together, one breakpoint per round, and row i gets the bits it has in a
 block of one.  fuse_open walks a block's open rows that way, at most
 MAX_BLOCK_ROWS per call, and forms every row's x_tilde, mu and KKT
-residual with stacked products.  secure_fuse takes such a row (its walk),
-or fuses its open row as a block of one when it is given none, and only
-refines it, when its KKT residual misses the tolerance, and builds its
-FusionResult.  The module needs numpy alone: Minv comes from the
-covariance's Cholesky factor, and the homotopy's small solves call
-numpy's LAPACK gufunc directly, on a stack of matrices at a time.
+residual with stacked products.  secure_fuse takes a row of a split and
+a row of such a walk, or splits and fuses its Y as a block of one when
+it is given none, and only refines the walk's answer, when its KKT
+residual misses the tolerance, and builds its FusionResult.  The module
+needs numpy alone: Minv comes from the covariance's Cholesky factor, and
+the homotopy's small solves call numpy's LAPACK gufunc directly, on a
+stack of matrices at a time.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ class FusionResult(NamedTuple):
     its last point.  The fields cannot be set, and their order is part of
     the API: simulate unpacks the results of a run by position.  x_ls,
     and mu on a screened step, are read-only rows of the least-squares
-    split (FusionProblem.split), which results that were passed the same
-    split share.  On an open step x_tilde, mu and nu are always one row's
-    views of a block's arrays (fuse_open, whose block is the row alone
-    when secure_fuse was handed no walk), unless the refinement step
-    replaced them; each row belongs to one result.  On a screened step
+    split (FusionProblem.split, whose block is Y alone when secure_fuse
+    was handed no split), which results that were passed the same split
+    share.  On an open step x_tilde, mu and nu are always one row's views
+    of a block's arrays (fuse_open, whose block is the row alone when
+    secure_fuse was handed no walk), unless the refinement step replaced
+    them; each row belongs to one result.  On a screened step
     x_tilde and nu are fresh arrays.
     """
 
@@ -201,13 +203,13 @@ class FusionProblem:
     """Real operators shared by every fusion solve on one design.
 
     least_squares takes one measurement Y of length mn, or an (h, mn)
-    block with one measurement per row, and answers per row;
-    split takes a block and split_row one row.  Both least_squares and
-    split form each row's products as the row form would (_rows_dot), so
-    row t of a block's answer has the bits of the answer on Y[t] alone,
-    which split_row gives with plain 1-D products.  S is a view of the top
-    half of S_pm = [S; -S], which the homotopy reads.  The problem holds
-    its operators and nothing else: no call changes it.
+    block with one measurement per row, and answers per row; split takes
+    a block, and a lone row as a block of one.  Both form each row's
+    products as the row form would (_rows_dot), so row t of a block's
+    answer has the bits of the answer on Y[t] alone, whatever the block.
+    S is a view of the top half of S_pm = [S; -S], which the homotopy
+    reads.  The problem holds its operators and nothing else: no call
+    changes it.
     """
 
     H: np.ndarray          # mn x n
@@ -227,7 +229,7 @@ class FusionProblem:
         the (h, mn) block Y, which every gamma's solve on that row reads.
 
         The first row whose statistic is not finite raises ValueError, with
-        the message split_row gives on that row alone (_refuse).
+        the message that row gives in a block of one (_refuse).
         """
         if Y.ndim != 2:
             raise ValueError(f"split takes an (h, mn) block, got shape "
@@ -243,24 +245,6 @@ class FusionProblem:
             a.setflags(write=False)
         rows = list(zip(x_ls, mu_ls, d, statistic.tolist(), kkt.tolist()))
         return LeastSquaresSplit(x_ls, mu_ls, d, statistic, kkt, rows, self)
-
-    def split_row(self, y):
-        """The split of one measurement row y of length mn, as the tuple
-        (x_ls, mu_ls, d, statistic, kkt) that split gives as rows[t] for
-        a block whose row t is y, with the same bits and the same
-        ValueError; its arrays are read-only too.  Plain 1-D products
-        cost a quarter of a one-row block's stacked ones.
-        """
-        x_ls = y.dot(self.wls_op.T)
-        mu_ls = y - x_ls.dot(self.H.T)
-        d = self.Minv.dot(mu_ls)
-        statistic = float(np.maximum.reduce(np.abs(d)))
-        if not math.isfinite(statistic):
-            _refuse(y)
-        for a in (x_ls, mu_ls, d):
-            a.setflags(False)   # write=False, passed by position: 4x faster
-        return (x_ls, mu_ls, d, statistic,
-                max(map(abs, self.Ht.dot(d).tolist())))
 
 
 def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
@@ -502,7 +486,7 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,
     block whose row t is Y; it is not checked.  A simulator rollout
     carries the split of its whole block, and simulate passes each step
     its row, so a screened step only tests the row's statistic against
-    gamma.  Without it, Y is split alone (problem.split_row).  walk, when
+    gamma.  Without it, Y is split as a block of one.  walk, when
     given, must be row i of fuse_open(problem, block, d, gamma), as
     fuse_open(...).rows()[i] gives it, for a block whose row i is Y; it is
     not checked either.  simulate fuses a run's open rows as one block (a
@@ -524,7 +508,7 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,
                              "complex one")
         Y = Y.astype(float, copy=False).reshape(-1)
     if split is None:
-        split = problem.split_row(Y)
+        split = problem.split(Y[None]).rows[0]
     x_ls, mu_ls, d_ls, statistic, kkt = split
     if statistic <= gamma:
         return FusionResult(x_ls.copy(), mu_ls, np.zeros(len(Y)), kkt, 0,

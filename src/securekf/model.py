@@ -359,13 +359,12 @@ class ObservabilityStructure:
         return tuple(j for j, s in enumerate(self.support) if sensor in s)
 
 
-def observability_matrix(A: np.ndarray, C_row: np.ndarray, depth: int | None = None):
-    """Stack [c; cA; ...; cA^(depth-1)] for a single sensor row c."""
+def observability_matrix(A: np.ndarray, C_row: np.ndarray):
+    """Stack [c; cA; ...; cA^(n-1)] for a single sensor row c."""
     n = A.shape[0]
-    depth = n if depth is None else depth
-    rows = np.empty((depth, n))
+    rows = np.empty((n, n))
     row = np.asarray(C_row, dtype=float).reshape(n)
-    for k in range(depth):
+    for k in range(n):
         rows[k] = row
         row = row @ A
     return rows

@@ -183,8 +183,12 @@ class SimulationTrace:
 def trial_generators(seed, trial):
     """Four independent Philox streams for one (seed, trial) pair.
 
-    Order: initial state, process noise, measurement noise, attack.
+    Order: initial state, process noise, measurement noise, attack.  A
+    negative seed or trial raises ValueError naming both.
     """
+    if seed < 0 or trial < 0:
+        raise ValueError(f"seed and trial must be nonnegative, got seed "
+                         f"{seed}, trial {trial}")
     children = np.random.SeedSequence((seed, trial)).spawn(4)
     return tuple(np.random.Generator(np.random.Philox(c)) for c in children)
 
@@ -356,8 +360,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
     walk whose row count differs from the run's open rows raises
     ValueError; its rows are not checked otherwise.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    _check_horizon(horizon)
     check_gamma(gamma)
     if rollout is None:
         if problem is None:
@@ -417,9 +420,11 @@ def empirical_equivalence_probability(model: SystemModel,
     screen secure_fuse tests, to the bit),
     and returns (probability, standard error) with the standard error
     taken across trials.  A negative burn_in raises ValueError, as does
-    one that leaves no step k > burn_in.
+    one that leaves no step k > burn_in, and so does a trial count below 1.
     """
     check_gamma(gamma)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     _check_burn_in(burn_in)
     if horizon <= burn_in:
         raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
@@ -461,6 +466,12 @@ class MseReport:
     samples: int
 
 
+def _check_horizon(horizon) -> None:
+    """Raise ValueError for a horizon below 1, which runs no step."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+
+
 def _check_burn_in(burn_in) -> None:
     """Raise ValueError for a negative burn-in, which would keep every step."""
     if burn_in < 0:
@@ -469,7 +480,8 @@ def _check_burn_in(burn_in) -> None:
 
 def _tail(horizon, burn_in) -> np.ndarray:
     """Mask of the steps k = 1..horizon at or after burn_in; ValueError
-    when burn_in is negative or leaves no step."""
+    when the horizon is below 1, or burn_in is negative or leaves no step."""
+    _check_horizon(horizon)
     _check_burn_in(burn_in)
     if burn_in > horizon:
         raise ValueError(f"horizon {horizon} leaves no samples at or after "
@@ -640,8 +652,8 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     simulated with its part of its batch; a batch without open rows
     walks nothing.  A trial holds only its own
     rollouts, and one batch's answers at a time.  Every run shares one
-    FusionProblem.  Bad gammas and a burn-in that leaves no step are
-    refused before any rollout.
+    FusionProblem.  Bad gammas, a horizon below 1 and a burn-in that
+    leaves no step are refused before any rollout.
     """
     for _, _, gamma in points:
         check_gamma(gamma)

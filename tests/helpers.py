@@ -111,11 +111,11 @@ def mode_coordinates(model, design):
     build_decomposition computes them before it realifies, and the
     realification map T it then applies to each sensor."""
     structure = observability_structure(model)
-    pair = conjugate_pairing(design.Pi)
+    T = realification_map(conjugate_pairing(design.Pi))
     G = list(local_gains(model, design))
-    P = [canonical_projector(G_i, structure.covered_states(i), pair)[0]
+    P = [canonical_projector(G_i, structure.covered_states(i), T)[0]
          for i, G_i in enumerate(G)]
-    return G, P, realification_map(pair)
+    return G, P, T
 
 
 def reference_complex_rollout(model, design, u, y):

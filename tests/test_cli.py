@@ -518,6 +518,32 @@ def test_burn_in_without_samples_exit_2_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon, burn_in", [("0", "0"), ("-5", "50")])
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma",
+                                     "sweep-attack"])
+def test_horizon_below_1_exit_2_before_any_output(
+        command, horizon, burn_in, pendulum_path, tmp_path, capsys):
+    # the horizon is named, not the burn-in it leaves no room for, and an
+    # empty sweep no longer crashes in its rollout
+    out = tmp_path / "out.csv"
+    assert main([command, str(pendulum_path), "--horizon", horizon,
+                 "--burn-in", burn_in, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --horizon must be at least 1, got {horizon}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+def test_negative_seed_exit_2(command, pendulum_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, str(pendulum_path), "--horizon", "10",
+                 "--burn-in", "0", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: seed and trial must be nonnegative, got seed -1, "
+            "trial 0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--gamma", "nan"],
     ["sweep-gamma", "--gammas", "1,nan", "--trials", "1"],

@@ -15,7 +15,6 @@ from securekf.decomposition import (
     canonical_projector,
     conjugate_pairing,
     fusion_weights,
-    local_gain_direct,
     local_gain_factored,
     local_gains,
     realification_map,
@@ -70,7 +69,7 @@ def test_scalar_gain_resolvent():
     model = SystemModel(A=np.array([[2.0]]), C=np.array([[1.0]]),
                         Q=np.eye(1), R=np.eye(1), Sigma=np.eye(1))
     design = dummy_design(model.A, [0.5])
-    G = local_gain_direct(model, design, 0)
+    G = local_gains(model, design)[0]
     assert np.abs(G - 4.0 / 3.0).max() < 1e-12
     G_f = local_gain_factored(model, design, 0)
     assert np.abs(G_f - 4.0 / 3.0).max() < 1e-12
@@ -79,7 +78,7 @@ def test_scalar_gain_resolvent():
 def test_stacked_gains_bit_equal_to_per_row_solves():
     # local_gains solves every sensor's rows in one stacked LAPACK call;
     # each row has the bits of its own np.linalg.solve of C_i A against
-    # (A - pi_j I)^T, and local_gain_direct is its sensor's slice
+    # (A - pi_j I)^T, and a second call gives the same bits
     for model, design in observable_designs(150, start=1000):
         G = local_gains(model, design)
         n = model.n
@@ -90,7 +89,7 @@ def test_stacked_gains_bit_equal_to_per_row_solves():
             for j, pi_j in enumerate(design.Pi):
                 row = np.linalg.solve((A - pi_j * np.eye(n)).T, cA)
                 assert G[i, j].tobytes() == row.tobytes()
-            assert local_gain_direct(model, design, i).tobytes() == \
+            assert local_gains(model, design)[i].tobytes() == \
                 G[i].tobytes()
 
 
@@ -101,7 +100,7 @@ def test_factored_gain_hand_expansion():
     design = dummy_design(model.A, [0.5, 0.25])
     G = local_gain_factored(model, design, 0)
     assert np.abs(G[0] - np.array([2.0, 4.0 / 3.0])).max() < 1e-12
-    G_d = local_gain_direct(model, design, 0)
+    G_d = local_gains(model, design)[0]
     assert np.abs(G - G_d).max() < 1e-12
 
 
@@ -112,7 +111,7 @@ def test_gain_rejects_shared_eigenvalue():
     message = ("^Assumption 1 violated: closed-loop eigenvalue 1\\+0j lies "
                "0.000e\\+00 from the spectrum of A")
     with pytest.raises(ValueError, match=message):
-        local_gain_direct(model, design, 0)
+        local_gains(model, design)
     with pytest.raises(ValueError, match=message):
         local_gain_factored(model, design, 0)
 
@@ -155,7 +154,7 @@ def test_refusals_at_16_states_name_their_cause():
             covered = observability_structure(model).covered_states(i)
             T = realification_map(conjugate_pairing(design.Pi))
             sv = np.linalg.svd(
-                (T @ local_gain_direct(model, design, i)[:, covered]).real,
+                (T @ local_gains(model, design)[i][:, covered]).real,
                 compute_uv=False)
             assert float(match[2]) == float(f"{sv[-1] / sv[0]:.3e}")
             assert sv[-1] <= CANONICAL_RTOL * sv[0]
@@ -166,7 +165,7 @@ def test_refusals_at_16_states_name_their_cause():
 
 def test_pendulum_angle_sensor_gain_columns(pendulum_model):
     design = spectral_design(pendulum_model)
-    G4 = local_gain_direct(pendulum_model, design, 3)
+    G4 = local_gains(pendulum_model, design)[3]
     scale = np.abs(G4).max()
     # the angle sensor cannot observe the cart chain
     assert np.abs(G4[:, 0]).max() < 1e-10 * scale
@@ -178,7 +177,7 @@ def test_pendulum_gain_identity(pendulum_model):
     design = spectral_design(pendulum_model)
     ones = np.ones((4, 1))
     for i in range(4):
-        G = local_gain_direct(pendulum_model, design, i)
+        G = local_gains(pendulum_model, design)[i]
         lhs = G @ pendulum_model.A
         rhs = design.Pi[:, None] * G + ones @ (pendulum_model.C[i:i + 1] @ pendulum_model.A)
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -187,7 +186,7 @@ def test_pendulum_gain_identity(pendulum_model):
 def test_pendulum_route_equivalence(pendulum_model):
     design = spectral_design(pendulum_model)
     for i in range(4):
-        G_d = local_gain_direct(pendulum_model, design, i)
+        G_d = local_gains(pendulum_model, design)[i]
         G_f = local_gain_factored(pendulum_model, design, i)
         assert np.abs(G_d - G_f).max() <= 1e-7 * np.abs(G_d).max()
 
@@ -195,7 +194,7 @@ def test_pendulum_route_equivalence(pendulum_model):
 def test_route_equivalence_random_models():
     for model, design in observable_designs(50):
         for i in range(model.m):
-            G_d = local_gain_direct(model, design, i)
+            G_d = local_gains(model, design)[i]
             G_f = local_gain_factored(model, design, i)
             scale = max(np.abs(G_d).max(), 1.0)
             assert np.abs(G_d - G_f).max() <= 1e-7 * scale
@@ -219,7 +218,7 @@ def test_row_span_ranks(pendulum_model):
     design = spectral_design(pendulum_model)
     structure = observability_structure(pendulum_model)
     for i in range(4):
-        G = local_gain_direct(pendulum_model, design, i)
+        G = local_gains(pendulum_model, design)[i]
         O = observability_matrix(pendulum_model.A, pendulum_model.C[i])
         covered = structure.covered_states(i)
         rank_O = np.linalg.matrix_rank(O)
@@ -262,9 +261,9 @@ def test_projector_rejects_dependent_columns():
 def test_projector_pendulum_angle_sensor(pendulum_model):
     design = spectral_design(pendulum_model)
     structure = observability_structure(pendulum_model)
-    pair = conjugate_pairing(design.Pi)
-    G4 = local_gain_direct(pendulum_model, design, 3)
-    P4, H4 = canonical_projector(G4, structure.covered_states(3), pair)
+    T = realification_map(conjugate_pairing(design.Pi))
+    G4 = local_gains(pendulum_model, design)[3]
+    P4, H4 = canonical_projector(G4, structure.covered_states(3), T)
     assert np.abs(H4 - np.diag([0.0, 0.0, 1.0, 1.0])).max() == 0.0
     assert np.abs(P4 @ G4 - H4).max() < 1e-8
 
@@ -308,7 +307,7 @@ def test_fusion_weights_pendulum_identities(pendulum_model):
     for i, F_i in enumerate(F_list):
         assert np.abs(F_i @ ones - K[:, i]).max() < 1e-10
         assert np.abs(F_i @ Pi - E @ F_i).max() < 1e-10
-        G_i = local_gain_direct(pendulum_model, design, i)
+        G_i = local_gains(pendulum_model, design)[i]
         total += F_i @ (G_i - np.ones((4, 1)) @ C[i:i + 1])
     assert np.abs(total - (np.eye(4) - K @ C)).max() < 1e-9
 
@@ -331,7 +330,7 @@ def test_scalar_stationary_covariance():
                         Q=np.array([[9.0]]), R=np.array([[0.0]]),
                         Sigma=np.eye(1))
     design = dummy_design(model.A, [0.5])
-    G = local_gain_direct(model, design, 0)   # 4/3, so G - c = 1/3
+    G = local_gains(model, design)[0]   # 4/3, so G - c = 1/3
     Qt, Wt, Mt, factor, delta = residual_covariances(
         model, design, [G], np.eye(1, dtype=complex))
     assert abs(Qt[0, 0] - 1.0) < 1e-12
@@ -381,7 +380,7 @@ def test_ridge_engages_on_singular_covariance(caplog):
                         Q=np.array([[0.0]]), R=np.array([[1.0, 1.0], [1.0, 1.0]]),
                         Sigma=np.eye(1))
     design = dummy_design(model.A, [0.5], m=2)
-    G = local_gain_direct(model, design, 0)
+    G = local_gains(model, design)[0]
     with caplog.at_level(logging.WARNING, logger="securekf.decomposition"):
         Qt, Wt, Mt, factor, delta = residual_covariances(
             model, design, [G, G], np.eye(2, dtype=complex))

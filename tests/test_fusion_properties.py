@@ -480,7 +480,8 @@ def test_block_split_bit_equal_to_row_products(seed, horizon,
                                                log_magnitude):
     # on random Jordan designs, a block of 1, 2, 7 or every row of an
     # attacked rollout gives each row the bits of its own row products,
-    # and so does split_row on the row alone; least_squares on the block
+    # and so does a block of the row alone, the split a lone secure_fuse
+    # takes; least_squares on the block
     # and the rollout's statistic agree with them
     model = random_jordan_model(seed, ensure_observable=True)
     try:
@@ -502,7 +503,7 @@ def test_block_split_bit_equal_to_row_products(seed, horizon,
             want = row_products(problem, y)
             got = (split.x_ls[t], split.mu_ls[t], split.d[t],
                    split.statistic[t], split.kkt[t])
-            alone = problem.split_row(y)
+            alone = problem.split(y[None]).rows[0]
             for g, w, r, a in zip(got, want, split.rows[t], alone):
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
                 assert np.asarray(r).tobytes() == np.asarray(w).tobytes()
@@ -663,6 +664,46 @@ def test_fuse_open_rows_bit_equal_to_lone_secure_fuse_and_reference(
             assert result_bytes(got) == result_bytes(lone) == \
                 result_bytes(ref)
 
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(8, 40),
+       log_magnitude=st.floats(-1.0, 3.0), log_gamma=st.floats(-2.0, 3.0),
+       k=st.integers(-40, 40))
+def test_block_path_is_exactly_homogeneous_under_powers_of_two(
+        seed, horizon, log_magnitude, log_gamma, k):
+    # (Y, gamma) -> (s Y, s gamma) with s = 2^k scales every product, sum,
+    # ratio and comparison of the split, the walk and the stacked answers
+    # exactly, so the split, x_tilde, mu, nu and kkt are s times their
+    # unscaled bits, with the same open rows and breakpoints.  |k| <= 40
+    # keeps every value of these designs clear of overflow and subnormals
+    model = random_jordan_model(seed, ensure_observable=True)
+    try:
+        design = spectral_design(model)
+        dec = build_decomposition(model, design)
+        problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    except (ValueError, RiccatiDivergenceError):
+        assume(False)
+    attack = AttackSpec(support=(0,), kind="uniform",
+                        magnitude=10.0 ** log_magnitude)
+    rollout = _rollout(model, design, dec, problem, attack, horizon, seed, 0)
+    scale, gamma = 2.0 ** k, 10.0 ** log_gamma
+    split = rollout.split
+    assume(np.abs(rollout.Y).max() < 1e250)
+    scaled_split = problem.split(scale * rollout.Y)
+    for got, want in zip(scaled_split[:5], split[:5]):
+        assert got.tobytes() == (scale * want).tobytes()
+    open_rows = (split.statistic > gamma).nonzero()[0]
+    assert np.array_equal(
+        open_rows, (scaled_split.statistic > scale * gamma).nonzero()[0])
+    assume(len(open_rows) > 0)
+    fused = fusion.fuse_open(problem, rollout.Y[open_rows],
+                             split.d[open_rows], gamma)
+    scaled = fusion.fuse_open(problem, scale * rollout.Y[open_rows],
+                              scaled_split.d[open_rows], scale * gamma)
+    for got, want in zip(scaled[:4], fused[:4]):
+        assert got.tobytes() == (scale * want).tobytes()
+    assert np.array_equal(scaled.breakpoints, fused.breakpoints)
 
 def test_fuse_open_walks_in_blocks_of_at_most_the_cap(
         monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):

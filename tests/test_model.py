@@ -295,13 +295,14 @@ def test_sparse_index_matches_brute_force():
 
 
 def test_observability_matrix_depth_saturates():
-    # powers of A beyond n-1 add no new rank
+    # powers of A beyond n-1 add no new rank: O_n stacked on O_n A^n
+    # holds the rows c A^k for k < 2n
     for seed in range(20):
         model = random_jordan_model(seed)
         n = model.n
         for i in range(model.m):
             O_n = observability_matrix(model.A, model.C[i])
-            O_2n = observability_matrix(model.A, model.C[i], depth=2 * n)
+            O_2n = np.vstack((O_n, O_n @ np.linalg.matrix_power(model.A, n)))
             assert np.linalg.matrix_rank(O_n) == np.linalg.matrix_rank(O_2n)
 
 

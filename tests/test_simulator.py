@@ -694,6 +694,49 @@ def test_sweep_refuses_burn_in_before_any_rollout(
                                horizon=40, burn_in=burn_in)
 
 
+
+@pytest.mark.parametrize("horizon, burn_in", [(0, 0), (-5, 50)])
+def test_sweep_refuses_horizon_below_1_before_any_rollout(
+        horizon, burn_in, monkeypatch, pendulum_model, pendulum_design,
+        pendulum_decomposition):
+    # an empty sweep used to reach the plant rollout and die in its
+    # recurrence; the horizon is blamed before the burn-in
+    import securekf.simulator as sim
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out before checking the horizon")
+
+    monkeypatch.setattr(sim, "_plant", no_rollout)
+    monkeypatch.setattr(sim, "_rollout", no_rollout)
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    message = f"^horizon must be at least 1, got {horizon}$"
+    with pytest.raises(ValueError, match=message):
+        sweep_gamma(*args, gammas=(5.0,), trials=1, horizon=horizon,
+                    burn_in=burn_in)
+    with pytest.raises(ValueError, match=message):
+        sweep_attack_magnitude(*args, magnitudes=(1.0,), trials=1,
+                               horizon=horizon, burn_in=burn_in)
+
+
+@pytest.mark.parametrize("seed, trial", [(0, -2), (-1, 0)])
+def test_negative_seed_or_trial_is_refused(
+        seed, trial, pendulum_model, pendulum_design, pendulum_decomposition):
+    # numpy's own refusal named neither
+    with pytest.raises(ValueError, match=(
+            f"^seed and trial must be nonnegative, got seed {seed}, "
+            f"trial {trial}$")):
+        run(pendulum_model, pendulum_design, pendulum_decomposition,
+            horizon=10, seed=seed, trial=trial)
+
+
+def test_equivalence_probability_refuses_no_trials(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # no trial used to average an empty list to NaN
+    with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+        empirical_equivalence_probability(
+            pendulum_model, pendulum_design, pendulum_decomposition, 1000.0,
+            trials=0, horizon=100)
+
 def test_security_gap_requires_paired_traces(pendulum_model, pendulum_design,
                                              pendulum_decomposition):
     a = run(pendulum_model, pendulum_design, pendulum_decomposition,
