@@ -14,6 +14,9 @@ path left out):
 - ``simulate`` at gamma 100, seed 0, clean, with ``--horizon 300``: the
   screen leaves 6 rows open (5-9 for seeds 0-2), and they are fused as
   one small block;
+- ``simulate`` at gamma 5, seed 0, under ``--attack-kind constant`` and
+  ``ramp``, with ``--horizon 300``: with the uniform cases, every attack
+  kind the CLI offers;
 - a default-grid ``sweep-gamma`` and ``sweep-attack`` with ``--trials 2
   --horizon 100``;
 - ``sweep-attack --gamma 100`` with ``--trials 2 --horizon 100``: a
@@ -55,6 +58,8 @@ def cases() -> list[list[str]]:
                 "uniform"])
     out.append(["simulate", "--horizon", "300", "--gamma", "100", "--seed",
                 "0", "--attack-kind", "none"])
+    out += [["simulate", "--horizon", "300", "--gamma", "5", "--seed", "0",
+             "--attack-kind", kind] for kind in ("constant", "ramp")]
     out += [[command, "--trials", "2", "--horizon", "100"]
             for command in ("sweep-gamma", "sweep-attack")]
     out.append(["sweep-attack", "--gamma", "100", "--trials", "2",

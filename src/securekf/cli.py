@@ -183,7 +183,11 @@ def design_from_dict(data: dict, model: SystemModel):
     """Rebuild (SpectralDesign, SensorDecomposition) from parsed JSON.
 
     The stored model matrices must match `model` exactly, and every array
-    must have its shape for that model's n states and m sensors.
+    must have its shape for that model's n states and m sensors.  The
+    estimator factors Mtilde + ridge_delta * I and reads only its lower
+    triangle, so an Mtilde that is not exactly symmetric, a negative
+    ridge_delta, or a sum that is not positive definite raises
+    DesignFormatError naming the key.
     """
     _require_keys(data, ("format", "version", *_SECTIONS), "top level")
     if data["format"] != DESIGN_FORMAT:
@@ -200,9 +204,18 @@ def design_from_dict(data: dict, model: SystemModel):
 
     design = SpectralDesign(**_decode_section(data["design"], "design", model))
     fields = _decode_section(data["decomposition"], "decomposition", model)
-    decomposition = SensorDecomposition(
-        **fields, Mtilde_factor=factor_mtilde(fields["Mtilde"],
-                                              fields["ridge_delta"]))
+    Mtilde, ridge = fields["Mtilde"], fields["ridge_delta"]
+    if not np.array_equal(Mtilde, Mtilde.T):
+        raise DesignFormatError("design key 'Mtilde': not symmetric")
+    if ridge < 0:
+        raise DesignFormatError(f"design key 'ridge_delta': must be "
+                                f"nonnegative, got {ridge!r}")
+    try:
+        factor = factor_mtilde(Mtilde, ridge)
+    except np.linalg.LinAlgError:
+        raise DesignFormatError("design key 'Mtilde': Mtilde + ridge_delta * "
+                                "I is not positive definite") from None
+    decomposition = SensorDecomposition(**fields, Mtilde_factor=factor)
     return design, decomposition
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .model import SystemModel, observability_matrix, observability_structure
-from .spectral import EIG_SEPARATION, AssumptionError, SpectralDesign
+from .spectral import AssumptionError, SpectralDesign, _spectrum_gap
 
 CANONICAL_RTOL = 1e-8    # P_i G_i = H_i residual, imaginary-residue checks
 PAIRING_RTOL = 1e-9      # conjugate-pair match, relative to 1 + max|Pi|
@@ -113,16 +113,14 @@ def realification_map(pair: np.ndarray) -> np.ndarray:
 
 
 def _resolvent_guard(model: SystemModel, design: SpectralDesign):
-    # A - pi_j I must be invertible: refuse a pi_j within EIG_SEPARATION of
-    # spec(A), as closed_loop_eigendecomposition does.  |p(pi_j)|, a
-    # product of n such distances, can be tiny while every one is large
-    gap = np.abs(design.Pi[:, None]
-                 - np.linalg.eigvals(model.A)[None, :]).min(axis=1)
-    j = int(gap.argmin())
-    if gap[j] <= EIG_SEPARATION:
-        raise AssumptionError(
-            f"Assumption 1 violated: closed-loop eigenvalue {design.Pi[j]:.6g} "
-            f"lies {gap[j]:.3e} from the spectrum of A; no per-mode gains")
+    # refuse a pi_j within EIG_SEPARATION of spec(A), by the rule
+    # closed_loop_eigendecomposition applies: a design built elsewhere
+    # may never have passed it.  |p(pi_j)|, a product of n such
+    # distances, can be tiny while every one is large
+    why = _spectrum_gap(design.Pi, model.A)
+    if why is not None:
+        raise AssumptionError(f"Assumption 1 violated: {why}; no per-mode "
+                              "gains")
 
 
 def local_gains(model: SystemModel, design: SpectralDesign) -> np.ndarray:
@@ -161,20 +159,18 @@ def local_gain_factored(model: SystemModel, design: SpectralDesign,
     return D1 @ D2 @ D3 @ O_iA
 
 
-def canonical_projector(G_i: np.ndarray, covered,
-                        T: np.ndarray | None = None, i: int | None = None):
+def canonical_projector(G_i: np.ndarray, covered, T: np.ndarray, i: int):
     """Invertible P_i with P_i G_i = H_i = diag(coverage pattern).
 
     covered lists the states sensor i observes; those columns of G_i form
     the basis B, mapped through T, the realification_map of the modes'
-    conjugate pairing (the identity when None: real modes), so the
-    completion can run over the reals.  The completion picks canonical
-    basis vectors by largest residual norm (ties broken by smallest
-    index), which pins a
-    deterministic P_i.  P_i inherits the conjugate-pair equivariance of
+    conjugate pairing (the identity for real modes), so the completion
+    can run over the reals.  The completion picks canonical basis vectors
+    by largest residual norm (ties broken by smallest index), which pins
+    a deterministic P_i.  P_i inherits the conjugate-pair equivariance of
     G_i, which keeps the fused problem data real in exact arithmetic.
     A rank-deficient basis or an ill-conditioned P_i raises
-    AssumptionError (Theorem 2), naming sensor i + 1 when i is given.
+    AssumptionError (Theorem 2), naming sensor i + 1.
     """
     G_i = np.asarray(G_i, dtype=complex)
     n = G_i.shape[0]
@@ -187,9 +183,6 @@ def canonical_projector(G_i: np.ndarray, covered,
             raise ValueError(
                 f"column {j} of G_i is nonzero but state {j} is marked uncovered")
 
-    if T is None:
-        T = np.eye(n, dtype=complex)
-
     B = G_i[:, covered]
     B_real = T @ B
     imag = float(np.abs(B_real.imag).max(initial=0.0))
@@ -198,8 +191,7 @@ def canonical_projector(G_i: np.ndarray, covered,
     B_real = B_real.real
 
     r = len(covered)
-    refusal = "Theorem 2 precondition violated: " + (
-        "" if i is None else f"sensor {i + 1}: ")
+    refusal = f"Theorem 2 precondition violated: sensor {i + 1}: "
     if r:
         sv = np.linalg.svd(B_real, compute_uv=False)
         if sv[-1] <= CANONICAL_RTOL * sv[0]:

@@ -56,9 +56,10 @@ class SystemModel:
     """Immutable container for the plant data.
 
     B and K_lqr are optional: B defaults to a zero column (no control
-    authority) and K_lqr to None (zero input).  Attributes are plain
-    float ndarrays; no copy protection beyond convention, which the
-    cached structure relies on.
+    authority) and K_lqr to None (zero input).  sensor_labels, also
+    optional, only names the sensors in the CLI's reports.  Attributes
+    are plain float ndarrays; no copy protection beyond convention, which
+    the cached structure relies on.
     """
 
     A: np.ndarray
@@ -98,11 +99,6 @@ class SystemModel:
         if self.K_lqr is not None:
             return self.K_lqr
         return np.zeros((self.q, self.n))
-
-    def labels(self) -> tuple[str, ...]:
-        if self.sensor_labels is not None:
-            return self.sensor_labels
-        return tuple(f"sensor {i + 1}" for i in range(self.m))
 
     @functools.cached_property
     def structure(self) -> ObservabilityStructure:

@@ -94,11 +94,6 @@ class AttackSpec:
         object.__setattr__(self, "magnitude", float(self.magnitude))
         object.__setattr__(self, "start_step", int(self.start_step))
 
-    @property
-    def p(self) -> int:
-        """Number of attacked sensors."""
-        return len(self.support)
-
 
 def attack_sequence(attack: AttackSpec, m: int, horizon: int,
                     rng: np.random.Generator) -> np.ndarray:
@@ -248,20 +243,15 @@ class Plant(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _plant(model, horizon, seed, trial, x0=None) -> Plant:
-    """Roll the plant out under true-state feedback; x0, when given, pins
-    the initial state instead of drawing it.  A non-finite array raises
-    ValueError naming it."""
+def _plant(model, horizon, seed, trial) -> Plant:
+    """Roll the plant out under true-state feedback from an initial state
+    drawn from N(0, Sigma).  A non-finite array raises ValueError naming
+    it."""
     n, m = model.n, model.m
     A, C = model.A, model.C
     B, K = model.input_matrix(), model.feedback_gain()
     g_init, g_proc, g_meas, g_att = trial_generators(seed, trial)
-    if x0 is None:
-        x0 = psd_factor(model.Sigma) @ g_init.standard_normal(n)
-    else:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape[0] != n:
-            raise ValueError(f"x0 has length {x0.shape[0]}, expected {n}")
+    x0 = psd_factor(model.Sigma) @ g_init.standard_normal(n)
     w = g_proc.standard_normal((horizon, n)) @ psd_factor(model.Q).T
     v = g_meas.standard_normal((horizon, m)) @ psd_factor(model.R).T
     # x(k) = A x(k-1) + B u(k) + w(k) under u(k) = -K x(k-1)
@@ -316,7 +306,7 @@ def _rollout(model, design, decomposition, problem, attack, horizon, seed,
 def simulate(model: SystemModel, design: SpectralDesign,
              decomposition: SensorDecomposition, attack: AttackSpec,
              gamma: float, horizon: int = DEFAULT_HORIZON, seed: int = 0, *,
-             trial: int = 0, x0=None, problem: FusionProblem | None = None,
+             trial: int = 0, problem: FusionProblem | None = None,
              rollout: Rollout | None = None,
              walk: FusedRows | None = None) -> SimulationTrace:
     """Run the plant and all three estimators for `horizon` steps.
@@ -337,8 +327,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
     (initial state, process noise, measurement noise, attack draws) comes
     from independent substreams of (seed, trial), so two runs that differ
     only in the attack share the same noise and the same clean
-    measurements.
-    Passing x0 pins the initial state instead of drawing it.  Solver
+    measurements; the initial state is drawn from N(0, Sigma).  Solver
     non-convergence at a step is recorded in the trace and the run
     continues; a non-finite state, measurement or estimate raises
     ValueError.
@@ -348,11 +337,9 @@ def simulate(model: SystemModel, design: SpectralDesign,
     Its split records the problem it was made on, which the run then
     fuses with; passing a different `problem` raises ValueError, as the
     screen and the l1 solve would read two designs.  It must be the
-    rollout of this (attack, horizon, seed, trial), and it fixes its own
-    initial state, so passing x0 as well raises ValueError, as does a
-    rollout of another run.  A measurement so large that the
-    least-squares products overflow raises ValueError before any step is
-    fused.
+    rollout of this (attack, horizon, seed, trial): a rollout of another
+    run raises ValueError.  A measurement so large that the least-squares
+    products overflow raises ValueError before any step is fused.
 
     walk, when given, is fuse_open's answer on this run's open rows at
     gamma, in step order, as a sweep passes each run its part of the
@@ -367,11 +354,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
             problem = build_fusion_problem(decomposition.H_stack,
                                            decomposition.Mtilde_factor)
         rollout = _rollout(model, design, decomposition, problem, attack,
-                           horizon, seed, trial,
-                           _plant(model, horizon, seed, trial, x0))
-    elif x0 is not None:
-        raise ValueError("pass x0 or rollout, not both: the rollout fixes "
-                         "the initial state")
+                           horizon, seed, trial)
     elif rollout[:4] != (attack, horizon, seed, trial):
         raise ValueError(f"rollout of (attack, horizon, seed, trial) = "
                          f"{rollout[:4]} passed for a run of "

@@ -163,6 +163,19 @@ def characteristic_polynomial(A: np.ndarray) -> np.ndarray:
     return coeffs[::-1].astype(float)
 
 
+def _spectrum_gap(Pi: np.ndarray, A: np.ndarray) -> str | None:
+    """Assumption 1's gap rule: A - pi_j I must be invertible, so no
+    closed-loop eigenvalue pi_j may lie within EIG_SEPARATION of an
+    eigenvalue of A.  Returns why the nearest one breaks the rule, or None
+    when none does."""
+    gap = np.abs(Pi[:, None] - np.linalg.eigvals(A)[None, :]).min(axis=1)
+    j = int(gap.argmin())
+    if gap[j] <= EIG_SEPARATION:
+        return (f"closed-loop eigenvalue {Pi[j]:.6g} lies {gap[j]:.3e} from "
+                "the spectrum of A")
+    return None
+
+
 def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
     """Eigendecomposition of A - K C A with deterministic order and phase.
 
@@ -200,14 +213,12 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
     assert residual <= EIG_RTOL * scale, f"eigen-residual {residual:.3e}"
 
     sep = np.abs(Pi[:, None] - Pi[None, :]) + np.diag(np.full(len(Pi), np.inf))
-    gap = np.abs(Pi[:, None] - np.linalg.eigvals(A)[None, :]).min(axis=1)
-    j, rho = int(np.argmin(gap)), float(np.abs(Pi).max())
+    near, rho = _spectrum_gap(Pi, A), float(np.abs(Pi).max())
     if sep.min() <= EIG_SEPARATION:
         why = ("closed-loop eigenvalues are not pairwise distinct (closest "
                f"pair {sep.min():.3e} apart)")
-    elif gap[j] <= EIG_SEPARATION:
-        why = (f"closed-loop eigenvalue {Pi[j]:.6g} lies {gap[j]:.3e} from "
-               "the spectrum of A")
+    elif near is not None:
+        why = near
     elif rho >= 1.0:
         why = f"closed-loop modes are not strictly stable (spectral radius {rho:.6g})"
     else:

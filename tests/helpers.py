@@ -113,7 +113,7 @@ def mode_coordinates(model, design):
     structure = observability_structure(model)
     T = realification_map(conjugate_pairing(design.Pi))
     G = list(local_gains(model, design))
-    P = [canonical_projector(G_i, structure.covered_states(i), T)[0]
+    P = [canonical_projector(G_i, structure.covered_states(i), T, i)[0]
          for i, G_i in enumerate(G)]
     return G, P, T
 
@@ -145,7 +145,7 @@ def reference_complex_rollout(model, design, u, y):
 
 
 def step_by_step_simulate(model, design, decomposition, attack, gamma,
-                          horizon, seed, trial=0, x0=None):
+                          horizon, seed, trial=0):
     """Reference for simulate: one loop over time through the public
     one-step functions, drawing from the same (seed, trial) substreams.
 
@@ -153,8 +153,7 @@ def step_by_step_simulate(model, design, decomposition, attack, gamma,
     """
     g_init, g_proc, g_meas, g_att = trial_generators(seed, trial)
     Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
-    x = (psd_factor(model.Sigma) @ g_init.standard_normal(model.n)
-         if x0 is None else np.asarray(x0, dtype=float))
+    x = psd_factor(model.Sigma) @ g_init.standard_normal(model.n)
     w = g_proc.standard_normal((horizon, model.n))
     v = g_meas.standard_normal((horizon, model.m))
     a = attack_sequence(attack, model.m, horizon, g_att)

@@ -354,13 +354,23 @@ def _delete(data):
      "design key 'K': numbers must be finite, got NaN or Infinity"),
     (_set(["decomposition", "ridge_delta"], float("-inf")),
      "design key 'ridge_delta': numbers must be finite, got NaN or Infinity"),
+    # the Cholesky factor reads only the lower triangle, so an upper
+    # triangle that disagrees would be silently ignored
+    (_set(["decomposition", "Mtilde", "real", 0, 1], 1e3),
+     "design key 'Mtilde': not symmetric"),
+    (_set(["decomposition", "ridge_delta"], -1e-9),
+     "design key 'ridge_delta': must be nonnegative, got -1e-09"),
+    (_set(["decomposition", "Mtilde", "real", 0, 0], -5.0),
+     "design key 'Mtilde': Mtilde + ridge_delta * I is not positive "
+     "definite"),
 ], ids=["section-not-object", "missing-key", "unknown-section-key",
         "untagged-matrix", "unknown-tag", "malformed-complex",
         "complex-not-number", "float-not-number", "float-is-bool",
         "ragged-rows", "one-dimensional", "entry-not-number", "entry-is-bool",
         "gain-shape", "mtilde-shape", "charpoly-shape", "wrong-format",
         "wrong-version", "invalid-json", "nan-in-mtilde", "infinity-in-gain",
-        "minus-infinity-ridge"])
+        "minus-infinity-ridge", "asymmetric-mtilde", "negative-ridge",
+        "indefinite-mtilde"])
 def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
                                           pendulum_design_text, tmp_path,
                                           capsys):

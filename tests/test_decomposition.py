@@ -232,13 +232,14 @@ def test_row_span_ranks(pendulum_model):
 def test_projector_full_rank_inverts():
     rng = np.random.default_rng(3)
     G = rng.normal(size=(3, 3))
-    P, H = canonical_projector(G.astype(complex), [0, 1, 2])
+    P, H = canonical_projector(G.astype(complex), [0, 1, 2], np.eye(3), 0)
     assert np.abs(H - np.eye(3)).max() == 0.0
     assert np.abs(P - np.linalg.inv(G)).max() < 1e-10
 
 
 def test_projector_zero_gain_degenerates():
-    P, H = canonical_projector(np.zeros((3, 3), dtype=complex), [])
+    P, H = canonical_projector(np.zeros((3, 3), dtype=complex), [],
+                               np.eye(3), 0)
     assert np.abs(H).max() == 0.0
     assert np.abs(P - np.eye(3)).max() < 1e-12
 
@@ -246,7 +247,8 @@ def test_projector_zero_gain_degenerates():
 def test_projector_rejects_inconsistent_support():
     G = np.eye(3, dtype=complex)
     with pytest.raises(ValueError):
-        canonical_projector(G, [0, 1])  # column 2 is nonzero yet unmarked
+        # column 2 is nonzero yet unmarked
+        canonical_projector(G, [0, 1], np.eye(3), 0)
 
 
 def test_projector_rejects_dependent_columns():
@@ -254,7 +256,7 @@ def test_projector_rejects_dependent_columns():
     G[:, 0] = [1.0, 2.0, 3.0]
     G[:, 1] = [2.0, 4.0, 6.0]
     with pytest.raises(ValueError) as exc:
-        canonical_projector(G, [0, 1])
+        canonical_projector(G, [0, 1], np.eye(3), 0)
     assert "Theorem 2 precondition violated" in str(exc.value)
 
 
@@ -263,7 +265,7 @@ def test_projector_pendulum_angle_sensor(pendulum_model):
     structure = observability_structure(pendulum_model)
     T = realification_map(conjugate_pairing(design.Pi))
     G4 = local_gains(pendulum_model, design)[3]
-    P4, H4 = canonical_projector(G4, structure.covered_states(3), T)
+    P4, H4 = canonical_projector(G4, structure.covered_states(3), T, 3)
     assert np.abs(H4 - np.diag([0.0, 0.0, 1.0, 1.0])).max() == 0.0
     assert np.abs(P4 @ G4 - H4).max() < 1e-8
 

@@ -36,7 +36,7 @@ def test_load_pendulum(pendulum_model):
     assert pendulum_model.q == 1
     assert pendulum_model.B.shape == (4, 1)
     assert pendulum_model.K_lqr.shape == (1, 4)
-    assert len(pendulum_model.labels()) == 4
+    assert len(pendulum_model.sensor_labels) == 4
 
 
 def test_default_input_and_gain():
@@ -45,7 +45,7 @@ def test_default_input_and_gain():
     assert np.all(model.input_matrix() == 0.0)
     assert model.input_matrix().shape == (2, 1)
     assert np.all(model.feedback_gain() == 0.0)
-    assert model.labels() == ("sensor 1",)
+    assert model.sensor_labels is None
 
 
 def _write(tmp_path, payload, raw=None):

@@ -63,7 +63,6 @@ def test_attack_spec_validation():
 def test_attack_spec_normalizes_support():
     spec = AttackSpec(support=(3, 1, 3), kind="constant", magnitude=2.0)
     assert spec.support == (1, 3)
-    assert spec.p == 2
 
 
 def test_attack_sequence_none_is_zero():
@@ -161,9 +160,6 @@ def test_simulate_argument_validation(pendulum_model, pendulum_design,
     with pytest.raises(ValueError):
         run(pendulum_model, pendulum_design, pendulum_decomposition,
             gamma=0.0)
-    with pytest.raises(ValueError):
-        run(pendulum_model, pendulum_design, pendulum_decomposition,
-            x0=np.zeros(3))
 
 
 def test_simulate_rejects_non_finite_results(
@@ -244,19 +240,6 @@ def test_attack_changes_only_attacked_column(pendulum_model, pendulum_design,
     assert np.allclose(hit.y[:, 2] - clean.y[:, 2], 3.0)
 
 
-def test_simulate_x0_pins_initial_state(pendulum_model, pendulum_design,
-                                        pendulum_decomposition):
-    x0 = np.array([0.3, -0.1, 0.2, 0.05])
-    tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
-             horizon=5, x0=x0)
-    A = pendulum_model.A
-    B = pendulum_model.input_matrix()
-    K = pendulum_model.feedback_gain()
-    # step 1 applies the transition to x0 before any noise-free check fails
-    u0 = -(K @ x0)
-    assert np.allclose(tr.u[0], u0)
-
-
 def test_simulate_takes_the_rollout_of_its_own_run(
         pendulum_model, pendulum_design, pendulum_decomposition):
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
@@ -279,9 +262,6 @@ def test_simulate_takes_the_rollout_of_its_own_run(
         with pytest.raises(ValueError, match="rollout of"):
             simulate(*args, attack, 5.0, horizon, seed, trial=trial,
                      rollout=rollout)
-    with pytest.raises(ValueError, match="x0 or rollout"):
-        simulate(*args, att, 5.0, 30, 3, trial=1, rollout=rollout,
-                 x0=np.zeros(4))
 
 
 def test_simulate_refuses_a_rollout_split_on_another_problem(
@@ -549,23 +529,21 @@ def test_real_rollout_matches_complex_oracle_on_random_models(seed, data):
                                   relative_to_y=False)
 
 
-@pytest.mark.parametrize("attack, gamma, x0, seed", [
-    (default_attack(), 5.0, None, 3),
-    (AttackSpec(), 1000.0, None, 4),
-    (AttackSpec(support=(1,), kind="constant", magnitude=2.0), 20.0,
-     (0.3, -0.2, 0.1, 0.05), 7),
+@pytest.mark.parametrize("attack, gamma, seed", [
+    (default_attack(), 5.0, 3),
+    (AttackSpec(), 1000.0, 4),
+    (AttackSpec(support=(1,), kind="constant", magnitude=2.0), 20.0, 7),
 ])
 def test_simulate_matches_step_by_step_reference(
         pendulum_model, pendulum_design, pendulum_decomposition, attack,
-        gamma, x0, seed):
+        gamma, seed):
     # the rollout computed ahead of the fusion equals the one-step
     # functions chained by hand; gamma > 1 keeps x_tilde unique
     tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
-             attack=attack, gamma=gamma, horizon=150, seed=seed, trial=1,
-             x0=x0)
+             attack=attack, gamma=gamma, horizon=150, seed=seed, trial=1)
     ref = step_by_step_simulate(pendulum_model, pendulum_design,
                                 pendulum_decomposition, attack, gamma, 150,
-                                seed, trial=1, x0=x0)
+                                seed, trial=1)
     for f, rtol in (("x", 1e-10), ("xhat_kal", 1e-10), ("xhat_ls", 1e-10),
                     ("xhat_sec", 1e-8)):
         err = np.abs(getattr(tr, f) - ref[f]).max()
