@@ -22,6 +22,9 @@ path left out):
 - ``sweep-attack --gamma 100`` with ``--trials 2 --horizon 100``: a
   trial leaves 661-740 rows open, but its clean run only 3-4, and those
   rows walk in their trial's block;
+- ``sweep-attack --gamma 1000`` with ``--trials 2 --horizon 100``: a
+  trial rolls its 11 attacks (the clean run and 10 magnitudes) out in one
+  stacked pass, and the screen settles every row;
 - the ``design`` file;
 - the ``analyze --json`` file: the observability structure that the
   design and the decomposition of one set-up share.
@@ -62,8 +65,8 @@ def cases() -> list[list[str]]:
              "--attack-kind", kind] for kind in ("constant", "ramp")]
     out += [[command, "--trials", "2", "--horizon", "100"]
             for command in ("sweep-gamma", "sweep-attack")]
-    out.append(["sweep-attack", "--gamma", "100", "--trials", "2",
-                "--horizon", "100"])
+    out += [["sweep-attack", "--gamma", gamma, "--trials", "2",
+             "--horizon", "100"] for gamma in ("100", "1000")]
     return out + [["design"], ["analyze", "--json"]]
 
 

@@ -30,6 +30,7 @@ are rounding.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 
 import numpy as np
@@ -60,6 +61,8 @@ class SensorDecomposition:
     rows i*n .. (i+1)*n - 1); Ptilde is the block diagonal of the P_i T^H.
     Mtilde is the residual covariance before any ridge; Mtilde_factor is
     factor_mtilde's lower Cholesky pair (L, True) of Mtilde + ridge_delta * I.
+    fusion_problem, the FusionProblem of H_stack and Mtilde_factor, is
+    derived on first use and kept.
     """
 
     bank: np.ndarray
@@ -70,6 +73,15 @@ class SensorDecomposition:
     Mtilde: np.ndarray
     Mtilde_factor: tuple
     ridge_delta: float
+
+    @functools.cached_property
+    def fusion_problem(self):
+        """build_fusion_problem(H_stack, Mtilde_factor), built on first use
+        and kept, as SystemModel.structure is: simulate, the sweeps and
+        empirical_equivalence_probability all read this one.  A copy made
+        by dataclasses.replace starts without it."""
+        from .fusion import build_fusion_problem  # fusion imports this module
+        return build_fusion_problem(self.H_stack, self.Mtilde_factor)
 
 
 def conjugate_pairing(Pi: np.ndarray) -> np.ndarray:

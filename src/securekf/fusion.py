@@ -94,7 +94,9 @@ class FusionResult(NamedTuple):
     of a block's arrays (fuse_open, whose block is the row alone when
     secure_fuse was handed no walk), unless the refinement step replaced
     them; each row belongs to one result.  On a screened step
-    x_tilde and nu are fresh arrays.
+    x_tilde and nu are fresh arrays.  secure_fuse, which simulate calls
+    once per step, builds its results with tuple.__new__, as
+    namedtuple's _make does, without the generated __new__'s frame.
     """
 
     x_tilde: np.ndarray
@@ -511,8 +513,9 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,
         split = problem.split(Y[None]).rows[0]
     x_ls, mu_ls, d_ls, statistic, kkt = split
     if statistic <= gamma:
-        return FusionResult(x_ls.copy(), mu_ls, np.zeros(len(Y)), kkt, 0,
-                            True, x_ls, True)
+        return tuple.__new__(FusionResult, (x_ls.copy(), mu_ls,
+                                            np.zeros(len(Y)), kkt, 0, True,
+                                            x_ls, True))
 
     if walk is None:
         walk = fuse_open(problem, Y[None], d_ls[None], gamma).rows()[0]
@@ -536,6 +539,5 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,
         kkt_r = float(kkt_r)
         if kkt_r < kkt:
             x, nu, mu, kkt = x_r, nu_r, mu_r, kkt_r
-    return FusionResult(
-        x_tilde=x, mu=mu, nu=nu, kkt_residual=kkt, iterations=it,
-        kalman_equivalent=False, x_ls=x_ls, converged=bool(kkt <= eps_eff))
+    return tuple.__new__(FusionResult, (x, mu, nu, kkt, it, False, x_ls,
+                                        bool(kkt <= eps_eff)))

@@ -17,10 +17,12 @@ regularization weight gamma, so runs that differ only in gamma can share
 them, and the plant itself does not depend on the attack.  Sparse sensor
 attacks are injected additively on a fixed support.  Sweep helpers
 aggregate per-trial mean squared errors over a grid of regularization
-weights or attack magnitudes, rolling out each (trial, attack) once for
-every gamma to read and fusing the open rows of a trial's runs at each
-gamma as one block, and write the results as CSV; every run is
-reproducible from (seed, trial).
+weights or attack magnitudes, rolling all of a trial's attacks out in one
+stacked pass (one plant, one least-squares split) for every gamma to read
+and fusing the open rows of a trial's runs at each gamma as one block,
+and write the results as CSV; every run is reproducible from (seed,
+trial).  Every run on a decomposition fuses with its one FusionProblem
+(SensorDecomposition.fusion_problem), built on first use.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ import numpy as np
 
 from .decomposition import SensorDecomposition
 from .fusion import (MAX_BLOCK_ROWS, FusedRows, FusionProblem,
-                     LeastSquaresSplit, build_fusion_problem, check_gamma,
-                     fuse_open, secure_fuse)
+                     LeastSquaresSplit, check_gamma, fuse_open, secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
 from .fusion import (assemble_canonical_measurement,  # noqa: F401
-                     local_estimator_step)
+                     build_fusion_problem, local_estimator_step)
 from .spectral import fixed_gain_kalman_step  # noqa: F401
 
 ATTACK_KINDS = ("none", "constant", "uniform", "ramp")
@@ -189,16 +190,19 @@ def trial_generators(seed, trial):
 
 
 def _recurrence(M, e, s0):
-    """Rows s[t] = M s[t-1] + e[t] for t = 0 .. len(e) - 1, s[-1] = s0.
+    """Rows s[t] = M s[t-1] + e[t] for t = 0 .. T - 1, s[-1] = s0, with
+    time on the second-to-last axis of e; a leading axis stacks sequences
+    that share M and s0 (a trial's attacks), and each makes the matrix
+    products it makes alone.
 
     Recursive doubling: after the pass with shift k, s[t] sums M^j e[t - j]
-    over j < 2k, so log2(len(e)) array operations replace a loop over time.
+    over j < 2k, so log2(T) array operations replace a loop over time.
     """
     s = e.copy()
-    s[0] += M @ s0
+    s[..., 0, :] += M @ s0
     power, shift = M, 1
-    while shift < len(s):
-        s[shift:] += s[:-shift] @ power.T
+    while shift < s.shape[-2]:
+        s[..., shift:, :] += s[..., :-shift, :] @ power.T
         power = power @ power
         shift *= 2
     return s
@@ -211,7 +215,11 @@ class Rollout(NamedTuple):
     have one row per step, as in SimulationTrace, and Y is the bank's
     canonical measurement.  Every array is real.  split is Y's
     least-squares split on the rollout's problem (FusionProblem.split),
-    which it records as split.problem.
+    which it records as split.problem.  The rollouts of one stacked pass
+    (_rollouts) share the plant's x, u and z; y, a, xhat_kal and Y are
+    views of the pass's stacked arrays, and split's arrays and rows are
+    slices of the one split of all its rows, with the bits each attack's
+    rollout has on its own.
     """
 
     attack: AttackSpec
@@ -265,22 +273,42 @@ def _plant(model, horizon, seed, trial) -> Plant:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rollout(model, design, decomposition, problem, attack, horizon, seed,
-             trial, plant=None) -> Rollout:
+def _rollouts(model, design, decomposition, problem, attacks, horizon, seed,
+              trial) -> list[Rollout]:
     """Roll the plant, the fixed-gain filter and the bank out over the
-    whole horizon, and split Y on problem.  plant, when given, is this
-    (seed, trial)'s _plant over the horizon, which every attack's rollout
-    shares; the attack draws come from a fresh generator on its
-    attack_seed.  A non-finite array raises ValueError naming it, as does
-    a split whose products overflow.
+    whole horizon under each attack of the sequence attacks, in one pass,
+    and split every attack's Y on problem.
+
+    The attacks share one plant rollout (_plant), and each attack's draws
+    come from a fresh generator on its attack_seed.  The attacks sit on a
+    leading axis: the terms that only the plant drives are formed once,
+    _recurrence runs over the stack, and one FusionProblem.split covers
+    the rows of every attack, which each Rollout slices.  Every product
+    is taken per attack, as a lone attack's rollout takes it, so each
+    Rollout has the bits of the batch of one (_rollout).  A non-finite
+    array raises ValueError naming it, as does a split whose products
+    overflow; a failing batch raises what rolling its attacks out one at
+    a time raises: the first failing attack, and within it the first
+    failing check (its draws, y, a, xhat_kal, the canonical measurement,
+    then the split).  The draws raise ValueError for a sensor out of
+    range, and numpy's OverflowError for a uniform range past the float64
+    limit.
     """
     n, m = model.n, model.m
     A, C, B = model.A, model.C, model.input_matrix()
-    if plant is None:
-        plant = _plant(model, horizon, seed, trial)
-    x, u, z, attack_seed = plant
-    a = attack_sequence(attack, m, horizon,
-                        np.random.Generator(np.random.Philox(attack_seed)))
+    x, u, z, attack_seed = _plant(model, horizon, seed, trial)
+    a = []
+    for attack in attacks:
+        try:
+            a.append(attack_sequence(
+                attack, m, horizon,
+                np.random.Generator(np.random.Philox(attack_seed))))
+        except (ValueError, OverflowError):
+            if a:   # the attacks before it are refused first, if they fail
+                _rollouts(model, design, decomposition, problem,
+                          attacks[:len(a)], horizon, seed, trial)
+            raise
+    a = np.array(a)
     y = z + a
     # fixed-gain filter: x_hat <- (A - KCA) x_hat + K y + (B - KCB) u
     KC = design.K @ C
@@ -290,17 +318,31 @@ def _rollout(model, design, decomposition, problem, attack, horizon, seed,
     # b = bank_input, every sensor at once: the transition is block diagonal
     Bu = u @ B.T
     drive = ((Bu @ decomposition.G_stack.T).reshape(horizon, m, n)
-             + (y - Bu @ C.T)[:, :, None] * decomposition.bank_input
-             ).reshape(horizon, m * n)
+             + (y - Bu @ C.T)[..., None] * decomposition.bank_input
+             ).reshape(len(a), horizon, m * n)
     zeta = _recurrence(np.kron(np.eye(m), decomposition.bank), drive,
                        np.zeros(m * n))
     Y = zeta @ decomposition.Ptilde.T
-    for name, arr in (("y", y), ("a", a), ("xhat_kal", x_kal),
-                      ("canonical measurement", Y)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"simulation produced non-finite {name}")
-    return Rollout(attack, horizon, seed, trial, x, u, z, y, a, x_kal, Y,
-                   problem.split(Y))
+    for k in range(len(a)):
+        for name, arr in (("y", y[k]), ("a", a[k]), ("xhat_kal", x_kal[k]),
+                          ("canonical measurement", Y[k])):
+            if not np.isfinite(arr).all():
+                # an earlier attack's split is refused first
+                problem.split(Y[:k].reshape(-1, m * n))
+                raise ValueError(f"simulation produced non-finite {name}")
+    split = problem.split(Y.reshape(-1, m * n))
+    return [Rollout(attack, horizon, seed, trial, x, u, z, y[k], a[k],
+                    x_kal[k], Y[k], LeastSquaresSplit(
+                        *(part[k * horizon:(k + 1) * horizon]
+                          for part in split[:-1]), problem))
+            for k, attack in enumerate(attacks)]
+
+
+def _rollout(model, design, decomposition, problem, attack, horizon, seed,
+             trial) -> Rollout:
+    """The rollout of one attack: _rollouts' batch of one."""
+    return _rollouts(model, design, decomposition, problem, (attack,),
+                     horizon, seed, trial)[0]
 
 
 def simulate(model: SystemModel, design: SpectralDesign,
@@ -332,6 +374,8 @@ def simulate(model: SystemModel, design: SpectralDesign,
     continues; a non-finite state, measurement or estimate raises
     ValueError.
 
+    Without a problem or a rollout, the run fuses with the
+    decomposition's FusionProblem (SensorDecomposition.fusion_problem).
     The rollout and its split do not depend on gamma, so runs that
     differ only in gamma can share them: pass the rollout as `rollout`.
     Its split records the problem it was made on, which the run then
@@ -351,8 +395,7 @@ def simulate(model: SystemModel, design: SpectralDesign,
     check_gamma(gamma)
     if rollout is None:
         if problem is None:
-            problem = build_fusion_problem(decomposition.H_stack,
-                                           decomposition.Mtilde_factor)
+            problem = decomposition.fusion_problem
         rollout = _rollout(model, design, decomposition, problem, attack,
                            horizon, seed, trial)
     elif rollout[:4] != (attack, horizon, seed, trial):
@@ -377,7 +420,8 @@ def simulate(model: SystemModel, design: SpectralDesign,
     x_tilde, _, _, kkt, iters, screened, _, converged = zip(
         *[secure_fuse(problem, row, gamma, split=row_split, walk=row_walk)
           for row, row_split, row_walk in zip(Y, split.rows, walks)])
-    secs, kkts = np.array(x_tilde), np.array(kkt, dtype=float)
+    secs = np.concatenate(x_tilde).reshape(horizon, -1)
+    kkts = np.array(kkt, dtype=float)
     for name, arr in (("xhat_sec", secs), ("kkt_residual", kkts)):
         if not np.isfinite(arr).all():
             raise ValueError(f"simulation produced non-finite {name}")
@@ -414,8 +458,7 @@ def empirical_equivalence_probability(model: SystemModel,
     if not np.allclose(np.sort_complex(np.linalg.eigvals(decomposition.bank)),
                        np.sort_complex(design.Pi)):
         raise ValueError("decomposition was built for a different design")
-    problem = build_fusion_problem(decomposition.H_stack,
-                                   decomposition.Mtilde_factor)
+    problem = decomposition.fusion_problem
     fractions = []
     for trial in range(trials):
         statistic = _rollout(model, design, decomposition, problem,
@@ -461,15 +504,16 @@ def _check_burn_in(burn_in) -> None:
         raise ValueError(f"burn-in must be nonnegative, got {burn_in}")
 
 
-def _tail(horizon, burn_in) -> np.ndarray:
-    """Mask of the steps k = 1..horizon at or after burn_in; ValueError
-    when the horizon is below 1, or burn_in is negative or leaves no step."""
+def _tail(horizon, burn_in) -> slice:
+    """Slice of the rows of the steps k = 1..horizon at or after burn_in;
+    ValueError when the horizon is below 1, or burn_in is negative or
+    leaves no step."""
     _check_horizon(horizon)
     _check_burn_in(burn_in)
     if burn_in > horizon:
         raise ValueError(f"horizon {horizon} leaves no samples at or after "
                          f"burn-in {burn_in}")
-    return np.arange(1, horizon + 1) >= burn_in
+    return slice(max(burn_in - 1, 0), horizon)
 
 
 def mse(trace: SimulationTrace, burn_in: int = DEFAULT_BURN_IN) -> MseReport:
@@ -477,8 +521,8 @@ def mse(trace: SimulationTrace, burn_in: int = DEFAULT_BURN_IN) -> MseReport:
     the steps k >= burn_in.  A negative burn_in raises ValueError, as does
     one past the horizon."""
     keep = _tail(trace.horizon, burn_in)
-    count = int(keep.sum())
     truth = trace.x[keep]
+    count = len(truth)
 
     def per_state(est):
         return np.mean((est[keep] - truth) ** 2, axis=0)
@@ -624,9 +668,10 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     once: the clean run of a gamma serves every point at that
     gamma, and an attack of kind none or magnitude 0 injects nothing, so
     it is that clean run too.  Neither the rollout nor the least-squares
-    split it carries depends on gamma, so a trial rolls each distinct
-    attack out once, all from one plant rollout (_plant), which does not
-    depend on the attack either; its runs at every gamma share the
+    split it carries depends on gamma, so a trial rolls all of its
+    distinct attacks out once, in one stacked pass (_rollouts) from one
+    plant rollout, which does not depend on the attack either, with one
+    split of all their rows; its runs at every gamma share their attack's
     rollout, and only test each row's statistic against their own gamma.
     At each gamma the open rows of the trial's runs are fused as one
     block (fusion.fuse_open), in batches of consecutive runs of at most
@@ -634,15 +679,15 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     fuse_open walks it MAX_BLOCK_ROWS rows per call), and each run is
     simulated with its part of its batch; a batch without open rows
     walks nothing.  A trial holds only its own
-    rollouts, and one batch's answers at a time.  Every run shares one
-    FusionProblem.  Bad gammas, a horizon below 1 and a burn-in that
-    leaves no step are refused before any rollout.
+    rollouts, and one batch's answers at a time.  Every run shares the
+    decomposition's one FusionProblem (SensorDecomposition.fusion_problem).
+    Bad gammas, a horizon below 1 and a burn-in that leaves no step are
+    refused before any rollout.
     """
     for _, _, gamma in points:
         check_gamma(gamma)
     _tail(horizon, burn_in)
-    problem = build_fusion_problem(decomposition.H_stack,
-                                   decomposition.Mtilde_factor)
+    problem = decomposition.fusion_problem
 
     def injected(attack):
         # an attack of kind none or magnitude 0 injects nothing
@@ -657,10 +702,9 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     attacks = dict.fromkeys(a for runs in gammas.values() for a in runs)
 
     def run_trial(trial):
-        plant = _plant(model, horizon, seed, trial)
-        rollouts = {attack: _rollout(model, design, decomposition, problem,
-                                     attack, horizon, seed, trial, plant)
-                    for attack in attacks}
+        rollouts = dict(zip(attacks, _rollouts(
+            model, design, decomposition, problem, list(attacks), horizon,
+            seed, trial)))
         reports = {}
         for gamma, runs in gammas.items():
             opens = {attack: (rollouts[attack].split.statistic

@@ -1,6 +1,7 @@
 """Shared test utilities: deterministic random model generation, a
-step-by-step reference for simulate, the bank rolled out in complex mode
-coordinates as a reference for the real one, a value-by-value reference
+step-by-step reference for simulate, a one-attack rollout with 2-D
+arrays as a reference for the stacked one, the bank rolled out in complex
+mode coordinates as a reference for the real one, a value-by-value reference
 for trace_csv, a key-by-key reference for the design-file encoder, and the
 first-written homotopy solve as a bit-for-bit reference for secure_fuse.
 
@@ -142,6 +143,59 @@ def reference_complex_rollout(model, design, u, y):
     assert (np.abs(Y.imag).max(axis=-1)
             <= 1e-9 * np.abs(Y.real).max(axis=-1)).all()
     return Y.real.copy(), float((np.abs(zeta) @ np.abs(Ptilde).T).max())
+
+
+def _reference_recurrence(M, e, s0):
+    """Rows s[t] = M s[t-1] + e[t] of a 2-D e, s[-1] = s0, by the
+    recursive doubling the simulator's rollout uses."""
+    s = e.copy()
+    s[0] += M @ s0
+    power, shift = M, 1
+    while shift < len(s):
+        s[shift:] += s[:-shift] @ power.T
+        power = power @ power
+        shift *= 2
+    return s
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_rollout(model, design, decomposition, problem, attack,
+                      horizon, seed, trial):
+    """Reference for a rollout of one attack, with 2-D arrays throughout:
+    the plant, the fixed-gain filter and the bank rolled out over the
+    horizon, and Y split on problem.  Returns (x, u, z, y, a, xhat_kal, Y,
+    split) with the bits a stacked rollout must give each attack, or
+    raises the ValueError that rolling this attack out raises."""
+    n, m = model.n, model.m
+    A, C = model.A, model.C
+    B, K = model.input_matrix(), model.feedback_gain()
+    g_init, g_proc, g_meas, g_att = trial_generators(seed, trial)
+    x0 = psd_factor(model.Sigma) @ g_init.standard_normal(n)
+    w = g_proc.standard_normal((horizon, n)) @ psd_factor(model.Q).T
+    v = g_meas.standard_normal((horizon, m)) @ psd_factor(model.R).T
+    x = _reference_recurrence(A - B @ K, w, x0)
+    u = -(np.vstack((x0, x[:-1])) @ K.T)
+    z = x @ C.T + v
+    for name, arr in (("x", x), ("u", u), ("z", z)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"simulation produced non-finite {name}")
+    a = attack_sequence(attack, m, horizon, g_att)
+    y = z + a
+    KC = design.K @ C
+    x_kal = _reference_recurrence(
+        A - KC @ A, y @ design.K.T + u @ (B - KC @ B).T, np.zeros(n))
+    Bu = u @ B.T
+    drive = ((Bu @ decomposition.G_stack.T).reshape(horizon, m, n)
+             + (y - Bu @ C.T)[:, :, None] * decomposition.bank_input
+             ).reshape(horizon, m * n)
+    zeta = _reference_recurrence(np.kron(np.eye(m), decomposition.bank),
+                                 drive, np.zeros(m * n))
+    Y = zeta @ decomposition.Ptilde.T
+    for name, arr in (("y", y), ("a", a), ("xhat_kal", x_kal),
+                      ("canonical measurement", Y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"simulation produced non-finite {name}")
+    return x, u, z, y, a, x_kal, Y, problem.split(Y)
 
 
 def step_by_step_simulate(model, design, decomposition, attack, gamma,

@@ -1,23 +1,32 @@
 """Simulation harness: attacks, traces, MSE reports, sweeps, CSV output."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import (complex_pair_design, reference_complex_rollout,
+import securekf.fusion
+import securekf.simulator
+from helpers import (complex_pair_design, random_jordan_model,
+                     reference_complex_rollout, reference_rollout,
                      reference_trace_csv, step_by_step_simulate)
-from securekf import build_fusion_problem, secure_fuse
+from securekf import (build_decomposition, build_fusion_problem, secure_fuse,
+                      spectral_design)
+from securekf.cli import design_to_dict
 from securekf.fusion import MAX_BREAKPOINTS, FusionResult
+from securekf.spectral import RiccatiDivergenceError
 from securekf.simulator import (
+    ATTACK_KINDS,
     AttackSpec,
     Rollout,
     SimulationTrace,
     SweepRow,
     _rollout,
+    _rollouts,
     attack_sequence,
     default_attack,
     empirical_equivalence_probability,
@@ -286,6 +295,122 @@ def test_simulate_refuses_a_rollout_split_on_another_problem(
     own = simulate(*args, AttackSpec(), 100.0, 200, 0, problem=problem)
     assert taken.xhat_sec.tobytes() == own.xhat_sec.tobytes()
     assert taken.kalman_equivalent.sum() == 197
+
+
+def assert_rollout_bytes(rollout, want, problem):
+    """Every array of rollout, and every field of its split, has the
+    dtype, shape and bytes of want, a reference_rollout, and the split's
+    arrays are read-only."""
+    for name, got, ref in zip(Rollout._fields[4:-1], rollout[4:-1], want):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+        assert got.tobytes() == ref.tobytes(), name
+    split, ref = rollout.split, want[-1]
+    assert split.problem is ref.problem is problem
+    for name in ("x_ls", "mu_ls", "d", "statistic", "kkt"):
+        got, arr = getattr(split, name), getattr(ref, name)
+        assert (got.dtype, got.shape) == (arr.dtype, arr.shape), name
+        assert got.tobytes() == arr.tobytes(), name
+        assert not got.flags.writeable, name
+    assert len(split.rows) == len(ref.rows)
+    for got, arr in zip(split.rows, ref.rows):
+        assert [np.asarray(g).tobytes() for g in got] == \
+            [np.asarray(a).tobytes() for a in arr]
+        assert type(got[3]) is type(got[4]) is float
+
+
+# (kind, sensor, log10 |magnitude|, negative, start step); a sensor past
+# the model's last one, and magnitudes near the float64 limit, make some
+# trials fail at each check a rollout makes
+ATTACK_DRAWS = st.tuples(
+    st.sampled_from(ATTACK_KINDS), st.integers(0, 8),
+    st.one_of(st.floats(-2.0, 3.0), st.floats(300.0, 308.25)), st.booleans(),
+    st.integers(0, 60))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 60),
+       draws=st.lists(ATTACK_DRAWS, min_size=1, max_size=4))
+# the first attack's split overflows, the second's y is not finite
+@example(seed=0, horizon=30, draws=[("constant", 0, 300.0, False, 0),
+                                    ("ramp", 0, 307.0, False, 0)])
+# a clean run, then xhat_kal overflows, then a sensor out of range
+@example(seed=1, horizon=2, draws=[("none", 0, 0.0, False, 0),
+                                   ("constant", 0, 308.25, False, 0),
+                                   ("constant", 3, 1.0, False, 0)])
+# the canonical measurement overflows; a uniform draw's range overflows
+@example(seed=0, horizon=1, draws=[("constant", 0, 308.25, False, 0)])
+@example(seed=0, horizon=1, draws=[("none", 0, 0.0, False, 0),
+                                   ("uniform", 0, 308.0, False, 0)])
+def test_stacked_rollout_gives_each_attack_its_own_rollouts_bytes(
+        seed, horizon, draws):
+    # a trial's attacks rolled out in one stacked pass get, on every array
+    # and every split field, the bytes of their own rollouts taken one at
+    # a time with 2-D arrays, and of the batch of one; a trial that fails
+    # raises what those raise first: the first failing attack, and within
+    # it the first failing check
+    model = random_jordan_model(seed, ensure_observable=True)
+    try:
+        design = spectral_design(model)
+        dec = build_decomposition(model, design)
+    except (ValueError, RiccatiDivergenceError):
+        assume(False)
+    attacks = [AttackSpec() if kind == "none" else AttackSpec(
+        support=(sensor % (model.m + 1),), kind=kind,
+        magnitude=10.0 ** log_mag * (-1.0 if negative and kind != "uniform"
+                                     else 1.0), start_step=start)
+        for kind, sensor, log_mag, negative, start in draws]
+    args = (model, design, dec, dec.fusion_problem)
+    try:
+        want = [reference_rollout(*args, attack, horizon, seed, 1)
+                for attack in attacks]
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as err:
+            _rollouts(*args, attacks, horizon, seed, 1)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return
+    got = _rollouts(*args, attacks, horizon, seed, 1)
+    assert len(got) == len(attacks)
+    for attack, rollout, ref in zip(attacks, got, want):
+        assert rollout[:4] == (attack, horizon, seed, 1)
+        assert_rollout_bytes(rollout, ref, dec.fusion_problem)
+        assert_rollout_bytes(_rollout(*args, attack, horizon, seed, 1), ref,
+                             dec.fusion_problem)
+
+
+def test_a_decomposition_builds_its_fusion_problem_once(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # two sweeps, a simulate and an equivalence rate on one decomposition
+    # build one FusionProblem; a copy made by dataclasses.replace starts
+    # without it, and caching it changes no byte of the design file
+    calls = []
+    build = securekf.fusion.build_fusion_problem
+    # the tracer wraps the simulator's binding, so it must still resolve
+    assert securekf.simulator.build_fusion_problem is build
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (securekf.fusion, securekf.simulator):
+        monkeypatch.setattr(module, "build_fusion_problem", counting)
+    dec = dataclasses.replace(pendulum_decomposition)
+    args = (pendulum_model, pendulum_design, dec)
+    text = json.dumps(design_to_dict(*args), indent=1)
+    sweep_gamma(*args, gammas=(5.0, 1000.0), trials=1, horizon=40,
+                burn_in=10)
+    sweep_attack_magnitude(*args, magnitudes=(0.0, 1.0), trials=1,
+                           horizon=40, burn_in=10)
+    simulate(*args, default_attack(), 20.0, 40, 2)
+    empirical_equivalence_probability(*args, 100.0, trials=2, horizon=40,
+                                      burn_in=10)
+    assert len(calls) == 1
+    problem = dec.fusion_problem
+    assert calls[0][0] is dec.H_stack and calls[0][1] is dec.Mtilde_factor
+    assert json.dumps(design_to_dict(*args), indent=1) == text
+    copy = dataclasses.replace(dec)
+    assert copy.fusion_problem is not problem and len(calls) == 2
+    assert copy.fusion_problem is copy.fusion_problem and len(calls) == 2
 
 
 def test_simulate_takes_the_split_of_its_own_rollout(
@@ -622,6 +747,42 @@ def test_mse_report_consistency(pendulum_model, pendulum_design,
     assert rep.secure == pytest.approx(direct)
 
 
+@pytest.mark.parametrize("burn_in", [0, 1, 50, 120])
+def test_mse_tail_slice_bit_equal_to_step_mask(
+        burn_in, pendulum_model, pendulum_design, pendulum_decomposition):
+    # the tail rows k >= burn_in, read as a slice, give the bits of the
+    # boolean-mask copy they were read as before, in mse and security_gap
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    tr = run(*args, horizon=120, seed=4)
+    hit = run(*args, default_attack(), horizon=120, seed=4)
+    keep = np.arange(1, 121) >= burn_in
+    rep = mse(tr, burn_in)
+    for field, est in (("kalman", tr.xhat_kal), ("secure", tr.xhat_sec),
+                       ("least_squares", tr.xhat_ls)):
+        per_state = np.mean((est[keep] - tr.x[keep]) ** 2, axis=0)
+        assert getattr(rep, f"{field}_per_state").tobytes() == \
+            per_state.tobytes()
+        assert getattr(rep, field) == float(per_state.sum())
+    assert rep.samples == int(keep.sum())
+    gap = security_gap(tr, hit, burn_in)
+    for field in ("kalman", "secure", "least_squares"):
+        assert getattr(gap, f"tail_mean_{field}") == \
+            float(getattr(gap, field)[keep].mean())
+
+
+def test_mse_tail_refusals_word_for_word(pendulum_model, pendulum_design,
+                                         pendulum_decomposition):
+    tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
+             horizon=30)
+    for burn_in, message in (
+            (-1, "burn-in must be nonnegative, got -1"),
+            (31, "horizon 30 leaves no samples at or after burn-in 31")):
+        for call in (mse, lambda t, b: security_gap(t, t, b)):
+            with pytest.raises(ValueError) as err:
+                call(tr, burn_in)
+            assert str(err.value) == message
+
+
 def test_mse_burn_in_validation(pendulum_model, pendulum_design,
                                 pendulum_decomposition):
     tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
@@ -662,7 +823,7 @@ def test_sweep_refuses_burn_in_before_any_rollout(
     def no_rollout(*args, **kwargs):
         raise AssertionError("rolled out before checking the burn-in")
 
-    monkeypatch.setattr(sim, "_rollout", no_rollout)
+    monkeypatch.setattr(sim, "_rollouts", no_rollout)
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     with pytest.raises(ValueError, match="burn-in"):
         sweep_gamma(*args, gammas=(5.0,), trials=1, horizon=40,
@@ -685,7 +846,7 @@ def test_sweep_refuses_horizon_below_1_before_any_rollout(
         raise AssertionError("rolled out before checking the horizon")
 
     monkeypatch.setattr(sim, "_plant", no_rollout)
-    monkeypatch.setattr(sim, "_rollout", no_rollout)
+    monkeypatch.setattr(sim, "_rollouts", no_rollout)
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     message = f"^horizon must be at least 1, got {horizon}$"
     with pytest.raises(ValueError, match=message):
@@ -927,16 +1088,17 @@ def test_sweep_rolls_out_each_trial_attack_once(
         monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
     import securekf.simulator as sim
 
-    calls = []
-    rollout = sim._rollout
+    calls, passes = [], []
+    rollouts = sim._rollouts
 
-    def counting(model, design, decomposition, problem, attack, horizon, seed,
-                 trial, x0=None):
-        calls.append((trial, attack))
-        return rollout(model, design, decomposition, problem, attack,
-                       horizon, seed, trial, x0)
+    def counting(model, design, decomposition, problem, attacks, horizon,
+                 seed, trial):
+        calls.extend((trial, attack) for attack in attacks)
+        passes.append(trial)
+        return rollouts(model, design, decomposition, problem, attacks,
+                        horizon, seed, trial)
 
-    monkeypatch.setattr(sim, "_rollout", counting)
+    monkeypatch.setattr(sim, "_rollouts", counting)
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     attack = default_attack()
     sweep_gamma(*args, gammas=(5.0, 1000.0, 2000.0), attack=attack,
@@ -949,6 +1111,8 @@ def test_sweep_rolls_out_each_trial_attack_once(
                            trials=2, horizon=60, seed=1)
     assert len(calls) == len(set(calls)) == 6
     assert {a.magnitude for _, a in calls} == {0.0, 1.0, 2.0}
+    # one stacked pass per trial, for each sweep
+    assert passes == [0, 1, 0, 1]
 
 
 def test_sweep_attack_rows_equal_per_attack_simulate(
@@ -1073,18 +1237,19 @@ def test_sweep_runs_share_their_rollouts_read_only_arrays(
     import securekf.simulator as sim
 
     rollouts, traces = {}, []
-    rollout, simulate_ = sim._rollout, sim.simulate
+    rollouts_, simulate_ = sim._rollouts, sim.simulate
 
-    def recording_rollout(*args, **kwargs):
-        out = rollout(*args, **kwargs)
-        rollouts[out[:4]] = out     # (attack, horizon, seed, trial)
+    def recording_rollouts(*args, **kwargs):
+        out = rollouts_(*args, **kwargs)
+        for rollout in out:     # by (attack, horizon, seed, trial)
+            rollouts[rollout[:4]] = rollout
         return out
 
     def recording_simulate(*args, **kwargs):
         traces.append(simulate_(*args, **kwargs))
         return traces[-1]
 
-    monkeypatch.setattr(sim, "_rollout", recording_rollout)
+    monkeypatch.setattr(sim, "_rollouts", recording_rollouts)
     monkeypatch.setattr(sim, "simulate", recording_simulate)
     sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
                 gammas=(5.0, 1000.0), trials=2, horizon=60, seed=1)
