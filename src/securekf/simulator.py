@@ -18,10 +18,11 @@ them, and the plant itself does not depend on the attack.  Sparse sensor
 attacks are injected additively on a fixed support.  Sweep helpers
 aggregate per-trial mean squared errors over a grid of regularization
 weights or attack magnitudes, rolling all of a trial's attacks out in one
-stacked pass (one plant, one least-squares split) for every gamma to read
-and fusing the open rows of a trial's runs at each gamma as one block,
-and write the results as CSV; every run is reproducible from (seed,
-trial).  Every run on a decomposition fuses with its one FusionProblem
+straight stacked pass (one plant, each array checked once, one
+least-squares split) for every gamma to read and fusing the open rows of
+a trial's runs at each gamma as one block; trace_csv and sweep_csv render
+traces and sweeps as CSV text.  Every run is reproducible from (seed,
+trial) and fuses with its decomposition's one FusionProblem
 (SensorDecomposition.fusion_problem), built on first use.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +66,8 @@ class AttackSpec:
       ramp      magnitude * (k - start_step), growing by magnitude per step
 
     Steps are counted from k = 1 (the first measurement); start_step = 0
-    means the attack is active from the beginning.
+    means the attack is active from the beginning.  A uniform magnitude
+    above sys.float_info.max / 2, whose draw range overflows, is refused.
     """
 
     support: tuple[int, ...] = ()
@@ -89,6 +92,10 @@ class AttackSpec:
             raise ValueError("attack magnitude must be finite")
         if self.kind == "uniform" and self.magnitude < 0:
             raise ValueError("uniform attack magnitude must be nonnegative")
+        if self.kind == "uniform" and self.magnitude > sys.float_info.max / 2:
+            raise ValueError(f"uniform attack magnitude "
+                             f"{float(self.magnitude)!r} is too large: its "
+                             f"draw range 2 * magnitude is not finite")
         if self.start_step < 0:
             raise ValueError("attack start_step must be nonnegative")
         object.__setattr__(self, "support", support)
@@ -146,8 +153,8 @@ class SimulationTrace:
     a the injected attack, and y = z + a what the estimators saw.  The
     solver columns describe the secure fusion at that step;
     screen_statistic is the threshold statistic max |Minv mu_ls| of the
-    step's canonical measurement, so kalman_equivalent holds exactly
-    where it is at most gamma.  xhat_ls and screen_statistic are the
+    step's canonical measurement; kalman_equivalent, derived from it, holds
+    exactly where it is at most gamma.  xhat_ls and screen_statistic are the
     read-only x_ls and statistic arrays of the rollout's least-squares
     split, which runs that share the rollout share.
     """
@@ -168,8 +175,11 @@ class SimulationTrace:
     solver_iters: np.ndarray
     kkt_residual: np.ndarray
     solver_converged: np.ndarray
-    kalman_equivalent: np.ndarray
     screen_statistic: np.ndarray
+
+    @property
+    def kalman_equivalent(self) -> np.ndarray:
+        return self.screen_statistic <= self.gamma
 
     @property
     def unconverged_steps(self) -> int:
@@ -213,7 +223,7 @@ class Rollout(NamedTuple):
 
     The run it belongs to is (attack, horizon, seed, trial); the arrays
     have one row per step, as in SimulationTrace, and Y is the bank's
-    canonical measurement.  Every array is real.  split is Y's
+    canonical measurement.  Every array is real and finite.  split is Y's
     least-squares split on the rollout's problem (FusionProblem.split),
     which it records as split.problem.  The rollouts of one stacked pass
     (_rollouts) share the plant's x, u and z; y, a, xhat_kal and Y are
@@ -236,25 +246,34 @@ class Rollout(NamedTuple):
     split: LeastSquaresSplit
 
 
-class Plant(NamedTuple):
-    """The part of a run that depends on neither the attack nor gamma:
-    the plant's states x, its inputs u and the clean measurements z, one
-    row per step, drawn from the first three streams of (seed, trial).
-    attack_seed seeds the fourth stream, which each attack's rollout
-    draws from afresh: a Philox generator on it repeats
-    trial_generators(seed, trial)[3]."""
-
-    x: np.ndarray
-    u: np.ndarray
-    z: np.ndarray
-    attack_seed: np.random.SeedSequence
+def _check_finite(*named) -> None:
+    """Raise ValueError naming the first (name, array) pair of named whose
+    array holds a non-finite value."""
+    for name, arr in named:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"simulation produced non-finite {name}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _plant(model, horizon, seed, trial) -> Plant:
-    """Roll the plant out under true-state feedback from an initial state
-    drawn from N(0, Sigma).  A non-finite array raises ValueError naming
-    it."""
+def _rollouts(model, design, decomposition, problem, attacks, horizon, seed,
+              trial) -> list[Rollout]:
+    """Roll the plant, the fixed-gain filter and the bank out over the
+    whole horizon under each attack of the sequence attacks, in one
+    straight pass, and split every attack's Y on problem.
+
+    The plant runs under true-state feedback from x0 ~ N(0, Sigma) on the
+    first three streams of (seed, trial), once for all the attacks; each
+    attack draws from a fresh generator on the fourth stream's seed, as
+    trial_generators(seed, trial)[3] would.  The attacks sit on a leading
+    axis: _recurrence runs over the stack, and one FusionProblem.split
+    covers the rows of every attack, which each Rollout slices.  Every
+    product is taken per attack, so each Rollout has the bits of the
+    batch of one (_rollout).  A pass raises the ValueError of its first
+    failing check in pipeline order across the whole stack, and within a
+    check the first attack: a non-finite x, u or z, the draws (a sensor
+    out of range), a non-finite y, xhat_kal or canonical measurement,
+    then the split (products that overflow).
+    """
     n, m = model.n, model.m
     A, C = model.A, model.C
     B, K = model.input_matrix(), model.feedback_gain()
@@ -266,49 +285,11 @@ def _plant(model, horizon, seed, trial) -> Plant:
     x = _recurrence(A - B @ K, w, x0)
     u = -(np.vstack((x0, x[:-1])) @ K.T)
     z = x @ C.T + v
-    for name, arr in (("x", x), ("u", u), ("z", z)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"simulation produced non-finite {name}")
-    return Plant(x, u, z, g_att.bit_generator.seed_seq)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _rollouts(model, design, decomposition, problem, attacks, horizon, seed,
-              trial) -> list[Rollout]:
-    """Roll the plant, the fixed-gain filter and the bank out over the
-    whole horizon under each attack of the sequence attacks, in one pass,
-    and split every attack's Y on problem.
-
-    The attacks share one plant rollout (_plant), and each attack's draws
-    come from a fresh generator on its attack_seed.  The attacks sit on a
-    leading axis: the terms that only the plant drives are formed once,
-    _recurrence runs over the stack, and one FusionProblem.split covers
-    the rows of every attack, which each Rollout slices.  Every product
-    is taken per attack, as a lone attack's rollout takes it, so each
-    Rollout has the bits of the batch of one (_rollout).  A non-finite
-    array raises ValueError naming it, as does a split whose products
-    overflow; a failing batch raises what rolling its attacks out one at
-    a time raises: the first failing attack, and within it the first
-    failing check (its draws, y, a, xhat_kal, the canonical measurement,
-    then the split).  The draws raise ValueError for a sensor out of
-    range, and numpy's OverflowError for a uniform range past the float64
-    limit.
-    """
-    n, m = model.n, model.m
-    A, C, B = model.A, model.C, model.input_matrix()
-    x, u, z, attack_seed = _plant(model, horizon, seed, trial)
-    a = []
-    for attack in attacks:
-        try:
-            a.append(attack_sequence(
-                attack, m, horizon,
-                np.random.Generator(np.random.Philox(attack_seed))))
-        except (ValueError, OverflowError):
-            if a:   # the attacks before it are refused first, if they fail
-                _rollouts(model, design, decomposition, problem,
-                          attacks[:len(a)], horizon, seed, trial)
-            raise
-    a = np.array(a)
+    _check_finite(("x", x), ("u", u), ("z", z))
+    attack_seed = g_att.bit_generator.seed_seq
+    a = np.array([attack_sequence(
+        attack, m, horizon, np.random.Generator(np.random.Philox(attack_seed)))
+        for attack in attacks])
     y = z + a
     # fixed-gain filter: x_hat <- (A - KCA) x_hat + K y + (B - KCB) u
     KC = design.K @ C
@@ -323,13 +304,7 @@ def _rollouts(model, design, decomposition, problem, attacks, horizon, seed,
     zeta = _recurrence(np.kron(np.eye(m), decomposition.bank), drive,
                        np.zeros(m * n))
     Y = zeta @ decomposition.Ptilde.T
-    for k in range(len(a)):
-        for name, arr in (("y", y[k]), ("a", a[k]), ("xhat_kal", x_kal[k]),
-                          ("canonical measurement", Y[k])):
-            if not np.isfinite(arr).all():
-                # an earlier attack's split is refused first
-                problem.split(Y[:k].reshape(-1, m * n))
-                raise ValueError(f"simulation produced non-finite {name}")
+    _check_finite(("y", y), ("xhat_kal", x_kal), ("canonical measurement", Y))
     split = problem.split(Y.reshape(-1, m * n))
     return [Rollout(attack, horizon, seed, trial, x, u, z, y[k], a[k],
                     x_kal[k], Y[k], LeastSquaresSplit(
@@ -417,21 +392,18 @@ def simulate(model: SystemModel, design: SpectralDesign,
     if walk is not None:
         for t, row in zip(open_rows.tolist(), walk.rows()):
             walks[t] = row
-    x_tilde, _, _, kkt, iters, screened, _, converged = zip(
+    x_tilde, _, _, kkt, iters, _, _, converged = zip(
         *[secure_fuse(problem, row, gamma, split=row_split, walk=row_walk)
           for row, row_split, row_walk in zip(Y, split.rows, walks)])
     secs = np.concatenate(x_tilde).reshape(horizon, -1)
     kkts = np.array(kkt, dtype=float)
-    for name, arr in (("xhat_sec", secs), ("kkt_residual", kkts)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"simulation produced non-finite {name}")
+    _check_finite(("xhat_sec", secs), ("kkt_residual", kkts))
     return SimulationTrace(
         seed=int(seed), trial=int(trial), gamma=float(gamma),
         horizon=int(horizon), attack=attack, x=x, u=u, z=z, y=y, a=a,
         xhat_kal=x_kal, xhat_sec=secs, xhat_ls=split.x_ls,
         solver_iters=np.array(iters, dtype=int), kkt_residual=kkts,
         solver_converged=np.array(converged, dtype=bool),
-        kalman_equivalent=np.array(screened, dtype=bool),
         screen_statistic=split.statistic)
 
 
@@ -726,7 +698,7 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                 for attack, walk in zip(batch, walks):
                     reports[attack, gamma] = mse(simulate(
                         model, design, decomposition, attack, gamma,
-                        horizon, seed, trial=trial, problem=problem,
+                        horizon, seed, trial=trial,
                         rollout=rollouts[attack], walk=walk), burn_in)
         out = []
         for _, attack, gamma in points:
@@ -842,13 +814,3 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(fields)]
     lines += [row % dataclasses.astuple(r) for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(trace: SimulationTrace, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(trace_csv(trace))
-
-
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(sweep_csv(rows))

@@ -494,23 +494,37 @@ def test_simulate_validation_errors(pendulum_path, capsys):
     capsys.readouterr()
 
 
-def test_simulate_overflowing_run_exit_2(pendulum_path):
-    # a run that overflows is named by its first non-finite array, without
-    # numpy warnings; it once reached the fusion as a "complex" measurement
+UNIFORM_RANGE_REFUSAL = ("error: uniform attack magnitude 1e+308 is too "
+                         "large: its draw range 2 * magnitude is not finite")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["simulate", "--attack-kind", "constant", "--attack-magnitude",
+      "1e308"], "error: simulation produced non-finite"),
+    (["simulate", "--attack-kind", "uniform", "--attack-magnitude", "1e308"],
+     UNIFORM_RANGE_REFUSAL),
+    (["sweep-attack", "--magnitudes", "1,1e308", "--trials", "1"],
+     UNIFORM_RANGE_REFUSAL),
+], ids=["simulate-constant", "simulate-uniform", "sweep-attack-uniform"])
+def test_simulate_overflowing_run_exit_2(argv, error, pendulum_path):
+    # a run that overflows is named by its first non-finite array, and a
+    # uniform range past the float64 limit by its magnitude, without numpy
+    # warnings or a traceback; the first once reached the fusion as a
+    # "complex" measurement, the second once ended in numpy's OverflowError
     src = pathlib.Path(securekf.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-m", "securekf.cli", "simulate", str(pendulum_path),
-         "--horizon", "60", "--attack-kind", "constant",
-         "--attack-magnitude", "1e308"],
+        [sys.executable, "-m", "securekf.cli", argv[0], str(pendulum_path),
+         "--horizon", "60", *argv[1:]],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     errors = [line for line in proc.stderr.splitlines()
               if line.startswith("error:")]
-    assert len(errors) == 1 and "non-finite" in errors[0]
+    assert len(errors) == 1 and errors[0].startswith(error)
     assert "complex" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("burn_in, message", [

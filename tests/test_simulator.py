@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -37,8 +39,6 @@ from securekf.simulator import (
     sweep_csv,
     sweep_gamma,
     trace_csv,
-    write_sweep_csv,
-    write_trace_csv,
 )
 
 
@@ -67,6 +67,14 @@ def test_attack_spec_validation():
     with pytest.raises(ValueError):
         AttackSpec(support=(0,), kind="constant", magnitude=1.0,
                    start_step=-1)
+    # numpy draws from a range of float_max and refuses the next float up
+    half = sys.float_info.max / 2
+    with pytest.raises(ValueError, match="draw range 2 \\* magnitude"):
+        AttackSpec(support=(0,), kind="uniform",
+                   magnitude=np.nextafter(half, np.inf))
+    edge = AttackSpec(support=(0,), kind="uniform", magnitude=half)
+    assert np.abs(attack_sequence(edge, 1, 3, np.random.default_rng(0))
+                  ).max() < half
 
 
 def test_attack_spec_normalizes_support():
@@ -327,17 +335,41 @@ ATTACK_DRAWS = st.tuples(
     st.integers(0, 60))
 
 
+# the checks a lone rollout makes, in its order: the plant's arrays, the
+# attack's draws, y, xhat_kal, the canonical measurement, then the split
+ROLLOUT_STAGES = ("x", "u", "z", "draws", "y", "xhat_kal",
+                  "canonical measurement", "split")
+
+
+def refusal_stage(message):
+    """The index in ROLLOUT_STAGES of the check whose refusal of a lone
+    reference_rollout reads message; a message no check gives fails."""
+    if message.startswith("attack support"):
+        return ROLLOUT_STAGES.index("draws")
+    if message.startswith("the least-squares products overflow"):
+        return ROLLOUT_STAGES.index("split")
+    prefix = "simulation produced non-finite "
+    assert message.startswith(prefix), message
+    assert message[len(prefix):] in ROLLOUT_STAGES, message
+    return ROLLOUT_STAGES.index(message[len(prefix):])
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 60),
        draws=st.lists(ATTACK_DRAWS, min_size=1, max_size=4))
-# the first attack's split overflows, the second's y is not finite
+# the first attack's split overflows, the second's y is not finite: the
+# y check comes first
 @example(seed=0, horizon=30, draws=[("constant", 0, 300.0, False, 0),
                                     ("ramp", 0, 307.0, False, 0)])
-# a clean run, then xhat_kal overflows, then a sensor out of range
+# a clean run, then xhat_kal overflows, then a sensor out of range: the
+# draws come first
 @example(seed=1, horizon=2, draws=[("none", 0, 0.0, False, 0),
                                    ("constant", 0, 308.25, False, 0),
                                    ("constant", 3, 1.0, False, 0)])
-# the canonical measurement overflows; a uniform draw's range overflows
+# an unstable plant without input overflows before a sensor out of range
+@example(seed=8, horizon=4000, draws=[("constant", 1, 0.0, False, 0)])
+# the canonical measurement overflows; a uniform range past the float64
+# limit, which the attack spec refuses
 @example(seed=0, horizon=1, draws=[("constant", 0, 308.25, False, 0)])
 @example(seed=0, horizon=1, draws=[("none", 0, 0.0, False, 0),
                                    ("uniform", 0, 308.0, False, 0)])
@@ -346,28 +378,44 @@ def test_stacked_rollout_gives_each_attack_its_own_rollouts_bytes(
     # a trial's attacks rolled out in one stacked pass get, on every array
     # and every split field, the bytes of their own rollouts taken one at
     # a time with 2-D arrays, and of the batch of one; a trial that fails
-    # raises what those raise first: the first failing attack, and within
-    # it the first failing check
+    # raises the first failing check in pipeline order across the stack,
+    # and within a check the first attack, with the message that attack's
+    # own rollout gives
     model = random_jordan_model(seed, ensure_observable=True)
     try:
         design = spectral_design(model)
         dec = build_decomposition(model, design)
     except (ValueError, RiccatiDivergenceError):
         assume(False)
-    attacks = [AttackSpec() if kind == "none" else AttackSpec(
-        support=(sensor % (model.m + 1),), kind=kind,
-        magnitude=10.0 ** log_mag * (-1.0 if negative and kind != "uniform"
-                                     else 1.0), start_step=start)
-        for kind, sensor, log_mag, negative, start in draws]
+    attacks = []
+    for kind, sensor, log_mag, negative, start in draws:
+        spec = dict(support=(sensor % (model.m + 1),), kind=kind,
+                    magnitude=10.0 ** log_mag * (
+                        -1.0 if negative and kind != "uniform" else 1.0),
+                    start_step=start)
+        if kind == "none":
+            attacks.append(AttackSpec())
+        elif kind == "uniform" and spec["magnitude"] > sys.float_info.max / 2:
+            # numpy cannot draw from a range past the float64 limit
+            with pytest.raises(ValueError, match=re.escape(
+                    f"uniform attack magnitude {spec['magnitude']!r} is too "
+                    f"large")):
+                AttackSpec(**spec)
+        else:
+            attacks.append(AttackSpec(**spec))
+    assume(attacks)
     args = (model, design, dec, dec.fusion_problem)
-    try:
-        want = [reference_rollout(*args, attack, horizon, seed, 1)
-                for attack in attacks]
-    except (ValueError, OverflowError) as exc:
-        with pytest.raises(type(exc)) as err:
+    want, refusals = [], []
+    for index, attack in enumerate(attacks):
+        try:
+            want.append(reference_rollout(*args, attack, horizon, seed, 1))
+        except ValueError as exc:
+            refusals.append((refusal_stage(str(exc)), index, str(exc)))
+    if refusals:
+        with pytest.raises(ValueError) as err:
             _rollouts(*args, attacks, horizon, seed, 1)
-        assert type(err.value) is type(exc)
-        assert str(err.value) == str(exc)
+        assert type(err.value) is ValueError
+        assert str(err.value) == min(refusals)[2]
         return
     got = _rollouts(*args, attacks, horizon, seed, 1)
     assert len(got) == len(attacks)
@@ -545,19 +593,28 @@ def test_simulate_walks_its_open_rows_in_one_block(
     assert (trace.solver_iters[~trace.kalman_equivalent] > 0).all()
 
 
-@pytest.mark.parametrize("gamma", [0.2, 20.0, 100.0, 1000.0])
+# None: gamma is step 41's own statistic, which the screen still passes
+@pytest.mark.parametrize("gamma", [0.2, 20.0, 100.0, 1000.0, None])
 def test_trace_screen_statistic_is_the_block_statistic(
         gamma, pendulum_model, pendulum_design, pendulum_decomposition):
+    # kalman_equivalent, derived from the statistic, marks exactly the
+    # steps that secure_fuse screens
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     problem = build_fusion_problem(pendulum_decomposition.H_stack,
                                    pendulum_decomposition.Mtilde_factor)
     rollout = _rollout(*args, problem, default_attack(), 150, 1, 0)
+    edge = gamma is None
+    if edge:
+        gamma = float(rollout.split.statistic[40])
     trace = simulate(*args, default_attack(), gamma, 150, 1,
                      rollout=rollout)
     want = problem.split(rollout.Y).statistic
     assert trace.screen_statistic.tobytes() == want.tobytes()
-    assert np.array_equal(trace.kalman_equivalent,
-                          trace.screen_statistic <= gamma)
+    screened = [secure_fuse(problem, row, gamma, split=row_split
+                            ).kalman_equivalent
+                for row, row_split in zip(rollout.Y, rollout.split.rows)]
+    assert trace.kalman_equivalent.tolist() == screened
+    assert screened[40] or not edge
 
 
 @pytest.mark.parametrize("gamma", [20.0, 100.0])
@@ -845,7 +902,6 @@ def test_sweep_refuses_horizon_below_1_before_any_rollout(
     def no_rollout(*args, **kwargs):
         raise AssertionError("rolled out before checking the horizon")
 
-    monkeypatch.setattr(sim, "_plant", no_rollout)
     monkeypatch.setattr(sim, "_rollouts", no_rollout)
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
     message = f"^horizon must be at least 1, got {horizon}$"
@@ -1308,16 +1364,13 @@ def test_trace_csv_round_trips_at_full_precision(pendulum_model,
         assert float(cells[sec1]) == tr.xhat_sec[t, 0]
 
 
-def test_csv_files_byte_identical(tmp_path, pendulum_model, pendulum_design,
+def test_csv_files_byte_identical(pendulum_model, pendulum_design,
                                   pendulum_decomposition):
     tr = run(pendulum_model, pendulum_design, pendulum_decomposition,
              attack=default_attack(), horizon=40, seed=12)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace_csv(tr, p1)
-    write_trace_csv(run(pendulum_model, pendulum_design,
-                        pendulum_decomposition, attack=default_attack(),
-                        horizon=40, seed=12), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert trace_csv(tr) == trace_csv(run(
+        pendulum_model, pendulum_design, pendulum_decomposition,
+        attack=default_attack(), horizon=40, seed=12))
 
     rows = sweep_gamma(pendulum_model, pendulum_design,
                        pendulum_decomposition, gammas=(2.0, 5.0), trials=2,
@@ -1325,10 +1378,7 @@ def test_csv_files_byte_identical(tmp_path, pendulum_model, pendulum_design,
     rows8 = sweep_gamma(pendulum_model, pendulum_design,
                         pendulum_decomposition, gammas=(2.0, 5.0), trials=2,
                         horizon=50, seed=9)
-    s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    write_sweep_csv(rows, s1)
-    write_sweep_csv(rows8, s2)
-    assert s1.read_bytes() == s2.read_bytes()
+    assert sweep_csv(rows) == sweep_csv(rows8)
 
 
 # every special value the format must keep: signed zeros, infinities,
@@ -1358,7 +1408,6 @@ def simulation_traces(draw):
         kkt_residual=draw(hnp.arrays(float, horizon,
                                      elements=SPECIAL_FLOATS)),
         solver_converged=draw(hnp.arrays(bool, horizon)),
-        kalman_equivalent=np.zeros(horizon, dtype=bool),
         screen_statistic=np.zeros(horizon))
 
 
