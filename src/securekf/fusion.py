@@ -86,7 +86,9 @@ class FusionResult(NamedTuple):
     a screened step).  converged records whether the returned point meets
     the KKT tolerance; a solve that hits the breakpoint cap still returns
     its last point.  The fields cannot be set, and their order is part of
-    the API: simulate unpacks the results of a run by position.  x_ls,
+    the API: simulate takes x_tilde, kkt_residual, iterations and
+    converged from each step's result by position as it returns, and
+    keeps no result past its step.  x_ls,
     and mu on a screened step, are read-only rows of the least-squares
     split (FusionProblem.split, whose block is Y alone when secure_fuse
     was handed no split), which results that were passed the same split

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -340,7 +341,10 @@ def simulate(model: SystemModel, design: SpectralDesign,
     call per step, passed its row of the split and, on an open step, its
     row of the block, so that a screened step only tests the row's
     statistic against gamma and an open one only refines its answer when
-    that misses the KKT tolerance.  All randomness
+    that misses the KKT tolerance.  The trace keeps x_tilde, the KKT
+    residual, the iteration count and the convergence flag of each step's
+    FusionResult, which is let go as soon as they are taken; it computes
+    no MSE (mse does).  All randomness
     (initial state, process noise, measurement noise, attack draws) comes
     from independent substreams of (seed, trial), so two runs that differ
     only in the attack share the same noise and the same clean
@@ -392,8 +396,13 @@ def simulate(model: SystemModel, design: SpectralDesign,
     if walk is not None:
         for t, row in zip(open_rows.tolist(), walk.rows()):
             walks[t] = row
-    x_tilde, _, _, kkt, iters, _, _, converged = zip(
-        *[secure_fuse(problem, row, gamma, split=row_split, walk=row_walk)
+    # each step's FusionResult goes as soon as its fields are taken:
+    # CPython's collector never untracks a tuple subclass, so a run's
+    # results held to the end would drive its collections
+    fields = operator.itemgetter(0, 3, 4, 7)
+    x_tilde, kkt, iters, converged = zip(
+        *[fields(secure_fuse(problem, row, gamma, split=row_split,
+                             walk=row_walk))
           for row, row_split, row_walk in zip(Y, split.rows, walks)])
     secs = np.concatenate(x_tilde).reshape(horizon, -1)
     kkts = np.array(kkt, dtype=float)
@@ -488,24 +497,26 @@ def _tail(horizon, burn_in) -> slice:
     return slice(max(burn_in - 1, 0), horizon)
 
 
+def _tail_mse(est, x, keep) -> np.ndarray:
+    """Per-coordinate mean of (est - x)^2 over the rows keep (a _tail
+    slice): the per-state arrays of MseReport, each of which sums to its
+    scalar."""
+    return np.mean((est[keep] - x[keep]) ** 2, axis=0)
+
+
 def mse(trace: SimulationTrace, burn_in: int = DEFAULT_BURN_IN) -> MseReport:
     """Tail mean squared error of each estimator in `trace`, averaged over
     the steps k >= burn_in.  A negative burn_in raises ValueError, as does
     one past the horizon."""
     keep = _tail(trace.horizon, burn_in)
-    truth = trace.x[keep]
-    count = len(truth)
-
-    def per_state(est):
-        return np.mean((est[keep] - truth) ** 2, axis=0)
-
-    pk = per_state(trace.xhat_kal)
-    ps = per_state(trace.xhat_sec)
-    pl = per_state(trace.xhat_ls)
+    pk = _tail_mse(trace.xhat_kal, trace.x, keep)
+    ps = _tail_mse(trace.xhat_sec, trace.x, keep)
+    pl = _tail_mse(trace.xhat_ls, trace.x, keep)
     return MseReport(
         kalman=float(pk.sum()), secure=float(ps.sum()),
         least_squares=float(pl.sum()), kalman_per_state=pk,
-        secure_per_state=ps, least_squares_per_state=pl, samples=count)
+        secure_per_state=ps, least_squares_per_state=pl,
+        samples=len(trace.x[keep]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -650,15 +661,18 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     MAX_BLOCK_ROWS rows (a run with more is a batch of its own, and
     fuse_open walks it MAX_BLOCK_ROWS rows per call), and each run is
     simulated with its part of its batch; a batch without open rows
-    walks nothing.  A trial holds only its own
-    rollouts, and one batch's answers at a time.  Every run shares the
+    walks nothing.  A trial holds only its own rollouts, and one batch's
+    answers at a time.  Only the tail MSEs a SweepRow reads are computed,
+    with the helper mse uses, so each has mse's bits: each run's secure
+    one, and each attack's fixed-gain one once per trial, as the filter
+    does not depend on gamma.  Every run shares the
     decomposition's one FusionProblem (SensorDecomposition.fusion_problem).
     Bad gammas, a horizon below 1 and a burn-in that leaves no step are
     refused before any rollout.
     """
     for _, _, gamma in points:
         check_gamma(gamma)
-    _tail(horizon, burn_in)
+    keep = _tail(horizon, burn_in)
     problem = decomposition.fusion_problem
 
     def injected(attack):
@@ -677,7 +691,9 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
         rollouts = dict(zip(attacks, _rollouts(
             model, design, decomposition, problem, list(attacks), horizon,
             seed, trial)))
-        reports = {}
+        kalman = {attack: float(_tail_mse(r.xhat_kal, r.x, keep).sum())
+                  for attack, r in rollouts.items()}
+        secure = {}
         for gamma, runs in gammas.items():
             opens = {attack: (rollouts[attack].split.statistic
                               > gamma).nonzero()[0] for attack in runs}
@@ -696,15 +712,14 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                     walks = [FusedRows(*(part[lo:hi] for part in fused))
                              for lo, hi in zip([0] + ends, ends)]
                 for attack, walk in zip(batch, walks):
-                    reports[attack, gamma] = mse(simulate(
-                        model, design, decomposition, attack, gamma,
-                        horizon, seed, trial=trial,
-                        rollout=rollouts[attack], walk=walk), burn_in)
-        out = []
-        for _, attack, gamma in points:
-            c, hit = reports[clean, gamma], reports[injected(attack), gamma]
-            out.append((c.secure, hit.secure, c.kalman, hit.kalman))
-        return out
+                    trace = simulate(model, design, decomposition, attack,
+                                     gamma, horizon, seed, trial=trial,
+                                     rollout=rollouts[attack], walk=walk)
+                    secure[attack, gamma] = float(
+                        _tail_mse(trace.xhat_sec, trace.x, keep).sum())
+        return [(secure[clean, gamma], secure[injected(attack), gamma],
+                 kalman[clean], kalman[injected(attack)])
+                for _, attack, gamma in points]
 
     by_trial = [run_trial(t) for t in range(trials)]
     return [_aggregate(value, [out[j] for out in by_trial])

@@ -562,6 +562,32 @@ def test_simulate_steps_equal_fresh_per_row_secure_fuse(
     assert not all(screened)
 
 
+@pytest.mark.parametrize("gamma", [5.0, 1000.0], ids=["open", "screened"])
+def test_simulate_lets_each_fusion_result_go(
+        gamma, monkeypatch, pendulum_model, pendulum_design,
+        pendulum_decomposition):
+    # by the next step's call, only the wrapper still holds the previous
+    # step's FusionResult (getrefcount counts its own argument too): a
+    # run that kept its results would hold tracked tuples to its end
+    import securekf.simulator as sim
+
+    fuse = sim.secure_fuse
+    held, counts = [None], []
+
+    def keeping(*args, **kwargs):
+        if held[0] is not None:
+            counts.append(sys.getrefcount(held[0]))
+        held[0] = fuse(*args, **kwargs)
+        return held[0]
+
+    monkeypatch.setattr(sim, "secure_fuse", keeping)
+    trace = simulate(pendulum_model, pendulum_design, pendulum_decomposition,
+                     AttackSpec(), gamma, 60, 3)
+    # every step screens at 1000, and none at 5
+    assert trace.kalman_equivalent.sum() == (60 if gamma == 1000.0 else 0)
+    assert counts == [2] * 59
+
+
 @pytest.mark.parametrize("gamma, attacked, open_rows", [
     (5.0, True, 200), (100.0, False, 7), (1000.0, False, 0)],
     ids=["5-attack", "100-clean", "1000-clean"])
@@ -1047,14 +1073,13 @@ def test_sweep_gamma_rows_and_determinism(pendulum_model, pendulum_design,
 
 def test_sweep_gamma_kalman_columns_constant_across_gamma(
         pendulum_model, pendulum_design, pendulum_decomposition):
-    # the fixed-gain filter ignores gamma, so its columns repeat
+    # the fixed-gain filter ignores gamma, so its columns repeat: the
+    # sweep computes them once per attack and trial
     rows = sweep_gamma(pendulum_model, pendulum_design,
                        pendulum_decomposition, gammas=(1.0, 50.0), trials=2,
                        horizon=80, seed=3)
-    assert rows[0].mse_kalman_no_attack == pytest.approx(
-        rows[1].mse_kalman_no_attack)
-    assert rows[0].mse_kalman_attack == pytest.approx(
-        rows[1].mse_kalman_attack)
+    assert rows[0].mse_kalman_no_attack == rows[1].mse_kalman_no_attack
+    assert rows[0].mse_kalman_attack == rows[1].mse_kalman_attack
 
 
 def test_sweep_validation_errors(pendulum_model, pendulum_design,
