@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ import numpy as np
 from .decomposition import (SensorDecomposition, build_decomposition,
                             factor_mtilde)
 from .model import (ModelFormatError, SystemModel, certify_resilience,
-                    load_model, observability_structure, validate_model)
+                    load_model, validate_model)
 from .simulator import (ATTACK_KINDS, DEFAULT_BURN_IN, DEFAULT_GAMMAS,
                         DEFAULT_HORIZON, DEFAULT_MAGNITUDES, DEFAULT_TRIALS,
                         AttackSpec, default_attack, mse, simulate,
@@ -314,7 +315,7 @@ def _emit_csv(text, out_path) -> None:
 
 def cmd_analyze(args) -> int:
     model = _load_valid_model(args.model)
-    struct = observability_structure(model)
+    struct = model.structure
     s = struct.sparse_index
 
     print(f"model: {model.n} states, {model.m} sensors")
@@ -346,8 +347,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_design(args) -> int:
     model = _load_valid_model(args.model)
-    design = spectral_design(model)
-    decomposition = build_decomposition(model, design)
+    design, decomposition = _get_design(args, model)
     save_design(args.out, model, design, decomposition)
     print(f"design written to {args.out} "
           f"(riccati residual {design.riccati_residual:.3e}, "
@@ -357,8 +357,7 @@ def cmd_design(args) -> int:
 
 def cmd_certify(args) -> int:
     model = _load_valid_model(args.model)
-    struct = observability_structure(model)
-    cert = certify_resilience(struct, args.p)
+    cert = certify_resilience(model.structure, args.p)
     verdict = "secure" if cert.secure else "NOT secure"
     print(f"sparse observability index: {cert.sparse_index}; "
           f"budget p = {cert.p} needs 2p <= {cert.sparse_index}: {verdict} "
@@ -432,16 +431,19 @@ def cmd_sweep_attack(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_sim_flags(p, attack_kind, trials=True):
-    p.add_argument("--gamma", type=float, default=5.0,
+# the flags only some experiment subcommands read: each adds its own
+_GAMMA_FLAG = dict(type=float, default=5.0,
                    help="l1 regularization weight (default 5)")
+_TRIALS_FLAG = dict(type=int, default=DEFAULT_TRIALS,
+                    help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
+
+
+def _add_sim_flags(p, attack_kind):
+    """The flags every experiment subcommand reads."""
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                    help=f"steps per run (default {DEFAULT_HORIZON})")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; fully determines all randomness")
-    if trials:
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                       help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
     p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN,
                    help=f"steps dropped from MSE averages "
                         f"(default {DEFAULT_BURN_IN})")
@@ -459,7 +461,11 @@ def _add_sim_flags(p, attack_kind, trials=True):
                    help="output CSV path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The securekf parser, built once per process and shared: parsing
+    leaves it as it was, callers change nothing in it, and a parser is
+    cyclic garbage once dropped."""
     parser = argparse.ArgumentParser(
         prog="securekf",
         description="Secure state estimation for linear Gaussian systems "
@@ -474,7 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
                "mse_{secure,kalman}_{no_attack,attack}, matching stderr_* "
                "columns.  Exit codes: 0 ok, 1 file/parse, 2 validation, "
                "3 assumption violation, 4 insecure.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags are named in full: sweep-gamma would read --gamma as --gammas
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(
+            argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("analyze",
                        help="report per-state sensor support and the "
@@ -502,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate",
                        help="run one closed-loop trace and write it as CSV")
     p.add_argument("model", help="model JSON file")
-    _add_sim_flags(p, "none", trials=False)
+    p.add_argument("--gamma", **_GAMMA_FLAG)
+    _add_sim_flags(p, "none")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep-gamma",
@@ -512,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas",
                    default=",".join(f"{g:g}" for g in DEFAULT_GAMMAS),
                    help="comma-separated gamma grid")
+    p.add_argument("--trials", **_TRIALS_FLAG)
     _add_sim_flags(p, "uniform")
     p.set_defaults(func=cmd_sweep_gamma)
 
@@ -522,6 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitudes",
                    default=",".join(f"{v:g}" for v in DEFAULT_MAGNITUDES),
                    help="comma-separated magnitude grid")
+    p.add_argument("--gamma", **_GAMMA_FLAG)
+    p.add_argument("--trials", **_TRIALS_FLAG)
     _add_sim_flags(p, "uniform")
     p.set_defaults(func=cmd_sweep_attack)
 

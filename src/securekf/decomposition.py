@@ -8,12 +8,13 @@ one stacked LAPACK call (sensor i's G_i is its slice i), and
 ``local_gain_factored`` assembles the same matrix from the
 characteristic polynomial of A; each is the test oracle of the other.
 build_decomposition makes one pass over a design: it reuses the
-observability structure spectral_design derived (cached on the model),
+observability structure spectral_design derived (SystemModel.structure),
 checks A - pi_j I for invertibility once, solves every gain in that
 one call and builds one realification map for every sensor's projector
 and the realified arrays.  On top of G_i sit the canonical projectors
 P_i with P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern) and the
-stationary covariance Mtilde of the projected residuals: all the
+stationary covariance Mtilde of the projected residuals, with the lower
+Cholesky factor L of Mtilde + ridge_delta * I (factor_mtilde): all the
 estimator reads.
 The fusion weights F_i = V diag(V^-1 K_i) and the unprojected Qtilde,
 Wtilde are not stored; ``fusion_weights`` and ``residual_covariances``
@@ -38,7 +39,7 @@ import numpy as np
 # np.linalg.solve's LAPACK gufunc, called directly on a stack of systems
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .model import SystemModel, observability_matrix, observability_structure
+from .model import SystemModel, observability_matrix
 from .spectral import AssumptionError, SpectralDesign, _spectrum_gap
 
 CANONICAL_RTOL = 1e-8    # P_i G_i = H_i residual, imaginary-residue checks
@@ -60,7 +61,8 @@ class SensorDecomposition:
     G_stack and H_stack stack the per-sensor T G_i and H_i (sensor i owns
     rows i*n .. (i+1)*n - 1); Ptilde is the block diagonal of the P_i T^H.
     Mtilde is the residual covariance before any ridge; Mtilde_factor is
-    factor_mtilde's lower Cholesky pair (L, True) of Mtilde + ridge_delta * I.
+    factor_mtilde's lower Cholesky factor L of Mtilde + ridge_delta * I,
+    zero above the diagonal.
     fusion_problem, the FusionProblem of H_stack and Mtilde_factor, is
     derived on first use and kept.
     """
@@ -71,7 +73,7 @@ class SensorDecomposition:
     H_stack: np.ndarray
     Ptilde: np.ndarray
     Mtilde: np.ndarray
-    Mtilde_factor: tuple
+    Mtilde_factor: np.ndarray
     ridge_delta: float
 
     @functools.cached_property
@@ -274,14 +276,13 @@ def fusion_weights(design: SpectralDesign):
     return F_list, F_row
 
 
-def factor_mtilde(Mtilde: np.ndarray, ridge_delta: float):
-    """Cholesky factor of Mtilde + ridge_delta * I (no ridge at 0), as the
-    pair (L, True): the lower triangle, in scipy.linalg.cho_factor's
-    (c, lower) form.  Raises numpy.linalg.LinAlgError unless the matrix
-    is positive definite."""
+def factor_mtilde(Mtilde: np.ndarray, ridge_delta: float) -> np.ndarray:
+    """Lower Cholesky factor L of Mtilde + ridge_delta * I (no ridge at 0),
+    L L^T = that sum, zero above the diagonal.  Raises
+    numpy.linalg.LinAlgError unless the matrix is positive definite."""
     return np.linalg.cholesky(
         Mtilde + ridge_delta * np.eye(Mtilde.shape[0]) if ridge_delta
-        else Mtilde), True
+        else Mtilde)
 
 
 def residual_covariances(model: SystemModel, design: SpectralDesign,
@@ -292,8 +293,9 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
     recursion, Wtilde its stationary fixed point W = Pi W Pi* + Q (solved
     in closed form since Pi is diagonal), Mtilde the covariance after the
     canonical projection.  Returns (Qtilde, Wtilde, Mtilde, factor, delta)
-    where factor is a Cholesky factorization of Mtilde + delta * I and
-    delta is nonzero only when Mtilde is numerically near-singular.
+    where factor is factor_mtilde's lower Cholesky factor of Mtilde +
+    delta * I and delta is nonzero only when Mtilde is numerically
+    near-singular.
     """
     n, m = model.n, model.m
     ones = np.ones((n, 1))
@@ -354,14 +356,13 @@ def build_decomposition(model: SystemModel,
     """Assemble the per-sensor decomposition for a validated design.
 
     One pass over the design: the observability structure is the one
-    spectral_design derived (cached on the model), the resolvent guard
+    spectral_design derived (SystemModel.structure), the resolvent guard
     runs once, local_gains solves every sensor's gain rows in one stacked
     call, and the filter identity G_i A = Pi G_i + 1 C_i A is checked on
     the stack; then each sensor gets its canonical projector, through the
     one realification map T, and the residual covariance and the
     realification follow.
     """
-    structure = observability_structure(model)
     T = realification_map(conjugate_pairing(design.Pi))
     n, m = model.n, model.m
     G = local_gains(model, design)
@@ -377,8 +378,8 @@ def build_decomposition(model: SystemModel,
     Ptilde = np.zeros((m * n, m * n), dtype=complex)
     H_list = []
     for i in range(m):
-        P_i, H_i = canonical_projector(G[i], structure.covered_states(i), T,
-                                       i)
+        P_i, H_i = canonical_projector(
+            G[i], model.structure.covered_states(i), T, i)
         Ptilde[i * n:(i + 1) * n, i * n:(i + 1) * n] = P_i
         H_list.append(H_i)
     _, _, Mtilde, _, delta = residual_covariances(model, design, G, Ptilde)

@@ -254,15 +254,13 @@ class FusionProblem:
 def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
     """Form the normal equations once, for every time step to share.
 
-    Mtilde_factor is a Cholesky pair (c, lower) of the residual covariance,
-    as factor_mtilde (or scipy.linalg.cho_factor) gives it: the factor is
-    read from the triangle of c that lower names, and the other triangle
-    is ignored.  Minv is formed from the factor as L^-T L^-1.  Every
-    design built by this package has a real H and Mtilde; complex data
-    raise ValueError, and so does a state that H leaves unobservable.
+    Mtilde_factor is the lower Cholesky factor L of the residual
+    covariance, L L^T = Mtilde, as factor_mtilde (or np.linalg.cholesky)
+    gives it; Minv is formed from it as L^-T L^-1.  Every design built by
+    this package has a real H and Mtilde; complex data raise ValueError,
+    and so does a state that H leaves unobservable.
     """
-    c, lower = Mtilde_factor
-    for what, a in (("H", H_stack), ("Mtilde", c)):
+    for what, a in (("H", H_stack), ("Mtilde", Mtilde_factor)):
         if np.iscomplexobj(a):
             raise ValueError(
                 f"{what} is complex; the fusion solves real problems only: "
@@ -270,7 +268,7 @@ def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
                 f"(decomposition.realification_map) before building the "
                 f"problem")
     H = np.array(H_stack, dtype=float)
-    Linv = np.linalg.inv(np.tril(c) if lower else np.triu(c).T)
+    Linv = np.linalg.inv(Mtilde_factor)
     Minv = Linv.T @ Linv
     Minv = 0.5 * (Minv + Minv.T)
     MiH = Minv @ H

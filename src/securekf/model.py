@@ -103,7 +103,8 @@ class SystemModel:
     @functools.cached_property
     def structure(self) -> ObservabilityStructure:
         """Support sets and sparse observability index of (A, C), derived
-        on first use and kept: observability_structure returns it.
+        on first use and kept, so the design, the decomposition and the
+        CLI's reports of one model share one.
 
         A column of O_i counts as nonzero when its 2-norm exceeds
         OBSERVABILITY_RTOL * ||O_i||_F, so an all-zero sensor row covers
@@ -364,15 +365,6 @@ def observability_matrix(A: np.ndarray, C_row: np.ndarray):
         rows[k] = row
         row = row @ A
     return rows
-
-
-def observability_structure(model: SystemModel) -> ObservabilityStructure:
-    """Support sets and the sparse observability index of the model.
-
-    Derived once per model (SystemModel.structure): the design and the
-    decomposition of one set-up share it.
-    """
-    return model.structure
 
 
 def brute_force_sparse_index(model: SystemModel) -> int:

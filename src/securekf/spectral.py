@@ -21,7 +21,7 @@ import numpy as np
 # singular matrix fills its answer with NaN instead of raising
 from numpy.linalg._umath_linalg import solve as _solve
 
-from .model import SystemModel, observability_structure
+from .model import SystemModel
 
 RICCATI_TOL = 1e-12
 # stop floor relative to max|P_plus|: the iterates settle at 11-14 eps
@@ -89,33 +89,29 @@ def steady_state_kalman(model: SystemModel):
     (P, P_plus, K, residual) where P_plus = A P A' + Q and K are recomputed
     from the converged P, so those two defining equations hold to machine
     precision and the reported residual measures only the remaining
-    fixed-point gap ||(I - K C) P_plus - P||_maxabs.  Each gain solve
-    calls np.linalg.solve's LAPACK gufunc directly, with that function's
-    bits.  S = C P_plus C' + R is positive definite for a validated
-    model; a singular S gives a NaN gain, not a LinAlgError, and in the
-    recursion that NaN raises RiccatiDivergenceError as a non-finite
-    iterate.
+    fixed-point gap ||(I - K C) P_plus - P||_maxabs.  The first update
+    (from Sigma), every step and the final gain share one measurement
+    update, whose gain solve calls np.linalg.solve's LAPACK gufunc
+    directly, with that function's bits.  S = C P_plus C' + R is
+    positive definite for a validated model; a singular S gives a NaN
+    gain, not a LinAlgError, and in the recursion that NaN raises
+    RiccatiDivergenceError as a non-finite iterate.
     """
     A, C, Q, R = model.A, model.C, model.Q, model.R
-    n = model.n
-    I = np.eye(n)
+    I = np.eye(model.n)
 
-    def half_step(P):
-        P_plus = A @ P @ A.T + Q
-        S = C @ P_plus @ C.T + R
-        K = _solve(S, C @ P_plus).T
-        P_new = (I - K @ C) @ P_plus
-        return 0.5 * (P_new + P_new.T), P_plus
+    def update(P_plus):
+        # measurement update of the prior P_plus: (P, K), P symmetrised
+        K = _solve(C @ P_plus @ C.T + R, C @ P_plus).T
+        P = (I - K @ C) @ P_plus
+        return 0.5 * (P + P.T), K
 
-    # P(0 | -1) = Sigma: apply the measurement update first
-    S0 = C @ model.Sigma @ C.T + R
-    K0 = _solve(S0, C @ model.Sigma).T
-    P = (I - K0 @ C) @ model.Sigma
-    P = 0.5 * (P + P.T)
+    P, _ = update(model.Sigma)      # P(0 | -1) = Sigma
 
     diff = best = np.inf
     for k in range(RICCATI_MAX_ITER):
-        P_next, P_plus = half_step(P)
+        P_plus = A @ P @ A.T + Q
+        P_next, _ = update(P_plus)
         step = float(np.abs(P_next - P).max())
         if not np.isfinite(step):
             raise RiccatiDivergenceError(
@@ -145,10 +141,9 @@ def steady_state_kalman(model: SystemModel):
             f"iterations (last residual {diff:.3e})", diff)
 
     P_plus = A @ P @ A.T + Q
-    S = C @ P_plus @ C.T + R
     # C-contiguous copy: a transpose view picks a different BLAS path,
     # so serialized designs would not reproduce traces bit for bit
-    K = np.ascontiguousarray(_solve(S, C @ P_plus).T)
+    K = np.ascontiguousarray(update(P_plus)[1])
     residual = float(np.abs((I - K @ C) @ P_plus - P).max())
     return P, P_plus, K, residual
 
@@ -253,8 +248,7 @@ def spectral_design(model: SystemModel) -> SpectralDesign:
     Refuses unobservable sensor sets up front (the recursion may silently
     converge to a useless fixed point when unobservable modes are stable).
     """
-    structure = observability_structure(model)
-    if not structure.observable:
+    if not model.structure.observable:
         raise ValueError("(A, C) is unobservable: some state is covered by no sensor")
     P, P_plus, K, residual = steady_state_kalman(model)
     V, Pi = closed_loop_eigendecomposition(model.A, K, model.C)

@@ -25,7 +25,7 @@ from securekf import (assemble_canonical_measurement, attack_sequence,
 from securekf.decomposition import (canonical_projector, conjugate_pairing,
                                     local_gains, realification_map)
 from securekf.fusion import KKT_TOL, MAX_BREAKPOINTS, TIE_RATE, FusionResult
-from securekf.model import SystemModel, observability_structure
+from securekf.model import SystemModel
 from securekf.simulator import trial_generators
 
 
@@ -111,7 +111,7 @@ def mode_coordinates(model, design):
     """The per-sensor G_i and P_i in complex mode coordinates, computed as
     build_decomposition computes them before it realifies, and the
     realification map T it then applies to each sensor."""
-    structure = observability_structure(model)
+    structure = model.structure
     T = realification_map(conjugate_pairing(design.Pi))
     G = list(local_gains(model, design))
     P = [canonical_projector(G_i, structure.covered_states(i), T, i)[0]

@@ -149,8 +149,6 @@ def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
         assert a.dtype == b.dtype, name
     for f in dataclasses.fields(SensorDecomposition):
         a, b = getattr(decomp, f.name), getattr(c2, f.name)
-        if f.name == "Mtilde_factor":
-            a, b = a[0], b[0]
         assert np.array_equal(a, b), f.name
     assert decomp.ridge_delta == c2.ridge_delta
 
@@ -241,6 +239,35 @@ def test_attack_defaults_come_from_the_simulator(monkeypatch):
                                                 magnitude=2.5)
 
 
+@pytest.mark.parametrize("command, flag", [("sweep-gamma", "--gamma"),
+                                           ("simulate", "--trials")])
+def test_a_flag_the_subcommand_does_not_read_exit_2(command, flag,
+                                                    pendulum_path, tmp_path,
+                                                    capsys):
+    # sweep-gamma takes its gammas from --gammas, and simulate runs one
+    # trial: each subcommand has only the flags it reads
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(pendulum_path), flag, "7", "--horizon", "30",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
+    from securekf.cli import build_parser
+    from securekf.simulator import DEFAULT_TRIALS
+
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["sweep-attack", "m.json", "--gamma", "7",
+                               "--trials", "3"])
+    again = parser.parse_args(["sweep-attack", "m.json"])
+    assert (first.gamma, first.trials) == (7.0, 3)
+    assert (again.gamma, again.trials) == (5.0, DEFAULT_TRIALS)
+
+
 def test_design_file_rejects_other_model(pendulum_path, tmp_path, capsys):
     out = tmp_path / "d.json"
     assert main(["design", str(pendulum_path), "--out", str(out)]) == 0
@@ -286,8 +313,6 @@ def test_design_file_matches_reference_encoder(case, pendulum_model):
     for a, b in ((design, d2), (decomp, c2)):
         for name in a.__dataclass_fields__:
             x, y = getattr(a, name), getattr(b, name)
-            if name == "Mtilde_factor":
-                x, y = x[0], y[0]
             assert np.array_equal(x, y), name
             assert np.asarray(x).dtype == np.asarray(y).dtype, name
 

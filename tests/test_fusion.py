@@ -31,7 +31,7 @@ from securekf.simulator import (AttackSpec, _rollout, simulate,
 from helpers import (_reference_lasso_path, fusion_objective,
                      mode_coordinates, reference_secure_fuse, sensor_blocks)
 
-EYE3 = scipy.linalg.cho_factor(np.eye(3))
+EYE3 = np.eye(3)   # the Cholesky factor of I
 H3 = np.ones((3, 1))
 Y3 = np.array([0.0, 0.0, 10.0])
 PROB3 = build_fusion_problem(H3, EYE3)
@@ -147,11 +147,11 @@ def test_assemble_tracks_canonical_signal(pendulum_model, pendulum_decomposition
 
 def test_wls_hand_examples():
     H = np.array([[1.0], [1.0]])
-    x, mu = build_fusion_problem(H, scipy.linalg.cho_factor(np.eye(2))
+    x, mu = build_fusion_problem(H, np.linalg.cholesky(np.eye(2))
                                  ).least_squares(np.array([1.0, 3.0]))
     assert abs(x[0] - 2.0) < 1e-12
     assert np.abs(mu - np.array([-1.0, 1.0])).max() < 1e-12
-    x, _ = build_fusion_problem(H, scipy.linalg.cho_factor(np.diag([1.0, 4.0]))
+    x, _ = build_fusion_problem(H, np.linalg.cholesky(np.diag([1.0, 4.0]))
                                 ).least_squares(np.array([1.0, 3.0]))
     assert abs(x[0] - 1.4) < 1e-12
 
@@ -159,24 +159,20 @@ def test_wls_hand_examples():
 def test_wls_unobservable_error():
     H = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="state unobservable in canonical coordinates"):
-        build_fusion_problem(H, scipy.linalg.cho_factor(np.eye(2)))
+        build_fusion_problem(H, np.linalg.cholesky(np.eye(2)))
 
 
 def test_problem_reads_the_factor_from_the_triangle_lower_names():
-    # factor_mtilde gives the lower pair (L, True), scipy's cho_factor an
-    # upper one with the input left in its other triangle; both name the
-    # same Minv, and the unused triangle is never read
+    # factor_mtilde gives the lower factor L, zero above the diagonal, and
+    # the Minv built from it is the one scipy's upper factor names
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 6))
     M = X @ X.T + 6.0 * np.eye(6)
     H = rng.standard_normal((6, 2))
-    L, lower = factor_mtilde(M, 0.0)
-    assert lower and np.array_equal(L, np.tril(L))
-    Minv = build_fusion_problem(H, (L, True)).Minv
-    garbage = L + np.triu(rng.standard_normal((6, 6)), 1)
-    assert np.array_equal(build_fusion_problem(H, (garbage, True)).Minv, Minv)
-    assert np.array_equal(build_fusion_problem(H, (L.T, False)).Minv, Minv)
-    upper = build_fusion_problem(H, scipy.linalg.cho_factor(M)).Minv
+    L = factor_mtilde(M, 0.0)
+    assert np.array_equal(L, np.tril(L))
+    Minv = build_fusion_problem(H, L).Minv
+    upper = build_fusion_problem(H, scipy.linalg.cholesky(M).T).Minv
     assert np.abs(upper - Minv).max() <= 1e-14 * np.abs(Minv).max()
 
 
@@ -256,7 +252,7 @@ def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
 def test_secure_fuse_exact_data():
     rng = np.random.default_rng(3)
     H = rng.standard_normal((6, 2))
-    factor = scipy.linalg.cho_factor(np.eye(6))
+    factor = np.linalg.cholesky(np.eye(6))
     x0 = np.array([1.5, -0.5])
     Y = H @ x0
     problem = build_fusion_problem(H, factor)
@@ -385,7 +381,7 @@ def test_equivalence_condition_basics():
     assert zero <= 1e-9
     assert zero <= 1e6
     _, mu_ls = PROB3.least_squares(Y3)
-    assert np.abs(scipy.linalg.cho_solve(EYE3, mu_ls)).max() == pytest.approx(20.0 / 3.0)
+    assert np.abs(scipy.linalg.cho_solve((EYE3, True), mu_ls)).max() == pytest.approx(20.0 / 3.0)
     assert not statistic <= 1.0
     assert not statistic <= 6.66
     assert statistic <= 20.0 / 3.0 + 1e-12
@@ -410,7 +406,7 @@ def test_secure_fuse_objective_monotone_and_bounded():
         n = int(rng.integers(1, 4))
         m_sensors = int(rng.integers(1, 4))
         Y, H, M, gamma = random_instance(rng, n, m_sensors)
-        factor = scipy.linalg.cho_factor(M)
+        factor = np.linalg.cholesky(M)
         problem = build_fusion_problem(H, factor)
         history = []
         res = secure_fuse(problem, Y, gamma)
@@ -422,7 +418,7 @@ def test_secure_fuse_objective_monotone_and_bounded():
         # the accept gate tolerates ascents up to the rounding floor of
         # the cancelled quadratic form
         mu_ls = Y - H @ res.x_ls
-        d_ls = scipy.linalg.cho_solve(factor, mu_ls)
+        d_ls = scipy.linalg.cho_solve((factor, True), mu_ls)
         floor = 1e-13 * max(1.0, np.linalg.norm(mu_ls) * np.linalg.norm(d_ls))
         diffs = np.diff(history)
         assert (diffs <= floor).all()
@@ -439,7 +435,7 @@ def test_secure_fuse_oracle_perturbations():
         m_sensors = int(rng.integers(1, 4))
         Y, H, M, gamma = random_instance(rng, n, m_sensors)
         mn = len(Y)
-        problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+        problem = build_fusion_problem(H, np.linalg.cholesky(M))
         res = secure_fuse(problem, Y, gamma)
         assert res.converged
         Minv = np.linalg.inv(M)
@@ -463,10 +459,10 @@ def test_secure_fuse_permutation_equivariance():
     gamma = 0.4
     sigma = [2, 0, 1]
     idx = np.concatenate([np.arange(s * n, s * n + n) for s in sigma])
-    res = secure_fuse(build_fusion_problem(H, scipy.linalg.cho_factor(M)), Y,
+    res = secure_fuse(build_fusion_problem(H, np.linalg.cholesky(M)), Y,
                       gamma)
     res_p = secure_fuse(build_fusion_problem(
-        H[idx], scipy.linalg.cho_factor(M[np.ix_(idx, idx)])), Y[idx], gamma)
+        H[idx], np.linalg.cholesky(M[np.ix_(idx, idx)])), Y[idx], gamma)
     assert not res.kalman_equivalent
     assert np.abs(res_p.x_tilde - res.x_tilde).max() < 1e-6
     assert np.abs(res_p.nu - res.nu[idx]).max() < 1e-6
@@ -480,12 +476,12 @@ def test_secure_fuse_realified_formulation_agrees():
     for _ in range(5):
         Y, H, M, gamma = random_instance(rng, 2, 2)
         mn = len(Y)
-        res = secure_fuse(build_fusion_problem(H, scipy.linalg.cho_factor(M)),
+        res = secure_fuse(build_fusion_problem(H, np.linalg.cholesky(M)),
                           Y, gamma)
         H_r = np.block([[H, np.zeros_like(H)], [np.zeros_like(H), H]])
         M_r = scipy.linalg.block_diag(M, M)
         Y_r = np.concatenate([Y, np.zeros(mn)])
-        res_r = secure_fuse(build_fusion_problem(H_r, scipy.linalg.cho_factor(M_r)),
+        res_r = secure_fuse(build_fusion_problem(H_r, np.linalg.cholesky(M_r)),
                             Y_r, gamma)
         assert np.abs(res_r.x_tilde[:2] - res.x_tilde).max() < 1e-6
         assert np.abs(res_r.x_tilde[2:]).max() < 1e-6
@@ -575,7 +571,7 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
     W_real = T @ pendulum_wtilde(m, d) @ T.conj().T
     assert np.abs(W_real.imag).max() < 1e-12 * np.abs(W_real).max()
     prob_raw = build_fusion_problem(
-        dec.G_stack, scipy.linalg.cho_factor(W_real.real))
+        dec.G_stack, np.linalg.cholesky(W_real.real))
     prob_can = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     x, g_w, g_v = rollout_setup(m, d, dec, seed=5)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
@@ -609,7 +605,7 @@ def test_complex_problem_build_raises(pendulum_model, pendulum_design,
     for H, W in ((G, Wtilde), (pendulum_decomposition.G_stack, Wtilde),
                  (G, Wtilde.real)):
         with pytest.raises(ValueError, match="realification_map"):
-            build_fusion_problem(H, scipy.linalg.cho_factor(W))
+            build_fusion_problem(H, np.linalg.cholesky(W))
 
 
 def test_psd_factor_paths():

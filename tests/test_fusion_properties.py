@@ -86,7 +86,7 @@ def draw_instance(seed, n, m_sensors, pattern="gaussian"):
 
 
 def check_against_reference(Y, H, M, gamma):
-    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    problem = build_fusion_problem(H, np.linalg.cholesky(M))
     Minv = np.linalg.inv(M)
     res = secure_fuse(problem, Y, gamma)
     tol = 1e-8 * max(1.0, gamma)
@@ -144,10 +144,10 @@ def test_scaling_equivariance(seed, n, m_sensors, log_c):
     # (Y, M, gamma) -> (c Y, c^2 M, gamma / c) scales the estimate by c
     Y, H, M, gamma = draw_instance(seed, n, m_sensors)
     c = 10.0 ** log_c
-    res = secure_fuse(build_fusion_problem(H, scipy.linalg.cho_factor(M)), Y,
+    res = secure_fuse(build_fusion_problem(H, np.linalg.cholesky(M)), Y,
                       gamma)
     scaled = secure_fuse(
-        build_fusion_problem(H, scipy.linalg.cho_factor(c * c * M)), c * Y,
+        build_fusion_problem(H, np.linalg.cholesky(c * c * M)), c * Y,
         gamma / c)
     assert scaled.kalman_equivalent == res.kalman_equivalent
     assert scaled.converged
@@ -165,7 +165,7 @@ def test_translation_equivariance_far_from_origin(seed, n, m_sensors):
     # answer must still meet the absolute KKT tolerance
     Y, H, M, gamma = draw_instance(seed, n, m_sensors)
     x0 = 1e6 * np.random.default_rng(seed).standard_normal(n)
-    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    problem = build_fusion_problem(H, np.linalg.cholesky(M))
     res = secure_fuse(problem, Y, gamma)
     moved = secure_fuse(problem, Y + H @ x0, gamma)
     assert moved.converged
@@ -186,9 +186,9 @@ def test_sensor_permutation_equivariance(seed, n, m_sensors, pattern, data):
     sigma = data.draw(st.permutations(range(H.shape[0] // n)))
     idx = np.concatenate([np.arange(s * n, s * n + n) for s in sigma])
     Minv = np.linalg.inv(M)
-    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    problem = build_fusion_problem(H, np.linalg.cholesky(M))
     permuted = build_fusion_problem(
-        H[idx], scipy.linalg.cho_factor(M[np.ix_(idx, idx)]))
+        H[idx], np.linalg.cholesky(M[np.ix_(idx, idx)]))
     res = secure_fuse(problem, Y, gamma)
     res_p = secure_fuse(permuted, Y[idx], gamma)
     tol = 1e-8 * max(1.0, gamma)
@@ -248,7 +248,7 @@ def test_secure_fuse_bit_equal_to_reference(seed, n, m_sensors, coverage,
     hit = rng.random(mn) < 0.25
     Y[hit] += (rng.choice([-1.0, 1.0], hit.sum())
                * 10.0 ** rng.uniform(0.0, 6.0, hit.sum()))
-    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    problem = build_fusion_problem(H, np.linalg.cholesky(M))
     assert_bit_equal(problem, Y, float(np.exp(log_gamma)))
 
 
@@ -355,7 +355,7 @@ def test_revisited_supports_bit_equal_to_reference(seed, n, m_sensors,
         Y[hit] += direction[hit] * 10.0 ** rng.uniform(0.0, 3.0, hit.sum())
         rows.append(Y)
     order = data.draw(st.permutations(range(len(rows))))
-    problem = build_fusion_problem(H, scipy.linalg.cho_factor(M))
+    problem = build_fusion_problem(H, np.linalg.cholesky(M))
     gamma = float(np.exp(log_gamma))
     for _ in range(2):
         for r in order:

@@ -13,7 +13,6 @@ from securekf.model import (
     load_model,
     model_from_dict,
     observability_matrix,
-    observability_structure,
     validate_model,
 )
 
@@ -211,7 +210,7 @@ def test_jordan_blocks_extents():
 # ----------------------------------------------------- sensor coverage
 
 def test_pendulum_support_sets(pendulum_model):
-    structure = observability_structure(pendulum_model)
+    structure = pendulum_model.structure
     assert structure.support[0] == (0, 1, 2)
     assert structure.support[1] == (0, 1, 2)
     assert structure.support[2] == (0, 1, 2, 3)
@@ -226,15 +225,15 @@ def test_structure_is_derived_once_per_model(pendulum_path):
     # the design and the decomposition of one set-up share one structure;
     # a new model derives its own, equal one
     model = load_model(pendulum_path)
-    first = observability_structure(model)
-    assert observability_structure(model) is first is model.structure
+    first = model.structure
+    assert model.structure is first
     other = load_model(pendulum_path)
-    assert observability_structure(other) is not first
-    assert observability_structure(other) == first
+    assert other.structure is not first
+    assert other.structure == first
 
 
 def test_pendulum_resilience(pendulum_model):
-    structure = observability_structure(pendulum_model)
+    structure = pendulum_model.structure
     cert = certify_resilience(structure, p=1)
     assert cert.secure and cert.margin == 0 and cert.sparse_index == 2
     cert = certify_resilience(structure, p=2)
@@ -245,7 +244,7 @@ def test_pendulum_resilience(pendulum_model):
 
 def test_single_sensor_index_zero():
     model = make(np.diag([0.5, 0.9]), [[1.0, 1.0]])
-    structure = observability_structure(model)
+    structure = model.structure
     assert structure.sparse_index == 0
     assert brute_force_sparse_index(model) == 0
 
@@ -253,7 +252,7 @@ def test_single_sensor_index_zero():
 def test_zero_row_sensor_covers_nothing():
     model = make(np.diag([0.5, 0.9]),
                  [[1.0, 1.0], [0.0, 0.0], [1.0, 2.0]])
-    structure = observability_structure(model)
+    structure = model.structure
     assert structure.support == ((0, 2), (0, 2))
     assert structure.sparse_index == 1
     assert brute_force_sparse_index(model) == 1
@@ -263,11 +262,11 @@ def test_zero_row_sensor_covers_nothing():
 def test_unobservable_chain_tail():
     # sensing only the deep end of a chain misses the eigenvector direction
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    good = observability_structure(make(A, [[1.0, 0.0]]))
+    good = make(A, [[1.0, 0.0]]).structure
     assert good.support == ((0,), (0,))
     assert good.sparse_index == 0
 
-    bad = observability_structure(make(A, [[0.0, 1.0]]))
+    bad = make(A, [[0.0, 1.0]]).structure
     assert bad.support[0] == ()
     assert bad.sparse_index == -1
     assert not bad.observable
@@ -278,7 +277,7 @@ def test_chain_support_monotone():
     # covering the first state of a chain implies covering every later one
     for seed in range(30):
         model = random_jordan_model(seed)
-        structure = observability_structure(model)
+        structure = model.structure
         blocks = jordan_blocks(model.A, 1e-12)
         for lo, hi in blocks:
             first = set(structure.support[lo])
@@ -289,7 +288,7 @@ def test_chain_support_monotone():
 def test_sparse_index_matches_brute_force():
     for seed in range(100):
         model = random_jordan_model(seed)
-        structure = observability_structure(model)
+        structure = model.structure
         brute = brute_force_sparse_index(model)
         assert structure.sparse_index == brute, f"seed {seed}"
 
@@ -309,7 +308,7 @@ def test_observability_matrix_depth_saturates():
 def test_certify_monotone_in_p():
     for seed in range(20):
         model = random_jordan_model(seed, ensure_observable=True)
-        structure = observability_structure(model)
+        structure = model.structure
         flags = [certify_resilience(structure, p).secure
                  for p in range(model.m + 1)]
         # once insecure, larger budgets stay insecure
