@@ -2,7 +2,7 @@
 
 One binary with subcommands.  `analyze` and `certify` inspect a model's
 sensor redundancy, `design` persists the filter design plus sensor
-decomposition to a JSON file (version 3), and `simulate` / `sweep-gamma` /
+decomposition to a JSON file (version 4), and `simulate` / `sweep-gamma` /
 `sweep-attack` run the closed-loop experiments and write CSV.
 
 Exit codes: 0 success (solver non-convergence still exits 0 and is
@@ -41,7 +41,7 @@ EXIT_ASSUMPTION = 3
 EXIT_INSECURE = 4
 
 DESIGN_FORMAT = "securekf-design"
-DESIGN_VERSION = 3
+DESIGN_VERSION = 4
 
 
 class DesignFormatError(ValueError):
@@ -57,7 +57,7 @@ _SECTIONS = {
     "decomposition": (SensorDecomposition, ("Mtilde_factor",)),
 }
 # 1-D array fields, stored as one-row matrices
-_VECTORS = ("charpoly", "Pi", "bank_input")
+_VECTORS = ("Pi", "bank_input")
 
 
 def _matrix_to_json(M):
@@ -120,8 +120,7 @@ def _encode_section(section, obj) -> dict:
 
 def _decode_section(data, section, model) -> dict:
     n, m, mn = model.n, model.m, model.m * model.n
-    shapes = {"P": (n, n), "P_plus": (n, n), "K": (n, m), "V": (n, n),
-              "charpoly": (1, n + 1), "Pi": (1, n), "bank": (n, n),
+    shapes = {"K": (n, m), "Pi": (1, n), "bank": (n, n),
               "bank_input": (1, n), "G_stack": (mn, n),
               "H_stack": (mn, n), "Ptilde": (mn, mn), "Mtilde": (mn, mn)}
     fields = _section_fields(section)
@@ -144,18 +143,19 @@ def design_to_dict(model: SystemModel, design: SpectralDesign,
                    decomposition: SensorDecomposition) -> dict:
     """The design file as a JSON-ready dict.
 
-    Keys in order: "format" ("securekf-design"), "version" (3), then the
+    Keys in order: "format" ("securekf-design"), "version" (4), then the
     sections "model", "design" and "decomposition", holding the fields of
     SystemModel, SpectralDesign and SensorDecomposition in declaration
     order.  Not stored: sensor_labels, an absent B or K_lqr, and
     Mtilde_factor, which loading recomputes from Mtilde and ridge_delta.
     Arrays are tagged row-major matrices, {"real": rows of numbers} or
-    {"complex": rows of [re, im] number pairs}, which only the design's V
-    and Pi use; the vectors charpoly, Pi and bank_input are one-row
-    matrices, and the float fields riccati_residual and ridge_delta are
-    JSON numbers.  Versions 1 and 2 are refused: version 2 held the
-    decomposition in complex mode coordinates, with Pi for the bank, and
-    version 1 also G, H, P, F, F_row, Qtilde, Wtilde and assumption1_ok.
+    {"complex": rows of [re, im] number pairs}, which only the design's Pi
+    uses; the vectors Pi and bank_input are one-row matrices, and the
+    float fields riccati_residual and ridge_delta are JSON numbers.
+    Versions 1 to 3 are refused: version 3 also held the design's P,
+    P_plus, charpoly and V, version 2 held the decomposition in complex
+    mode coordinates, with Pi for the bank, and version 1 also G, H, P, F,
+    F_row, Qtilde, Wtilde and assumption1_ok.
     """
     return {
         "format": DESIGN_FORMAT,
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Model files are JSON objects with keys A, C, Q, R, Sigma "
                "and optional B, K_lqr, sensor_labels; matrices are "
                "row-major nested arrays.  Design files are written by the "
-               "design subcommand (v3; complex V and Pi as [re, im] pairs).  "
+               "design subcommand (v4; complex Pi as [re, im] pairs).  "
                "Trace CSV columns: k, x_*, u_*, y_*, a_*, xhat_kal_*, "
                "xhat_sec_*, xhat_ls_*, solver_iters, kkt_residual, "
                "solver_warn.  Sweep CSV columns: sweep_value, "

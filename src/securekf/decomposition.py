@@ -2,11 +2,10 @@
 
 Each sensor i gets a gain matrix G_i whose row j filters the scalar
 measurement stream through the mode pi_j of the closed-loop matrix
-A - K C A.  Two independent constructions are shipped: ``local_gains``
-solves the m n resolvent rows C_i A (A - pi_j I)^-1 of every sensor as
-one stacked LAPACK call (sensor i's G_i is its slice i), and
-``local_gain_factored`` assembles the same matrix from the
-characteristic polynomial of A; each is the test oracle of the other.
+A - K C A.  ``local_gains`` solves the m n resolvent rows
+C_i A (A - pi_j I)^-1 of every sensor as one stacked LAPACK call (sensor
+i's G_i is its slice i); the tests check it against a second
+construction from the characteristic polynomial of A.
 build_decomposition makes one pass over a design: it reuses the
 observability structure spectral_design derived (SystemModel.structure),
 checks A - pi_j I for invertibility once, solves every gain in that
@@ -16,9 +15,8 @@ P_i with P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern) and the
 stationary covariance Mtilde of the projected residuals, with the lower
 Cholesky factor L of Mtilde + ridge_delta * I (factor_mtilde): all the
 estimator reads.
-The fusion weights F_i = V diag(V^-1 K_i) and the unprojected Qtilde,
-Wtilde are not stored; ``fusion_weights`` and ``residual_covariances``
-compute them on demand.
+The unprojected Qtilde and Wtilde are not stored;
+``residual_covariances`` computes them on demand.
 
 The gains, projectors and covariances are built mode by mode in complex
 arithmetic.  build_decomposition then realifies what the estimator reads,
@@ -39,7 +37,7 @@ import numpy as np
 # np.linalg.solve's LAPACK gufunc, called directly on a stack of systems
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .model import SystemModel, observability_matrix
+from .model import SystemModel
 from .spectral import AssumptionError, SpectralDesign, _spectrum_gap
 
 CANONICAL_RTOL = 1e-8    # P_i G_i = H_i residual, imaginary-residue checks
@@ -154,25 +152,6 @@ def local_gains(model: SystemModel, design: SpectralDesign) -> np.ndarray:
     return _solve1(shifted.transpose(0, 2, 1), cA[:, None, :])
 
 
-def local_gain_factored(model: SystemModel, design: SpectralDesign,
-                        i: int) -> np.ndarray:
-    """G_i assembled from the characteristic polynomial of A.
-
-    Row j carries the coefficients of the quotient (p(x) - p(pi_j))/(x - pi_j)
-    applied to the rows of O_i A, scaled by -1/p(pi_j).  Algebraically equal
-    to the resolvent route; kept as an independent cross-check.
-    """
-    _resolvent_guard(model, design)
-    a = design.charpoly
-    n = model.n
-    D1 = np.diag(-1.0 / np.polyval(a[::-1], design.Pi))
-    D2 = np.vander(design.Pi, N=n, increasing=False)
-    # lower-triangular Toeplitz with first column a_n, ..., a_1
-    D3 = np.tril(a[:0:-1][np.subtract.outer(np.arange(n), np.arange(n))])
-    O_iA = observability_matrix(model.A, model.C[i]) @ model.A
-    return D1 @ D2 @ D3 @ O_iA
-
-
 def canonical_projector(G_i: np.ndarray, covered, T: np.ndarray, i: int):
     """Invertible P_i with P_i G_i = H_i = diag(coverage pattern).
 
@@ -243,37 +222,6 @@ def canonical_projector(G_i: np.ndarray, covered, T: np.ndarray, i: int):
         raise AssumptionError(f"{refusal}canonical projector ill "
                               f"conditioned ({cond:.3e})")
     return P_i, H_i
-
-
-def fusion_weights(design: SpectralDesign):
-    """Per-sensor weights F_i = V diag(V^-1 K_i) and their row stack F.
-
-    F is real whenever the closed-loop spectrum is real and is returned as
-    a real array in that case (after checking the imaginary residue).  For
-    complex spectra F is genuinely complex; its conjugate-pair column
-    structure is verified instead, and products against the local bank
-    still come out real.
-    """
-    V, K = design.V, design.K
-    n, m = K.shape
-    coeffs = np.linalg.solve(V, K)
-    F_list = [V * coeffs[:, i][None, :] for i in range(m)]
-    F_row = np.hstack(F_list)
-    scale = max(1.0, float(np.abs(F_row).max()))
-
-    imag = float(np.abs(F_row.imag).max())
-    if imag <= CANONICAL_RTOL * scale:
-        F_list = [F.real.copy() for F in F_list]
-        return F_list, F_row.real.copy()
-
-    pair = conjugate_pairing(design.Pi)
-    for F in F_list:
-        mismatch = float(np.abs(F[:, pair] - np.conj(F)).max())
-        if mismatch > CANONICAL_RTOL * scale:
-            raise ValueError(
-                "conjugate-pair bookkeeping broken in fusion weights "
-                f"(column mismatch {mismatch:.3e})")
-    return F_list, F_row
 
 
 def factor_mtilde(Mtilde: np.ndarray, ridge_delta: float) -> np.ndarray:

@@ -20,8 +20,8 @@ sparse observability index
     s = min_j |S_j| - 1,   S_j = {sensors covering state j}
 
 equals the largest number of sensors whose removal never destroys
-observability (``brute_force_sparse_index`` recomputes it by enumeration;
-the two must agree on every valid model).  Estimation can withstand attacks
+observability (the tests recompute it by enumerating removal sets; the
+two must agree on every valid model).  Estimation can withstand attacks
 on any p sensors iff s >= 2 p.
 """
 
@@ -40,7 +40,6 @@ OBSERVABILITY_RTOL = 1e-9    # column of O_i counts as nonzero above rtol * ||O_
 PSD_RTOL = 1e-9              # eigenvalues of Q, Sigma >= -rtol * trace
 PD_TOL = 1e-12               # eigenvalues of R >= PD_TOL
 FACTOR_RTOL = 1e-12          # psd_factor: eigenvalues >= -rtol * trace
-BRUTE_FORCE_MAX_SENSORS = 12
 
 _MODEL_KEYS_REQUIRED = ("A", "C", "Q", "R", "Sigma")
 _MODEL_KEYS_OPTIONAL = ("B", "K_lqr", "sensor_labels")
@@ -365,34 +364,6 @@ def observability_matrix(A: np.ndarray, C_row: np.ndarray):
         rows[k] = row
         row = row @ A
     return rows
-
-
-def brute_force_sparse_index(model: SystemModel) -> int:
-    """Sparse observability index by direct enumeration of removal sets.
-
-    Returns the largest s such that (A, C with any s sensors removed) stays
-    observable, or -1 if the full sensor set is already unobservable.  The
-    enumeration is exponential in m and refuses m > BRUTE_FORCE_MAX_SENSORS.
-    """
-    m, n = model.m, model.n
-    if m > BRUTE_FORCE_MAX_SENSORS:
-        raise ValueError(
-            f"brute-force enumeration limited to m <= {BRUTE_FORCE_MAX_SENSORS} sensors, got {m}")
-    obs = [observability_matrix(model.A, model.C[i]) for i in range(m)]
-
-    def observable_without(removed: tuple[int, ...]) -> bool:
-        keep = [obs[i] for i in range(m) if i not in removed]
-        if not keep:
-            return False
-        stack = np.vstack(keep)
-        tol = OBSERVABILITY_RTOL * np.linalg.norm(stack, 2)
-        return np.linalg.matrix_rank(stack, tol=tol) == n
-
-    for s in range(m + 1):
-        for removed in itertools.combinations(range(m), s):
-            if not observable_without(removed):
-                return s - 1
-    return m  # unreachable: removing all m sensors is never observable
 
 
 @dataclasses.dataclass(frozen=True)

@@ -520,66 +520,6 @@ def mse(trace: SimulationTrace, burn_in: int = DEFAULT_BURN_IN) -> MseReport:
 
 
 @dataclasses.dataclass(frozen=True)
-class SecurityGap:
-    """Per-step distance between paired attacked and clean estimates.
-
-    Each array holds d_k = ||x_hat_attacked(k) - x_hat_clean(k)||_2 for
-    one estimator; max_* is the largest gap over the whole run and
-    tail_mean_* the average over k >= burn_in.
-    """
-
-    kalman: np.ndarray
-    secure: np.ndarray
-    least_squares: np.ndarray
-    max_kalman: float
-    max_secure: float
-    max_least_squares: float
-    tail_mean_kalman: float
-    tail_mean_secure: float
-    tail_mean_least_squares: float
-
-
-def security_gap(trace_clean: SimulationTrace,
-                 trace_attacked: SimulationTrace,
-                 burn_in: int = DEFAULT_BURN_IN) -> SecurityGap:
-    """Estimator-by-estimator attack impact for a paired pair of runs.
-
-    Both traces must come from the same (seed, trial) and horizon so
-    their noise realizations match; the clean measurement streams are
-    checked for exact equality.  The tail keeps the steps k >= burn_in;
-    a negative burn_in raises ValueError, as does one past the horizon.
-    """
-    if (trace_clean.seed, trace_clean.trial) != (trace_attacked.seed,
-                                                 trace_attacked.trial):
-        raise ValueError(
-            f"traces are not paired: seeds (seed={trace_clean.seed}, "
-            f"trial={trace_clean.trial}) vs (seed={trace_attacked.seed}, "
-            f"trial={trace_attacked.trial})")
-    if trace_clean.horizon != trace_attacked.horizon:
-        raise ValueError(f"traces are not paired: horizons "
-                         f"{trace_clean.horizon} vs {trace_attacked.horizon}")
-    if not np.array_equal(trace_clean.z, trace_attacked.z):
-        raise ValueError("traces are not paired: clean measurement streams "
-                         "differ")
-    keep = _tail(trace_clean.horizon, burn_in)
-
-    def gap(field):
-        d = getattr(trace_attacked, field) - getattr(trace_clean, field)
-        return np.linalg.norm(d, axis=1)
-
-    dk = gap("xhat_kal")
-    ds = gap("xhat_sec")
-    dl = gap("xhat_ls")
-    return SecurityGap(
-        kalman=dk, secure=ds, least_squares=dl,
-        max_kalman=float(dk.max()), max_secure=float(ds.max()),
-        max_least_squares=float(dl.max()),
-        tail_mean_kalman=float(dk[keep].mean()),
-        tail_mean_secure=float(ds[keep].mean()),
-        tail_mean_least_squares=float(dl[keep].mean()))
-
-
-@dataclasses.dataclass(frozen=True)
 class SweepRow:
     """One grid point of a Monte Carlo sweep (trial means and stderrs)."""
 

@@ -2,9 +2,11 @@
 
 The estimator bank downstream diagonalises the fixed-gain error dynamics
 x_err(k+1) = (A - K C A) x_err(k) + noise, so this module computes the
-steady Kalman gain K (Riccati fixed point), the eigendecomposition
+steady Kalman gain K (Riccati fixed point) and the eigendecomposition
 A - K C A = V diag(Pi) V^-1 with a deterministic eigenvalue order and
-eigenvector normalisation, and the characteristic polynomial of A.  The
+eigenvector normalisation.  A SpectralDesign keeps K and Pi, all the
+decomposition and the estimator read of them; steady_state_kalman and
+closed_loop_eigendecomposition also return P, P_plus and V.  The
 whole construction requires the closed-loop eigenvalues to be pairwise
 distinct, strictly inside the unit circle, and disjoint from the spectrum
 of A (Assumption 1); ``closed_loop_eigendecomposition`` raises an
@@ -56,18 +58,16 @@ class RiccatiDivergenceError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class SpectralDesign:
-    """Converged filter design plus the closed-loop eigenstructure.
+    """What the decomposition and the estimator read of a filter design.
 
-    charpoly stores the coefficients a_0 .. a_n of det(xI - A) in ascending
-    order with a_n = 1.  Pi holds the eigenvalues of A - K C A sorted by
-    (real, imaginary) part; V holds the matching unit-norm eigenvectors.
+    K is the steady Kalman gain, Pi the eigenvalues of A - K C A sorted by
+    (real, imaginary) part, and riccati_residual the fixed-point gap
+    steady_state_kalman reports.  The covariances P and P_plus and the
+    eigenvectors V are not kept: steady_state_kalman and
+    closed_loop_eigendecomposition return them.
     """
 
-    P: np.ndarray
-    P_plus: np.ndarray
     K: np.ndarray
-    charpoly: np.ndarray
-    V: np.ndarray
     Pi: np.ndarray
     riccati_residual: float
 
@@ -146,16 +146,6 @@ def steady_state_kalman(model: SystemModel):
     K = np.ascontiguousarray(update(P_plus)[1])
     residual = float(np.abs((I - K @ C) @ P_plus - P).max())
     return P, P_plus, K, residual
-
-
-def characteristic_polynomial(A: np.ndarray) -> np.ndarray:
-    """Coefficients a_0 .. a_n of det(xI - A), ascending, with a_n = 1.
-
-    A must be in Jordan form so the eigenvalues can be read off the
-    diagonal; the expansion is then a plain polynomial product.
-    """
-    coeffs = np.atleast_1d(np.poly(np.diag(np.asarray(A, dtype=float))))
-    return coeffs[::-1].astype(float)
 
 
 def _spectrum_gap(Pi: np.ndarray, A: np.ndarray) -> str | None:
@@ -250,8 +240,6 @@ def spectral_design(model: SystemModel) -> SpectralDesign:
     """
     if not model.structure.observable:
         raise ValueError("(A, C) is unobservable: some state is covered by no sensor")
-    P, P_plus, K, residual = steady_state_kalman(model)
-    V, Pi = closed_loop_eigendecomposition(model.A, K, model.C)
-    return SpectralDesign(P=P, P_plus=P_plus, K=K,
-                          charpoly=characteristic_polynomial(model.A),
-                          V=V, Pi=Pi, riccati_residual=residual)
+    _, _, K, residual = steady_state_kalman(model)
+    _, Pi = closed_loop_eigendecomposition(model.A, K, model.C)
+    return SpectralDesign(K=K, Pi=Pi, riccati_residual=residual)

@@ -5,6 +5,14 @@ mode coordinates as a reference for the real one, a value-by-value reference
 for trace_csv, a key-by-key reference for the design-file encoder, and the
 first-written homotopy solve as a bit-for-bit reference for secure_fuse.
 
+Second constructions the package does not ship sit here too, as oracles
+of what it does: the per-sensor gains from the characteristic polynomial
+of A (against local_gains), the sparse observability index by
+enumerating removal sets (against ObservabilityStructure.sparse_index),
+the fusion weights F_i = V diag(V^-1 K_i), and the per-step gap between
+paired attacked and clean traces.  A SpectralDesign keeps K and Pi only,
+so these recompute V and the characteristic polynomial from the model.
+
 Models are drawn in Jordan coordinates directly so every sample satisfies
 the structural requirements by construction: block-diagonal A with 0/1
 superdiagonals, distinct block eigenvalues bounded away from zero, PSD
@@ -12,21 +20,26 @@ process/initial covariances, PD measurement covariance, exact zero
 patterns in C so sensor coverage is unambiguous.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import scipy.linalg
 
 from securekf import (assemble_canonical_measurement, attack_sequence,
-                      build_fusion_problem, fixed_gain_kalman_step,
-                      build_decomposition, initial_bank,
-                      local_estimator_step, psd_factor, secure_fuse,
-                      spectral_design)
-from securekf.decomposition import (canonical_projector, conjugate_pairing,
+                      build_fusion_problem, closed_loop_eigendecomposition,
+                      fixed_gain_kalman_step, build_decomposition,
+                      initial_bank, local_estimator_step, psd_factor,
+                      secure_fuse, spectral_design)
+from securekf.decomposition import (CANONICAL_RTOL, _resolvent_guard,
+                                    canonical_projector, conjugate_pairing,
                                     local_gains, realification_map)
 from securekf.fusion import KKT_TOL, MAX_BREAKPOINTS, TIE_RATE, FusionResult
-from securekf.model import SystemModel
-from securekf.simulator import trial_generators
+from securekf.model import (OBSERVABILITY_RTOL, SystemModel,
+                            observability_matrix)
+from securekf.simulator import DEFAULT_BURN_IN, _tail, trial_generators
+
+BRUTE_FORCE_MAX_SENSORS = 12
 
 
 def random_jordan_model(seed, n_max=5, m_max=8, ensure_observable=False):
@@ -98,13 +111,164 @@ def complex_pair_design(seed):
         try:
             design = spectral_design(model)
             if not (np.abs(design.Pi.imag).max() > 0.0 and np.abs(np.polyval(
-                    design.charpoly[::-1], design.Pi)).min() >= 1e-4):
+                    characteristic_polynomial(model.A)[::-1],
+                    design.Pi)).min() >= 1e-4):
                 continue
             return model, design, build_decomposition(model, design)
         except ValueError as exc:
             if not str(exc).startswith(("Assumption 1 violated",
                                         "Theorem 2 precondition violated")):
                 raise
+
+
+def characteristic_polynomial(A):
+    """Coefficients a_0 .. a_n of det(xI - A), ascending, with a_n = 1.
+
+    A must be in Jordan form so the eigenvalues can be read off the
+    diagonal; the expansion is then a plain polynomial product.
+    """
+    coeffs = np.atleast_1d(np.poly(np.diag(np.asarray(A, dtype=float))))
+    return coeffs[::-1].astype(float)
+
+
+def local_gain_factored(model, design, i):
+    """Oracle of local_gains: G_i assembled from the characteristic
+    polynomial of A.
+
+    Row j carries the coefficients of the quotient (p(x) - p(pi_j))/(x - pi_j)
+    applied to the rows of O_i A, scaled by -1/p(pi_j).  Algebraically equal
+    to the resolvent route.
+    """
+    _resolvent_guard(model, design)
+    a = characteristic_polynomial(model.A)
+    n = model.n
+    D1 = np.diag(-1.0 / np.polyval(a[::-1], design.Pi))
+    D2 = np.vander(design.Pi, N=n, increasing=False)
+    # lower-triangular Toeplitz with first column a_n, ..., a_1
+    D3 = np.tril(a[:0:-1][np.subtract.outer(np.arange(n), np.arange(n))])
+    O_iA = observability_matrix(model.A, model.C[i]) @ model.A
+    return D1 @ D2 @ D3 @ O_iA
+
+
+def fusion_weights(model, design):
+    """Per-sensor weights F_i = V diag(V^-1 K_i) and their row stack F,
+    with V the closed-loop eigenvectors closed_loop_eigendecomposition
+    gives for design.K.
+
+    F is real whenever the closed-loop spectrum is real and is returned as
+    a real array in that case (after checking the imaginary residue).  For
+    complex spectra F is genuinely complex; its conjugate-pair column
+    structure is verified instead, and products against the local bank
+    still come out real.
+    """
+    V = closed_loop_eigendecomposition(model.A, design.K, model.C)[0]
+    K = design.K
+    n, m = K.shape
+    coeffs = np.linalg.solve(V, K)
+    F_list = [V * coeffs[:, i][None, :] for i in range(m)]
+    F_row = np.hstack(F_list)
+    scale = max(1.0, float(np.abs(F_row).max()))
+
+    imag = float(np.abs(F_row.imag).max())
+    if imag <= CANONICAL_RTOL * scale:
+        F_list = [F.real.copy() for F in F_list]
+        return F_list, F_row.real.copy()
+
+    pair = conjugate_pairing(design.Pi)
+    for F in F_list:
+        mismatch = float(np.abs(F[:, pair] - np.conj(F)).max())
+        if mismatch > CANONICAL_RTOL * scale:
+            raise ValueError(
+                "conjugate-pair bookkeeping broken in fusion weights "
+                f"(column mismatch {mismatch:.3e})")
+    return F_list, F_row
+
+
+def brute_force_sparse_index(model):
+    """Oracle of ObservabilityStructure.sparse_index: the sparse
+    observability index by direct enumeration of removal sets.
+
+    Returns the largest s such that (A, C with any s sensors removed) stays
+    observable, or -1 if the full sensor set is already unobservable.  The
+    enumeration is exponential in m and refuses m > BRUTE_FORCE_MAX_SENSORS.
+    """
+    m, n = model.m, model.n
+    if m > BRUTE_FORCE_MAX_SENSORS:
+        raise ValueError(
+            f"brute-force enumeration limited to m <= {BRUTE_FORCE_MAX_SENSORS} sensors, got {m}")
+    obs = [observability_matrix(model.A, model.C[i]) for i in range(m)]
+
+    def observable_without(removed):
+        keep = [obs[i] for i in range(m) if i not in removed]
+        if not keep:
+            return False
+        stack = np.vstack(keep)
+        tol = OBSERVABILITY_RTOL * np.linalg.norm(stack, 2)
+        return np.linalg.matrix_rank(stack, tol=tol) == n
+
+    for s in range(m + 1):
+        for removed in itertools.combinations(range(m), s):
+            if not observable_without(removed):
+                return s - 1
+    return m  # unreachable: removing all m sensors is never observable
+
+
+@dataclasses.dataclass(frozen=True)
+class SecurityGap:
+    """Per-step distance between paired attacked and clean estimates.
+
+    Each array holds d_k = ||x_hat_attacked(k) - x_hat_clean(k)||_2 for
+    one estimator; max_* is the largest gap over the whole run and
+    tail_mean_* the average over k >= burn_in.
+    """
+
+    kalman: np.ndarray
+    secure: np.ndarray
+    least_squares: np.ndarray
+    max_kalman: float
+    max_secure: float
+    max_least_squares: float
+    tail_mean_kalman: float
+    tail_mean_secure: float
+    tail_mean_least_squares: float
+
+
+def security_gap(trace_clean, trace_attacked, burn_in=DEFAULT_BURN_IN):
+    """Estimator-by-estimator attack impact for a paired pair of runs.
+
+    Both traces must come from the same (seed, trial) and horizon so
+    their noise realizations match; the clean measurement streams are
+    checked for exact equality.  The tail keeps the steps k >= burn_in;
+    a negative burn_in raises ValueError, as does one past the horizon.
+    """
+    if (trace_clean.seed, trace_clean.trial) != (trace_attacked.seed,
+                                                 trace_attacked.trial):
+        raise ValueError(
+            f"traces are not paired: seeds (seed={trace_clean.seed}, "
+            f"trial={trace_clean.trial}) vs (seed={trace_attacked.seed}, "
+            f"trial={trace_attacked.trial})")
+    if trace_clean.horizon != trace_attacked.horizon:
+        raise ValueError(f"traces are not paired: horizons "
+                         f"{trace_clean.horizon} vs {trace_attacked.horizon}")
+    if not np.array_equal(trace_clean.z, trace_attacked.z):
+        raise ValueError("traces are not paired: clean measurement streams "
+                         "differ")
+    keep = _tail(trace_clean.horizon, burn_in)
+
+    def gap(field):
+        d = getattr(trace_attacked, field) - getattr(trace_clean, field)
+        return np.linalg.norm(d, axis=1)
+
+    dk = gap("xhat_kal")
+    ds = gap("xhat_sec")
+    dl = gap("xhat_ls")
+    return SecurityGap(
+        kalman=dk, secure=ds, least_squares=dl,
+        max_kalman=float(dk.max()), max_secure=float(ds.max()),
+        max_least_squares=float(dl.max()),
+        tail_mean_kalman=float(dk[keep].mean()),
+        tail_mean_secure=float(ds[keep].mean()),
+        tail_mean_least_squares=float(dl[keep].mean()))
 
 
 def mode_coordinates(model, design):
@@ -307,14 +471,10 @@ def reference_design_to_dict(model, design, decomposition):
         model_json["K_lqr"] = _reference_matrix(model.K_lqr)
     return {
         "format": "securekf-design",
-        "version": 3,
+        "version": 4,
         "model": model_json,
         "design": {
-            "P": _reference_matrix(design.P),
-            "P_plus": _reference_matrix(design.P_plus),
             "K": _reference_matrix(design.K),
-            "charpoly": _reference_vector(design.charpoly),
-            "V": _reference_matrix(design.V),
             "Pi": _reference_vector(design.Pi),
             "riccati_residual": float(design.riccati_residual),
         },

@@ -12,7 +12,8 @@ import pytest
 
 import securekf.spectral
 from securekf import (SensorDecomposition, build_decomposition,
-                      fusion_weights, load_model, spectral_design)
+                      closed_loop_eigendecomposition, load_model,
+                      spectral_design, steady_state_kalman)
 from securekf.cli import (
     design_from_dict,
     design_to_dict,
@@ -21,7 +22,9 @@ from securekf.cli import (
 )
 from securekf.model import model_from_dict
 
-from helpers import random_jordan_model, reference_design_to_dict
+from helpers import (_reference_matrix, _reference_vector,
+                     characteristic_polynomial, fusion_weights,
+                     random_jordan_model, reference_design_to_dict)
 
 PENDULUM = None  # filled by fixture use; CLI wants a path string
 
@@ -131,8 +134,10 @@ def test_design_rerun_byte_identical(pendulum_path, tmp_path, capsys):
     assert main(["design", str(pendulum_path), "--out", str(d2)]) == 0
     capsys.readouterr()
     assert d1.read_bytes() == d2.read_bytes()
-    # format v3 stores only what the estimator reads, real, and Pi once
-    assert len(d1.read_bytes()) <= 20_000
+    # format v4 stores, besides the model it was made for, only the
+    # design's K, Pi and riccati_residual and the real decomposition
+    # arrays the estimator reads, Pi once: 16,570 bytes here
+    assert len(d1.read_bytes()) <= 17_000
 
 
 def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
@@ -143,10 +148,11 @@ def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
     design = spectral_design(model)
     decomp = build_decomposition(model, design)
     d2, c2 = load_design(out, model)
-    for name in ("P", "P_plus", "K", "charpoly", "V", "Pi"):
+    for name in ("K", "Pi"):
         a, b = getattr(design, name), getattr(d2, name)
         assert np.array_equal(a, b), name
         assert a.dtype == b.dtype, name
+    assert design.riccati_residual == d2.riccati_residual
     for f in dataclasses.fields(SensorDecomposition):
         a, b = getattr(decomp, f.name), getattr(c2, f.name)
         assert np.array_equal(a, b), f.name
@@ -303,7 +309,7 @@ def test_design_file_matches_reference_encoder(case, pendulum_model):
     design = spectral_design(model)
     decomp = build_decomposition(model, design)
     if case == "complex":
-        F_row = fusion_weights(design)[1]
+        F_row = fusion_weights(model, design)[1]
         assert np.iscomplexobj(F_row) and decomp.ridge_delta > 0.0
     data = design_to_dict(model, design, decomp)
     reference = reference_design_to_dict(model, design, decomp)
@@ -348,10 +354,10 @@ def _delete(data):
      "design key 'K': expected a tagged matrix"),
     (_set(["design", "K"], {"quaternion": [[1.0]]}),
      "design key 'K': unknown matrix tag 'quaternion'"),
-    (_set(["design", "V"], {"complex": [[[1.0, 0.0, 2.0]]]}),
-     "design key 'V': complex entries must be [re, im] pairs"),
-    (_set(["design", "V"], {"complex": [[[1.0, "a"]]]}),
-     "design key 'V': complex entries must be [re, im] pairs of numbers"),
+    (_set(["design", "Pi"], {"complex": [[[1.0, 0.0, 2.0]]]}),
+     "design key 'Pi': complex entries must be [re, im] pairs"),
+    (_set(["design", "Pi"], {"complex": [[[1.0, "a"]]]}),
+     "design key 'Pi': complex entries must be [re, im] pairs of numbers"),
     (_set(["design", "riccati_residual"], [1]),
      "design key 'riccati_residual': expected a number"),
     (_set(["decomposition", "ridge_delta"], True),
@@ -368,10 +374,10 @@ def _delete(data):
      "design key 'K': expected shape (4, 4), got (1, 1)"),
     (_set(["decomposition", "Mtilde"], {"real": [[1.0]]}),
      "design key 'Mtilde': expected shape (16, 16), got (1, 1)"),
-    (_set(["design", "charpoly"], {"real": [[1.0, 2.0]]}),
-     "design key 'charpoly': expected shape (1, 5), got (1, 2)"),
+    (_set(["design", "Pi"], {"real": [[1.0, 2.0]]}),
+     "design key 'Pi': expected shape (1, 4), got (1, 2)"),
     (_set(["format"], "other"), "not a design file (format 'other')"),
-    (_set(["version"], 4), "unsupported design file version 4"),
+    (_set(["version"], 5), "unsupported design file version 5"),
     (None, "invalid JSON in design file"),
     (_set(["decomposition", "Mtilde", "real", 0, 0], float("nan")),
      "design key 'Mtilde': numbers must be finite, got NaN or Infinity"),
@@ -392,7 +398,7 @@ def _delete(data):
         "untagged-matrix", "unknown-tag", "malformed-complex",
         "complex-not-number", "float-not-number", "float-is-bool",
         "ragged-rows", "one-dimensional", "entry-not-number", "entry-is-bool",
-        "gain-shape", "mtilde-shape", "charpoly-shape", "wrong-format",
+        "gain-shape", "mtilde-shape", "Pi-shape", "wrong-format",
         "wrong-version", "invalid-json", "nan-in-mtilde", "infinity-in-gain",
         "minus-infinity-ridge", "asymmetric-mtilde", "negative-ridge",
         "indefinite-mtilde"])
@@ -442,6 +448,29 @@ def test_design_file_version_2_refused(pendulum_path, pendulum_design_text,
                  "--design", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: unsupported design file version 2" in err
+    assert "re-run the design subcommand" in err
+
+
+def test_design_file_version_3_refused(pendulum_path, pendulum_design_text,
+                                       tmp_path, capsys):
+    # a version-3 file also held the design's P, P_plus, charpoly and V,
+    # which no reader used; it is refused by version
+    data = json.loads(pendulum_design_text)
+    data["version"] = 3
+    model = load_model(pendulum_path)
+    P, P_plus, K, _ = steady_state_kalman(model)
+    design = data["design"]
+    design["P"], design["P_plus"] = (_reference_matrix(P),
+                                     _reference_matrix(P_plus))
+    design["charpoly"] = _reference_vector(characteristic_polynomial(model.A))
+    design["V"] = _reference_matrix(
+        closed_loop_eigendecomposition(model.A, K, model.C)[0])
+    out = tmp_path / "v3.json"
+    out.write_text(json.dumps(data))
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--design", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: unsupported design file version 3" in err
     assert "re-run the design subcommand" in err
 
 

@@ -14,29 +14,25 @@ from securekf.decomposition import (
     build_decomposition,
     canonical_projector,
     conjugate_pairing,
-    fusion_weights,
-    local_gain_factored,
     local_gains,
     realification_map,
     residual_covariances,
 )
 from securekf.model import SystemModel, observability_matrix
 from securekf.spectral import (EIG_SEPARATION, AssumptionError,
-                               SpectralDesign, characteristic_polynomial,
-                               spectral_design)
+                               SpectralDesign, spectral_design)
 
-from helpers import (complex_pair_design, mode_coordinates,
+from helpers import (characteristic_polynomial, complex_pair_design,
+                     fusion_weights, local_gain_factored, mode_coordinates,
                      random_jordan_model, sensor_blocks)
 
 
-def dummy_design(A, Pi, V=None, K=None, m=1):
+def dummy_design(A, Pi, K=None, m=1):
     n = A.shape[0]
     Pi = np.asarray(Pi, dtype=complex)
-    return SpectralDesign(P=np.eye(n), P_plus=np.eye(n),
-                          K=np.zeros((n, m)) if K is None else np.asarray(K, float),
-                          charpoly=characteristic_polynomial(A),
-                          V=np.eye(n, dtype=complex) if V is None else V,
-                          Pi=Pi, riccati_residual=0.0)
+    return SpectralDesign(
+        K=np.zeros((n, m)) if K is None else np.asarray(K, float),
+        Pi=Pi, riccati_residual=0.0)
 
 
 def observable_designs(count, start=0):
@@ -57,7 +53,8 @@ def observable_designs(count, start=0):
             if str(exc).startswith("Assumption 1 violated"):
                 continue
             raise
-        if np.abs(np.polyval(design.charpoly[::-1], design.Pi)).min() < 1e-4:
+        if np.abs(np.polyval(characteristic_polynomial(model.A)[::-1],
+                             design.Pi)).min() < 1e-4:
             continue
         produced += 1
         yield model, design
@@ -141,8 +138,8 @@ def test_refusals_at_16_states_name_their_cause():
         design = spectral_design(model)
         gap = np.abs(design.Pi[:, None] - np.diag(model.A)[None, :]).min()
         assert gap > EIG_SEPARATION
-        tiny += np.abs(np.polyval(design.charpoly[::-1], design.Pi)).min() \
-            < EIG_SEPARATION
+        tiny += np.abs(np.polyval(characteristic_polynomial(model.A)[::-1],
+                                  design.Pi)).min() < EIG_SEPARATION
         try:
             build_decomposition(model, design)
         except ValueError as exc:
@@ -289,10 +286,14 @@ def test_conjugate_pairing_detects_partners():
 # -------------------------------------------------------- fusion weights
 
 def test_fusion_weights_identity_eigenvectors():
+    # C = K^-1 diag(0.8, 0.5) makes A - K C A = diag(0.1, 0.15), whose
+    # eigenvectors, in ascending order, are the identity
     A = np.diag([0.5, 0.3])
     K = np.array([[0.7, 0.1], [0.2, 0.4]])
-    design = dummy_design(A, [0.5, 0.3], K=K, m=2)
-    F_list, F_row = fusion_weights(design)
+    model = SystemModel(A=A, C=np.linalg.solve(K, np.diag([0.8, 0.5])),
+                        Q=np.eye(2), R=np.eye(2), Sigma=np.eye(2))
+    design = dummy_design(A, [0.1, 0.15], K=K, m=2)
+    F_list, F_row = fusion_weights(model, design)
     assert np.abs(F_list[0] - np.diag(K[:, 0])).max() < 1e-12
     assert np.abs(F_list[1] - np.diag(K[:, 1])).max() < 1e-12
     assert F_row.dtype.kind == "f"
@@ -300,7 +301,7 @@ def test_fusion_weights_identity_eigenvectors():
 
 def test_fusion_weights_pendulum_identities(pendulum_model):
     design = spectral_design(pendulum_model)
-    F_list, F_row = fusion_weights(design)
+    F_list, F_row = fusion_weights(pendulum_model, design)
     A, C, K = pendulum_model.A, pendulum_model.C, design.K
     E = A - K @ C @ A
     ones = np.ones(4)
@@ -316,7 +317,7 @@ def test_fusion_weights_pendulum_identities(pendulum_model):
 
 def test_fusion_weights_recover_gain_on_random_models():
     for model, design in observable_designs(20):
-        F_list, F_row = fusion_weights(design)
+        F_list, F_row = fusion_weights(model, design)
         decomp = build_decomposition(model, design)
         # G_stack is realified by T per sensor; F_row weighs mode coordinates
         Th = scipy.linalg.block_diag(
@@ -411,7 +412,7 @@ def test_build_decomposition_pendulum(pendulum_model):
     assert decomp.H_stack.shape == (16, 4)
     assert decomp.Ptilde.shape == (16, 16)
     assert np.array_equal(decomp.Ptilde, scipy.linalg.block_diag(*P))
-    assert fusion_weights(design)[1].shape == (4, 16)
+    assert fusion_weights(pendulum_model, design)[1].shape == (4, 16)
 
 
 def test_build_decomposition_deterministic(pendulum_model):
@@ -421,7 +422,8 @@ def test_build_decomposition_deterministic(pendulum_model):
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
         assert np.array_equal(x, y), f.name
-    assert np.array_equal(fusion_weights(design)[1], fusion_weights(design)[1])
+    assert np.array_equal(fusion_weights(pendulum_model, design)[1],
+                          fusion_weights(pendulum_model, design)[1])
 
 
 def test_build_decomposition_random_models():

@@ -13,7 +13,6 @@ from securekf import (
     build_fusion_problem,
     empirical_equivalence_probability,
     fixed_gain_kalman_step,
-    fusion_weights,
     initial_bank,
     load_model,
     local_estimator_step,
@@ -28,7 +27,7 @@ from securekf.model import SystemModel
 from securekf.simulator import (AttackSpec, _rollout, simulate,
                                 trial_generators)
 
-from helpers import (_reference_lasso_path, fusion_objective,
+from helpers import (_reference_lasso_path, fusion_objective, fusion_weights,
                      mode_coordinates, reference_secure_fuse, sensor_blocks)
 
 EYE3 = np.eye(3)   # the Cholesky factor of I
@@ -227,7 +226,7 @@ def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
     m, d, dec = pendulum_model, pendulum_design, pendulum_decomposition
     problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
     # F_row weighs the bank in mode coordinates, T^H maps it there
-    F_row = fusion_weights(d)[1] @ scipy.linalg.block_diag(
+    F_row = fusion_weights(m, d)[1] @ scipy.linalg.block_diag(
         *[mode_coordinates(m, d)[2].conj().T] * m.m)
     x, g_w, g_v = rollout_setup(m, d, dec, seed=11)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from securekf.model import (
-    BRUTE_FORCE_MAX_SENSORS,
     ModelFormatError,
     SystemModel,
-    brute_force_sparse_index,
     certify_resilience,
     jordan_blocks,
     load_model,
@@ -16,7 +14,8 @@ from securekf.model import (
     validate_model,
 )
 
-from helpers import random_jordan_model
+from helpers import (BRUTE_FORCE_MAX_SENSORS, brute_force_sparse_index,
+                     random_jordan_model)
 
 
 def make(A, C):

@@ -36,3 +36,19 @@ def test_import_leaves_scipy_unloaded():
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+MOVED_TO_TEST_HELPERS = ("local_gain_factored", "fusion_weights",
+                         "characteristic_polynomial",
+                         "brute_force_sparse_index", "security_gap",
+                         "SecurityGap")
+
+
+def test_oracles_are_not_public_and_every_public_name_resolves():
+    # the second constructions live in tests/helpers.py: the package
+    # neither exports nor binds them
+    for name in MOVED_TO_TEST_HELPERS:
+        assert name not in securekf.__all__, name
+        assert not hasattr(securekf, name), name
+    for name in securekf.__all__:
+        assert hasattr(securekf, name), name

@@ -15,7 +15,8 @@ import securekf.fusion
 import securekf.simulator
 from helpers import (complex_pair_design, random_jordan_model,
                      reference_complex_rollout, reference_rollout,
-                     reference_trace_csv, step_by_step_simulate)
+                     reference_trace_csv, security_gap,
+                     step_by_step_simulate)
 from securekf import (build_decomposition, build_fusion_problem, secure_fuse,
                       spectral_design)
 from securekf.cli import design_to_dict
@@ -33,7 +34,6 @@ from securekf.simulator import (
     default_attack,
     empirical_equivalence_probability,
     mse,
-    security_gap,
     simulate,
     sweep_attack_magnitude,
     sweep_csv,
