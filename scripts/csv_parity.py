@@ -11,6 +11,9 @@ path left out):
 - ``simulate`` at gamma 5, seed 0, under ``--attack-kind uniform``, at the
   default horizon of 1000 steps: every step is open, so the whole run is
   fused as one block walk, the largest the CLI makes;
+- ``simulate`` at gamma 5, seed 0, under ``--attack-kind uniform``, with
+  ``--horizon 1500``: one run above the block cap, walked as 1000 rows
+  and then 500;
 - ``simulate`` at gamma 100, seed 0, clean, with ``--horizon 300``: the
   screen leaves 6 rows open (5-9 for seeds 0-2), and they are fused as
   one small block;
@@ -25,6 +28,8 @@ path left out):
 - ``sweep-attack --gamma 1000`` with ``--trials 2 --horizon 100``: a
   trial rolls its 11 attacks (the clean run and 10 magnitudes) out in one
   stacked pass, and the screen settles every row;
+- ``sweep-attack --magnitudes 0,1`` with ``--trials 1 --horizon 1100``:
+  two runs above the block cap, each fused as a batch of its own;
 - the ``design`` file;
 - the ``analyze --json`` file: the observability structure that the
   design and the decomposition of one set-up share.
@@ -59,6 +64,8 @@ def cases() -> list[list[str]]:
            for kind in ("none", "uniform")]
     out.append(["simulate", "--gamma", "5", "--seed", "0", "--attack-kind",
                 "uniform"])
+    out.append(["simulate", "--horizon", "1500", "--gamma", "5", "--seed",
+                "0", "--attack-kind", "uniform"])
     out.append(["simulate", "--horizon", "300", "--gamma", "100", "--seed",
                 "0", "--attack-kind", "none"])
     out += [["simulate", "--horizon", "300", "--gamma", "5", "--seed", "0",
@@ -67,6 +74,8 @@ def cases() -> list[list[str]]:
             for command in ("sweep-gamma", "sweep-attack")]
     out += [["sweep-attack", "--gamma", gamma, "--trials", "2",
              "--horizon", "100"] for gamma in ("100", "1000")]
+    out.append(["sweep-attack", "--magnitudes", "0,1", "--trials", "1",
+                "--horizon", "1100"])
     return out + [["design"], ["analyze", "--json"]]
 
 

@@ -386,44 +386,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_gamma(args) -> int:
+def cmd_sweep(args) -> int:
     model = _load_valid_model(args.model)
     design, decomposition = _get_design(args, model)
     attack = _build_attack(args, model.m)
     if attack.kind == "none":
-        raise ValueError("sweep-gamma needs an attack; pick --attack-kind "
-                         "constant, uniform, or ramp")
-    gammas = _parse_grid(args.gammas, "gammas")
+        raise ValueError(f"{args.command} needs an attack; pick "
+                         f"--attack-kind constant, uniform, or ramp")
+    if args.command == "sweep-gamma":
+        sweep, what = sweep_gamma, "gamma value(s)"
+        grid = dict(gammas=_parse_grid(args.gammas, "gammas"))
+    else:
+        sweep = sweep_attack_magnitude
+        what = f"magnitude(s) at gamma={args.gamma:g}"
+        grid = dict(magnitudes=_parse_grid(args.magnitudes, "magnitudes"),
+                    gamma=args.gamma)
     _check_burn_in(args)
-    rows = sweep_gamma(model, design, decomposition, gammas=gammas,
-                       attack=attack, trials=args.trials,
-                       horizon=args.horizon, seed=args.seed,
-                       burn_in=args.burn_in)
+    rows = sweep(model, design, decomposition, attack=attack,
+                 trials=args.trials, horizon=args.horizon, seed=args.seed,
+                 burn_in=args.burn_in, **grid)
     _emit_csv(sweep_csv(rows), args.out)
     where = args.out if args.out else "stdout"
-    print(f"{len(rows)} gamma value(s), {args.trials} trial(s) each -> "
-          f"{where}", file=sys.stderr if not args.out else sys.stdout)
-    return EXIT_OK
-
-
-def cmd_sweep_attack(args) -> int:
-    model = _load_valid_model(args.model)
-    design, decomposition = _get_design(args, model)
-    attack = _build_attack(args, model.m)
-    if attack.kind == "none":
-        raise ValueError("sweep-attack needs an attack; pick --attack-kind "
-                         "constant, uniform, or ramp")
-    magnitudes = _parse_grid(args.magnitudes, "magnitudes")
-    _check_burn_in(args)
-    rows = sweep_attack_magnitude(model, design, decomposition,
-                                  magnitudes=magnitudes, gamma=args.gamma,
-                                  attack=attack, trials=args.trials,
-                                  horizon=args.horizon, seed=args.seed,
-                                  burn_in=args.burn_in)
-    _emit_csv(sweep_csv(rows), args.out)
-    where = args.out if args.out else "stdout"
-    print(f"{len(rows)} magnitude(s) at gamma={args.gamma:g}, "
-          f"{args.trials} trial(s) each -> {where}",
+    print(f"{len(rows)} {what}, {args.trials} trial(s) each -> {where}",
           file=sys.stderr if not args.out else sys.stdout)
     return EXIT_OK
 
@@ -524,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated gamma grid")
     p.add_argument("--trials", **_TRIALS_FLAG)
     _add_sim_flags(p, "uniform")
-    p.set_defaults(func=cmd_sweep_gamma)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sweep-attack",
                        help="paired clean/attacked Monte Carlo MSE across "
@@ -536,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", **_GAMMA_FLAG)
     p.add_argument("--trials", **_TRIALS_FLAG)
     _add_sim_flags(p, "uniform")
-    p.set_defaults(func=cmd_sweep_attack)
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

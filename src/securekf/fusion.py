@@ -29,13 +29,14 @@ lasso_paths is the one homotopy walk: it walks the open rows of a block
 together, one breakpoint per round, and row i gets the bits it has in a
 block of one.  fuse_open walks a block's open rows that way, at most
 MAX_BLOCK_ROWS per call, and forms every row's x_tilde, mu and KKT
-residual with stacked products.  secure_fuse takes a row of a split and
-a row of such a walk, or splits and fuses its Y as a block of one when
-it is given none, and only refines the walk's answer, when its KKT
-residual misses the tolerance, and builds its FusionResult.  The module
-needs numpy alone: Minv comes from the covariance's Cholesky factor, and
-the homotopy's small solves call numpy's LAPACK gufunc directly, on a
-stack of matrices at a time.
+residual with stacked products; fuse_runs, the one way a simulated
+run's open rows reach it, batches the open rows of consecutive runs.
+secure_fuse takes a row of a split and a row of such a walk, or splits
+and fuses its Y as a block of one when it is given none, and only
+refines the walk's answer, when its KKT residual misses the tolerance,
+and builds its FusionResult.  The module needs numpy alone: Minv comes
+from the covariance's Cholesky factor, and the homotopy's small solves
+call numpy's LAPACK gufunc directly, on a stack of matrices at a time.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ from .model import SystemModel
 KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
-# rows one lasso_paths call walks at most: the largest block a
-# default-horizon run makes.  One default sweep-attack trial (pendulum,
-# 11 runs of 1000 open rows, 2 CPUs) peaks at 54.7 / 56.7 / 62.2 / 98.7 MB
-# ru_maxrss with a cap of 500 / 1000 / 2000 / none, in 0.26-0.49 s at each
-# (55.1 MB, 0.41-0.66 s, with one block per run and per-step answers)
+# rows one lasso_paths call walks, and one fuse_runs batch holds, at most:
+# the largest block a default-horizon run makes.  One default sweep-attack
+# trial (pendulum, 11 runs of 1000 open rows, 2 CPUs) peaks at 54.7 / 56.7
+# / 62.2 / 98.7 MB ru_maxrss with a cap of 500 / 1000 / 2000 / none, in
+# 0.26-0.49 s at each (55.1 MB, 0.41-0.66 s, with one block per run and
+# per-step answers)
 MAX_BLOCK_ROWS = 1000
 _FLOAT64 = np.dtype(float)
 
@@ -473,6 +475,49 @@ def fuse_open(problem, Y, d, gamma) -> FusedRows:
     breakpoints = np.concatenate([w[1] for w in walks])
     x, mu, kkt = _answer(problem, Y, nu, gamma)
     return FusedRows(x, mu, nu, kkt, breakpoints)
+
+
+def _batches(sizes, cap) -> list[list]:
+    """Split the keys of sizes (key -> rows), in order, into runs of
+    consecutive keys whose rows add up to at most cap; a key with more
+    rows than cap is a batch of its own."""
+    batches, total = [], cap + 1
+    for key, rows in sizes.items():
+        if total + len(rows) > cap:
+            batches.append([])
+            total = 0
+        batches[-1].append(key)
+        total += len(rows)
+    return batches
+
+
+def fuse_runs(problem, runs, gamma):
+    """Fuse the open rows of a sequence of runs, yielding each run's part.
+
+    runs holds one (Y, d, open_rows) per run: its canonical measurement,
+    the d of its least-squares split and the indices of its rows whose
+    statistic exceeds gamma.  Consecutive runs are batched while their
+    open rows add up to at most MAX_BLOCK_ROWS, read at call time (a run
+    with more is a batch of its own, which fuse_open walks MAX_BLOCK_ROWS
+    rows per call), and each batch's open rows are fused by one fuse_open
+    call.  Each run gets its rows of that call's FusedRows, in step order,
+    or None when its batch has no open row, which walks nothing.  A batch
+    is fused only when its first run is asked for, and its gathered Y and
+    d rows are freed when fuse_open returns, so a caller that drops each
+    run's part before the next holds one batch's answers at a time.
+    """
+    for keys in _batches({i: run[2] for i, run in enumerate(runs)},
+                         MAX_BLOCK_ROWS):
+        batch = [runs[i] for i in keys]
+        ends = np.cumsum([len(rows) for _, _, rows in batch]).tolist()
+        if not ends[-1]:
+            yield from [None] * len(batch)
+        else:
+            fused = fuse_open(
+                problem, np.concatenate([Y[rows] for Y, _, rows in batch]),
+                np.concatenate([d[rows] for _, d, rows in batch]), gamma)
+            for lo, hi in zip([0] + ends, ends):
+                yield FusedRows(*(part[lo:hi] for part in fused))
 
 
 def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,

@@ -6,10 +6,8 @@ least-squares fusion of the local bank, and the secure (l1-regularized)
 fusion.  No estimate feeds back into the plant, the filter or the bank,
 so a run first rolls all of those out over the whole horizon as arrays
 and splits the least squares of the whole canonical measurement at once.
-The rows the screen leaves open are fused together as one block
-(fusion.fuse_open: their l1 homotopies walked at most
-fusion.MAX_BLOCK_ROWS rows per call, and their answers formed with
-stacked products); each step's secure_fuse call then takes its row.  In
+The rows the screen leaves open are fused together through
+fusion.fuse_runs; each step's secure_fuse call then takes its row.  In
 the decomposition's real coordinates each sensor's bank is one real
 n x n transition, so the plant, the filter and the bank roll out through
 the same recurrence.  Neither the rollout nor its split depends on the
@@ -20,7 +18,7 @@ aggregate per-trial mean squared errors over a grid of regularization
 weights or attack magnitudes, rolling all of a trial's attacks out in one
 straight stacked pass (one plant, each array checked once, one
 least-squares split) for every gamma to read and fusing the open rows of
-a trial's runs at each gamma as one block; trace_csv and sweep_csv render
+a trial's runs at each gamma together; trace_csv and sweep_csv render
 traces and sweeps as CSV text.  Every run is reproducible from (seed,
 trial) and fuses with its decomposition's one FusionProblem
 (SensorDecomposition.fusion_problem), built on first use.
@@ -37,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import SensorDecomposition
-from .fusion import (MAX_BLOCK_ROWS, FusedRows, FusionProblem,
-                     LeastSquaresSplit, check_gamma, fuse_open, secure_fuse)
+from .fusion import (FusedRows, FusionProblem, LeastSquaresSplit,
+                     check_gamma, fuse_runs, secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
 # not called here; bound so perfbench/tracer.py can wrap them by this module
@@ -333,10 +331,9 @@ def simulate(model: SystemModel, design: SpectralDesign,
     close the loop, so the plant, the fixed-gain filter and the local bank
     are rolled out over the whole horizon first, and the least squares of
     the whole rollout split at once (FusionProblem.split).  The rows whose
-    statistic exceeds gamma are open, and a run that has any fuses them
-    as one block (fusion.fuse_open, which walks at most
-    fusion.MAX_BLOCK_ROWS rows per call), which gives each row the bits
-    it has in a block of one; a run that the screen settles walks
+    statistic exceeds gamma are open, and the run fuses them through
+    fusion.fuse_runs, as a sequence of one run, which gives each row the
+    bits it has in a block of one; a run that the screen settles walks
     nothing.  The secure fusion then runs step by step: one secure_fuse
     call per step, passed its row of the split and, on an open step, its
     row of the block, so that a screened step only tests the row's
@@ -364,11 +361,10 @@ def simulate(model: SystemModel, design: SpectralDesign,
     run raises ValueError.  A measurement so large that the least-squares
     products overflow raises ValueError before any step is fused.
 
-    walk, when given, is fuse_open's answer on this run's open rows at
-    gamma, in step order, as a sweep passes each run its part of the
-    block of a trial's open rows; the run then fuses no block itself.  A
-    walk whose row count differs from the run's open rows raises
-    ValueError; its rows are not checked otherwise.
+    walk, when given, is this run's part of fuse_runs' answer at gamma,
+    as a sweep passes it to each of a trial's runs; the run then fuses
+    nothing itself.  A walk whose row count differs from the run's open
+    rows raises ValueError; its rows are not checked otherwise.
     """
     _check_horizon(horizon)
     check_gamma(gamma)
@@ -387,9 +383,9 @@ def simulate(model: SystemModel, design: SpectralDesign,
     x, u, z, y, a, x_kal, Y, split = rollout[4:]
     problem = split.problem
     open_rows = (split.statistic > gamma).nonzero()[0]
-    if walk is None and len(open_rows):
-        walk = fuse_open(problem, Y[open_rows], split.d[open_rows], gamma)
-    elif walk is not None and len(walk.nu) != len(open_rows):
+    if walk is None:
+        walk = next(fuse_runs(problem, [(Y, split.d, open_rows)], gamma))
+    elif len(walk.nu) != len(open_rows):
         raise ValueError(f"walk of {len(walk.nu)} rows passed for a run "
                          f"with {len(open_rows)} open rows at γ = {gamma}")
     walks = [None] * horizon
@@ -567,24 +563,13 @@ def _aggregate(value, per_trial) -> SweepRow:
         stderr_kalman_attack=float(errs[3]))
 
 
-def _batches(sizes, cap) -> list[list]:
-    """Split the keys of sizes (key -> rows), in order, into runs of
-    consecutive keys whose rows add up to at most cap; a key with more
-    rows than cap is a batch of its own."""
-    batches, total = [], cap + 1
-    for key, rows in sizes.items():
-        if total + len(rows) > cap:
-            batches.append([])
-            total = 0
-        batches[-1].append(key)
-        total += len(rows)
-    return batches
+def _run_sweep(model, design, decomposition, grid, what, point, trials,
+               horizon, seed, burn_in) -> list[SweepRow]:
+    """Shared sweep driver: one SweepRow per value v of grid, whose runs
+    are at the (attack, gamma) pair point(v).
 
-
-def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
-               burn_in) -> list[SweepRow]:
-    """Shared sweep driver; points is a list of (value, attack, gamma).
-
+    The grid's values are taken as floats; an empty grid raises
+    ValueError naming it (what), and then so does a trial count below 1.
     Trials run one after another, each owning its own RNG substream (two
     threads ran slower than one: the small numpy calls hold the interpreter
     lock).  Within a trial every distinct (attack, gamma) run is simulated
@@ -596,20 +581,23 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
     plant rollout, which does not depend on the attack either, with one
     split of all their rows; its runs at every gamma share their attack's
     rollout, and only test each row's statistic against their own gamma.
-    At each gamma the open rows of the trial's runs are fused as one
-    block (fusion.fuse_open), in batches of consecutive runs of at most
-    MAX_BLOCK_ROWS rows (a run with more is a batch of its own, and
-    fuse_open walks it MAX_BLOCK_ROWS rows per call), and each run is
-    simulated with its part of its batch; a batch without open rows
-    walks nothing.  A trial holds only its own rollouts, and one batch's
-    answers at a time.  Only the tail MSEs a SweepRow reads are computed,
-    with the helper mse uses, so each has mse's bits: each run's secure
-    one, and each attack's fixed-gain one once per trial, as the filter
-    does not depend on gamma.  Every run shares the
-    decomposition's one FusionProblem (SensorDecomposition.fusion_problem).
+    At each gamma the open rows of the trial's runs are fused through one
+    fusion.fuse_runs call, and each run is simulated with its part.  A
+    trial holds only its own rollouts, and one batch's answers at a
+    time.  Only the tail MSEs a SweepRow reads are computed, with the
+    helper mse uses, so each has mse's bits: each run's secure one, and
+    each attack's fixed-gain one once per trial, as the filter does not
+    depend on gamma.  Every run shares the decomposition's one
+    FusionProblem (SensorDecomposition.fusion_problem).
     Bad gammas, a horizon below 1 and a burn-in that leaves no step are
     refused before any rollout.
     """
+    grid = [float(v) for v in grid]
+    if not grid:
+        raise ValueError(f"{what} grid is empty")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    points = [(v, *point(v)) for v in grid]
     for _, _, gamma in points:
         check_gamma(gamma)
     keep = _tail(horizon, burn_in)
@@ -635,28 +623,15 @@ def _run_sweep(model, design, decomposition, points, trials, horizon, seed,
                   for attack, r in rollouts.items()}
         secure = {}
         for gamma, runs in gammas.items():
-            opens = {attack: (rollouts[attack].split.statistic
-                              > gamma).nonzero()[0] for attack in runs}
-            for batch in _batches(opens, MAX_BLOCK_ROWS):
-                walks = [None] * len(batch)
-                if any(len(opens[attack]) for attack in batch):
-                    fused = fuse_open(
-                        problem,
-                        np.concatenate([rollouts[attack].Y[opens[attack]]
-                                        for attack in batch]),
-                        np.concatenate([rollouts[attack].split.d[
-                            opens[attack]] for attack in batch]),
-                        gamma)
-                    ends = np.cumsum([len(opens[attack])
-                                      for attack in batch]).tolist()
-                    walks = [FusedRows(*(part[lo:hi] for part in fused))
-                             for lo, hi in zip([0] + ends, ends)]
-                for attack, walk in zip(batch, walks):
-                    trace = simulate(model, design, decomposition, attack,
-                                     gamma, horizon, seed, trial=trial,
-                                     rollout=rollouts[attack], walk=walk)
-                    secure[attack, gamma] = float(
-                        _tail_mse(trace.xhat_sec, trace.x, keep).sum())
+            walks = fuse_runs(problem, [
+                (r.Y, r.split.d, (r.split.statistic > gamma).nonzero()[0])
+                for r in map(rollouts.get, runs)], gamma)
+            for attack, walk in zip(runs, walks):
+                trace = simulate(model, design, decomposition, attack, gamma,
+                                 horizon, seed, trial=trial,
+                                 rollout=rollouts[attack], walk=walk)
+                secure[attack, gamma] = float(
+                    _tail_mse(trace.xhat_sec, trace.x, keep).sum())
         return [(secure[clean, gamma], secure[injected(attack), gamma],
                  kalman[clean], kalman[injected(attack)])
                 for _, attack, gamma in points]
@@ -677,16 +652,10 @@ def sweep_gamma(model: SystemModel, design: SpectralDesign,
     Every gamma runs the same paired clean/attacked trials (same seeds,
     same noise), so columns differ only through the estimators.
     """
-    gammas = [float(g) for g in gammas]
-    if not gammas:
-        raise ValueError("gamma grid is empty")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     if attack is None:
         attack = default_attack(model.m)
-    points = [(g, attack, g) for g in gammas]
-    return _run_sweep(model, design, decomposition, points, trials, horizon,
-                      seed, burn_in)
+    return _run_sweep(model, design, decomposition, gammas, "gamma",
+                      lambda g: (attack, g), trials, horizon, seed, burn_in)
 
 
 def sweep_attack_magnitude(model: SystemModel, design: SpectralDesign,
@@ -704,17 +673,12 @@ def sweep_attack_magnitude(model: SystemModel, design: SpectralDesign,
     replaced by each grid value in turn (magnitude 0 degenerates to no
     attack and reuses the clean run, so those columns coincide exactly).
     """
-    magnitudes = [float(v) for v in magnitudes]
-    if not magnitudes:
-        raise ValueError("magnitude grid is empty")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     if attack is None:
         attack = default_attack(model.m)
-    points = [(v, dataclasses.replace(attack, magnitude=v), float(gamma))
-              for v in magnitudes]
-    return _run_sweep(model, design, decomposition, points, trials, horizon,
-                      seed, burn_in)
+    return _run_sweep(model, design, decomposition, magnitudes, "magnitude",
+                      lambda v: (dataclasses.replace(attack, magnitude=v),
+                                 float(gamma)),
+                      trials, horizon, seed, burn_in)
 
 
 _INT_COLUMNS = ("k", "solver_iters", "solver_warn")

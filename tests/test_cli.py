@@ -644,7 +644,9 @@ def test_sweep_gamma_row_count_and_determinism(pendulum_path, tmp_path,
     s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert main(base + ["--out", str(s1)]) == 0
     assert main(base + ["--out", str(s2)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr() == (
+        f"3 gamma value(s), 2 trial(s) each -> {s1}\n"
+        f"3 gamma value(s), 2 trial(s) each -> {s2}\n", "")
     assert s1.read_bytes() == s2.read_bytes()
     lines = s1.read_text().strip().split("\n")
     assert len(lines) == 4
@@ -668,10 +670,20 @@ def test_sweep_attack_row_count(pendulum_path, tmp_path, capsys):
     assert main(["sweep-attack", str(pendulum_path), "--magnitudes",
                  "0,1,2", "--gamma", "5", "--trials", "2", "--horizon",
                  "60", "--out", str(out)]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr() == (
+        f"3 magnitude(s) at gamma=5, 2 trial(s) each -> {out}\n", "")
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 4
     assert [float(l.split(",")[0]) for l in lines[1:]] == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("command", ["sweep-gamma", "sweep-attack"])
+def test_sweep_without_an_attack_exit_2(command, pendulum_path, capsys):
+    assert main([command, str(pendulum_path), "--trials", "1",
+                 "--horizon", "30", "--attack-kind", "none"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {command} needs an attack; pick --attack-kind "
+            f"constant, uniform, or ramp\n")
 
 
 def test_sweep_attack_constant_kind(pendulum_path, tmp_path, capsys):

@@ -396,6 +396,47 @@ def test_ridge_engages_on_singular_covariance(caplog):
     assert np.abs(reg @ x - rhs).max() < 1e-6
 
 
+@pytest.mark.parametrize("failures", [1, 4])
+def test_failed_factorization_raises_the_ridge(failures, monkeypatch,
+                                               caplog):
+    # each failed factorization retries with a ridge of at least
+    # trace / (mn) / COND_LIMIT, ten times the last one after that; four
+    # failures in a row are refused
+    import securekf.decomposition as decomposition
+
+    model = SystemModel(A=np.array([[2.0]]), C=np.array([[1.0]]),
+                        Q=np.array([[9.0]]), R=np.array([[0.0]]),
+                        Sigma=np.eye(1))
+    design = dummy_design(model.A, [0.5])
+    G = local_gains(model, design)[0]
+    deltas, factor = [], decomposition.factor_mtilde
+
+    def failing(Mtilde, delta):
+        deltas.append(delta)
+        if len(deltas) <= failures:
+            raise np.linalg.LinAlgError("not positive definite")
+        return factor(Mtilde, delta)
+
+    monkeypatch.setattr(decomposition, "factor_mtilde", failing)
+    args = (model, design, [G], np.eye(1, dtype=complex))
+    with caplog.at_level(logging.WARNING, logger="securekf.decomposition"):
+        if failures == 4:
+            with pytest.raises(ValueError, match="^residual covariance "
+                                                 "could not be factorized$"):
+                residual_covariances(*args)
+        else:
+            _, _, Mt, L, delta = residual_covariances(*args)
+    ridge = 4.0 / 3.0 / decomposition.COND_LIMIT
+    ridges = [0.0, ridge, 10 * ridge, 100 * ridge, 1000 * ridge]
+    assert deltas == pytest.approx(ridges[:min(failures + 1, 4)], rel=1e-12)
+    assert [r.message for r in caplog.records] == [
+        f"factorization failed; raising ridge to {d:.3e}"
+        for d in ridges[1:failures + 1]]
+    if failures == 1:
+        assert delta == deltas[-1]
+        assert np.abs(L @ L.conj().T - Mt - delta).max() < 1e-12
+
+
 # ------------------------------------------------------------- assembly
 
 def test_build_decomposition_pendulum(pendulum_model):

@@ -731,3 +731,53 @@ def test_fuse_open_walks_in_blocks_of_at_most_the_cap(
     empty = fusion.fuse_open(problem, Y[:0], d[:0], 5.0)
     assert [a.shape for a in empty] == [(0, 4), (0, 16), (0, 16), (0,), (0,)]
     assert empty.rows() == []
+
+
+def test_split_refuses_a_lone_row(pendulum_decomposition):
+    # a 1-D Y is one row, not a block: the caller passes Y[None]
+    dec = pendulum_decomposition
+    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    with pytest.raises(ValueError, match=r"^split takes an \(h, mn\) block, "
+                                         r"got shape \(16,\)$"):
+        problem.split(np.zeros(16))
+
+
+def test_fuse_runs_batches_whole_runs_under_the_cap(
+        monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
+    # with the cap at 7, runs of 3, 0, 4, 13 and 0 open rows fuse as the
+    # batches [3, 0, 4] and [13] (walked as 7 + 6), and the last run's
+    # batch has no open row, so it gets None; each run's part has the
+    # bytes of fuse_open on its rows alone, and a batch is fused only when
+    # its first run is asked for
+    problem, rollout = attacked_pendulum_rollout(
+        pendulum_model, pendulum_design, pendulum_decomposition)
+    split = rollout.split
+    open_rows = (split.statistic > 5.0).nonzero()[0]
+    runs = [(rollout.Y, split.d, rows) for rows in (
+        open_rows[:3], open_rows[:0], open_rows[3:7], open_rows[7:20],
+        open_rows[:0])]
+    alone = [fusion.fuse_open(problem, rollout.Y[rows], split.d[rows], 5.0)
+             for _, _, rows in runs[:4]]
+    walks, blocks = [], []
+    lasso_paths, answer = fusion.lasso_paths, fusion._answer
+
+    def recording_walk(problem, d, gamma):
+        walks.append(len(d))
+        return lasso_paths(problem, d, gamma)
+
+    def recording_answer(problem, Y, nu, gamma):
+        blocks.append(len(Y))
+        return answer(problem, Y, nu, gamma)
+
+    monkeypatch.setattr(fusion, "lasso_paths", recording_walk)
+    monkeypatch.setattr(fusion, "_answer", recording_answer)
+    monkeypatch.setattr(fusion, "MAX_BLOCK_ROWS", 7)
+    parts = fusion.fuse_runs(problem, runs, 5.0)
+    assert walks == []
+    first = next(parts)
+    assert (walks, blocks) == ([7], [7])
+    parts = [first, *parts]
+    assert (walks, blocks) == ([7, 7, 6], [7, 13])
+    assert parts[4] is None
+    assert [result_bytes(p) for p in parts[:4]] == [result_bytes(a)
+                                                    for a in alone]

@@ -46,6 +46,15 @@ def test_default_input_and_gain():
     assert model.sensor_labels is None
 
 
+def test_input_dimension_read_off_the_gain_without_b():
+    # without B, K_lqr's rows say how many inputs there are
+    model = make(np.eye(2) * 0.5, [[1.0, 0.0]])
+    model = SystemModel(A=model.A, C=model.C, Q=model.Q, R=model.R,
+                        Sigma=model.Sigma, K_lqr=np.ones((3, 2)))
+    assert model.q == 3
+    assert model.input_matrix().shape == (2, 3)
+
+
 def _write(tmp_path, payload, raw=None):
     path = tmp_path / "model.json"
     if raw is None:
@@ -72,6 +81,20 @@ def test_load_rejects_nan_literal(tmp_path):
     path = _write(tmp_path, None, raw=payload)
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("A, message", [
+    ("[0.5, 0.5]", "model key 'A': expected 2 dimensions, got 1"),
+    # json reads a finite literal out of range as inf
+    ("[[1e999]]", "model key 'A': contains NaN or Inf entries"),
+], ids=["1-D", "overflow"])
+def test_load_rejects_a_malformed_matrix(A, message, tmp_path):
+    payload = (f'{{"A": {A}, "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], '
+               f'"Sigma": [[1.0]]}}')
+    path = _write(tmp_path, None, raw=payload)
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == message
 
 
 def test_model_from_dict_rejects_unknown_key():
@@ -144,6 +167,22 @@ def test_validate_rejects_shape_mismatches():
                         Sigma=model.Sigma, sensor_labels=("a", "b"))
     report = validate_model(model)
     assert any("dimensions" in c.name for c in report.failures())
+
+
+@pytest.mark.parametrize("change, detail", [
+    (dict(R=np.eye(2)), "R shape (2, 2), expected (1, 1)"),
+    (dict(B=np.ones((3, 1))), "B shape (3, 1) incompatible with n=2"),
+    (dict(K_lqr=np.ones((1, 3))), "K_lqr shape (1, 3) incompatible with n=2"),
+    (dict(B=np.ones((2, 1)), K_lqr=np.ones((2, 2))),
+     "B and K_lqr disagree on input dimension"),
+], ids=["R", "B", "K_lqr", "B-K_lqr"])
+def test_validate_names_each_shape_mismatch(change, detail):
+    model = make(np.eye(2) * 0.5, [[1.0, 0.0]])
+    fields = dict(A=model.A, C=model.C, Q=model.Q, R=model.R,
+                  Sigma=model.Sigma)
+    report = validate_model(SystemModel(**{**fields, **change}))
+    assert [(c.name, c.detail) for c in report.failures()] == [
+        ("dimensions consistent", detail)]
 
 
 def test_validate_rejects_singular_A():

@@ -1084,16 +1084,17 @@ def test_sweep_gamma_kalman_columns_constant_across_gamma(
 
 def test_sweep_validation_errors(pendulum_model, pendulum_design,
                                  pendulum_decomposition):
-    with pytest.raises(ValueError):
-        sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
-                    gammas=(), trials=2)
-    with pytest.raises(ValueError):
-        sweep_gamma(pendulum_model, pendulum_design, pendulum_decomposition,
-                    gammas=(1.0,), trials=0)
-    with pytest.raises(ValueError):
-        sweep_attack_magnitude(pendulum_model, pendulum_design,
-                               pendulum_decomposition, magnitudes=(),
-                               trials=2)
+    # each sweep names its empty grid before a trial count below 1
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    for sweep, grid, what in ((sweep_gamma, "gammas", "gamma"),
+                              (sweep_attack_magnitude, "magnitudes",
+                               "magnitude")):
+        for trials in (2, 0):
+            with pytest.raises(ValueError, match=f"^{what} grid is empty$"):
+                sweep(*args, **{grid: ()}, trials=trials)
+        with pytest.raises(ValueError,
+                           match="^trials must be at least 1, got 0$"):
+            sweep(*args, **{grid: (1.0,)}, trials=0)
 
 
 def test_sweep_attack_magnitude_zero_matches_clean(
@@ -1226,41 +1227,56 @@ def test_sweep_attack_rows_equal_per_attack_simulate(
 
 def test_sweep_walks_each_trial_gamma_as_one_capped_block(
         monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
-    # one lasso_paths call per (trial, gamma) when the trial's open rows
-    # fit under the cap, and with the cap lowered to 100 no call walks
-    # more, to the same rows
+    # one walk and one answer block per (trial, gamma) when the trial's
+    # open rows fit under the cap; with the cap lowered to 100, the batches
+    # of whole runs that fuse_runs forms keep every walk and every answer
+    # block at 100 rows or fewer, to the same rows
     import securekf.fusion as fusion
 
     args = (pendulum_model, pendulum_design, pendulum_decomposition)
-    sizes, walk = [], fusion.lasso_paths
+    walks, blocks = [], []
+    lasso_paths, answer = fusion.lasso_paths, fusion._answer
 
-    def recording(problem, d, gamma):
-        sizes.append((gamma, len(d)))
-        return walk(problem, d, gamma)
+    def recording_walk(problem, d, gamma):
+        walks.append((gamma, len(d)))
+        return lasso_paths(problem, d, gamma)
 
-    monkeypatch.setattr(fusion, "lasso_paths", recording)
+    def recording_answer(problem, Y, nu, gamma):
+        blocks.append(len(Y))
+        return answer(problem, Y, nu, gamma)
+
+    def sizes():
+        out = [n for _, n in walks], blocks[:]
+        walks.clear()
+        blocks.clear()
+        return out
+
+    monkeypatch.setattr(fusion, "lasso_paths", recording_walk)
+    monkeypatch.setattr(fusion, "_answer", recording_answer)
     kw = dict(gamma=100.0, trials=2, horizon=100, seed=0)
     rows = sweep_attack_magnitude(*args, **kw)
-    assert [n for _, n in sizes] == [661, 740]
-    sizes.clear()
+    assert sizes() == ([661, 740], [661, 740])
     gamma_rows = sweep_gamma(*args, gammas=(5.0, 20.0), trials=2,
                              horizon=60, seed=1)
-    assert [g for g, _ in sizes] == [5.0, 20.0] * 2
-    assert all(n <= fusion.MAX_BLOCK_ROWS for _, n in sizes)
-    sizes.clear()
+    assert [g for g, _ in walks] == [5.0, 20.0] * 2
+    assert sizes() == ([120, 119, 120, 116], [120, 119, 120, 116])
     monkeypatch.setattr(fusion, "MAX_BLOCK_ROWS", 100)
     assert sweep_attack_magnitude(*args, **kw) == rows
-    assert max(n for _, n in sizes) == 100 and sum(
-        n for _, n in sizes) == 661 + 740
+    capped = [53, 58, 69, 75, 76, 79, 81, 82, 88,
+              70, 66, 77, 84, 86, 88, 89, 90, 90]
+    assert sum(capped) == 661 + 740
+    assert sizes() == (capped, capped)
     assert sweep_gamma(*args, gammas=(5.0, 20.0), trials=2, horizon=60,
                        seed=1) == gamma_rows
+    capped = [60, 60, 59, 60, 60, 60, 56, 60]
+    assert sizes() == (capped, capped)
 
 
 def test_sweep_batches_keep_runs_whole_and_under_the_cap():
     # consecutive runs share a batch while their open rows fit the cap; a
     # run above it is a batch of its own, and a run with no open row joins
     # the batch before it unless that one is already over the cap
-    from securekf.simulator import _batches
+    from securekf.fusion import _batches
 
     sizes = {run: np.arange(rows)
              for run, rows in zip("abcdef", (3, 0, 8, 12, 0, 4))}
