@@ -30,6 +30,10 @@ path left out):
   stacked pass, and the screen settles every row;
 - ``sweep-attack --magnitudes 0,1`` with ``--trials 1 --horizon 1100``:
   two runs above the block cap, each fused as a batch of its own;
+- ``simulate`` at gamma 5, seed 0, under ``--attack-kind uniform``, with
+  ``--horizon 300``, from a ``--design`` file that ``design`` writes
+  first: its line must equal the one of the same case without
+  ``--design``;
 - the ``design`` file;
 - the ``analyze --json`` file: the observability structure that the
   design and the decomposition of one set-up share.
@@ -37,7 +41,7 @@ path left out):
 The script imports ``securekf`` from the ``src/`` of the tree it sits in,
 so running it from two checkouts and diffing the output tells whether a
 change kept every byte of these files.  A case whose command exits
-non-zero stops the script with an error naming it.
+non-zero stops the script with an error naming the command.
 """
 
 from __future__ import annotations
@@ -76,23 +80,36 @@ def cases() -> list[list[str]]:
              "--horizon", "100"] for gamma in ("100", "1000")]
     out.append(["sweep-attack", "--magnitudes", "0,1", "--trials", "1",
                 "--horizon", "1100"])
+    out.append(["simulate", "--horizon", "300", "--gamma", "5", "--seed", "0",
+                "--attack-kind", "uniform", "--design"])
     return out + [["design"], ["analyze", "--json"]]
+
+
+def run(argv: list[str]) -> None:
+    """cli.main(argv) with its console output dropped; a non-zero exit
+    stops the script, naming the command."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"error: securekf {' '.join(argv)} exited {code}: "
+                         f"{err.getvalue().strip()}")
 
 
 def digest(case: list[str]) -> str:
     """SHA-256 of the file the case writes, to the path after its last
-    flag when that is ``--json`` and to ``--out`` otherwise; its console
-    output is dropped."""
+    flag when that is ``--json`` and to ``--out`` otherwise.  A case whose
+    last flag is ``--design`` reads the file that ``design`` writes first,
+    in the same temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "out"
         argv = [case[0], str(MODEL), *case[1:]]
+        if case[-1] == "--design":
+            design = pathlib.Path(tmp) / "design"
+            run(["design", str(MODEL), "--out", str(design)])
+            argv.append(str(design))
         argv += [str(path)] if case[-1] == "--json" else ["--out", str(path)]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.main(argv)
-        if code != 0:
-            raise SystemExit(f"error: {' '.join(case)} exited {code}: "
-                             f"{err.getvalue().strip()}")
+        run(argv)
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

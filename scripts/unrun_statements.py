@@ -5,9 +5,9 @@
 Traces, line by line, the files under ``src/securekf`` while it runs, in
 one process:
 
-- every case of ``scripts/csv_parity.py``;
-- ``certify --p 1``, then ``design`` to a temporary file and ``simulate
-  --design`` on that file, on the bundled pendulum;
+- every case of ``scripts/csv_parity.py``, among them ``design`` and a
+  ``simulate --design`` on the file it writes;
+- ``certify --p 1`` on the bundled pendulum;
 - ``perfbench/run.py``'s ``run`` for every workload, at ``size="tiny"``
   with ``seconds=0``, with ``trace`` 0 and 1.
 
@@ -28,12 +28,9 @@ naming it.
 from __future__ import annotations
 
 import ast
-import contextlib
 import importlib.util
-import io
 import pathlib
 import sys
-import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "securekf"
@@ -47,33 +44,15 @@ def _load(name, path):
     return module
 
 
-def _cli(cli, argv):
-    """cli.main(argv) with its console output dropped; a non-zero exit
-    stops the script."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = cli.main(argv)
-    if code != 0:
-        raise SystemExit(f"error: securekf {' '.join(argv)} exited {code}: "
-                         f"{err.getvalue().strip()}")
-
-
 def traffic() -> None:
-    """Run the traced traffic: the parity cases, the design round trip and
-    every benchmark workload at its tiny size."""
+    """Run the traced traffic: the parity cases, certify and every
+    benchmark workload at its tiny size."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     csv_parity = _load("csv_parity", ROOT / "scripts" / "csv_parity.py")
     for case in csv_parity.cases():
         csv_parity.digest(case)
-    from securekf import cli
-    _cli(cli, ["certify", str(MODEL), "--p", "1"])
-    with tempfile.TemporaryDirectory() as tmp:
-        design = str(pathlib.Path(tmp) / "design.json")
-        _cli(cli, ["design", str(MODEL), "--out", design])
-        _cli(cli, ["simulate", str(MODEL), "--design", design,
-                   "--horizon", "100", "--out",
-                   str(pathlib.Path(tmp) / "trace.csv")])
+    csv_parity.run(["certify", str(MODEL), "--p", "1"])
     bench = _load("perfbench_run", ROOT / "perfbench" / "run.py")
     for workload in bench.WORKLOADS:
         for trace in (0, 1):

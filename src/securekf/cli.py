@@ -1,9 +1,10 @@
 """Command-line front end: model files in, reports and CSV out.
 
 One binary with subcommands.  `analyze` and `certify` inspect a model's
-sensor redundancy, `design` persists the filter design plus sensor
-decomposition to a JSON file (version 4), and `simulate` / `sweep-gamma` /
-`sweep-attack` run the closed-loop experiments and write CSV.
+sensor redundancy, `design` persists the steady Kalman gain to a JSON
+design file (design_to_dict gives its format), and `simulate` /
+`sweep-gamma` / `sweep-attack` run the closed-loop experiments and write
+CSV, from a design they compute or one they load with --design.
 
 Exit codes: 0 success (solver non-convergence still exits 0 and is
 reported in the summary line and the solver_warn CSV column), 1 file or
@@ -22,8 +23,7 @@ import sys
 
 import numpy as np
 
-from .decomposition import (SensorDecomposition, build_decomposition,
-                            factor_mtilde)
+from .decomposition import build_decomposition
 from .model import (ModelFormatError, SystemModel, certify_resilience,
                     load_model, validate_model)
 from .simulator import (ATTACK_KINDS, DEFAULT_BURN_IN, DEFAULT_GAMMAS,
@@ -32,7 +32,8 @@ from .simulator import (ATTACK_KINDS, DEFAULT_BURN_IN, DEFAULT_GAMMAS,
                         sweep_attack_magnitude, sweep_csv, sweep_gamma,
                         trace_csv)
 from .spectral import (AssumptionError, RiccatiDivergenceError,
-                       SpectralDesign, spectral_design)
+                       SpectralDesign, closed_loop_eigendecomposition,
+                       spectral_design)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -41,7 +42,7 @@ EXIT_ASSUMPTION = 3
 EXIT_INSECURE = 4
 
 DESIGN_FORMAT = "securekf-design"
-DESIGN_VERSION = 4
+DESIGN_VERSION = 5
 
 
 class DesignFormatError(ValueError):
@@ -50,34 +51,27 @@ class DesignFormatError(ValueError):
 
 # ------------------------------------------------------------ serialization
 
-# section name -> (dataclass, fields it does not store)
-_SECTIONS = {
-    "model": (SystemModel, ("sensor_labels",)),
-    "design": (SpectralDesign, ()),
-    "decomposition": (SensorDecomposition, ("Mtilde_factor",)),
-}
-# 1-D array fields, stored as one-row matrices
-_VECTORS = ("Pi", "bank_input")
+
+def _rows(M) -> list:
+    """A real matrix as row-major nested lists of floats."""
+    return [[float(v) for v in row] for row in M]
 
 
-def _matrix_to_json(M):
-    """Nested lists; complex matrices entry-wise as [re, im] pairs."""
-    M = np.atleast_2d(M)
-    if np.iscomplexobj(M):
-        return {"complex": [[[float(v.real), float(v.imag)] for v in row]
-                            for row in M]}
-    return {"real": [[float(v) for v in row] for row in M]}
+def _model_section(model: SystemModel) -> dict:
+    matrices = {f.name: getattr(model, f.name)
+                for f in dataclasses.fields(SystemModel)
+                if f.name != "sensor_labels"}
+    return {key: _rows(M) for key, M in matrices.items() if M is not None}
 
 
 def _numbers(value, depth, key, expected):
-    """value as a finite float array of ndim depth (depth 3: [re, im]
-    pairs)."""
+    """value as a finite float array of ndim depth."""
     try:
         arr = np.array(value, dtype=object)
     except ValueError:
         arr = None
     # ragged rows leave lists as leaves; bool is an int but not a number
-    if (arr is None or arr.ndim != depth or (depth == 3 and arr.shape[2] != 2)
+    if (arr is None or arr.ndim != depth
             or any(type(v) not in (int, float) for v in arr.flat)):
         raise DesignFormatError(f"design key '{key}': {expected}")
     arr = arr.astype(float)
@@ -88,81 +82,26 @@ def _numbers(value, depth, key, expected):
     return arr
 
 
-def _matrix_from_json(obj, key):
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise DesignFormatError(f"design key '{key}': expected a tagged matrix")
-    tag, rows = next(iter(obj.items()))
-    if tag == "real":
-        return _numbers(rows, 2, key, "real entries must be numbers in "
-                        "equal-length rows")
-    if tag == "complex":
-        arr = _numbers(rows, 3, key, "complex entries must be [re, im] pairs "
-                       "of numbers in equal-length rows")
-        return arr[..., 0] + 1j * arr[..., 1]
-    raise DesignFormatError(f"design key '{key}': unknown matrix tag '{tag}'")
-
-
-def _section_fields(section):
-    cls, skipped = _SECTIONS[section]
-    return [f for f in dataclasses.fields(cls) if f.name not in skipped]
-
-
-def _encode_section(section, obj) -> dict:
-    out = {}
-    for f in _section_fields(section):
-        value = getattr(obj, f.name)
-        if f.type == "float":
-            out[f.name] = float(value)
-        elif value is not None:
-            out[f.name] = _matrix_to_json(value)
-    return out
-
-
-def _decode_section(data, section, model) -> dict:
-    n, m, mn = model.n, model.m, model.m * model.n
-    shapes = {"K": (n, m), "Pi": (1, n), "bank": (n, n),
-              "bank_input": (1, n), "G_stack": (mn, n),
-              "H_stack": (mn, n), "Ptilde": (mn, mn), "Mtilde": (mn, mn)}
-    fields = _section_fields(section)
-    _require_keys(data, [f.name for f in fields], section)
-    out = {}
-    for f in fields:
-        value = data[f.name]
-        if f.type == "float":
-            out[f.name] = float(_numbers(value, 0, f.name, "expected a number"))
-            continue
-        M = _matrix_from_json(value, f.name)
-        if M.shape != shapes[f.name]:
-            raise DesignFormatError(f"design key '{f.name}': expected shape "
-                                    f"{shapes[f.name]}, got {M.shape}")
-        out[f.name] = M.reshape(-1) if f.name in _VECTORS else M
-    return out
-
-
-def design_to_dict(model: SystemModel, design: SpectralDesign,
-                   decomposition: SensorDecomposition) -> dict:
+def design_to_dict(model: SystemModel, design: SpectralDesign) -> dict:
     """The design file as a JSON-ready dict.
 
-    Keys in order: "format" ("securekf-design"), "version" (4), then the
-    sections "model", "design" and "decomposition", holding the fields of
-    SystemModel, SpectralDesign and SensorDecomposition in declaration
-    order.  Not stored: sensor_labels, an absent B or K_lqr, and
-    Mtilde_factor, which loading recomputes from Mtilde and ridge_delta.
-    Arrays are tagged row-major matrices, {"real": rows of numbers} or
-    {"complex": rows of [re, im] number pairs}, which only the design's Pi
-    uses; the vectors Pi and bank_input are one-row matrices, and the
-    float fields riccati_residual and ridge_delta are JSON numbers.
-    Versions 1 to 3 are refused: version 3 also held the design's P,
-    P_plus, charpoly and V, version 2 held the decomposition in complex
-    mode coordinates, with Pi for the bank, and version 1 also G, H, P, F,
-    F_row, Qtilde, Wtilde and assumption1_ok.
+    Keys in order: "format" ("securekf-design"), "version" (5), "model"
+    (the fields of SystemModel but sensor_labels and an absent B or
+    K_lqr) and "design" (the gain K and riccati_residual).  Matrices are
+    row-major lists of number rows.  The file holds the gain alone:
+    loading recomputes Pi from K, and the CLI rebuilds the decomposition.
+    Versions 1 to 4 are refused: version 4 also held Pi and the
+    decomposition, as {"real" | "complex": rows} tagged matrices, version
+    3 also the design's P, P_plus, charpoly and V, version 2 the
+    decomposition in complex mode coordinates, and version 1 also G, H, P,
+    F, F_row, Qtilde, Wtilde and assumption1_ok.
     """
     return {
         "format": DESIGN_FORMAT,
         "version": DESIGN_VERSION,
-        "model": _encode_section("model", model),
-        "design": _encode_section("design", design),
-        "decomposition": _encode_section("decomposition", decomposition),
+        "model": _model_section(model),
+        "design": {"K": _rows(design.K),
+                   "riccati_residual": float(design.riccati_residual)},
     }
 
 
@@ -180,53 +119,52 @@ def _require_keys(obj, wanted, where):
                                     f"section '{where}'")
 
 
-def design_from_dict(data: dict, model: SystemModel):
-    """Rebuild (SpectralDesign, SensorDecomposition) from parsed JSON.
+def design_from_dict(data: dict, model: SystemModel) -> SpectralDesign:
+    """Rebuild the SpectralDesign of a parsed design file.
 
-    The stored model matrices must match `model` exactly, and every array
-    must have its shape for that model's n states and m sensors.  The
-    estimator factors Mtilde + ridge_delta * I and reads only its lower
-    triangle, so an Mtilde that is not exactly symmetric, a negative
-    ridge_delta, or a sum that is not positive definite raises
-    DesignFormatError naming the key.
+    The format and version are checked first, so a file of an older
+    version is refused by its number whatever keys it holds.  The stored
+    model matrices must match `model` exactly, and K must be a finite
+    n x m matrix.  Pi is recomputed by closed_loop_eigendecomposition,
+    whose Assumption 1 checks a K from a file passes as a computed one
+    does.
     """
-    _require_keys(data, ("format", "version", *_SECTIONS), "top level")
-    if data["format"] != DESIGN_FORMAT:
+    if not isinstance(data, dict):
+        raise DesignFormatError("design file section 'top level' must be an "
+                                "object")
+    if data.get("format") != DESIGN_FORMAT:
         raise DesignFormatError(f"not a design file (format "
-                                f"{data['format']!r})")
-    if data["version"] != DESIGN_VERSION:
+                                f"{data.get('format')!r})")
+    if data.get("version") != DESIGN_VERSION:
         raise DesignFormatError(f"unsupported design file version "
-                                f"{data['version']!r}; re-run the design "
+                                f"{data.get('version')!r}; re-run the design "
                                 "subcommand")
-
-    if data["model"] != _encode_section("model", model):
+    _require_keys(data, ("format", "version", "model", "design"),
+                  "top level")
+    if data["model"] != _model_section(model):
         raise ValueError("design file was computed for a different model; "
                          "re-run the design subcommand")
 
-    design = SpectralDesign(**_decode_section(data["design"], "design", model))
-    fields = _decode_section(data["decomposition"], "decomposition", model)
-    Mtilde, ridge = fields["Mtilde"], fields["ridge_delta"]
-    if not np.array_equal(Mtilde, Mtilde.T):
-        raise DesignFormatError("design key 'Mtilde': not symmetric")
-    if ridge < 0:
-        raise DesignFormatError(f"design key 'ridge_delta': must be "
-                                f"nonnegative, got {ridge!r}")
-    try:
-        factor = factor_mtilde(Mtilde, ridge)
-    except np.linalg.LinAlgError:
-        raise DesignFormatError("design key 'Mtilde': Mtilde + ridge_delta * "
-                                "I is not positive definite") from None
-    decomposition = SensorDecomposition(**fields, Mtilde_factor=factor)
-    return design, decomposition
+    stored = data["design"]
+    _require_keys(stored, ("K", "riccati_residual"), "design")
+    K = _numbers(stored["K"], 2, "K", "entries must be numbers in "
+                 "equal-length rows")
+    if K.shape != (model.n, model.m):
+        raise DesignFormatError(f"design key 'K': expected shape "
+                                f"{(model.n, model.m)}, got {K.shape}")
+    residual = float(_numbers(stored["riccati_residual"], 0,
+                              "riccati_residual", "expected a number"))
+    _, Pi = closed_loop_eigendecomposition(model.A, K, model.C)
+    return SpectralDesign(K=K, Pi=Pi, riccati_residual=residual)
 
 
-def save_design(path, model, design, decomposition) -> None:
-    text = json.dumps(design_to_dict(model, design, decomposition), indent=1)
+def save_design(path, model, design) -> None:
+    text = json.dumps(design_to_dict(model, design), indent=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
 
-def load_design(path, model):
+def load_design(path, model) -> SpectralDesign:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -249,11 +187,13 @@ def _load_valid_model(path) -> SystemModel:
 
 
 def _get_design(args, model):
+    """The design, from --design or computed, and its decomposition, which
+    both paths build here."""
     if getattr(args, "design", None):
-        return load_design(args.design, model)
-    design = spectral_design(model)
-    decomposition = build_decomposition(model, design)
-    return design, decomposition
+        design = load_design(args.design, model)
+    else:
+        design = spectral_design(model)
+    return design, build_decomposition(model, design)
 
 
 def _sensor_name(model, i):
@@ -348,7 +288,7 @@ def cmd_analyze(args) -> int:
 def cmd_design(args) -> int:
     model = _load_valid_model(args.model)
     design, decomposition = _get_design(args, model)
-    save_design(args.out, model, design, decomposition)
+    save_design(args.out, model, design)
     print(f"design written to {args.out} "
           f"(riccati residual {design.riccati_residual:.3e}, "
           f"ridge delta {decomposition.ridge_delta:.3e})")
@@ -457,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Model files are JSON objects with keys A, C, Q, R, Sigma "
                "and optional B, K_lqr, sensor_labels; matrices are "
                "row-major nested arrays.  Design files are written by the "
-               "design subcommand (v4; complex Pi as [re, im] pairs).  "
+               "design subcommand (v5: the model and the gain K).  "
                "Trace CSV columns: k, x_*, u_*, y_*, a_*, xhat_kal_*, "
                "xhat_sec_*, xhat_ls_*, solver_iters, kkt_residual, "
                "solver_warn.  Sweep CSV columns: sweep_value, "
@@ -478,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("design",
-                       help="compute and persist the filter design and "
-                            "sensor decomposition")
+                       help="compute and persist the filter design's "
+                            "steady Kalman gain")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--out", required=True, metavar="DESIGN_JSON",
                    help="where to write the design file")

@@ -12,10 +12,10 @@ checks A - pi_j I for invertibility once, solves every gain in that
 one call and builds one realification map for every sensor's projector
 and the realified arrays.  On top of G_i sit the canonical projectors
 P_i with P_i G_i = H_i (H_i the 0/1 diagonal coverage pattern) and the
-stationary covariance Mtilde of the projected residuals, with the lower
-Cholesky factor L of Mtilde + ridge_delta * I (factor_mtilde): all the
+lower Cholesky factor L of Mtilde + ridge_delta * I (factor_mtilde),
+Mtilde the stationary covariance of the projected residuals: all the
 estimator reads.
-The unprojected Qtilde and Wtilde are not stored;
+Mtilde itself and the unprojected Qtilde and Wtilde are not stored;
 ``residual_covariances`` computes them on demand.
 
 The gains, projectors and covariances are built mode by mode in complex
@@ -58,9 +58,10 @@ class SensorDecomposition:
     the filter modes) and bank_input = T 1 drive each sensor's bank.
     G_stack and H_stack stack the per-sensor T G_i and H_i (sensor i owns
     rows i*n .. (i+1)*n - 1); Ptilde is the block diagonal of the P_i T^H.
-    Mtilde is the residual covariance before any ridge; Mtilde_factor is
-    factor_mtilde's lower Cholesky factor L of Mtilde + ridge_delta * I,
-    zero above the diagonal.
+    Mtilde_factor is factor_mtilde's lower Cholesky factor L of
+    Mtilde + ridge_delta * I, zero above the diagonal, where Mtilde is the
+    residual covariance, which residual_covariances returns and this
+    class does not keep; ridge_delta is 0 unless Mtilde is near-singular.
     fusion_problem, the FusionProblem of H_stack and Mtilde_factor, is
     derived on first use and kept.
     """
@@ -70,7 +71,6 @@ class SensorDecomposition:
     G_stack: np.ndarray
     H_stack: np.ndarray
     Ptilde: np.ndarray
-    Mtilde: np.ndarray
     Mtilde_factor: np.ndarray
     ridge_delta: float
 
@@ -332,14 +332,13 @@ def build_decomposition(model: SystemModel,
         H_list.append(H_i)
     _, _, Mtilde, _, delta = residual_covariances(model, design, G, Ptilde)
     T_b = np.kron(np.eye(m), T)
-    Mtilde = _real(Mtilde, "Mtilde")
     return SensorDecomposition(
         bank=_real((T * design.Pi) @ T.conj().T, "bank"),
         bank_input=_real(T.sum(axis=1), "bank_input"),
         G_stack=_real(T_b @ G.reshape(m * n, n), "T_b G"),
         H_stack=np.vstack(H_list),
         Ptilde=_real(Ptilde @ T_b.conj().T, "Ptilde T_b^H"),
-        Mtilde=Mtilde, Mtilde_factor=factor_mtilde(Mtilde, delta),
+        Mtilde_factor=factor_mtilde(_real(Mtilde, "Mtilde"), delta),
         ridge_delta=delta)
 
 

@@ -461,7 +461,7 @@ class FusedRows(NamedTuple):
 def fuse_open(problem, Y, d, gamma) -> FusedRows:
     """Walk the open rows of a block and form their answers, all at once.
 
-    Y is an (r, mn) block of measurements and d their rows of a
+    Y is an (r, mn) block of r >= 1 measurements and d their rows of a
     least-squares split, each with a statistic above gamma.  lasso_paths
     walks them in blocks of at most MAX_BLOCK_ROWS rows, and _answer
     forms every row's answer and KKT residual with stacked products (one
@@ -470,7 +470,7 @@ def fuse_open(problem, Y, d, gamma) -> FusedRows:
     refinement step, which secure_fuse still takes.
     """
     walks = [lasso_paths(problem, d[lo:lo + MAX_BLOCK_ROWS], gamma)
-             for lo in range(0, max(len(d), 1), MAX_BLOCK_ROWS)]
+             for lo in range(0, len(d), MAX_BLOCK_ROWS)]
     nu = np.concatenate([w[0] for w in walks])
     breakpoints = np.concatenate([w[1] for w in walks])
     x, mu, kkt = _answer(problem, Y, nu, gamma)

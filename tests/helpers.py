@@ -2,8 +2,9 @@
 step-by-step reference for simulate, a one-attack rollout with 2-D
 arrays as a reference for the stacked one, the bank rolled out in complex
 mode coordinates as a reference for the real one, a value-by-value reference
-for trace_csv, a key-by-key reference for the design-file encoder, and the
-first-written homotopy solve as a bit-for-bit reference for secure_fuse.
+for trace_csv, a key-by-key reference for the design-file encoder (and
+the version-4 file, which the loader refuses), and the first-written
+homotopy solve as a bit-for-bit reference for secure_fuse.
 
 Second constructions the package does not ship sit here too, as oracles
 of what it does: the per-sensor gains from the characteristic polynomial
@@ -33,7 +34,8 @@ from securekf import (assemble_canonical_measurement, attack_sequence,
                       secure_fuse, spectral_design)
 from securekf.decomposition import (CANONICAL_RTOL, _resolvent_guard,
                                     canonical_projector, conjugate_pairing,
-                                    local_gains, realification_map)
+                                    local_gains, realification_map,
+                                    residual_covariances)
 from securekf.fusion import KKT_TOL, MAX_BREAKPOINTS, TIE_RATE, FusionResult
 from securekf.model import (OBSERVABILITY_RTOL, SystemModel,
                             observability_matrix)
@@ -283,6 +285,15 @@ def mode_coordinates(model, design):
     return G, P, T
 
 
+def mode_covariances(model, design):
+    """residual_covariances on the mode coordinates' G_i and P_i:
+    (Qtilde, Wtilde, Mtilde, factor, delta), Mtilde with the bits whose
+    real part build_decomposition factors."""
+    G, P, _ = mode_coordinates(model, design)
+    return residual_covariances(model, design, G,
+                                scipy.linalg.block_diag(*P))
+
+
 def reference_complex_rollout(model, design, u, y):
     """Reference for the bank and projection of _rollout: the bank in
     complex mode coordinates, n scalar filters per sensor,
@@ -443,48 +454,63 @@ def sensor_blocks(decomp, n):
             [decomp.Ptilde[r, r] for r in rows])
 
 
-def _reference_matrix(M):
-    M = np.asarray(M)
+def tagged_matrix(M):
+    """A matrix as design files of versions 1 to 4 stored it: {"real":
+    rows} or {"complex": rows of [re, im] pairs}, a vector as one row."""
+    M = np.atleast_2d(M)
     if np.iscomplexobj(M):
         return {"complex": [[[float(v.real), float(v.imag)] for v in row]
-                            for row in M.reshape(M.shape[0], -1)]}
-    return {"real": [[float(v) for v in row]
-                     for row in M.reshape(M.shape[0], -1)]}
+                            for row in M]}
+    return {"real": [[float(v) for v in row] for row in M]}
 
 
-def _reference_vector(v):
-    return _reference_matrix(np.asarray(v).reshape(1, -1))
+def _rows(M):
+    return [[float(v) for v in row] for row in M]
 
 
-def reference_design_to_dict(model, design, decomposition):
+def reference_design_to_dict(model, design):
     """Reference for cli.design_to_dict: every key spelled out by hand."""
     model_json = {
-        "A": _reference_matrix(model.A),
-        "C": _reference_matrix(model.C),
-        "Q": _reference_matrix(model.Q),
-        "R": _reference_matrix(model.R),
-        "Sigma": _reference_matrix(model.Sigma),
+        "A": _rows(model.A),
+        "C": _rows(model.C),
+        "Q": _rows(model.Q),
+        "R": _rows(model.R),
+        "Sigma": _rows(model.Sigma),
     }
     if model.B is not None:
-        model_json["B"] = _reference_matrix(model.B)
+        model_json["B"] = _rows(model.B)
     if model.K_lqr is not None:
-        model_json["K_lqr"] = _reference_matrix(model.K_lqr)
+        model_json["K_lqr"] = _rows(model.K_lqr)
+    return {
+        "format": "securekf-design",
+        "version": 5,
+        "model": model_json,
+        "design": {
+            "K": _rows(design.K),
+            "riccati_residual": float(design.riccati_residual),
+        },
+    }
+
+
+def version_4_design_dict(model, design):
+    """The design file as version 4 wrote it: the model, K, Pi and the
+    decomposition (Mtilde unfactored), every array a tagged matrix.  The
+    refusal tests build the older versions from it."""
+    decomposition = build_decomposition(model, design)
     return {
         "format": "securekf-design",
         "version": 4,
-        "model": model_json,
+        "model": {key: tagged_matrix(M) for key, M in
+                  reference_design_to_dict(model, design)["model"].items()},
         "design": {
-            "K": _reference_matrix(design.K),
-            "Pi": _reference_vector(design.Pi),
+            "K": tagged_matrix(design.K),
+            "Pi": tagged_matrix(design.Pi),
             "riccati_residual": float(design.riccati_residual),
         },
         "decomposition": {
-            "bank": _reference_matrix(decomposition.bank),
-            "bank_input": _reference_vector(decomposition.bank_input),
-            "G_stack": _reference_matrix(decomposition.G_stack),
-            "H_stack": _reference_matrix(decomposition.H_stack),
-            "Ptilde": _reference_matrix(decomposition.Ptilde),
-            "Mtilde": _reference_matrix(decomposition.Mtilde),
+            **{key: tagged_matrix(getattr(decomposition, key)) for key in
+               ("bank", "bank_input", "G_stack", "H_stack", "Ptilde")},
+            "Mtilde": tagged_matrix(mode_covariances(model, design)[2].real),
             "ridge_delta": float(decomposition.ridge_delta),
         },
     }

@@ -22,9 +22,9 @@ from securekf.cli import (
 )
 from securekf.model import model_from_dict
 
-from helpers import (_reference_matrix, _reference_vector,
-                     characteristic_polynomial, fusion_weights,
-                     random_jordan_model, reference_design_to_dict)
+from helpers import (characteristic_polynomial, fusion_weights,
+                     random_jordan_model, reference_design_to_dict,
+                     tagged_matrix, version_4_design_dict)
 
 PENDULUM = None  # filled by fixture use; CLI wants a path string
 
@@ -134,10 +134,9 @@ def test_design_rerun_byte_identical(pendulum_path, tmp_path, capsys):
     assert main(["design", str(pendulum_path), "--out", str(d2)]) == 0
     capsys.readouterr()
     assert d1.read_bytes() == d2.read_bytes()
-    # format v4 stores, besides the model it was made for, only the
-    # design's K, Pi and riccati_residual and the real decomposition
-    # arrays the estimator reads, Pi once: 16,570 bytes here
-    assert len(d1.read_bytes()) <= 17_000
+    # format v5 stores, besides the model it was made for, only the
+    # design's K and riccati_residual: 2,553 bytes here
+    assert len(d1.read_bytes()) <= 3_000
 
 
 def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
@@ -147,12 +146,14 @@ def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
     model = load_model(pendulum_path)
     design = spectral_design(model)
     decomp = build_decomposition(model, design)
-    d2, c2 = load_design(out, model)
+    d2 = load_design(out, model)
     for name in ("K", "Pi"):
         a, b = getattr(design, name), getattr(d2, name)
         assert np.array_equal(a, b), name
         assert a.dtype == b.dtype, name
     assert design.riccati_residual == d2.riccati_residual
+    # the CLI rebuilds the decomposition from the loaded design
+    c2 = build_decomposition(model, d2)
     for f in dataclasses.fields(SensorDecomposition):
         a, b = getattr(decomp, f.name), getattr(c2, f.name)
         assert np.array_equal(a, b), f.name
@@ -162,13 +163,14 @@ def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
 def test_design_dict_round_trip_without_files(pendulum_model,
                                               pendulum_design,
                                               pendulum_decomposition):
-    data = design_to_dict(pendulum_model, pendulum_design,
-                          pendulum_decomposition)
+    data = design_to_dict(pendulum_model, pendulum_design)
     # through the JSON text layer, as a file write would do
     data = json.loads(json.dumps(data))
-    d2, c2 = design_from_dict(data, pendulum_model)
+    d2 = design_from_dict(data, pendulum_model)
     assert np.array_equal(d2.K, pendulum_design.K)
-    assert np.array_equal(c2.Mtilde, pendulum_decomposition.Mtilde)
+    assert np.array_equal(
+        build_decomposition(pendulum_model, d2).Mtilde_factor,
+        pendulum_decomposition.Mtilde_factor)
 
 
 SHARED_EIGENVALUE_ERROR = ("error: Assumption 1 violated: closed-loop "
@@ -311,11 +313,14 @@ def test_design_file_matches_reference_encoder(case, pendulum_model):
     if case == "complex":
         F_row = fusion_weights(model, design)[1]
         assert np.iscomplexobj(F_row) and decomp.ridge_delta > 0.0
-    data = design_to_dict(model, design, decomp)
-    reference = reference_design_to_dict(model, design, decomp)
+    data = design_to_dict(model, design)
+    reference = reference_design_to_dict(model, design)
     assert json.dumps(data, indent=1) == json.dumps(reference, indent=1)
 
-    d2, c2 = design_from_dict(json.loads(json.dumps(data)), model)
+    # the loaded K gives the design and its rebuilt decomposition, bit for
+    # bit, ridge_delta included
+    d2 = design_from_dict(json.loads(json.dumps(data)), model)
+    c2 = build_decomposition(model, d2)
     for a, b in ((design, d2), (decomp, c2)):
         for name in a.__dataclass_fields__:
             x, y = getattr(a, name), getattr(b, name)
@@ -340,68 +345,39 @@ def _set(path, value):
 
 
 def _delete(data):
-    del data["decomposition"]["Mtilde"]
+    del data["design"]["K"]
 
 
 @pytest.mark.parametrize("edit, message", [
     (_set(["design"], []),
      "design file section 'design' must be an object"),
     (_delete,
-     "missing key 'Mtilde' in design file section 'decomposition'"),
+     "missing key 'K' in design file section 'design'"),
     (_set(["design", "extra"], 1),
      "unknown key 'extra' in design file section 'design'"),
-    (_set(["design", "K"], [[1.0]]),
-     "design key 'K': expected a tagged matrix"),
-    (_set(["design", "K"], {"quaternion": [[1.0]]}),
-     "design key 'K': unknown matrix tag 'quaternion'"),
-    (_set(["design", "Pi"], {"complex": [[[1.0, 0.0, 2.0]]]}),
-     "design key 'Pi': complex entries must be [re, im] pairs"),
-    (_set(["design", "Pi"], {"complex": [[[1.0, "a"]]]}),
-     "design key 'Pi': complex entries must be [re, im] pairs of numbers"),
     (_set(["design", "riccati_residual"], [1]),
      "design key 'riccati_residual': expected a number"),
-    (_set(["decomposition", "ridge_delta"], True),
-     "design key 'ridge_delta': expected a number"),
-    (_set(["design", "K"], {"real": [[1.0, 2.0], [1.0]]}),
-     "design key 'K': real entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], {"real": [1.0, 2.0]}),
-     "design key 'K': real entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], {"real": [["a"]]}),
-     "design key 'K': real entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], {"real": [[True]]}),
-     "design key 'K': real entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], {"real": [[1.0]]}),
+    (_set(["design", "riccati_residual"], True),
+     "design key 'riccati_residual': expected a number"),
+    (_set(["design", "K"], [[1.0, 2.0], [1.0]]),
+     "design key 'K': entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], [1.0, 2.0]),
+     "design key 'K': entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], [["a"]]),
+     "design key 'K': entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], [[True]]),
+     "design key 'K': entries must be numbers in equal-length rows"),
+    (_set(["design", "K"], [[1.0]]),
      "design key 'K': expected shape (4, 4), got (1, 1)"),
-    (_set(["decomposition", "Mtilde"], {"real": [[1.0]]}),
-     "design key 'Mtilde': expected shape (16, 16), got (1, 1)"),
-    (_set(["design", "Pi"], {"real": [[1.0, 2.0]]}),
-     "design key 'Pi': expected shape (1, 4), got (1, 2)"),
     (_set(["format"], "other"), "not a design file (format 'other')"),
-    (_set(["version"], 5), "unsupported design file version 5"),
+    (_set(["version"], 6), "unsupported design file version 6"),
     (None, "invalid JSON in design file"),
-    (_set(["decomposition", "Mtilde", "real", 0, 0], float("nan")),
-     "design key 'Mtilde': numbers must be finite, got NaN or Infinity"),
-    (_set(["design", "K", "real", 1, 2], float("inf")),
+    (_set(["design", "K", 1, 2], float("inf")),
      "design key 'K': numbers must be finite, got NaN or Infinity"),
-    (_set(["decomposition", "ridge_delta"], float("-inf")),
-     "design key 'ridge_delta': numbers must be finite, got NaN or Infinity"),
-    # the Cholesky factor reads only the lower triangle, so an upper
-    # triangle that disagrees would be silently ignored
-    (_set(["decomposition", "Mtilde", "real", 0, 1], 1e3),
-     "design key 'Mtilde': not symmetric"),
-    (_set(["decomposition", "ridge_delta"], -1e-9),
-     "design key 'ridge_delta': must be nonnegative, got -1e-09"),
-    (_set(["decomposition", "Mtilde", "real", 0, 0], -5.0),
-     "design key 'Mtilde': Mtilde + ridge_delta * I is not positive "
-     "definite"),
 ], ids=["section-not-object", "missing-key", "unknown-section-key",
-        "untagged-matrix", "unknown-tag", "malformed-complex",
-        "complex-not-number", "float-not-number", "float-is-bool",
-        "ragged-rows", "one-dimensional", "entry-not-number", "entry-is-bool",
-        "gain-shape", "mtilde-shape", "Pi-shape", "wrong-format",
-        "wrong-version", "invalid-json", "nan-in-mtilde", "infinity-in-gain",
-        "minus-infinity-ridge", "asymmetric-mtilde", "negative-ridge",
-        "indefinite-mtilde"])
+        "float-not-number", "float-is-bool", "ragged-rows", "one-dimensional",
+        "entry-not-number", "entry-is-bool", "gain-shape", "wrong-format",
+        "wrong-version", "invalid-json", "infinity-in-gain"])
 def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
                                           pendulum_design_text, tmp_path,
                                           capsys):
@@ -417,11 +393,21 @@ def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
     assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_design_file_version_1_refused(pendulum_path, pendulum_design_text,
-                                       tmp_path, capsys):
+def test_design_file_not_an_object_exit_1(pendulum_path, tmp_path, capsys):
+    # the format and the version are read off an object only
+    out = tmp_path / "d.json"
+    out.write_text("[]")
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--design", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: design file section 'top "
+                                       "level' must be an object\n")
+
+
+def test_design_file_version_1_refused(pendulum_path, pendulum_model,
+                                       pendulum_design, tmp_path, capsys):
     # a version-1 file carries keys v2 dropped; it is refused by version,
     # with the way to make a current one
-    data = json.loads(pendulum_design_text)
+    data = version_4_design_dict(pendulum_model, pendulum_design)
     data["version"] = 1
     data["design"]["assumption1_ok"] = True
     out = tmp_path / "v1.json"
@@ -433,11 +419,11 @@ def test_design_file_version_1_refused(pendulum_path, pendulum_design_text,
     assert "re-run the design subcommand" in err
 
 
-def test_design_file_version_2_refused(pendulum_path, pendulum_design_text,
-                                       tmp_path, capsys):
+def test_design_file_version_2_refused(pendulum_path, pendulum_model,
+                                       pendulum_design, tmp_path, capsys):
     # a version-2 file held the decomposition in complex mode coordinates,
     # with Pi in place of bank and bank_input; it is refused by version
-    data = json.loads(pendulum_design_text)
+    data = version_4_design_dict(pendulum_model, pendulum_design)
     data["version"] = 2
     decomposition = data["decomposition"]
     del decomposition["bank"], decomposition["bank_input"]
@@ -451,19 +437,18 @@ def test_design_file_version_2_refused(pendulum_path, pendulum_design_text,
     assert "re-run the design subcommand" in err
 
 
-def test_design_file_version_3_refused(pendulum_path, pendulum_design_text,
-                                       tmp_path, capsys):
+def test_design_file_version_3_refused(pendulum_path, pendulum_model,
+                                       pendulum_design, tmp_path, capsys):
     # a version-3 file also held the design's P, P_plus, charpoly and V,
     # which no reader used; it is refused by version
-    data = json.loads(pendulum_design_text)
+    data = version_4_design_dict(pendulum_model, pendulum_design)
     data["version"] = 3
     model = load_model(pendulum_path)
     P, P_plus, K, _ = steady_state_kalman(model)
     design = data["design"]
-    design["P"], design["P_plus"] = (_reference_matrix(P),
-                                     _reference_matrix(P_plus))
-    design["charpoly"] = _reference_vector(characteristic_polynomial(model.A))
-    design["V"] = _reference_matrix(
+    design["P"], design["P_plus"] = tagged_matrix(P), tagged_matrix(P_plus)
+    design["charpoly"] = tagged_matrix(characteristic_polynomial(model.A))
+    design["V"] = tagged_matrix(
         closed_loop_eigendecomposition(model.A, K, model.C)[0])
     out = tmp_path / "v3.json"
     out.write_text(json.dumps(data))
@@ -472,6 +457,35 @@ def test_design_file_version_3_refused(pendulum_path, pendulum_design_text,
     err = capsys.readouterr().err
     assert "error: unsupported design file version 3" in err
     assert "re-run the design subcommand" in err
+
+
+def test_design_file_version_4_refused(pendulum_path, pendulum_model,
+                                       pendulum_design, tmp_path, capsys):
+    # a version-4 file also held Pi and the decomposition, which loading
+    # now rebuilds from K; it is refused by version
+    out = tmp_path / "v4.json"
+    out.write_text(json.dumps(version_4_design_dict(pendulum_model,
+                                                    pendulum_design)))
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--design", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: unsupported design file version 4; re-run the design "
+        "subcommand\n")
+
+
+def test_design_file_unstable_gain_exit_3(pendulum_path, pendulum_design_text,
+                                          tmp_path, capsys):
+    # Pi is recomputed from the stored K, so a K that makes A - K C A
+    # unstable is refused by Assumption 1, as design would refuse it
+    data = json.loads(pendulum_design_text)
+    data["design"]["K"] = (3.0 * np.array(data["design"]["K"])).tolist()
+    out = tmp_path / "unstable.json"
+    out.write_text(json.dumps(data))
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--design", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: Assumption 1 violated: closed-loop modes are not strictly "
+        "stable (spectral radius 3.76825)")
 
 
 def test_design_scaled_noise_converges(pendulum_path, tmp_path, capsys):

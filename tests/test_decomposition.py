@@ -14,6 +14,7 @@ from securekf.decomposition import (
     build_decomposition,
     canonical_projector,
     conjugate_pairing,
+    factor_mtilde,
     local_gains,
     realification_map,
     residual_covariances,
@@ -24,7 +25,7 @@ from securekf.spectral import (EIG_SEPARATION, AssumptionError,
 
 from helpers import (characteristic_polynomial, complex_pair_design,
                      fusion_weights, local_gain_factored, mode_coordinates,
-                     random_jordan_model, sensor_blocks)
+                     mode_covariances, random_jordan_model, sensor_blocks)
 
 
 def dummy_design(A, Pi, K=None, m=1):
@@ -345,17 +346,16 @@ def test_pendulum_covariances(pendulum_model):
     design = spectral_design(pendulum_model)
     decomp = build_decomposition(pendulum_model, design)
     mn = 16
-    G_list, P_list, _ = mode_coordinates(pendulum_model, design)
-    Qtilde, Wtilde, Mtilde, _, _ = residual_covariances(
-        pendulum_model, design, G_list, scipy.linalg.block_diag(*P_list))
-    # the decomposition keeps Mtilde's real part
-    assert np.array_equal(Mtilde.real, decomp.Mtilde)
+    Qtilde, Wtilde, Mtilde, _, _ = mode_covariances(pendulum_model, design)
+    # the decomposition keeps the factor of Mtilde's real part
+    M_real = Mtilde.real
+    assert np.array_equal(factor_mtilde(M_real, 0.0), decomp.Mtilde_factor)
     pi_t = np.tile(design.Pi, 4)
     Pit = np.diag(pi_t)
     residual = Wtilde - Pit @ Wtilde @ Pit.conj().T - Qtilde
     assert np.abs(residual).max() <= 1e-10
 
-    for M in (Qtilde, Wtilde, decomp.Mtilde):
+    for M in (Qtilde, Wtilde, M_real):
         assert np.abs(M - M.conj().T).max() < 1e-12
         trace = float(np.trace(M).real)
         assert np.linalg.eigvalsh(M).min() >= -1e-9 * trace
@@ -371,9 +371,9 @@ def test_pendulum_covariances(pendulum_model):
     rhs = np.arange(mn, dtype=float)
     x = scipy.linalg.cho_solve((decomp.Mtilde_factor, True), rhs)
     # backward-stable solve: residual scales with ||Mtilde|| ||x||
-    bound = 1e-13 * mn * max(1.0, np.abs(decomp.Mtilde).max()) \
+    bound = 1e-13 * mn * max(1.0, np.abs(M_real).max()) \
         * max(1.0, np.abs(x).max())
-    assert np.abs(decomp.Mtilde @ x - rhs).max() < bound
+    assert np.abs(M_real @ x - rhs).max() < bound
 
 
 def test_ridge_engages_on_singular_covariance(caplog):
@@ -478,9 +478,12 @@ def test_build_decomposition_random_models():
                 < 1e-7 * max(1.0, np.abs(G[i]).max())
             covered = structure.covered_states(i)
             assert np.diag(H[i]).sum() == len(covered)
-        trace = float(np.trace(decomp.Mtilde).real)
-        assert np.linalg.eigvalsh(decomp.Mtilde).min() >= -1e-9 * trace
-        assert np.abs(decomp.Mtilde.imag).max() <= 1e-8 * max(1.0, np.abs(decomp.Mtilde).max())
+        # the residual covariance the decomposition factors, unfactored
+        Mtilde = mode_covariances(model, design)[2]
+        trace = float(np.trace(Mtilde.real))
+        assert np.linalg.eigvalsh(Mtilde.real).min() >= -1e-9 * trace
+        assert np.abs(Mtilde.imag).max() \
+            <= 1e-8 * max(1.0, np.abs(Mtilde).max())
 
 
 def assert_real_decomposition(model, design, decomp):

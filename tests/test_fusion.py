@@ -17,7 +17,6 @@ from securekf import (
     load_model,
     local_estimator_step,
     psd_factor,
-    residual_covariances,
     secure_fuse,
     spectral_design,
 )
@@ -28,7 +27,8 @@ from securekf.simulator import (AttackSpec, _rollout, simulate,
                                 trial_generators)
 
 from helpers import (_reference_lasso_path, fusion_objective, fusion_weights,
-                     mode_coordinates, reference_secure_fuse, sensor_blocks)
+                     mode_coordinates, mode_covariances, reference_secure_fuse,
+                     sensor_blocks)
 
 EYE3 = np.eye(3)   # the Cholesky factor of I
 H3 = np.ones((3, 1))
@@ -175,11 +175,13 @@ def test_problem_reads_the_factor_from_the_triangle_lower_names():
     assert np.abs(upper - Minv).max() <= 1e-14 * np.abs(Minv).max()
 
 
-def test_minv_as_accurate_as_a_cholesky_solve(pendulum_decomposition):
+def test_minv_as_accurate_as_a_cholesky_solve(pendulum_model, pendulum_design,
+                                              pendulum_decomposition):
     # Minv = L^-T L^-1 inverts the ridged covariance no worse than a
     # Cholesky solve against I does
     dec = pendulum_decomposition
-    M = dec.Mtilde + dec.ridge_delta * np.eye(len(dec.Mtilde))
+    Mtilde = mode_covariances(pendulum_model, pendulum_design)[2].real
+    M = Mtilde + dec.ridge_delta * np.eye(len(Mtilde))
     Minv = build_fusion_problem(dec.H_stack, dec.Mtilde_factor).Minv
     solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), np.eye(len(M)))
     eye = np.eye(len(M))
@@ -551,9 +553,7 @@ def test_empirical_equivalence_probability_rejects_other_design(
 def pendulum_wtilde(model, design):
     """Wtilde, the stationary covariance of zeta - G x in complex mode
     coordinates, recomputed."""
-    G, P, _ = mode_coordinates(model, design)
-    return residual_covariances(model, design, G,
-                                scipy.linalg.block_diag(*P))[1]
+    return mode_covariances(model, design)[1]
 
 
 def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,

@@ -727,10 +727,6 @@ def test_fuse_open_walks_in_blocks_of_at_most_the_cap(
     assert len(open_rows) == 200
     assert sizes == [7] * 28 + [4]
     assert result_bytes(capped) == result_bytes(whole)
-    # a batch can hold only runs without open rows: one empty walk
-    empty = fusion.fuse_open(problem, Y[:0], d[:0], 5.0)
-    assert [a.shape for a in empty] == [(0, 4), (0, 16), (0, 16), (0,), (0,)]
-    assert empty.rows() == []
 
 
 def test_split_refuses_a_lone_row(pendulum_decomposition):
@@ -746,9 +742,9 @@ def test_fuse_runs_batches_whole_runs_under_the_cap(
         monkeypatch, pendulum_model, pendulum_design, pendulum_decomposition):
     # with the cap at 7, runs of 3, 0, 4, 13 and 0 open rows fuse as the
     # batches [3, 0, 4] and [13] (walked as 7 + 6), and the last run's
-    # batch has no open row, so it gets None; each run's part has the
-    # bytes of fuse_open on its rows alone, and a batch is fused only when
-    # its first run is asked for
+    # batch has no open row, so it gets None; each other run's part has
+    # the bytes of fuse_open on its rows alone (the second run's part is
+    # empty), and a batch is fused only when its first run is asked for
     problem, rollout = attacked_pendulum_rollout(
         pendulum_model, pendulum_design, pendulum_decomposition)
     split = rollout.split
@@ -757,7 +753,7 @@ def test_fuse_runs_batches_whole_runs_under_the_cap(
         open_rows[:3], open_rows[:0], open_rows[3:7], open_rows[7:20],
         open_rows[:0])]
     alone = [fusion.fuse_open(problem, rollout.Y[rows], split.d[rows], 5.0)
-             for _, _, rows in runs[:4]]
+             for _, _, rows in runs[:4] if len(rows)]
     walks, blocks = [], []
     lasso_paths, answer = fusion.lasso_paths, fusion._answer
 
@@ -779,5 +775,7 @@ def test_fuse_runs_batches_whole_runs_under_the_cap(
     parts = [first, *parts]
     assert (walks, blocks) == ([7, 7, 6], [7, 13])
     assert parts[4] is None
-    assert [result_bytes(p) for p in parts[:4]] == [result_bytes(a)
-                                                    for a in alone]
+    assert [a.shape for a in parts[1]] == [(0, 4), (0, 16), (0, 16), (0,),
+                                           (0,)]
+    assert [result_bytes(p) for p in (parts[0], *parts[2:4])] == [
+        result_bytes(a) for a in alone]
