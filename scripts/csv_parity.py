@@ -1,4 +1,4 @@
-"""SHA-256 of the CLI's CSV and design outputs on the bundled pendulum.
+"""SHA-256 of the CLI's CSV and JSON outputs on the bundled pendulum.
 
     python3 scripts/csv_parity.py > hashes.txt
 
@@ -30,11 +30,6 @@ path left out):
   stacked pass, and the screen settles every row;
 - ``sweep-attack --magnitudes 0,1`` with ``--trials 1 --horizon 1100``:
   two runs above the block cap, each fused as a batch of its own;
-- ``simulate`` at gamma 5, seed 0, under ``--attack-kind uniform``, with
-  ``--horizon 300``, from a ``--design`` file that ``design`` writes
-  first: its line must equal the one of the same case without
-  ``--design``;
-- the ``design`` file;
 - the ``analyze --json`` file: the observability structure that the
   design and the decomposition of one set-up share.
 
@@ -80,9 +75,7 @@ def cases() -> list[list[str]]:
              "--horizon", "100"] for gamma in ("100", "1000")]
     out.append(["sweep-attack", "--magnitudes", "0,1", "--trials", "1",
                 "--horizon", "1100"])
-    out.append(["simulate", "--horizon", "300", "--gamma", "5", "--seed", "0",
-                "--attack-kind", "uniform", "--design"])
-    return out + [["design"], ["analyze", "--json"]]
+    return out + [["analyze", "--json"]]
 
 
 def run(argv: list[str]) -> None:
@@ -98,16 +91,10 @@ def run(argv: list[str]) -> None:
 
 def digest(case: list[str]) -> str:
     """SHA-256 of the file the case writes, to the path after its last
-    flag when that is ``--json`` and to ``--out`` otherwise.  A case whose
-    last flag is ``--design`` reads the file that ``design`` writes first,
-    in the same temporary directory."""
+    flag when that is ``--json`` and to ``--out`` otherwise."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "out"
         argv = [case[0], str(MODEL), *case[1:]]
-        if case[-1] == "--design":
-            design = pathlib.Path(tmp) / "design"
-            run(["design", str(MODEL), "--out", str(design)])
-            argv.append(str(design))
         argv += [str(path)] if case[-1] == "--json" else ["--out", str(path)]
         run(argv)
         return hashlib.sha256(path.read_bytes()).hexdigest()

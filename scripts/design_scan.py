@@ -10,8 +10,8 @@ ensure_observable=True)`` of ``tests/helpers.py`` for the seeds s < N
 seed by seed:
 
 - for a design that is built, every array of its SpectralDesign,
-  SensorDecomposition and FusionProblem, and their float fields
-  (``riccati_residual`` and ``ridge_delta``);
+  SensorDecomposition and FusionProblem, and their float field
+  ``ridge_delta``;
 - for one that is refused, the error's type and message;
 - for every 10th seed that is built, the arrays of a 40-step ``simulate``
   under ``default_attack`` at gamma 5, or its refusal's type and message.

@@ -5,8 +5,7 @@
 Traces, line by line, the files under ``src/securekf`` while it runs, in
 one process:
 
-- every case of ``scripts/csv_parity.py``, among them ``design`` and a
-  ``simulate --design`` on the file it writes;
+- every case of ``scripts/csv_parity.py``;
 - ``certify --p 1`` on the bundled pendulum;
 - ``perfbench/run.py``'s ``run`` for every workload, at ``size="tiny"``
   with ``seconds=0``, with ``trace`` 0 and 1.

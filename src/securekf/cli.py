@@ -1,10 +1,9 @@
 """Command-line front end: model files in, reports and CSV out.
 
 One binary with subcommands.  `analyze` and `certify` inspect a model's
-sensor redundancy, `design` persists the steady Kalman gain to a JSON
-design file (design_to_dict gives its format), and `simulate` /
-`sweep-gamma` / `sweep-attack` run the closed-loop experiments and write
-CSV, from a design they compute or one they load with --design.
+sensor redundancy, and `simulate` / `sweep-gamma` / `sweep-attack` run the
+closed-loop experiments and write CSV.  Each run computes its filter
+design from the model: the steady Kalman gain and its decomposition.
 
 Exit codes: 0 success (solver non-convergence still exits 0 and is
 reported in the summary line and the solver_warn CSV column), 1 file or
@@ -16,24 +15,19 @@ model insecure for the requested budget.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 
-import numpy as np
-
 from .decomposition import build_decomposition
-from .model import (ModelFormatError, SystemModel, certify_resilience,
-                    load_model, validate_model)
+from .model import (ModelFormatError, certify_resilience, load_model,
+                    validate_model)
 from .simulator import (ATTACK_KINDS, DEFAULT_BURN_IN, DEFAULT_GAMMAS,
                         DEFAULT_HORIZON, DEFAULT_MAGNITUDES, DEFAULT_TRIALS,
                         AttackSpec, default_attack, mse, simulate,
                         sweep_attack_magnitude, sweep_csv, sweep_gamma,
                         trace_csv)
-from .spectral import (AssumptionError, RiccatiDivergenceError,
-                       SpectralDesign, closed_loop_eigendecomposition,
-                       spectral_design)
+from .spectral import AssumptionError, RiccatiDivergenceError, spectral_design
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -41,142 +35,11 @@ EXIT_VALIDATION = 2
 EXIT_ASSUMPTION = 3
 EXIT_INSECURE = 4
 
-DESIGN_FORMAT = "securekf-design"
-DESIGN_VERSION = 5
-
-
-class DesignFormatError(ValueError):
-    """Raised when a design file does not match the documented schema."""
-
-
-# ------------------------------------------------------------ serialization
-
-
-def _rows(M) -> list:
-    """A real matrix as row-major nested lists of floats."""
-    return [[float(v) for v in row] for row in M]
-
-
-def _model_section(model: SystemModel) -> dict:
-    matrices = {f.name: getattr(model, f.name)
-                for f in dataclasses.fields(SystemModel)
-                if f.name != "sensor_labels"}
-    return {key: _rows(M) for key, M in matrices.items() if M is not None}
-
-
-def _numbers(value, depth, key, expected):
-    """value as a finite float array of ndim depth."""
-    try:
-        arr = np.array(value, dtype=object)
-    except ValueError:
-        arr = None
-    # ragged rows leave lists as leaves; bool is an int but not a number
-    if (arr is None or arr.ndim != depth
-            or any(type(v) not in (int, float) for v in arr.flat)):
-        raise DesignFormatError(f"design key '{key}': {expected}")
-    arr = arr.astype(float)
-    # json reads the literals NaN, Infinity and -Infinity as floats
-    if not np.isfinite(arr).all():
-        raise DesignFormatError(f"design key '{key}': numbers must be "
-                                "finite, got NaN or Infinity")
-    return arr
-
-
-def design_to_dict(model: SystemModel, design: SpectralDesign) -> dict:
-    """The design file as a JSON-ready dict.
-
-    Keys in order: "format" ("securekf-design"), "version" (5), "model"
-    (the fields of SystemModel but sensor_labels and an absent B or
-    K_lqr) and "design" (the gain K and riccati_residual).  Matrices are
-    row-major lists of number rows.  The file holds the gain alone:
-    loading recomputes Pi from K, and the CLI rebuilds the decomposition.
-    Versions 1 to 4 are refused: version 4 also held Pi and the
-    decomposition, as {"real" | "complex": rows} tagged matrices, version
-    3 also the design's P, P_plus, charpoly and V, version 2 the
-    decomposition in complex mode coordinates, and version 1 also G, H, P,
-    F, F_row, Qtilde, Wtilde and assumption1_ok.
-    """
-    return {
-        "format": DESIGN_FORMAT,
-        "version": DESIGN_VERSION,
-        "model": _model_section(model),
-        "design": {"K": _rows(design.K),
-                   "riccati_residual": float(design.riccati_residual)},
-    }
-
-
-def _require_keys(obj, wanted, where):
-    if not isinstance(obj, dict):
-        raise DesignFormatError(f"design file section '{where}' must be an "
-                                "object")
-    for key in obj:
-        if key not in wanted:
-            raise DesignFormatError(f"unknown key '{key}' in design file "
-                                    f"section '{where}'")
-    for key in wanted:
-        if key not in obj:
-            raise DesignFormatError(f"missing key '{key}' in design file "
-                                    f"section '{where}'")
-
-
-def design_from_dict(data: dict, model: SystemModel) -> SpectralDesign:
-    """Rebuild the SpectralDesign of a parsed design file.
-
-    The format and version are checked first, so a file of an older
-    version is refused by its number whatever keys it holds.  The stored
-    model matrices must match `model` exactly, and K must be a finite
-    n x m matrix.  Pi is recomputed by closed_loop_eigendecomposition,
-    whose Assumption 1 checks a K from a file passes as a computed one
-    does.
-    """
-    if not isinstance(data, dict):
-        raise DesignFormatError("design file section 'top level' must be an "
-                                "object")
-    if data.get("format") != DESIGN_FORMAT:
-        raise DesignFormatError(f"not a design file (format "
-                                f"{data.get('format')!r})")
-    if data.get("version") != DESIGN_VERSION:
-        raise DesignFormatError(f"unsupported design file version "
-                                f"{data.get('version')!r}; re-run the design "
-                                "subcommand")
-    _require_keys(data, ("format", "version", "model", "design"),
-                  "top level")
-    if data["model"] != _model_section(model):
-        raise ValueError("design file was computed for a different model; "
-                         "re-run the design subcommand")
-
-    stored = data["design"]
-    _require_keys(stored, ("K", "riccati_residual"), "design")
-    K = _numbers(stored["K"], 2, "K", "entries must be numbers in "
-                 "equal-length rows")
-    if K.shape != (model.n, model.m):
-        raise DesignFormatError(f"design key 'K': expected shape "
-                                f"{(model.n, model.m)}, got {K.shape}")
-    residual = float(_numbers(stored["riccati_residual"], 0,
-                              "riccati_residual", "expected a number"))
-    _, Pi = closed_loop_eigendecomposition(model.A, K, model.C)
-    return SpectralDesign(K=K, Pi=Pi, riccati_residual=residual)
-
-
-def save_design(path, model, design) -> None:
-    text = json.dumps(design_to_dict(model, design), indent=1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
-def load_design(path, model) -> SpectralDesign:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DesignFormatError(f"invalid JSON in design file: {exc}")
-    return design_from_dict(data, model)
-
 
 # ------------------------------------------------------------ shared steps
 
 
-def _load_valid_model(path) -> SystemModel:
+def _load_valid_model(path):
     model = load_model(path)
     report = validate_model(model)
     if not report.passed:
@@ -186,13 +49,9 @@ def _load_valid_model(path) -> SystemModel:
     return model
 
 
-def _get_design(args, model):
-    """The design, from --design or computed, and its decomposition, which
-    both paths build here."""
-    if getattr(args, "design", None):
-        design = load_design(args.design, model)
-    else:
-        design = spectral_design(model)
+def _get_design(model):
+    """The model's filter design and its decomposition."""
+    design = spectral_design(model)
     return design, build_decomposition(model, design)
 
 
@@ -203,9 +62,13 @@ def _sensor_name(model, i):
 
 
 def _build_attack(args, m) -> AttackSpec:
+    """The attack of the flags; sweep-attack, which has no
+    --attack-magnitude, gets the default magnitude, and its sweep replaces
+    it with each grid value."""
     kind = args.attack_kind
+    magnitude = getattr(args, "attack_magnitude", None)
     if kind == "none":
-        if args.attack_sensor is not None or args.attack_magnitude is not None:
+        if args.attack_sensor is not None or magnitude is not None:
             raise ValueError("attack kind 'none' takes no --attack-sensor "
                              "or --attack-magnitude")
         return AttackSpec()
@@ -214,8 +77,8 @@ def _build_attack(args, m) -> AttackSpec:
               else default.support[0] + 1)
     if not 1 <= sensor <= m:
         raise ValueError(f"--attack-sensor {sensor} out of range 1..{m}")
-    magnitude = (args.attack_magnitude if args.attack_magnitude is not None
-                 else default.magnitude)
+    if magnitude is None:
+        magnitude = default.magnitude
     return AttackSpec(support=(sensor - 1,), kind=kind, magnitude=magnitude)
 
 
@@ -285,16 +148,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_design(args) -> int:
-    model = _load_valid_model(args.model)
-    design, decomposition = _get_design(args, model)
-    save_design(args.out, model, design)
-    print(f"design written to {args.out} "
-          f"(riccati residual {design.riccati_residual:.3e}, "
-          f"ridge delta {decomposition.ridge_delta:.3e})")
-    return EXIT_OK
-
-
 def cmd_certify(args) -> int:
     model = _load_valid_model(args.model)
     cert = certify_resilience(model.structure, args.p)
@@ -307,7 +160,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _load_valid_model(args.model)
-    design, decomposition = _get_design(args, model)
+    design, decomposition = _get_design(model)
     attack = _build_attack(args, model.m)
     _check_burn_in(args)
     trace = simulate(model, design, decomposition, attack, args.gamma,
@@ -328,7 +181,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     model = _load_valid_model(args.model)
-    design, decomposition = _get_design(args, model)
+    design, decomposition = _get_design(model)
     attack = _build_attack(args, model.m)
     if attack.kind == "none":
         raise ValueError(f"{args.command} needs an attack; pick "
@@ -360,6 +213,8 @@ _GAMMA_FLAG = dict(type=float, default=5.0,
                    help="l1 regularization weight (default 5)")
 _TRIALS_FLAG = dict(type=int, default=DEFAULT_TRIALS,
                     help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
+_MAGNITUDE_FLAG = dict(type=float, default=None,
+                       help="attack amplitude (default: pi/2)")
 
 
 def _add_sim_flags(p, attack_kind):
@@ -376,11 +231,6 @@ def _add_sim_flags(p, attack_kind):
                    help=f"attack waveform (default {attack_kind})")
     p.add_argument("--attack-sensor", type=int, default=None,
                    help="1-based attacked sensor (default: the last sensor)")
-    p.add_argument("--attack-magnitude", type=float, default=None,
-                   help="attack amplitude (default: pi/2)")
-    p.add_argument("--design", default=None, metavar="DESIGN_JSON",
-                   help="reuse a design file written by the design "
-                        "subcommand instead of recomputing")
     p.add_argument("--out", default=None, metavar="CSV",
                    help="output CSV path (default: stdout)")
 
@@ -396,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "under sparse sensor attacks.",
         epilog="Model files are JSON objects with keys A, C, Q, R, Sigma "
                "and optional B, K_lqr, sensor_labels; matrices are "
-               "row-major nested arrays.  Design files are written by the "
-               "design subcommand (v5: the model and the gain K).  "
-               "Trace CSV columns: k, x_*, u_*, y_*, a_*, xhat_kal_*, "
+               "row-major nested arrays.  Trace CSV columns: k, x_*, u_*, y_*, a_*, xhat_kal_*, "
                "xhat_sec_*, xhat_ls_*, solver_iters, kkt_residual, "
                "solver_warn.  Sweep CSV columns: sweep_value, "
                "mse_{secure,kalman}_{no_attack,attack}, matching stderr_* "
@@ -417,14 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the report as JSON")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("design",
-                       help="compute and persist the filter design's "
-                            "steady Kalman gain")
-    p.add_argument("model", help="model JSON file")
-    p.add_argument("--out", required=True, metavar="DESIGN_JSON",
-                   help="where to write the design file")
-    p.set_defaults(func=cmd_design)
-
     p = sub.add_parser("certify",
                        help="check the s >= 2p resilience condition")
     p.add_argument("model", help="model JSON file")
@@ -436,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one closed-loop trace and write it as CSV")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--gamma", **_GAMMA_FLAG)
+    p.add_argument("--attack-magnitude", **_MAGNITUDE_FLAG)
     _add_sim_flags(p, "none")
     p.set_defaults(func=cmd_simulate)
 
@@ -447,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=",".join(f"{g:g}" for g in DEFAULT_GAMMAS),
                    help="comma-separated gamma grid")
     p.add_argument("--trials", **_TRIALS_FLAG)
+    p.add_argument("--attack-magnitude", **_MAGNITUDE_FLAG)
     _add_sim_flags(p, "uniform")
     p.set_defaults(func=cmd_sweep)
 
@@ -470,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ModelFormatError, DesignFormatError) as exc:
+    except (OSError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (AssumptionError, RiccatiDivergenceError) as exc:

@@ -6,11 +6,12 @@ steady Kalman gain K (Riccati fixed point) and the eigendecomposition
 A - K C A = V diag(Pi) V^-1 with a deterministic eigenvalue order and
 eigenvector normalisation.  A SpectralDesign keeps K and Pi, all the
 decomposition and the estimator read of them; steady_state_kalman and
-closed_loop_eigendecomposition also return P, P_plus and V.  The
-whole construction requires the closed-loop eigenvalues to be pairwise
-distinct, strictly inside the unit circle, and disjoint from the spectrum
-of A (Assumption 1); ``closed_loop_eigendecomposition`` raises an
-AssumptionError starting "Assumption 1 violated" when any of these fails.
+closed_loop_eigendecomposition also return P, P_plus, the Riccati
+residual and V.  The whole construction requires the closed-loop
+eigenvalues to be pairwise distinct, strictly inside the unit circle, and
+disjoint from the spectrum of A (Assumption 1);
+``closed_loop_eigendecomposition`` raises an AssumptionError starting
+"Assumption 1 violated" when any of these fails.
 """
 
 from __future__ import annotations
@@ -60,16 +61,14 @@ class RiccatiDivergenceError(RuntimeError):
 class SpectralDesign:
     """What the decomposition and the estimator read of a filter design.
 
-    K is the steady Kalman gain, Pi the eigenvalues of A - K C A sorted by
-    (real, imaginary) part, and riccati_residual the fixed-point gap
-    steady_state_kalman reports.  The covariances P and P_plus and the
-    eigenvectors V are not kept: steady_state_kalman and
-    closed_loop_eigendecomposition return them.
+    K is the steady Kalman gain and Pi the eigenvalues of A - K C A sorted
+    by (real, imaginary) part.  The covariances P and P_plus, the
+    Riccati residual and the eigenvectors V are not kept:
+    steady_state_kalman and closed_loop_eigendecomposition return them.
     """
 
     K: np.ndarray
     Pi: np.ndarray
-    riccati_residual: float
 
 
 # a diverging recursion overflows; the non-finite check reports it instead
@@ -142,7 +141,7 @@ def steady_state_kalman(model: SystemModel):
 
     P_plus = A @ P @ A.T + Q
     # C-contiguous copy: a transpose view picks a different BLAS path,
-    # so serialized designs would not reproduce traces bit for bit
+    # and the traces would change in their last bits
     K = np.ascontiguousarray(update(P_plus)[1])
     residual = float(np.abs((I - K @ C) @ P_plus - P).max())
     return P, P_plus, K, residual
@@ -240,6 +239,6 @@ def spectral_design(model: SystemModel) -> SpectralDesign:
     """
     if not model.structure.observable:
         raise ValueError("(A, C) is unobservable: some state is covered by no sensor")
-    _, _, K, residual = steady_state_kalman(model)
+    K = steady_state_kalman(model)[2]
     _, Pi = closed_loop_eigendecomposition(model.A, K, model.C)
-    return SpectralDesign(K=K, Pi=Pi, riccati_residual=residual)
+    return SpectralDesign(K=K, Pi=Pi)

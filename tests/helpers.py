@@ -2,9 +2,8 @@
 step-by-step reference for simulate, a one-attack rollout with 2-D
 arrays as a reference for the stacked one, the bank rolled out in complex
 mode coordinates as a reference for the real one, a value-by-value reference
-for trace_csv, a key-by-key reference for the design-file encoder (and
-the version-4 file, which the loader refuses), and the first-written
-homotopy solve as a bit-for-bit reference for secure_fuse.
+for trace_csv, and the first-written homotopy solve as a bit-for-bit
+reference for secure_fuse.
 
 Second constructions the package does not ship sit here too, as oracles
 of what it does: the per-sensor gains from the characteristic polynomial
@@ -452,68 +451,6 @@ def sensor_blocks(decomp, n):
     return ([decomp.G_stack[r] for r in rows],
             [decomp.H_stack[r] for r in rows],
             [decomp.Ptilde[r, r] for r in rows])
-
-
-def tagged_matrix(M):
-    """A matrix as design files of versions 1 to 4 stored it: {"real":
-    rows} or {"complex": rows of [re, im] pairs}, a vector as one row."""
-    M = np.atleast_2d(M)
-    if np.iscomplexobj(M):
-        return {"complex": [[[float(v.real), float(v.imag)] for v in row]
-                            for row in M]}
-    return {"real": [[float(v) for v in row] for row in M]}
-
-
-def _rows(M):
-    return [[float(v) for v in row] for row in M]
-
-
-def reference_design_to_dict(model, design):
-    """Reference for cli.design_to_dict: every key spelled out by hand."""
-    model_json = {
-        "A": _rows(model.A),
-        "C": _rows(model.C),
-        "Q": _rows(model.Q),
-        "R": _rows(model.R),
-        "Sigma": _rows(model.Sigma),
-    }
-    if model.B is not None:
-        model_json["B"] = _rows(model.B)
-    if model.K_lqr is not None:
-        model_json["K_lqr"] = _rows(model.K_lqr)
-    return {
-        "format": "securekf-design",
-        "version": 5,
-        "model": model_json,
-        "design": {
-            "K": _rows(design.K),
-            "riccati_residual": float(design.riccati_residual),
-        },
-    }
-
-
-def version_4_design_dict(model, design):
-    """The design file as version 4 wrote it: the model, K, Pi and the
-    decomposition (Mtilde unfactored), every array a tagged matrix.  The
-    refusal tests build the older versions from it."""
-    decomposition = build_decomposition(model, design)
-    return {
-        "format": "securekf-design",
-        "version": 4,
-        "model": {key: tagged_matrix(M) for key, M in
-                  reference_design_to_dict(model, design)["model"].items()},
-        "design": {
-            "K": tagged_matrix(design.K),
-            "Pi": tagged_matrix(design.Pi),
-            "riccati_residual": float(design.riccati_residual),
-        },
-        "decomposition": {
-            **{key: tagged_matrix(getattr(decomposition, key)) for key in
-               ("bank", "bank_input", "G_stack", "H_stack", "Ptilde")},
-            "Mtilde": tagged_matrix(mode_covariances(model, design)[2].real),
-            "ridge_delta": float(decomposition.ridge_delta),
-        },
-    }
 
 
 def _reference_residuals(problem, Y, x, nu, gamma):

@@ -1,4 +1,4 @@
-"""CLI surface: subcommands, exit codes, design files, CSV determinism."""
+"""CLI surface: subcommands, exit codes, CSV determinism."""
 
 import dataclasses
 import json
@@ -11,20 +11,9 @@ import numpy as np
 import pytest
 
 import securekf.spectral
-from securekf import (SensorDecomposition, build_decomposition,
-                      closed_loop_eigendecomposition, load_model,
-                      spectral_design, steady_state_kalman)
-from securekf.cli import (
-    design_from_dict,
-    design_to_dict,
-    load_design,
-    main,
-)
-from securekf.model import model_from_dict
+from securekf.cli import main
 
-from helpers import (characteristic_polynomial, fusion_weights,
-                     random_jordan_model, reference_design_to_dict,
-                     tagged_matrix, version_4_design_dict)
+from helpers import random_jordan_model
 
 PENDULUM = None  # filled by fixture use; CLI wants a path string
 
@@ -125,64 +114,11 @@ def test_certify_exit_codes(pendulum_path, capsys):
     assert main(["certify", str(pendulum_path), "--p", "-1"]) == 2
 
 
-# ----------------------------------------------------------------- design
-
-
-def test_design_rerun_byte_identical(pendulum_path, tmp_path, capsys):
-    d1, d2 = tmp_path / "d1.json", tmp_path / "d2.json"
-    assert main(["design", str(pendulum_path), "--out", str(d1)]) == 0
-    assert main(["design", str(pendulum_path), "--out", str(d2)]) == 0
-    capsys.readouterr()
-    assert d1.read_bytes() == d2.read_bytes()
-    # format v5 stores, besides the model it was made for, only the
-    # design's K and riccati_residual: 2,553 bytes here
-    assert len(d1.read_bytes()) <= 3_000
-
-
-def test_design_round_trip_exact(pendulum_path, tmp_path, capsys):
-    out = tmp_path / "design.json"
-    assert main(["design", str(pendulum_path), "--out", str(out)]) == 0
-    capsys.readouterr()
-    model = load_model(pendulum_path)
-    design = spectral_design(model)
-    decomp = build_decomposition(model, design)
-    d2 = load_design(out, model)
-    for name in ("K", "Pi"):
-        a, b = getattr(design, name), getattr(d2, name)
-        assert np.array_equal(a, b), name
-        assert a.dtype == b.dtype, name
-    assert design.riccati_residual == d2.riccati_residual
-    # the CLI rebuilds the decomposition from the loaded design
-    c2 = build_decomposition(model, d2)
-    for f in dataclasses.fields(SensorDecomposition):
-        a, b = getattr(decomp, f.name), getattr(c2, f.name)
-        assert np.array_equal(a, b), f.name
-    assert decomp.ridge_delta == c2.ridge_delta
-
-
-def test_design_dict_round_trip_without_files(pendulum_model,
-                                              pendulum_design,
-                                              pendulum_decomposition):
-    data = design_to_dict(pendulum_model, pendulum_design)
-    # through the JSON text layer, as a file write would do
-    data = json.loads(json.dumps(data))
-    d2 = design_from_dict(data, pendulum_model)
-    assert np.array_equal(d2.K, pendulum_design.K)
-    assert np.array_equal(
-        build_decomposition(pendulum_model, d2).Mtilde_factor,
-        pendulum_decomposition.Mtilde_factor)
+# ------------------------------------------------------------ design phase
 
 
 SHARED_EIGENVALUE_ERROR = ("error: Assumption 1 violated: closed-loop "
                            "eigenvalue 0.3")
-
-
-def test_design_assumption_violation_exit_3(tmp_path, capsys):
-    path = write_model(tmp_path, "shared.json", shared_eigenvalue_model())
-    out = tmp_path / "d.json"
-    assert main(["design", path, "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith(SHARED_EIGENVALUE_ERROR)
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -191,17 +127,20 @@ def test_design_assumption_violation_exit_3(tmp_path, capsys):
 ])
 def test_assumption_violation_same_at_every_entry_point(command, tmp_path,
                                                         capsys):
-    # simulate and the sweeps stop in spectral_design, as design does
+    # simulate and the sweeps stop in spectral_design, before any output
     path = write_model(tmp_path, "shared.json", shared_eigenvalue_model())
-    assert main([command[0], path, *command[1:]]) == 3
+    out = tmp_path / "out.csv"
+    assert main([command[0], path, *command[1:], "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(SHARED_EIGENVALUE_ERROR)
+    assert not out.exists()
 
 
 def test_design_riccati_divergence_exit_3(pendulum_path, tmp_path, capsys,
                                           monkeypatch):
     monkeypatch.setattr(securekf.spectral, "RICCATI_MAX_ITER", 1)
-    out = tmp_path / "d.json"
-    assert main(["design", str(pendulum_path), "--out", str(out)]) == 3
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: Riccati recursion did not converge within "
                           "1 iterations")
@@ -221,9 +160,11 @@ def test_exit_code_follows_the_error_type(error, code, pendulum_path,
         raise error
 
     monkeypatch.setattr(securekf.cli, "spectral_design", refuse)
-    out = tmp_path / "d.json"
-    assert main(["design", str(pendulum_path), "--out", str(out)]) == code
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(pendulum_path), "--horizon", "30",
+                 "--out", str(out)]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 def test_attack_defaults_come_from_the_simulator(monkeypatch):
@@ -247,19 +188,28 @@ def test_attack_defaults_come_from_the_simulator(monkeypatch):
                                                 magnitude=2.5)
 
 
-@pytest.mark.parametrize("command, flag", [("sweep-gamma", "--gamma"),
-                                           ("simulate", "--trials")])
-def test_a_flag_the_subcommand_does_not_read_exit_2(command, flag,
+@pytest.mark.parametrize("command, flag, error", [
+    ("sweep-gamma", "--gamma", "unrecognized arguments: --gamma 7"),
+    ("simulate", "--trials", "unrecognized arguments: --trials 7"),
+    ("sweep-attack", "--attack-magnitude",
+     "unrecognized arguments: --attack-magnitude 7"),
+    ("simulate", "--design", "unrecognized arguments: --design 7"),
+    ("design", "--out", "argument command: invalid choice: 'design'"),
+], ids=["sweep-gamma---gamma", "simulate---trials",
+        "sweep-attack---attack-magnitude", "simulate---design", "design"])
+def test_a_flag_the_subcommand_does_not_read_exit_2(command, flag, error,
                                                     pendulum_path, tmp_path,
                                                     capsys):
-    # sweep-gamma takes its gammas from --gammas, and simulate runs one
-    # trial: each subcommand has only the flags it reads
+    # sweep-gamma takes its gammas from --gammas, simulate runs one trial,
+    # and sweep-attack takes its magnitudes from --magnitudes: each
+    # subcommand has only the flags it reads.  Every run computes its
+    # design, so there is no design subcommand and no --design to read
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main([command, str(pendulum_path), flag, "7", "--horizon", "30",
               "--out", str(out)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -276,218 +226,6 @@ def test_parser_is_built_once_and_parsing_leaves_it_unchanged():
     assert (again.gamma, again.trials) == (5.0, DEFAULT_TRIALS)
 
 
-def test_design_file_rejects_other_model(pendulum_path, tmp_path, capsys):
-    out = tmp_path / "d.json"
-    assert main(["design", str(pendulum_path), "--out", str(out)]) == 0
-    other = write_model(tmp_path, "other.json", minimal_model())
-    assert main(["simulate", other, "--horizon", "30",
-                 "--design", str(out)]) == 2
-    assert "different model" in capsys.readouterr().err
-
-
-def test_design_file_unknown_key_rejected(pendulum_path, tmp_path, capsys):
-    out = tmp_path / "d.json"
-    assert main(["design", str(pendulum_path), "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
-    data["extra"] = 1
-    out.write_text(json.dumps(data))
-    assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--design", str(out)]) == 1
-    assert "unknown key 'extra'" in capsys.readouterr().err
-
-
-def _design_case(case, pendulum_model):
-    if case == "pendulum":
-        return pendulum_model
-    if case == "minimal":  # no B, no K_lqr
-        return model_from_dict(minimal_model())
-    # complex closed-loop spectrum and a nonzero ridge
-    return random_jordan_model(0, ensure_observable=True)
-
-
-@pytest.mark.parametrize("case", ["pendulum", "minimal", "complex"])
-def test_design_file_matches_reference_encoder(case, pendulum_model):
-    model = _design_case(case, pendulum_model)
-    design = spectral_design(model)
-    decomp = build_decomposition(model, design)
-    if case == "complex":
-        F_row = fusion_weights(model, design)[1]
-        assert np.iscomplexobj(F_row) and decomp.ridge_delta > 0.0
-    data = design_to_dict(model, design)
-    reference = reference_design_to_dict(model, design)
-    assert json.dumps(data, indent=1) == json.dumps(reference, indent=1)
-
-    # the loaded K gives the design and its rebuilt decomposition, bit for
-    # bit, ridge_delta included
-    d2 = design_from_dict(json.loads(json.dumps(data)), model)
-    c2 = build_decomposition(model, d2)
-    for a, b in ((design, d2), (decomp, c2)):
-        for name in a.__dataclass_fields__:
-            x, y = getattr(a, name), getattr(b, name)
-            assert np.array_equal(x, y), name
-            assert np.asarray(x).dtype == np.asarray(y).dtype, name
-
-
-@pytest.fixture(scope="module")
-def pendulum_design_text(pendulum_path, tmp_path_factory):
-    out = tmp_path_factory.mktemp("design") / "design.json"
-    assert main(["design", str(pendulum_path), "--out", str(out)]) == 0
-    return out.read_text()
-
-
-def _set(path, value):
-    def edit(data):
-        *parents, last = path
-        for key in parents:
-            data = data[key]
-        data[last] = value
-    return edit
-
-
-def _delete(data):
-    del data["design"]["K"]
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_set(["design"], []),
-     "design file section 'design' must be an object"),
-    (_delete,
-     "missing key 'K' in design file section 'design'"),
-    (_set(["design", "extra"], 1),
-     "unknown key 'extra' in design file section 'design'"),
-    (_set(["design", "riccati_residual"], [1]),
-     "design key 'riccati_residual': expected a number"),
-    (_set(["design", "riccati_residual"], True),
-     "design key 'riccati_residual': expected a number"),
-    (_set(["design", "K"], [[1.0, 2.0], [1.0]]),
-     "design key 'K': entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], [1.0, 2.0]),
-     "design key 'K': entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], [["a"]]),
-     "design key 'K': entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], [[True]]),
-     "design key 'K': entries must be numbers in equal-length rows"),
-    (_set(["design", "K"], [[1.0]]),
-     "design key 'K': expected shape (4, 4), got (1, 1)"),
-    (_set(["format"], "other"), "not a design file (format 'other')"),
-    (_set(["version"], 6), "unsupported design file version 6"),
-    (None, "invalid JSON in design file"),
-    (_set(["design", "K", 1, 2], float("inf")),
-     "design key 'K': numbers must be finite, got NaN or Infinity"),
-], ids=["section-not-object", "missing-key", "unknown-section-key",
-        "float-not-number", "float-is-bool", "ragged-rows", "one-dimensional",
-        "entry-not-number", "entry-is-bool", "gain-shape", "wrong-format",
-        "wrong-version", "invalid-json", "infinity-in-gain"])
-def test_design_file_format_errors_exit_1(edit, message, pendulum_path,
-                                          pendulum_design_text, tmp_path,
-                                          capsys):
-    out = tmp_path / "d.json"
-    if edit is None:
-        out.write_text(pendulum_design_text[:-10])
-    else:
-        data = json.loads(pendulum_design_text)
-        edit(data)
-        out.write_text(json.dumps(data))
-    assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--design", str(out)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
-
-
-def test_design_file_not_an_object_exit_1(pendulum_path, tmp_path, capsys):
-    # the format and the version are read off an object only
-    out = tmp_path / "d.json"
-    out.write_text("[]")
-    assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--design", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: design file section 'top "
-                                       "level' must be an object\n")
-
-
-def test_design_file_version_1_refused(pendulum_path, pendulum_model,
-                                       pendulum_design, tmp_path, capsys):
-    # a version-1 file carries keys v2 dropped; it is refused by version,
-    # with the way to make a current one
-    data = version_4_design_dict(pendulum_model, pendulum_design)
-    data["version"] = 1
-    data["design"]["assumption1_ok"] = True
-    out = tmp_path / "v1.json"
-    out.write_text(json.dumps(data))
-    assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--design", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "error: unsupported design file version 1" in err
-    assert "re-run the design subcommand" in err
-
-
-def test_design_file_version_2_refused(pendulum_path, pendulum_model,
-                                       pendulum_design, tmp_path, capsys):
-    # a version-2 file held the decomposition in complex mode coordinates,
-    # with Pi in place of bank and bank_input; it is refused by version
-    data = version_4_design_dict(pendulum_model, pendulum_design)
-    data["version"] = 2
-    decomposition = data["decomposition"]
-    del decomposition["bank"], decomposition["bank_input"]
-    decomposition["Pi"] = data["design"]["Pi"]
-    out = tmp_path / "v2.json"
-    out.write_text(json.dumps(data))
-    assert main(["simulate", str(pendulum_path), "--horizon", "60",
-                 "--design", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "error: unsupported design file version 2" in err
-    assert "re-run the design subcommand" in err
-
-
-def test_design_file_version_3_refused(pendulum_path, pendulum_model,
-                                       pendulum_design, tmp_path, capsys):
-    # a version-3 file also held the design's P, P_plus, charpoly and V,
-    # which no reader used; it is refused by version
-    data = version_4_design_dict(pendulum_model, pendulum_design)
-    data["version"] = 3
-    model = load_model(pendulum_path)
-    P, P_plus, K, _ = steady_state_kalman(model)
-    design = data["design"]
-    design["P"], design["P_plus"] = tagged_matrix(P), tagged_matrix(P_plus)
-    design["charpoly"] = tagged_matrix(characteristic_polynomial(model.A))
-    design["V"] = tagged_matrix(
-        closed_loop_eigendecomposition(model.A, K, model.C)[0])
-    out = tmp_path / "v3.json"
-    out.write_text(json.dumps(data))
-    assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--design", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "error: unsupported design file version 3" in err
-    assert "re-run the design subcommand" in err
-
-
-def test_design_file_version_4_refused(pendulum_path, pendulum_model,
-                                       pendulum_design, tmp_path, capsys):
-    # a version-4 file also held Pi and the decomposition, which loading
-    # now rebuilds from K; it is refused by version
-    out = tmp_path / "v4.json"
-    out.write_text(json.dumps(version_4_design_dict(pendulum_model,
-                                                    pendulum_design)))
-    assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--design", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: unsupported design file version 4; re-run the design "
-        "subcommand\n")
-
-
-def test_design_file_unstable_gain_exit_3(pendulum_path, pendulum_design_text,
-                                          tmp_path, capsys):
-    # Pi is recomputed from the stored K, so a K that makes A - K C A
-    # unstable is refused by Assumption 1, as design would refuse it
-    data = json.loads(pendulum_design_text)
-    data["design"]["K"] = (3.0 * np.array(data["design"]["K"])).tolist()
-    out = tmp_path / "unstable.json"
-    out.write_text(json.dumps(data))
-    assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--design", str(out)]) == 3
-    assert capsys.readouterr().err.startswith(
-        "error: Assumption 1 violated: closed-loop modes are not strictly "
-        "stable (spectral radius 3.76825)")
-
-
 def test_design_scaled_noise_converges(pendulum_path, tmp_path, capsys):
     # Q, R and Sigma scaled by 1e6 leave the gain unchanged; the Riccati
     # stop rule must not depend on the absolute size of P
@@ -495,8 +233,10 @@ def test_design_scaled_noise_converges(pendulum_path, tmp_path, capsys):
     for key in ("Q", "R", "Sigma"):
         data[key] = (1e6 * np.array(data[key])).tolist()
     path = write_model(tmp_path, "scaled.json", data)
-    assert main(["design", path, "--out", str(tmp_path / "d.json")]) == 0
-    assert "design written to" in capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main(["simulate", path, "--horizon", "60", "--out", str(out)]) == 0
+    assert "mse_kalman=" in capsys.readouterr().out
+    assert out.exists()
 
 
 # --------------------------------------------------------------- simulate
@@ -537,19 +277,6 @@ def test_simulate_stdout_when_no_out(pendulum_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("k,x_1")
     assert "mse_kalman=" in captured.err
-
-
-def test_simulate_design_reuse_byte_identical(pendulum_path, tmp_path,
-                                              capsys):
-    d = tmp_path / "design.json"
-    assert main(["design", str(pendulum_path), "--out", str(d)]) == 0
-    args = ["simulate", str(pendulum_path), "--gamma", "2", "--horizon",
-            "60", "--seed", "9", "--attack-kind", "uniform"]
-    t1, t2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert main(args + ["--out", str(t1)]) == 0
-    assert main(args + ["--design", str(d), "--out", str(t2)]) == 0
-    capsys.readouterr()
-    assert t1.read_bytes() == t2.read_bytes()
 
 
 def test_simulate_validation_errors(pendulum_path, capsys):

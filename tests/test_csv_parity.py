@@ -13,7 +13,7 @@ spec.loader.exec_module(csv_parity)
 
 def test_cases_cover_the_simulate_grid_both_sweeps_and_the_design():
     cases = [" ".join(c) for c in csv_parity.cases()]
-    assert len(cases) == len(set(cases)) == 4 * 3 * 2 + 13
+    assert len(cases) == len(set(cases)) == 4 * 3 * 2 + 11
     assert "simulate --horizon 300 --gamma 0.2 --seed 2 --attack-kind " \
         "uniform" in cases
     assert "simulate --gamma 5 --seed 0 --attack-kind uniform" in cases
@@ -24,16 +24,14 @@ def test_cases_cover_the_simulate_grid_both_sweeps_and_the_design():
     for kind in ("constant", "ramp"):
         assert f"simulate --horizon 300 --gamma 5 --seed 0 --attack-kind " \
             f"{kind}" in cases
-    assert cases[-8:] == ["sweep-gamma --trials 2 --horizon 100",
+    assert cases[-6:] == ["sweep-gamma --trials 2 --horizon 100",
                           "sweep-attack --trials 2 --horizon 100",
                           "sweep-attack --gamma 100 --trials 2 --horizon 100",
                           "sweep-attack --gamma 1000 --trials 2 --horizon "
                           "100",
                           "sweep-attack --magnitudes 0,1 --trials 1 "
                           "--horizon 1100",
-                          "simulate --horizon 300 --gamma 5 --seed 0 "
-                          "--attack-kind uniform --design",
-                          "design", "analyze --json"]
+                          "analyze --json"]
 
 
 def test_a_case_run_twice_prints_the_same_line(capsys, monkeypatch):

@@ -33,7 +33,7 @@ def dummy_design(A, Pi, K=None, m=1):
     Pi = np.asarray(Pi, dtype=complex)
     return SpectralDesign(
         K=np.zeros((n, m)) if K is None else np.asarray(K, float),
-        Pi=Pi, riccati_residual=0.0)
+        Pi=Pi)
 
 
 def observable_designs(count, start=0):
