@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import securekf.model
 import securekf.spectral
 from securekf.cli import main
 
@@ -119,6 +120,20 @@ def test_certify_exit_codes(pendulum_path, capsys):
 
 SHARED_EIGENVALUE_ERROR = ("error: Assumption 1 violated: closed-loop "
                            "eigenvalue 0.3")
+
+
+def test_design_assumption_violation_exit_3(tmp_path, capsys):
+    # the design phase raises the typed error, and the CLI maps it to 3
+    path = write_model(tmp_path, "shared.json", shared_eigenvalue_model())
+    model = securekf.model.load_model(path)
+    with pytest.raises(securekf.spectral.AssumptionError) as info:
+        securekf.spectral.spectral_design(model)
+    assert f"error: {info.value}".startswith(SHARED_EIGENVALUE_ERROR)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", path, "--horizon", "30",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
