@@ -224,8 +224,8 @@ def _add_sim_flags(p, attack_kind):
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; fully determines all randomness")
     p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN,
-                   help=f"steps dropped from MSE averages "
-                        f"(default {DEFAULT_BURN_IN})")
+                   help=f"MSE averages start at step k = burn-in "
+                        f"(k = 1 the first step; default {DEFAULT_BURN_IN})")
     p.add_argument("--attack-kind", default=attack_kind,
                    choices=ATTACK_KINDS,
                    help=f"attack waveform (default {attack_kind})")

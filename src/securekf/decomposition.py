@@ -37,6 +37,7 @@ import numpy as np
 # np.linalg.solve's LAPACK gufunc, called directly on a stack of systems
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
+from . import fusion
 from .model import SystemModel
 from .spectral import AssumptionError, SpectralDesign, _spectrum_gap
 
@@ -80,8 +81,7 @@ class SensorDecomposition:
         and kept, as SystemModel.structure is: simulate, the sweeps and
         empirical_equivalence_probability all read this one.  A copy made
         by dataclasses.replace starts without it."""
-        from .fusion import build_fusion_problem  # fusion imports this module
-        return build_fusion_problem(self.H_stack, self.Mtilde_factor)
+        return fusion.build_fusion_problem(self.H_stack, self.Mtilde_factor)
 
 
 def conjugate_pairing(Pi: np.ndarray) -> np.ndarray:
@@ -240,10 +240,9 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
     Qtilde is the one-step noise covariance of the stacked residual
     recursion, Wtilde its stationary fixed point W = Pi W Pi* + Q (solved
     in closed form since Pi is diagonal), Mtilde the covariance after the
-    canonical projection.  Returns (Qtilde, Wtilde, Mtilde, factor, delta)
-    where factor is factor_mtilde's lower Cholesky factor of Mtilde +
-    delta * I and delta is nonzero only when Mtilde is numerically
-    near-singular.
+    canonical projection.  Returns (Qtilde, Wtilde, Mtilde, delta), where
+    delta, the ridge build_decomposition factors Mtilde + delta * I with,
+    is nonzero only when Mtilde is numerically near-singular.
     """
     n, m = model.n, model.m
     ones = np.ones((n, 1))
@@ -284,19 +283,7 @@ def residual_covariances(model: SystemModel, design: SpectralDesign,
         logger.warning(
             "residual covariance nearly singular (condition %.3e); "
             "adding ridge %.3e before factorization", cond, delta)
-
-    factor = None
-    for _ in range(4):
-        try:
-            factor = factor_mtilde(Mtilde, delta)
-            break
-        except np.linalg.LinAlgError:
-            pass
-        delta = max(delta * 10.0, trace / (m * n) / COND_LIMIT)
-        logger.warning("factorization failed; raising ridge to %.3e", delta)
-    if factor is None:
-        raise ValueError("residual covariance could not be factorized")
-    return Qtilde, Wtilde, Mtilde, factor, delta
+    return Qtilde, Wtilde, Mtilde, delta
 
 
 def build_decomposition(model: SystemModel,
@@ -309,7 +296,10 @@ def build_decomposition(model: SystemModel,
     call, and the filter identity G_i A = Pi G_i + 1 C_i A is checked on
     the stack; then each sensor gets its canonical projector, through the
     one realification map T, and the residual covariance and the
-    realification follow.
+    realification follow.  The realified Mtilde is factored once, with
+    residual_covariances' ridge; each failed factorization raises the
+    ridge to at least trace / (mn) / COND_LIMIT, and to ten times the last
+    one after that, and a fourth failure is refused with ValueError.
     """
     T = realification_map(conjugate_pairing(design.Pi))
     n, m = model.n, model.m
@@ -330,16 +320,26 @@ def build_decomposition(model: SystemModel,
             G[i], model.structure.covered_states(i), T, i)
         Ptilde[i * n:(i + 1) * n, i * n:(i + 1) * n] = P_i
         H_list.append(H_i)
-    _, _, Mtilde, _, delta = residual_covariances(model, design, G, Ptilde)
+    _, _, Mtilde, delta = residual_covariances(model, design, G, Ptilde)
     T_b = np.kron(np.eye(m), T)
-    return SensorDecomposition(
-        bank=_real((T * design.Pi) @ T.conj().T, "bank"),
-        bank_input=_real(T.sum(axis=1), "bank_input"),
-        G_stack=_real(T_b @ G.reshape(m * n, n), "T_b G"),
-        H_stack=np.vstack(H_list),
-        Ptilde=_real(Ptilde @ T_b.conj().T, "Ptilde T_b^H"),
-        Mtilde_factor=factor_mtilde(_real(Mtilde, "Mtilde"), delta),
-        ridge_delta=delta)
+    parts = dict(bank=_real((T * design.Pi) @ T.conj().T, "bank"),
+                 bank_input=_real(T.sum(axis=1), "bank_input"),
+                 G_stack=_real(T_b @ G.reshape(m * n, n), "T_b G"),
+                 H_stack=np.vstack(H_list),
+                 Ptilde=_real(Ptilde @ T_b.conj().T, "Ptilde T_b^H"))
+    M_real = _real(Mtilde, "Mtilde")
+    for _ in range(4):
+        try:
+            factor = factor_mtilde(M_real, delta)
+        except np.linalg.LinAlgError:
+            delta = max(delta * 10.0,
+                        float(np.trace(Mtilde).real) / (m * n) / COND_LIMIT)
+            logger.warning("factorization failed; raising ridge to %.3e",
+                           delta)
+        else:
+            return SensorDecomposition(**parts, Mtilde_factor=factor,
+                                       ridge_delta=delta)
+    raise ValueError("residual covariance could not be factorized")
 
 
 def _real(a, what):

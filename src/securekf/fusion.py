@@ -1,11 +1,9 @@
-"""Local estimator bank and secure fusion of its canonical measurement.
+"""Secure fusion of the local bank's canonical measurement.
 
-Every sensor runs a bank of n scalar filters, one per mode pi_j of the
-fixed-gain filter's closed loop.  Projecting each bank state through its
-canonical matrix P_i and stacking gives a redundant linear view of the
-plant state, Y = H x + mu + nu, where mu carries the stationary Gaussian
-residual (covariance Mtilde) and nu absorbs whole-sensor corruption.  The
-fused estimate minimizes
+The canonical measurement is a redundant linear view of the plant state,
+Y = H x + mu + nu, where mu carries the stationary Gaussian residual
+(covariance Mtilde) and nu absorbs whole-sensor corruption.  The fused
+estimate minimizes
 
     0.5 * mu' Mtilde^-1 mu + gamma * sum_a |nu_a|
 
@@ -20,8 +18,8 @@ Efron et al. 2004) follows nu(lambda) from lambda = max |Minv mu_ls| down
 to gamma, and ends after finitely many breakpoints on the exact support.
 
 Everything here runs in real arithmetic: the decomposition is realified
-once, when it is built, so the bank, its canonical measurement Y, H and
-Mtilde are real arrays.  FusionProblem owns the operators every step
+once, when it is built, so the canonical measurement Y, H and Mtilde are
+real arrays.  FusionProblem owns the operators every step
 shares (the least-squares split of a block of measurements, and the
 threshold statistic); complex problem data are rejected when the
 problem is built, and a complex Y when it is fused.
@@ -53,9 +51,6 @@ import numpy as np
 # active-set size, on the stack of every S_AA of that size
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .decomposition import SensorDecomposition
-from .model import SystemModel
-
 KKT_TOL = 1e-8          # KKT residual target on unit-scaled problems
 MAX_BREAKPOINTS = 500   # homotopy segments before a solve gives up (cycling)
 TIE_RATE = 1e-9         # join rate below which a root never fires
@@ -67,14 +62,6 @@ TIE_RATE = 1e-9         # join rate below which a root never fires
 # per-step answers)
 MAX_BLOCK_ROWS = 1000
 _FLOAT64 = np.dtype(float)
-
-
-@dataclasses.dataclass
-class LocalBankState:
-    """States of the per-sensor scalar filter banks at time index k."""
-
-    zeta: list
-    k: int = 0
 
 
 class FusionResult(NamedTuple):
@@ -111,46 +98,6 @@ class FusionResult(NamedTuple):
     kalman_equivalent: bool
     x_ls: np.ndarray
     converged: bool
-
-
-def initial_bank(model: SystemModel) -> LocalBankState:
-    """All-zero bank, matching a zero prior state estimate."""
-    return LocalBankState([np.zeros(model.n) for _ in range(model.m)])
-
-
-def local_estimator_step(bank: LocalBankState, y, u,
-                         decomposition: SensorDecomposition,
-                         model: SystemModel) -> LocalBankState:
-    """Advance every sensor's filter bank by one measurement.
-
-    zeta_i(k+1) = bank zeta_i(k) + b y_i(k+1) + (G_i - b C_i) B u(k), with
-    bank, b = bank_input and G_i read off the (real) decomposition; the
-    input term keeps the residual zeta_i - G_i x driven by noise and
-    attack only, independent of the control signal.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    n, m = model.n, model.m
-    if y.shape[0] != m:
-        raise ValueError(f"measurement has length {y.shape[0]}, expected {m}")
-    B = model.input_matrix()
-    if u.shape[0] != B.shape[1]:
-        raise ValueError(f"input has length {u.shape[0]}, expected {B.shape[1]}")
-    z = np.asarray(bank.zeta, dtype=float)
-    if z.shape != (m, n):
-        raise ValueError(f"bank holds states of shape {z.shape}, expected {(m, n)}")
-    Bu = B @ u
-    drive = ((decomposition.G_stack @ Bu).reshape(m, n)
-             + (y - model.C @ Bu)[:, None] * decomposition.bank_input)
-    z_next = z @ decomposition.bank.T + drive
-    return LocalBankState(zeta=list(z_next), k=bank.k + 1)
-
-
-def assemble_canonical_measurement(bank: LocalBankState,
-                                   decomposition: SensorDecomposition) -> np.ndarray:
-    """Stack P_i zeta_i over sensors into the fused measurement Y."""
-    return decomposition.Ptilde @ np.concatenate(
-        [np.asarray(z, dtype=float).reshape(-1) for z in bank.zeta])
 
 
 def _rows_dot(V, B):
@@ -260,7 +207,10 @@ def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
     covariance, L L^T = Mtilde, as factor_mtilde (or np.linalg.cholesky)
     gives it; Minv is formed from it as L^-T L^-1.  Every design built by
     this package has a real H and Mtilde; complex data raise ValueError,
-    and so does a state that H leaves unobservable.
+    and so does a state that H leaves unobservable.  A square H leaves no
+    parity space, so S is set to zero and wls_op to H^-1.  A one-sensor
+    design has mn = n and H = I, so mu_ls is exactly zero: every row
+    screens, and x_tilde = x_ls.
     """
     for what, a in (("H", H_stack), ("Mtilde", Mtilde_factor)):
         if np.iscomplexobj(a):
@@ -279,8 +229,13 @@ def build_fusion_problem(H_stack, Mtilde_factor) -> FusionProblem:
     vals = np.linalg.eigvalsh(normal)
     if vals[0] <= 1e-12 * max(vals[-1], 1e-300):
         raise ValueError("state unobservable in canonical coordinates")
-    wls_op = np.linalg.solve(normal, MiH.T)
-    S = Minv - MiH @ wls_op
+    if H.shape[0] == H.shape[1]:
+        # no parity space: x = H^-1 Y fits every Y, so S is exactly zero
+        wls_op = np.linalg.inv(H)
+        S = np.zeros_like(Minv)
+    else:
+        wls_op = np.linalg.solve(normal, MiH.T)
+        S = Minv - MiH @ wls_op
     S_pm = 0.5 * np.vstack((S + S.T, -(S + S.T)))     # S made symmetric
     return FusionProblem(H=H, Ht=H.T.copy(), Minv=Minv, wls_op=wls_op,
                          S_pm=S_pm, S=S_pm[:len(S)])

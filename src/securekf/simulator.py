@@ -39,10 +39,8 @@ from .fusion import (FusedRows, FusionProblem, LeastSquaresSplit,
                      check_gamma, fuse_runs, secure_fuse)
 from .model import SystemModel, psd_factor
 from .spectral import SpectralDesign
-# not called here; bound so perfbench/tracer.py can wrap them by this module
-from .fusion import (assemble_canonical_measurement,  # noqa: F401
-                     build_fusion_problem, local_estimator_step)
-from .spectral import fixed_gain_kalman_step  # noqa: F401
+# not called here; bound so perfbench/tracer.py can wrap it by this module
+from .fusion import build_fusion_problem  # noqa: F401
 
 ATTACK_KINDS = ("none", "constant", "uniform", "ramp")
 DEFAULT_HORIZON = 1000
@@ -319,6 +317,72 @@ def _rollout(model, design, decomposition, problem, attack, horizon, seed,
                      horizon, seed, trial)[0]
 
 
+# One step of the filter and of the bank, as _rollouts rolls them out over
+# a whole run: the step-by-step reference the tests hold simulate to.
+
+def _step_inputs(y, u, model):
+    """(y, u, B) for one step: y and u as flat float arrays, B the model's
+    input matrix; ValueError for a y of length other than m, or a u of
+    length other than B's column count."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if y.shape[0] != model.m:
+        raise ValueError(f"measurement has length {y.shape[0]}, expected "
+                         f"{model.m}")
+    B = model.input_matrix()
+    if u.shape[0] != B.shape[1]:
+        raise ValueError(f"input has length {u.shape[0]}, expected "
+                         f"{B.shape[1]}")
+    return y, u, B
+
+
+def fixed_gain_kalman_step(x_hat: np.ndarray, y: np.ndarray, u: np.ndarray,
+                           design: SpectralDesign,
+                           model: SystemModel) -> np.ndarray:
+    """One fixed-gain filter update driven by the next measurement.
+
+    x_hat_next = (A - K C A) x_hat + K y + (I - K C) B u.
+    """
+    A, C, K = model.A, model.C, design.K
+    x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
+    if x_hat.shape[0] != model.n:
+        raise ValueError(f"state estimate has length {x_hat.shape[0]}, "
+                         f"expected {model.n}")
+    y, u, B = _step_inputs(y, u, model)
+    KC = K @ C
+    return (A - KC @ A) @ x_hat + K @ y + (B - KC @ B) @ u
+
+
+def local_estimator_step(zeta, y, u, decomposition: SensorDecomposition,
+                         model: SystemModel) -> np.ndarray:
+    """Advance every sensor's filter bank by one measurement.
+
+    zeta is the (m, n) array of bank states, row i for sensor i, and the
+    answer is the next one: zeta_i(k+1) = bank zeta_i(k) + b y_i(k+1)
+    + (G_i - b C_i) B u(k), with bank, b = bank_input and G_i read off the
+    (real) decomposition; the input term keeps the residual zeta_i - G_i x
+    driven by noise and attack only, independent of the control signal.
+    A bank that starts at zero matches a zero prior state estimate.
+    """
+    n, m = model.n, model.m
+    y, u, B = _step_inputs(y, u, model)
+    z = np.asarray(zeta, dtype=float)
+    if z.shape != (m, n):
+        raise ValueError(f"bank holds states of shape {z.shape}, expected "
+                         f"{(m, n)}")
+    Bu = B @ u
+    drive = ((decomposition.G_stack @ Bu).reshape(m, n)
+             + (y - model.C @ Bu)[:, None] * decomposition.bank_input)
+    return z @ decomposition.bank.T + drive
+
+
+def assemble_canonical_measurement(zeta, decomposition: SensorDecomposition
+                                   ) -> np.ndarray:
+    """Stack P_i zeta_i over sensors into the fused measurement Y, for the
+    (m, n) array zeta of bank states."""
+    return decomposition.Ptilde @ np.asarray(zeta, dtype=float).reshape(-1)
+
+
 def simulate(model: SystemModel, design: SpectralDesign,
              decomposition: SensorDecomposition, attack: AttackSpec,
              gamma: float, horizon: int = DEFAULT_HORIZON, seed: int = 0, *,
@@ -420,18 +484,17 @@ def empirical_equivalence_probability(model: SystemModel,
     """Monte-Carlo estimate of how often the threshold condition holds.
 
     Rolls out attack-free runs (the same runs simulate makes), counts the
-    fraction of steps k > burn_in at which max |Minv mu_ls| <= gamma (the
-    screen secure_fuse tests, to the bit),
+    fraction of the steps k >= burn_in, the tail mse averages, at which
+    max |Minv mu_ls| <= gamma (the screen secure_fuse tests, to the bit),
     and returns (probability, standard error) with the standard error
-    taken across trials.  A negative burn_in raises ValueError, as does
-    one that leaves no step k > burn_in, and so does a trial count below 1.
+    taken across trials.  A trial count below 1 raises ValueError, and
+    so do a horizon below 1 and a burn_in that is negative or past the
+    horizon (_tail).
     """
     check_gamma(gamma)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    _check_burn_in(burn_in)
-    if horizon <= burn_in:
-        raise ValueError(f"horizon {horizon} leaves no samples after burn-in {burn_in}")
+    keep = _tail(horizon, burn_in)
     if not np.allclose(np.sort_complex(np.linalg.eigvals(decomposition.bank)),
                        np.sort_complex(design.Pi)):
         raise ValueError("decomposition was built for a different design")
@@ -440,14 +503,14 @@ def empirical_equivalence_probability(model: SystemModel,
     for trial in range(trials):
         statistic = _rollout(model, design, decomposition, problem,
                              AttackSpec(), horizon, seed, trial
-                             ).split.statistic[burn_in:]
+                             ).split.statistic[keep]
         fractions.append(float((statistic <= gamma).mean()))
     prob = float(np.mean(fractions))
     if trials > 1:
         stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials))
     else:
         stderr = float(np.sqrt(max(prob * (1.0 - prob), 0.0)
-                               / (horizon - burn_in)))
+                               / len(statistic)))
     return prob, stderr
 
 

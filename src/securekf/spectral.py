@@ -210,27 +210,6 @@ def closed_loop_eigendecomposition(A: np.ndarray, K: np.ndarray, C: np.ndarray):
     raise AssumptionError(f"Assumption 1 violated: {why}")
 
 
-def fixed_gain_kalman_step(x_hat: np.ndarray, y: np.ndarray, u: np.ndarray,
-                           design: SpectralDesign, model: SystemModel) -> np.ndarray:
-    """One fixed-gain filter update driven by the next measurement.
-
-    x_hat_next = (A - K C A) x_hat + K y + (I - K C) B u.
-    """
-    A, C, K = model.A, model.C, design.K
-    x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if x_hat.shape[0] != model.n:
-        raise ValueError(f"state estimate has length {x_hat.shape[0]}, expected {model.n}")
-    if y.shape[0] != model.m:
-        raise ValueError(f"measurement has length {y.shape[0]}, expected {model.m}")
-    B = model.input_matrix()
-    if u.shape[0] != B.shape[1]:
-        raise ValueError(f"input has length {u.shape[0]}, expected {B.shape[1]}")
-    KC = K @ C
-    return (A - KC @ A) @ x_hat + K @ y + (B - KC @ B) @ u
-
-
 def spectral_design(model: SystemModel) -> SpectralDesign:
     """Full spectral design for a validated model.
 

@@ -29,8 +29,8 @@ import scipy.linalg
 from securekf import (assemble_canonical_measurement, attack_sequence,
                       build_fusion_problem, closed_loop_eigendecomposition,
                       fixed_gain_kalman_step, build_decomposition,
-                      initial_bank, local_estimator_step, psd_factor,
-                      secure_fuse, spectral_design)
+                      local_estimator_step, psd_factor, secure_fuse,
+                      spectral_design)
 from securekf.decomposition import (CANONICAL_RTOL, _resolvent_guard,
                                     canonical_projector, conjugate_pairing,
                                     local_gains, realification_map,
@@ -286,8 +286,8 @@ def mode_coordinates(model, design):
 
 def mode_covariances(model, design):
     """residual_covariances on the mode coordinates' G_i and P_i:
-    (Qtilde, Wtilde, Mtilde, factor, delta), Mtilde with the bits whose
-    real part build_decomposition factors."""
+    (Qtilde, Wtilde, Mtilde, delta), Mtilde with the bits whose real part
+    build_decomposition factors."""
     G, P, _ = mode_coordinates(model, design)
     return residual_covariances(model, design, G,
                                 scipy.linalg.block_diag(*P))
@@ -388,7 +388,7 @@ def step_by_step_simulate(model, design, decomposition, attack, gamma,
     problem = build_fusion_problem(decomposition.H_stack,
                                    decomposition.Mtilde_factor)
     B, K = model.input_matrix(), model.feedback_gain()
-    bank, x_kal = initial_bank(model), np.zeros(model.n)
+    zeta, x_kal = np.zeros((model.m, model.n)), np.zeros(model.n)
     out = {f: [] for f in ("x", "xhat_kal", "xhat_ls", "xhat_sec",
                            "kalman_equivalent", "solver_converged")}
     for t in range(horizon):
@@ -396,8 +396,8 @@ def step_by_step_simulate(model, design, decomposition, attack, gamma,
         x = model.A @ x + B @ u + Lq @ w[t]
         y = model.C @ x + Lr @ v[t] + a[t]
         x_kal = fixed_gain_kalman_step(x_kal, y, u, design, model)
-        bank = local_estimator_step(bank, y, u, decomposition, model)
-        Y = assemble_canonical_measurement(bank, decomposition)
+        zeta = local_estimator_step(zeta, y, u, decomposition, model)
+        Y = assemble_canonical_measurement(zeta, decomposition)
         res = secure_fuse(problem, Y, gamma)
         for f, value in (("x", x), ("xhat_kal", x_kal), ("xhat_ls", res.x_ls),
                          ("xhat_sec", res.x_tilde),

@@ -270,21 +270,33 @@ def test_simulate_writes_trace_csv(pendulum_path, tmp_path, capsys):
 
 
 def test_simulate_walks_that_empty_their_active_set(tmp_path, capsys):
-    # random_jordan_model(8) passes validate_model, but its S is rounding
-    # and walks drop their last active coordinate
-    # (test_walk_goes_on_after_its_last_active_coordinate_drops): the run
-    # still ends in finite traces, some steps flagged unconverged
+    # random_jordan_model(8) passes validate_model and has one sensor, so
+    # no parity space: S is exactly zero and every step screens, whatever
+    # gamma, with x_tilde = x_ls.  On its rounding-level S, walks dropped
+    # their last active coordinate
+    # (test_walk_goes_on_after_its_last_active_coordinate_drops) and the
+    # estimate was unbounded
     model = random_jordan_model(8, ensure_observable=True)
     path = write_model(tmp_path, "jordan.json", {
         key: getattr(model, key).tolist()
         for key in ("A", "C", "Q", "R", "Sigma")})
-    for gamma, unconverged in (("0.1", 21), ("1", 18), ("5", 11)):
+    for gamma in ("0.1", "1", "5"):
         out = tmp_path / f"trace-{gamma}.csv"
         assert main(["simulate", path, "--gamma", gamma, "--horizon", "120",
                      "--seed", "8", "--out", str(out)]) == 0
-        assert f"{unconverged} step(s) did not converge" in \
-            capsys.readouterr().out
-        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+        summary = capsys.readouterr().out
+        assert "did not converge" not in summary
+        fields = dict(f.split("=") for f in summary.split()[:3])
+        assert fields["mse_secure"] == fields["mse_ls"]
+        header = out.read_text().splitlines()[0].split(",")
+        trace = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(trace).all()
+        column = {name: trace[:, j] for j, name in enumerate(header)}
+        for name in ("solver_iters", "kkt_residual", "solver_warn"):
+            assert not column[name].any(), name
+        for i in range(1, model.n + 1):
+            assert np.array_equal(column[f"xhat_sec_{i}"],
+                                  column[f"xhat_ls_{i}"])
 
 
 def test_simulate_stdout_when_no_out(pendulum_path, capsys):

@@ -335,7 +335,7 @@ def test_scalar_stationary_covariance():
                         Sigma=np.eye(1))
     design = dummy_design(model.A, [0.5])
     G = local_gains(model, design)[0]   # 4/3, so G - c = 1/3
-    Qt, Wt, Mt, factor, delta = residual_covariances(
+    Qt, Wt, Mt, delta = residual_covariances(
         model, design, [G], np.eye(1, dtype=complex))
     assert abs(Qt[0, 0] - 1.0) < 1e-12
     assert abs(Wt[0, 0] - 4.0 / 3.0) < 1e-12
@@ -346,7 +346,7 @@ def test_pendulum_covariances(pendulum_model):
     design = spectral_design(pendulum_model)
     decomp = build_decomposition(pendulum_model, design)
     mn = 16
-    Qtilde, Wtilde, Mtilde, _, _ = mode_covariances(pendulum_model, design)
+    Qtilde, Wtilde, Mtilde, _ = mode_covariances(pendulum_model, design)
     # the decomposition keeps the factor of Mtilde's real part
     M_real = Mtilde.real
     assert np.array_equal(factor_mtilde(M_real, 0.0), decomp.Mtilde_factor)
@@ -385,11 +385,14 @@ def test_ridge_engages_on_singular_covariance(caplog):
     design = dummy_design(model.A, [0.5], m=2)
     G = local_gains(model, design)[0]
     with caplog.at_level(logging.WARNING, logger="securekf.decomposition"):
-        Qt, Wt, Mt, factor, delta = residual_covariances(
+        Qt, Wt, Mt, delta = residual_covariances(
             model, design, [G, G], np.eye(2, dtype=complex))
     assert np.abs(Wt - (4.0 / 3.0) * np.ones((2, 2))).max() < 1e-12
     assert delta > 0.0
     assert any("ridge" in rec.message for rec in caplog.records)
+    # the ridge makes the singular covariance factorable, as
+    # build_decomposition factors its real part
+    factor = factor_mtilde(Mt.real, delta)
     rhs = np.ones(2, dtype=complex)
     x = scipy.linalg.cho_solve((factor, True), rhs)
     reg = Mt + delta * np.eye(2)
@@ -399,16 +402,15 @@ def test_ridge_engages_on_singular_covariance(caplog):
 @pytest.mark.parametrize("failures", [1, 4])
 def test_failed_factorization_raises_the_ridge(failures, monkeypatch,
                                                caplog):
-    # each failed factorization retries with a ridge of at least
-    # trace / (mn) / COND_LIMIT, ten times the last one after that; four
-    # failures in a row are refused
+    # each failed factorization of the realified Mtilde retries with a
+    # ridge of at least trace / (mn) / COND_LIMIT, ten times the last one
+    # after that; four failures in a row are refused
     import securekf.decomposition as decomposition
 
     model = SystemModel(A=np.array([[2.0]]), C=np.array([[1.0]]),
                         Q=np.array([[9.0]]), R=np.array([[0.0]]),
                         Sigma=np.eye(1))
     design = dummy_design(model.A, [0.5])
-    G = local_gains(model, design)[0]
     deltas, factor = [], decomposition.factor_mtilde
 
     def failing(Mtilde, delta):
@@ -418,21 +420,23 @@ def test_failed_factorization_raises_the_ridge(failures, monkeypatch,
         return factor(Mtilde, delta)
 
     monkeypatch.setattr(decomposition, "factor_mtilde", failing)
-    args = (model, design, [G], np.eye(1, dtype=complex))
     with caplog.at_level(logging.WARNING, logger="securekf.decomposition"):
         if failures == 4:
             with pytest.raises(ValueError, match="^residual covariance "
                                                  "could not be factorized$"):
-                residual_covariances(*args)
+                build_decomposition(model, design)
         else:
-            _, _, Mt, L, delta = residual_covariances(*args)
-    ridge = 4.0 / 3.0 / decomposition.COND_LIMIT
+            decomp = build_decomposition(model, design)
+    # G = 4/3 and P = 3/4, so Mtilde = (3/4)^2 * 4/3
+    Mt = 0.75
+    ridge = Mt / decomposition.COND_LIMIT
     ridges = [0.0, ridge, 10 * ridge, 100 * ridge, 1000 * ridge]
     assert deltas == pytest.approx(ridges[:min(failures + 1, 4)], rel=1e-12)
     assert [r.message for r in caplog.records] == [
         f"factorization failed; raising ridge to {d:.3e}"
         for d in ridges[1:failures + 1]]
     if failures == 1:
+        L, delta = decomp.Mtilde_factor, decomp.ridge_delta
         assert delta == deltas[-1]
         assert np.abs(L @ L.conj().T - Mt - delta).max() < 1e-12
 

@@ -13,7 +13,6 @@ from securekf import (
     build_fusion_problem,
     empirical_equivalence_probability,
     fixed_gain_kalman_step,
-    initial_bank,
     load_model,
     local_estimator_step,
     psd_factor,
@@ -21,7 +20,7 @@ from securekf import (
     spectral_design,
 )
 from securekf.decomposition import factor_mtilde
-from securekf.fusion import LocalBankState, lasso_paths
+from securekf.fusion import lasso_paths
 from securekf.model import SystemModel
 from securekf.simulator import (AttackSpec, _rollout, simulate,
                                 trial_generators)
@@ -56,25 +55,24 @@ def rollout_setup(pendulum_model, pendulum_design, pendulum_decomposition,
 
 
 def test_local_step_zero_stays_zero(pendulum_model, pendulum_decomposition):
-    bank = initial_bank(pendulum_model)
-    nxt = local_estimator_step(bank, np.zeros(4), np.zeros(1),
+    nxt = local_estimator_step(np.zeros((4, 4)), np.zeros(4), np.zeros(1),
                                pendulum_decomposition, pendulum_model)
-    assert nxt.k == 1
-    for z in nxt.zeta:
-        assert np.abs(z).max() == 0.0
+    assert nxt.shape == (4, 4)
+    assert np.abs(nxt).max() == 0.0
 
 
 def test_local_step_dimension_errors(pendulum_model, pendulum_decomposition):
-    bank = initial_bank(pendulum_model)
-    with pytest.raises(ValueError):
-        local_estimator_step(bank, np.zeros(3), np.zeros(1),
+    zeta = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="^measurement has length 3, "
+                                         "expected 4$"):
+        local_estimator_step(zeta, np.zeros(3), np.zeros(1),
                              pendulum_decomposition, pendulum_model)
-    with pytest.raises(ValueError):
-        local_estimator_step(bank, np.zeros(4), np.zeros(2),
+    with pytest.raises(ValueError, match="^input has length 2, expected 1$"):
+        local_estimator_step(zeta, np.zeros(4), np.zeros(2),
                              pendulum_decomposition, pendulum_model)
-    bad = LocalBankState(zeta=[np.zeros(3)] * 4)
-    with pytest.raises(ValueError):
-        local_estimator_step(bad, np.zeros(4), np.zeros(1),
+    with pytest.raises(ValueError, match=r"^bank holds states of shape "
+                                         r"\(4, 3\), expected \(4, 4\)$"):
+        local_estimator_step(np.zeros((4, 3)), np.zeros(4), np.zeros(1),
                              pendulum_decomposition, pendulum_model)
 
 
@@ -85,16 +83,16 @@ def test_local_step_tracks_state_noise_free(pendulum_model, pendulum_design,
     dec = pendulum_decomposition
     x = np.array([0.2, -0.1, 0.3, 0.05])
     G = sensor_blocks(dec, 4)[0]
-    bank = LocalBankState(zeta=[G[i] @ x for i in range(4)], k=0)
+    zeta = np.array([G[i] @ x for i in range(4)])
     K = m.feedback_gain()
     for _ in range(60):
         u = -(K @ x)
         x = m.A @ x + m.B @ u
         y = m.C @ x
-        bank = local_estimator_step(bank, y, u, dec, m)
+        zeta = local_estimator_step(zeta, y, u, dec, m)
         scale = max(1.0, float(np.abs(x).max()))
         for i in range(4):
-            assert np.abs(bank.zeta[i] - G[i] @ x).max() < 1e-8 * scale
+            assert np.abs(zeta[i] - G[i] @ x).max() < 1e-8 * scale
 
 
 def test_local_step_attack_impulse_decay(pendulum_model, pendulum_design,
@@ -104,29 +102,27 @@ def test_local_step_attack_impulse_decay(pendulum_model, pendulum_design,
     m, dec, Pi = pendulum_model, pendulum_decomposition, pendulum_design.Pi
     Th = mode_coordinates(m, pendulum_design)[2].conj().T
     delta = 0.7
-    bank = initial_bank(m)
     y = np.zeros(4)
     y[1] = delta
-    bank = local_estimator_step(bank, y, np.zeros(1), dec, m)
-    assert np.abs(Th @ bank.zeta[1] - delta).max() < 1e-12
-    assert np.abs(bank.zeta[0]).max() == 0.0
+    zeta = local_estimator_step(np.zeros((4, 4)), y, np.zeros(1), dec, m)
+    assert np.abs(Th @ zeta[1] - delta).max() < 1e-12
+    assert np.abs(zeta[0]).max() == 0.0
     for t in range(1, 30):
-        bank = local_estimator_step(bank, np.zeros(4), np.zeros(1), dec, m)
-        assert np.abs(Th @ bank.zeta[1] - Pi ** t * delta).max() < 1e-12
-        assert np.abs(bank.zeta[3]).max() == 0.0
+        zeta = local_estimator_step(zeta, np.zeros(4), np.zeros(1), dec, m)
+        assert np.abs(Th @ zeta[1] - Pi ** t * delta).max() < 1e-12
+        assert np.abs(zeta[3]).max() == 0.0
     rho = float(np.abs(Pi).max())
-    assert np.abs(Th @ bank.zeta[1]).max() <= rho ** 29 * delta * (1 + 1e-9)
+    assert np.abs(Th @ zeta[1]).max() <= rho ** 29 * delta * (1 + 1e-9)
 
 
 def test_assemble_zero_and_single_sensor():
     model = unit_model()
     design = spectral_design(model)
     dec = build_decomposition(model, design)
-    bank = initial_bank(model)
-    assert np.abs(assemble_canonical_measurement(bank, dec)).max() == 0.0
+    zero = np.zeros((1, 2))
+    assert np.abs(assemble_canonical_measurement(zero, dec)).max() == 0.0
     z = np.array([0.3, -1.2])
-    bank = LocalBankState(zeta=[z], k=0)
-    got = assemble_canonical_measurement(bank, dec)
+    got = assemble_canonical_measurement(z[None], dec)
     assert np.abs(got - sensor_blocks(dec, 2)[2][0] @ z).max() < 1e-14
 
 
@@ -134,13 +130,13 @@ def test_assemble_tracks_canonical_signal(pendulum_model, pendulum_decomposition
     m, dec = pendulum_model, pendulum_decomposition
     x = np.array([0.1, 0.4, -0.2, 0.3])
     G = sensor_blocks(dec, 4)[0]
-    bank = LocalBankState(zeta=[G[i] @ x for i in range(4)], k=0)
+    zeta = np.array([G[i] @ x for i in range(4)])
     K = m.feedback_gain()
     for _ in range(40):
         u = -(K @ x)
         x = m.A @ x + m.B @ u
-        bank = local_estimator_step(bank, m.C @ x, u, dec, m)
-        Y = assemble_canonical_measurement(bank, dec)
+        zeta = local_estimator_step(zeta, m.C @ x, u, dec, m)
+        Y = assemble_canonical_measurement(zeta, dec)
         assert np.abs(Y - dec.H_stack @ x).max() < 1e-8
 
 
@@ -233,19 +229,19 @@ def test_wls_matches_fixed_gain_filter(pendulum_model, pendulum_design,
     x, g_w, g_v = rollout_setup(m, d, dec, seed=11)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
     K = m.feedback_gain()
-    bank = initial_bank(m)
+    zeta = np.zeros((4, 4))
     xh = np.zeros(4)
     for _ in range(300):
         u = -(K @ x)
         x = m.A @ x + m.B @ u + Lq @ g_w.standard_normal(4)
         y = m.C @ x + Lr @ g_v.standard_normal(4)
         xh = fixed_gain_kalman_step(xh, y, u, d, m)
-        bank = local_estimator_step(bank, y, u, dec, m)
-        Y = assemble_canonical_measurement(bank, dec)
+        zeta = local_estimator_step(zeta, y, u, dec, m)
+        Y = assemble_canonical_measurement(zeta, dec)
         x_ls, _ = problem.least_squares(Y)
         assert np.abs(x_ls - xh).max() < 1e-6
         # the fusion-weight reconstruction agrees as well
-        xf = F_row @ np.concatenate(bank.zeta)
+        xf = F_row @ zeta.reshape(-1)
         assert np.abs(xf.imag).max() < 1e-8
         assert np.abs(xf.real - xh).max() < 1e-6
 
@@ -499,18 +495,18 @@ def test_secure_fuse_equivalence_rate_on_pendulum(pendulum_model, pendulum_desig
     x, g_w, g_v = rollout_setup(m, d, dec, seed=2)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
     K = m.feedback_gain()
-    bank = initial_bank(m)
+    zeta = np.zeros((4, 4))
     xh = np.zeros(4)
     hits, total = 0, 0
-    for _ in range(400):
+    for k in range(1, 401):
         u = -(K @ x)
         x = m.A @ x + m.B @ u + Lq @ g_w.standard_normal(4)
         y = m.C @ x + Lr @ g_v.standard_normal(4)
         xh = fixed_gain_kalman_step(xh, y, u, d, m)
-        bank = local_estimator_step(bank, y, u, dec, m)
-        if bank.k <= 50:
+        zeta = local_estimator_step(zeta, y, u, dec, m)
+        if k <= 50:
             continue
-        Y = assemble_canonical_measurement(bank, dec)
+        Y = assemble_canonical_measurement(zeta, dec)
         res = secure_fuse(prob, Y, 100.0)
         total += 1
         if res.kalman_equivalent:
@@ -575,18 +571,18 @@ def test_raw_coordinate_formulation_agrees(pendulum_model, pendulum_design,
     x, g_w, g_v = rollout_setup(m, d, dec, seed=5)
     Lq, Lr = psd_factor(m.Q), psd_factor(m.R)
     K = m.feedback_gain()
-    bank = initial_bank(m)
+    zeta = np.zeros((4, 4))
     both, total = 0, 0
-    for _ in range(150):
+    for k in range(1, 151):
         u = -(K @ x)
         x = m.A @ x + m.B @ u + Lq @ g_w.standard_normal(4)
         y = m.C @ x + Lr @ g_v.standard_normal(4)
-        bank = local_estimator_step(bank, y, u, dec, m)
-        if bank.k <= 50:
+        zeta = local_estimator_step(zeta, y, u, dec, m)
+        if k <= 50:
             continue
         total += 1
-        res_raw = secure_fuse(prob_raw, np.concatenate(bank.zeta), 5000.0)
-        res_can = secure_fuse(prob_can, assemble_canonical_measurement(bank, dec),
+        res_raw = secure_fuse(prob_raw, zeta.reshape(-1), 5000.0)
+        res_can = secure_fuse(prob_can, assemble_canonical_measurement(zeta, dec),
                               100.0)
         assert np.abs(res_raw.x_ls - res_can.x_ls).max() < 1e-8
         if res_raw.kalman_equivalent and res_can.kalman_equivalent:

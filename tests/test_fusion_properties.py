@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from securekf import (build_decomposition, build_fusion_problem, fusion,
                       secure_fuse, spectral_design)
-from securekf.fusion import FusionResult
+from securekf.fusion import FusionProblem, FusionResult
 from securekf.simulator import AttackSpec, _rollout
 from securekf.spectral import RiccatiDivergenceError
 
@@ -565,19 +565,37 @@ def test_block_walk_bit_equal_to_lone_walk_and_reference(
         assert result_bytes(got) == result_bytes(want)
 
 
+def rounding_parity_problem(H, factor):
+    """The FusionProblem of the normal equations on any H, square or not:
+    S = Minv - Minv H wls_op, which a square H leaves at rounding level
+    (build_fusion_problem sets it to zero there)."""
+    Linv = np.linalg.inv(factor)
+    Minv = Linv.T @ Linv
+    Minv = 0.5 * (Minv + Minv.T)
+    MiH = Minv @ H
+    normal = H.T @ MiH
+    wls_op = np.linalg.solve(0.5 * (normal + normal.T), MiH.T)
+    S = Minv - MiH @ wls_op
+    S_pm = 0.5 * np.vstack((S + S.T, -(S + S.T)))
+    return FusionProblem(H=H, Ht=H.T.copy(), Minv=Minv, wls_op=wls_op,
+                         S_pm=S_pm, S=S_pm[:len(S)])
+
+
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 5.0])
 def test_walk_goes_on_after_its_last_active_coordinate_drops(gamma):
-    # random_jordan_model(8) (n = 4, m = 1) passes validate_model, but its
-    # S is rounding, so walks drop their last active coordinate; from
-    # nu = 0, where c = c_ls and every rate is 1, the passed root fires.
-    # Every open row of a clean run walks to the reference's bits, and
-    # secure_fuse answers with the reference's bits
+    # random_jordan_model(8) (n = 4, m = 1) passes validate_model; its
+    # design's own problem has S = 0 and screens every row, but on the
+    # normal equations' rounding-level S walks drop their last active
+    # coordinate; from nu = 0, where c = c_ls and every rate is 1, the
+    # passed root fires.  Every open row of a clean run walks to the
+    # reference's bits, and secure_fuse answers with the reference's bits
     model = random_jordan_model(8, ensure_observable=True)
     design = spectral_design(model)
     dec = build_decomposition(model, design)
-    problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    assert not build_fusion_problem(dec.H_stack, dec.Mtilde_factor).S.any()
+    problem = rounding_parity_problem(dec.H_stack, dec.Mtilde_factor)
     assert (model.n, model.m) == (4, 1)
-    assert np.abs(problem.S).max() < 1e-13
+    assert 0.0 < np.abs(problem.S).max() < 1e-13
     rollout = _rollout(model, design, dec, problem, AttackSpec(), 120, 8, 0)
     split = rollout.split
     open_rows = (split.statistic > gamma).nonzero()[0]

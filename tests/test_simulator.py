@@ -649,7 +649,8 @@ def test_equivalence_probability_is_the_runs_screened_share(
     prob, _ = empirical_equivalence_probability(
         *args, gamma, trials=1, horizon=horizon, seed=seed, burn_in=burn_in)
     trace = simulate(*args, AttackSpec(), gamma, horizon, seed)
-    share = float(trace.kalman_equivalent[burn_in:].mean())
+    # the rows of the steps k >= burn_in, the tail mse averages
+    share = float(trace.kalman_equivalent[burn_in - 1:].mean())
     assert prob == share
     assert 0.0 < share < 1.0
 
@@ -886,11 +887,16 @@ def test_negative_burn_in_is_refused(pendulum_model, pendulum_design,
                                           horizon=10, burn_in=-5)
     with pytest.raises(ValueError, match=message):
         sweep_gamma(*args, gammas=(5.0,), trials=1, horizon=10, burn_in=-5)
-    # the edges still keep their steps: mse k >= burn_in, the rate k > it
+    # the edges still keep their steps k >= burn_in, in mse and the rate
     assert mse(tr, burn_in=0).samples == 10
     assert mse(tr, burn_in=10).samples == 1
+    assert empirical_equivalence_probability(
+        *args, 1000.0, trials=1, horizon=10, burn_in=10) == (1.0, 0.0)
     with pytest.raises(ValueError, match="no samples"):
         mse(tr, burn_in=11)
+    with pytest.raises(ValueError, match="no samples"):
+        empirical_equivalence_probability(*args, 1000.0, trials=1,
+                                          horizon=10, burn_in=11)
 
 
 @pytest.mark.parametrize("burn_in", [-5, 50])

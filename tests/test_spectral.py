@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from securekf.model import SystemModel
+from securekf.simulator import fixed_gain_kalman_step
 from securekf.spectral import (
     RiccatiDivergenceError,
     closed_loop_eigendecomposition,
-    fixed_gain_kalman_step,
     spectral_design,
     steady_state_kalman,
 )
@@ -327,12 +327,14 @@ def test_fixed_gain_step_tracks_noise_free_rollout(pendulum_model):
 
 def test_fixed_gain_step_rejects_bad_shapes(pendulum_model):
     design = spectral_design(pendulum_model)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^state estimate has length 3, "
+                                         "expected 4$"):
         fixed_gain_kalman_step(np.zeros(3), np.zeros(4), np.zeros(1),
                                design, pendulum_model)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^measurement has length 2, "
+                                         "expected 4$"):
         fixed_gain_kalman_step(np.zeros(4), np.zeros(2), np.zeros(1),
                                design, pendulum_model)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input has length 3, expected 1$"):
         fixed_gain_kalman_step(np.zeros(4), np.zeros(4), np.zeros(3),
                                design, pendulum_model)
