@@ -160,9 +160,9 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _load_valid_model(args.model)
-    design, decomposition = _get_design(model)
     attack = _build_attack(args, model.m)
     _check_burn_in(args)
+    design, decomposition = _get_design(model)
     trace = simulate(model, design, decomposition, attack, args.gamma,
                      args.horizon, args.seed)
     _emit_csv(trace_csv(trace), args.out)
@@ -181,7 +181,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     model = _load_valid_model(args.model)
-    design, decomposition = _get_design(model)
     attack = _build_attack(args, model.m)
     if attack.kind == "none":
         raise ValueError(f"{args.command} needs an attack; pick "
@@ -195,6 +194,7 @@ def cmd_sweep(args) -> int:
         grid = dict(magnitudes=_parse_grid(args.magnitudes, "magnitudes"),
                     gamma=args.gamma)
     _check_burn_in(args)
+    design, decomposition = _get_design(model)
     rows = sweep(model, design, decomposition, attack=attack,
                  trials=args.trials, horizon=args.horizon, seed=args.seed,
                  burn_in=args.burn_in, **grid)

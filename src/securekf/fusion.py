@@ -40,6 +40,7 @@ call numpy's LAPACK gufunc directly, on a stack of matrices at a time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import NamedTuple
 
@@ -84,10 +85,12 @@ class FusionResult(NamedTuple):
     share.  On an open step x_tilde, mu and nu are always one row's views
     of a block's arrays (fuse_open, whose block is the row alone when
     secure_fuse was handed no walk), unless the refinement step replaced
-    them; each row belongs to one result.  On a screened step
-    x_tilde and nu are fresh arrays.  secure_fuse, which simulate calls
-    once per step, builds its results with tuple.__new__, as
-    namedtuple's _make does, without the generated __new__'s frame.
+    them; each row belongs to one result.  A screened step allocates
+    nothing: x_tilde is x_ls itself (r.x_tilde is r.x_ls exactly when the
+    step screened) and nu the problem's read-only FusionProblem.zero_nu.
+    secure_fuse, which simulate calls once per step, builds its results
+    with tuple.__new__, as namedtuple's _make does, without the generated
+    __new__'s frame.
     """
 
     x_tilde: np.ndarray
@@ -161,8 +164,9 @@ class FusionProblem:
     products as the row form would (_rows_dot), so row t of a block's
     answer has the bits of the answer on Y[t] alone, whatever the block.
     S is a view of the top half of S_pm = [S; -S], which the homotopy
-    reads.  The problem holds its operators and nothing else: no call
-    changes it.
+    reads.  Its fields are its operators and nothing else, and no call
+    changes them; zero_nu, the nu of every screened result, is derived on
+    first use and kept.
     """
 
     H: np.ndarray          # mn x n
@@ -171,6 +175,15 @@ class FusionProblem:
     wls_op: np.ndarray     # x_ls = wls_op @ Y
     S_pm: np.ndarray       # [S; -S], 2mn x mn
     S: np.ndarray          # Minv - Minv H wls_op, the x-eliminated quadratic
+
+    @functools.cached_property
+    def zero_nu(self):
+        """The read-only zero row of length mn, built on first use and kept
+        as SensorDecomposition.fusion_problem is; a copy made by
+        dataclasses.replace starts without it."""
+        nu = np.zeros(len(self.H))
+        nu.setflags(write=False)
+        return nu
 
     def least_squares(self, Y):
         """(x_ls, mu_ls) minimizing 0.5 mu' Minv mu subject to Y = H x + mu."""
@@ -488,7 +501,9 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,
     block whose row t is Y; it is not checked.  A simulator rollout
     carries the split of its whole block, and simulate passes each step
     its row, so a screened step only tests the row's statistic against
-    gamma.  Without it, Y is split as a block of one.  walk, when
+    gamma and answers with arrays it already holds: the row's read-only
+    x_ls as x_tilde and problem.zero_nu as nu.  Without it, Y is split as
+    a block of one.  walk, when
     given, must be row i of fuse_open(problem, block, d, gamma), as
     fuse_open(...).rows()[i] gives it, for a block whose row i is Y; it is
     not checked either.  simulate fuses a run's open rows as one block (a
@@ -513,9 +528,8 @@ def secure_fuse(problem: FusionProblem, Y, gamma, *, split=None,
         split = problem.split(Y[None]).rows[0]
     x_ls, mu_ls, d_ls, statistic, kkt = split
     if statistic <= gamma:
-        return tuple.__new__(FusionResult, (x_ls.copy(), mu_ls,
-                                            np.zeros(len(Y)), kkt, 0, True,
-                                            x_ls, True))
+        return tuple.__new__(FusionResult, (x_ls, mu_ls, problem.zero_nu,
+                                            kkt, 0, True, x_ls, True))
 
     if walk is None:
         walk = fuse_open(problem, Y[None], d_ls[None], gamma).rows()[0]

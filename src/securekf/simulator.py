@@ -405,7 +405,9 @@ def simulate(model: SystemModel, design: SpectralDesign,
     that misses the KKT tolerance.  The trace keeps x_tilde, the KKT
     residual, the iteration count and the convergence flag of each step's
     FusionResult, which is let go as soon as they are taken; it computes
-    no MSE (mse does).  All randomness
+    no MSE (mse does).  A screened step's x_tilde is its read-only row of
+    the split's x_ls, and xhat_sec stacks the steps' x_tilde into a new
+    array.  All randomness
     (initial state, process noise, measurement noise, attack draws) comes
     from independent substreams of (seed, trial), so two runs that differ
     only in the attack share the same noise and the same clean

@@ -130,15 +130,21 @@ def test_design_assumption_violation_exit_3(tmp_path, capsys):
         securekf.spectral.spectral_design(model)
     assert f"error: {info.value}".startswith(SHARED_EIGENVALUE_ERROR)
     out = tmp_path / "out.csv"
-    assert main(["simulate", path, "--horizon", "30",
+    assert main(["simulate", path, "--horizon", "30", "--burn-in", "0",
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: {info.value}\n"
     assert not out.exists()
+    # a flag error comes first: 30 steps leave none at or after the
+    # default burn-in of 50
+    assert main(["simulate", path, "--horizon", "30"]) == 2
+    assert capsys.readouterr().err == (
+        "error: horizon 30 leaves no samples at or after burn-in 50\n")
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate", "--horizon", "30"],
-    ["sweep-gamma", "--gammas", "5", "--trials", "1", "--horizon", "30"],
+    ["simulate", "--horizon", "30", "--burn-in", "0"],
+    ["sweep-gamma", "--gammas", "5", "--trials", "1", "--horizon", "30",
+     "--burn-in", "0"],
 ])
 def test_assumption_violation_same_at_every_entry_point(command, tmp_path,
                                                         capsys):
@@ -155,12 +161,30 @@ def test_design_riccati_divergence_exit_3(pendulum_path, tmp_path, capsys,
     monkeypatch.setattr(securekf.spectral, "RICCATI_MAX_ITER", 1)
     out = tmp_path / "out.csv"
     assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--out", str(out)]) == 3
+                 "--burn-in", "0", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: Riccati recursion did not converge within "
                           "1 iterations")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--burn-in", "-5"], "--burn-in must be nonnegative, got -5"),
+    (["simulate", "--horizon", "0"], "--horizon must be at least 1, got 0"),
+    (["simulate", "--attack-kind", "constant", "--attack-sensor", "9"],
+     "--attack-sensor 9 out of range 1..4"),
+    (["sweep-gamma", "--gammas", ","], "--gammas grid is empty"),
+])
+def test_flag_errors_exit_2_before_the_design(argv, message, pendulum_path,
+                                              capsys, monkeypatch):
+    # the checks that read only the flags run before the filter design
+    def no_design(model):
+        pytest.fail("the design was computed for a refused flag")
+
+    monkeypatch.setattr(securekf.cli, "_get_design", no_design)
+    assert main([argv[0], str(pendulum_path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("error, code", [
@@ -177,7 +201,7 @@ def test_exit_code_follows_the_error_type(error, code, pendulum_path,
     monkeypatch.setattr(securekf.cli, "spectral_design", refuse)
     out = tmp_path / "out.csv"
     assert main(["simulate", str(pendulum_path), "--horizon", "30",
-                 "--out", str(out)]) == code
+                 "--burn-in", "0", "--out", str(out)]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 

@@ -408,8 +408,9 @@ def test_split_row_bit_equal_at_every_gamma_order(
 def test_split_row_results_share_only_read_only_arrays(
         pendulum_model, pendulum_design, pendulum_decomposition):
     # results for one row at several gammas share x_ls, and mu when
-    # screened, read-only rows of the split; x_tilde and nu are fresh and
-    # writable
+    # screened, read-only rows of the split; a screened x_tilde is that
+    # x_ls and its nu the problem's read-only zero row, while the walked
+    # result's x_tilde, nu and mu are fresh and writable
     problem, rollout, picks = open_and_screened_rows(
         pendulum_model, pendulum_design, pendulum_decomposition, count=1)
     split = rollout.split
@@ -420,19 +421,51 @@ def test_split_row_results_share_only_read_only_arrays(
     a, b = screened
     assert a.x_ls is b.x_ls is walked.x_ls
     assert a.mu is b.mu
-    for shared in (a.x_ls, a.mu):
+    for r in screened:
+        assert r.x_tilde is r.x_ls
+        assert r.nu is problem.zero_nu
+    for shared in (a.x_ls, a.mu, a.nu):
         assert not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[0] = 0.0
-    results = screened + [walked]
-    fresh = [r.x_tilde for r in results] + [r.nu for r in results] + [
-        walked.mu]
+    fresh = [walked.x_tilde, walked.nu, walked.mu]
     for k, arr in enumerate(fresh):
         assert arr.flags.writeable
-        others = fresh[:k] + fresh[k + 1:] + [a.x_ls, a.mu]
+        others = fresh[:k] + fresh[k + 1:] + [a.x_ls, a.mu, a.nu]
         assert not any(np.shares_memory(arr, o) for o in others)
     for arr in split[:5]:
         assert not arr.flags.writeable
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(8, 40),
+       log_magnitude=st.floats(-1.0, 3.0), log_gamma=st.floats(-2.0, 3.0))
+def test_screened_result_is_its_split_row_and_the_zero_row(
+        seed, horizon, log_magnitude, log_gamma):
+    # on random Jordan designs, a result that screens returns its x_ls
+    # itself as x_tilde and the problem's one zero row as nu, handed the
+    # row's split or not; an open result's x_tilde is never its x_ls
+    model = random_jordan_model(seed, ensure_observable=True)
+    try:
+        design = spectral_design(model)
+        dec = build_decomposition(model, design)
+        problem = build_fusion_problem(dec.H_stack, dec.Mtilde_factor)
+    except (ValueError, RiccatiDivergenceError):
+        assume(False)
+    attack = AttackSpec(support=(0,), kind="uniform",
+                        magnitude=10.0 ** log_magnitude)
+    rollout = _rollout(model, design, dec, problem, attack, horizon, seed, 0)
+    gamma = 10.0 ** log_gamma
+    for y, row_split in zip(rollout.Y, rollout.split.rows):
+        for r in (secure_fuse(problem, y, gamma, split=row_split),
+                  secure_fuse(problem, y, gamma)):
+            assert r.kalman_equivalent == (row_split[3] <= gamma)
+            if r.kalman_equivalent:
+                assert r.x_tilde is r.x_ls
+                assert r.nu is problem.zero_nu
+                assert not r.nu.any() and r.nu.shape == y.shape
+            else:
+                assert r.x_tilde is not r.x_ls
 
 
 @pytest.mark.parametrize("scale, value", [(1.0, np.nan), (1e306, None)])

@@ -639,6 +639,21 @@ def test_trace_screen_statistic_is_the_block_statistic(
     assert screened[40] or not edge
 
 
+def test_screened_run_stacks_the_split_rows_into_its_own_array(
+        pendulum_model, pendulum_design, pendulum_decomposition):
+    # at gamma = 1000 every clean step screens, and each step's x_tilde is
+    # its read-only row of the split's x_ls: the trace's xhat_sec has
+    # those bits in an array of its own
+    args = (pendulum_model, pendulum_design, pendulum_decomposition)
+    rollout = _rollout(*args, pendulum_decomposition.fusion_problem,
+                       AttackSpec(), 300, 0, 0)
+    trace = simulate(*args, AttackSpec(), 1000.0, 300, 0, rollout=rollout)
+    assert trace.kalman_equivalent.all()
+    assert trace.xhat_sec.tobytes() == rollout.split.x_ls.tobytes()
+    assert trace.xhat_sec.flags.writeable
+    assert not np.shares_memory(trace.xhat_sec, rollout.split.x_ls)
+
+
 @pytest.mark.parametrize("gamma", [20.0, 100.0])
 def test_equivalence_probability_is_the_runs_screened_share(
         gamma, pendulum_model, pendulum_design, pendulum_decomposition):
